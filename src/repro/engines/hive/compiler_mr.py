@@ -266,11 +266,18 @@ class MRCompiler:
         self._job("agg", pending, emit, reducer, reducers, out,
                   row_bytes)
         self._jobs[-1].combiner = combiner
-        # Global aggregates over empty input: handled at finalize by
-        # the reference semantics (rare; acceptable divergence).
+
+        def decoder(records, _g=group_items, _a=aggs):
+            # A global aggregate over empty input never reaches the
+            # reducer, and SQL still wants its one row (COUNT 0, SUM
+            # NULL): the consuming job reads the empty output as one
+            # empty split, and finds that row here.
+            return list(records) or merge_aggregate_groups(
+                [], _g, _a, include_empty_global=True)
+
         leaf = f"agged_{next(self._seq)}"
         return _Pending(
-            [([out], lambda records: list(records), leaf)],
+            [([out], decoder, leaf)],
             InputLeaf(leaf), node.estimated_bytes, row_bytes,
         )
 

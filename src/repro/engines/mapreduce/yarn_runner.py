@@ -23,7 +23,7 @@ from typing import Any, Generator, Optional
 
 from ...hdfs import Hdfs
 from ...shuffle import FetchFailure, Fetcher, HashPartitioner, ShuffleServices
-from ...shuffle import group_by_key, sort_records
+from ...shuffle import merge_and_group, sort_records
 from ...sim import Environment, Interrupt, Store
 from ...yarn import (
     AMContext,
@@ -316,13 +316,14 @@ class _MRAppMaster:
             yield self.env.timeout(container.compute_delay(
                 self.spec.sort_time(len(out))
             ))
-            for p in partitions:
-                partitions[p] = sort_records(partitions[p])
-                if job.combiner is not None:
-                    combined = []
-                    for key, values in group_by_key(partitions[p]):
-                        combined.extend(job.combiner(key, values))
-                    partitions[p] = combined
+            for p, kvs in partitions.items():
+                if job.combiner is None:
+                    partitions[p] = sort_records(kvs)
+                else:
+                    partitions[p] = [
+                        kv for key, values in merge_and_group([kvs])
+                        for kv in job.combiner(key, values)
+                    ]
             service = self.shuffle.on_node(container.node_id)
             spill_id = f"map_{task.index}_a{task.attempts}"
             refs = service.register_spill(
@@ -419,14 +420,11 @@ class _MRAppMaster:
                     self._request_map(source)
                 continue
             fetched[map_index] = records
-        merged = sort_records(
-            [kv for run in fetched.values() for kv in run]
-        )
-        total = len(merged)
+        total = sum(len(run) for run in fetched.values())
         yield self.env.timeout(container.compute_delay(
             self.spec.sort_time(total)
         ))
-        groups = list(group_by_key(merged))
+        groups = merge_and_group(fetched.values())
         if job.descending_sort:
             groups.reverse()
         out: list = []

@@ -7,6 +7,7 @@ cluster nodes; a replica on a dead node is unreadable.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Sequence
 
 __all__ = ["DataBlock", "DfsFile", "estimate_record_bytes"]
@@ -17,20 +18,30 @@ _PRIMITIVE_SIZES = {int: 8, float: 8, bool: 1, type(None): 1}
 def estimate_record_bytes(record: Any) -> int:
     """Cheap serialized-size estimate for the cost model."""
     t = type(record)
-    if t in _PRIMITIVE_SIZES:
-        return _PRIMITIVE_SIZES[t]
-    if t is str:
-        return len(record) + 4
-    if t is bytes:
-        return len(record) + 4
-    if t in (tuple, list):
-        return 8 + sum(estimate_record_bytes(v) for v in record)
-    if t is dict:
-        return 8 + sum(
-            estimate_record_bytes(k) + estimate_record_bytes(v)
-            for k, v in record.items()
-        )
-    return 32  # opaque object
+    if t is tuple or t is list:
+        fields = record
+    elif t is dict:
+        fields = chain(record, record.values())
+    else:
+        size = _PRIMITIVE_SIZES.get(t)
+        if size is not None:
+            return size
+        if t is str or t is bytes:
+            return len(record) + 4
+        return 32  # opaque object
+    # Called once per shuffled record: flat fields are sized in this
+    # loop, only nested containers and opaque objects recurse.
+    fixed = _PRIMITIVE_SIZES.get
+    total = 8
+    for v in fields:
+        size = fixed(type(v))
+        if size is not None:
+            total += size
+        elif type(v) is str or type(v) is bytes:
+            total += len(v) + 4
+        else:
+            total += estimate_record_bytes(v)
+    return total
 
 
 class DataBlock:

@@ -10,7 +10,13 @@ from .service import (
     SpillLost,
     SpillRef,
 )
-from .sorter import group_by_key, merge_sorted_runs, sort_key, sort_records
+from .sorter import (
+    group_by_key,
+    merge_and_group,
+    merge_sorted_runs,
+    sort_key,
+    sort_records,
+)
 
 __all__ = [
     "FetchFailure",
@@ -26,6 +32,7 @@ __all__ = [
     "SpillRef",
     "TransientFetchError",
     "group_by_key",
+    "merge_and_group",
     "merge_sorted_runs",
     "sort_key",
     "sort_records",

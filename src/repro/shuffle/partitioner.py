@@ -5,6 +5,8 @@ from __future__ import annotations
 import bisect
 from typing import Any, Sequence
 
+from .sorter import sort_key
+
 __all__ = ["HashPartitioner", "RangePartitioner", "Partitioner"]
 
 
@@ -56,19 +58,22 @@ class RangePartitioner(Partitioner):
     ``boundaries`` are P-1 sorted split points: keys <= boundaries[i]
     go to partition i; keys above the last boundary go to the final
     partition. Built from a sample histogram for skew-aware order-by
-    (the Pig use case in paper section 5.3).
+    (the Pig use case in paper section 5.3). "Sorted" and "<=" are the
+    sorter's total order (``sort_key``), so NULL-bearing and mixed-type
+    key columns partition instead of raising.
     """
 
     def __init__(self, boundaries: Sequence[Any]):
         self.boundaries = list(boundaries)
-        for a, b in zip(self.boundaries, self.boundaries[1:]):
+        self._tags = [sort_key(b) for b in self.boundaries]
+        for a, b in zip(self._tags, self._tags[1:]):
             if b < a:
                 raise ValueError("boundaries must be sorted")
 
     def partition(self, key: Any, num_partitions: int) -> int:
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
-        idx = bisect.bisect_left(self.boundaries, key)
+        idx = bisect.bisect_left(self._tags, sort_key(key))
         return min(idx, num_partitions - 1)
 
     @classmethod
@@ -77,7 +82,7 @@ class RangePartitioner(Partitioner):
         """Equi-depth boundaries from a key sample."""
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
-        ordered = sorted(sample)
+        ordered = sorted(sample, key=sort_key)
         if not ordered or num_partitions == 1:
             return cls([])
         boundaries = []

@@ -81,7 +81,8 @@ class ShuffleService:
         token: Optional[Token] = None,
         bytes_per_record: Optional[float] = None,
     ) -> list[SpillRef]:
-        """Store a spill; returns one SpillRef per non-empty partition."""
+        """Store a spill; returns one SpillRef per non-empty partition.
+        The service takes ownership of ``partitions`` (no copy)."""
         self.security.verify(token, "JOB", app_id)
         if not self.alive:
             raise SpillLost(f"node {self.node_id} is down")
@@ -95,7 +96,7 @@ class ShuffleService:
                 partition_bytes[part] = sum(
                     estimate_record_bytes(r) for r in records
                 )
-        spill = Spill(spill_id, app_id, self.node_id, dict(partitions),
+        spill = Spill(spill_id, app_id, self.node_id, partitions,
                       partition_bytes)
         self._spills[spill_id] = spill
         return [

@@ -16,7 +16,7 @@ from ...shuffle import (
     FetchFailure,
     Fetcher,
     HashPartitioner,
-    group_by_key,
+    merge_and_group,
     sort_records,
 )
 from ..events import (
@@ -67,13 +67,12 @@ class _SpillOutputBase(LogicalOutput):
 
     def _partition_records(self) -> dict[int, list]:
         count = self.spec.physical_count
-        partitions: dict[int, list] = {p: [] for p in range(count)}
         if count == 1:
-            partitions[0] = list(self.records)
-            return partitions
+            return {0: self.records}
+        partitions: dict[int, list] = {p: [] for p in range(count)}
+        partition = self.partitioner.partition
         for record in self.records:
-            key = record[0]
-            partitions[self.partitioner.partition(key, count)].append(record)
+            partitions[partition(record[0], count)].append(record)
         return partitions
 
     def close(self) -> Generator:
@@ -245,12 +244,13 @@ class OrderedGroupedKVInput(_FetchingInputBase):
     def reader(self) -> Generator:
         runs = yield from self._gather()
         total = sum(len(r) for r in runs)
-        # Merge cost: one comparison-heavy pass over the data.
+        # Modelled as a full sort of the fetched records, which is also
+        # how merge_and_group does it (a stable sort of the
+        # concatenated runs, not a k-way heap merge).
         yield self.ctx.compute(
             self.ctx.services.spec.sort_time(total)
         )
-        merged = sort_records([kv for run in runs for kv in run])
-        return list(group_by_key(merged))
+        return merge_and_group(runs)
 
 
 class UnorderedKVInput(_FetchingInputBase):

@@ -1,6 +1,7 @@
 """Unit tests for the simulated HDFS."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.hdfs import (
@@ -145,6 +146,33 @@ def test_write_time_scales_with_bytes(fs):
     assert fs.write_time(10**9) > fs.write_time(10**6) > 0
 
 
+class _MyInt(int):
+    """Sized by exact type: a subclass is an opaque object."""
+
+
+_REF_PRIMITIVE_SIZES = {int: 8, float: 8, bool: 1, type(None): 1}
+
+
+def _ref_estimate_record_bytes(record):
+    """Verbatim copy of the estimator before it became a flat loop;
+    keep frozen."""
+    t = type(record)
+    if t in _REF_PRIMITIVE_SIZES:
+        return _REF_PRIMITIVE_SIZES[t]
+    if t is str:
+        return len(record) + 4
+    if t is bytes:
+        return len(record) + 4
+    if t in (tuple, list):
+        return 8 + sum(_ref_estimate_record_bytes(v) for v in record)
+    if t is dict:
+        return 8 + sum(
+            _ref_estimate_record_bytes(k) + _ref_estimate_record_bytes(v)
+            for k, v in record.items()
+        )
+    return 32  # opaque object
+
+
 class TestRecordSizeEstimation:
     def test_primitives(self):
         assert estimate_record_bytes(5) == 8
@@ -156,6 +184,21 @@ class TestRecordSizeEstimation:
     def test_containers(self):
         assert estimate_record_bytes((1, 2)) == 8 + 16
         assert estimate_record_bytes({"a": 1}) == 8 + 5 + 8
+
+    @given(st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                  st.text(max_size=5), st.binary(max_size=5),
+                  st.integers().map(_MyInt), st.builds(object)),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.one_of(st.text(max_size=3), st.integers(),
+                                      st.none()), inner, max_size=4)),
+        max_leaves=12))
+    @settings(max_examples=300, deadline=None)
+    def test_flat_loop_equals_recursive_reference(self, record):
+        assert estimate_record_bytes(record) == _ref_estimate_record_bytes(
+            record)
 
     def test_estimation_used_for_block_sizing(self):
         spec = ClusterSpec(num_nodes=4, nodes_per_rack=2,

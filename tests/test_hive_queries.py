@@ -123,6 +123,33 @@ def test_mr_matches_reference(session, sql):
     session.close()
 
 
+EMPTY_INPUT_QUERIES = [
+    # A global aggregate over no rows is one row (COUNT 0, SUM NULL) ...
+    "SELECT COUNT(*), SUM(o_total) FROM orders WHERE o_total < 0",
+    "SELECT COUNT(*) AS n, AVG(o_total) AS a, MIN(o_id) AS lo "
+    "FROM orders WHERE o_status = 'NOPE'",
+    "SELECT COUNT(*), SUM(x) FROM nothing",
+    "SELECT COUNT(*) AS n FROM nothing ORDER BY n LIMIT 5",
+    "SELECT COUNT(*) AS n FROM orders WHERE o_total < 0 "
+    "HAVING COUNT(*) > 0",
+    # ... and a grouped one is none.
+    "SELECT o_status, COUNT(*) FROM orders WHERE o_total < 0 "
+    "GROUP BY o_status",
+]
+
+
+@pytest.mark.parametrize("sql", EMPTY_INPUT_QUERIES)
+def test_empty_input_aggregates_match_reference(session, sql):
+    session.catalog.create_table(session.sim.hdfs, "nothing", ["x"], [])
+    ref = session.run(sql, backend="reference")
+    assert len(ref.rows) == ("GROUP BY" not in sql and "HAVING" not in sql)
+    for backend in ("tez", "mr"):
+        got = session.run(sql, backend=backend)
+        assert got.columns == ref.columns
+        assert norm(got.rows, False) == norm(ref.rows, False), backend
+    session.close()
+
+
 def test_tez_query_is_single_dag_mr_is_many_jobs(session):
     sql = (
         "SELECT c_region, SUM(o_total) AS rev FROM orders "

@@ -190,6 +190,32 @@ def test_order_by_descending(env):
     runner.close()
 
 
+@pytest.mark.parametrize("ascending", [True, False])
+def test_order_by_null_and_mixed_type_key(ascending):
+    # A NULL-bearing (and mixed-type) ORDER BY key: the range
+    # partitioner must order keys the way the sorter does, not with
+    # native `<` (TypeError: NoneType vs int).
+    sim = make_sim()
+    rows = [(f"u{i:02d}", None if i % 4 == 0 else "n/a" if i % 7 == 0
+             else (i * 37) % 50) for i in range(60)]
+    sim.hdfs.write("/data/sparse", rows, record_bytes=24)
+    runner = PigRunner(sim)
+
+    def build():
+        s = PigScript("ordernull")
+        s.load("/data/sparse", ["user", "ms"]) \
+            .order_by(["ms", "user"], ascending=ascending, parallel=3) \
+            .store("/out/ordernull")
+        return s
+
+    ref, tez = run_both(sim, runner, build)
+    assert len(ref.outputs["/out/ordernull"]) == 60
+    assert_outputs_match(ref, tez, ordered=True)
+    mr = runner.run(build(), backend="mr")
+    assert_outputs_match(ref, mr, ordered=True)
+    runner.close()
+
+
 def test_skewed_join(env):
     sim, runner = env
     # Heavily skewed key distribution.

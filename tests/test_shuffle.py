@@ -1,5 +1,7 @@
 """Unit + property tests for the shuffle substrate."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,12 +14,24 @@ from repro.shuffle import (
     ShuffleServices,
     SpillLost,
     group_by_key,
+    merge_and_group,
     merge_sorted_runs,
     sort_key,
     sort_records,
 )
 from repro.sim import Environment
+from repro.tez import DAG
 from repro.yarn import SecurityManager
+
+from helpers import (
+    SG,
+    edge,
+    fn_vertex,
+    hdfs_sink,
+    hdfs_source,
+    make_sim,
+    run_dag,
+)
 
 
 def make_services():
@@ -252,3 +266,228 @@ class TestFetcher:
         local = timed("node0000")
         remote = timed("node0003")
         assert local < remote
+
+
+# ------------------------------------------------------------------
+# The specialised record kernels against the kernels they replaced.
+# The `_ref_*` functions are verbatim copies of the code as it stood
+# before the kernels specialised on observed key types; keep them
+# frozen.
+
+def _ref_sort_key(key):
+    if key is None:
+        return ("", 0)
+    if isinstance(key, bool):
+        return ("bool", key)
+    if isinstance(key, (int, float)):
+        return ("num", key)
+    if isinstance(key, str):
+        return ("str", key)
+    if isinstance(key, bytes):
+        return ("bytes", key)
+    if isinstance(key, tuple):
+        return ("tuple", tuple(_ref_sort_key(k) for k in key))
+    return ("obj", str(key))
+
+
+def _ref_kv_sort_key(kv):
+    return _ref_sort_key(kv[0])
+
+
+def _ref_sort_records(kvs):
+    return sorted(kvs, key=_ref_kv_sort_key)
+
+
+def _ref_group_by_key(sorted_kvs):
+    current_key = None
+    current_tag = None
+    values = []
+    first = True
+    for key, value in sorted_kvs:
+        tag = _ref_sort_key(key)
+        if first:
+            current_key, current_tag = key, tag
+            values = [value]
+            first = False
+        elif tag == current_tag:
+            values.append(value)
+        else:
+            yield current_key, values
+            current_key, current_tag = key, tag
+            values = [value]
+    if not first:
+        yield current_key, values
+
+
+class _MyInt(int):
+    """An int subclass: tagged "num", but never on the native path."""
+
+    def __repr__(self):
+        return f"_MyInt({int(self)})"
+
+
+_NAN = float("nan")
+# Small domains, so equal keys (and 1 == 1.0 == True) actually meet.
+_ints = st.integers(-3, 3)
+_floats = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, _NAN, float("nan"),
+     float("inf"), float("-inf")])
+_nums = st.one_of(_ints, _floats)
+_strs = st.text("ab", max_size=2)
+_bytes = st.binary(max_size=2)
+_scalars = st.one_of(st.none(), st.booleans(), _nums, _strs, _bytes,
+                     _ints.map(_MyInt))
+_any_key = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3).map(tuple),
+                            st.lists(inner, max_size=2)),
+    max_leaves=6)
+# One family per list, so the native paths are actually taken; then
+# the families that must fall back to the tagged path; then anything.
+_key_lists = st.one_of(*(st.lists(family, max_size=24) for family in (
+    _ints, _floats, _nums, _strs, _bytes,
+    st.tuples(_ints, _strs), st.tuples(_floats, _bytes, _ints),
+    st.just(()),
+    st.one_of(st.booleans(), _ints),                # "bool" < "num"
+    st.one_of(st.none(), _ints),
+    st.one_of(_ints.map(_MyInt), _ints),
+    st.tuples(_nums, _strs),                        # int/float per field
+    st.lists(_ints, max_size=3).map(tuple),         # ragged tuples
+    st.tuples(_ints, st.tuples(_strs, _nums)),      # nested tuples
+    st.tuples(st.one_of(st.booleans(), _ints), _strs),
+    _any_key,
+)))
+
+
+def _same(got, want):
+    """Equal lists in equal order, exact types included: `==` alone
+    takes 1 for 1.0 and 0.0 for -0.0, and no NaN for another."""
+    return repr(got) == repr(want)
+
+
+class TestRecordKernelEquivalence:
+    @given(_any_key)
+    @settings(max_examples=200, deadline=None)
+    def test_sort_key_tag_table(self, key):
+        assert _same(sort_key(key), _ref_sort_key(key))
+
+    @given(_key_lists)
+    @settings(max_examples=400, deadline=None)
+    def test_sort_records(self, ks):
+        kvs = [(k, i) for i, k in enumerate(ks)]
+        got, want = sort_records(kvs), _ref_sort_records(kvs)
+        assert got is not kvs
+        # The very same record objects, in the very same order.
+        assert list(map(id, got)) == list(map(id, want))
+
+    @given(_key_lists, st.integers(1, 4))
+    @settings(max_examples=400, deadline=None)
+    def test_merge_and_group(self, ks, n_runs):
+        kvs = [(k, i) for i, k in enumerate(ks)]
+        runs = [_ref_sort_records(kvs[r::n_runs]) for r in range(n_runs)]
+        want = list(_ref_group_by_key(_ref_sort_records(
+            [kv for run in runs for kv in run])))
+        assert _same(merge_and_group(runs), want)
+        assert _same(merge_and_group(iter(runs)), want)
+        # the combiner's use (one unsorted run),
+        assert _same(merge_and_group([kvs]),
+                     list(_ref_group_by_key(_ref_sort_records(kvs))))
+        # and the streaming grouper is unchanged.
+        merged = _ref_sort_records(kvs)
+        assert _same(list(group_by_key(merged)),
+                     list(_ref_group_by_key(merged)))
+
+    def test_int_float_ties_keep_first_seen_key(self):
+        runs = [[(1, "a"), (2.0, "b")], [(1.0, "c"), (2, "d")]]
+        assert _same(merge_and_group(runs),
+                     [(1, ["a", "c"]), (2.0, ["b", "d"])])
+
+    def test_bool_never_sorts_as_int(self):
+        kvs = [(1, "int"), (True, "bool"), (0, "zero"), (False, "f")]
+        assert _same(sort_records(kvs), [(False, "f"), (True, "bool"),
+                                         (0, "zero"), (1, "int")])
+        assert _same(merge_and_group([kvs]),
+                     [(False, ["f"]), (True, ["bool"]),
+                      (0, ["zero"]), (1, ["int"])])
+
+    def test_short_lists(self):
+        assert sort_records([]) == [] and merge_and_group([]) == []
+        assert merge_and_group([[], []]) == []
+        one = [(None, 1)]
+        assert sort_records(one) == one and sort_records(one) is not one
+        assert merge_and_group([one, []]) == [(None, [1])]
+
+
+class TestRangePartitionerTotalOrder:
+    """The range partitioner shares the sorter's total order."""
+
+    def test_null_and_mixed_keys_partition(self):
+        sample = [(None,), (3,), ("x",), (1,), (None,), (2.5,)]
+        p = RangePartitioner.from_sample(sample, 3)
+        ordered = sorted(sample, key=sort_key)
+        parts = [p.partition(k, 3) for k in ordered]
+        assert parts == sorted(parts) and set(parts) <= {0, 1, 2}
+        assert p.partition((None,), 3) == 0
+
+    def test_unsorted_in_tag_order_rejected(self):
+        RangePartitioner([None, 1, "a"])            # "" < "num" < "str"
+        with pytest.raises(ValueError):
+            RangePartitioner(["a", 1])
+
+    @given(st.lists(_ints, min_size=1, max_size=50), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_homogeneous_keys_partition_as_native_bisect(self, sample, n):
+        import bisect
+        p = RangePartitioner.from_sample(sample, n)
+        assert p.boundaries == RangePartitioner.from_sample(
+            sorted(sample), n).boundaries
+        for k in range(-5, 6):
+            assert p.partition(k, n) == min(
+                bisect.bisect_left(p.boundaries, k), n - 1)
+
+
+def _run_mixed_key_dag():
+    """8 x 8 ordered scatter-gather over real rows whose keys mix every
+    type the sorter tags; odd map tasks carry plain ints only, so both
+    the tagged and the native kernels run."""
+    pool = [0, 1, 1.0, True, False, None, -0.0, 2.5, float("inf"), "a", "",
+            "ab", b"a", b"", (1, "x"), (1.0, "x"), (2, "x"), (1, (2, None)),
+            (), 7, 8, 9, 10, -3, "k7", "k8"]
+    sim = make_sim(hdfs_block_size=1 << 20)
+    for part in range(8):       # one block, so one map task, per file
+        if part % 2:
+            rows = [(i % 13, i) for i in range(400)]
+        else:
+            rows = [(pool[(i * 7 + part) % len(pool)], (i, f"v{part}"))
+                    for i in range(400)]
+        sim.hdfs.write(f"/in/{part}", rows)
+
+    def emit(ctx, data):
+        return {"r": list(data["src"])}
+
+    def collect(ctx, data):
+        return {"out": [(repr(k), vs) for k, vs in data["m"]]}
+
+    m = fn_vertex("m", emit, -1)
+    hdfs_source(m, "src", [f"/in/{part}" for part in range(8)],
+                max_splits=8)
+    r = fn_vertex("r", collect, 8)
+    hdfs_sink(r, "out", "/out")
+    dag = DAG("mixed-keys").add_vertex(m).add_vertex(r)
+    dag.add_edge(edge(m, r, SG))
+    status, _ = run_dag(sim, dag)
+    assert status.succeeded, status.diagnostics
+    assert status.metrics["tasks_succeeded"] == 16
+    rows = sim.hdfs.read_file("/out")
+    return status.elapsed, len(rows), hashlib.sha256(
+        repr(rows).encode()).hexdigest()
+
+
+def test_mixed_key_dag_matches_golden():
+    # Golden values recorded from the parent of the commit that
+    # specialised the kernels: committed rows (order included) and the
+    # simulated makespan, which the spill sizes feed.
+    assert _run_mixed_key_dag() == (
+        5.006733498921463, 30,
+        "f8fd239af9791c838c69393bd76c0de6"
+        "ba0d19dceb7d163e7b0e9b87e4823597")
