@@ -163,7 +163,9 @@ class AMContext:
                   launch_overhead=launch_overhead)
 
     def release_container(self, container_id: ContainerId) -> None:
-        for nm in self.rm.node_managers.values():
+        container = self.app.live_containers.get(container_id)
+        if container is not None:
+            nm = self.rm.node_managers[container.node_id]
             if container_id in nm.containers:
                 nm.stop_container(container_id, ContainerExitStatus.ABORTED)
                 return
@@ -260,9 +262,13 @@ class ResourceManager:
             self._h_tick_seconds = telemetry.metrics.histogram(
                 "yarn.scheduler.tick_seconds"
             )
+            self._m_missed = telemetry.metrics.counter(
+                "yarn.scheduler.missed_opportunities"
+            )
         else:
             self._m_ticks_skipped = None
             self._h_tick_seconds = None
+            self._m_missed = None
         self._running = True
         env.process(self._tick_loop(), name="rm-scheduler-tick")
 
@@ -277,9 +283,15 @@ class ResourceManager:
                     self._m_ticks_skipped.inc()
             else:
                 start = perf_counter()
+                missed_before = self.scheduler.missed_opportunities_total
                 self.scheduler.tick()
                 if self._h_tick_seconds is not None:
                     self._h_tick_seconds.observe(perf_counter() - start)
+                # Published once per tick, never per miss.
+                missed = (self.scheduler.missed_opportunities_total
+                          - missed_before)
+                if missed and self._m_missed is not None:
+                    self._m_missed.inc(missed)
             yield self.env.timeout(self.spec.heartbeat_interval)
 
     def stop(self) -> None:

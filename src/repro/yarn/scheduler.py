@@ -17,11 +17,12 @@ Two execution modes share one decision procedure (see DESIGN.md
   keeps per-queue used and cluster-total resources as running
   aggregates, reverse ask indexes (node -> {(app, priority)},
   rack -> {(app, priority)}, any-pending and local-pending app sets), a
-  cached app ordering invalidated only when usage ratios change, and
-  memoized per-table nonzero-entry counters. Empty ask tables are
-  pruned. Resource arithmetic is integer-exact, so every cached value
-  equals what the scan would compute and the allocation log is
-  bit-identical to legacy mode.
+  cached app ordering and a (queue, capability) over-max memo, both
+  invalidated only when usage changes, a skip for nodes too full for
+  any capability ever asked for, and memoized per-table nonzero-entry
+  counters. Empty ask tables are pruned. Resource arithmetic is
+  integer-exact, so every cached value equals what the scan would
+  compute and the allocation log is bit-identical to legacy mode.
 * **legacy** recomputes everything by scanning live containers and
   nodes on every fit check — the pre-overhaul behaviour, kept as the
   ``sched_heavy`` perf-bench baseline.
@@ -125,12 +126,21 @@ class SchedulerApp:
         self._scheduler: Optional["CapacityScheduler"] = None
         # Running sum of live-container resources (incremental mode).
         self._used: Resource = _ZERO
+        # (priority, table) pairs in priority order; None when a table
+        # was created or pruned since it was last built.
+        self._ask_order: Optional[list[tuple[Priority, _AskTable]]] = None
 
     def _fast_scheduler(self) -> Optional["CapacityScheduler"]:
         sched = self._scheduler
         if sched is not None and sched.incremental:
             return sched
         return None
+
+    def _ordered_asks(self) -> list[tuple[Priority, _AskTable]]:
+        order = self._ask_order
+        if order is None:
+            order = self._ask_order = sorted(self.asks.items())
+        return order
 
     # -- ask bookkeeping ---------------------------------------------------
     def add_ask(
@@ -147,6 +157,9 @@ class SchedulerApp:
         if table is None:
             table = _AskTable(capability, fast=sched is not None)
             self.asks[priority] = table
+            self._ask_order = None
+            if sched is not None:
+                sched._asked_capabilities.add(capability)
         elif table.capability != capability:
             raise ValueError(
                 f"capability mismatch at priority {priority}: "
@@ -275,6 +288,15 @@ class CapacityScheduler:
         }
         self._cluster_total: Resource = _ZERO
         self._order_cache: Optional[list[SchedulerApp]] = None
+        # (queue, capability) -> _queue_over_max verdict. Dropped with
+        # _order_cache: both are functions of _queue_used/_cluster_total.
+        self._over_max: dict[tuple[str, Resource], bool] = {}
+        # Every capability that ever entered an indexed ask table
+        # (grow-only: a stale superset only makes the full-node skip in
+        # _assign_on_node skip less).
+        self._asked_capabilities: set[Resource] = set()
+        # Cumulative delay-scheduling declines, all apps.
+        self.missed_opportunities_total = 0
         self._node_cache: Optional[list[str]] = None
         # node id -> {app id -> {priorities with node asks there}}
         self._node_index: dict[str, dict[ApplicationId, set[Priority]]] = {}
@@ -305,7 +327,7 @@ class CapacityScheduler:
             self._queue_used[app.queue] = self._queue_used[app.queue] + used
             for priority, table in app.asks.items():
                 self._index_table(app, priority, table)
-            self._order_cache = None
+            self._usage_changed()
         self.mark_dirty()
 
     def remove_app(self, app_id: ApplicationId) -> None:
@@ -320,7 +342,7 @@ class CapacityScheduler:
                 self._unindex_table(app, priority, table)
             self._any_apps.pop(app_id, None)
             self._local_apps.pop(app_id, None)
-            self._order_cache = None
+            self._usage_changed()
         app._scheduler = None
         app._used = _ZERO
         for table in app.asks.values():
@@ -362,7 +384,7 @@ class CapacityScheduler:
             nm = self.node_managers.get(node.node_id)
             if nm is not None:
                 self._cluster_total = self._cluster_total - nm.total
-            self._order_cache = None
+            self._usage_changed()
         self._node_cache = None
         self.mark_dirty()
 
@@ -371,7 +393,7 @@ class CapacityScheduler:
             nm = self.node_managers.get(node.node_id)
             if nm is not None:
                 self._cluster_total = self._cluster_total + nm.total
-            self._order_cache = None
+            self._usage_changed()
         self._node_cache = None
         self.mark_dirty()
 
@@ -438,6 +460,7 @@ class CapacityScheduler:
                      table: _AskTable) -> None:
         """Build index entries for a table adopted via add_app."""
         table.fast = True
+        self._asked_capabilities.add(table.capability)
         table.node_nonzero = 0
         table.rack_nonzero = 0
         for node, count in table.node_counts.items():
@@ -476,6 +499,7 @@ class CapacityScheduler:
             and app.asks.get(priority) is table
         ):
             del app.asks[priority]
+            app._ask_order = None
 
     # -- capacity accounting -------------------------------------------------
     def cluster_resource(self) -> Resource:
@@ -507,6 +531,12 @@ class CapacityScheduler:
         total = self.cluster_resource()
         used = self.queue_used(queue) + extra
         return used.dominant_share(total) > self.queues[queue].max_capacity + 1e-9
+
+    def _usage_changed(self) -> None:
+        """``_queue_used`` or ``_cluster_total`` was just written: drop
+        everything derived from them (incremental mode)."""
+        self._order_cache = None
+        self._over_max.clear()
 
     # -- the scheduling tick --------------------------------------------------
     def tick(self) -> list[Container]:
@@ -560,7 +590,22 @@ class CapacityScheduler:
         progress = True
         while progress:
             progress = False
+            # Nothing fits a dead node: every table fails the fit check
+            # before it can record a miss, so the offer is a no-op.
+            if not nm.node.alive:
+                break
+            # Spare capacity, read once per pass: only _allocate (and
+            # the on_allocate callback inside it) changes it, and a
+            # grant starts the next pass.
+            total, used = nm.total, nm.used
+            free_mem = total.memory_mb - used.memory_mb
+            free_cores = total.vcores - used.vcores
             if incremental:
+                # Full-node skip: when no capability ever asked for
+                # fits, every table of every app fails the fit check
+                # first - no allocation, no miss.
+                if not self._any_ask_fits(free_mem, free_cores):
+                    break
                 # Consult only apps that can react to this offer: asks
                 # on this node or rack, ANY-level asks, or node-level
                 # asks anywhere (declining the offer advances their
@@ -580,52 +625,72 @@ class CapacityScheduler:
                         and (rack_apps is None or aid not in rack_apps)
                     ):
                         continue
-                container = self._try_assign(app, nm, node_id, rack)
+                container = self._try_assign(app, nm, node_id, rack,
+                                             free_mem, free_cores)
                 if container is not None:
                     allocations.append(container)
                     progress = True
                     break
         return allocations
 
+    def _any_ask_fits(self, free_mem: int, free_cores: int) -> bool:
+        for cap in self._asked_capabilities:
+            if cap.memory_mb <= free_mem and cap.vcores <= free_cores:
+                return True
+        return False
+
     def _try_assign(
-        self, app: SchedulerApp, nm: NodeManager, node_id: str, rack: str
+        self, app: SchedulerApp, nm: NodeManager, node_id: str, rack: str,
+        free_mem: int, free_cores: int,
     ) -> Optional[Container]:
         if node_id in app.blacklist:
             return None
         had_local_ask = False
-        for priority in sorted(app.asks):
-            table = app.asks[priority]
-            if table.pending() <= 0:
+        # Legacy mode has no invalidation points, so its memo lives for
+        # this one consult (nothing it reads can change before return).
+        over_max = self._over_max if self.incremental else {}
+        for priority, table in app._ordered_asks():
+            if table.total <= 0:
                 continue
-            if not nm.can_fit(table.capability):
+            capability = table.capability
+            if not (capability.memory_mb <= free_mem
+                    and capability.vcores <= free_cores):
                 continue
-            if self._queue_over_max(app.queue, table.capability):
+            key = (app.queue, capability)
+            over = over_max.get(key)
+            if over is None:
+                over = over_max[key] = self._queue_over_max(
+                    app.queue, capability)
+            if over:
                 continue
             # NODE_LOCAL
             if table.node_counts.get(node_id, 0) > 0:
                 return self._allocate(app, nm, priority, table, NODE_LOCAL,
                                       node_id, rack)
-            if table.has_node_asks():
+            node_asks = (table.node_nonzero > 0 if table.fast
+                         else table.has_node_asks())
+            if node_asks:
                 had_local_ask = True
             # RACK_LOCAL (allowed after node delay, or if no node asks)
             if table.rack_counts.get(rack, 0) > 0 and (
-                not table.has_node_asks()
+                not node_asks
                 or app.missed_opportunities >= self.node_locality_delay
             ):
                 return self._allocate(app, nm, priority, table,
                                       RACK_LOCAL_LEVEL, node_id, rack)
             # OFF_SWITCH (allowed after rack delay, or if ANY-only asks)
             if table.any_count > 0 and (
-                (not table.has_node_asks() and not table.has_rack_asks())
+                (not node_asks and not table.has_rack_asks())
                 or app.missed_opportunities >= self.rack_locality_delay
             ):
                 return self._allocate(app, nm, priority, table, OFF_SWITCH,
                                       node_id, rack)
         if had_local_ask:
             app.missed_opportunities += 1
+            self.missed_opportunities_total += 1
             # The miss count gates delay-scheduling fallback, so the
             # next heartbeat can behave differently: not a no-op tick.
-            self.mark_dirty()
+            self._dirty = True
         return None
 
     def _dec_node_count(self, app: SchedulerApp, priority: Priority,
@@ -686,7 +751,7 @@ class CapacityScheduler:
             self._queue_used[app.queue] = (
                 self._queue_used[app.queue] + container.resource
             )
-            self._order_cache = None
+            self._usage_changed()
             self._maybe_prune(app, priority, table)
         self.mark_dirty()
         self.allocation_log.append(
@@ -717,7 +782,7 @@ class CapacityScheduler:
                 self._queue_used[app.queue] = (
                     self._queue_used[app.queue] - container.resource
                 )
-                self._order_cache = None
+                self._usage_changed()
         # Even for an already-removed app the node just freed capacity.
         self.mark_dirty()
 

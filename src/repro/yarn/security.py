@@ -36,10 +36,18 @@ class SecurityManager:
     def __init__(self, secret: bytes = b"cluster-master-secret", enabled: bool = True):
         self._secret = secret
         self.enabled = enabled
+        # (kind, owner) -> signature; the secret never changes, so a
+        # signature is computed once per principal, not once per verify.
+        self._signatures: dict[tuple[str, str], str] = {}
 
     def _sign(self, kind: str, owner: str) -> str:
-        msg = f"{kind}:{owner}".encode()
-        return hmac.new(self._secret, msg, hashlib.sha256).hexdigest()[:24]
+        key = (kind, owner)
+        signature = self._signatures.get(key)
+        if signature is None:
+            msg = f"{kind}:{owner}".encode()
+            signature = self._signatures[key] = hmac.new(
+                self._secret, msg, hashlib.sha256).hexdigest()[:24]
+        return signature
 
     def issue(self, kind: str, owner: str) -> Token:
         return Token(kind, owner, self._sign(kind, owner))

@@ -32,6 +32,35 @@ BC = DataMovementType.BROADCAST
 OO = DataMovementType.ONE_TO_ONE
 
 
+def bare_scheduler(scheduler_cls=None, queues=None, **kwargs):
+    """A capacity scheduler with no RM around it: ticks are driven by
+    hand and NodeManagers report completions straight back to it.
+    ``kwargs`` are split between ClusterSpec fields and the scheduler's
+    own keyword arguments. Returns ``(env, cluster, scheduler)``."""
+    from repro.cluster import Cluster, ClusterSpec
+    from repro.sim import Environment
+    from repro.yarn import CapacityScheduler, NodeManager, SecurityManager
+
+    sched_keys = ("node_locality_delay", "rack_locality_delay",
+                  "preemption_enabled")
+    sched_kwargs = {k: kwargs.pop(k) for k in sched_keys if k in kwargs}
+    env = Environment()
+    cluster = Cluster(env, ClusterSpec(**kwargs))
+    security = SecurityManager(enabled=False)
+
+    def completed(status, container):
+        sched.container_completed(status.container_id.app_id,
+                                  status.container_id)
+
+    nms = {
+        node_id: NodeManager(env, node, security, completed)
+        for node_id, node in cluster.nodes.items()
+    }
+    sched = (scheduler_cls or CapacityScheduler)(
+        env, cluster, nms, queues, **sched_kwargs)
+    return env, cluster, sched
+
+
 def make_sim(**overrides):
     defaults = dict(num_nodes=4, nodes_per_rack=2, hdfs_block_size=4096,
                     memory_per_node_mb=16 * 1024, cores_per_node=8)

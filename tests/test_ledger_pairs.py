@@ -1,0 +1,88 @@
+"""tools/ledger_pairs.py against stub checkouts: each "checkout" holds
+a fake benchmarks/ledger/run.py that answers the two invocations the
+tool makes, so the pairing, the alternation and the identity gate are
+tested without running the ledger."""
+
+import importlib.util
+import json
+import textwrap
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "ledger_pairs.py"
+_spec = importlib.util.spec_from_file_location("ledger_pairs", _TOOL)
+ledger_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ledger_pairs)
+
+_STUB = textwrap.dedent('''
+    import json, sys
+    WALL, ALLOCATIONS, CORRECT = {wall!r}, {allocations!r}, {correct!r}
+    args = sys.argv[1:]
+    with open("calls.log", "a") as fh:
+        fh.write(" ".join(args) + "\\n")
+    if "--child" in args:
+        print(json.dumps({{
+            "digest": "d1", "sim_makespan_s": 9.5, "attempted": 10,
+            "failed": 0, "tasks": 10, "wall_s": WALL,
+            "counts": {{"yarn.allocations": ALLOCATIONS}}}}))
+    else:
+        print("  batch 1: wall 2.000s / host 1.000 = 2.000s",
+              file=sys.stderr)
+        print("progress noise")
+        print(json.dumps({{"correct": CORRECT, "metrics": {{
+            "wall_s": {{"value": WALL, "unit": "s"}}}}}}))
+''')
+
+
+def _checkout(root: Path, wall, allocations=7, correct=True) -> Path:
+    ledger = root / "benchmarks" / "ledger"
+    ledger.mkdir(parents=True)
+    (ledger / "run.py").write_text(_STUB.format(
+        wall=wall, allocations=allocations, correct=correct))
+    return root
+
+
+def _main(parent, change, *extra):
+    return ledger_pairs.main(["--parent", str(parent), "--change",
+                              str(change), "--workload", "w", *extra])
+
+
+def test_pairs_alternate_and_report(tmp_path, capsys):
+    parent = _checkout(tmp_path / "p", wall=4.0)
+    change = _checkout(tmp_path / "c", wall=3.0)
+    assert _main(parent, change, "--pairs", "3", "--seed", "5") == 0
+    out = capsys.readouterr().out
+    assert "1 exact counts identical" in out
+    assert "change wins 3/3 pairs" in out
+    assert "median change/parent ratio 0.750" in out
+    rows = [line.split() for line in out.splitlines()
+            if line.split()[:1] in (["1"], ["2"], ["3"])]
+    assert [row[1] for row in rows] == ["parent", "change", "parent"]
+    assert rows[0][2:] == ["4.000", "2.000", "3.000", "2.000", "0.750"]
+    # One identity batch, then the ledger's own command, per pair.
+    calls = (parent / "calls.log").read_text().splitlines()
+    assert calls[0] == "--child batch --workload w --seed 5"
+    assert calls[1:] == ["--workload w --seed 5 --seconds 4 --trace 0"] * 3
+
+
+def test_behaviour_difference_fails_before_timing(tmp_path, capsys):
+    parent = _checkout(tmp_path / "p", wall=4.0, allocations=7)
+    change = _checkout(tmp_path / "c", wall=1.0, allocations=8)
+    assert _main(parent, change) == 2
+    out = capsys.readouterr().out
+    assert "DIFFERS" in out and "counts.yarn.allocations" in out
+    assert len((change / "calls.log").read_text().splitlines()) == 1
+
+
+def test_incorrect_run_fails(tmp_path, capsys):
+    parent = _checkout(tmp_path / "p", wall=4.0)
+    change = _checkout(tmp_path / "c", wall=3.0, correct=False)
+    assert _main(parent, change, "--pairs", "1") == 1
+    assert "correct: false" in capsys.readouterr().out
+
+
+def test_rejects_a_directory_without_the_ledger(tmp_path):
+    parent = _checkout(tmp_path / "p", wall=4.0)
+    with pytest.raises(SystemExit):
+        _main(parent, tmp_path / "missing")

@@ -238,6 +238,64 @@ def test_release_unlaunched_container():
         assert nm.used == Resource(0, 0)
 
 
+def test_release_container_live_completed_and_node_crashed():
+    # release_container finds the node through the app's own live set
+    # (not a scan of every NodeManager); the three ways a release can
+    # find its container must all end with the books balanced.
+    env, cluster, rm = make_rm()
+    seen = {}
+
+    def am(ctx):
+        ctx.register()
+        ctx.request_containers(TASK_PRI, SMALL, count=3)
+        live = yield ctx.allocated.get()
+        done = yield ctx.allocated.get()
+        doomed = yield ctx.allocated.get()
+
+        def quick(container):
+            yield env.timeout(container.compute_delay(0.5))
+
+        def slow(container):
+            yield env.timeout(container.compute_delay(1000.0))
+
+        # (1) a live, launched container: released -> ABORTED status.
+        ctx.launch_container(live, slow)
+        yield env.timeout(5)
+        ctx.release_container(live.container_id)
+        status = yield ctx.completed.get()
+        seen["live"] = (status.container_id == live.container_id,
+                        status.exit_status)
+        # (2) one that already ran to completion: a no-op.
+        ctx.launch_container(done, quick)
+        status = yield ctx.completed.get()
+        assert status.container_id == done.container_id
+        ctx.release_container(done.container_id)
+        # (3) one whose node crashed under it: the NM already reaped it.
+        ctx.launch_container(doomed, slow)
+        yield env.timeout(5)
+        cluster.nodes[doomed.node_id].crash()
+        status = yield ctx.completed.get()
+        seen["doomed"] = status.exit_status
+        ctx.release_container(doomed.container_id)
+        yield env.timeout(1)
+        seen["used"] = ctx.app.used_resource()
+        seen["live_ids"] = set(ctx.app.live_containers)
+        ctx.unregister(FinalApplicationStatus.SUCCEEDED)
+
+    handle = rm.submit_application("release", am)
+    env.run(until=handle.completion)
+    assert handle.final_status == FinalApplicationStatus.SUCCEEDED
+    assert seen["live"] == (True, ContainerExitStatus.ABORTED)
+    assert seen["doomed"] == ContainerExitStatus.NODE_LOST
+    # Only the AM's own container is still held.
+    assert seen["used"] == Resource(2048, 1)
+    assert len(seen["live_ids"]) == 1
+    env.run(until=env.now + 5)
+    assert rm.scheduler.queue_used("default") == Resource(0, 0)
+    for nm in rm.node_managers.values():
+        assert nm.used == Resource(0, 0)
+
+
 def test_capacity_queues_share_cluster():
     queues = [QueueConfig("a", 0.5), QueueConfig("b", 0.5)]
     env, cluster, rm = make_rm(num_nodes=2, nodes_per_rack=2, queues=queues)
@@ -312,6 +370,39 @@ class TestSecurity:
     def test_disabled_security_allows_all(self):
         sm = SecurityManager(enabled=False)
         sm.verify(None, "AMRM")
+
+    def test_forgery_rejected_after_valid_token_verified(self):
+        # Signatures are memoized per (kind, owner): a cached principal
+        # must not let a wrong signature for that principal through.
+        from repro.yarn import Token
+        sm = SecurityManager()
+        tok = sm.issue("AMRM", "app1")
+        sm.verify(tok, "AMRM", "app1")
+        sm.verify(tok, "AMRM", "app1")
+        with pytest.raises(AuthenticationError):
+            sm.verify(Token("AMRM", "app1", "0" * 24), "AMRM", "app1")
+        with pytest.raises(AuthenticationError):
+            sm.verify(Token("AMRM", "app1", ""), "AMRM", "app1")
+        sm.verify(tok, "AMRM", "app1")
+
+    def test_managers_with_different_secrets_share_nothing(self):
+        a = SecurityManager(secret=b"a")
+        b = SecurityManager(secret=b"b")
+        tok_a = a.issue("NM", "app1")
+        tok_b = b.issue("NM", "app1")
+        assert tok_a.signature != tok_b.signature
+        a.verify(tok_a, "NM", "app1")
+        b.verify(tok_b, "NM", "app1")
+        with pytest.raises(AuthenticationError):
+            a.verify(tok_b, "NM", "app1")
+        with pytest.raises(AuthenticationError):
+            b.verify(tok_a, "NM", "app1")
+
+    def test_disabled_security_short_circuits_before_signing(self):
+        from repro.yarn import Token
+        sm = SecurityManager(enabled=False)
+        sm.verify(Token("AMRM", "app1", "forged"), "NM", "someone-else")
+        assert sm._signatures == {}
 
     def test_unregistered_am_cannot_request(self):
         env, cluster, rm = make_rm()
@@ -511,6 +602,59 @@ def test_tick_every_heartbeat_when_event_driven_off():
     assert rm.ticks_skipped == 0
 
 
+@BOTH_MODES
+def test_missed_opportunities_total_is_cumulative(incremental):
+    env, cluster, sched = make_scheduler(incremental=incremental,
+                                         node_delay=100, rack_delay=200)
+    app = _app(sched)
+    app.add_ask(TASK_PRI, SMALL, ["node0002"], ["rack1"], True)
+    assert sched.missed_opportunities_total == 0
+    sched.tick()        # node0001 declines (a miss), node0002 grants
+    assert app.missed_opportunities == 0        # reset by NODE_LOCAL
+    assert sched.missed_opportunities_total == 1   # the total is not
+
+
+def test_missed_opportunities_published_once_per_tick():
+    from repro import SimCluster
+
+    class Recording:
+        """Stands in for the RM's handle on the registry counter."""
+
+        def __init__(self, counter):
+            self.counter, self.steps = counter, []
+
+        def inc(self, delta):
+            self.steps.append(delta)
+            self.counter.inc(delta)
+
+    sim = SimCluster(num_nodes=4, nodes_per_rack=2)
+    counter = sim.telemetry.metrics.counter(
+        "yarn.scheduler.missed_opportunities")
+    recording = sim.rm._m_missed = Recording(counter)
+
+    def am(ctx):
+        ctx.register()
+        # A strict ask for a node the app refuses: each of the other
+        # three nodes' offers is a delay-scheduling miss, every tick.
+        ctx.update_blacklist(additions=["node0002"])
+        ctx.request_containers(TASK_PRI, SMALL, nodes=["node0002"],
+                               relax_locality=False)
+        yield sim.env.timeout(10)
+        ctx.unregister(FinalApplicationStatus.SUCCEEDED)
+
+    handle = sim.rm.submit_application("misser", am)
+    sim.env.run(until=handle.completion)
+    total = sim.rm.scheduler.missed_opportunities_total
+    assert total > 0
+    assert counter.value == total
+    # One increment per tick, carrying that tick's three misses.
+    assert recording.steps == [3] * (total // 3)
+    # A registry counter only: nothing per miss reaches the span store.
+    kinds = {rec["kind"]
+             for rec in sim.telemetry.spanstore.iter_event_records()}
+    assert kinds and not any("missed" in kind for kind in kinds)
+
+
 def test_ticks_skipped_counter_and_histogram_in_telemetry():
     from repro import SimCluster
 
@@ -606,3 +750,372 @@ def test_randomized_allocation_log_equivalence(ops):
     optimized = _run_script(ops, incremental=True)
     assert optimized["log"] == legacy["log"]
     assert optimized == legacy
+
+
+# -- frozen oracle: the offer path before the cheap-decline rewrite ---------
+#
+# The legacy/incremental comparison above runs the same `_try_assign` on
+# both sides, so a slip in the shared procedure passes it. This oracle is
+# the parent commit's `_assign_on_node` + `_try_assign`, verbatim, in a
+# subclass: it shares the bookkeeping (`_allocate`, indexes, aggregates)
+# with the scheduler under test but none of the offer-path code.
+
+from helpers import bare_scheduler
+from repro.yarn.scheduler import NODE_LOCAL, OFF_SWITCH, RACK_LOCAL_LEVEL
+
+
+class _FrozenOfferPath(CapacityScheduler):
+    def _assign_on_node(self, node_id):
+        nm = self.node_managers[node_id]
+        rack = self.cluster.nodes[node_id].rack
+        allocations = []
+        incremental = self.incremental
+        progress = True
+        while progress:
+            progress = False
+            if incremental:
+                node_apps = self._node_index.get(node_id)
+                rack_apps = self._rack_index.get(rack)
+                any_apps = self._any_apps
+                local_apps = self._local_apps
+            for app in self._ordered_apps():
+                if incremental:
+                    aid = app.app_id
+                    if (
+                        aid not in any_apps
+                        and aid not in local_apps
+                        and (node_apps is None or aid not in node_apps)
+                        and (rack_apps is None or aid not in rack_apps)
+                    ):
+                        continue
+                container = self._try_assign(app, nm, node_id, rack)
+                if container is not None:
+                    allocations.append(container)
+                    progress = True
+                    break
+        return allocations
+
+    def _try_assign(self, app, nm, node_id, rack):
+        if node_id in app.blacklist:
+            return None
+        had_local_ask = False
+        for priority in sorted(app.asks):
+            table = app.asks[priority]
+            if table.pending() <= 0:
+                continue
+            if not nm.can_fit(table.capability):
+                continue
+            if self._queue_over_max(app.queue, table.capability):
+                continue
+            # NODE_LOCAL
+            if table.node_counts.get(node_id, 0) > 0:
+                return self._allocate(app, nm, priority, table, NODE_LOCAL,
+                                      node_id, rack)
+            if table.has_node_asks():
+                had_local_ask = True
+            # RACK_LOCAL (allowed after node delay, or if no node asks)
+            if table.rack_counts.get(rack, 0) > 0 and (
+                not table.has_node_asks()
+                or app.missed_opportunities >= self.node_locality_delay
+            ):
+                return self._allocate(app, nm, priority, table,
+                                      RACK_LOCAL_LEVEL, node_id, rack)
+            # OFF_SWITCH (allowed after rack delay, or if ANY-only asks)
+            if table.any_count > 0 and (
+                (not table.has_node_asks() and not table.has_rack_asks())
+                or app.missed_opportunities >= self.rack_locality_delay
+            ):
+                return self._allocate(app, nm, priority, table, OFF_SWITCH,
+                                      node_id, rack)
+        if had_local_ask:
+            app.missed_opportunities += 1
+            self.mark_dirty()
+        return None
+
+
+# 4 nodes x (4096 MB, 4 cores) = (16384 MB, 16 cores). q0 is capped at
+# exactly 8 SMALL containers: the 8th lands on max_capacity, the 9th is
+# over it. Priority 3 asks for more memory than any node has.
+_ORACLE_QUEUES = [QueueConfig("q0", 0.5, 0.5), QueueConfig("q1", 0.5, 1.0)]
+_ORACLE_CAPS = {1: Resource(1024, 1), 2: Resource(2048, 2),
+                3: Resource(8192, 1), 4: Resource(1024, 1)}
+_ORACLE_NODES = 4
+
+
+class _OracleRig:
+    """One scheduler (frozen or current) plus the scripted world around
+    it; two rigs are driven in lock-step and compared after every op."""
+
+    def __init__(self, scheduler_cls, incremental, preemption):
+        self.env, self.cluster, self.sched = bare_scheduler(
+            scheduler_cls, _ORACLE_QUEUES,
+            num_nodes=_ORACLE_NODES, nodes_per_rack=2,
+            memory_per_node_mb=4096, cores_per_node=4,
+            scheduler_incremental=incremental,
+            node_locality_delay=2, rack_locality_delay=4,
+            preemption_enabled=preemption,
+        )
+        self.apps = [
+            SchedulerApp(ApplicationId(0, 700 + i), f"q{i % 2}", "user")
+            for i in range(3)
+        ]
+        # App 2 arrives with asks already in its book: add_app adopts.
+        self.apps[2].add_ask(Priority(1), _ORACLE_CAPS[1], ["node0001"],
+                             ["rack0"], True, 2)
+        for app in self.apps:
+            self.sched.add_app(app)
+
+    def _stop_oldest(self, app):
+        """Complete the app's oldest live container, wherever it runs."""
+        if app.live_containers:
+            cid = min(app.live_containers)
+            container = app.live_containers[cid]
+            self.sched.node_managers[container.node_id].stop_container(cid)
+
+    def apply(self, op):
+        kind = op[0]
+        sched, apps = self.sched, self.apps
+        if kind == "ask":
+            _, app_idx, pri, node_idxs, relax, count = op
+            nodes = sorted({f"node{i:04d}" for i in node_idxs})
+            racks = sorted({self.cluster.nodes[n].rack for n in nodes})
+            apps[app_idx].add_ask(Priority(pri), _ORACLE_CAPS[pri],
+                                  nodes, racks, relax, count)
+        elif kind == "cancel":
+            _, app_idx, pri, node_idxs, relax, count = op
+            nodes = sorted({f"node{i:04d}" for i in node_idxs})
+            racks = sorted({self.cluster.nodes[n].rack for n in nodes})
+            apps[app_idx].remove_ask(Priority(pri), nodes, racks, relax,
+                                     count)
+        elif kind == "tick":
+            sched.tick()
+        elif kind == "complete":
+            self._stop_oldest(apps[op[1]])
+        elif kind == "blacklist":
+            apps[op[1]].blacklist.add(f"node{op[2]:04d}")
+            sched.mark_dirty()
+        elif kind == "unblacklist":
+            apps[op[1]].blacklist.discard(f"node{op[2]:04d}")
+            sched.mark_dirty()
+        elif kind == "crash":
+            self.cluster.nodes[f"node{op[1]:04d}"].crash()
+        elif kind == "restart":
+            self.cluster.nodes[f"node{op[1]:04d}"].restart()
+        elif kind == "remove":
+            sched.remove_app(apps[op[1]].app_id)
+        elif kind == "add":
+            # Adopts the ask book (possibly edited while unregistered)
+            # and the live containers the app still holds.
+            if apps[op[1]].app_id not in sched.apps:
+                sched.add_app(apps[op[1]])
+        elif kind == "hook_complete":
+            # From now on every grant to app A completes app B's oldest
+            # container *inside* the offer loop: queue usage (and maybe
+            # the offered node's spare capacity) moves between two
+            # offers of one tick.
+            victim = apps[op[2]]
+            apps[op[1]].on_allocate = lambda c: self._stop_oldest(victim)
+        elif kind == "hook_crash":
+            node = self.cluster.nodes[f"node{op[2]:04d}"]
+            apps[op[1]].on_allocate = lambda c: node.crash()
+        elif kind == "unhook":
+            apps[op[1]].on_allocate = None
+        else:
+            raise AssertionError(kind)
+
+    def observe(self):
+        sched = self.sched
+        return {
+            "log": list(sched.allocation_log),
+            "missed": [a.missed_opportunities for a in self.apps],
+            "needs_tick": sched.needs_tick(),
+            "queue_used": {q: sched.queue_used(q) for q in ("q0", "q1")},
+            "cluster": sched.cluster_resource(),
+            "pending": [a.total_pending() for a in self.apps],
+            "node_used": {n: nm.used
+                          for n, nm in sched.node_managers.items()},
+        }
+
+
+def _assert_matches_frozen(ops, incremental, preemption):
+    frozen = _OracleRig(_FrozenOfferPath, incremental, preemption)
+    current = _OracleRig(CapacityScheduler, incremental, preemption)
+    assert current.observe() == frozen.observe()
+    for step, op in enumerate(ops):
+        frozen.apply(op)
+        current.apply(op)
+        assert current.observe() == frozen.observe(), (step, op)
+        for app in current.apps:
+            assert app._ordered_asks() == sorted(app.asks.items())
+    frozen.apply(("tick",))
+    current.apply(("tick",))
+    assert current.observe() == frozen.observe()
+    return current
+
+
+_node_idx = st.integers(0, _ORACLE_NODES - 1)
+_app_idx = st.integers(0, 2)
+_ask_args = (_app_idx, st.integers(1, 4),
+             st.lists(_node_idx, max_size=2), st.booleans())
+_oracle_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("ask"), *_ask_args, st.integers(1, 9)),
+        st.tuples(st.just("cancel"), *_ask_args, st.integers(1, 3)),
+        st.tuples(st.just("tick")),
+        st.tuples(st.just("tick")),
+        st.tuples(st.just("complete"), _app_idx),
+        st.tuples(st.just("blacklist"), _app_idx, _node_idx),
+        st.tuples(st.just("unblacklist"), _app_idx, _node_idx),
+        st.tuples(st.just("crash"), _node_idx),
+        st.tuples(st.just("restart"), _node_idx),
+        st.tuples(st.just("remove"), _app_idx),
+        st.tuples(st.just("add"), _app_idx),
+        st.tuples(st.just("hook_complete"), _app_idx, _app_idx),
+        st.tuples(st.just("hook_crash"), _app_idx, _node_idx),
+        st.tuples(st.just("unhook"), _app_idx),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+@BOTH_MODES
+@settings(max_examples=150, deadline=None)
+@given(ops=_oracle_ops, preemption=st.booleans())
+def test_offer_path_matches_frozen_oracle(incremental, ops, preemption):
+    _assert_matches_frozen(ops, incremental, preemption)
+
+
+# The scenarios the rewrite's three shortcuts must survive, spelled out so
+# they run on every invocation whatever Hypothesis happens to draw.
+
+@BOTH_MODES
+def test_oracle_full_node_skip_still_consults_fitting_asks(incremental):
+    # Priority 3 fits no node. It is asked first, so the skip's
+    # capability set starts with a member that never fits; the SMALL
+    # asks must still be offered every node and still count misses.
+    ops = [
+        ("ask", 0, 3, [0], True, 2),
+        ("tick",),
+        ("ask", 0, 1, [1], True, 5),
+        ("ask", 1, 2, [2, 3], False, 3),
+        ("tick",), ("tick",), ("tick",),
+    ]
+    rig = _assert_matches_frozen(ops, incremental, False)
+    assert len(rig.sched.allocation_log) == 2 + 5 + 3
+    assert rig.apps[0].total_pending() == 2     # the unfittable asks
+
+
+@BOTH_MODES
+def test_oracle_queue_at_max_drops_below_mid_tick(incremental):
+    # q0 (apps 0 and 2) fills to exactly max_capacity, with more asks
+    # pending: every further q0 consult is declined at the queue check.
+    # Then each grant to app 1 (q1) completes one q0 container inside
+    # the offer loop, so q0 drops below max between two offers of one
+    # tick and must be granted again in that same tick.
+    ops = [
+        ("cancel", 2, 1, [1], True, 2),
+        ("ask", 0, 1, [], True, 9),
+        ("tick",),
+        ("hook_complete", 1, 0),
+        ("ask", 1, 4, [], True, 2),
+        ("tick",),
+        ("tick",),
+    ]
+    rig = _assert_matches_frozen(ops, incremental, False)
+    log = rig.sched.allocation_log
+    q0_grants = [e for e in log if e[1] == str(rig.apps[0].app_id)]
+    assert len(q0_grants) == 9                  # 8 at max, 9th after a drop
+    assert rig.sched.queue_used("q0") == Resource(7 * 1024, 7)
+
+
+@BOTH_MODES
+def test_oracle_cluster_total_change_moves_queue_limit(incremental):
+    # q0 sits at max; a node crash shrinks the cluster (q0 is now over
+    # max), the restart grows it back: the limit verdict must follow.
+    ops = [
+        ("cancel", 2, 1, [1], True, 2),
+        ("ask", 0, 1, [], True, 12),
+        ("tick",),
+        ("crash", 3), ("tick",),
+        ("complete", 0), ("tick",),
+        ("restart", 3), ("tick",),
+        ("complete", 0), ("complete", 0), ("tick",),
+    ]
+    _assert_matches_frozen(ops, incremental, False)
+
+
+@BOTH_MODES
+def test_oracle_empty_node_crash_tightens_queue_limit(incremental):
+    # q0 holds 6 SMALL on nodes 1 and 2 and is consulted (under max,
+    # declined on locality) for a strict ask on blacklisted node 0.
+    # Crashing empty node 3 completes nothing but shrinks the cluster:
+    # 7 SMALL is now over max, so node 0 must still decline once the
+    # blacklist is lifted - and grant again after the restart.
+    ops = [
+        ("cancel", 2, 1, [1], True, 2),
+        ("ask", 0, 1, [], True, 6), ("tick",),
+        ("blacklist", 0, 0), ("ask", 0, 1, [0], False, 1), ("tick",),
+        ("crash", 3), ("unblacklist", 0, 0), ("tick",),
+    ]
+    rig = _assert_matches_frozen(ops, incremental, False)
+    assert len(rig.sched.allocation_log) == 6
+    rig = _assert_matches_frozen(ops + [("restart", 3), ("tick",)],
+                                 incremental, False)
+    assert len(rig.sched.allocation_log) == 7
+
+
+@BOTH_MODES
+def test_oracle_remove_and_add_app_move_queue_limit(incremental):
+    # Apps 0 and 2 share q0. App 0 fills it to max, so app 2's ask is
+    # declined at the queue check; removing app 0 empties the queue and
+    # app 2 must be granted. Re-adding app 0 (adopting its 8 live
+    # containers) puts q0 over max again: app 2's next ask must wait.
+    ops = [
+        ("cancel", 2, 1, [1], True, 2),
+        ("ask", 0, 1, [], True, 8), ("tick",),
+        ("ask", 2, 1, [], True, 1), ("tick",),
+        ("remove", 0), ("tick",),
+        ("blacklist", 2, 3), ("ask", 2, 1, [3], False, 1), ("tick",),
+        ("add", 0), ("unblacklist", 2, 3), ("tick",),
+    ]
+    rig = _assert_matches_frozen(ops, incremental, False)
+    app2 = str(rig.apps[2].app_id)
+    assert [e[1] for e in rig.sched.allocation_log].count(app2) == 1
+    assert rig.apps[2].total_pending() == 1
+
+
+@BOTH_MODES
+def test_oracle_table_pruned_and_recreated_at_same_priority(incremental):
+    ops = [
+        ("ask", 0, 2, [0], True, 1), ("ask", 0, 4, [1], True, 1),
+        ("tick",),                      # both tables consumed (pruned)
+        ("ask", 0, 4, [2], True, 1),    # priority 4 re-created first
+        ("ask", 0, 2, [3], True, 1),
+        ("ask", 0, 1, [3], True, 1),    # and a new lowest priority
+        ("tick",),
+        ("cancel", 0, 1, [3], True, 1), ("ask", 0, 1, [0], False, 1),
+        ("tick",),
+    ]
+    _assert_matches_frozen(ops, incremental, False)
+
+
+@BOTH_MODES
+def test_oracle_adoption_removal_blacklist_and_preemption(incremental):
+    ops = [
+        ("blacklist", 2, 1),            # app 2's adopted asks want node 1
+        ("ask", 1, 4, [], True, 14),    # q1 takes nearly everything
+        ("tick",), ("tick",),
+        ("remove", 1),
+        ("ask", 1, 2, [0], True, 1),    # edited while unregistered
+        ("tick",),
+        ("add", 1),                     # adopt live containers + asks
+        ("ask", 0, 1, [2], True, 4),    # q0 starved -> preemption
+        ("tick",), ("tick",),
+        ("unblacklist", 2, 1),
+        ("hook_crash", 0, 2),
+        ("tick",), ("tick",),
+        ("restart", 2), ("unhook", 0),
+        ("tick",), ("tick",),
+    ]
+    rig = _assert_matches_frozen(ops, incremental, True)
+    assert rig.sched.allocation_log

@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of one ledger workload.
+
+    python3 tools/ledger_pairs.py --parent DIR --change DIR \\
+        --workload sched_storm [--seed N] [--pairs 10]
+
+Each side is a checkout of this repository; every measurement runs
+that checkout's own ``benchmarks/ledger/run.py``, unchanged, as
+
+    run.py --workload W --seed N --seconds 4 --trace 0
+
+The order within a pair alternates (parent first, then change first,
+...) so host-speed drift falls on both sides alike. Before timing
+anything, one ``run.py --child batch`` per side must agree on the
+simulated result - ``digest``, every exact count, ``sim_makespan_s``,
+attempted/failed/tasks: a difference there means a behaviour change,
+which no timing can excuse, and the tool exits 2 without timing.
+
+Prints one row per pair (calibrated ``wall_s`` as the ledger reports
+it, and the median raw wall of the run's batches), then wins, each
+side's median and quartiles, and the median change/parent ratio.
+Exit 0 when the sides are identical and every run was correct; it
+reports the numbers and leaves the verdict on a claimed gain
+(>= 9/10 wins, medians further apart than the parent's quartiles)
+in plain sight rather than in the exit code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+
+RUN = os.path.join("benchmarks", "ledger", "run.py")
+SECONDS = 4                    # BENCHMARK.json run_seconds
+IDENTITY_KEYS = ("digest", "sim_makespan_s", "attempted", "failed", "tasks")
+# run.py's per-batch progress line: "batch 2: wall 3.437s / host 0.953 = ..."
+_RAW_WALL = re.compile(r"batch \d+: wall ([0-9.]+)s / host")
+
+
+def _run(checkout: str, *args: str) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, RUN, *args]
+    proc = subprocess.run(cmd, cwd=checkout, text=True,
+                          env=dict(os.environ, PYTHONHASHSEED="0"),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode} "
+                         f"in {checkout}")
+    return proc
+
+
+def _last_json(proc: subprocess.CompletedProcess) -> dict:
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def identity(checkout: str, workload: str, seed: int) -> dict:
+    """What one batch computed, stripped of everything host-dependent."""
+    batch = _last_json(_run(checkout, "--child", "batch",
+                            "--workload", workload, "--seed", str(seed)))
+    facts = {key: batch[key] for key in IDENTITY_KEYS}
+    facts.update({f"counts.{k}": v for k, v in batch["counts"].items()})
+    return facts
+
+
+def measure(checkout: str, workload: str, seed: int) -> dict:
+    proc = _run(checkout, "--workload", workload, "--seed", str(seed),
+                "--seconds", str(SECONDS), "--trace", "0")
+    verdict = _last_json(proc)
+    raw = [float(m) for m in _RAW_WALL.findall(proc.stderr)]
+    return {
+        "correct": verdict["correct"],
+        "wall_s": verdict["metrics"]["wall_s"]["value"],
+        "raw_wall_s": statistics.median(raw) if raw else float("nan"),
+    }
+
+
+def _quartiles(values: list) -> tuple:
+    if len(values) < 2:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, metavar="DIR")
+    parser.add_argument("--change", required=True, metavar="DIR")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=20150531)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    sides = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    for name, checkout in sides.items():
+        if not os.path.isfile(os.path.join(checkout, RUN)):
+            parser.error(f"--{name}: no {RUN} under {checkout}")
+
+    facts = {name: identity(checkout, args.workload, args.seed)
+             for name, checkout in sides.items()}
+    differing = sorted(
+        key for key in facts["parent"].keys() | facts["change"].keys()
+        if facts["parent"].get(key) != facts["change"].get(key))
+    if differing:
+        print(f"{args.workload} seed {args.seed}: simulated result DIFFERS")
+        for key in differing:
+            print(f"  {key}: parent {facts['parent'].get(key)!r} "
+                  f"change {facts['change'].get(key)!r}")
+        return 2
+    print(f"{args.workload} seed {args.seed}: digest, sim_makespan_s and "
+          f"{len(facts['parent']) - len(IDENTITY_KEYS)} exact counts "
+          f"identical")
+
+    print(f"{'pair':>4} {'first':>6} {'parent wall_s':>13} {'(raw)':>8} "
+          f"{'change wall_s':>13} {'(raw)':>8} {'ratio':>6}")
+    walls = {"parent": [], "change": []}
+    ratios, wins, ties, incorrect = [], 0, 0, 0
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 \
+            else ("change", "parent")
+        got = {name: measure(sides[name], args.workload, args.seed)
+               for name in order}
+        incorrect += sum(not m["correct"] for m in got.values())
+        p, c = got["parent"], got["change"]
+        walls["parent"].append(p["wall_s"])
+        walls["change"].append(c["wall_s"])
+        ratios.append(c["wall_s"] / p["wall_s"])
+        wins += c["wall_s"] < p["wall_s"]
+        ties += c["wall_s"] == p["wall_s"]
+        print(f"{pair + 1:>4} {order[0]:>6} {p['wall_s']:>13.3f} "
+              f"{p['raw_wall_s']:>8.3f} {c['wall_s']:>13.3f} "
+              f"{c['raw_wall_s']:>8.3f} {ratios[-1]:>6.3f}", flush=True)
+
+    for name in ("parent", "change"):
+        q1, q2, q3 = _quartiles(walls[name])
+        print(f"{name}: median wall_s {q2:.3f} (quartiles {q1:.3f} - "
+              f"{q3:.3f}, n={len(walls[name])})")
+    print(f"change wins {wins}/{args.pairs - ties} pairs"
+          f"{f' ({ties} ties)' if ties else ''}; median change/parent "
+          f"ratio {statistics.median(ratios):.3f}")
+    if incorrect:
+        print(f"{incorrect} run(s) ended with correct: false")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
