@@ -32,8 +32,8 @@ Usage::
 
 The full-size defaults honour the acceptance floor (>=100 sessions,
 >=1,000 DAGs, ~1M tasks); ``--smoke`` is the CI-sized cut of the same
-shape. ``repro.bench.perf`` runs this engine as its ``cluster_day``
-scenario (legacy vs optimized event plane, identical digest required).
+shape. The terminal digest of a smaller cut still is pinned in
+``tests/golden/control_plane.json``.
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ def run_cluster_day(
     shards: int = 2,
     seed: int = 20258,
     config: Optional[TezConfig] = None,
-    scheduler_optimized: bool = True,
     crash_session: int = 0,
     crash_shard: Optional[int] = None,
     crash_at: Optional[float] = None,
@@ -164,8 +163,6 @@ def run_cluster_day(
         cores_per_node=16,
         memory_per_node_mb=16 * 1024,
         queues=_queues(),
-        scheduler_incremental=scheduler_optimized,
-        event_driven_ticks=scheduler_optimized,
         telemetry_opts={"ring_spans": ring, "ring_events": ring},
     )
     env = sim.env

@@ -63,24 +63,6 @@ class ClusterSpec:
     shuffle_fetch_timeout: float = 1.5         # hang time on a partitioned link
     node_liveness_timeout: float = 2.0         # missed-heartbeat window -> LOST
 
-    # -- scheduler hot path (see DESIGN.md "Scheduler hot paths") ---------
-    # Incremental CapacityScheduler accounting: per-queue used and
-    # cluster-total resources kept as running aggregates, reverse ask
-    # indexes, cached app ordering and ask-table pruning. Off reproduces
-    # the historical scan-everything scheduler (the perf-bench baseline);
-    # both modes produce bit-identical allocation logs.
-    scheduler_incremental: bool = True
-    # Event-driven RM ticking: heartbeats that provably cannot change
-    # scheduler state (no asks, completions, or node events since a
-    # no-op tick) are skipped, with the node-rotation phase compensated
-    # so allocation order is unchanged. Off ticks every heartbeat.
-    event_driven_ticks: bool = True
-    # Bucketed-calendar timer wheel in the DES kernel: near-term timers
-    # land in unsorted 1/64 s buckets (O(1) append) and are heapified
-    # only when their quantum becomes current; pop order is identical
-    # to the plain binary heap. Off reproduces the single-heap kernel.
-    timer_wheel: bool = True
-
     # -- misc --------------------------------------------------------------
     hdfs_replication: int = 3
     hdfs_block_size: int = 128 * MB

@@ -39,7 +39,7 @@ class SimCluster:
         elif spec_overrides:
             spec = spec.scaled(**spec_overrides)
         self.spec = spec
-        self.env = Environment(timer_wheel=spec.timer_wheel)
+        self.env = Environment()
         # ``telemetry=False`` turns observability into a no-op for
         # perf-sensitive runs: spans/events are skipped at every
         # emission site (see telemetry.facade.get_telemetry).

@@ -44,13 +44,6 @@ _PENDING = 0
 _TRIGGERED = 1  # scheduled, callbacks not yet run
 _PROCESSED = 2  # callbacks have run
 
-# Timer-wheel bucket granularity: quanta per simulated second. 1/64 s
-# buckets keep the dense near-term band (heartbeats, fetch rounds,
-# zero-delay hops) in a handful of unsorted buckets while staying exact:
-# entries are bucketed by floor(time * _WHEEL_HZ) and re-heapified only
-# when their quantum becomes current, so pop order matches the heap.
-_WHEEL_HZ = 64.0
-
 
 class Event:
     """A one-shot occurrence that processes can wait on.
@@ -349,33 +342,15 @@ class AnyOf(_Condition):
 class Environment:
     """Owns the clock and the event queue; executes the simulation.
 
-    Two queue backends share one total order ``(time, priority, seq)``:
-
-    * **binary heap** (default) — one ``heapq`` over every entry.
-    * **timer wheel** (``timer_wheel=True``) — a sparse bucketed
-      calendar for the dense near-term band: entries land unsorted in
-      per-quantum buckets (``_WHEEL_HZ`` quanta per simulated second,
-      i.e. 1/64 s granularity), a small heap of quantum ids picks the
-      next bucket, and only the *active* bucket is heapified. Inserts
-      into future buckets are O(1) appends instead of O(log n)
-      heap pushes; pop order is identical to the heap backend by
-      construction (the per-bucket heapify restores the same
-      ``(time, priority, seq)`` order the global heap would have).
+    The queue is one ``heapq`` over every entry, totally ordered by
+    ``(time, priority, seq)``.
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 timer_wheel: bool = False):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active: Optional[Process] = None
-        # Timer-wheel backend state (unused in heap mode).
-        self._wheel = bool(timer_wheel)
-        self._cur: list[tuple] = []       # heapified active bucket
-        self._cur_q = int(self._now * _WHEEL_HZ)
-        self._buckets: dict[int, list[tuple]] = {}
-        self._bucket_q: list[int] = []    # heap of pending quantum ids
-        self._timer_wheel_hits = 0
         # Recyclable kernel hop events (see _PooledEvent).
         self._event_pool: list[_PooledEvent] = []
         self._pool_reuse = 0
@@ -395,25 +370,22 @@ class Environment:
 
     @property
     def heap_pushes(self) -> int:
-        """Total entries ever scheduled, in *either* queue backend.
+        """Total entries ever scheduled.
 
         Counter semantics: ``_seq`` is bumped exactly once per
         scheduled entry — timeouts, event triggers, pooled hops and
         ``schedule_many`` batches (one bump per batch) — at insert
         time. Entries that are later lazily cancelled and skipped at
         pop **stay counted**: the push happened and its cost was paid.
-        The timer wheel bumps the same counter for bucket appends as
-        for active-bucket heap pushes, so the number is comparable
-        across backends (use :attr:`timer_wheel_hits` to see how many
-        inserts took the O(1) bucket path).
         """
         return self._seq
 
     @property
     def timer_wheel_hits(self) -> int:
-        """Inserts that took the timer wheel's O(1) future-bucket path
-        (0 in heap mode and for same-quantum inserts)."""
-        return self._timer_wheel_hits
+        """Always 0: there is no timer wheel. Read by
+        ``benchmarks/ledger/run.py``; goes when the ledger stops
+        reading it."""
+        return 0
 
     @property
     def pool_reuse(self) -> int:
@@ -444,41 +416,8 @@ class Environment:
     # -- scheduling -------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
         self._seq += 1
-        entry = (self._now + delay, priority, self._seq, event)
-        if self._wheel:
-            self._wheel_insert(entry)
-        else:
-            heapq.heappush(self._queue, entry)
-
-    def _wheel_insert(self, entry: tuple) -> None:
-        q = int(entry[0] * _WHEEL_HZ)
-        if q <= self._cur_q:
-            # Due in the active quantum: share its (small) heap.
-            heapq.heappush(self._cur, entry)
-        else:
-            bucket = self._buckets.get(q)
-            if bucket is None:
-                self._buckets[q] = [entry]
-                heapq.heappush(self._bucket_q, q)
-            else:
-                bucket.append(entry)
-            self._timer_wheel_hits += 1
-
-    def _wheel_advance(self) -> bool:
-        """Make the active bucket hold the globally-next entry; False
-        when the wheel is empty. New inserts can only target the active
-        quantum or a future bucket (time is monotone), so the active
-        bucket's head is always the global minimum."""
-        cur = self._cur
-        while not cur:
-            if not self._bucket_q:
-                return False
-            q = heapq.heappop(self._bucket_q)
-            cur = self._buckets.pop(q)
-            heapq.heapify(cur)
-            self._cur = cur
-            self._cur_q = q
-        return True
+        heapq.heappush(self._queue,
+                       (self._now + delay, priority, self._seq, event))
 
     def _hop(self) -> "_PooledEvent":
         """A triggered, callback-less hop event — recycled when
@@ -520,11 +459,8 @@ class Environment:
             self._schedule(batch[0], delay, priority)
             return
         self._seq += 1
-        entry = (self._now + delay, priority, self._seq, batch)
-        if self._wheel:
-            self._wheel_insert(entry)
-        else:
-            heapq.heappush(self._queue, entry)
+        heapq.heappush(self._queue,
+                       (self._now + delay, priority, self._seq, batch))
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` sim seconds: one heap entry, no
@@ -564,18 +500,6 @@ class Environment:
         Pops lazily-cancelled entries off the head so the reported
         time is that of a live event.
         """
-        if self._wheel:
-            pool = self._event_pool
-            while self._wheel_advance():
-                cur = self._cur
-                entry = cur[0][3]
-                if entry.__class__ is not list and entry._cancelled:
-                    heapq.heappop(cur)
-                    if entry.__class__ is _PooledEvent:
-                        pool.append(entry)
-                    continue
-                return cur[0][0]
-            return float("inf")
         queue = self._queue
         while queue:
             entry = queue[0][3]
@@ -588,9 +512,6 @@ class Environment:
         return float("inf")
 
     def step(self) -> None:
-        if self._wheel:
-            self._step_wheel()
-            return
         queue = self._queue
         if not queue:
             raise SimulationError("empty schedule")
@@ -624,44 +545,6 @@ class Environment:
                 raise entry._exc
             return
 
-    def _step_wheel(self) -> None:
-        """step() against the bucketed-calendar backend: identical pop
-        order, identical cancelled-entry and batch handling."""
-        if not self._wheel_advance():
-            raise SimulationError("empty schedule")
-        pool = self._event_pool
-        while True:
-            when, _prio, _seq, entry = heapq.heappop(self._cur)
-            if when < self._now:
-                raise SimulationError("time went backwards")
-            if entry.__class__ is list:
-                self._now = when
-                for event in entry:
-                    if event._cancelled:
-                        continue
-                    event._run_callbacks()
-                    if event._exc is not None and not event._defused:
-                        raise event._exc
-                return
-            if entry._cancelled:
-                if entry.__class__ is _PooledEvent:
-                    pool.append(entry)
-                if not self._wheel_advance():
-                    raise SimulationError("empty schedule")
-                continue
-            self._now = when
-            entry._run_callbacks()
-            if entry.__class__ is _PooledEvent:
-                pool.append(entry)
-            if entry._exc is not None and not entry._defused:
-                raise entry._exc
-            return
-
-    def _pending(self) -> bool:
-        if self._queue:
-            return True
-        return bool(self._cur or self._bucket_q)
-
     def run(self, until: Any = None) -> Any:
         """Run until the given time, event, or queue exhaustion.
 
@@ -678,7 +561,7 @@ class Environment:
             if stop_time < self._now:
                 raise SimulationError("cannot run into the past")
 
-        while self._pending():
+        while self._queue:
             if stop_event is not None and stop_event.processed:
                 return stop_event.value
             if self.peek() > stop_time:

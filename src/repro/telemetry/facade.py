@@ -191,14 +191,13 @@ class Telemetry:
     def _write_kernel(self, store_dir: str) -> None:
         """Snapshot the DES kernel's scheduling counters into
         ``<store_dir>/kernel.json`` so ``query --summary`` reports
-        event-plane volume (heap pushes, timer-wheel bucket hits,
-        pooled-event reuse) next to the DAG rollups."""
+        event-plane volume (heap pushes, pooled-event reuse) next to
+        the DAG rollups."""
         env = self.env
         if env is None or not hasattr(env, "heap_pushes"):
             return
         payload = {
             "heap_pushes": env.heap_pushes,
-            "timer_wheel_hits": getattr(env, "timer_wheel_hits", 0),
             "pool_reuse": getattr(env, "pool_reuse", 0),
         }
         out = os.path.join(store_dir, "kernel.json")

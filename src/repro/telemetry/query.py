@@ -123,7 +123,6 @@ def template_line(payload: dict) -> str:
 def kernel_line(payload: dict) -> str:
     return (
         f"kernel: heap_pushes={payload.get('heap_pushes', 0)} "
-        f"timer_wheel_hits={payload.get('timer_wheel_hits', 0)} "
         f"pool_reuse={payload.get('pool_reuse', 0)}"
     )
 

@@ -59,8 +59,8 @@ class _InlineEventChannel:
     task's logical inputs (whose stores wake any blocked reader), so a
     non-interacting attempt costs zero standing kernel entries for its
     event channel. ``closed`` flips when the body finishes — late
-    deliveries are dropped exactly where the legacy pump would have
-    left them unread."""
+    deliveries are dropped exactly where the generator path's pump
+    would have left them unread."""
 
     __slots__ = ("inputs", "closed")
 
@@ -186,7 +186,7 @@ class AttemptRunner:
             task_ctx, spec.processor_descriptor.payload
         )
 
-        if am.config.attempt_fast_path and self.inline_eligible(spec):
+        if self.inline_eligible(spec):
             # Inline fast path: the whole IPO composition runs in this
             # generator's frame (entities compose via ``yield from``),
             # and the event pump is replaced by a synchronous delivery
@@ -316,7 +316,7 @@ class AttemptRunner:
                 physical,
                 # Multi-partition edges announce their outputs with one
                 # CompositeDataMovementEvent per attempt (paper 3.2).
-                composite=am.config.composite_dme and physical > 1,
+                composite=physical > 1,
             ))
         for sink_name, sink in vertex.data_sinks.items():
             output_specs.append(OutputSpec(
@@ -362,8 +362,7 @@ class AttemptRunner:
         for edge in vr.in_edges:
             manager = self.am.lifecycle.edge_manager(edge)
             source_name = edge.source.name
-            if (self.am.config.attempt_fast_path
-                    and type(manager) is OneToOneEdgeManager):
+            if type(manager) is OneToOneEdgeManager:
                 # route(s, 0) == {s: 0}: the only buffered event that
                 # can route to this task is keyed (source, index, 0) —
                 # probe it instead of scanning every incoming event.

@@ -34,7 +34,6 @@ from .dispatcher import (
     AttemptBatchExitedEvent,
     AttemptExitedEvent,
     DataDeliveryBatchEvent,
-    DataDeliveryEvent,
     Dispatcher,
     FaultEvent,
     NodeLostEvent,
@@ -61,6 +60,13 @@ from ..templates import TemplateManager
 from .vm_context import _VMContext
 
 __all__ = ["DAGAppMaster", "DAGStatus", "RecoveryJournal", "DagAbort"]
+
+# DAGs whose created-task total stays below this run without the pooled
+# dispatch timers and the per-tick exit batching: that plumbing's fixed
+# bookkeeping only amortizes at scale. Selected from the task count the
+# AM observes; both sides produce identical simulated outcomes, only
+# host time moves.
+_FAST_PLUMBING_MIN_TASKS = 16
 
 
 class DAGAppMaster:
@@ -121,11 +127,8 @@ class DAGAppMaster:
         # delivery buckets): tick -> AttemptBatchExitedEvent.
         self._exit_buckets: dict[float, AttemptBatchExitedEvent] = {}
         # Fast-path *plumbing* (pooled dispatch timers, per-tick exit
-        # batching) is sized to the running DAG: below
-        # config.fast_path_min_tasks created tasks its fixed
-        # bookkeeping costs more host time than it saves, so it stays
-        # demoted until the task count crosses the floor. Either state
-        # produces identical simulated outcomes; only wall time moves.
+        # batching) is sized to the running DAG: see
+        # _FAST_PLUMBING_MIN_TASKS.
         self._created_tasks = 0
         self._apply_fast_plumbing()
         if recovery is not None:
@@ -152,8 +155,6 @@ class DAGAppMaster:
         self.dispatcher.register(AttemptBatchExitedEvent,
                                  self._on_attempt_batch_exited)
         self.dispatcher.register(TaskUplinkEvent, self.router.on_task_uplink)
-        self.dispatcher.register(DataDeliveryEvent,
-                                 self.router.on_data_delivery)
         self.dispatcher.register(DataDeliveryBatchEvent,
                                  self.router.on_data_delivery_batch)
         self.dispatcher.register(NodeLostEvent, self._on_node_lost_event)
@@ -180,7 +181,7 @@ class DAGAppMaster:
             "faults_injected",
         ):
             self.registry.counter(key)
-        # Recovery telemetry (namespaced: not part of the legacy
+        # Recovery telemetry (namespaced: not part of the
         # DAGStatus metric surface, read directly by the chaos sweep).
         for key in (
             "recovery.events_replayed",
@@ -232,7 +233,6 @@ class DAGAppMaster:
         for vertex in dag.topological_order():
             vr = VertexRuntime(vertex, depths[vertex.name],
                                dag_id=self._dag_id)
-            vr._count_done = self.config.attempt_fast_path
             self._vertices[vertex.name] = vr
         for edge in dag.edges:
             self._vertices[edge.source.name].out_edges.append(edge)
@@ -363,11 +363,10 @@ class DAGAppMaster:
         self._apply_fast_plumbing()
 
     def _apply_fast_plumbing(self) -> None:
-        big = self._created_tasks >= self.config.fast_path_min_tasks
-        self.dispatcher.fast_timers = self.config.attempt_fast_path and big
+        big = self._created_tasks >= _FAST_PLUMBING_MIN_TASKS
+        self.dispatcher.fast_timers = big
         self.scheduler.defer_exits = (
-            self._defer_attempt_exit
-            if (self.config.batch_attempt_exits and big) else None
+            self._defer_attempt_exit if big else None
         )
 
     def _attempt_body(self, attempt, container) -> Generator:
@@ -377,9 +376,9 @@ class DAGAppMaster:
         self.dispatcher.dispatch(AttemptExitedEvent(attempt, error))
 
     def _defer_attempt_exit(self, attempt, error, unit) -> None:
-        """Scheduler hook (batch_attempt_exits): coalesce same-tick
-        completions into one batch envelope processed at the tail of
-        the tick.  ``unit`` is the scheduler's deferred exit tail —
+        """Scheduler hook (big DAGs, see _apply_fast_plumbing):
+        coalesce same-tick completions into one batch envelope
+        processed at the tail of the tick.  ``unit`` is the scheduler's deferred exit tail —
         replaying the units in arrival order preserves the exact
         task->slot pairing of the synchronous path.  The journal
         expands the batch per member, so recovery folds are

@@ -86,10 +86,9 @@ class AttemptBatchExitedEvent(ControlEvent):
     """All attempt exits landing on one simulated tick, coalesced into
     a single bus dispatch (mirroring :class:`DataDeliveryBatchEvent`).
     The journal and the opt-in determinism journal record the member
-    exits individually, so the canonical event stream matches the
-    unbatched mode record-for-record (member *order within the tick*
-    relative to interleaved transition records can differ — compare
-    canonical journals with batching disabled on both sides)."""
+    exits individually, so the canonical event stream matches unit
+    exits record-for-record (member *order within the tick* relative
+    to interleaved transition records can differ)."""
 
     exits: list = field(default_factory=list)   # AttemptExitedEvent
 
@@ -115,8 +114,7 @@ class DataDeliveryBatchEvent(ControlEvent):
     """All routed DME deliveries landing on one heartbeat tick,
     coalesced into a single bus dispatch (one kernel heap entry instead
     of one dispatcher process per event). The journal records the
-    member deliveries individually, so the canonical event stream is
-    identical with batching on or off."""
+    member deliveries individually."""
 
     deliveries: list = field(default_factory=list)  # DataDeliveryEvent
 
@@ -192,8 +190,8 @@ class Dispatcher:
         self._halt_callback: Optional[Callable[[], None]] = None
         # Timer fast path: deliver dispatch_after through a pooled
         # kernel callback hop (one heap entry) instead of a dedicated
-        # timeout-then-dispatch generator process (three). Opt-in via
-        # the AM config so the legacy kernel ordering is reproducible.
+        # timeout-then-dispatch generator process (three). Switched on
+        # by the AM for DAGs big enough to amortize the pool.
         self.fast_timers = False
         # Opt-in journal for determinism tests / debugging: (time, seq,
         # type name, summary) per event. Off by default — big DAG runs
@@ -290,9 +288,7 @@ class Dispatcher:
             self.dispatched += 1
         if self.keep_journal:
             if isinstance(event, DataDeliveryBatchEvent):
-                # Journal the member deliveries, not the envelope: the
-                # canonical stream must match the unbatched mode where
-                # each delivery crosses the bus on its own.
+                # Journal the member deliveries, not the envelope.
                 for inner in event.deliveries:
                     self.journal.append(
                         (event.time, event.seq, "DataDeliveryEvent",

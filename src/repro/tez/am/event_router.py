@@ -6,8 +6,8 @@ manager's routing table and delivers them to consumer attempts with
 heartbeat latency; VertexManager / InputInitializer / InputReadError
 events sent by running task code flow back the same way. Deliveries
 cross the AM :class:`~repro.tez.am.dispatcher.Dispatcher`
-(``DataDeliveryEvent`` / ``TaskUplinkEvent``) so their ordering is the
-bus's deterministic (time, seq) order.
+(``DataDeliveryBatchEvent`` / ``TaskUplinkEvent``) so their ordering is
+the bus's deterministic (time, seq) order.
 """
 
 from __future__ import annotations
@@ -131,17 +131,10 @@ class EventRouter:
         """Heartbeat-delayed delivery of a routed DME to a live
         attempt, through the dispatcher.
 
-        With ``coalesce_deliveries`` every delivery due on one tick
-        joins a per-tick batch: the first one schedules the batch the
-        way a single delivery would have been scheduled (so kernel
-        ordering is preserved) and the rest just append."""
+        Every delivery due on one tick joins a per-tick batch: the
+        first one schedules the batch and the rest just append."""
         am = self.am
         delay = am.spec.heartbeat_interval / 2
-        delivery = DataDeliveryEvent(attempt, event)
-        if not am.config.coalesce_deliveries:
-            am.dispatcher.dispatch_after(delay, delivery,
-                                         name="dme-deliver")
-            return
         due = am.env.now + delay
         batch = self._delivery_buckets.get(due)
         if batch is None:
@@ -149,15 +142,7 @@ class EventRouter:
             self._delivery_buckets[due] = batch
             am.dispatcher.dispatch_after(delay, batch,
                                          name="dme-deliver")
-        batch.deliveries.append(delivery)
-
-    def on_data_delivery(self, event: DataDeliveryEvent) -> None:
-        attempt = event.attempt
-        if (
-            attempt.state == AttemptState.RUNNING
-            and attempt.event_store is not None
-        ):
-            attempt.event_store.put_nowait(event.payload)
+        batch.deliveries.append(DataDeliveryEvent(attempt, event))
 
     def on_data_delivery_batch(self,
                                batch: DataDeliveryBatchEvent) -> None:

@@ -137,8 +137,6 @@ class RecoveryJournal:
         elif cls is DataDeliveryBatchEvent:
             for inner in event.deliveries:
                 self._append(self._data_record(epoch, inner))
-        elif cls is DataDeliveryEvent:
-            self._append(self._data_record(epoch, event))
         elif cls is TaskUplinkEvent:
             a = event.attempt
             t = a.task

@@ -200,11 +200,8 @@ class VertexRuntime:
         self.parallelism = vertex.parallelism
         self.tasks: list[Task] = []
         # Count of tasks currently in SUCCEEDED, maintained by the
-        # Task.state setter. Read by all_tasks_done when the AM opts
-        # into the fast check (`_count_done`); the linear scan is the
-        # perf-bench baseline.
+        # Task.state setter and read by all_tasks_done.
         self._succeeded_count = 0
-        self._count_done = False
         self.scheduled: set[int] = set()
         self.completed_tasks = 0
         self.in_edges: list[Edge] = []
@@ -259,14 +256,9 @@ class VertexRuntime:
         self.create_tasks()
 
     def all_tasks_done(self) -> bool:
-        if self._count_done:
-            return (
-                bool(self.tasks)
-                and self._succeeded_count == len(self.tasks)
-            )
         return (
             bool(self.tasks)
-            and all(t.state == TaskState.SUCCEEDED for t in self.tasks)
+            and self._succeeded_count == len(self.tasks)
         )
 
     def __repr__(self) -> str:

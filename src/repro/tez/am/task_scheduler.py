@@ -62,8 +62,7 @@ class _Slot:
     def __init__(self, container: Container, mailbox: Store, seq: int = 0):
         self.container = container
         self.mailbox = mailbox
-        # Creation order; reuse ties break on the lowest seq, which is
-        # exactly the slots-dict insertion order the legacy scans used.
+        # Creation order; reuse ties break on the lowest seq.
         self.seq = seq
         self.current: Optional[TaskAttempt] = None
         self.idle_since: Optional[float] = None
@@ -88,9 +87,9 @@ class TaskSchedulerService:
         self.cluster = ctx.rm.cluster
         self._run_attempt = run_attempt
         self._on_attempt_exit = on_attempt_exit
-        # Batched-exit hook (set by the AM when batch_attempt_exits is
-        # on): called with (attempt, error, unit) instead of running
-        # the exit unit synchronously; ``unit(process)`` replays
+        # Batched-exit hook (set by the AM for DAGs big enough to
+        # amortize it): called with (attempt, error, unit) instead of
+        # running the exit unit synchronously; ``unit(process)`` replays
         # [free slot, process exit, match slot] later in the tick.
         self.defer_exits = None
         # Execution-template bridge (set by the AM when templates are
@@ -102,14 +101,10 @@ class TaskSchedulerService:
         self.slots: dict[Any, _Slot] = {}   # ContainerId -> _Slot
         self.blacklisted: set[str] = set()  # nodes the AM avoids
         self._stopped = False
-        # Indexed hot path (TezConfig.indexed_scheduler): attempt->slot
-        # and attempt->request maps plus idle-slot indexes keyed by
-        # node and rack replace the linear scans in _slot_of,
-        # deallocate and _find_reusable_slot. Index entries may be
-        # stale w.r.t. node death or blacklisting; every lookup
-        # re-validates candidates with the same predicate the legacy
-        # scan applied.
-        self._indexed = bool(getattr(config, "indexed_scheduler", True))
+        # attempt->slot and attempt->request maps plus idle-slot
+        # indexes keyed by node and rack. Index entries may be stale
+        # w.r.t. node death or blacklisting; every lookup re-validates
+        # its candidates.
         self._slot_seq = itertools.count(1)
         self._slot_by_attempt: dict[TaskAttempt, _Slot] = {}
         self._pending_by_attempt: dict[TaskAttempt, TaskRequest] = {}
@@ -136,7 +131,7 @@ class TaskSchedulerService:
         env.process(self._completion_pump(), name="tez-completion-pump")
         env.process(self._idle_reaper(), name="tez-idle-reaper")
 
-    # -- legacy counter views (registry-backed) -------------------------
+    # -- counter views (registry-backed) --------------------------------
     @property
     def containers_launched(self) -> int:
         return int(self._c_launched.value)
@@ -182,34 +177,22 @@ class TaskSchedulerService:
                 bridge.on_assign(request, slot, schedule_time=True)
             self._assign(slot, request, reuse=True)
             return
-        if self._indexed:
-            # insort lands after equal (priority, queued_at) keys — the
-            # same order append-then-stable-sort produced.
-            insort(self.pending, request,
-                   key=lambda r: (r.priority, r.queued_at or 0))
-            self._pending_by_attempt[request.attempt] = request
-        else:
-            self.pending.append(request)
-            self.pending.sort(key=lambda r: (r.priority, r.queued_at or 0))
+        # insort lands after equal (priority, queued_at) keys: FIFO
+        # within a priority.
+        insort(self.pending, request,
+               key=lambda r: (r.priority, r.queued_at or 0))
+        self._pending_by_attempt[request.attempt] = request
         self._ask_yarn(request)
 
     def deallocate(self, request_attempt: TaskAttempt) -> bool:
         """Remove a not-yet-running attempt from the queue."""
-        if self._indexed:
-            req = self._pending_by_attempt.pop(request_attempt, None)
-            if req is None:
-                return False
-            self.pending.remove(req)
-            if req.asked_yarn:
-                self._cancel_ask(req)
-            return True
-        for req in list(self.pending):
-            if req.attempt is request_attempt:
-                self.pending.remove(req)
-                if req.asked_yarn:
-                    self._cancel_ask(req)
-                return True
-        return False
+        req = self._pending_by_attempt.pop(request_attempt, None)
+        if req is None:
+            return False
+        self.pending.remove(req)
+        if req.asked_yarn:
+            self._cancel_ask(req)
+        return True
 
     def kill_attempt(self, attempt: TaskAttempt,
                      reason: AttemptEndReason) -> None:
@@ -232,18 +215,13 @@ class TaskSchedulerService:
             self.release_slot(slot)
 
     def _slot_of(self, attempt: TaskAttempt) -> Optional[_Slot]:
-        if self._indexed:
-            slot = self._slot_by_attempt.get(attempt)
-            if (
-                slot is not None
-                and slot.current is attempt
-                and self.slots.get(slot.container.container_id) is slot
-            ):
-                return slot
-            return None
-        for slot in self.slots.values():
-            if slot.current is attempt:
-                return slot
+        slot = self._slot_by_attempt.get(attempt)
+        if (
+            slot is not None
+            and slot.current is attempt
+            and self.slots.get(slot.container.container_id) is slot
+        ):
+            return slot
         return None
 
     def release_slot(self, slot: _Slot) -> None:
@@ -393,14 +371,11 @@ class TaskSchedulerService:
 
     # ------------------------------------------------------------- matching
     def _mark_idle(self, slot: _Slot) -> None:
-        """Enter ``slot`` into the idle indexes (indexed mode).
+        """Enter ``slot`` into the idle indexes.
 
         Invariant: indexed iff the slot is in ``self.slots`` with no
-        current attempt and not releasing — the same moment the legacy
-        scan would have started offering it for reuse.
+        current attempt and not releasing.
         """
-        if not self._indexed:
-            return
         if slot.releasing or slot.current is not None:
             return
         if self.slots.get(slot.container.container_id) is not slot:
@@ -414,8 +389,6 @@ class TaskSchedulerService:
         )[slot.seq] = slot
 
     def _unmark_idle(self, slot: _Slot) -> None:
-        if not self._indexed:
-            return
         if self._idle_slots.pop(slot.seq, None) is None:
             return
         bucket = self._idle_by_node.get(slot.container.node_id)
@@ -430,41 +403,11 @@ class TaskSchedulerService:
                 del self._idle_by_rack[slot.container.node.rack]
 
     def _find_reusable_slot(self, request: TaskRequest) -> Optional[_Slot]:
+        """Reuse matching over the idle indexes: node match first, then
+        rack, then any — each level picking the lowest-seq
+        (earliest-created) usable idle slot."""
         if not self.config.container_reuse:
             return None
-        if self._indexed:
-            return self._find_reusable_indexed(request)
-        idle = [
-            s for s in self.slots.values()
-            if s.current is None and not s.releasing
-            and s.container.node.alive
-            and s.container.node_id not in self.blacklisted
-            and request.capability.fits_in(s.container.resource)
-        ]
-        if not idle:
-            return None
-        if request.nodes:
-            for slot in idle:
-                if slot.container.node_id in request.nodes:
-                    return slot
-        racks = set(request.racks) | {
-            self.cluster.nodes[n].rack
-            for n in request.nodes if n in self.cluster.nodes
-        }
-        if racks and self.config.reuse_rack_fallback:
-            for slot in idle:
-                if slot.container.node.rack in racks:
-                    return slot
-        if not request.nodes and not racks:
-            return idle[0]
-        if self.config.reuse_any_fallback:
-            return idle[0]
-        return None
-
-    def _find_reusable_indexed(self, request: TaskRequest) -> Optional[_Slot]:
-        """Index-backed reuse matching, same selection as the scan:
-        node match first, then rack, then any — each level picking the
-        lowest-seq (earliest-created) usable idle slot."""
 
         def usable(slot: _Slot) -> bool:
             return (
@@ -590,9 +533,8 @@ class TaskSchedulerService:
                 reuse: bool = False) -> None:
         slot.current = request.attempt
         slot.idle_since = None
-        if self._indexed:
-            self._unmark_idle(slot)
-            self._slot_by_attempt[request.attempt] = slot
+        self._unmark_idle(slot)
+        self._slot_by_attempt[request.attempt] = slot
         self._c_placed.inc()
         request.attempt.container = slot.container
         request.attempt.node_id = slot.container.node_id
@@ -673,8 +615,7 @@ class TaskSchedulerService:
                 error = exc
             slot.container.tasks_run += 1
             slot.current = None
-            if self._indexed:
-                self._slot_by_attempt.pop(attempt, None)
+            self._slot_by_attempt.pop(attempt, None)
             entry = TaskTraceEntry(
                 container_id=str(slot.container.container_id),
                 attempt_id=attempt.attempt_id,

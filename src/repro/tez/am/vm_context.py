@@ -63,10 +63,6 @@ class _VMContext(VertexManagerContext):
     def scheduled_count(self) -> int:
         return len(self._vr.scheduled)
 
-    @property
-    def incremental_scheduling(self) -> bool:
-        return self._am.config.attempt_fast_path
-
     def user_payload(self) -> Any:
         desc = self._vr.vertex.vertex_manager
         return desc.payload if desc else None

@@ -41,53 +41,6 @@ class TezConfig:
     deadlock_check_interval: float = 10.0
     deadlock_pending_timeout: float = 30.0
 
-    # -- event-plane hot path (paper 3.2/5) -----------------------------------
-    # Scatter-gather producers emit one CompositeDataMovementEvent per
-    # source attempt (expanded lazily at the consumer) instead of one
-    # DataMovementEvent per partition — real Tez's compression of the
-    # m×n edge fanout. Off reproduces the historical per-partition
-    # event stream (the perf-bench baseline).
-    composite_dme: bool = True
-    # Routed DME deliveries landing on the same heartbeat tick are
-    # coalesced into a single dispatched batch (one kernel heap entry,
-    # one bus delivery) instead of one dispatcher process per event.
-    coalesce_deliveries: bool = True
-    # Task-scheduler hot path: attempt->slot map plus idle-slot indexes
-    # keyed by node and rack replace the linear scans in _slot_of,
-    # deallocate and _find_reusable_slot. Selection order (first idle
-    # slot in container-creation order per locality level) is
-    # unchanged. Off reproduces the historical scan-everything matcher
-    # (the perf-bench baseline).
-    indexed_scheduler: bool = True
-    # Attempt-lifecycle fast path: attempts whose inputs are fully
-    # satisfied at launch run as a single flat generator driven by a
-    # callback chain (nested entity processes inlined via yield-from,
-    # the event pump replaced by a callback re-arm on the event store),
-    # vertex managers schedule incrementally (O(1) per source
-    # completion instead of an O(parallelism) rescan), task-completion
-    # checks use a per-vertex succeeded counter, and one-to-one
-    # snapshot resolution probes the buffered-event index directly.
-    # Attempts that still need live event interplay (unsatisfied
-    # inputs, root initializers, unknown IPO classes) take the full
-    # generator path. Off reproduces the historical per-attempt
-    # process pipeline (the perf-bench baseline).
-    attempt_fast_path: bool = True
-    # Attempt completions landing on the same heartbeat tick are
-    # coalesced into one AttemptBatchExitedEvent per tick (scheduled
-    # exactly where the first exit's dispatch would have been, so
-    # kernel ordering is preserved); the journal and the debug journal
-    # expand the batch per member, keeping the canonical event stream
-    # and the crash-anywhere sweep invariant. Off dispatches one
-    # AttemptExitedEvent per completion (the perf-bench baseline).
-    batch_attempt_exits: bool = True
-    # Small-run demotion floor for the fast-path *plumbing*: DAGs whose
-    # created-task total stays below this threshold skip the pooled
-    # dispatch timers and per-tick exit batching (their fixed
-    # bookkeeping only amortizes at scale) while keeping the inline
-    # attempt body. Purely a host-time tuning knob — demoted and
-    # undemoted runs produce identical simulated outcomes.
-    fast_path_min_tasks: int = 16
-
     # -- execution templates (Mashayekhi et al., PAPERS.md) -------------------
     # On the first execution of a DAG structure in a session AM, record
     # an ExecutionTemplate (root-input split plans, vertex-manager
@@ -99,7 +52,7 @@ class TezConfig:
     # falls back to full scheduling automatically — replayed and fully
     # scheduled runs are decision-for-decision identical, so simulated
     # outcomes never depend on this flag. Off disables recording and
-    # replay entirely (the perf-bench baseline).
+    # replay entirely: the path every invalidated replay already takes.
     execution_templates: bool = True
 
     # -- commit ---------------------------------------------------------------
@@ -121,8 +74,6 @@ class TezConfig:
             raise ValueError("speculation_slowdown_factor must exceed 1.0")
         if self.node_max_task_failures < 1:
             raise ValueError("node_max_task_failures must be >= 1")
-        if self.fast_path_min_tasks < 0:
-            raise ValueError("fast_path_min_tasks must be >= 0")
         if not 0 < self.blacklist_disable_fraction <= 1.0:
             raise ValueError(
                 "blacklist_disable_fraction must be in (0, 1]"

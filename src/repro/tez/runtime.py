@@ -71,7 +71,7 @@ class OutputSpec:
 
     ``composite`` asks the output to announce its partitions with one
     CompositeDataMovementEvent instead of per-partition events (set by
-    the AM for multi-partition edges when ``TezConfig.composite_dme``).
+    the AM for every multi-partition edge).
     """
 
     def __init__(self, target_name: str, descriptor, physical_count: int,

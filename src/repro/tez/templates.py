@@ -418,7 +418,7 @@ class TemplateManager:
 
     def __init__(self, am):
         self.am = am
-        self.enabled = bool(getattr(am.config, "execution_templates", False))
+        self.enabled = am.config.execution_templates
         self.stats = TemplateStats()
         self.cache: dict[str, ExecutionTemplate] = {}
         self._mode: Optional[str] = None      # None | "record" | "replay"
@@ -662,9 +662,6 @@ class TemplateManager:
         return (slots, tuple(sorted(scheduler.blacklisted)))
 
     def _begin_placement_recording(self) -> None:
-        scheduler = self.am.scheduler
-        if not scheduler._indexed:
-            return
         self._template.placement = _PlacementPlan(
             self._scheduler_fingerprint()
         )
@@ -674,8 +671,7 @@ class TemplateManager:
         plan = template.placement
         if plan is None:
             return
-        if not self.am.scheduler._indexed \
-                or self._scheduler_fingerprint() != plan.fingerprint:
+        if self._scheduler_fingerprint() != plan.fingerprint:
             # The slot population changed between runs (reaped idles,
             # new prewarms): placements alone are stale. The other
             # parts remain valid, so only this one is disarmed.

@@ -79,14 +79,6 @@ class VertexManagerContext:
     def scheduled_count(self) -> int:
         return len(self.scheduled_tasks())
 
-    @property
-    def incremental_scheduling(self) -> bool:
-        """True when the AM asks managers to schedule incrementally
-        (O(1) work per source completion) instead of rescanning every
-        task index. Both paths schedule the same indices in the same
-        order; the rescan is the perf-bench baseline."""
-        return False
-
     def user_payload(self) -> Any:
         raise NotImplementedError
 
@@ -190,10 +182,9 @@ class InputReadyVertexManager(VertexManagerPlugin):
         self._oo_source_set: frozenset = frozenset()
         self._all_sources: list[str] = []
         self._completed: dict[str, set[int]] = {}
-        # Incremental mode only: True once the broadcast gate passed
-        # and the one-time catch-up scan ran. From then on each
-        # one-to-one completion is checked in O(#sources) instead of
-        # rescanning every task index.
+        # True once the broadcast gate passed and the one-time catch-up
+        # scan ran. From then on each one-to-one completion is checked
+        # in O(#sources) instead of rescanning every task index.
         self._gate_open = False
 
     def initialize(self) -> None:
@@ -230,9 +221,8 @@ class InputReadyVertexManager(VertexManagerPlugin):
     def _incremental_step(self, vertex_name: str,
                           task_index: int) -> None:
         """O(#sources) readiness check for one newly-completed source
-        task. Schedules the same index the full rescan would have found
-        newly ready (an extra completion of a broadcast source can
-        never make a new task ready once the gate is open)."""
+        task (an extra completion of a broadcast source can never make
+        a new task ready once the gate is open)."""
         if vertex_name not in self._oo_source_set:
             return
         if task_index >= self.ctx.vertex_parallelism:
@@ -256,25 +246,15 @@ class InputReadyVertexManager(VertexManagerPlugin):
         )
         if not broadcast_ready:
             return
-        if getattr(self.ctx, "incremental_scheduling", False):
-            # One-time catch-up in the same ascending order the rescan
-            # would use; subsequent completions go incremental.
-            ready = [
-                i for i in range(self.ctx.vertex_parallelism)
-                if not self.ctx.is_scheduled(i)
-                and all(i in self._completed[s]
-                        for s in self._one_to_one_sources)
-            ]
-            self._gate_open = True
-            if ready:
-                self.ctx.schedule_tasks(ready)
-            return
-        ready = []
-        for i in range(self.ctx.vertex_parallelism):
-            if i in self.ctx.scheduled_tasks():
-                continue
-            if all(i in self._completed[s] for s in self._one_to_one_sources):
-                ready.append(i)
+        # One-time catch-up in ascending order; subsequent completions
+        # go through _incremental_step.
+        ready = [
+            i for i in range(self.ctx.vertex_parallelism)
+            if not self.ctx.is_scheduled(i)
+            and all(i in self._completed[s]
+                    for s in self._one_to_one_sources)
+        ]
+        self._gate_open = True
         if ready:
             self.ctx.schedule_tasks(ready)
 
@@ -328,9 +308,9 @@ class ShuffleVertexManager(VertexManagerPlugin):
         self._completed: dict[str, set[int]] = {}
         self._reported_bytes: dict[tuple[str, int], int] = {}
         self._parallelism_decided = False
-        # Incremental mode only: ascending scan frontier — every index
-        # below it is known scheduled, so repeated slow-start rounds
-        # cost O(newly scheduled) instead of O(parallelism).
+        # Ascending scan frontier — every index below it is known
+        # scheduled, so repeated slow-start rounds cost O(newly
+        # scheduled) instead of O(parallelism).
         self._next_unscheduled = 0
 
     def initialize(self) -> None:
@@ -423,26 +403,17 @@ class ShuffleVertexManager(VertexManagerPlugin):
             target = max(1, math.ceil(
                 parallelism * (fraction - lo) / max(hi - lo, 1e-9)
             ))
-        if getattr(self.ctx, "incremental_scheduling", False):
-            # Same ascending pick as the rescan below: tasks are only
-            # ever scheduled by this manager, so indices below the
-            # frontier stay scheduled and the frontier only advances.
-            need = target - self.ctx.scheduled_count()
-            to_schedule = []
-            i = self._next_unscheduled
-            while need > 0 and i < parallelism:
-                if not self.ctx.is_scheduled(i):
-                    to_schedule.append(i)
-                    need -= 1
-                i += 1
-            self._next_unscheduled = i
-            if to_schedule:
-                self.ctx.schedule_tasks(to_schedule)
-            return
-        scheduled = self.ctx.scheduled_tasks()
-        to_schedule = [
-            i for i in range(parallelism)
-            if i not in scheduled
-        ][: max(0, target - len(scheduled))]
+        # Ascending pick: tasks are only ever scheduled by this
+        # manager, so indices below the frontier stay scheduled and the
+        # frontier only advances.
+        need = target - self.ctx.scheduled_count()
+        to_schedule = []
+        i = self._next_unscheduled
+        while need > 0 and i < parallelism:
+            if not self.ctx.is_scheduled(i):
+                to_schedule.append(i)
+                need -= 1
+            i += 1
+        self._next_unscheduled = i
         if to_schedule:
             self.ctx.schedule_tasks(to_schedule)

@@ -247,12 +247,9 @@ class ResourceManager:
         self.scheduler.node_filter = self.node_schedulable
         for node in cluster.nodes.values():
             node.on_crash(self._on_node_crash)
-        # Event-driven ticking: heartbeats that provably cannot change
-        # scheduler state are skipped (see CapacityScheduler.skip_tick
-        # for why the allocation order is unaffected).
-        self._event_driven = bool(
-            getattr(self.spec, "event_driven_ticks", True)
-        )
+        # Heartbeats that provably cannot change scheduler state are
+        # skipped (see CapacityScheduler.skip_tick for why the
+        # allocation order is unaffected).
         self.ticks_skipped = 0
         telemetry = get_telemetry(env)
         if telemetry is not None:
@@ -276,7 +273,7 @@ class ResourceManager:
     def _tick_loop(self) -> Generator:
         while self._running:
             self._check_node_liveness()
-            if self._event_driven and not self.scheduler.needs_tick():
+            if not self.scheduler.needs_tick():
                 self.scheduler.skip_tick()
                 self.ticks_skipped += 1
                 if self._m_ticks_skipped is not None:

@@ -10,22 +10,16 @@ scheduling [Zaharia et al., EuroSys'10]: an application holding
 node-local asks declines non-local offers until it has skipped a
 configurable number of scheduling opportunities.
 
-Two execution modes share one decision procedure (see DESIGN.md
-"Scheduler hot paths"):
-
-* **incremental** (``ClusterSpec.scheduler_incremental``, the default)
-  keeps per-queue used and cluster-total resources as running
-  aggregates, reverse ask indexes (node -> {(app, priority)},
-  rack -> {(app, priority)}, any-pending and local-pending app sets), a
-  cached app ordering and a (queue, capability) over-max memo, both
-  invalidated only when usage changes, a skip for nodes too full for
-  any capability ever asked for, and memoized per-table nonzero-entry
-  counters. Empty ask tables are pruned. Resource arithmetic is
-  integer-exact, so every cached value equals what the scan would
-  compute and the allocation log is bit-identical to legacy mode.
-* **legacy** recomputes everything by scanning live containers and
-  nodes on every fit check — the pre-overhaul behaviour, kept as the
-  ``sched_heavy`` perf-bench baseline.
+The bookkeeping is incremental (see DESIGN.md "Scheduler hot paths"):
+per-queue used and cluster-total resources are running aggregates;
+reverse ask indexes (node -> {(app, priority)}, rack -> {(app,
+priority)}, any-pending and local-pending app sets) pick the apps an
+offer can concern; the app ordering and a (queue, capability) over-max
+memo are dropped only when usage changes; a node too full for any
+capability ever asked for is skipped; each ask table counts its own
+nonzero entries; empty ask tables are pruned. Resource arithmetic is
+integer-exact, so every cached value equals what a rescan of live
+containers and nodes would compute.
 """
 
 from __future__ import annotations
@@ -80,9 +74,9 @@ class _AskTable:
     listing three candidate nodes is still a request for *one*
     container.)
 
-    ``node_nonzero``/``rack_nonzero`` count the entries currently > 0;
-    they are maintained only on the incremental path (``fast``) where
-    they memoize :meth:`has_node_asks`/:meth:`has_rack_asks`.
+    ``node_nonzero``/``rack_nonzero`` count the entries currently > 0.
+    The table's owner (:class:`SchedulerApp`, and the scheduler when an
+    allocation consumes an ask) keeps them exact on every mutation.
     """
 
     capability: Resource
@@ -92,20 +86,33 @@ class _AskTable:
     total: int = 0
     node_nonzero: int = 0
     rack_nonzero: int = 0
-    fast: bool = False
 
     def pending(self) -> int:
         return max(0, self.total)
 
-    def has_node_asks(self) -> bool:
-        if self.fast:
-            return self.node_nonzero > 0
-        return any(v > 0 for v in self.node_counts.values())
+    # The shift_* methods move one count by ``delta`` (floored at 0)
+    # and return +1 / -1 when the entry became / stopped being
+    # nonzero, else 0.
+    @staticmethod
+    def _shift(counts: dict[str, int], key: str, delta: int) -> int:
+        old = counts.get(key, 0)
+        new = counts[key] = max(0, old + delta)
+        return (new > 0) - (old > 0)
 
-    def has_rack_asks(self) -> bool:
-        if self.fast:
-            return self.rack_nonzero > 0
-        return any(v > 0 for v in self.rack_counts.values())
+    def shift_node(self, node: str, delta: int) -> int:
+        flip = self._shift(self.node_counts, node, delta)
+        self.node_nonzero += flip
+        return flip
+
+    def shift_rack(self, rack: str, delta: int) -> int:
+        flip = self._shift(self.rack_counts, rack, delta)
+        self.rack_nonzero += flip
+        return flip
+
+    def shift_any(self, delta: int) -> int:
+        old = self.any_count
+        self.any_count = max(0, old + delta)
+        return (self.any_count > 0) - (old > 0)
 
 
 class SchedulerApp:
@@ -124,17 +131,12 @@ class SchedulerApp:
         # Set by CapacityScheduler.add_app: ask mutations notify the
         # scheduler (dirty flag + reverse-index maintenance).
         self._scheduler: Optional["CapacityScheduler"] = None
-        # Running sum of live-container resources (incremental mode).
+        # Running sum of live-container resources, kept by the
+        # scheduler that owns ``live_containers``.
         self._used: Resource = _ZERO
         # (priority, table) pairs in priority order; None when a table
         # was created or pruned since it was last built.
         self._ask_order: Optional[list[tuple[Priority, _AskTable]]] = None
-
-    def _fast_scheduler(self) -> Optional["CapacityScheduler"]:
-        sched = self._scheduler
-        if sched is not None and sched.incremental:
-            return sched
-        return None
 
     def _ordered_asks(self) -> list[tuple[Priority, _AskTable]]:
         order = self._ask_order
@@ -152,10 +154,10 @@ class SchedulerApp:
         relax_locality: bool,
         count: int = 1,
     ) -> None:
-        sched = self._fast_scheduler()
+        sched = self._scheduler
         table = self.asks.get(priority)
         if table is None:
-            table = _AskTable(capability, fast=sched is not None)
+            table = _AskTable(capability)
             self.asks[priority] = table
             self._ask_order = None
             if sched is not None:
@@ -166,23 +168,17 @@ class SchedulerApp:
                 f"{table.capability} vs {capability}"
             )
         for node in nodes:
-            old = table.node_counts.get(node, 0)
-            table.node_counts[node] = old + count
-            if sched is not None and old <= 0 < old + count:
+            if table.shift_node(node, count) and sched is not None:
                 sched._index_node_up(self, priority, table, node)
         for rack in racks:
-            old = table.rack_counts.get(rack, 0)
-            table.rack_counts[rack] = old + count
-            if sched is not None and old <= 0 < old + count:
-                sched._index_rack_up(self, priority, table, rack)
+            if table.shift_rack(rack, count) and sched is not None:
+                sched._index_rack_up(self, priority, rack)
         if relax_locality or (not nodes and not racks):
-            old = table.any_count
-            table.any_count = old + count
-            if sched is not None and old <= 0 < old + count:
+            if table.shift_any(count) and sched is not None:
                 sched._index_any_up(self)
         table.total += count
-        if self._scheduler is not None:
-            self._scheduler.mark_dirty()
+        if sched is not None:
+            sched.mark_dirty()
 
     def remove_ask(
         self,
@@ -195,43 +191,39 @@ class SchedulerApp:
         table = self.asks.get(priority)
         if table is None:
             return
-        sched = self._fast_scheduler()
+        sched = self._scheduler
         for node in nodes:
-            old = table.node_counts.get(node, 0)
-            table.node_counts[node] = max(0, old - count)
-            if sched is not None and old > 0 >= old - count:
+            if table.shift_node(node, -count) and sched is not None:
                 sched._index_node_down(self, priority, table, node)
         for rack in racks:
-            old = table.rack_counts.get(rack, 0)
-            table.rack_counts[rack] = max(0, old - count)
-            if sched is not None and old > 0 >= old - count:
-                sched._index_rack_down(self, priority, table, rack)
+            if table.shift_rack(rack, -count) and sched is not None:
+                sched._index_rack_down(self, priority, rack)
         if relax_locality or (not nodes and not racks):
-            old = table.any_count
-            table.any_count = max(0, old - count)
-            if sched is not None and old > 0 >= old - count:
+            if table.shift_any(-count) and sched is not None:
                 sched._index_any_down(self)
         table.total = max(0, table.total - count)
+        self._prune(priority, table)
         if sched is not None:
-            sched._maybe_prune(self, priority, table)
-        if self._scheduler is not None:
-            self._scheduler.mark_dirty()
+            sched.mark_dirty()
+
+    def _prune(self, priority: Priority, table: _AskTable) -> None:
+        """Drop an ask table once every count in it has hit zero."""
+        if (
+            table.total == 0
+            and table.any_count == 0
+            and table.node_nonzero == 0
+            and table.rack_nonzero == 0
+            and self.asks.get(priority) is table
+        ):
+            del self.asks[priority]
+            self._ask_order = None
 
     def total_pending(self) -> int:
         return sum(t.pending() for t in self.asks.values())
 
     def used_resource(self) -> Resource:
-        """Resources held by this app's live containers.
-
-        A cheap accessor in incremental mode (the sum is maintained on
-        allocate/complete); the historical per-call scan otherwise.
-        """
-        if self._fast_scheduler() is not None:
-            return self._used
-        total = Resource(0, 0)
-        for c in self.live_containers.values():
-            total = total + c.resource
-        return total
+        """Resources held by this app's live containers."""
+        return self._used
 
     def next_container_id(self) -> ContainerId:
         return ContainerId(self.app_id, next(self._container_seq))
@@ -267,22 +259,18 @@ class CapacityScheduler:
         self.preemption_enabled = preemption_enabled
         # Extra schedulability predicate (the RM plugs in its liveness
         # view so LOST-but-running nodes receive no new containers).
-        # Set it before the first tick: the incremental node cache is
-        # built from it.
+        # Set it before the first tick: the node cache is built from it.
         self.node_filter: Optional[Callable[[str], bool]] = None
         self._tick_offset = 0
         self.allocation_log: list[tuple[float, str, str, str]] = []
 
-        self.incremental = bool(
-            getattr(cluster.spec, "scheduler_incremental", True)
-        )
         # Event-driven tick support (used by the RM): the scheduler is
         # dirty until a tick provably changes nothing, and skipped
         # heartbeats bank their node-rotation advance so the rotation
         # phase matches a tick-every-heartbeat run exactly.
         self._dirty = True
         self._last_node_count = 0
-        # Incremental running aggregates and reverse ask indexes.
+        # Running aggregates and reverse ask indexes.
         self._queue_used: dict[str, Resource] = {
             name: _ZERO for name in self.queues
         }
@@ -308,7 +296,7 @@ class CapacityScheduler:
         # one is what advances their delay-scheduling missed count.
         self._local_apps: dict[ApplicationId, int] = {}
         for nm in node_managers.values():
-            if self.incremental and nm.node.alive:
+            if nm.node.alive:
                 self._cluster_total = self._cluster_total + nm.total
             nm.node.on_crash(self._on_node_down)
             nm.node.on_restart(self._on_node_up)
@@ -319,34 +307,30 @@ class CapacityScheduler:
             raise ValueError(f"unknown queue {app.queue!r}")
         self.apps[app.app_id] = app
         app._scheduler = self
-        if self.incremental:
-            used = Resource(0, 0)
-            for c in app.live_containers.values():
-                used = used + c.resource
-            app._used = used
-            self._queue_used[app.queue] = self._queue_used[app.queue] + used
-            for priority, table in app.asks.items():
-                self._index_table(app, priority, table)
-            self._usage_changed()
+        # Adoption: the app may arrive holding live containers and asks.
+        used = Resource(0, 0)
+        for c in app.live_containers.values():
+            used = used + c.resource
+        app._used = used
+        self._queue_used[app.queue] = self._queue_used[app.queue] + used
+        for priority, table in app.asks.items():
+            self._index_table(app, priority, table)
+        self._usage_changed()
         self.mark_dirty()
 
     def remove_app(self, app_id: ApplicationId) -> None:
         app = self.apps.pop(app_id, None)
         if app is None:
             return
-        if self.incremental:
-            self._queue_used[app.queue] = (
-                self._queue_used[app.queue] - app._used
-            )
-            for priority, table in app.asks.items():
-                self._unindex_table(app, priority, table)
-            self._any_apps.pop(app_id, None)
-            self._local_apps.pop(app_id, None)
-            self._usage_changed()
+        self._queue_used[app.queue] = (
+            self._queue_used[app.queue] - app._used
+        )
+        for priority, table in app.asks.items():
+            self._unindex_table(app, priority, table)
+        self._any_apps.pop(app_id, None)
+        self._local_apps.pop(app_id, None)
+        self._usage_changed()
         app._scheduler = None
-        app._used = _ZERO
-        for table in app.asks.values():
-            table.fast = False
         self.mark_dirty()
 
     # -- event-driven tick support ------------------------------------------
@@ -380,27 +364,25 @@ class CapacityScheduler:
         self.mark_dirty()
 
     def _on_node_down(self, node) -> None:
-        if self.incremental:
-            nm = self.node_managers.get(node.node_id)
-            if nm is not None:
-                self._cluster_total = self._cluster_total - nm.total
-            self._usage_changed()
+        nm = self.node_managers.get(node.node_id)
+        if nm is not None:
+            self._cluster_total = self._cluster_total - nm.total
+        self._usage_changed()
         self._node_cache = None
         self.mark_dirty()
 
     def _on_node_up(self, node) -> None:
-        if self.incremental:
-            nm = self.node_managers.get(node.node_id)
-            if nm is not None:
-                self._cluster_total = self._cluster_total + nm.total
-            self._usage_changed()
+        nm = self.node_managers.get(node.node_id)
+        if nm is not None:
+            self._cluster_total = self._cluster_total + nm.total
+        self._usage_changed()
         self._node_cache = None
         self.mark_dirty()
 
-    # -- reverse ask indexes (incremental mode) ------------------------------
+    # -- reverse ask indexes -------------------------------------------------
+    # Called after the table's own nonzero counters have moved.
     def _index_node_up(self, app: SchedulerApp, priority: Priority,
                        table: _AskTable, node: str) -> None:
-        table.node_nonzero += 1
         self._node_index.setdefault(node, {}) \
             .setdefault(app.app_id, set()).add(priority)
         if table.node_nonzero == 1:
@@ -410,7 +392,6 @@ class CapacityScheduler:
 
     def _index_node_down(self, app: SchedulerApp, priority: Priority,
                          table: _AskTable, node: str) -> None:
-        table.node_nonzero -= 1
         apps = self._node_index.get(node)
         if apps is not None:
             priorities = apps.get(app.app_id)
@@ -428,14 +409,12 @@ class CapacityScheduler:
                 self._local_apps.pop(app.app_id, None)
 
     def _index_rack_up(self, app: SchedulerApp, priority: Priority,
-                       table: _AskTable, rack: str) -> None:
-        table.rack_nonzero += 1
+                       rack: str) -> None:
         self._rack_index.setdefault(rack, {}) \
             .setdefault(app.app_id, set()).add(priority)
 
     def _index_rack_down(self, app: SchedulerApp, priority: Priority,
-                         table: _AskTable, rack: str) -> None:
-        table.rack_nonzero -= 1
+                         rack: str) -> None:
         apps = self._rack_index.get(rack)
         if apps is not None:
             priorities = apps.get(app.app_id)
@@ -458,17 +437,20 @@ class CapacityScheduler:
 
     def _index_table(self, app: SchedulerApp, priority: Priority,
                      table: _AskTable) -> None:
-        """Build index entries for a table adopted via add_app."""
-        table.fast = True
+        """Build index entries for a table adopted via add_app (its
+        nonzero counters are already exact)."""
         self._asked_capabilities.add(table.capability)
-        table.node_nonzero = 0
-        table.rack_nonzero = 0
         for node, count in table.node_counts.items():
             if count > 0:
-                self._index_node_up(app, priority, table, node)
+                self._node_index.setdefault(node, {}) \
+                    .setdefault(app.app_id, set()).add(priority)
+        if table.node_nonzero:
+            self._local_apps[app.app_id] = (
+                self._local_apps.get(app.app_id, 0) + 1
+            )
         for rack, count in table.rack_counts.items():
             if count > 0:
-                self._index_rack_up(app, priority, table, rack)
+                self._index_rack_up(app, priority, rack)
         if table.any_count > 0:
             self._index_any_up(app)
 
@@ -479,46 +461,16 @@ class CapacityScheduler:
                 self._index_node_down(app, priority, table, node)
         for rack, count in list(table.rack_counts.items()):
             if count > 0:
-                self._index_rack_down(app, priority, table, rack)
+                self._index_rack_down(app, priority, rack)
         if table.any_count > 0:
             self._index_any_down(app)
 
-    def _maybe_prune(self, app: SchedulerApp, priority: Priority,
-                     table: _AskTable) -> None:
-        """Drop an ask table once every count in it has hit zero.
-
-        Legacy mode keeps such husks forever (they are behaviourally
-        inert — ``pending() <= 0`` short-circuits them — but cost
-        memory and priority-iteration time across a long session).
-        """
-        if (
-            table.total == 0
-            and table.any_count == 0
-            and table.node_nonzero == 0
-            and table.rack_nonzero == 0
-            and app.asks.get(priority) is table
-        ):
-            del app.asks[priority]
-            app._ask_order = None
-
     # -- capacity accounting -------------------------------------------------
     def cluster_resource(self) -> Resource:
-        if self.incremental:
-            return self._cluster_total
-        total = Resource(0, 0)
-        for nm in self.node_managers.values():
-            if nm.node.alive:
-                total = total + nm.total
-        return total
+        return self._cluster_total
 
     def queue_used(self, queue: str) -> Resource:
-        if self.incremental:
-            return self._queue_used.get(queue, _ZERO)
-        total = Resource(0, 0)
-        for app in self.apps.values():
-            if app.queue == queue:
-                total = total + app.used_resource()
-        return total
+        return self._queue_used.get(queue, _ZERO)
 
     def queue_usage_ratio(self, queue: str) -> float:
         total = self.cluster_resource()
@@ -534,7 +486,7 @@ class CapacityScheduler:
 
     def _usage_changed(self) -> None:
         """``_queue_used`` or ``_cluster_total`` was just written: drop
-        everything derived from them (incremental mode)."""
+        everything derived from them."""
         self._order_cache = None
         self._over_max.clear()
 
@@ -556,37 +508,27 @@ class CapacityScheduler:
         return allocations
 
     def _schedulable_nodes(self) -> list[str]:
-        if self.incremental and self._node_cache is not None:
-            return self._node_cache
-        node_ids = sorted(
-            nid for nid, nm in self.node_managers.items()
-            if nm.node.alive
-            and (self.node_filter is None or self.node_filter(nid))
-        )
-        if self.incremental:
-            self._node_cache = node_ids
-        return node_ids
+        if self._node_cache is None:
+            self._node_cache = sorted(
+                nid for nid, nm in self.node_managers.items()
+                if nm.node.alive
+                and (self.node_filter is None or self.node_filter(nid))
+            )
+        return self._node_cache
 
     def _ordered_apps(self) -> list[SchedulerApp]:
-        if self.incremental:
-            if self._order_cache is None:
-                ratio = {q: self.queue_usage_ratio(q) for q in self.queues}
-                self._order_cache = sorted(
-                    self.apps.values(),
-                    key=lambda a: (ratio[a.queue], a.app_id),
-                )
-            return self._order_cache
-        ratio = {q: self.queue_usage_ratio(q) for q in self.queues}
-        return sorted(
-            self.apps.values(),
-            key=lambda a: (ratio[a.queue], a.app_id),
-        )
+        if self._order_cache is None:
+            ratio = {q: self.queue_usage_ratio(q) for q in self.queues}
+            self._order_cache = sorted(
+                self.apps.values(),
+                key=lambda a: (ratio[a.queue], a.app_id),
+            )
+        return self._order_cache
 
     def _assign_on_node(self, node_id: str) -> list[Container]:
         nm = self.node_managers[node_id]
         rack = self.cluster.nodes[node_id].rack
         allocations: list[Container] = []
-        incremental = self.incremental
         progress = True
         while progress:
             progress = False
@@ -600,31 +542,29 @@ class CapacityScheduler:
             total, used = nm.total, nm.used
             free_mem = total.memory_mb - used.memory_mb
             free_cores = total.vcores - used.vcores
-            if incremental:
-                # Full-node skip: when no capability ever asked for
-                # fits, every table of every app fails the fit check
-                # first - no allocation, no miss.
-                if not self._any_ask_fits(free_mem, free_cores):
-                    break
-                # Consult only apps that can react to this offer: asks
-                # on this node or rack, ANY-level asks, or node-level
-                # asks anywhere (declining the offer advances their
-                # delay-scheduling missed count). Everything else is a
-                # provable no-op in _try_assign.
-                node_apps = self._node_index.get(node_id)
-                rack_apps = self._rack_index.get(rack)
-                any_apps = self._any_apps
-                local_apps = self._local_apps
+            # Full-node skip: when no capability ever asked for fits,
+            # every table of every app fails the fit check first - no
+            # allocation, no miss.
+            if not self._any_ask_fits(free_mem, free_cores):
+                break
+            # Consult only apps that can react to this offer: asks on
+            # this node or rack, ANY-level asks, or node-level asks
+            # anywhere (declining the offer advances their
+            # delay-scheduling missed count). Everything else is a
+            # provable no-op in _try_assign.
+            node_apps = self._node_index.get(node_id)
+            rack_apps = self._rack_index.get(rack)
+            any_apps = self._any_apps
+            local_apps = self._local_apps
             for app in self._ordered_apps():
-                if incremental:
-                    aid = app.app_id
-                    if (
-                        aid not in any_apps
-                        and aid not in local_apps
-                        and (node_apps is None or aid not in node_apps)
-                        and (rack_apps is None or aid not in rack_apps)
-                    ):
-                        continue
+                aid = app.app_id
+                if (
+                    aid not in any_apps
+                    and aid not in local_apps
+                    and (node_apps is None or aid not in node_apps)
+                    and (rack_apps is None or aid not in rack_apps)
+                ):
+                    continue
                 container = self._try_assign(app, nm, node_id, rack,
                                              free_mem, free_cores)
                 if container is not None:
@@ -646,9 +586,7 @@ class CapacityScheduler:
         if node_id in app.blacklist:
             return None
         had_local_ask = False
-        # Legacy mode has no invalidation points, so its memo lives for
-        # this one consult (nothing it reads can change before return).
-        over_max = self._over_max if self.incremental else {}
+        over_max = self._over_max
         for priority, table in app._ordered_asks():
             if table.total <= 0:
                 continue
@@ -667,8 +605,7 @@ class CapacityScheduler:
             if table.node_counts.get(node_id, 0) > 0:
                 return self._allocate(app, nm, priority, table, NODE_LOCAL,
                                       node_id, rack)
-            node_asks = (table.node_nonzero > 0 if table.fast
-                         else table.has_node_asks())
+            node_asks = table.node_nonzero > 0
             if node_asks:
                 had_local_ask = True
             # RACK_LOCAL (allowed after node delay, or if no node asks)
@@ -680,7 +617,7 @@ class CapacityScheduler:
                                       RACK_LOCAL_LEVEL, node_id, rack)
             # OFF_SWITCH (allowed after rack delay, or if ANY-only asks)
             if table.any_count > 0 and (
-                (not node_asks and not table.has_rack_asks())
+                (not node_asks and table.rack_nonzero == 0)
                 or app.missed_opportunities >= self.rack_locality_delay
             ):
                 return self._allocate(app, nm, priority, table, OFF_SWITCH,
@@ -692,26 +629,6 @@ class CapacityScheduler:
             # next heartbeat can behave differently: not a no-op tick.
             self._dirty = True
         return None
-
-    def _dec_node_count(self, app: SchedulerApp, priority: Priority,
-                        table: _AskTable, node: str) -> None:
-        old = table.node_counts.get(node, 0)
-        table.node_counts[node] = max(0, old - 1)
-        if self.incremental and old > 0 >= old - 1:
-            self._index_node_down(app, priority, table, node)
-
-    def _dec_rack_count(self, app: SchedulerApp, priority: Priority,
-                        table: _AskTable, rack: str) -> None:
-        old = table.rack_counts.get(rack, 0)
-        table.rack_counts[rack] = max(0, old - 1)
-        if self.incremental and old > 0 >= old - 1:
-            self._index_rack_down(app, priority, table, rack)
-
-    def _dec_any(self, app: SchedulerApp, table: _AskTable) -> None:
-        old = table.any_count
-        table.any_count = max(0, old - 1)
-        if self.incremental and old > 0 >= old - 1:
-            self._index_any_down(app)
 
     def _allocate(
         self,
@@ -726,15 +643,13 @@ class CapacityScheduler:
         # Decrement the ask book per YARN semantics.
         table.total = max(0, table.total - 1)
         if level == NODE_LOCAL:
-            self._dec_node_count(app, priority, table, node_id)
-            self._dec_rack_count(app, priority, table, rack)
-            self._dec_any(app, table)
+            if table.shift_node(node_id, -1):
+                self._index_node_down(app, priority, table, node_id)
             app.missed_opportunities = 0
-        elif level == RACK_LOCAL_LEVEL:
-            self._dec_rack_count(app, priority, table, rack)
-            self._dec_any(app, table)
-        else:
-            self._dec_any(app, table)
+        if level != OFF_SWITCH and table.shift_rack(rack, -1):
+            self._index_rack_down(app, priority, rack)
+        if table.shift_any(-1):
+            self._index_any_down(app)
         container = Container(
             app.next_container_id(),
             nm.node,
@@ -746,13 +661,12 @@ class CapacityScheduler:
         container.priority = priority  # which ask this allocation fills
         nm.reserve(container)
         app.live_containers[container.container_id] = container
-        if self.incremental:
-            app._used = app._used + container.resource
-            self._queue_used[app.queue] = (
-                self._queue_used[app.queue] + container.resource
-            )
-            self._usage_changed()
-            self._maybe_prune(app, priority, table)
+        app._used = app._used + container.resource
+        self._queue_used[app.queue] = (
+            self._queue_used[app.queue] + container.resource
+        )
+        self._usage_changed()
+        app._prune(priority, table)
         self.mark_dirty()
         self.allocation_log.append(
             (self.env.now, str(app.app_id), node_id, level)
@@ -777,7 +691,7 @@ class CapacityScheduler:
         app = self.apps.get(app_id)
         if app is not None:
             container = app.live_containers.pop(container_id, None)
-            if container is not None and self.incremental:
+            if container is not None:
                 app._used = app._used - container.resource
                 self._queue_used[app.queue] = (
                     self._queue_used[app.queue] - container.resource

@@ -559,64 +559,6 @@ def test_composite_dme_expansion_matches_per_partition_events():
     assert [s.source_output_index for s in shared.expand()] == [2, 3, 4]
 
 
-def test_producers_emit_one_composite_per_attempt_when_enabled():
-    """With ``composite_dme`` on, a scatter-gather producer puts ONE
-    CompositeDataMovementEvent on the control plane per attempt (vs one
-    DME per partition legacy), and consumers still read every row."""
-    from repro.tez import TezConfig
-    from repro.tez.events import (
-        CompositeDataMovementEvent,
-        DataMovementEvent,
-    )
-
-    def run(config):
-        sim = make_sim()
-        sim.hdfs.write("/in", [(i % 7, i) for i in range(200)],
-                       record_bytes=24)
-        m = fn_vertex("m", lambda c, d: {"r": list(d["src"])}, -1)
-        hdfs_source(m, "src", ["/in"])
-        r = fn_vertex("r", lambda c, d: {"out": [
-            (k, sum(vs)) for k, vs in d["m"]
-        ]}, 4)
-        hdfs_sink(r, "out", "/out")
-        dag = DAG("comp").add_vertex(m).add_vertex(r)
-        dag.add_edge(edge(m, r, SG))
-
-        client = sim.tez_client(config=config)
-        seen = {"composite": 0, "dme": 0}
-        original = client._make_am
-
-        def instrumented(ctx):
-            am = original(ctx)
-            route = am.router.route_events
-
-            def counting_route(vr, task, events):
-                for ev in events:
-                    if isinstance(ev, CompositeDataMovementEvent):
-                        seen["composite"] += 1
-                    elif isinstance(ev, DataMovementEvent):
-                        seen["dme"] += 1
-                route(vr, task, events)
-
-            am.router.route_events = counting_route
-            return am
-
-        client._make_am = instrumented
-        handle = client.submit_dag(dag)
-        sim.env.run(until=handle.completion)
-        assert handle.status.succeeded
-        return seen, tuple(sorted(sim.hdfs.read_file("/out")))
-
-    on, rows_on = run(TezConfig())
-    off, rows_off = run(TezConfig(composite_dme=False))
-    assert rows_on == rows_off
-    assert on["composite"] > 0 and on["dme"] == 0
-    assert off["composite"] == 0 and off["dme"] > 0
-    # 4-way fanout compressed: one composite replaces 4 per-partition
-    # events from each producer attempt.
-    assert off["dme"] == 4 * on["composite"]
-
-
 def test_delivery_batch_journals_each_member():
     """A DataDeliveryBatchEvent crosses the bus once (one dispatch)
     but the journal expands it to one canonical line per member, each

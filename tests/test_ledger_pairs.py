@@ -1,6 +1,7 @@
 """tools/ledger_pairs.py against stub checkouts: each "checkout" holds
 a fake benchmarks/ledger/run.py that answers the two invocations the
-tool makes, so the pairing, the alternation and the identity gate are
+tool makes, so the pairing, the alternation and the two identity gates
+(changed result: exit 2, untimed; changed count: timed, exit 3) are
 tested without running the ledger."""
 
 import importlib.util
@@ -18,12 +19,13 @@ _spec.loader.exec_module(ledger_pairs)
 _STUB = textwrap.dedent('''
     import json, sys
     WALL, ALLOCATIONS, CORRECT = {wall!r}, {allocations!r}, {correct!r}
+    DIGEST = {digest!r}
     args = sys.argv[1:]
     with open("calls.log", "a") as fh:
         fh.write(" ".join(args) + "\\n")
     if "--child" in args:
         print(json.dumps({{
-            "digest": "d1", "sim_makespan_s": 9.5, "attempted": 10,
+            "digest": DIGEST, "sim_makespan_s": 9.5, "attempted": 10,
             "failed": 0, "tasks": 10, "wall_s": WALL,
             "counts": {{"yarn.allocations": ALLOCATIONS}}}}))
     else:
@@ -35,11 +37,13 @@ _STUB = textwrap.dedent('''
 ''')
 
 
-def _checkout(root: Path, wall, allocations=7, correct=True) -> Path:
+def _checkout(root: Path, wall, allocations=7, correct=True,
+              digest="d1") -> Path:
     ledger = root / "benchmarks" / "ledger"
     ledger.mkdir(parents=True)
     (ledger / "run.py").write_text(_STUB.format(
-        wall=wall, allocations=allocations, correct=correct))
+        wall=wall, allocations=allocations, correct=correct,
+        digest=digest))
     return root
 
 
@@ -66,13 +70,29 @@ def test_pairs_alternate_and_report(tmp_path, capsys):
     assert calls[1:] == ["--workload w --seed 5 --seconds 4 --trace 0"] * 3
 
 
-def test_behaviour_difference_fails_before_timing(tmp_path, capsys):
+def test_changed_result_fails_before_timing(tmp_path, capsys):
     parent = _checkout(tmp_path / "p", wall=4.0, allocations=7)
-    change = _checkout(tmp_path / "c", wall=1.0, allocations=8)
+    change = _checkout(tmp_path / "c", wall=1.0, allocations=8,
+                       digest="d2")
     assert _main(parent, change) == 2
     out = capsys.readouterr().out
-    assert "DIFFERS" in out and "counts.yarn.allocations" in out
+    assert "result DIFFERS" in out
+    assert "digest" in out and "counts.yarn.allocations" in out
     assert len((change / "calls.log").read_text().splitlines()) == 1
+
+
+def test_changed_count_is_timed_then_named_with_exit_3(tmp_path, capsys):
+    parent = _checkout(tmp_path / "p", wall=4.0, allocations=7)
+    change = _checkout(tmp_path / "c", wall=3.0, allocations=8)
+    assert _main(parent, change, "--pairs", "2") == 3
+    out = capsys.readouterr().out
+    assert "same result, exact counts DIFFER" in out
+    assert "counts.yarn.allocations: parent 7 change 8" in out
+    assert "0 exact counts identical" in out
+    assert "change wins 2/2 pairs" in out
+    assert out.splitlines()[-1] == \
+        "exact counts differ: counts.yarn.allocations"
+    assert len((change / "calls.log").read_text().splitlines()) == 3
 
 
 def test_incorrect_run_fails(tmp_path, capsys):

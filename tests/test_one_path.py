@@ -1,0 +1,63 @@
+"""One code path per mechanism: the switches that used to select a
+preserved historical implementation stay gone."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.cluster import ClusterSpec
+from repro.tez import TezConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+
+# Spelled in halves so this file passes its own guard.
+RETIRED = [a + "_" + b for a, b in (
+    ("composite", "dme"), ("coalesce", "deliveries"),
+    ("indexed", "scheduler"), ("attempt", "fast_path"),
+    ("batch", "attempt_exits"), ("fast_path", "min_tasks"),
+    ("scheduler", "incremental"), ("event_driven", "ticks"),
+    ("timer", "wheel"))]
+# As identifiers: the ledger-facing `<timer><wheel>_hits` counter passes.
+GUARD = re.compile(r"(?<![A-Za-z0-9_])(%s)(?![A-Za-z0-9_])"
+                   % "|".join(RETIRED))
+
+
+def _guarded_files():
+    for folder in ("src", "tests", "tools", "examples", ".github"):
+        for path in sorted((ROOT / folder).rglob("*")):
+            if path.is_file() and path.suffix != ".pyc":
+                yield path
+    yield from sorted((ROOT / "benchmarks").glob("bench_*.py"))
+    yield ROOT / "README.md"
+    yield ROOT / "DESIGN.md"
+
+
+def test_no_retired_switch_is_named_anywhere():
+    for path in _guarded_files():
+        text = path.read_text(encoding="utf-8")
+        if path.parent.name == "golden" and path.suffix == ".json":
+            # Provenance may say which values a golden was recorded from.
+            record = json.loads(text)
+            record.pop("recorded_from", None)
+            text = json.dumps(record)
+        hit = GUARD.search(text)
+        assert hit is None, \
+            f"{path.relative_to(ROOT)} names retired switch {hit.group()}"
+
+
+@pytest.mark.parametrize("cls, name", [
+    (TezConfig, RETIRED[3]), (ClusterSpec, RETIRED[8])])
+def test_retired_switches_are_not_accepted(cls, name):
+    with pytest.raises(TypeError):
+        cls(**{name: False})
+
+
+@pytest.mark.parametrize("module", [
+    "yarn/scheduler.py", "tez/am/task_scheduler.py", "sim/core.py",
+    "tez/vertex_manager.py", *sorted(
+        str(p.relative_to(SRC)) for p in (SRC / "bench").glob("*.py"))])
+def test_no_module_describes_a_second_implementation(module):
+    assert "legacy" not in (SRC / module).read_text().lower()

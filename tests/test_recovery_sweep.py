@@ -25,13 +25,10 @@ class TestCrashAnywhereSweep:
         assert summary["fenced_appends"] > 0
 
     def test_stride1_sweep_over_fast_path_diamond(self):
-        # The sweep runs with default TezConfig, so every crash point
-        # lands on a run whose middle/join attempts take the inline
-        # fast path and whose exits batch per tick; recovery must be
-        # byte-identical to the no-crash baseline at every boundary.
-        from repro.tez import TezConfig
-        assert TezConfig().attempt_fast_path
-        assert TezConfig().batch_attempt_exits
+        # Every crash point lands on a run whose middle/join attempts
+        # take the inline body and whose exits batch per tick; recovery
+        # must be byte-identical to the no-crash baseline at every
+        # boundary.
         summary = run_sweep(records=400, stride=1, shape="diamond",
                             verbose=False)
         assert summary["ok"], summary

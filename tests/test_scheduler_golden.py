@@ -2,22 +2,19 @@
 
 ``tests/golden/scheduler_allocation_logs.json`` holds the sha256 of
 the allocation log (app ids normalised to submission order) of four
-scenarios, recorded once from the *legacy* scheduler
-(``scheduler_incremental=False``) at commit f05d51d, before the
-offer-path rewrite of PR 14. Both modes must reproduce them, so the
-oracle for "no scheduling decision changed" no longer needs the legacy
-twin to exist.
+scenarios, recorded once at commit f05d51d from the scan-everything
+scheduler that then still existed, before the offer-path rewrite of
+PR 14. The one scheduler there is now must reproduce them: the oracle
+for "no scheduling decision changed" without a second implementation.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from control_plane_scenarios import digest, sched_heavy
 from helpers import bare_scheduler
-from repro.bench.perf import _legacy_config, sched_heavy
-from repro.tez import TezConfig
 from repro.yarn import (
     ApplicationId,
     Priority,
@@ -31,8 +28,6 @@ GOLDEN = json.loads(
     .read_text()
 )["sha256"]
 
-BOTH_MODES = pytest.mark.parametrize("incremental", [False, True],
-                                     ids=["legacy", "incremental"])
 SMALL = Resource(1024, 1)
 WIDE = Resource(2048, 2)
 
@@ -41,12 +36,10 @@ class _World:
     """A bare scheduler with hand-driven ticks, and the apps submitted
     to it in order."""
 
-    def __init__(self, incremental, queues=None, node_delay=None,
-                 rack_delay=None):
+    def __init__(self, queues=None, node_delay=None, rack_delay=None):
         self.env, self.cluster, self.sched = bare_scheduler(
             queues=queues, num_nodes=6, nodes_per_rack=3,
             memory_per_node_mb=8192, cores_per_node=8,
-            scheduler_incremental=incremental,
             node_locality_delay=node_delay, rack_locality_delay=rack_delay,
         )
         self.apps = []
@@ -72,7 +65,7 @@ class _World:
                  for i, app in enumerate(self.apps)}
         log = [(t, names[app], node, level)
                for t, app, node, level in self.sched.allocation_log]
-        return hashlib.sha256(repr(log).encode()).hexdigest()
+        return digest(log)
 
 
 def _fill(world, node_ids):
@@ -84,11 +77,11 @@ def _fill(world, node_ids):
     return filler
 
 
-def node_delay_unlock(incremental):
+def node_delay_unlock():
     """node0001 is full: asks for it wait out the node delay and fall
     back to its rack; once it drains, strict asks land on it and reset
     the miss count, so the next rack fallback waits all over again."""
-    world = _World(incremental, node_delay=3, rack_delay=100)
+    world = _World(node_delay=3, rack_delay=100)
     filler = _fill(world, ["node0001"])
     app = world.app()
     app.add_ask(Priority(5), SMALL, ["node0001"], ["rack0"], False, 3)
@@ -110,11 +103,11 @@ def node_delay_unlock(incremental):
     return world.digest()
 
 
-def rack_delay_unlock(incremental):
+def rack_delay_unlock():
     """All of rack0 is full: asks for node0000 wait out the node delay
     (nothing on the rack either), then the rack delay, then go
     OFF_SWITCH; strict asks keep waiting."""
-    world = _World(incremental, node_delay=2, rack_delay=5)
+    world = _World(node_delay=2, rack_delay=5)
     _fill(world, ["node0000", "node0001", "node0002"])
     app = world.app()
     app.add_ask(Priority(5), SMALL, ["node0000"], ["rack0"], True, 4)
@@ -127,14 +120,14 @@ def rack_delay_unlock(incremental):
     return world.digest()
 
 
-def three_queue_contention(incremental):
+def three_queue_contention():
     """48 SMALL slots, three queues. prod alone wants 60 and is held at
     its max (28 slots) with the cluster half empty; adhoc arrives and
     is held at its own (14); batch takes the rest, and completions
     between rounds let every queue back in up to its limit."""
     queues = [QueueConfig("prod", 0.5, 0.6), QueueConfig("batch", 0.3, 0.5),
               QueueConfig("adhoc", 0.2, 0.3)]
-    world = _World(incremental, queues=queues, node_delay=2, rack_delay=4)
+    world = _World(queues=queues, node_delay=2, rack_delay=4)
     apps = [world.app(q) for q in ("prod", "batch", "adhoc", "prod")]
     total = world.sched.cluster_resource()
     peak = {q.name: 0.0 for q in queues}
@@ -168,9 +161,9 @@ def three_queue_contention(incremental):
     return world.digest()
 
 
-def sched_heavy_smoke(incremental):
-    config = TezConfig() if incremental else _legacy_config()
-    return sched_heavy(config, smoke=True)["alloc_digest"]
+def sched_heavy_smoke():
+    _makespan, log = sched_heavy()
+    return digest(log)
 
 
 SCENARIOS = {
@@ -185,7 +178,6 @@ def test_every_golden_has_a_scenario():
     assert set(GOLDEN) == set(SCENARIOS)
 
 
-@BOTH_MODES
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_allocation_log_matches_golden(name, incremental):
-    assert SCENARIOS[name](incremental) == GOLDEN[name]
+def test_allocation_log_matches_golden(name):
+    assert SCENARIOS[name]() == GOLDEN[name]

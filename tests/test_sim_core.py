@@ -466,14 +466,14 @@ class TestFastPath:
         assert env.heap_pushes == before + 2
 
 
-# ------------------- timer-wheel / binary-heap pop-order equivalence
+# ------------------- the kernel's firing order vs a sorted-list reference
+
+from bisect import insort
 
 from hypothesis import given, settings, strategies as st
 
-# A small delay pool makes same-quantum collisions and exact-time ties
-# (the insertion-order tiebreaker) overwhelmingly likely, including the
-# wheel's own bucket boundary (1/64 s) and the far band beyond the
-# dense near-term quanta.
+# A small delay pool makes exact-time ties (the insertion-order
+# tiebreaker) overwhelmingly likely, next to near and far timers.
 _TIE_DELAYS = [0.0, 0.001, 1.0 / 64, 1.0 / 64, 0.02, 0.5, 0.5,
                1.0, 1.5, 1.5, 3.7]
 
@@ -488,25 +488,63 @@ _timer_scripts = st.lists(
 )
 
 
-def _run_timer_script(ops, timer_wheel):
+class _Timer:
+    cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _SortedListScheduler:
+    """What the kernel's timer surface means, with none of its
+    machinery: one list sorted by (time, insertion order); cancelled
+    timers never fire, whenever they were cancelled; a timer is its own
+    handle, so cancelling a fired one can never hit a later timer (what
+    the kernel's pooled hops need generations for); a run left holding
+    only cancelled timers ends in "empty schedule"."""
+
+    def __init__(self):
+        self.now, self._seq, self._timers = 0.0, 0, []
+
+    def call_later(self, delay, fn):
+        self._seq += 1
+        timer = _Timer()
+        insort(self._timers, (self.now + delay, self._seq, timer, fn))
+        return timer
+
+    def call_later_pooled(self, delay, fn):
+        return self.call_later(delay, fn), None
+
+    def run(self):
+        while self._timers:
+            while self._timers and self._timers[0][2].cancelled:
+                del self._timers[0]
+            if not self._timers:
+                raise SimulationError("empty schedule")
+            self.now, _seq, _timer, fn = self._timers.pop(0)
+            fn()
+
+
+def _run_timer_script(ops, env):
     """Execute a randomized schedule/cancel interleaving and return the
     (time, label) firing order."""
-    env = Environment(timer_wheel=timer_wheel)
     order = []
     handles = []   # index -> (event, generation | None)
+
+    def cancel(handle):
+        ev, gen = handle
+        if gen is None:
+            ev.cancel()
+        else:
+            env.cancel_call(ev, gen)
 
     def make_fire(i, chain, action):
         def fire():
             order.append((env.now, i))
             if action == "cancel_next" and i + 1 < len(handles):
-                ev, gen = handles[i + 1]
-                if gen is None:
-                    ev.cancel()
-                else:
-                    env.cancel_call(ev, gen)
+                cancel(handles[i + 1])
             if chain is not None:
-                # Nested scheduling from inside a callback exercises
-                # inserts into the wheel's *current* bucket.
+                # Nested scheduling from inside a callback.
                 env.call_later(
                     chain, lambda: order.append((env.now, i, "chain")))
         return fire
@@ -514,30 +552,26 @@ def _run_timer_script(ops, timer_wheel):
     for i, (delay, chain, pooled, action) in enumerate(ops):
         fire = make_fire(i, chain, action)
         if pooled:
-            ev, gen = env.call_later_pooled(delay, fire)
-            handles.append((ev, gen))
+            handles.append(env.call_later_pooled(delay, fire))
         else:
-            ev = env.call_later(delay, fire)
-            handles.append((ev, None))
-    for (_d, _c, _p, action), (ev, gen) in zip(ops, handles):
+            handles.append((env.call_later(delay, fire), None))
+    for (_d, _c, _p, action), handle in zip(ops, handles):
         if action == "cancel_now":
-            if gen is None:
-                ev.cancel()
-            else:
-                env.cancel_call(ev, gen)
+            cancel(handle)
     try:
         env.run()
     except SimulationError as exc:
-        # A schedule holding only cancelled entries raises "empty
-        # schedule" on both backends; fold it into the compared trace.
+        # A schedule left holding only cancelled entries raises "empty
+        # schedule"; that contract is part of the compared trace.
         order.append(("error", str(exc)))
     return order
 
 
 @given(_timer_scripts)
 @settings(max_examples=200, deadline=None)
-def test_timer_wheel_pop_order_matches_binary_heap(ops):
-    """The bucketed-calendar wheel must fire callbacks in exactly the
-    binary heap's order — same times, same same-time tiebreaking —
-    under random schedule/cancel interleavings."""
-    assert _run_timer_script(ops, True) == _run_timer_script(ops, False)
+def test_kernel_fires_in_the_reference_schedulers_order(ops):
+    """Same times, same same-time tiebreaking, same lazy-cancel and
+    pooled-generation outcomes, same "empty schedule" contract, under
+    random schedule/cancel/chain interleavings."""
+    assert _run_timer_script(ops, Environment()) == \
+        _run_timer_script(ops, _SortedListScheduler())

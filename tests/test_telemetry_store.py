@@ -437,3 +437,34 @@ def test_incremental_rollups_equal_post_hoc_scans(scenario):
         assert report.total == pytest.approx(report.wall_clock)
     finally:
         tel.spanstore.discard()
+
+
+# ------------------------------- always-on telemetry on a real workload
+def test_store_is_bounded_and_lossless_and_moves_nothing():
+    """The 40x40 buffered shuffle with the store as system of record,
+    on rings small enough that segments must flush: resident records
+    stay within the rings, nothing is dropped, and the simulated run -
+    makespan and every task placement - equals telemetry=False."""
+    from control_plane_scenarios import wide_shuffle_on
+    from repro import SimCluster
+    from repro.tez.vertex_manager import ShuffleVertexManagerConfig
+
+    ring = 512
+
+    def run(enabled):
+        sim = SimCluster(num_nodes=4, nodes_per_rack=2,
+                         memory_per_node_mb=16 * 1024, cores_per_node=8,
+                         telemetry=enabled,
+                         telemetry_opts={"ring_spans": ring,
+                                         "ring_events": ring})
+        return sim, wide_shuffle_on(sim, 40, ShuffleVertexManagerConfig())
+
+    _, off = run(False)
+    sim, on = run(True)
+    assert on == off
+    store = sim.telemetry.spanstore
+    assert store.peak_resident <= 2 * ring + 8   # rings + control reserve
+    assert store.flushes >= 1
+    assert store.dropped_spans == 0 and store.dropped_events == 0
+    sim.telemetry.close()
+    store.discard()

@@ -15,6 +15,7 @@ from repro.tez.events import (
     DataMovementEvent,
     VertexManagerEvent,
 )
+from repro.tez.vertex_manager import VertexManagerContext
 
 
 class TestObjectRegistry:
@@ -73,7 +74,7 @@ class TestConfigs:
             ShuffleVertexManagerConfig(min_task_parallelism=0)
 
 
-class _FakeVMContext:
+class _FakeVMContext(VertexManagerContext):
     """Minimal VertexManagerContext for unit-testing managers."""
 
     def __init__(self, parallelism, sources):

@@ -443,21 +443,18 @@ class TestResourceRecords:
 
 
 # ---------------------------------------------------------------------------
-# Scheduler hot-path properties (PR 5): delay scheduling, pruning and the
-# incremental-vs-legacy equivalence guarantee. Every property is checked in
-# both scheduler modes — the overhaul must not change a single decision.
+# Scheduler hot-path properties: delay scheduling, pruning, and the
+# equivalence of the indexed/aggregate bookkeeping with a scan-everything
+# reference kept in this file.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.yarn import ApplicationId, CapacityScheduler, NodeManager, SchedulerApp
 
-BOTH_MODES = pytest.mark.parametrize("incremental", [False, True],
-                                     ids=["legacy", "incremental"])
-
-
 def make_scheduler(num_nodes=4, nodes_per_rack=2, queues=None,
-                   incremental=True, node_delay=None, rack_delay=None):
+                   node_delay=None, rack_delay=None,
+                   scheduler_cls=CapacityScheduler):
     """A bare CapacityScheduler: no RM, no heartbeats — ticks are driven
     by hand so delay-scheduling counters can be asserted per tick."""
     spec = ClusterSpec(
@@ -465,7 +462,6 @@ def make_scheduler(num_nodes=4, nodes_per_rack=2, queues=None,
         nodes_per_rack=nodes_per_rack,
         memory_per_node_mb=8192,
         cores_per_node=8,
-        scheduler_incremental=incremental,
     )
     env = Environment()
     cluster = Cluster(env, spec)
@@ -474,7 +470,7 @@ def make_scheduler(num_nodes=4, nodes_per_rack=2, queues=None,
         node_id: NodeManager(env, node, security, lambda status, c: None)
         for node_id, node in cluster.nodes.items()
     }
-    sched = CapacityScheduler(
+    sched = scheduler_cls(
         env, cluster, nms, queues,
         node_locality_delay=node_delay, rack_locality_delay=rack_delay,
     )
@@ -487,10 +483,8 @@ def _app(sched, num=None, queue="default"):
     return app
 
 
-@BOTH_MODES
-def test_missed_opportunities_reset_on_node_local(incremental):
-    env, cluster, sched = make_scheduler(incremental=incremental,
-                                         node_delay=100, rack_delay=200)
+def test_missed_opportunities_reset_on_node_local():
+    env, cluster, sched = make_scheduler(node_delay=100, rack_delay=200)
     app = _app(sched)
     app.add_ask(TASK_PRI, SMALL, ["node0002"], ["rack1"], True)
     app.missed_opportunities = 7   # pretend it has been waiting a while
@@ -501,10 +495,8 @@ def test_missed_opportunities_reset_on_node_local(incremental):
     assert app.missed_opportunities == 0
 
 
-@BOTH_MODES
-def test_rack_fallback_unlocks_at_node_delay(incremental):
-    env, cluster, sched = make_scheduler(incremental=incremental,
-                                         node_delay=3, rack_delay=100)
+def test_rack_fallback_unlocks_at_node_delay():
+    env, cluster, sched = make_scheduler(node_delay=3, rack_delay=100)
     # The preferred node is full, its rack-mate is free.
     full = sched.node_managers["node0002"]
     full.used = full.total
@@ -519,10 +511,8 @@ def test_rack_fallback_unlocks_at_node_delay(incremental):
     ]
 
 
-@BOTH_MODES
-def test_off_switch_unlocks_at_rack_delay(incremental):
-    env, cluster, sched = make_scheduler(incremental=incremental,
-                                         node_delay=2, rack_delay=5)
+def test_off_switch_unlocks_at_rack_delay():
+    env, cluster, sched = make_scheduler(node_delay=2, rack_delay=5)
     # The preferred node and its whole rack are full.
     for node_id in ("node0002", "node0003"):
         nm = sched.node_managers[node_id]
@@ -536,10 +526,8 @@ def test_off_switch_unlocks_at_rack_delay(incremental):
     assert sched.allocation_log[-1][3] == "OFF_SWITCH"
 
 
-@BOTH_MODES
-def test_blacklisted_node_never_allocated_despite_local_ask(incremental):
-    env, cluster, sched = make_scheduler(incremental=incremental,
-                                         node_delay=1, rack_delay=2)
+def test_blacklisted_node_never_allocated_despite_local_ask():
+    env, cluster, sched = make_scheduler(node_delay=1, rack_delay=2)
     app = _app(sched)
     app.blacklist.add("node0002")
     app.add_ask(TASK_PRI, SMALL, ["node0002"], ["rack1"], True)
@@ -553,7 +541,7 @@ def test_blacklisted_node_never_allocated_despite_local_ask(incremental):
 
 
 def test_ask_table_pruned_when_fully_consumed():
-    env, cluster, sched = make_scheduler(incremental=True)
+    env, cluster, sched = make_scheduler()
     app = _app(sched)
     app.add_ask(TASK_PRI, SMALL, [], [], True)
     assert TASK_PRI in app.asks
@@ -565,18 +553,8 @@ def test_ask_table_pruned_when_fully_consumed():
     assert TASK_PRI not in app.asks
 
 
-def test_legacy_keeps_empty_ask_tables():
-    env, cluster, sched = make_scheduler(incremental=False)
-    app = _app(sched)
-    app.add_ask(TASK_PRI, SMALL, [], [], True)
-    assert len(sched.tick()) == 1
-    assert TASK_PRI in app.asks        # historical behaviour: husk stays
-    assert app.asks[TASK_PRI].pending() == 0
-
-
-@BOTH_MODES
-def test_used_resource_tracks_allocations_and_completions(incremental):
-    env, cluster, sched = make_scheduler(incremental=incremental)
+def test_used_resource_tracks_allocations_and_completions():
+    env, cluster, sched = make_scheduler()
     app = _app(sched)
     app.add_ask(TASK_PRI, SMALL, [], [], True, count=3)
     allocations = sched.tick()
@@ -596,16 +574,8 @@ def test_event_driven_rm_skips_idle_heartbeats():
     assert rm.ticks_skipped > 0        # nothing to schedule: ticks skip
 
 
-def test_tick_every_heartbeat_when_event_driven_off():
-    env, cluster, rm = make_rm(event_driven_ticks=False)
-    env.run(until=10.0)
-    assert rm.ticks_skipped == 0
-
-
-@BOTH_MODES
-def test_missed_opportunities_total_is_cumulative(incremental):
-    env, cluster, sched = make_scheduler(incremental=incremental,
-                                         node_delay=100, rack_delay=200)
+def test_missed_opportunities_total_is_cumulative():
+    env, cluster, sched = make_scheduler(node_delay=100, rack_delay=200)
     app = _app(sched)
     app.add_ask(TASK_PRI, SMALL, ["node0002"], ["rack1"], True)
     assert sched.missed_opportunities_total == 0
@@ -665,7 +635,102 @@ def test_ticks_skipped_counter_and_histogram_in_telemetry():
     assert metrics.histogram("yarn.scheduler.tick_seconds").count > 0
 
 
-# -- randomized equivalence: optimized vs legacy scheduler ------------------
+# -- frozen reference: a scan-everything offer path --------------------------
+#
+# The offer path as it stood before any index, aggregate or memo, kept
+# here as the reference: every app is consulted on every node, and
+# whether a table holds node- or rack-level asks is found by scanning its
+# counts. It shares `_allocate` with the scheduler under test and none of
+# the offer-path code, so a slip in the shipped `_assign_on_node` /
+# `_try_assign` (a wrongly skipped app or node, a stale memo, a counter
+# that drifted from its table) shows as a different allocation log.
+
+from helpers import bare_scheduler
+from repro.yarn.scheduler import NODE_LOCAL, OFF_SWITCH, RACK_LOCAL_LEVEL
+
+
+class _FrozenOfferPath(CapacityScheduler):
+    def _assign_on_node(self, node_id):
+        nm = self.node_managers[node_id]
+        rack = self.cluster.nodes[node_id].rack
+        allocations = []
+        progress = True
+        while progress:
+            progress = False
+            for app in self._ordered_apps():
+                container = self._try_assign(app, nm, node_id, rack)
+                if container is not None:
+                    allocations.append(container)
+                    progress = True
+                    break
+        return allocations
+
+    def _try_assign(self, app, nm, node_id, rack):
+        if node_id in app.blacklist:
+            return None
+        had_local_ask = False
+        for priority in sorted(app.asks):
+            table = app.asks[priority]
+            if table.pending() <= 0:
+                continue
+            if not nm.can_fit(table.capability):
+                continue
+            if self._queue_over_max(app.queue, table.capability):
+                continue
+            # NODE_LOCAL
+            if table.node_counts.get(node_id, 0) > 0:
+                return self._allocate(app, nm, priority, table, NODE_LOCAL,
+                                      node_id, rack)
+            node_asks = any(v > 0 for v in table.node_counts.values())
+            rack_asks = any(v > 0 for v in table.rack_counts.values())
+            if node_asks:
+                had_local_ask = True
+            # RACK_LOCAL (allowed after node delay, or if no node asks)
+            if table.rack_counts.get(rack, 0) > 0 and (
+                not node_asks
+                or app.missed_opportunities >= self.node_locality_delay
+            ):
+                return self._allocate(app, nm, priority, table,
+                                      RACK_LOCAL_LEVEL, node_id, rack)
+            # OFF_SWITCH (allowed after rack delay, or if ANY-only asks)
+            if table.any_count > 0 and (
+                (not node_asks and not rack_asks)
+                or app.missed_opportunities >= self.rack_locality_delay
+            ):
+                return self._allocate(app, nm, priority, table, OFF_SWITCH,
+                                      node_id, rack)
+        if had_local_ask:
+            app.missed_opportunities += 1
+            self.mark_dirty()
+        return None
+
+
+def _assert_aggregates_equal_rescans(sched, apps):
+    """The running aggregates against what they stand for: sums over
+    live containers and alive nodes."""
+    def total(resources):
+        out = Resource(0, 0)
+        for resource in resources:
+            out = out + resource
+        return out
+
+    for app in apps:
+        assert app.used_resource() == total(
+            c.resource for c in app.live_containers.values())
+        for table in app.asks.values():
+            assert table.node_nonzero == sum(
+                v > 0 for v in table.node_counts.values())
+            assert table.rack_nonzero == sum(
+                v > 0 for v in table.rack_counts.values())
+    for queue in sched.queues:
+        assert sched.queue_used(queue) == total(
+            c.resource for app in sched.apps.values()
+            if app.queue == queue for c in app.live_containers.values())
+    assert sched.cluster_resource() == total(
+        nm.total for nm in sched.node_managers.values() if nm.node.alive)
+
+
+# -- randomized equivalence: shipped scheduler vs the frozen reference -------
 
 _EQUIV_QUEUES = [QueueConfig("q0", 0.6, 0.8), QueueConfig("q1", 0.4, 1.0)]
 _EQUIV_CAPS = {1: Resource(1024, 1), 2: Resource(2048, 2),
@@ -690,12 +755,12 @@ _ops = st.lists(
 )
 
 
-def _run_script(ops, incremental):
+def _run_script(ops, scheduler_cls):
     """Drive one scheduler through a scripted op sequence; return its
-    observable behaviour for cross-mode comparison."""
+    observable behaviour for comparison with the other class."""
     env, cluster, sched = make_scheduler(
         num_nodes=6, nodes_per_rack=3, queues=_EQUIV_QUEUES,
-        incremental=incremental, node_delay=2, rack_delay=4,
+        node_delay=2, rack_delay=4, scheduler_cls=scheduler_cls,
     )
     apps = [
         SchedulerApp(ApplicationId(0, 800 + i), f"q{i % 2}", "user")
@@ -732,6 +797,7 @@ def _run_script(ops, incremental):
             cluster.nodes[f"node{op[1]:04d}"].crash()
         elif kind == "restart":
             cluster.nodes[f"node{op[1]:04d}"].restart()
+        _assert_aggregates_equal_rescans(sched, apps)
     live.extend(sched.tick())
     return {
         "log": list(sched.allocation_log),
@@ -746,92 +812,13 @@ def _run_script(ops, incremental):
 @settings(max_examples=60, deadline=None)
 @given(ops=_ops)
 def test_randomized_allocation_log_equivalence(ops):
-    legacy = _run_script(ops, incremental=False)
-    optimized = _run_script(ops, incremental=True)
-    assert optimized["log"] == legacy["log"]
-    assert optimized == legacy
+    frozen = _run_script(ops, _FrozenOfferPath)
+    current = _run_script(ops, CapacityScheduler)
+    assert current["log"] == frozen["log"]
+    assert current == frozen
 
 
-# -- frozen oracle: the offer path before the cheap-decline rewrite ---------
-#
-# The legacy/incremental comparison above runs the same `_try_assign` on
-# both sides, so a slip in the shared procedure passes it. This oracle is
-# the parent commit's `_assign_on_node` + `_try_assign`, verbatim, in a
-# subclass: it shares the bookkeeping (`_allocate`, indexes, aggregates)
-# with the scheduler under test but none of the offer-path code.
-
-from helpers import bare_scheduler
-from repro.yarn.scheduler import NODE_LOCAL, OFF_SWITCH, RACK_LOCAL_LEVEL
-
-
-class _FrozenOfferPath(CapacityScheduler):
-    def _assign_on_node(self, node_id):
-        nm = self.node_managers[node_id]
-        rack = self.cluster.nodes[node_id].rack
-        allocations = []
-        incremental = self.incremental
-        progress = True
-        while progress:
-            progress = False
-            if incremental:
-                node_apps = self._node_index.get(node_id)
-                rack_apps = self._rack_index.get(rack)
-                any_apps = self._any_apps
-                local_apps = self._local_apps
-            for app in self._ordered_apps():
-                if incremental:
-                    aid = app.app_id
-                    if (
-                        aid not in any_apps
-                        and aid not in local_apps
-                        and (node_apps is None or aid not in node_apps)
-                        and (rack_apps is None or aid not in rack_apps)
-                    ):
-                        continue
-                container = self._try_assign(app, nm, node_id, rack)
-                if container is not None:
-                    allocations.append(container)
-                    progress = True
-                    break
-        return allocations
-
-    def _try_assign(self, app, nm, node_id, rack):
-        if node_id in app.blacklist:
-            return None
-        had_local_ask = False
-        for priority in sorted(app.asks):
-            table = app.asks[priority]
-            if table.pending() <= 0:
-                continue
-            if not nm.can_fit(table.capability):
-                continue
-            if self._queue_over_max(app.queue, table.capability):
-                continue
-            # NODE_LOCAL
-            if table.node_counts.get(node_id, 0) > 0:
-                return self._allocate(app, nm, priority, table, NODE_LOCAL,
-                                      node_id, rack)
-            if table.has_node_asks():
-                had_local_ask = True
-            # RACK_LOCAL (allowed after node delay, or if no node asks)
-            if table.rack_counts.get(rack, 0) > 0 and (
-                not table.has_node_asks()
-                or app.missed_opportunities >= self.node_locality_delay
-            ):
-                return self._allocate(app, nm, priority, table,
-                                      RACK_LOCAL_LEVEL, node_id, rack)
-            # OFF_SWITCH (allowed after rack delay, or if ANY-only asks)
-            if table.any_count > 0 and (
-                (not table.has_node_asks() and not table.has_rack_asks())
-                or app.missed_opportunities >= self.rack_locality_delay
-            ):
-                return self._allocate(app, nm, priority, table, OFF_SWITCH,
-                                      node_id, rack)
-        if had_local_ask:
-            app.missed_opportunities += 1
-            self.mark_dirty()
-        return None
-
+# -- the same reference in lock-step, through a richer scripted world --------
 
 # 4 nodes x (4096 MB, 4 cores) = (16384 MB, 16 cores). q0 is capped at
 # exactly 8 SMALL containers: the 8th lands on max_capacity, the 9th is
@@ -846,12 +833,11 @@ class _OracleRig:
     """One scheduler (frozen or current) plus the scripted world around
     it; two rigs are driven in lock-step and compared after every op."""
 
-    def __init__(self, scheduler_cls, incremental, preemption):
+    def __init__(self, scheduler_cls, preemption):
         self.env, self.cluster, self.sched = bare_scheduler(
             scheduler_cls, _ORACLE_QUEUES,
             num_nodes=_ORACLE_NODES, nodes_per_rack=2,
             memory_per_node_mb=4096, cores_per_node=4,
-            scheduler_incremental=incremental,
             node_locality_delay=2, rack_locality_delay=4,
             preemption_enabled=preemption,
         )
@@ -937,9 +923,9 @@ class _OracleRig:
         }
 
 
-def _assert_matches_frozen(ops, incremental, preemption):
-    frozen = _OracleRig(_FrozenOfferPath, incremental, preemption)
-    current = _OracleRig(CapacityScheduler, incremental, preemption)
+def _assert_matches_frozen(ops, preemption):
+    frozen = _OracleRig(_FrozenOfferPath, preemption)
+    current = _OracleRig(CapacityScheduler, preemption)
     assert current.observe() == frozen.observe()
     for step, op in enumerate(ops):
         frozen.apply(op)
@@ -947,6 +933,7 @@ def _assert_matches_frozen(ops, incremental, preemption):
         assert current.observe() == frozen.observe(), (step, op)
         for app in current.apps:
             assert app._ordered_asks() == sorted(app.asks.items())
+        _assert_aggregates_equal_rescans(current.sched, current.apps)
     frozen.apply(("tick",))
     current.apply(("tick",))
     assert current.observe() == frozen.observe()
@@ -978,18 +965,16 @@ _oracle_ops = st.lists(
 )
 
 
-@BOTH_MODES
 @settings(max_examples=150, deadline=None)
 @given(ops=_oracle_ops, preemption=st.booleans())
-def test_offer_path_matches_frozen_oracle(incremental, ops, preemption):
-    _assert_matches_frozen(ops, incremental, preemption)
+def test_offer_path_matches_frozen_oracle(ops, preemption):
+    _assert_matches_frozen(ops, preemption)
 
 
 # The scenarios the rewrite's three shortcuts must survive, spelled out so
 # they run on every invocation whatever Hypothesis happens to draw.
 
-@BOTH_MODES
-def test_oracle_full_node_skip_still_consults_fitting_asks(incremental):
+def test_oracle_full_node_skip_still_consults_fitting_asks():
     # Priority 3 fits no node. It is asked first, so the skip's
     # capability set starts with a member that never fits; the SMALL
     # asks must still be offered every node and still count misses.
@@ -1000,13 +985,12 @@ def test_oracle_full_node_skip_still_consults_fitting_asks(incremental):
         ("ask", 1, 2, [2, 3], False, 3),
         ("tick",), ("tick",), ("tick",),
     ]
-    rig = _assert_matches_frozen(ops, incremental, False)
+    rig = _assert_matches_frozen(ops, False)
     assert len(rig.sched.allocation_log) == 2 + 5 + 3
     assert rig.apps[0].total_pending() == 2     # the unfittable asks
 
 
-@BOTH_MODES
-def test_oracle_queue_at_max_drops_below_mid_tick(incremental):
+def test_oracle_queue_at_max_drops_below_mid_tick():
     # q0 (apps 0 and 2) fills to exactly max_capacity, with more asks
     # pending: every further q0 consult is declined at the queue check.
     # Then each grant to app 1 (q1) completes one q0 container inside
@@ -1021,15 +1005,14 @@ def test_oracle_queue_at_max_drops_below_mid_tick(incremental):
         ("tick",),
         ("tick",),
     ]
-    rig = _assert_matches_frozen(ops, incremental, False)
+    rig = _assert_matches_frozen(ops, False)
     log = rig.sched.allocation_log
     q0_grants = [e for e in log if e[1] == str(rig.apps[0].app_id)]
     assert len(q0_grants) == 9                  # 8 at max, 9th after a drop
     assert rig.sched.queue_used("q0") == Resource(7 * 1024, 7)
 
 
-@BOTH_MODES
-def test_oracle_cluster_total_change_moves_queue_limit(incremental):
+def test_oracle_cluster_total_change_moves_queue_limit():
     # q0 sits at max; a node crash shrinks the cluster (q0 is now over
     # max), the restart grows it back: the limit verdict must follow.
     ops = [
@@ -1041,11 +1024,10 @@ def test_oracle_cluster_total_change_moves_queue_limit(incremental):
         ("restart", 3), ("tick",),
         ("complete", 0), ("complete", 0), ("tick",),
     ]
-    _assert_matches_frozen(ops, incremental, False)
+    _assert_matches_frozen(ops, False)
 
 
-@BOTH_MODES
-def test_oracle_empty_node_crash_tightens_queue_limit(incremental):
+def test_oracle_empty_node_crash_tightens_queue_limit():
     # q0 holds 6 SMALL on nodes 1 and 2 and is consulted (under max,
     # declined on locality) for a strict ask on blacklisted node 0.
     # Crashing empty node 3 completes nothing but shrinks the cluster:
@@ -1057,15 +1039,14 @@ def test_oracle_empty_node_crash_tightens_queue_limit(incremental):
         ("blacklist", 0, 0), ("ask", 0, 1, [0], False, 1), ("tick",),
         ("crash", 3), ("unblacklist", 0, 0), ("tick",),
     ]
-    rig = _assert_matches_frozen(ops, incremental, False)
+    rig = _assert_matches_frozen(ops, False)
     assert len(rig.sched.allocation_log) == 6
     rig = _assert_matches_frozen(ops + [("restart", 3), ("tick",)],
-                                 incremental, False)
+                                 False)
     assert len(rig.sched.allocation_log) == 7
 
 
-@BOTH_MODES
-def test_oracle_remove_and_add_app_move_queue_limit(incremental):
+def test_oracle_remove_and_add_app_move_queue_limit():
     # Apps 0 and 2 share q0. App 0 fills it to max, so app 2's ask is
     # declined at the queue check; removing app 0 empties the queue and
     # app 2 must be granted. Re-adding app 0 (adopting its 8 live
@@ -1078,14 +1059,13 @@ def test_oracle_remove_and_add_app_move_queue_limit(incremental):
         ("blacklist", 2, 3), ("ask", 2, 1, [3], False, 1), ("tick",),
         ("add", 0), ("unblacklist", 2, 3), ("tick",),
     ]
-    rig = _assert_matches_frozen(ops, incremental, False)
+    rig = _assert_matches_frozen(ops, False)
     app2 = str(rig.apps[2].app_id)
     assert [e[1] for e in rig.sched.allocation_log].count(app2) == 1
     assert rig.apps[2].total_pending() == 1
 
 
-@BOTH_MODES
-def test_oracle_table_pruned_and_recreated_at_same_priority(incremental):
+def test_oracle_table_pruned_and_recreated_at_same_priority():
     ops = [
         ("ask", 0, 2, [0], True, 1), ("ask", 0, 4, [1], True, 1),
         ("tick",),                      # both tables consumed (pruned)
@@ -1096,11 +1076,10 @@ def test_oracle_table_pruned_and_recreated_at_same_priority(incremental):
         ("cancel", 0, 1, [3], True, 1), ("ask", 0, 1, [0], False, 1),
         ("tick",),
     ]
-    _assert_matches_frozen(ops, incremental, False)
+    _assert_matches_frozen(ops, False)
 
 
-@BOTH_MODES
-def test_oracle_adoption_removal_blacklist_and_preemption(incremental):
+def test_oracle_adoption_removal_blacklist_and_preemption():
     ops = [
         ("blacklist", 2, 1),            # app 2's adopted asks want node 1
         ("ask", 1, 4, [], True, 14),    # q1 takes nearly everything
@@ -1117,5 +1096,5 @@ def test_oracle_adoption_removal_blacklist_and_preemption(incremental):
         ("restart", 2), ("unhook", 0),
         ("tick",), ("tick",),
     ]
-    rig = _assert_matches_frozen(ops, incremental, True)
+    rig = _assert_matches_frozen(ops, True)
     assert rig.sched.allocation_log

@@ -12,15 +12,20 @@ that checkout's own ``benchmarks/ledger/run.py``, unchanged, as
 The order within a pair alternates (parent first, then change first,
 ...) so host-speed drift falls on both sides alike. Before timing
 anything, one ``run.py --child batch`` per side must agree on the
-simulated result - ``digest``, every exact count, ``sim_makespan_s``,
+simulated *result* - ``digest``, ``sim_makespan_s``,
 attempted/failed/tasks: a difference there means a behaviour change,
-which no timing can excuse, and the tool exits 2 without timing.
+which no timing can excuse, and the tool exits 2 without timing. A
+differing exact *count* (``counts.*``) with the result unchanged means
+the same answer was reached by different work: the keys are listed,
+the pairs are timed anyway, and the tool ends with exit 3 naming them
+again, so a count change declared beforehand can be checked against
+the list and any other is not excused.
 
 Prints one row per pair (calibrated ``wall_s`` as the ledger reports
 it, and the median raw wall of the run's batches), then wins, each
 side's median and quartiles, and the median change/parent ratio.
-Exit 0 when the sides are identical and every run was correct; it
-reports the numbers and leaves the verdict on a claimed gain
+Exit 0 when the sides are identical and every run was correct (1 when
+a run was not); it reports the numbers and leaves the verdict on a claimed gain
 (>= 9/10 wins, medians further apart than the parent's quartiles)
 in plain sight rather than in the exit code.
 """
@@ -106,15 +111,20 @@ def main(argv=None) -> int:
     differing = sorted(
         key for key in facts["parent"].keys() | facts["change"].keys()
         if facts["parent"].get(key) != facts["change"].get(key))
+    changed_counts = [key for key in differing if key not in IDENTITY_KEYS]
+    result_differs = len(changed_counts) < len(differing)
     if differing:
-        print(f"{args.workload} seed {args.seed}: simulated result DIFFERS")
+        print(f"{args.workload} seed {args.seed}: "
+              + ("simulated result DIFFERS" if result_differs
+                 else "same result, exact counts DIFFER"))
         for key in differing:
             print(f"  {key}: parent {facts['parent'].get(key)!r} "
                   f"change {facts['change'].get(key)!r}")
-        return 2
+        if result_differs:
+            return 2
     print(f"{args.workload} seed {args.seed}: digest, sim_makespan_s and "
-          f"{len(facts['parent']) - len(IDENTITY_KEYS)} exact counts "
-          f"identical")
+          f"{len(facts['parent']) - len(IDENTITY_KEYS) - len(changed_counts)}"
+          f" exact counts identical")
 
     print(f"{'pair':>4} {'first':>6} {'parent wall_s':>13} {'(raw)':>8} "
           f"{'change wall_s':>13} {'(raw)':>8} {'ratio':>6}")
@@ -143,10 +153,12 @@ def main(argv=None) -> int:
     print(f"change wins {wins}/{args.pairs - ties} pairs"
           f"{f' ({ties} ties)' if ties else ''}; median change/parent "
           f"ratio {statistics.median(ratios):.3f}")
+    if changed_counts:
+        print(f"exact counts differ: {', '.join(changed_counts)}")
     if incorrect:
         print(f"{incorrect} run(s) ended with correct: false")
         return 1
-    return 0
+    return 3 if changed_counts else 0
 
 
 if __name__ == "__main__":
