@@ -56,7 +56,9 @@ class Fetcher:
         self.reader_node = reader_node
         self.job_token = job_token
         self.spec = spec or cluster.spec
-        self.rng = rng or random.Random(cluster.spec.seed)
+        # Drawn from only on an injected error or a back-off: seeded
+        # on first use (see ``rng``), not once per consumer input.
+        self._rng = rng
         # Attempt id of the consumer task, for timeline attribution.
         # The owning dag never changes for a fetcher's lifetime, and
         # the span site runs once per fetch — split it up front.
@@ -65,6 +67,12 @@ class Fetcher:
         self.bytes_fetched = 0
         self.fetch_count = 0
         self.retries = 0
+
+    @property
+    def rng(self) -> random.Random:
+        if self._rng is None:
+            self._rng = random.Random(self.cluster.spec.seed)
+        return self._rng
 
     def _backoff(self, attempts: int) -> float:
         """Exponential backoff with seeded jitter, capped per retry."""

@@ -11,7 +11,8 @@ can be shared (multi-tenancy, paper 4.3).
 from __future__ import annotations
 
 import itertools
-from bisect import insort
+from bisect import bisect_left, insort
+from operator import attrgetter
 from typing import Any, Callable, Generator, Optional
 
 from ...sim import Environment, Interrupt, Store
@@ -31,6 +32,7 @@ __all__ = ["TaskRequest", "TaskSchedulerService"]
 
 _STOP = object()
 _WARMUP = object()
+_ORDER = attrgetter("order")
 
 
 class TaskRequest:
@@ -51,6 +53,10 @@ class TaskRequest:
         self.racks = tuple(racks)
         self.asked_yarn = False
         self.queued_at: Optional[float] = None
+        # Set by TaskSchedulerService.schedule: the racks this request
+        # is local to, and its place in the queue.
+        self.rack_set: frozenset[str] = frozenset()
+        self.order: tuple = ()
 
     def __repr__(self) -> str:
         return f"<TaskRequest {self.attempt.attempt_id} p{self.priority}>"
@@ -97,6 +103,7 @@ class TaskSchedulerService:
         # matcher runs, notified of every assignment and of slot-set
         # churn so stale templates demote to full scheduling.
         self.template_bridge = None
+        # Queued requests in queue order (see ``_enqueue``).
         self.pending: list[TaskRequest] = []
         self.slots: dict[Any, _Slot] = {}   # ContainerId -> _Slot
         self.blacklisted: set[str] = set()  # nodes the AM avoids
@@ -108,6 +115,15 @@ class TaskSchedulerService:
         self._slot_seq = itertools.count(1)
         self._slot_by_attempt: dict[TaskAttempt, _Slot] = {}
         self._pending_by_attempt: dict[TaskAttempt, TaskRequest] = {}
+        # The request side of the book: every queued request is also
+        # in the bucket of each node and rack it is local to, or in
+        # the no-locality bucket, each in queue order. A request's
+        # nodes and racks are fixed once queued and it leaves only
+        # through ``_dequeue``, so these are never stale.
+        self._request_seq = itertools.count(1)
+        self._pending_by_node: dict[str, list[TaskRequest]] = {}
+        self._pending_by_rack: dict[str, list[TaskRequest]] = {}
+        self._pending_anywhere: list[TaskRequest] = []
         self._idle_slots: dict[int, _Slot] = {}          # seq -> slot
         self._idle_by_node: dict[str, dict[int, _Slot]] = {}
         self._idle_by_rack: dict[str, dict[int, _Slot]] = {}
@@ -158,6 +174,10 @@ class TaskSchedulerService:
             request.nodes = tuple(
                 n for n in request.nodes if n not in self.blacklisted
             )
+        request.rack_set = frozenset(request.racks) | {
+            self.cluster.nodes[n].rack
+            for n in request.nodes if n in self.cluster.nodes
+        }
         bridge = self.template_bridge
         if bridge is not None:
             # Template replay: the recorded slot, re-validated with the
@@ -177,19 +197,15 @@ class TaskSchedulerService:
                 bridge.on_assign(request, slot, schedule_time=True)
             self._assign(slot, request, reuse=True)
             return
-        # insort lands after equal (priority, queued_at) keys: FIFO
-        # within a priority.
-        insort(self.pending, request,
-               key=lambda r: (r.priority, r.queued_at or 0))
-        self._pending_by_attempt[request.attempt] = request
+        self._enqueue(request)
         self._ask_yarn(request)
 
     def deallocate(self, request_attempt: TaskAttempt) -> bool:
         """Remove a not-yet-running attempt from the queue."""
-        req = self._pending_by_attempt.pop(request_attempt, None)
+        req = self._pending_by_attempt.get(request_attempt)
         if req is None:
             return False
-        self.pending.remove(req)
+        self._dequeue(req)
         if req.asked_yarn:
             self._cancel_ask(req)
         return True
@@ -355,8 +371,7 @@ class TaskSchedulerService:
             self.template_bridge.on_slot_churn("new_container")
         request = self._match_pending(container)
         if request is not None:
-            self.pending.remove(request)
-            self._pending_by_attempt.pop(request.attempt, None)
+            self._dequeue(request)
             if request.asked_yarn:
                 request.asked_yarn = False  # consumed by this allocation
             if self.template_bridge is not None:
@@ -432,10 +447,7 @@ class TaskSchedulerService:
             ])
             if slot is not None:
                 return slot
-        racks = set(request.racks) | {
-            self.cluster.nodes[n].rack
-            for n in request.nodes if n in self.cluster.nodes
-        }
+        racks = request.rack_set
         if racks and self.config.reuse_rack_fallback:
             slot = best_in([
                 b for r in racks
@@ -449,27 +461,64 @@ class TaskSchedulerService:
             return best_in([self._idle_slots])
         return None
 
+    def _enqueue(self, request: TaskRequest) -> None:
+        """Enter ``request`` into the queue and its locality buckets.
+
+        Queue order is (priority, queued_at, arrival): FIFO within a
+        priority. Every bucket keeps it, so the first fitting entry of
+        a bucket is the one a scan of the whole queue would reach first.
+        """
+        request.order = (request.priority, request.queued_at,
+                         next(self._request_seq))
+        for bucket in self._buckets_of(request):
+            insort(bucket, request, key=_ORDER)
+        self._pending_by_attempt[request.attempt] = request
+
+    def _dequeue(self, request: TaskRequest) -> None:
+        for bucket in self._buckets_of(request):
+            del bucket[bisect_left(bucket, request.order, key=_ORDER)]
+        del self._pending_by_attempt[request.attempt]
+
+    def _buckets_of(self, request: TaskRequest) -> list[list[TaskRequest]]:
+        """The queue itself plus every bucket ``request`` belongs in.
+        Emptied buckets are kept: there is at most one per node and
+        rack ever named."""
+        if not request.nodes and not request.racks:
+            return [self.pending, self._pending_anywhere]
+        return [
+            self.pending,
+            *(self._pending_by_node.setdefault(n, [])
+              for n in dict.fromkeys(request.nodes)),
+            *(self._pending_by_rack.setdefault(r, [])
+              for r in request.rack_set),
+        ]
+
+    @staticmethod
+    def _first_fit(container: Container, levels) -> Optional[TaskRequest]:
+        """The one lookup behind both matchers. ``levels`` is a
+        sequence of bucket groups, best locality first; the answer is
+        the earliest request in queue order that fits ``container``
+        within the first group that has one."""
+        resource = container.resource
+        for buckets in levels:
+            best = None
+            for bucket in buckets:
+                for request in bucket:
+                    if request.capability.fits_in(resource):
+                        if best is None or request.order < best.order:
+                            best = request
+                        break
+            if best is not None:
+                return best
+        return None
+
     def _match_pending(self, container: Container) -> Optional[TaskRequest]:
         """Best queued request for a newly allocated container."""
-        candidates = [
-            r for r in self.pending
-            if r.capability.fits_in(container.resource)
-        ]
-        if not candidates:
-            return None
-        node = container.node_id
-        rack = container.node.rack
-        for req in candidates:
-            if node in req.nodes:
-                return req
-        for req in candidates:
-            req_racks = set(req.racks) | {
-                self.cluster.nodes[n].rack
-                for n in req.nodes if n in self.cluster.nodes
-            }
-            if rack in req_racks:
-                return req
-        return candidates[0]
+        return self._first_fit(container, (
+            (self._pending_by_node.get(container.node_id, ()),),
+            (self._pending_by_rack.get(container.node.rack, ()),),
+            (self.pending,),
+        ))
 
     def _match_slot_to_pending(self, slot: _Slot) -> None:
         """A slot went idle: try to hand it a queued request."""
@@ -486,36 +535,24 @@ class TaskSchedulerService:
             self.release_slot(slot)
             return
         request = None
-        node = slot.container.node_id
-        rack = slot.container.node.rack
-        candidates = [
-            r for r in self.pending
-            if r.capability.fits_in(slot.container.resource)
-        ]
-        if self.config.container_reuse and candidates:
-            for r in candidates:
-                if node in r.nodes:
-                    request = r
-                    break
-            if request is None and self.config.reuse_rack_fallback:
-                for r in candidates:
-                    r_racks = set(r.racks) | {
-                        self.cluster.nodes[n].rack
-                        for n in r.nodes if n in self.cluster.nodes
-                    }
-                    if rack in r_racks or (not r.nodes and not r.racks):
-                        request = r
-                        break
-            if request is None and self.config.reuse_any_fallback:
-                request = candidates[0]
-            if request is None:
-                for r in candidates:
-                    if not r.nodes and not r.racks:
-                        request = r
-                        break
+        if self.config.container_reuse:
+            container = slot.container
+            # A request without preferences competes from the rack
+            # level down, in queue order with the rack's own.
+            anywhere = self._pending_anywhere
+            levels = [(self._pending_by_node.get(container.node_id, ()),)]
+            if self.config.reuse_rack_fallback:
+                levels.append((
+                    self._pending_by_rack.get(container.node.rack, ()),
+                    anywhere,
+                ))
+            if self.config.reuse_any_fallback:
+                levels.append((self.pending,))
+            elif not self.config.reuse_rack_fallback:
+                levels.append((anywhere,))
+            request = self._first_fit(container, levels)
         if request is not None:
-            self.pending.remove(request)
-            self._pending_by_attempt.pop(request.attempt, None)
+            self._dequeue(request)
             if request.asked_yarn:
                 self._cancel_ask(request)
             self._c_reuse.inc()
@@ -548,11 +585,7 @@ class TaskSchedulerService:
             if request.nodes and node in request.nodes:
                 locality = "node"
             elif request.nodes or request.racks:
-                racks = set(request.racks) | {
-                    self.cluster.nodes[n].rack
-                    for n in request.nodes if n in self.cluster.nodes
-                }
-                if slot.container.node.rack in racks:
+                if slot.container.node.rack in request.rack_set:
                     locality = "rack"
                 else:
                     locality = "off"

@@ -1,8 +1,9 @@
 """tools/ledger_pairs.py against stub checkouts: each "checkout" holds
-a fake benchmarks/ledger/run.py that answers the two invocations the
-tool makes, so the pairing, the alternation and the two identity gates
-(changed result: exit 2, untimed; changed count: timed, exit 3) are
-tested without running the ledger."""
+a fake benchmarks/ledger/run.py that answers the three invocations the
+tool makes, so the pairing, the alternation, the two identity gates
+(changed result: exit 2, untimed; changed count: timed, exit 3) and the
+traced-pass gate (the change alone fails it: exit 2, untimed) are tested
+without running the ledger."""
 
 import importlib.util
 import json
@@ -19,7 +20,7 @@ _spec.loader.exec_module(ledger_pairs)
 _STUB = textwrap.dedent('''
     import json, sys
     WALL, ALLOCATIONS, CORRECT = {wall!r}, {allocations!r}, {correct!r}
-    DIGEST = {digest!r}
+    DIGEST, TRACED = {digest!r}, {traced!r}
     args = sys.argv[1:]
     with open("calls.log", "a") as fh:
         fh.write(" ".join(args) + "\\n")
@@ -28,6 +29,11 @@ _STUB = textwrap.dedent('''
             "digest": DIGEST, "sim_makespan_s": 9.5, "attempted": 10,
             "failed": 0, "tasks": 10, "wall_s": WALL,
             "counts": {{"yarn.allocations": ALLOCATIONS}}}}))
+    elif args[-2:] == ["--trace", "1"]:
+        print(json.dumps({{"correct": TRACED["correct"], "metrics": {{
+            "sim.self_s": {{"value": TRACED["sim"], "unit": "s"}},
+            "tez.am.self_s": {{"value": TRACED["tez.am"], "unit": "s"}},
+            "tez.am.calls": {{"value": 12, "unit": "count"}}}}}}))
     else:
         print("  batch 1: wall 2.000s / host 1.000 = 2.000s",
               file=sys.stderr)
@@ -37,13 +43,17 @@ _STUB = textwrap.dedent('''
 ''')
 
 
+_TRACED_OK = {"correct": True, "sim": 5.9, "tez.am": 1.25}
+_TRACE_1 = "--workload w --seed 20150531 --seconds 4 --trace 1"
+
+
 def _checkout(root: Path, wall, allocations=7, correct=True,
-              digest="d1") -> Path:
+              digest="d1", traced=_TRACED_OK) -> Path:
     ledger = root / "benchmarks" / "ledger"
     ledger.mkdir(parents=True)
     (ledger / "run.py").write_text(_STUB.format(
         wall=wall, allocations=allocations, correct=correct,
-        digest=digest))
+        digest=digest, traced=traced))
     return root
 
 
@@ -64,10 +74,12 @@ def test_pairs_alternate_and_report(tmp_path, capsys):
             if line.split()[:1] in (["1"], ["2"], ["3"])]
     assert [row[1] for row in rows] == ["parent", "change", "parent"]
     assert rows[0][2:] == ["4.000", "2.000", "3.000", "2.000", "0.750"]
-    # One identity batch, then the ledger's own command, per pair.
+    # One identity batch and one traced pass, then the ledger's own
+    # command, per pair.
     calls = (parent / "calls.log").read_text().splitlines()
     assert calls[0] == "--child batch --workload w --seed 5"
-    assert calls[1:] == ["--workload w --seed 5 --seconds 4 --trace 0"] * 3
+    assert calls[1] == "--workload w --seed 5 --seconds 4 --trace 1"
+    assert calls[2:] == ["--workload w --seed 5 --seconds 4 --trace 0"] * 3
 
 
 def test_changed_result_fails_before_timing(tmp_path, capsys):
@@ -92,7 +104,33 @@ def test_changed_count_is_timed_then_named_with_exit_3(tmp_path, capsys):
     assert "change wins 2/2 pairs" in out
     assert out.splitlines()[-1] == \
         "exact counts differ: counts.yarn.allocations"
-    assert len((change / "calls.log").read_text().splitlines()) == 3
+    assert len((change / "calls.log").read_text().splitlines()) == 4
+
+
+def test_failed_traced_pass_of_the_change_fails_before_timing(
+        tmp_path, capsys):
+    # The change is faster and computes the same result, but moved so
+    # much time out of `sim` that the workload's ranking rule fails.
+    parent = _checkout(tmp_path / "p", wall=4.0)
+    change = _checkout(tmp_path / "c", wall=2.0, traced={
+        "correct": False, "sim": 1.5, "tez.am": 2.25})
+    assert _main(parent, change) == 2
+    out = capsys.readouterr().out
+    assert "traced pass is correct: false" in out
+    rows = [line.split() for line in out.splitlines()[-2:]]
+    assert rows == [["tez.am", "1.250", "2.250"], ["sim", "5.900", "1.500"]]
+    for side in (parent, change):
+        calls = (side / "calls.log").read_text().splitlines()
+        assert calls[1:] == [_TRACE_1]
+
+
+def test_traced_pass_that_fails_on_both_sides_is_not_the_changes(
+        tmp_path, capsys):
+    failing = {"correct": False, "sim": 1.5, "tez.am": 2.25}
+    parent = _checkout(tmp_path / "p", wall=4.0, traced=failing)
+    change = _checkout(tmp_path / "c", wall=3.0, traced=failing)
+    assert _main(parent, change, "--pairs", "1") == 0
+    assert "change wins 1/1 pairs" in capsys.readouterr().out
 
 
 def test_incorrect_run_fails(tmp_path, capsys):

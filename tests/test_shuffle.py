@@ -218,6 +218,22 @@ class TestFetcher:
         assert proc.value == [("k", 1)] * 10
         assert fetcher.retries >= 0  # retried internally, still done
 
+    def test_jitter_generator_is_seeded_on_first_use(self):
+        """A clean fetch draws nothing and builds no generator; the
+        first draw sees the sequence an eagerly seeded one would."""
+        import random
+
+        proc, fetcher = self.run_fetch()
+        assert proc.value and fetcher._rng is None
+        eager = random.Random(fetcher.cluster.spec.seed)
+        assert [fetcher.rng.random() for _ in range(3)] == \
+            [eager.random() for _ in range(3)]
+        _proc, blippy = self.run_fetch(error_rate=0.5)
+        assert blippy._rng is not None
+        given = random.Random(7)
+        assert Fetcher(fetcher.env, fetcher.cluster, fetcher.services,
+                       "app1", "node0003", rng=given).rng is given
+
     def test_lost_spill_raises_fetch_failure(self):
         spec = ClusterSpec(num_nodes=4, nodes_per_rack=2)
         env = Environment()

@@ -327,3 +327,73 @@ def test_shuffle_transient_errors_are_retried_invisibly():
     assert dict(sim.hdfs.read_file("/out/ft")) == expected_sums(150)
     # No task-level failures: retries were absorbed by the fetcher.
     assert status.metrics["attempts_failed"] == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "attempt_body's generator path interrupts only its event pump: the "
+    "proc:/read:/fetch: children of a killed attempt run on "
+    "(EXPERIMENTS.md divergence 6)"))
+def test_killed_attempt_does_no_io_after_its_kill():
+    """A reducer preempted mid-gather must stop there: none of its
+    fetch spans may end after the kill, and no InputReadErrorEvent of
+    its may reach the router (here every spill is dropped at the kill,
+    so each fetch it still makes reports one)."""
+    from repro.tez.am.structures import AttemptEndReason, AttemptState
+    from repro.tez.events import InputReadErrorEvent
+
+    sim = make_sim()
+    paths = [f"/in/{i}" for i in range(13)]
+    for path in paths:
+        sim.hdfs.write(path, [(j % 10, j) for j in range(40)],
+                       record_bytes=1 << 20)
+    m = fn_vertex("m", lambda c, d: {"r": list(d["src"])}, -1)
+    hdfs_source(m, "src", paths)
+    # The HDFS sink keeps the reducer off the inline attempt path.
+    r = fn_vertex("r", lambda c, d: {"out": [
+        (k, sum(vs)) for k, vs in d["m"]
+    ]}, 1)
+    hdfs_sink(r, "out", "/out/zombie")
+    dag = DAG("zombie").add_vertex(m).add_vertex(r)
+    dag.add_edge(edge(m, r, SG))
+    client = sim.tez_client()
+    handle = client.submit_dag(dag)
+    killed = {}
+    uplinks = []
+
+    def fetch_spans(attempt_id):
+        return sim.telemetry.store.spans(kind="fetch", owner=attempt_id)
+
+    def kill_mid_gather():
+        while True:
+            yield sim.env.timeout(0.05)
+            am = client.last_am
+            tasks = am._vertices["r"].tasks if am is not None \
+                and "r" in am._vertices else []
+            if not tasks or not tasks[0].attempts:
+                continue
+            attempt = tasks[0].attempts[0]
+            if attempt.state == AttemptState.RUNNING and any(
+                    s.end is not None for s in fetch_spans(
+                        attempt.attempt_id)):
+                break
+        killed.update(at=sim.env.now, attempt=attempt)
+        send = am.router.event_from_task
+        am.router.event_from_task = lambda a, event: (
+            uplinks.append((a, event)), send(a, event))
+        for node_id in sim.cluster.nodes:
+            service = sim.shuffle.on_node(node_id)
+            for spill_id in service.spill_ids():
+                service.drop_spill(spill_id)
+        am.scheduler.kill_attempt(attempt, AttemptEndReason.PREEMPTED)
+
+    sim.env.process(kill_mid_gather())
+    sim.env.run(until=handle.completion)
+    assert handle.status.succeeded, handle.status.diagnostics
+    # (The fetch in flight at the kill may never close its span.)
+    ended = [s.end for s in fetch_spans(killed["attempt"].attempt_id)
+             if s.end is not None]
+    assert any(end <= killed["at"] for end in ended)
+    assert not [end for end in ended if end > killed["at"]]
+    assert not [event for attempt, event in uplinks
+                if attempt is killed["attempt"]
+                and isinstance(event, InputReadErrorEvent)]

@@ -14,7 +14,12 @@ The order within a pair alternates (parent first, then change first,
 anything, one ``run.py --child batch`` per side must agree on the
 simulated *result* - ``digest``, ``sim_makespan_s``,
 attempted/failed/tasks: a difference there means a behaviour change,
-which no timing can excuse, and the tool exits 2 without timing. A
+which no timing can excuse, and the tool exits 2 without timing. So
+must one ``run.py --trace 1`` per side: when the change's traced pass
+ends ``correct: false`` (a layer ranking, the zero rule or the 2 % sum
+rule) while the parent's does not, every timed run of it would be
+rejected whatever it measured, and the tool prints both sides'
+per-layer ``self_s`` and exits 2 as well. A
 differing exact *count* (``counts.*``) with the result unchanged means
 the same answer was reached by different work: the keys are listed,
 the pairs are timed anyway, and the tool ends with exit 3 naming them
@@ -72,9 +77,25 @@ def identity(checkout: str, workload: str, seed: int) -> dict:
     return facts
 
 
+def _ledger_run(checkout: str, workload: str, seed: int,
+                trace: int) -> subprocess.CompletedProcess:
+    return _run(checkout, "--workload", workload, "--seed", str(seed),
+                "--seconds", str(SECONDS), "--trace", str(trace))
+
+
+def traced_pass(checkout: str, workload: str, seed: int) -> dict:
+    """The traced pass's verdict and its per-layer self seconds."""
+    verdict = _last_json(_ledger_run(checkout, workload, seed, trace=1))
+    return {
+        "correct": verdict["correct"],
+        "self_s": {name[:-len(".self_s")]: metric["value"]
+                   for name, metric in verdict["metrics"].items()
+                   if name.endswith(".self_s")},
+    }
+
+
 def measure(checkout: str, workload: str, seed: int) -> dict:
-    proc = _run(checkout, "--workload", workload, "--seed", str(seed),
-                "--seconds", str(SECONDS), "--trace", "0")
+    proc = _ledger_run(checkout, workload, seed, trace=0)
     verdict = _last_json(proc)
     raw = [float(m) for m in _RAW_WALL.findall(proc.stderr)]
     return {
@@ -125,6 +146,19 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: digest, sim_makespan_s and "
           f"{len(facts['parent']) - len(IDENTITY_KEYS) - len(changed_counts)}"
           f" exact counts identical")
+
+    traced = {name: traced_pass(checkout, args.workload, args.seed)
+              for name, checkout in sides.items()}
+    if traced["parent"]["correct"] and not traced["change"]["correct"]:
+        print(f"{args.workload} seed {args.seed}: the change's traced pass "
+              f"is correct: false, the parent's is not")
+        print(f"  {'layer':<18} {'parent self_s':>13} {'change self_s':>13}")
+        before, after = (traced[name]["self_s"] for name in sides)
+        for layer in sorted(before.keys() | after.keys(),
+                            key=lambda name: (-after.get(name, 0.0), name)):
+            print(f"  {layer:<18} {before.get(layer, 0.0):>13.3f} "
+                  f"{after.get(layer, 0.0):>13.3f}")
+        return 2
 
     print(f"{'pair':>4} {'first':>6} {'parent wall_s':>13} {'(raw)':>8} "
           f"{'change wall_s':>13} {'(raw)':>8} {'ratio':>6}")
