@@ -108,6 +108,16 @@ class Store:
                 return getter
         return None
 
+    def abandon(self) -> None:
+        """Nobody will put to this store again: forget every parked
+        getter and whoever waits on it, scheduling nothing. A process
+        blocked on ``get()`` is then referenced by nothing the store
+        holds and is freed (its generator closed) with its last other
+        reference."""
+        for getter in self._getters:
+            getter.callbacks = []
+        self._getters.clear()
+
     def put(self, item: Any) -> Event:
         ev = Event(self.env)
         getter = self._pop_getter()

@@ -58,18 +58,22 @@ class _InlineEventChannel:
     arriving through the dispatcher are pushed synchronously into the
     task's logical inputs (whose stores wake any blocked reader), so a
     non-interacting attempt costs zero standing kernel entries for its
-    event channel. ``closed`` flips when the body finishes — late
+    event channel. It is closed when the body finishes — late
     deliveries are dropped exactly where the generator path's pump
-    would have left them unread."""
+    would have left them unread. Closing lets go of the inputs: each
+    holds the task context whose ``send_event`` closes over the attempt
+    that holds this channel."""
 
-    __slots__ = ("inputs", "closed")
+    __slots__ = ("inputs",)
 
     def __init__(self, inputs: dict):
-        self.inputs = inputs
-        self.closed = False
+        self.inputs: Optional[dict] = inputs
+
+    def close(self) -> None:
+        self.inputs = None
 
     def put_nowait(self, event) -> None:
-        if not self.closed:
+        if self.inputs is not None:
             AttemptRunner.dispatch_to_input(self.inputs, event)
 
     def offer(self, event):
@@ -210,7 +214,7 @@ class AttemptRunner:
                 # Completion reaches the AM on the next heartbeat.
                 yield am.env.timeout(am.spec.heartbeat_interval / 2)
             finally:
-                channel.closed = True
+                channel.close()
             return
 
         for entity in [*inputs.values(), *outputs.values(), processor]:

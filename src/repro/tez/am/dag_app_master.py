@@ -351,8 +351,33 @@ class DAGAppMaster:
             )
         self.templates.finish_dag(status)
         self._dag = None
+        self._release_dag()
         self.scheduler.session_waiting = True
         return status
+
+    def _release_dag(self) -> None:
+        """Cut the finished DAG's runtime graph so reference counting
+        frees it now, not a full heap scan later (DESIGN.md "The host
+        collector"). Only references that point *down* the
+        vertex -> task -> attempt tree go: a straggler from this DAG
+        (a container-lost exit, a killed attempt's children) still
+        reaches its task and vertex through ``attempt.task`` /
+        ``task.vertex`` and is discarded as stale."""
+        forget = self.machines.forget
+        for vr in self._vertices.values():
+            for task in vr.tasks:
+                for attempt in task.attempts:
+                    attempt.process = None
+                    forget(attempt)
+                task.attempts = []
+                task.succeeded_attempt = None
+                forget(task)
+            vr.tasks = []
+            vr.manager = None
+            forget(vr)
+        self._vertices = {}
+        self._edge_managers = {}
+        self._init_contexts = {}
 
     # -------------------------------------------------- dispatcher glue
     def note_tasks_created(self, count: int) -> None:

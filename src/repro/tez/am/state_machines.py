@@ -442,6 +442,14 @@ class MachineSet:
             attempt._sm = machine
         return machine
 
+    def forget(self, subject) -> None:
+        """Drop the machines cached on ``subject`` (each points back at
+        it). A late event for the subject gets a fresh machine from the
+        accessors above, which start from the subject's own state."""
+        for attr in ("_sm", "_init_sm"):
+            if getattr(subject, attr, None) is not None:
+                setattr(subject, attr, None)
+
     def dag(self, am, dag_id: str) -> StateMachine:
         """A fresh DAG machine per execution (the AM reuses its
         ``_dag_state`` slot across a session's DAG sequence)."""

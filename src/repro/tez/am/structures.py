@@ -104,6 +104,12 @@ class TaskAttempt:
                  is_speculative: bool = False):
         self.task = task
         self.number = number
+        # Fixed at construction, read several times per task.
+        dag_id = task.vertex.dag_id
+        prefix = f"{dag_id}/" if dag_id else ""
+        self.attempt_id = (
+            f"{prefix}{task.task_id.replace('_t', '/t')}_a{number}"
+        )
         self.is_speculative = is_speculative
         self.state = AttemptState.NEW
         self.container: Optional["Container"] = None
@@ -117,13 +123,6 @@ class TaskAttempt:
         self.diagnostics = ""
         self.counters: dict[str, float] = {}
         self.telemetry_span = None       # timeline span (observability)
-
-    @property
-    def attempt_id(self) -> str:
-        dag_id = self.task.vertex.dag_id
-        prefix = f"{dag_id}/" if dag_id else ""
-        return f"{prefix}{self.task.task_id.replace('_t', '/t')}" \
-               f"_a{self.number}"
 
     @property
     def duration(self) -> Optional[float]:
@@ -141,6 +140,7 @@ class Task:
     def __init__(self, vertex: "VertexRuntime", index: int):
         self.vertex = vertex
         self.index = index
+        self.task_id = f"{vertex.name}_t{index}"
         self._state = TaskState.NEW
         self.attempts: list[TaskAttempt] = []
         self.failed_attempts = 0
@@ -166,10 +166,6 @@ class Task:
             if value is TaskState.SUCCEEDED:
                 self.vertex._succeeded_count += 1
         self._state = value
-
-    @property
-    def task_id(self) -> str:
-        return f"{self.vertex.name}_t{self.index}"
 
     def new_attempt(self, is_speculative: bool = False) -> TaskAttempt:
         attempt = TaskAttempt(self, len(self.attempts),

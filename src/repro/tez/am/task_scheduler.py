@@ -252,6 +252,9 @@ class TaskSchedulerService:
             del self._slot_by_attempt[current]
         self._c_released.inc()
         self.slots.pop(slot.container.container_id, None)
+        # Nothing is mailed to a released slot: the idle TezChild loop
+        # parked on the mailbox goes with it, not to the collector.
+        slot.mailbox.abandon()
         self.ctx.release_container(slot.container.container_id)
 
     def release_all_idle(self) -> None:
@@ -328,6 +331,7 @@ class TaskSchedulerService:
             slot = self.slots.pop(status.container_id, None)
             if slot is None:
                 continue
+            slot.mailbox.abandon()      # as in release_slot
             if self.template_bridge is not None:
                 self.template_bridge.on_slot_churn("container_completed")
             self._unmark_idle(slot)

@@ -331,6 +331,9 @@ class CapacityScheduler:
         self._local_apps.pop(app_id, None)
         self._usage_changed()
         app._scheduler = None
+        # Nothing more is granted to a removed app: let go of the AM's
+        # delivery callback (AMContext.app <-> app.on_allocate).
+        app.on_allocate = None
         self.mark_dirty()
 
     # -- event-driven tick support ------------------------------------------

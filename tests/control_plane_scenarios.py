@@ -163,7 +163,7 @@ def coalescing_eager_slowstart():
     return status.elapsed, (_rows(sim), journals)
 
 
-def live_events_speculation_kill():
+def live_events_speculation_kill(reducers=2):
     """A shuffle-in/shuffle-out middle stage (inline-eligible) whose
     attempts receive data-movement events mid-flight, and whose
     key-skewed straggler gets a speculative twin and a kill."""
@@ -178,7 +178,7 @@ def live_events_speculation_kill():
     s.vertex_manager = Descriptor(ShuffleVertexManager, _EAGER)
     r = fn_vertex("r", lambda c, d: {"out": [
         (k, sum(vs)) for k, vs in d["s"]
-    ]}, 2)
+    ]}, reducers)
     hdfs_sink(r, "out", "/out")
     dag = DAG("fastdet").add_vertex(m).add_vertex(s).add_vertex(r)
     dag.add_edge(edge(m, s, SG)).add_edge(edge(s, r, SG))
@@ -193,13 +193,13 @@ def live_events_speculation_kill():
     return status.elapsed, (_rows(sim), canonical_journals(ams))
 
 
-def chaos_node_crash():
+def chaos_node_crash(reducers=3):
     """A node crash and a dropped shuffle output mid-run: attempts
     fail, are killed and re-executed."""
     sim = make_sim(num_nodes=6, nodes_per_rack=3)
     sim.hdfs.write("/in", [(i % 9, i) for i in range(2_000)],
                    record_bytes=32)
-    dag = _sum_by_key_dag("fastchaos", 3,
+    dag = _sum_by_key_dag("fastchaos", reducers,
                           map_payload={"cpu_per_record": 2e-3},
                           reduce_payload={"setup_seconds": 4.0})
     plan = (FaultPlan(seed=23)
@@ -388,7 +388,7 @@ def sched_heavy(num_nodes=60, nodes_per_rack=10, num_apps=6, waves=2,
 
 # ------------------------------------------------- container reuse
 
-def reuse_session(stale=None):
+def reuse_session(stale=None, reducers=6):
     """Two DAGs through one session: node-, rack- and any-level reuse
     of idle containers; reducers whose first attempts fail get their
     node blacklisted while its other slots are busy, and the busiest
@@ -411,8 +411,8 @@ def reuse_session(stale=None):
         m = fn_vertex("m", lambda c, d: {"r": list(d["src"])}, -1,
                       cpu_per_record=1e-3)
         hdfs_source(m, "src", [f"/in_{tag}"])
-        r = fn_vertex("r", reduce_fn, 6, cpu_per_record=5e-2)
-        o = fn_vertex("o", lambda c, d: {"out": list(d["r"])}, 6)
+        r = fn_vertex("r", reduce_fn, reducers, cpu_per_record=5e-2)
+        o = fn_vertex("o", lambda c, d: {"out": list(d["r"])}, reducers)
         hdfs_sink(o, "out", f"/out_{tag}")
         dag = DAG(f"reuse-{tag}")
         dag.add_vertex(m).add_vertex(r).add_vertex(o)

@@ -1,9 +1,10 @@
 """tools/ledger_pairs.py against stub checkouts: each "checkout" holds
 a fake benchmarks/ledger/run.py that answers the three invocations the
 tool makes, so the pairing, the alternation, the two identity gates
-(changed result: exit 2, untimed; changed count: timed, exit 3) and the
-traced-pass gate (the change alone fails it: exit 2, untimed) are tested
-without running the ledger."""
+(changed result: exit 2, untimed; changed count: timed, exit 3), the
+traced-pass gate (the change alone fails it: exit 2, untimed) and the
+flag on an end-to-end metric that got worse than its bound (exit 1) are
+tested without running the ledger."""
 
 import importlib.util
 import json
@@ -20,7 +21,7 @@ _spec.loader.exec_module(ledger_pairs)
 _STUB = textwrap.dedent('''
     import json, sys
     WALL, ALLOCATIONS, CORRECT = {wall!r}, {allocations!r}, {correct!r}
-    DIGEST, TRACED = {digest!r}, {traced!r}
+    DIGEST, TRACED, RSS = {digest!r}, {traced!r}, {rss!r}
     args = sys.argv[1:]
     with open("calls.log", "a") as fh:
         fh.write(" ".join(args) + "\\n")
@@ -39,7 +40,11 @@ _STUB = textwrap.dedent('''
               file=sys.stderr)
         print("progress noise")
         print(json.dumps({{"correct": CORRECT, "metrics": {{
-            "wall_s": {{"value": WALL, "unit": "s"}}}}}}))
+            "wall_s": {{"value": WALL, "unit": "s"}},
+            "tasks_per_s": {{"value": 10 / WALL, "unit": "1/s"}},
+            "peak_rss_mb": {{"value": RSS, "unit": "MiB"}},
+            "setup_s": {{"value": 0.5, "unit": "s"}},
+            "sim_makespan_s": {{"value": 9.5, "unit": "sim_s"}}}}}}))
 ''')
 
 
@@ -48,12 +53,12 @@ _TRACE_1 = "--workload w --seed 20150531 --seconds 4 --trace 1"
 
 
 def _checkout(root: Path, wall, allocations=7, correct=True,
-              digest="d1", traced=_TRACED_OK) -> Path:
+              digest="d1", traced=_TRACED_OK, rss=80.0) -> Path:
     ledger = root / "benchmarks" / "ledger"
     ledger.mkdir(parents=True)
     (ledger / "run.py").write_text(_STUB.format(
         wall=wall, allocations=allocations, correct=correct,
-        digest=digest, traced=traced))
+        digest=digest, traced=traced, rss=rss))
     return root
 
 
@@ -70,6 +75,13 @@ def test_pairs_alternate_and_report(tmp_path, capsys):
     assert "1 exact counts identical" in out
     assert "change wins 3/3 pairs" in out
     assert "median change/parent ratio 0.750" in out
+    assert "parent: median wall_s 4.000 (quartiles 4.000 - 4.000, n=3)" \
+        in out
+    assert "change: median tasks_per_s 3.333" in out
+    assert "change: median peak_rss_mb 80.000" in out
+    assert "change: median setup_s 0.500" in out
+    assert "sim_makespan_s" not in out.split("identical")[1]
+    assert "WORSE" not in out
     rows = [line.split() for line in out.splitlines()
             if line.split()[:1] in (["1"], ["2"], ["3"])]
     assert [row[1] for row in rows] == ["parent", "change", "parent"]
@@ -131,6 +143,22 @@ def test_traced_pass_that_fails_on_both_sides_is_not_the_changes(
     change = _checkout(tmp_path / "c", wall=3.0, traced=failing)
     assert _main(parent, change, "--pairs", "1") == 0
     assert "change wins 1/1 pairs" in capsys.readouterr().out
+
+
+def test_a_metric_worse_than_its_bound_is_flagged(tmp_path, capsys):
+    # Faster, same result, but half again the memory: over the 25 %
+    # BENCHMARK.json allows peak_rss_mb. 1.2 x would pass unflagged.
+    parent = _checkout(tmp_path / "p", wall=4.0, rss=80.0)
+    change = _checkout(tmp_path / "c", wall=3.0, rss=120.0)
+    assert _main(parent, change, "--pairs", "2") == 1
+    out = capsys.readouterr().out
+    assert "change: median peak_rss_mb 120.000" in out
+    assert "WORSE: the change's median peak_rss_mb is +50.0% against " \
+           "the parent's (bound 25%)" in out
+    assert out.count("WORSE") == 1 and "change wins 2/2 pairs" in out
+    within = _checkout(tmp_path / "w", wall=3.0, rss=96.0)
+    assert _main(parent, within, "--pairs", "1") == 0
+    assert "WORSE" not in capsys.readouterr().out
 
 
 def test_incorrect_run_fails(tmp_path, capsys):

@@ -61,3 +61,26 @@ def test_retired_switches_are_not_accepted(cls, name):
         str(p.relative_to(SRC)) for p in (SRC / "bench").glob("*.py"))])
 def test_no_module_describes_a_second_implementation(module):
     assert "legacy" not in (SRC / module).read_text().lower()
+
+
+def _source_files_matching(pattern):
+    found = re.compile(pattern, re.MULTILINE)
+    return sorted(str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+                  if found.search(path.read_text(encoding="utf-8")))
+
+
+def test_only_the_kernel_touches_the_host_collector():
+    """One scoped mechanism (``Environment.run`` holds the collector),
+    no second place that tunes, freezes or forces it."""
+    assert _source_files_matching(
+        r"^\s*(import gc\b|from gc import|import .*\bgc\b)") \
+        == ["sim/core.py"]
+
+
+def test_collection_timing_cannot_reach_the_model():
+    assert not _source_files_matching(
+        r"def __del__|^\s*(import|from) weakref\b|import .*\bweakref\b"), \
+        "a finalizer or a weak reference makes *when* the cyclic " \
+        "collector runs observable to the simulation; Environment.run " \
+        "holds the collector, so digests would then depend on where " \
+        "run() is called from"

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -351,6 +353,29 @@ class TestStore:
         env.run()
         assert got == ["late"]
 
+    def test_abandon_frees_the_parked_reader_and_schedules_nothing(self):
+        env = Environment()
+        store = Store(env)
+        closed = []
+        def reader():
+            try:
+                yield store.get()
+            finally:
+                closed.append(env.now)
+        env.process(reader())       # not kept: only the getter holds it
+        env.run()
+        pushes = env.heap_pushes
+        gc.disable()
+        try:
+            store.abandon()
+            assert closed == [0.0]      # freed by reference count
+        finally:
+            gc.enable()
+        assert env.heap_pushes == pushes
+        store.put("late")               # nobody is handed the item
+        env.run()
+        assert list(store.items) == ["late"]
+
 
 class TestFastPath:
     """The hot-path kernel surface: lazy cancellation, staged batch
@@ -486,6 +511,93 @@ _timer_scripts = st.lists(
     ),
     min_size=1, max_size=30,
 )
+
+
+class TestCollectorHold:
+    """``run()`` holds CPython's cyclic collector while the loop runs
+    and leaves it as it found it on every way out."""
+
+    @staticmethod
+    def _env(seen):
+        env = Environment()
+        def proc():
+            for _ in range(3):
+                yield env.timeout(1)
+                seen.append(gc.isenabled())
+        env.process(proc())
+        return env
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("how", [
+        "exhaustion", "until_time", "until_event", "ran_out_of_events",
+        "escaping_exception"])
+    def test_state_after_run_is_state_before(self, how, enabled):
+        seen = []
+        env = self._env(seen)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if how == "exhaustion":
+                env.run()
+            elif how == "until_time":
+                env.run(until=1.5)
+            elif how == "until_event":
+                env.run(until=env.timeout(2))
+            elif how == "ran_out_of_events":
+                with pytest.raises(SimulationError, match="ran out"):
+                    env.run(until=env.event())
+            else:
+                def bad():
+                    yield env.timeout(2)
+                    raise RuntimeError("escapes")
+                env.process(bad())
+                with pytest.raises(RuntimeError, match="escapes"):
+                    env.run()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen and not any(seen)   # held inside every callback
+
+    def test_nested_run_does_not_release_the_hold_early(self):
+        outer, inner = Environment(), Environment()
+        seen = []
+        def nested():
+            yield outer.timeout(1)
+            inner.timeout(1)
+            inner.run()
+            seen.append(gc.isenabled())
+            yield outer.timeout(1)
+            seen.append(gc.isenabled())
+        outer.process(nested())
+        assert gc.isenabled()
+        outer.run()
+        assert seen == [False, False] and gc.isenabled()
+
+    def test_a_stored_failure_does_not_hold_its_process_in_a_cycle(self):
+        """A failed process keeps its exception; the traceback must not
+        lead back to a frame that holds the process."""
+        env = Environment()
+        def bad():
+            yield env.timeout(1)
+            raise RuntimeError("kept")
+        def catcher():
+            while True:
+                child = env.process(bad())
+                try:
+                    yield child
+                except RuntimeError as exc:
+                    failures.append(exc)
+                yield env.timeout(1)
+        failures = []
+        env.process(catcher())
+        env.run(until=5)
+        frames, tb = [], failures[0].__traceback__
+        while tb is not None:
+            frames.append(tb.tb_frame.f_code.co_name)
+            tb = tb.tb_next
+        # Not the kernel's frame (it holds the process that stores the
+        # exception) and not the catcher's (it lives on, holding
+        # ``child``): the failing generator's own frames are all there.
+        assert frames == ["bad"]
 
 
 class _Timer:

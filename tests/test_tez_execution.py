@@ -191,6 +191,13 @@ def test_session_reuses_containers_across_dags():
     status2, _ = run_dag(sim, build("dag2"), client=client)
     client.stop()
     assert status1.succeeded and status2.succeeded
+    # The task total is counted before the finished DAG's runtime graph
+    # is released, and the graph is released.
+    for status in (status1, status2):
+        assert status.metrics["total_tasks"] \
+            == status.metrics["tasks_succeeded"] > 2
+    am = client.last_am
+    assert not (am._vertices or am._edge_managers or am._init_contexts)
     # Containers are shared across tasks and across DAGs: far fewer
     # launches than tasks, and the second DAG runs warm (faster).
     total_tasks = (status1.metrics["total_tasks"]

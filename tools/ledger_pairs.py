@@ -27,12 +27,16 @@ again, so a count change declared beforehand can be checked against
 the list and any other is not excused.
 
 Prints one row per pair (calibrated ``wall_s`` as the ledger reports
-it, and the median raw wall of the run's batches), then wins, each
-side's median and quartiles, and the median change/parent ratio.
-Exit 0 when the sides are identical and every run was correct (1 when
-a run was not); it reports the numbers and leaves the verdict on a claimed gain
-(>= 9/10 wins, medians further apart than the parent's quartiles)
-in plain sight rather than in the exit code.
+it, and the median raw wall of the run's batches), then each side's
+median and quartiles of every end-to-end metric those same runs
+reported (``sim_makespan_s`` aside: the first gate already requires it
+identical), the wins and the median change/parent ratio of ``wall_s``.
+A metric whose change median is worse than the parent's by more than
+the bound ``BENCHMARK.json`` gives it is flagged ``WORSE``.
+Exit 0 when the sides are identical, every run was correct and nothing
+is flagged (1 otherwise); it reports the numbers and leaves the verdict
+on a claimed gain (>= 9/10 wins, medians further apart than the
+parent's quartiles) in plain sight rather than in the exit code.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ import subprocess
 import sys
 
 RUN = os.path.join("benchmarks", "ledger", "run.py")
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "BENCHMARK.json")
 SECONDS = 4                    # BENCHMARK.json run_seconds
 IDENTITY_KEYS = ("digest", "sim_makespan_s", "attempted", "failed", "tasks")
 # run.py's per-batch progress line: "batch 2: wall 3.437s / host 0.953 = ..."
@@ -100,9 +106,19 @@ def measure(checkout: str, workload: str, seed: int) -> dict:
     raw = [float(m) for m in _RAW_WALL.findall(proc.stderr)]
     return {
         "correct": verdict["correct"],
-        "wall_s": verdict["metrics"]["wall_s"]["value"],
         "raw_wall_s": statistics.median(raw) if raw else float("nan"),
+        **{name: metric["value"]
+           for name, metric in verdict["metrics"].items()},
     }
+
+
+def end_to_end() -> dict:
+    """name -> (better, bound) of the metrics BENCHMARK.json declares,
+    without the one the identity gate already pins."""
+    with open(BENCHMARK) as fh:
+        return {m["name"]: (m["better"], m["bound"])
+                for m in json.load(fh)["end_to_end"]
+                if m["name"] != "sim_makespan_s"}
 
 
 def _quartiles(values: list) -> tuple:
@@ -162,7 +178,7 @@ def main(argv=None) -> int:
 
     print(f"{'pair':>4} {'first':>6} {'parent wall_s':>13} {'(raw)':>8} "
           f"{'change wall_s':>13} {'(raw)':>8} {'ratio':>6}")
-    walls = {"parent": [], "change": []}
+    runs = {"parent": [], "change": []}
     ratios, wins, ties, incorrect = [], 0, 0, 0
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 \
@@ -171,8 +187,8 @@ def main(argv=None) -> int:
                for name in order}
         incorrect += sum(not m["correct"] for m in got.values())
         p, c = got["parent"], got["change"]
-        walls["parent"].append(p["wall_s"])
-        walls["change"].append(c["wall_s"])
+        runs["parent"].append(p)
+        runs["change"].append(c)
         ratios.append(c["wall_s"] / p["wall_s"])
         wins += c["wall_s"] < p["wall_s"]
         ties += c["wall_s"] == p["wall_s"]
@@ -180,10 +196,19 @@ def main(argv=None) -> int:
               f"{p['raw_wall_s']:>8.3f} {c['wall_s']:>13.3f} "
               f"{c['raw_wall_s']:>8.3f} {ratios[-1]:>6.3f}", flush=True)
 
-    for name in ("parent", "change"):
-        q1, q2, q3 = _quartiles(walls[name])
-        print(f"{name}: median wall_s {q2:.3f} (quartiles {q1:.3f} - "
-              f"{q3:.3f}, n={len(walls[name])})")
+    worse = []
+    for metric, (better, bound) in end_to_end().items():
+        medians = {}
+        for name in ("parent", "change"):
+            q1, q2, q3 = _quartiles([run[metric] for run in runs[name]])
+            medians[name] = q2
+            print(f"{name}: median {metric} {q2:.3f} (quartiles {q1:.3f} - "
+                  f"{q3:.3f}, n={len(runs[name])})")
+        delta = medians["change"] / medians["parent"] - 1.0
+        if (delta if better == "lower" else -delta) > bound:
+            worse.append(metric)
+            print(f"WORSE: the change's median {metric} is {delta:+.1%} "
+                  f"against the parent's (bound {bound:.0%})")
     print(f"change wins {wins}/{args.pairs - ties} pairs"
           f"{f' ({ties} ties)' if ties else ''}; median change/parent "
           f"ratio {statistics.median(ratios):.3f}")
@@ -191,6 +216,7 @@ def main(argv=None) -> int:
         print(f"exact counts differ: {', '.join(changed_counts)}")
     if incorrect:
         print(f"{incorrect} run(s) ended with correct: false")
+    if incorrect or worse:
         return 1
     return 3 if changed_counts else 0
 
