@@ -116,17 +116,18 @@ class Fetcher:
             telemetry.finish(span, outcome="ok")
         return records
 
-    def _fetch(self, ref: SpillRef, telemetry=None) -> Generator:
-        def note_retry(reason: str, attempts: int) -> None:
-            self.retries += 1
-            if telemetry is not None:
-                telemetry.event(
-                    "shuffle.fetch_retry", owner=self.owner,
-                    dag=self._owner_dag, source=ref.node_id,
-                    reason=reason, attempt=attempts,
-                )
-                telemetry.metrics.counter("shuffle.retries").inc()
+    def _note_retry(self, ref: SpillRef, telemetry, reason: str,
+                    attempts: int) -> None:
+        self.retries += 1
+        if telemetry is not None:
+            telemetry.event(
+                "shuffle.fetch_retry", owner=self.owner,
+                dag=self._owner_dag, source=ref.node_id,
+                reason=reason, attempt=attempts,
+            )
+            telemetry.metrics.counter("shuffle.retries").inc()
 
+    def _fetch(self, ref: SpillRef, telemetry=None) -> Generator:
         attempts = 0
         deadline = self.env.now + self.spec.shuffle_retry_total_timeout
         while True:
@@ -135,7 +136,8 @@ class Fetcher:
             # A partitioned link: the connection hangs, then times out.
             if self.cluster.link_partitioned(ref.node_id, self.reader_node):
                 yield self.env.timeout(self.spec.shuffle_fetch_timeout)
-                note_retry("partition_timeout", attempts)
+                self._note_retry(ref, telemetry, "partition_timeout",
+                                 attempts)
                 if (
                     attempts > self.spec.shuffle_max_retries
                     or self.env.now >= deadline
@@ -158,7 +160,7 @@ class Fetcher:
                 and attempts <= self.spec.shuffle_max_retries
                 and self.env.now < deadline
             ):
-                note_retry("transient_error", attempts)
+                self._note_retry(ref, telemetry, "transient_error", attempts)
                 yield self.env.timeout(self._backoff(attempts))
                 continue
             service = self.services.on_node(ref.node_id)

@@ -13,7 +13,7 @@ wait conditions, and interruption.
 from __future__ import annotations
 
 import gc
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -104,7 +104,10 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._value = value
         self._state = _TRIGGERED
-        self.env._schedule(self)
+        # Environment._schedule(self), in this frame.
+        env = self.env
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env._now, 1, seq, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -139,6 +142,8 @@ class Event:
         return self
 
     def _run_callbacks(self) -> None:
+        """Fire one member of a ``schedule_many`` batch (a single entry
+        is fired by ``Environment.run`` in its own frame)."""
         self._state = _PROCESSED
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
@@ -156,11 +161,18 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._value = value
+        # Event.__init__ and Environment._schedule, in this frame: one
+        # call per timer instead of three.
+        self.env = env
+        self.callbacks = []
         self._state = _TRIGGERED
-        env._schedule(self, delay)
+        self._value = value
+        self._exc = None
+        self._defused = False
+        self._cancelled = False
+        self.delay = delay
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env._now + delay, 1, seq, self))
 
 
 class _PooledEvent(Event):
@@ -197,14 +209,22 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
             raise TypeError("process requires a generator")
-        super().__init__(env)
+        # Event.__init__ and Environment._schedule, in this frame.
+        self.env = env
+        self.callbacks = []
+        self._state = _PENDING
+        self._value = None
+        self._exc = None
+        self._defused = False
+        self._cancelled = False
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._target: Optional[Event] = None  # event currently waited on
         # Bootstrap: resume on the next tick.
         init = env._hop()
         init.callbacks.append(self._resume)
-        env._schedule(init)
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env._now, 1, seq, init))
         for hook in env._process_hooks:
             hook(self)
 
@@ -223,62 +243,71 @@ class Process(Event):
         self.env._schedule(hit, priority=0)
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._state != _PENDING:
             # The process already terminated (e.g. a second interrupt
             # landed after death); late wake-ups are ignored.
             event._defused = True
             return
         # Detach from the event we were waiting on (relevant for
         # interrupts arriving while waiting on something else).
-        if self._target is not None and self._target is not event:
+        target = self._target
+        if target is not None and target is not event:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
         self._target = None
-        self.env._active = self
-        try:
-            if event._exc is not None:
-                event._defused = True
-                exc = event._exc
-                history = exc.__traceback__
-                next_ev = self._generator.throw(exc)
-                # Caught: the catcher's frames are not part of the
-                # failure's history, and one that lives on (a loop that
-                # holds the failed process) would close a cycle.
-                exc.__traceback__ = history
-            else:
-                next_ev = self._generator.send(event._value)
-        except StopIteration as stop:
-            self.env._active = None
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self.env._active = None
-            # Without this frame in the traceback: it holds ``self``,
-            # which is about to hold ``exc`` - a cycle per failure.
-            self.fail(exc.with_traceback(exc.__traceback__.tb_next))
-            return
-        self.env._active = None
-
-        if not isinstance(next_ev, Event):
-            error = SimulationError(
+        env = self.env
+        generator = self._generator
+        exc = event._exc
+        if exc is not None:
+            event._defused = True
+        env._active = self
+        while True:
+            try:
+                if exc is not None:
+                    history = exc.__traceback__
+                    next_ev = generator.throw(exc)
+                    # Caught: the catcher's frames are not part of the
+                    # failure's history, and one that lives on (a loop
+                    # that holds the failed process) would close a cycle.
+                    exc.__traceback__ = history
+                else:
+                    next_ev = generator.send(event._value)
+            except StopIteration as stop:
+                env._active = None
+                self.succeed(stop.value)
+                return
+            except BaseException as error:
+                env._active = None
+                # Without this frame in the traceback: it holds ``self``,
+                # which is about to hold ``error`` - a cycle per failure.
+                self.fail(error.with_traceback(error.__traceback__.tb_next))
+                return
+            if isinstance(next_ev, Event):
+                break
+            # Thrown back in; what the generator does with it (catch and
+            # yield again, return, let it escape) is a resume like any
+            # other.
+            exc = SimulationError(
                 f"process {self.name!r} yielded non-event {next_ev!r}"
             )
-            self._generator.throw(error)
-            return
-        if next_ev.env is not self.env:
+        env._active = None
+
+        if next_ev.env is not env:
             raise SimulationError("yielded event belongs to another environment")
         self._target = next_ev
         if next_ev._state == _PROCESSED:
             # Already processed: resume immediately on the next tick.
-            proxy = self.env._hop()
+            proxy = env._hop()
             proxy._value = next_ev._value
-            proxy._exc = next_ev._exc
-            if next_ev._exc is not None:
+            failure = next_ev._exc
+            if failure is not None:
+                proxy._exc = failure
                 proxy._defused = True
             proxy.callbacks.append(self._resume)
-            self.env._schedule(proxy)
+            env._seq = seq = env._seq + 1
+            heappush(env._queue, (env._now, 1, seq, proxy))
         else:
             next_ev._defused = True
             next_ev.callbacks.append(self._resume)
@@ -425,8 +454,8 @@ class Environment:
     # -- scheduling -------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
         self._seq += 1
-        heapq.heappush(self._queue,
-                       (self._now + delay, priority, self._seq, event))
+        heappush(self._queue,
+                 (self._now + delay, priority, self._seq, event))
 
     def _hop(self) -> "_PooledEvent":
         """A triggered, callback-less hop event — recycled when
@@ -468,8 +497,8 @@ class Environment:
             self._schedule(batch[0], delay, priority)
             return
         self._seq += 1
-        heapq.heappush(self._queue,
-                       (self._now + delay, priority, self._seq, batch))
+        heappush(self._queue,
+                 (self._now + delay, priority, self._seq, batch))
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` sim seconds: one heap entry, no
@@ -513,53 +542,29 @@ class Environment:
         while queue:
             entry = queue[0][3]
             if entry.__class__ is not list and entry._cancelled:
-                heapq.heappop(queue)
+                heappop(queue)
                 if entry.__class__ is _PooledEvent:
                     self._event_pool.append(entry)
                 continue
             return queue[0][0]
         return float("inf")
 
-    def step(self) -> None:
-        queue = self._queue
-        if not queue:
-            raise SimulationError("empty schedule")
-        pool = self._event_pool
-        while queue:
-            when, _prio, _seq, entry = heapq.heappop(queue)
-            if when < self._now:
-                raise SimulationError("time went backwards")
-            if entry.__class__ is list:
-                # Batch from schedule_many: run every (uncancelled)
-                # member's callbacks back-to-back on this tick.
-                self._now = when
-                for event in entry:
-                    if event._cancelled:
-                        continue
-                    event._run_callbacks()
-                    if event._exc is not None and not event._defused:
-                        raise event._exc
-                return
-            if entry._cancelled:
-                # Lazy deletion: skip dead timers (pop-time reclaim is
-                # the only safe point to recycle a pooled hop).
-                if entry.__class__ is _PooledEvent:
-                    pool.append(entry)
-                continue
-            self._now = when
-            entry._run_callbacks()
-            if entry.__class__ is _PooledEvent:
-                pool.append(entry)
-            if entry._exc is not None and not entry._defused:
-                raise entry._exc
-            return
-
     def run(self, until: Any = None) -> Any:
         """Run until the given time, event, or queue exhaustion.
 
         ``until`` may be ``None`` (run to exhaustion), a number (run to
-        that simulated time), or an :class:`Event` (run until it is
-        processed and return its value).
+        that simulated time: every entry due at or before it fires, the
+        clock ends on it), or an :class:`Event` (run until it is
+        processed and return its value, or raise its failure).
+
+        This is the kernel's one dispatch loop: dropping cancelled
+        heads, the ``until`` checks, the pop, the clock, the callbacks
+        and the recycling of a pooled hop all happen in this frame
+        (DESIGN.md "Hot paths & event coalescing"). A lazily-cancelled
+        entry is dropped, and a pooled hop goes back to the pool, only
+        when popped off the head. A queue left holding nothing but
+        cancelled entries is an "empty schedule" error, unless a finite
+        ``until`` gives the run somewhere to stop.
 
         CPython's cyclic collector is held for as long as the loop runs
         and put back as it was found on every way out (DESIGN.md "The
@@ -570,7 +575,7 @@ class Environment:
         loop does that.
         """
         stop_event: Optional[Event] = None
-        stop_time = float("inf")
+        stop_time = never = float("inf")
         if isinstance(until, Event):
             stop_event = until
         elif until is not None:
@@ -578,26 +583,59 @@ class Environment:
             if stop_time < self._now:
                 raise SimulationError("cannot run into the past")
 
+        queue, pool, pop = self._queue, self._event_pool, heappop
         collecting = gc.isenabled()
         gc.disable()
         try:
-            while self._queue:
-                if stop_event is not None and stop_event.processed:
+            while queue:
+                if stop_event is not None and stop_event._state == _PROCESSED:
                     return stop_event.value
-                if self.peek() > stop_time:
-                    self._now = stop_time
-                    return None
-                self.step()
+                when, _prio, _seq, entry = queue[0]
+                kind = entry.__class__
+                if kind is not list and entry._cancelled:
+                    pop(queue)
+                    if kind is _PooledEvent:
+                        pool.append(entry)
+                    if queue:
+                        continue
+                    if stop_time == never:
+                        raise SimulationError("empty schedule")
+                    break
+                if when > stop_time:
+                    break
+                pop(queue)
+                if when < self._now:
+                    raise SimulationError("time went backwards")
+                self._now = when
+                if kind is list:
+                    # Batch from schedule_many: run every (uncancelled)
+                    # member's callbacks back-to-back on this tick.
+                    for event in entry:
+                        if event._cancelled:
+                            continue
+                        event._run_callbacks()
+                        if event._exc is not None and not event._defused:
+                            raise event._exc
+                    continue
+                entry._state = _PROCESSED
+                callbacks = entry.callbacks
+                entry.callbacks = []
+                for callback in callbacks:
+                    callback(entry)
+                if kind is _PooledEvent:
+                    pool.append(entry)
+                if entry._exc is not None and not entry._defused:
+                    raise entry._exc
         finally:
             if collecting:
                 gc.enable()
 
         if stop_event is not None:
-            if stop_event.processed:
+            if stop_event._state == _PROCESSED:
                 return stop_event.value
             raise SimulationError(
                 "simulation ran out of events before `until` event triggered"
             )
-        if stop_time != float("inf"):
+        if stop_time != never:
             self._now = stop_time
         return None

@@ -396,18 +396,19 @@ class AttemptRunner:
                             target_input_index=routing[task.index],
                         )
                         out.append(routed)
+            # What this task reads is the same range for every
+            # composite of the edge.
             partition_range = getattr(manager, "partition_range", None)
+            own_range = None if partition_range is None \
+                else partition_range(task.index)
             for (src_name, src_task), comp in \
                     vr.incoming_composites.items():
                 if src_name != source_name:
                     continue
-                if partition_range is not None:
-                    partitions = partition_range(task.index)
-                else:
-                    partitions = range(
-                        comp.source_output_start,
-                        comp.source_output_start + comp.count,
-                    )
+                partitions = own_range if own_range is not None else range(
+                    comp.source_output_start,
+                    comp.source_output_start + comp.count,
+                )
                 for partition in partitions:
                     offset = partition - comp.source_output_start
                     if not 0 <= offset < comp.count:

@@ -196,6 +196,7 @@ class _FetchingInputBase(LogicalInput):
         expected = self.spec.physical_count
         fetcher = self._fetcher()
         inline = self.ctx.inline
+        fetch_name = f"fetch:{self.ctx.task.attempt_id}"
         while len(self.fetched) < expected:
             if inline and self.events.items:
                 # Fast path: drain already-delivered events without a
@@ -215,8 +216,7 @@ class _FetchingInputBase(LogicalInput):
                     records = yield from fetcher.fetch(ref)
                 else:
                     records = yield self.ctx.env.process(
-                        fetcher.fetch(ref),
-                        name=f"fetch:{self.ctx.task.attempt_id}",
+                        fetcher.fetch(ref), name=fetch_name,
                     )
             except FetchFailure:
                 # Report and wait: the AM will re-execute the producer

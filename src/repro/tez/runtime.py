@@ -109,13 +109,9 @@ class TaskSpec:
         self.outputs = outputs
         self.parallelism = parallelism
         self.user_payload = user_payload
-
-    @property
-    def attempt_id(self) -> str:
-        return (
-            f"{self.dag_name}/{self.vertex_name}/t{self.task_index}"
-            f"_a{self.attempt}"
-        )
+        # Fixed at construction (none of its four parts is reassigned),
+        # read once per fetch, spill and span.
+        self.attempt_id = f"{dag_name}/{vertex_name}/t{task_index}_a{attempt}"
 
     def __repr__(self) -> str:
         return f"<TaskSpec {self.attempt_id}>"

@@ -120,6 +120,73 @@ class TestTopology:
             cluster.slow_node(nid, 2.0)
 
 
+class TestLinkHealth:
+    """What the fetcher asks per fetch - ``link_partitioned``,
+    ``link_loss_rate``, ``transfer_time`` (all through ``link_state``) -
+    for a same-node, a same-rack and a cross-rack pair, as the table of
+    degraded links fills and empties."""
+
+    NBYTES = 64 * 1024 * 1024
+    PAIRS = {"node": ("node0000", "node0000"),
+             "rack": ("node0000", "node0001"),
+             "cross": ("node0000", "node0007")}
+
+    def answers(self, cluster):
+        return {
+            name: (cluster.link_state(a, b), cluster.link_partitioned(a, b),
+                   cluster.link_loss_rate(a, b),
+                   cluster.transfer_time(self.NBYTES, a, b))
+            for name, (a, b) in self.PAIRS.items()}
+
+    def healthy(self, cluster):
+        return {name: (None, False, 0.0, cluster.spec.transfer_time(
+                    self.NBYTES, cluster.locality(a, b)))
+                for name, (a, b) in self.PAIRS.items()}
+
+    def test_degrade_restore_isolate(self):
+        cluster = Cluster(Environment(),      # three racks
+                          ClusterSpec(num_nodes=12, nodes_per_rack=4))
+        healthy = self.healthy(cluster)
+        assert self.answers(cluster) == healthy
+
+        # A degraded link between two *other* racks: the table is no
+        # longer empty, the answers for these pairs are what they were.
+        cluster.degrade_link("rack1", "rack2", partitioned=True)
+        assert self.answers(cluster) == healthy
+
+        cluster.degrade_link("rack1", "rack0", bandwidth_factor=0.25,
+                             loss_rate=0.5)
+        degraded = self.answers(cluster)
+        assert {k: degraded[k] for k in ("node", "rack")} == \
+            {k: healthy[k] for k in ("node", "rack")}
+        link, partitioned, loss, seconds = degraded["cross"]
+        assert (link.bandwidth_factor, link.loss_rate, link.partitioned,
+                partitioned, loss) == (0.25, 0.5, False, False, 0.5)
+        assert seconds == healthy["cross"][3] / 0.25
+        # The link is the rack pair, whichever end asks.
+        assert cluster.link_state("node0007", "node0000") is link
+
+        cluster.degrade_link("rack0", "rack1", partitioned=True)
+        assert self.answers(cluster)["cross"][1:] == \
+            (True, 0.0, healthy["cross"][3])
+
+        cluster.restore_link("rack0", "rack1")
+        assert self.answers(cluster) == healthy
+        cluster.restore_link("rack2", "rack1")
+        assert self.answers(cluster) == healthy   # empty table again
+
+        # An isolated rack partitions every pair that is not one node,
+        # with no entry in the link table at all.
+        cluster.isolate_rack("rack0")
+        isolated = self.answers(cluster)
+        assert [isolated[k][1] for k in ("node", "rack", "cross")] == \
+            [False, True, True]
+        assert {k: v[:1] + v[2:] for k, v in isolated.items()} == \
+            {k: v[:1] + v[2:] for k, v in healthy.items()}
+        cluster.restore_rack("rack0")
+        assert self.answers(cluster) == healthy
+
+
 class TestMemoryTierCostModel:
     def test_local_memory_beats_local_disk(self):
         spec = ClusterSpec()

@@ -2,9 +2,10 @@
 a fake benchmarks/ledger/run.py that answers the three invocations the
 tool makes, so the pairing, the alternation, the two identity gates
 (changed result: exit 2, untimed; changed count: timed, exit 3), the
-traced-pass gate (the change alone fails it: exit 2, untimed) and the
-flag on an end-to-end metric that got worse than its bound (exit 1) are
-tested without running the ledger."""
+traced-pass gate (the change alone fails it: exit 2, untimed), the
+ranking margin printed for each side's traced pass whatever the gate
+says, and the flag on an end-to-end metric that got worse than its
+bound (exit 1) are tested without running the ledger."""
 
 import importlib.util
 import json
@@ -32,6 +33,7 @@ _STUB = textwrap.dedent('''
             "counts": {{"yarn.allocations": ALLOCATIONS}}}}))
     elif args[-2:] == ["--trace", "1"]:
         print(json.dumps({{"correct": TRACED["correct"], "metrics": {{
+            "trace.wall_s": {{"value": TRACED["wall"], "unit": "s"}},
             "sim.self_s": {{"value": TRACED["sim"], "unit": "s"}},
             "tez.am.self_s": {{"value": TRACED["tez.am"], "unit": "s"}},
             "tez.am.calls": {{"value": 12, "unit": "count"}}}}}}))
@@ -48,7 +50,7 @@ _STUB = textwrap.dedent('''
 ''')
 
 
-_TRACED_OK = {"correct": True, "sim": 5.9, "tez.am": 1.25}
+_TRACED_OK = {"correct": True, "wall": 10.0, "sim": 5.9, "tez.am": 1.25}
 _TRACE_1 = "--workload w --seed 20150531 --seconds 4 --trace 1"
 
 
@@ -73,6 +75,10 @@ def test_pairs_alternate_and_report(tmp_path, capsys):
     assert _main(parent, change, "--pairs", "3", "--seed", "5") == 0
     out = capsys.readouterr().out
     assert "1 exact counts identical" in out
+    # Each side's ranking margin, though both traced passes are fine.
+    margin = ("traced pass: largest sim 5.900s, runner-up tez.am 1.250s, "
+              "lead 4.650s (46.5% of traced wall 10.000s)")
+    assert f"parent {margin}\nchange {margin}\n" in out
     assert "change wins 3/3 pairs" in out
     assert "median change/parent ratio 0.750" in out
     assert "parent: median wall_s 4.000 (quartiles 4.000 - 4.000, n=3)" \
@@ -125,10 +131,12 @@ def test_failed_traced_pass_of_the_change_fails_before_timing(
     # much time out of `sim` that the workload's ranking rule fails.
     parent = _checkout(tmp_path / "p", wall=4.0)
     change = _checkout(tmp_path / "c", wall=2.0, traced={
-        "correct": False, "sim": 1.5, "tez.am": 2.25})
+        "correct": False, "wall": 5.0, "sim": 1.5, "tez.am": 2.25})
     assert _main(parent, change) == 2
     out = capsys.readouterr().out
     assert "traced pass is correct: false" in out
+    assert "change traced pass: largest tez.am 2.250s, runner-up sim " \
+           "1.500s, lead 0.750s (15.0% of traced wall 5.000s)" in out
     rows = [line.split() for line in out.splitlines()[-2:]]
     assert rows == [["tez.am", "1.250", "2.250"], ["sim", "5.900", "1.500"]]
     for side in (parent, change):
@@ -138,7 +146,7 @@ def test_failed_traced_pass_of_the_change_fails_before_timing(
 
 def test_traced_pass_that_fails_on_both_sides_is_not_the_changes(
         tmp_path, capsys):
-    failing = {"correct": False, "sim": 1.5, "tez.am": 2.25}
+    failing = {"correct": False, "wall": 5.0, "sim": 1.5, "tez.am": 2.25}
     parent = _checkout(tmp_path / "p", wall=4.0, traced=failing)
     change = _checkout(tmp_path / "c", wall=3.0, traced=failing)
     assert _main(parent, change, "--pairs", "1") == 0

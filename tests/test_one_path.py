@@ -1,6 +1,7 @@
 """One code path per mechanism: the switches that used to select a
 preserved historical implementation stay gone."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.sim import Environment
 from repro.tez import TezConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,3 +86,17 @@ def test_collection_timing_cannot_reach_the_model():
         "collector runs observable to the simulation; Environment.run " \
         "holds the collector, so digests would then depend on where " \
         "run() is called from"
+
+
+def test_the_kernel_has_one_dispatch_loop():
+    """``Environment.run`` fires heap entries in its own frame; ``peek``
+    is the read-only query that may drop a cancelled head. No stepping
+    twin beside them."""
+    assert not hasattr(Environment, "step")
+    tree = ast.parse((SRC / "sim" / "core.py").read_text(encoding="utf-8"))
+    poppers = {
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Name) and node.id == "heappop"
+                or isinstance(node, ast.Attribute) and node.attr == "heappop"
+                for node in ast.walk(fn))}
+    assert poppers == {"run", "peek"}

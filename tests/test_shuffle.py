@@ -284,6 +284,37 @@ class TestFetcher:
         assert local < remote
 
 
+def test_fetch_processes_and_spans_name_their_attempt():
+    """A reducer on the generator attempt path fetches each partition in
+    a child process named for the attempt; the fetch span carries the
+    attempt as ``owner`` and its DAG as ``dag``."""
+    sim = make_sim()
+    spawned = []
+    sim.env.add_process_hook(lambda proc: spawned.append(proc.name))
+    paths = [f"/in/{i}" for i in range(3)]
+    for path in paths:
+        sim.hdfs.write(path, [(j % 4, j) for j in range(20)])
+    m = fn_vertex("m", lambda c, d: {"r": list(d["src"])}, -1)
+    hdfs_source(m, "src", paths)
+    # The HDFS sink keeps the reducers off the inline attempt path.
+    r = fn_vertex("r", lambda c, d: {"out": [
+        (k, sum(vs)) for k, vs in d["m"]]}, 2)
+    hdfs_sink(r, "out", "/out/named")
+    dag = DAG("named").add_vertex(m).add_vertex(r)
+    dag.add_edge(edge(m, r, SG))
+    status, _ = run_dag(sim, dag)
+    assert status.succeeded, status.diagnostics
+    attempts = ["named#1/r/t0_a0", "named#1/r/t1_a0"]
+    assert sorted(name for name in spawned if name.startswith("fetch:")) \
+        == sorted(f"fetch:{attempt}" for attempt in attempts for _ in paths)
+    spans = sim.telemetry.store.spans(kind="fetch")
+    assert sorted((span.name, span.attrs["owner"], span.attrs["dag"])
+                  for span in spans) == sorted(
+        (f"named#1/m/t{source}_a0/r:p{partition}", attempt, "named#1")
+        for partition, attempt in enumerate(attempts)
+        for source in range(len(paths)))
+
+
 # ------------------------------------------------------------------
 # The specialised record kernels against the kernels they replaced.
 # The `_ref_*` functions are verbatim copies of the code as it stood

@@ -495,7 +495,7 @@ class TestFastPath:
 
 from bisect import insort
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 # A small delay pool makes exact-time ties (the insertion-order
 # tiebreaker) overwhelmingly likely, next to near and far timers.
@@ -687,3 +687,556 @@ def test_kernel_fires_in_the_reference_schedulers_order(ops):
     random schedule/cancel/chain interleavings."""
     assert _run_timer_script(ops, Environment()) == \
         _run_timer_script(ops, _SortedListScheduler())
+
+
+# ------------------------------- a process that yields what cannot be waited on
+
+class TestUnwaitableYield:
+    """A non-event yield is thrown back into the generator as a
+    ``SimulationError``; whatever the generator does with it is a resume
+    like any other."""
+
+    def test_a_catcher_that_yields_again_is_waited_on(self):
+        env = Environment()
+        seen = []
+        def sloppy():
+            try:
+                yield 42
+            except SimulationError as exc:
+                seen.append(str(exc))
+            yield env.timeout(3)
+            seen.append(env.now)
+            return "done"
+        proc = env.process(sloppy(), name="sloppy")
+        assert env.run(until=proc) == "done"
+        assert seen == ["process 'sloppy' yielded non-event 42", 3]
+
+    def test_a_catcher_that_returns_completes_the_process(self):
+        env = Environment()
+        def sloppy():
+            try:
+                yield "not an event"
+            except SimulationError:
+                return "recovered"
+        proc = env.process(sloppy())
+        assert env.run(until=proc) == "recovered"
+        assert proc.processed and proc.ok
+
+    def test_a_catcher_that_yields_a_second_non_event_is_told_again(self):
+        env = Environment()
+        told = []
+        def sloppy():
+            for junk in (1, 2):
+                try:
+                    yield junk
+                except SimulationError as exc:
+                    told.append(str(exc))
+        env.process(sloppy(), name="s")
+        env.run()
+        assert told == ["process 's' yielded non-event 1",
+                        "process 's' yielded non-event 2"]
+
+    def test_uncaught_it_fails_the_process_and_run_raises_it(self):
+        env = Environment()
+        def sloppy():
+            yield env.timeout(1)
+            yield None
+        proc = env.process(sloppy(), name="sloppy")
+        with pytest.raises(
+                SimulationError,
+                match="process 'sloppy' yielded non-event None"):
+            env.run()
+        assert env.now == 1 and not proc.is_alive and not proc.ok
+
+    def test_uncaught_it_reaches_a_waiting_parent_like_any_failure(self):
+        env = Environment()
+        def sloppy():
+            yield object
+        def parent():
+            try:
+                yield env.process(sloppy(), name="child")
+            except SimulationError as exc:
+                return str(exc)
+        proc = env.process(parent())
+        assert env.run(until=proc) == \
+            f"process 'child' yielded non-event {object!r}"
+
+    def test_an_event_of_another_environment_stops_the_run(self):
+        env, other = Environment(), Environment()
+        def confused():
+            yield other.timeout(1)
+        env.process(confused())
+        with pytest.raises(SimulationError,
+                           match="belongs to another environment"):
+            env.run()
+
+
+# --------------------------- the dispatch loop vs the kernel it was folded from
+
+import heapq
+
+from repro.sim.core import (
+    _PENDING,
+    _PROCESSED,
+    _TRIGGERED,
+    _PooledEvent,
+    Process,
+    Timeout,
+)
+
+
+class _FrozenKernel(Environment):
+    """The kernel as it stood before ``Environment.run`` became the one
+    dispatch loop, kept verbatim as the reference: ``run`` asks
+    ``peek()`` then calls ``step()``, ``step()`` calls
+    ``_run_callbacks()``, and every push goes through ``_schedule``.
+    The push side lives on classes the environment does not create
+    alone (``Store`` builds its own ``Event``), so the frozen
+    ``Timeout.__init__``, ``Process.__init__`` / ``_resume`` and
+    ``Event.succeed`` / ``fail`` (``_FROZEN_PUSH_SIDE``) are patched in
+    for the length of a frozen run; they are verbatim too, except that
+    ``super().__init__`` is spelled ``Event.__init__`` (no class cell
+    outside a class body).
+
+    ``test_the_dispatch_loop_is_the_frozen_kernel`` runs generated
+    kernel programs on both and compares everything either can show.
+    Each of these hand mutations of ``core.py`` fails it on its own
+    (three fresh-database runs each): a queue emptied by dropping
+    cancelled heads falls out of the loop quietly instead of raising
+    "empty schedule", or returns without putting the clock on a finite
+    ``until``; a pooled hop goes back to the pool before its callbacks
+    ran; ``_seq`` is bumped twice in ``Timeout.__init__`` or in
+    ``Process.__init__``; ``until=<number>`` is compared with the
+    head's time before cancelled heads are dropped, so the next live
+    entry fires unchecked; ``>`` against ``until`` becomes ``>=``; an
+    undefused failure is raised before its hop is pooled; the batch
+    loop does not skip a cancelled member; ``succeed`` pushes at
+    priority 0; the ``until=<event>`` check leaves the loop; "time went
+    backwards" is not checked.
+    """
+
+    def _schedule(self, event, delay=0.0, priority=1):
+        self._seq += 1
+        heapq.heappush(self._queue,
+                       (self._now + delay, priority, self._seq, event))
+
+    def peek(self):
+        queue = self._queue
+        while queue:
+            entry = queue[0][3]
+            if entry.__class__ is not list and entry._cancelled:
+                heapq.heappop(queue)
+                if entry.__class__ is _PooledEvent:
+                    self._event_pool.append(entry)
+                continue
+            return queue[0][0]
+        return float("inf")
+
+    def step(self):
+        queue = self._queue
+        if not queue:
+            raise SimulationError("empty schedule")
+        pool = self._event_pool
+        while queue:
+            when, _prio, _seq, entry = heapq.heappop(queue)
+            if when < self._now:
+                raise SimulationError("time went backwards")
+            if entry.__class__ is list:
+                # Batch from schedule_many: run every (uncancelled)
+                # member's callbacks back-to-back on this tick.
+                self._now = when
+                for event in entry:
+                    if event._cancelled:
+                        continue
+                    event._run_callbacks()
+                    if event._exc is not None and not event._defused:
+                        raise event._exc
+                return
+            if entry._cancelled:
+                # Lazy deletion: skip dead timers (pop-time reclaim is
+                # the only safe point to recycle a pooled hop).
+                if entry.__class__ is _PooledEvent:
+                    pool.append(entry)
+                continue
+            self._now = when
+            entry._run_callbacks()
+            if entry.__class__ is _PooledEvent:
+                pool.append(entry)
+            if entry._exc is not None and not entry._defused:
+                raise entry._exc
+            return
+
+    def run(self, until=None):
+        stop_event = None
+        stop_time = float("inf")
+        if isinstance(until, Event):
+            stop_event = until
+        elif until is not None:
+            stop_time = float(until)
+            if stop_time < self._now:
+                raise SimulationError("cannot run into the past")
+
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while self._queue:
+                if stop_event is not None and stop_event.processed:
+                    return stop_event.value
+                if self.peek() > stop_time:
+                    self._now = stop_time
+                    return None
+                self.step()
+        finally:
+            if collecting:
+                gc.enable()
+
+        if stop_event is not None:
+            if stop_event.processed:
+                return stop_event.value
+            raise SimulationError(
+                "simulation ran out of events before `until` event triggered"
+            )
+        if stop_time != float("inf"):
+            self._now = stop_time
+        return None
+
+
+def _frozen_succeed(self, value=None):
+    if self._state != _PENDING:
+        raise SimulationError(f"{self!r} already triggered")
+    self._value = value
+    self._state = _TRIGGERED
+    self.env._schedule(self)
+    return self
+
+
+def _frozen_fail(self, exc):
+    if self._state != _PENDING:
+        raise SimulationError(f"{self!r} already triggered")
+    if not isinstance(exc, BaseException):
+        raise TypeError("fail() requires an exception instance")
+    self._exc = exc
+    self._state = _TRIGGERED
+    self.env._schedule(self)
+    return self
+
+
+def _frozen_timeout_init(self, env, delay, value=None):
+    if delay < 0:
+        raise ValueError(f"negative delay {delay}")
+    Event.__init__(self, env)
+    self.delay = delay
+    self._value = value
+    self._state = _TRIGGERED
+    env._schedule(self, delay)
+
+
+def _frozen_process_init(self, env, generator, name=""):
+    if not hasattr(generator, "send"):
+        raise TypeError("process requires a generator")
+    Event.__init__(self, env)
+    self.name = name or getattr(generator, "__name__", "process")
+    self._generator = generator
+    self._target = None  # event currently waited on
+    # Bootstrap: resume on the next tick.
+    init = env._hop()
+    init.callbacks.append(self._resume)
+    env._schedule(init)
+    for hook in env._process_hooks:
+        hook(self)
+
+
+def _frozen_resume(self, event):
+    if self.triggered:
+        # The process already terminated (e.g. a second interrupt
+        # landed after death); late wake-ups are ignored.
+        event._defused = True
+        return
+    # Detach from the event we were waiting on (relevant for
+    # interrupts arriving while waiting on something else).
+    if self._target is not None and self._target is not event:
+        try:
+            self._target.callbacks.remove(self._resume)
+        except ValueError:
+            pass
+    self._target = None
+    self.env._active = self
+    try:
+        if event._exc is not None:
+            event._defused = True
+            exc = event._exc
+            history = exc.__traceback__
+            next_ev = self._generator.throw(exc)
+            # Caught: the catcher's frames are not part of the
+            # failure's history, and one that lives on (a loop that
+            # holds the failed process) would close a cycle.
+            exc.__traceback__ = history
+        else:
+            next_ev = self._generator.send(event._value)
+    except StopIteration as stop:
+        self.env._active = None
+        self.succeed(stop.value)
+        return
+    except BaseException as exc:
+        self.env._active = None
+        # Without this frame in the traceback: it holds ``self``,
+        # which is about to hold ``exc`` - a cycle per failure.
+        self.fail(exc.with_traceback(exc.__traceback__.tb_next))
+        return
+    self.env._active = None
+
+    if not isinstance(next_ev, Event):
+        error = SimulationError(
+            f"process {self.name!r} yielded non-event {next_ev!r}"
+        )
+        self._generator.throw(error)
+        return
+    if next_ev.env is not self.env:
+        raise SimulationError("yielded event belongs to another environment")
+    self._target = next_ev
+    if next_ev._state == _PROCESSED:
+        # Already processed: resume immediately on the next tick.
+        proxy = self.env._hop()
+        proxy._value = next_ev._value
+        proxy._exc = next_ev._exc
+        if next_ev._exc is not None:
+            proxy._defused = True
+        proxy.callbacks.append(self._resume)
+        self.env._schedule(proxy)
+    else:
+        next_ev._defused = True
+        next_ev.callbacks.append(self._resume)
+
+
+_FROZEN_PUSH_SIDE = [
+    (Event, "succeed", _frozen_succeed), (Event, "fail", _frozen_fail),
+    (Timeout, "__init__", _frozen_timeout_init),
+    (Process, "__init__", _frozen_process_init),
+    (Process, "_resume", _frozen_resume)]
+
+
+class _Boom(Exception):
+    pass
+
+
+# Repeated and zero delays: same-time ties and same-tick chains.
+_DELAYS = [0.0, 0.0, 0.5, 0.5, 1.0, 1.5, 2.25]
+_delay = st.sampled_from(_DELAYS)
+_small = st.integers(0, 3)
+
+_leaf_ops = st.one_of(
+    st.tuples(st.just("timeout"), _delay),
+    st.tuples(st.just("rewait")),                 # already processed
+    st.tuples(st.just("wait"), _small),           # a shared event
+    st.tuples(st.sampled_from(["succeed", "fail"]), _small),
+    st.tuples(st.just("interrupt"), _small),      # live or dead sibling
+    st.tuples(st.just("timer"), _delay, st.booleans(),          # pooled
+              st.sampled_from([None, None, "dead", "fails", "nests"])),
+    st.tuples(st.just("cancel"), st.integers(0, 7)),
+    st.tuples(st.just("batch"), st.sampled_from(_DELAYS + [-0.5]),
+              st.integers(1, 4),
+              st.one_of(st.none(), _small),       # cancelled member
+              st.one_of(st.none(), _small),       # failing member ...
+              st.booleans()),                     # ... defused?
+    st.tuples(st.sampled_from(["put", "get", "offer", "put_nowait"]),
+              st.integers(0, 1)),
+)
+_process = st.tuples(st.booleans(),               # catches what is thrown in
+                     st.lists(_leaf_ops, max_size=6))
+_ops = st.one_of(
+    _leaf_ops,
+    st.tuples(st.just("spawn"), _process, st.booleans()))      # joined?
+_until = st.one_of(
+    st.tuples(st.just("none")),
+    st.tuples(st.just("time"), _delay),
+    st.tuples(st.just("shared"), _small),
+    st.tuples(st.just("process"), _small),
+    st.tuples(st.just("timeout"), _delay))
+_kernel_programs = st.tuples(
+    st.lists(st.tuples(st.booleans(), st.lists(_ops, max_size=7)),
+             min_size=1, max_size=4),
+    st.lists(_until, min_size=1, max_size=3),
+    st.booleans())                                # collector on before?
+
+
+class _ProgramRun:
+    """One generated kernel program on one environment."""
+
+    def __init__(self, env):
+        self.env = env
+        self.trace = []
+        self.shared = [env.event() for _ in range(4)]
+        self.stores = [Store(env), Store(env, capacity=1)]
+        self.processes = []
+        self.handles = []     # (event, generation | None)
+        env.add_process_hook(lambda p: self.note(("spawned", p.name)))
+
+    def note(self, label):
+        self.trace.append((self.env.now, label))
+
+    def spawn(self, name, catches, ops):
+        proc = self.env.process(self.body(name, catches, ops), name=name)
+        self.processes.append(proc)
+        return proc
+
+    def body(self, me, catches, ops):
+        last = None
+        for i, op in enumerate(ops):
+            tag = f"{me}.{i}"
+            try:
+                last = yield from self.perform(tag, op, last)
+            except (Interrupt, _Boom) as thrown:
+                if not catches:
+                    raise
+                self.note((tag, type(thrown).__name__, str(thrown)))
+        return me
+
+    def perform(self, tag, op, last):
+        env, kind = self.env, op[0]
+        if kind == "timeout":
+            last = env.timeout(op[1], value=tag)
+            self.handles.append((last, None))
+            self.note((tag, (yield last)))
+        elif kind == "rewait":
+            if last is not None:
+                self.note((tag, "again", (yield last)))
+        elif kind == "wait":
+            last = self.shared[op[1]]
+            self.note((tag, (yield last)))
+        elif kind in ("succeed", "fail"):
+            event = self.shared[op[1]]
+            if not event.triggered:
+                if kind == "succeed":
+                    event.succeed(tag)
+                else:
+                    event.fail(_Boom(tag))
+        elif kind == "interrupt":
+            self.processes[op[1] % len(self.processes)].interrupt(tag)
+        elif kind == "timer":
+            self.timer(tag, *op[1:])
+        elif kind == "cancel":
+            if self.handles:
+                event, gen = self.handles[op[1] % len(self.handles)]
+                if gen is None:
+                    event.cancel()
+                else:
+                    env.cancel_call(event, gen)
+        elif kind == "batch":
+            self.batch(tag, *op[1:])
+        elif kind == "spawn":
+            child = self.spawn(f"{tag}/child", *op[1])
+            if op[2]:
+                last = child
+                self.note((tag, "joined", (yield child)))
+        else:
+            store = self.stores[op[1]]
+            if kind == "put":
+                yield store.put(tag)
+                self.note((tag, "put"))
+            elif kind == "get":
+                self.note((tag, "got", (yield store.get())))
+            else:
+                try:
+                    if kind == "put_nowait":
+                        store.put_nowait(tag)
+                    else:
+                        staged = store.offer(tag)
+                        if staged is not None:
+                            env.schedule_many([staged])
+                except RuntimeError as full:
+                    self.note((tag, str(full)))
+        return last
+
+    def timer(self, tag, delay, pooled, twist):
+        env = self.env
+
+        def fire():
+            self.note((tag, "fired"))
+            if twist == "nests":
+                env.run(until=env.now + 0.5)
+                self.note((tag, "nested run over"))
+
+        if pooled:
+            handle = env.call_later_pooled(delay, fire)
+        else:
+            handle = (env.call_later(delay, fire), None)
+        if twist == "fails":
+            handle[0]._exc = _Boom(tag)     # undefused: run() raises it
+        elif twist == "dead":
+            handle[0].cancel()
+        self.handles.append(handle)
+
+    def batch(self, tag, delay, size, cancelled, failing, defused):
+        members = []
+        for m in range(size):
+            member = Event(self.env)._stage(m)
+            member.callbacks.append(
+                lambda _e, m=m: self.note((tag, "member", m)))
+            members.append(member)
+        if cancelled is not None:
+            members[cancelled % size].cancel()
+        if failing is not None:
+            member = members[failing % size]
+            member._exc, member._defused = _Boom(f"{tag} member"), defused
+        self.env.schedule_many(members, delay=delay)
+
+    def until(self, spec):
+        kind = spec[0]
+        if kind == "none":
+            return None
+        if kind == "time":
+            return self.env.now + spec[1]
+        if kind == "shared":
+            return self.shared[spec[1]]
+        if kind == "process":
+            return self.processes[spec[1] % len(self.processes)]
+        return self.env.timeout(spec[1], value="until")
+
+
+def _run_kernel_program(program, env):
+    """Everything a run can show: per ``run()`` call its outcome, the
+    clock, both counters, what is left queued and pooled, and the
+    collector's state; then the firing trace. A stage that raised is
+    followed by the next one, so what an escaping exception leaves
+    behind is part of the comparison."""
+    processes, stages, collecting = program
+    run = _ProgramRun(env)
+    for p, (catches, ops) in enumerate(processes):
+        run.spawn(f"p{p}", catches, ops)
+    shown = []
+    was_enabled = gc.isenabled()
+    try:
+        for spec in stages:
+            (gc.enable if collecting else gc.disable)()
+            try:
+                outcome = ("returned", env.run(until=run.until(spec)))
+            except (SimulationError, Interrupt, _Boom) as exc:
+                outcome = ("raised", type(exc).__name__, str(exc))
+            shown.append((outcome, env.now, env.heap_pushes, env.pool_reuse,
+                          len(env._queue), len(env._event_pool),
+                          gc.isenabled()))
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    return shown, run.trace
+
+
+@given(_kernel_programs)
+# A dead head due before `until`, a live timer due after it.
+@example(([(True, [("timer", 0.5, False, "dead"),
+                   ("timer", 1.5, False, None)])],
+          [("time", 1.0), ("none",)], True))
+# Nothing but a dead hop: "empty schedule", or the clock on `until`.
+@example(([(True, [("timer", 0.5, True, "dead")])], [("none",)], True))
+@example(([(True, [("timer", 0.5, True, "dead")])],
+          [("time", 1.0), ("none",)], False))
+# A pooled hop that fails undefused, and hops wanted after it.
+@example(([(True, [("timer", 0.5, True, "fails"), ("timeout", 1.0),
+                   ("interrupt", 0), ("timeout", 0.0)])],
+          [("none",), ("none",)], True))
+@settings(max_examples=400, deadline=None)
+def test_the_dispatch_loop_is_the_frozen_kernel(program):
+    with pytest.MonkeyPatch.context() as patch:
+        for cls, name, fn in _FROZEN_PUSH_SIDE:
+            patch.setattr(cls, name, fn)
+        frozen = _run_kernel_program(program, _FrozenKernel())
+    assert _run_kernel_program(program, Environment()) == frozen

@@ -19,7 +19,11 @@ must one ``run.py --trace 1`` per side: when the change's traced pass
 ends ``correct: false`` (a layer ranking, the zero rule or the 2 % sum
 rule) while the parent's does not, every timed run of it would be
 rejected whatever it measured, and the tool prints both sides'
-per-layer ``self_s`` and exits 2 as well. A
+per-layer ``self_s`` and exits 2 as well. Pass or fail, each side's
+traced pass is summed up in one line - its largest layer, the
+runner-up, and the lead between them in seconds and as a share of the
+traced wall - so a change that narrows the margin a ranking rule rests
+on shows it before the ranking flips. A
 differing exact *count* (``counts.*``) with the result unchanged means
 the same answer was reached by different work: the keys are listed,
 the pairs are timed anyway, and the tool ends with exit 3 naming them
@@ -94,10 +98,22 @@ def traced_pass(checkout: str, workload: str, seed: int) -> dict:
     verdict = _last_json(_ledger_run(checkout, workload, seed, trace=1))
     return {
         "correct": verdict["correct"],
+        "wall_s": verdict["metrics"]["trace.wall_s"]["value"],
         "self_s": {name[:-len(".self_s")]: metric["value"]
                    for name, metric in verdict["metrics"].items()
                    if name.endswith(".self_s")},
     }
+
+
+def ranking_margin(traced: dict) -> str:
+    """How far the largest layer of a traced pass leads the next one."""
+    (first, most), (second, next_most) = sorted(
+        traced["self_s"].items(), key=lambda kv: (-kv[1], kv[0]))[:2]
+    lead = most - next_most
+    return (f"largest {first} {most:.3f}s, runner-up {second} "
+            f"{next_most:.3f}s, lead {lead:.3f}s "
+            f"({lead / traced['wall_s']:.1%} of traced wall "
+            f"{traced['wall_s']:.3f}s)")
 
 
 def measure(checkout: str, workload: str, seed: int) -> dict:
@@ -165,6 +181,8 @@ def main(argv=None) -> int:
 
     traced = {name: traced_pass(checkout, args.workload, args.seed)
               for name, checkout in sides.items()}
+    for name in sides:
+        print(f"{name} traced pass: {ranking_margin(traced[name])}")
     if traced["parent"]["correct"] and not traced["change"]["correct"]:
         print(f"{args.workload} seed {args.seed}: the change's traced pass "
               f"is correct: false, the parent's is not")
