@@ -3,19 +3,28 @@
 Expressions evaluate against a row dict keyed by qualified column name
 (``alias.column``). Name resolution happens once at planning time: the
 planner sets ``Column.key`` so evaluation is a dict lookup.
+
+There is one evaluator: ``Expr.compile()`` lowers a tree to a closure
+``row -> value`` in which every operator, child and constant is
+resolved already, and ``Expr.eval(row)`` is that closure applied.
+Operators call ``compile()`` once per fragment and the closure once per
+row (DESIGN.md "Operator kernels").
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 __all__ = [
-    "Expr", "Column", "Literal", "Star", "BinaryOp", "UnaryOp",
+    "Expr", "Column", "Literal", "Star", "BinaryOp", "UnaryOp", "IsNull",
     "FuncCall", "InList", "Between", "Like", "AGGREGATE_FUNCS",
     "SCALAR_FUNCS", "SelectItem", "TableRef", "JoinClause", "Query",
 ]
+
+RowFn = Callable[[dict], Any]
 
 AGGREGATE_FUNCS = {"count", "sum", "avg", "min", "max"}
 SCALAR_FUNCS = {
@@ -35,8 +44,19 @@ SCALAR_FUNCS = {
 
 
 class Expr:
-    def eval(self, row: dict) -> Any:
+    _fn: Optional[RowFn] = None
+
+    def compile(self) -> RowFn:
+        """Lower this tree to ``row -> value``. The closure holds the
+        children's closures and constants, never a node: a node caches
+        its closure (``eval``) and must not become a cycle with it."""
         raise NotImplementedError
+
+    def eval(self, row: dict) -> Any:
+        fn = self._fn
+        if fn is None:
+            fn = self._fn = self.compile()
+        return fn(row)
 
     def columns(self) -> list["Column"]:
         """All column references in this expression tree."""
@@ -62,8 +82,9 @@ class Column(Expr):
     name: str
     key: Optional[str] = None   # resolved qualified key, set by planner
 
-    def eval(self, row: dict) -> Any:
-        return row[self.key if self.key is not None else self.name]
+    def compile(self) -> RowFn:
+        return operator.itemgetter(
+            self.key if self.key is not None else self.name)
 
     def _collect_columns(self, out: list) -> None:
         out.append(self)
@@ -76,19 +97,28 @@ class Column(Expr):
 class Literal(Expr):
     value: Any
 
-    def eval(self, row: dict) -> Any:
-        return self.value
+    def compile(self) -> RowFn:
+        value = self.value
+        return lambda row: value
 
 
 @dataclass
 class Star(Expr):
     """COUNT(*) / SELECT * marker."""
 
-    def eval(self, row: dict) -> Any:
-        return 1
+    def compile(self) -> RowFn:
+        return lambda row: 1
 
 
-_NULL_SAFE_OPS = {"and", "or"}
+_ARITHMETIC = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": lambda lv, rv: lv / rv if rv != 0 else None,
+}
+_COMPARISONS = {
+    "=": operator.eq, "!=": operator.ne, "<>": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 @dataclass
@@ -97,37 +127,35 @@ class BinaryOp(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, row: dict) -> Any:
+    def compile(self) -> RowFn:
         op = self.op
+        left, right = self.left.compile(), self.right.compile()
         if op == "and":
-            return bool(self.left.eval(row)) and bool(self.right.eval(row))
+            return lambda row: bool(left(row)) and bool(right(row))
         if op == "or":
-            return bool(self.left.eval(row)) or bool(self.right.eval(row))
-        lv = self.left.eval(row)
-        rv = self.right.eval(row)
-        if lv is None or rv is None:
-            return None if op in ("+", "-", "*", "/") else False
-        if op == "+":
-            return lv + rv
-        if op == "-":
-            return lv - rv
-        if op == "*":
-            return lv * rv
-        if op == "/":
-            return lv / rv if rv != 0 else None
-        if op == "=":
-            return lv == rv
-        if op in ("!=", "<>"):
-            return lv != rv
-        if op == "<":
-            return lv < rv
-        if op == "<=":
-            return lv <= rv
-        if op == ">":
-            return lv > rv
-        if op == ">=":
-            return lv >= rv
-        raise ValueError(f"unknown operator {op!r}")
+            return lambda row: bool(left(row)) or bool(right(row))
+        # A NULL operand makes arithmetic NULL and a comparison False.
+        null = None if op in _ARITHMETIC else False
+        fn = _ARITHMETIC.get(op) or _COMPARISONS.get(op)
+        if fn is None:
+            raise ValueError(f"unknown operator {op!r}")
+        if isinstance(self.right, Literal) and self.right.value is not None:
+            constant = self.right.value
+
+            def against_constant(row):
+                lv = left(row)
+                return null if lv is None else fn(lv, constant)
+
+            return against_constant
+
+        def binary(row):
+            lv = left(row)
+            rv = right(row)
+            if lv is None or rv is None:
+                return null
+            return fn(lv, rv)
+
+        return binary
 
     def _collect_columns(self, out: list) -> None:
         self.left._collect_columns(out)
@@ -143,12 +171,15 @@ class UnaryOp(Expr):
     op: str
     operand: Expr
 
-    def eval(self, row: dict) -> Any:
-        value = self.operand.eval(row)
+    def compile(self) -> RowFn:
+        operand = self.operand.compile()
         if self.op == "not":
-            return not bool(value)
+            return lambda row: not operand(row)
         if self.op == "-":
-            return -value if value is not None else None
+            def negate(row):
+                value = operand(row)
+                return -value if value is not None else None
+            return negate
         raise ValueError(f"unknown unary {self.op!r}")
 
     def _collect_columns(self, out: list) -> None:
@@ -156,6 +187,23 @@ class UnaryOp(Expr):
 
     def _collect_aggs(self, out: list) -> None:
         self.operand._collect_aggs(out)
+
+
+@dataclass
+class IsNull(Expr):
+    """``inner IS [NOT] NULL``: the one NULL-safe comparison."""
+
+    inner: Expr
+    negated: bool = False
+
+    def compile(self) -> RowFn:
+        inner = self.inner.compile()
+        if self.negated:
+            return lambda row: inner(row) is not None
+        return lambda row: inner(row) is None
+
+    def _collect_columns(self, out: list) -> None:
+        self.inner._collect_columns(out)
 
 
 @dataclass
@@ -168,15 +216,19 @@ class FuncCall(Expr):
     def is_aggregate(self) -> bool:
         return self.name in AGGREGATE_FUNCS
 
-    def eval(self, row: dict) -> Any:
+    def compile(self) -> RowFn:
         if self.is_aggregate:
             # Aggregates are computed by the Aggregate operator; after
             # aggregation the value lives in the row under agg_key.
-            return row[self.agg_key()]
+            return operator.itemgetter(self.agg_key())
         fn = SCALAR_FUNCS.get(self.name)
         if fn is None:
             raise ValueError(f"unknown function {self.name!r}")
-        return fn(*(a.eval(row) for a in self.args))
+        args = [a.compile() for a in self.args]
+        if len(args) == 1:
+            arg, = args
+            return lambda row: fn(arg(row))
+        return lambda row: fn(*[a(row) for a in args])
 
     def agg_key(self) -> str:
         arg = "*" if (not self.args or isinstance(self.args[0], Star)) \
@@ -202,10 +254,24 @@ class InList(Expr):
     values: list[Expr]
     negated: bool = False
 
-    def eval(self, row: dict) -> Any:
-        value = self.expr.eval(row)
-        result = value in {v.eval(row) for v in self.values}
-        return (not result) if self.negated else result
+    def compile(self) -> RowFn:
+        expr, negated = self.expr.compile(), self.negated
+        if all(isinstance(v, Literal) for v in self.values):
+            members = frozenset(v.value for v in self.values)
+
+            def in_constants(row):
+                value = expr(row)
+                return value is not None and (value in members) != negated
+
+            return in_constants
+        values = [v.compile() for v in self.values]
+
+        def in_list(row):
+            value = expr(row)
+            members = {v(row) for v in values}
+            return value is not None and (value in members) != negated
+
+        return in_list
 
     def _collect_columns(self, out: list) -> None:
         self.expr._collect_columns(out)
@@ -220,12 +286,22 @@ class Between(Expr):
     high: Expr
     negated: bool = False
 
-    def eval(self, row: dict) -> Any:
-        value = self.expr.eval(row)
-        if value is None:
-            return False
-        result = self.low.eval(row) <= value <= self.high.eval(row)
-        return (not result) if self.negated else result
+    def compile(self) -> RowFn:
+        expr, negated = self.expr.compile(), self.negated
+        low, high = self.low.compile(), self.high.compile()
+
+        def between(row):
+            # A NULL value or bound is False, negated or not - the
+            # comparisons' rule (BinaryOp), not a TypeError.
+            value = expr(row)
+            if value is None:
+                return False
+            lo, hi = low(row), high(row)
+            if lo is None or hi is None:
+                return False
+            return (lo <= value <= hi) != negated
+
+        return between
 
     def _collect_columns(self, out: list) -> None:
         self.expr._collect_columns(out)
@@ -240,11 +316,18 @@ class CaseWhen(Expr):
     branches: list   # [(condition Expr, value Expr), ...]
     default: Optional[Expr] = None
 
-    def eval(self, row: dict) -> Any:
-        for condition, value in self.branches:
-            if condition.eval(row):
-                return value.eval(row)
-        return self.default.eval(row) if self.default is not None else None
+    def compile(self) -> RowFn:
+        branches = [(c.compile(), v.compile()) for c, v in self.branches]
+        default = self.default.compile() if self.default is not None \
+            else None
+
+        def case_when(row):
+            for condition, value in branches:
+                if condition(row):
+                    return value(row)
+            return default(row) if default is not None else None
+
+        return case_when
 
     def _collect_columns(self, out: list) -> None:
         for condition, value in self.branches:
@@ -271,12 +354,15 @@ class Like(Expr):
         regex = re.escape(self.pattern).replace("%", ".*").replace("_", ".")
         self._re = re.compile(f"^{regex}$")
 
-    def eval(self, row: dict) -> Any:
-        value = self.expr.eval(row)
-        result = bool(
-            isinstance(value, str) and self._re.match(value)
-        )
-        return (not result) if self.negated else result
+    def compile(self) -> RowFn:
+        expr, match, negated = self.expr.compile(), self._re.match, \
+            self.negated
+
+        def like(row):
+            value = expr(row)
+            return bool(isinstance(value, str) and match(value)) != negated
+
+        return like
 
     def _collect_columns(self, out: list) -> None:
         self.expr._collect_columns(out)

@@ -12,18 +12,19 @@ MapReduce" the paper describes in 5.2.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, Optional
 
 from ..mapreduce.model import MRJob
-from .fragments import (
-    InputLeaf,
-    execute_fragment,
+from .aggregates import (
+    aggregate_finisher,
     merge_aggregate_groups,
     partial_aggregate,
-    rows_from_tuples,
-    rows_to_tuples,
+    state_merger,
 )
+from .fragments import InputLeaf, execute_fragment
 from .plan import (
     Aggregate,
     Filter,
@@ -34,7 +35,7 @@ from .plan import (
     Scan,
     Sort,
 )
-from .reference import sort_rows
+from .reference import rows_from_tuples, rows_to_tuples, sort_rows
 
 __all__ = ["MRCompiler", "HiveMRConfig", "CompiledMRQuery"]
 
@@ -94,7 +95,6 @@ class MRCompiler:
         return f"{self._tmp_base}/{label}_{next(self._seq)}"
 
     def _reducers(self, est_bytes: float) -> int:
-        import math
         return max(1, min(
             self.config.max_reducers,
             math.ceil(est_bytes / self.config.bytes_per_reducer),
@@ -180,31 +180,27 @@ class MRCompiler:
         est = node.left.estimated_bytes + node.right.estimated_bytes
         reducers = self._reducers(est)
         lk, rk = node.left_key, node.right_key
-        how = node.how
-        join_right_cols = node.right.output_columns()
+        padding = dict.fromkeys(node.right.output_columns()) \
+            if node.how == "left" else None
 
         # Tag each side in the map output so the reducer can split.
         def make_emit(tag, key_expr):
-            def emit(rows, _t=tag, _k=key_expr):
-                return [(_k.eval(row), (_t, row)) for row in rows]
+            key_of = key_expr.compile()
+
+            def emit(rows):
+                return list(zip(map(key_of, rows), zip(repeat(tag), rows)))
             return emit
 
-        def reducer(key, tagged, _rc=join_right_cols):
-            left_rows = [row for t, row in tagged if t == "L"]
-            right_rows = [row for t, row in tagged if t == "R"]
-            right_cols = _rc
-            out_rows = []
-            for lrow in left_rows:
-                if right_rows:
-                    for rrow in right_rows:
-                        merged = dict(lrow)
-                        merged.update(rrow)
-                        out_rows.append(merged)
-                elif how == "left":
-                    merged = dict(lrow)
-                    merged.update({c: None for c in right_cols})
-                    out_rows.append(merged)
-            return out_rows
+        def reducer(key, tagged):
+            left_rows, right_rows = [], []
+            for tag, row in tagged:
+                (left_rows if tag == "L" else right_rows).append(row)
+            if right_rows:
+                return [{**lrow, **rrow}
+                        for lrow in left_rows for rrow in right_rows]
+            if padding is None:
+                return []
+            return [{**lrow, **padding} for lrow in left_rows]
 
         path_mappers: dict[str, Callable] = {}
         input_paths: list[str] = []
@@ -246,21 +242,15 @@ class MRCompiler:
         def emit(rows, _g=group_items, _a=aggs):
             return partial_aggregate(rows, _g, _a)
 
-        def reducer(group_key, states, _g=group_items, _a=aggs):
-            return merge_aggregate_groups(
-                [(group_key, states)], _g, _a,
-            )
+        finish = aggregate_finisher(group_items, aggs)
+        merge_states = state_merger(aggs)
 
-        def combiner(group_key, states, _a=aggs):
+        def reducer(group_key, states):
+            return [finish(group_key, states)]
+
+        def combiner(group_key, states):
             # Map-side combining: merge partial states per group.
-            from .aggregates import agg_merge
-            merged = list(states[0])
-            for state in states[1:]:
-                merged = [
-                    agg_merge(a, m, s)
-                    for a, m, s in zip(_a, merged, state)
-                ]
-            return [(group_key, tuple(merged))]
+            return [(group_key, tuple(merge_states(states)))]
 
         row_bytes = int(node.estimated_row_bytes) or 32
         self._job("agg", pending, emit, reducer, reducers, out,

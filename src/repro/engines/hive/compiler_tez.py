@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from ...shuffle.sorter import sort_key
@@ -48,14 +50,8 @@ from ...tez.library import (
     UnorderedKVInput,
     UnorderedPartitionedKVOutput,
 )
-from .fragments import (
-    InputLeaf,
-    execute_fragment,
-    merge_aggregate_groups,
-    partial_aggregate,
-    rows_from_tuples,
-    rows_to_tuples,
-)
+from .aggregates import merge_aggregate_groups, partial_aggregate
+from .fragments import InputLeaf, execute_fragment
 from .plan import (
     Aggregate,
     Filter,
@@ -66,6 +62,7 @@ from .plan import (
     Scan,
     Sort,
 )
+from .reference import rows_from_tuples, rows_to_tuples, sort_rows
 
 __all__ = ["TezCompiler", "HiveTezConfig"]
 
@@ -205,11 +202,11 @@ class TezCompiler:
         """Dim sub-plan → single collector task → pruning event."""
         info = scan.dpp
         dim_vspec, dim_frag = self._build(info["dim_plan"])
-        dim_key = info["dim_key"]
+        key_of = info["dim_key"].compile()
         collector = self._new_stage("dpp_collect", 1)
 
         def emit_values(ctx, rows):
-            return [(0, dim_key.eval(row)) for row in rows]
+            return list(zip(repeat(0), map(key_of, rows)))
 
         dim_vspec.fragment = dim_frag
         collector.in_edges.append(_EdgeSpec(
@@ -262,11 +259,13 @@ class TezCompiler:
         join_vspec.estimated_input_bytes = est
 
         def emit_keyed(key_expr):
-            def emit(ctx, rows, _k=key_expr):
-                return [(_k.eval(row), row) for row in rows]
+            key_of = key_expr.compile()
+
+            def emit(ctx, rows):
+                return list(zip(map(key_of, rows), rows))
             return emit
 
-        flat = lambda ctx, data: [row for _k, row in data]
+        flat = lambda ctx, data: list(map(itemgetter(1), data))
         join_vspec.in_edges.append(_EdgeSpec(
             left_vspec, DataMovementType.SCATTER_GATHER,
             emit=emit_keyed(node.left_key), decoder=flat,
@@ -304,14 +303,8 @@ class TezCompiler:
             return partial_aggregate(rows, _g, _a)
 
         def decode_final(ctx, data, _g=group_items, _a=aggs):
-            return merge_aggregate_groups(
-                [(key_values_from(group), states)
-                 for group, states in data],
-                _g, _a, include_empty_global=True,
-            )
-
-        def key_values_from(group_key):
-            return group_key
+            return merge_aggregate_groups(data, _g, _a,
+                                          include_empty_global=True)
 
         vspec.in_edges.append(_EdgeSpec(
             producer, DataMovementType.SCATTER_GATHER,
@@ -331,7 +324,6 @@ class TezCompiler:
 
         def emit_rows(ctx, rows, _keys=keys, _limit=limit):
             # Top-N pushdown: each producer pre-sorts and truncates.
-            from .reference import sort_rows
             ordered = sort_rows(rows, _keys)
             if _limit is not None:
                 ordered = ordered[:_limit]

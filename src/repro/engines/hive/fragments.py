@@ -3,37 +3,18 @@
 Compilers cut the logical plan at distributed boundaries (shuffle
 joins, aggregations, global sorts) and ship the in-between operator
 pipelines into tasks. A fragment is a plan subtree whose leaves are
-:class:`InputLeaf` nodes fed by the task's logical inputs; this module
-executes fragments and provides the partial-aggregation emitters both
-the Tez and MR backends share.
+:class:`InputLeaf` nodes fed by the task's logical inputs; it runs
+through the same operators as the reference executor
+(``reference.run_operators``), with the task context for the
+broadcast-join hash-table cache.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from .plan import PlanNode
+from .reference import run_operators
 
-from ...shuffle.sorter import sort_key
-from .aggregates import agg_final, agg_init, agg_input, agg_merge, agg_update
-from .ast_nodes import FuncCall
-from .plan import (
-    Aggregate,
-    Filter,
-    Join,
-    Limit,
-    PlanNode,
-    Project,
-    Sort,
-)
-from .reference import sort_rows
-
-__all__ = [
-    "InputLeaf",
-    "execute_fragment",
-    "partial_aggregate",
-    "merge_aggregate_groups",
-    "rows_from_tuples",
-    "rows_to_tuples",
-]
+__all__ = ["InputLeaf", "execute_fragment"]
 
 
 class InputLeaf(PlanNode):
@@ -51,146 +32,7 @@ class InputLeaf(PlanNode):
         return f"InputLeaf({self.name})"
 
 
-def rows_from_tuples(records: list[tuple], alias: str,
-                     all_columns: list[str],
-                     needed_columns: Optional[list[str]]) -> list[dict]:
-    """Decode raw table tuples into qualified row dicts."""
-    cols = needed_columns if needed_columns is not None else all_columns
-    pairs = [(f"{alias}.{c}", all_columns.index(c)) for c in cols]
-    return [{k: rec[i] for k, i in pairs} for rec in records]
-
-
-def rows_to_tuples(rows: list[dict], columns: list[str]) -> list[tuple]:
-    return [tuple(row[c] for c in columns) for row in rows]
-
-
-def _local_hash_join(node: Join, left_rows: list[dict],
-                     right_rows: list[dict], ctx=None) -> list[dict]:
-    build: Optional[dict] = None
-    # Broadcast build sides are cached in the container's shared
-    # object registry (paper 4.2: Hive's map-join hash table reuse).
-    cache_key = None
-    if (
-        ctx is not None
-        and isinstance(node.right, InputLeaf)
-        and node.right.broadcast
-    ):
-        cache_key = f"hashtable:{node.right.name}:{node.node_id}"
-        build = ctx.cache_get(cache_key)
-    if build is None:
-        build = {}
-        for row in right_rows:
-            key = sort_key(node.right_key.eval(row))
-            build.setdefault(key, []).append(row)
-        if cache_key is not None:
-            from ...tez.registry import Scope
-            ctx.cache_put(Scope.DAG, cache_key, build)
-    right_columns = getattr(node, "right_columns", None)
-    if right_columns is None:
-        right_columns = [k for row in right_rows[:1] for k in row]
-    out: list[dict] = []
-    for row in left_rows:
-        key = sort_key(node.left_key.eval(row))
-        matches = build.get(key, [])
-        if matches:
-            for match in matches:
-                merged = dict(row)
-                merged.update(match)
-                out.append(merged)
-        elif node.how == "left":
-            padding = {c: None for c in right_columns} if right_columns \
-                else {}
-            merged = dict(row)
-            merged.update(padding)
-            out.append(merged)
-    return out
-
-
 def execute_fragment(node: PlanNode, inputs: dict[str, list[dict]],
                      ctx=None) -> list[dict]:
     """Run a plan fragment over the task's decoded inputs."""
-    if isinstance(node, InputLeaf):
-        return inputs[node.name]
-    if isinstance(node, Filter):
-        rows = execute_fragment(node.child, inputs, ctx)
-        return [r for r in rows if node.predicate.eval(r)]
-    if isinstance(node, Project):
-        rows = execute_fragment(node.child, inputs, ctx)
-        return [
-            {name: expr.eval(r) for name, expr in node.items}
-            for r in rows
-        ]
-    if isinstance(node, Join):
-        left = execute_fragment(node.left, inputs, ctx)
-        right = execute_fragment(node.right, inputs, ctx)
-        return _local_hash_join(node, left, right, ctx)
-    if isinstance(node, Aggregate):
-        from .reference import run_aggregate
-        rows = execute_fragment(node.child, inputs, ctx)
-        return run_aggregate(node, rows)
-    if isinstance(node, Sort):
-        rows = execute_fragment(node.child, inputs, ctx)
-        return sort_rows(rows, node.keys)
-    if isinstance(node, Limit):
-        rows = execute_fragment(node.child, inputs, ctx)
-        return rows[: node.n]
-    raise TypeError(f"fragment cannot execute {type(node).__name__}")
-
-
-# ------------------------------------------------------------- aggregation
-def partial_aggregate(rows: list[dict],
-                      group_items: list[tuple[str, Any]],
-                      aggs: list[FuncCall]) -> list[tuple]:
-    """Map-side partial aggregation: (group values, partial states)."""
-    groups: dict[tuple, list] = {}
-    raw_keys: dict[tuple, tuple] = {}
-    for row in rows:
-        values = tuple(expr.eval(row) for _n, expr in group_items)
-        key = tuple(sort_key(v) for v in values)
-        state = groups.get(key)
-        if state is None:
-            state = [agg_init(a) for a in aggs]
-            groups[key] = state
-            raw_keys[key] = values
-        for i, agg in enumerate(aggs):
-            state[i] = agg_update(agg, state[i], agg_input(agg, row))
-    return [
-        (raw_keys[key], tuple(state)) for key, state in groups.items()
-    ]
-
-
-def merge_aggregate_groups(
-    grouped: list[tuple],
-    group_items: list[tuple[str, Any]],
-    aggs: list[FuncCall],
-    include_empty_global: bool = False,
-) -> list[dict]:
-    """Reduce-side merge of partial states into final rows.
-
-    ``grouped`` is ``[(group_values, [state, ...]), ...]`` as produced
-    by a grouped shuffle input.
-    """
-    out: list[dict] = []
-    seen_any = False
-    for values, states in grouped:
-        seen_any = True
-        merged = None
-        for state in states:
-            if merged is None:
-                merged = list(state)
-            else:
-                merged = [
-                    agg_merge(a, m, s)
-                    for a, m, s in zip(aggs, merged, state)
-                ]
-        row = {name: v for (name, _e), v in zip(group_items, values)}
-        for agg, state in zip(aggs, merged or
-                              [agg_init(a) for a in aggs]):
-            row[agg.agg_key()] = agg_final(agg, state)
-        out.append(row)
-    if not seen_any and include_empty_global and not group_items:
-        row = {}
-        for agg in aggs:
-            row[agg.agg_key()] = agg_final(agg, agg_init(agg))
-        out.append(row)
-    return out
+    return run_operators(node, lambda leaf: inputs[leaf.name], ctx)

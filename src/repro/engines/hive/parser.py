@@ -26,6 +26,7 @@ from .ast_nodes import (
     Expr,
     FuncCall,
     InList,
+    IsNull,
     JoinClause,
     Like,
     Literal,
@@ -291,21 +292,7 @@ class _Parser:
         if self.accept_kw("is"):
             neg = bool(self.accept_kw("not"))
             self.expect_kw("null")
-            is_null = BinaryOp("=", left, Literal(None))
-            # NULL-safe: implement as a function over the value.
-            class _IsNull(Expr):
-                def __init__(self, inner, negated):
-                    self.inner = inner
-                    self.negated = negated
-
-                def eval(self, row):
-                    result = self.inner.eval(row) is None
-                    return (not result) if self.negated else result
-
-                def _collect_columns(self, out):
-                    self.inner._collect_columns(out)
-
-            return _IsNull(left, neg)
+            return IsNull(left, neg)
         op = self.accept_op("=", "!=", "<>", "<=", ">=", "<", ">")
         if op:
             return BinaryOp(op, left, self.parse_additive())

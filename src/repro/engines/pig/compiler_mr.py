@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, Generator, Optional
 
 from ...shuffle import RangePartitioner
@@ -28,8 +29,12 @@ from ..mapreduce.model import MRJob
 from ..mapreduce.yarn_runner import MapReduceYarnRunner
 from .model import PigScript, Relation
 from .reference import (
-    merge_aggregate_states,
+    key_tuples,
+    order_rows,
     partial_aggregate_states,
+    rows_from_tuples,
+    state_finisher,
+    state_merger,
 )
 
 __all__ = ["PigMRCompiler", "PigMRConfig", "run_pig_on_mr"]
@@ -167,7 +172,7 @@ class PigMRCompiler:
         schema = list(rel.schema)
 
         def decoder(records, _s=schema):
-            return [dict(zip(_s, rec)) for rec in records]
+            return rows_from_tuples(records, _s)
 
         return _Pending([(rel.params["path"], decoder)], [])
 
@@ -214,7 +219,7 @@ class PigMRCompiler:
         out = self._tmp("group")
 
         def emit(rows, _k=keys):
-            return [(tuple(r[k] for k in _k), r) for r in rows]
+            return list(zip(key_tuples(rows, _k), rows))
 
         def reducer(key, rows, _k=keys):
             return [{
@@ -234,20 +239,14 @@ class PigMRCompiler:
         def emit(rows, _k=keys, _a=aggs):
             return partial_aggregate_states(rows, _k, _a)
 
-        def reducer(key, states, _k=keys, _a=aggs):
-            return merge_aggregate_states([(key, list(states))], _k, _a)
+        finish = state_finisher(keys, aggs)
+        merge_states = state_merger(aggs)
 
-        def combiner(key, states, _a=aggs):
-            from .reference import agg_combine
-            agg_items = list(_a.items())
-            merged = list(states[0])
-            for state in states[1:]:
-                merged = [
-                    agg_combine(func, m, s)
-                    for (_o, (func, _f)), m, s
-                    in zip(agg_items, merged, state)
-                ]
-            return [(key, tuple(merged))]
+        def reducer(key, states):
+            return [finish(key, states)]
+
+        def combiner(key, states):
+            return [(key, tuple(merge_states(states)))]
 
         reducers = self.config.default_parallel if keys else 1
         self._shuffle_job("agg", [(pending, emit)], reducer, reducers,
@@ -260,7 +259,7 @@ class PigMRCompiler:
         out = self._tmp("distinct")
 
         def emit(rows, _s=schema):
-            return [(tuple(r[c] for c in _s), None) for r in rows]
+            return list(zip(key_tuples(rows, _s), repeat(None)))
 
         def reducer(key, _values, _s=schema):
             return [dict(zip(_s, key))]
@@ -278,28 +277,24 @@ class PigMRCompiler:
                       if c not in rel.parents[0].schema]
         out = self._tmp("join")
 
+        padding = dict.fromkeys(right_only) if how == "left" else None
+
         def emit_side(tag, keys):
             def emit(rows, _t=tag, _k=keys):
-                return [
-                    (tuple(r[k] for k in _k), (_t, r)) for r in rows
-                ]
+                return list(zip(key_tuples(rows, _k), zip(repeat(_t), rows)))
             return emit
 
-        def reducer(key, tagged, _ro=right_only, _how=how):
-            left_rows = [r for t, r in tagged if t == "L"]
-            right_rows = [r for t, r in tagged if t == "R"]
-            out_rows = []
-            for l in left_rows:
-                if right_rows:
-                    for m in right_rows:
-                        merged = dict(l)
-                        merged.update({c: m[c] for c in _ro})
-                        out_rows.append(merged)
-                elif _how == "left":
-                    merged = dict(l)
-                    merged.update({c: None for c in _ro})
-                    out_rows.append(merged)
-            return out_rows
+        def reducer(key, tagged):
+            left_rows, right_rows = [], []
+            for tag, row in tagged:
+                (left_rows if tag == "L" else right_rows).append(row)
+            if right_rows:
+                matches = [{c: m[c] for c in right_only}
+                           for m in right_rows]
+                return [{**l, **m} for l in left_rows for m in matches]
+            if padding is None:
+                return []
+            return [{**l, **padding} for l in left_rows]
 
         self._shuffle_job(
             "join",
@@ -323,10 +318,7 @@ class PigMRCompiler:
         sample_out = self._tmp("sample")
 
         def sample_emit(rows, _k=keys, _r=rate):
-            return [
-                (0, tuple(r[k] for k in _k))
-                for i, r in enumerate(rows) if i % _r == 0
-            ]
+            return list(zip(repeat(0), key_tuples(rows[::_r], _k)))
 
         def sample_reducer(_key, samples):
             return [{"sample": list(samples)}]
@@ -350,16 +342,11 @@ class PigMRCompiler:
 
             def mapper(records, _d=_dec, _kk=_k):
                 rows = _d(records)
-                return [(tuple(r[k] for k in _kk), r) for r in rows]
+                return list(zip(key_tuples(rows, _kk), rows))
             mapper.batch = True
 
             def reducer(key, rows, _kk=_k, _a=_asc):
-                ordered = sorted(
-                    rows,
-                    key=lambda r: tuple(sort_key(r[k]) for k in _kk),
-                    reverse=not _a,
-                )
-                return ordered
+                return order_rows(rows, _kk, _a)
 
             class _Oriented(RangePartitioner):
                 def __init__(self, base, asc):
@@ -407,7 +394,7 @@ class PigMRCompiler:
         schema = list(rel.schema)
 
         def emit(rows, _s=schema):
-            return [tuple(r[c] for c in _s) for r in rows]
+            return key_tuples(rows, _s)
 
         self._map_only_job(
             _Pending(pending.inputs, pending.ops + [emit]), path, "store"

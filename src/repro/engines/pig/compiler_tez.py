@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from ...shuffle import Partitioner, RangePartitioner
@@ -52,7 +54,14 @@ from ...tez.library import (
     UnorderedPartitionedKVOutput,
 )
 from .model import PigScript, Relation
-from .reference import merge_aggregate_states, partial_aggregate_states
+from .reference import (
+    hash_join,
+    key_tuples,
+    merge_aggregate_states,
+    order_rows,
+    partial_aggregate_states,
+    rows_from_tuples,
+)
 
 __all__ = ["PigTezCompiler", "PigTezConfig",
            "PartitionerDefinedVertexManager", "IndexPartitioner"]
@@ -267,7 +276,7 @@ class PigTezCompiler:
         stage.manager = self._svm()
 
         def emit(ctx, rows, inputs, _k=keys):
-            return [(tuple(r[k] for k in _k), r) for r in rows]
+            return list(zip(key_tuples(rows, _k), rows))
 
         def decode(ctx, data, _k=keys):
             return [
@@ -310,7 +319,7 @@ class PigTezCompiler:
         stage.manager = self._svm()
 
         def emit(ctx, rows, inputs, _s=schema):
-            return [(tuple(r[c] for c in _s), None) for r in rows]
+            return list(zip(key_tuples(rows, _s), repeat(None)))
 
         def decode(ctx, data, _s=schema):
             return [dict(zip(_s, key)) for key, _vals in data]
@@ -328,12 +337,11 @@ class PigTezCompiler:
         stage = self._new_stage("union", self.config.default_parallel)
 
         def emit(ctx, rows, inputs):
-            return [(i, r) for i, r in enumerate(rows)]
+            return list(enumerate(rows))
 
-        flat = lambda ctx, data: [r for _i, r in data]
         for producer in (left, right):
             stage.in_edges.append((
-                producer, DataMovementType.SCATTER_GATHER, emit, flat,
+                producer, DataMovementType.SCATTER_GATHER, emit, _values,
                 False, 72, None,
             ))
 
@@ -354,16 +362,15 @@ class PigTezCompiler:
 
         def emit_keys(keys):
             def emit(ctx, rows, inputs, _k=keys):
-                return [(tuple(r[k] for k in _k), r) for r in rows]
+                return list(zip(key_tuples(rows, _k), rows))
             return emit
 
-        flat = lambda ctx, data: [r for _k, r in data]
         stage.in_edges.append((
-            left, DataMovementType.SCATTER_GATHER, emit_keys(lk), flat,
+            left, DataMovementType.SCATTER_GATHER, emit_keys(lk), _values,
             False, 72, None,
         ))
         stage.in_edges.append((
-            right, DataMovementType.SCATTER_GATHER, emit_keys(rk), flat,
+            right, DataMovementType.SCATTER_GATHER, emit_keys(rk), _values,
             False, 72, None,
         ))
         stage.combine = _join_combine(
@@ -384,11 +391,10 @@ class PigTezCompiler:
         stage = self._new_stage("skewjoin", parallel)
         stage.manager = Descriptor(PartitionerDefinedVertexManager)
         hist.events_fn = _make_histogram_events(stage.name)
-        flat = lambda ctx, data: [r for _k, r in data]
         for producer in (lp, rp):
             stage.in_edges.append((
                 producer, DataMovementType.SCATTER_GATHER,
-                _emit_prepartitioned(), flat, False, 72,
+                _emit_prepartitioned(), _values, False, 72,
                 IndexPartitioner(),
             ))
         stage.combine = _join_combine(
@@ -410,20 +416,13 @@ class PigTezCompiler:
         hist.events_fn = _make_histogram_events(stage.name)
         stage.in_edges.append((
             part, DataMovementType.SCATTER_GATHER,
-            _emit_prepartitioned(),
-            lambda ctx, data: [r for _k, r in data],
+            _emit_prepartitioned(), _values,
             False, 72, IndexPartitioner(),
         ))
         stage.combine = _single_input_combine(part.name)
 
-        def local_sort(rows, _k=keys, _a=ascending):
-            return sorted(
-                rows,
-                key=lambda r: tuple(sort_key(r[k]) for k in _k),
-                reverse=not _a,
-            )
-
-        stage.ops.append(local_sort)
+        stage.ops.append(
+            lambda rows, _k=keys, _a=ascending: order_rows(rows, _k, _a))
         return stage
 
     def _build_limit(self, rel: Relation) -> _PStage:
@@ -439,8 +438,7 @@ class PigTezCompiler:
                     for i, r in enumerate(rows[:_n])]
 
         def decode(ctx, data):
-            ordered = sorted(data, key=lambda kv: kv[0])
-            return [r for _k, r in ordered]
+            return _values(ctx, sorted(data, key=itemgetter(0)))
 
         stage.in_edges.append((
             producer, DataMovementType.SCATTER_GATHER, emit, decode,
@@ -456,11 +454,7 @@ class PigTezCompiler:
         rate = self.config.sample_rate
 
         def emit_sample(ctx, rows, inputs, _k=keys, _r=rate):
-            sample = [
-                tuple(r[k] for k in _k)
-                for i, r in enumerate(rows) if i % _r == 0
-            ]
-            return [(0, s) for s in sample]
+            return list(zip(repeat(0), key_tuples(rows[::_r], _k)))
 
         def decode_sample(ctx, data, _p=parallel):
             keys_seen = [s for _zero, bag in data for s in bag]
@@ -505,8 +499,8 @@ class PigTezCompiler:
             count = len(boundaries) + 1
             rp = RangePartitioner(boundaries)
             out = []
-            for row in inputs[_p]:
-                key = tuple(row[k] for k in _k)
+            rows = inputs[_p]
+            for key, row in zip(key_tuples(rows, _k), rows):
                 idx = rp.partition(key, count)
                 if not _asc:
                     idx = count - 1 - idx
@@ -579,9 +573,7 @@ class PigTezCompiler:
             for target, emit in targets.items():
                 out[target] = emit(ctx, rows, inputs)
             for sink_name, _path, schema, _rb in sinks:
-                out[sink_name] = [
-                    tuple(r[c] for c in schema) for r in rows
-                ]
+                out[sink_name] = key_tuples(rows, schema)
             return out
 
         return fn
@@ -590,8 +582,13 @@ class PigTezCompiler:
 # -------------------------------------------------------------- helpers
 def _tuple_decoder(schema: list[str]) -> Callable:
     def decoder(ctx, records):
-        return [dict(zip(schema, rec)) for rec in records]
+        return rows_from_tuples(records, schema)
     return decoder
+
+
+def _values(ctx, data):
+    """Decoder of an ungrouped edge: the rows, without their keys."""
+    return list(map(itemgetter(1), data))
 
 
 def _single_input_combine(name: str) -> Callable:
@@ -605,24 +602,8 @@ def _join_combine(left_name, right_name, lk, rk, how,
     right_only = [c for c in right_schema if c not in left_schema]
 
     def combine(ctx, inputs):
-        build: dict = {}
-        for r in inputs[right_name]:
-            key = tuple(sort_key(r[k]) for k in rk)
-            build.setdefault(key, []).append(r)
-        out = []
-        for l in inputs[left_name]:
-            key = tuple(sort_key(l[k]) for k in lk)
-            matches = build.get(key, [])
-            if matches:
-                for m in matches:
-                    merged = dict(l)
-                    merged.update({c: m[c] for c in right_only})
-                    out.append(merged)
-            elif how == "left":
-                merged = dict(l)
-                merged.update({c: None for c in right_only})
-                out.append(merged)
-        return out
+        return hash_join(inputs[left_name], inputs[right_name], lk, rk,
+                         how, right_only)
 
     return combine
 

@@ -15,6 +15,7 @@ from .sorter import (
     merge_and_group,
     merge_sorted_runs,
     sort_key,
+    sort_keys,
     sort_records,
 )
 
@@ -35,5 +36,6 @@ __all__ = [
     "merge_and_group",
     "merge_sorted_runs",
     "sort_key",
+    "sort_keys",
     "sort_records",
 ]

@@ -68,6 +68,9 @@ class ShuffleService:
         self.cluster = cluster
         self.security = security
         self._spills: dict[str, Spill] = {}
+        # app id -> its spill ids here, so a finished application's
+        # spills are found without scanning every other app's.
+        self._app_spills: dict[str, set[str]] = {}
 
     @property
     def alive(self) -> bool:
@@ -99,6 +102,7 @@ class ShuffleService:
         spill = Spill(spill_id, app_id, self.node_id, partitions,
                       partition_bytes)
         self._spills[spill_id] = spill
+        self._app_spills.setdefault(app_id, set()).add(spill_id)
         return [
             SpillRef(self.node_id, spill_id, part, partition_bytes[part])
             for part in sorted(partitions)
@@ -117,12 +121,13 @@ class ShuffleService:
 
     def delete_app(self, app_id: str) -> None:
         """Reclaim all spills of a finished application."""
-        self._spills = {
-            sid: s for sid, s in self._spills.items() if s.app_id != app_id
-        }
+        for spill_id in self._app_spills.pop(app_id, ()):
+            del self._spills[spill_id]
 
     def drop_spill(self, spill_id: str) -> None:
-        self._spills.pop(spill_id, None)
+        spill = self._spills.pop(spill_id, None)
+        if spill is not None:
+            self._app_spills[spill.app_id].discard(spill_id)
 
     def spill_ids(self) -> list[str]:
         """Registered spill ids, sorted (fault injection + testing)."""
@@ -131,7 +136,7 @@ class ShuffleService:
     def spill_count(self, app_id: Optional[str] = None) -> int:
         if app_id is None:
             return len(self._spills)
-        return sum(1 for s in self._spills.values() if s.app_id == app_id)
+        return len(self._app_spills.get(app_id, ()))
 
 
 class ShuffleServices:

@@ -19,8 +19,8 @@ from itertools import chain, groupby
 from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
-__all__ = ["sort_key", "sort_records", "merge_sorted_runs", "group_by_key",
-           "merge_and_group"]
+__all__ = ["sort_key", "sort_keys", "sort_records", "merge_sorted_runs",
+           "group_by_key", "merge_and_group"]
 
 _SCALAR_TAGS = {bool: "bool", int: "num", float: "num", str: "str",
                 bytes: "bytes"}
@@ -40,6 +40,14 @@ def sort_key(key: Any):
         if tag is not None:
             return (tag, key)
     return ("obj", str(key))
+
+
+def sort_keys(keys: list) -> Iterable:
+    """``sort_key`` of every key of a list, in order. A list of plain
+    scalars is tagged by type lookup at C speed; one NULL, tuple,
+    subclass or object sends the whole list through ``sort_key``."""
+    tags = list(map(_SCALAR_TAGS.get, map(type, keys)))
+    return map(sort_key, keys) if None in tags else zip(tags, keys)
 
 
 _KEY = itemgetter(0)

@@ -1,5 +1,7 @@
 """Shared builders for Tez integration tests."""
 
+import math
+
 from repro import SimCluster
 from repro.tez import (
     DAG,
@@ -59,6 +61,33 @@ def bare_scheduler(scheduler_cls=None, queues=None, **kwargs):
     sched = (scheduler_cls or CapacityScheduler)(
         env, cluster, nms, queues, **sched_kwargs)
     return env, cluster, sched
+
+
+def rows_close(a, b, ordered=False) -> bool:
+    """Row-list equality up to EXPERIMENTS.md divergence 5, the one
+    thing forgiven between two executions of one program: a float SUM /
+    AVG folded in another order (Tez and MapReduce merge one partial
+    state per split, the reference folds every row into one) differs in
+    its last bits - relative 1e-9 here, far above n * eps for any sum
+    the tests make and far below a lost or doubled row. Everything else
+    - row count, NULLs, ints, strings, NaN-ness - must be equal. Where
+    the arithmetic is exact (MIN / MAX, counts, integer-valued data)
+    compare with ``==`` instead: reordering is then not an excuse."""
+    def rough(row):
+        return repr(tuple(float(f"{v:.6g}") if isinstance(v, float) else v
+                          for v in row))
+
+    def close(x, y):
+        if isinstance(x, float) and isinstance(y, float):
+            return x == y or (x != x and y != y) \
+                or math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
+        return x == y
+
+    if not ordered:
+        a, b = sorted(a, key=rough), sorted(b, key=rough)
+    return len(a) == len(b) and all(
+        len(ra) == len(rb) and all(map(close, ra, rb))
+        for ra, rb in zip(a, b))
 
 
 def make_sim(**overrides):

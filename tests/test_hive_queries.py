@@ -150,6 +150,42 @@ def test_empty_input_aggregates_match_reference(session, sql):
     session.close()
 
 
+NULLABLE = [
+    # (n_id, n_val)
+    (1, 5), (2, None), (3, 12), (4, None), (5, 0),
+]
+
+# A NULL value or bound makes BETWEEN / IN False, negated or not - the
+# rule every other comparison follows (`NULL = NULL` is False).
+NULL_OPERAND_QUERIES = [
+    ("n_val BETWEEN 0 AND 5", [1, 5]),
+    ("n_val NOT BETWEEN 0 AND 5", [3]),
+    ("n_val BETWEEN NULL AND 5", []),        # was a TypeError in a task
+    ("n_val NOT BETWEEN NULL AND 5", []),
+    ("n_val BETWEEN 0 AND NULL", []),
+    ("n_val NOT BETWEEN 0 AND NULL", []),
+    ("n_id BETWEEN n_val AND 12", [5]),
+    ("n_val IN (5, NULL)", [1]),
+    ("n_val NOT IN (5, 12)", [5]),
+    ("NULL IN (1, NULL)", []),               # was every row
+    ("NULL NOT IN (1, 2)", []),
+    ("n_val IN (n_id, 5)", [1]),
+    ("n_val IS NULL", [2, 4]),
+    ("n_val IS NOT NULL", [1, 3, 5]),
+]
+
+
+@pytest.mark.parametrize("predicate, expected", NULL_OPERAND_QUERIES)
+def test_null_operands_of_between_and_in(session, predicate, expected):
+    session.catalog.create_table(
+        session.sim.hdfs, "nullable", ["n_id", "n_val"], NULLABLE)
+    sql = f"SELECT n_id FROM nullable WHERE {predicate} ORDER BY n_id"
+    for backend in ("reference", "tez", "mr"):
+        got = session.run(sql, backend=backend)
+        assert [row[0] for row in got.rows] == expected, backend
+    session.close()
+
+
 def test_tez_query_is_single_dag_mr_is_many_jobs(session):
     sql = (
         "SELECT c_region, SUM(o_total) AS rev FROM orders "

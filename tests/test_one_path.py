@@ -100,3 +100,66 @@ def test_the_kernel_has_one_dispatch_loop():
                 or isinstance(node, ast.Attribute) and node.attr == "heappop"
                 for node in ast.walk(fn))}
     assert poppers == {"run", "peek"}
+
+
+OPERATOR_FILES = [
+    "engines/hive/fragments.py", "engines/hive/compiler_tez.py",
+    "engines/hive/compiler_mr.py", "engines/hive/reference.py",
+    "engines/pig/reference.py", "engines/pig/compiler_tez.py",
+    "engines/pig/compiler_mr.py"]
+
+
+def _inside_loops(tree):
+    """Every AST node in the body of a ``for`` / ``while`` or inside a
+    comprehension."""
+    for loop in ast.walk(tree):
+        if isinstance(loop, (ast.For, ast.While)):
+            parts = loop.body + loop.orelse
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            parts = [loop]
+        else:
+            continue
+        for part in parts:
+            yield from ast.walk(part)
+
+
+def _names_an_operator(node):
+    return isinstance(node, ast.Name) and node.id in ("func", "name", "op") \
+        or isinstance(node, ast.Attribute) and node.attr in ("name", "op")
+
+
+@pytest.mark.parametrize("module", OPERATOR_FILES)
+def test_operators_resolve_nothing_per_row(module):
+    """Expressions and aggregates are lowered to closures before the
+    row loop (``Expr.compile``, ``agg_kernel``, Pig's ``_AGGREGATES``):
+    no tree walk and no dispatch on an aggregate's name inside one."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    for node in _inside_loops(tree):
+        if isinstance(node, ast.Call):
+            assert not (isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "eval"), \
+                f"{module}:{node.lineno} interprets an expression per row"
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            assert not (any(map(_names_an_operator, sides)) and any(
+                isinstance(s, ast.Constant) and isinstance(s.value, str)
+                for s in sides)), \
+                f"{module}:{node.lineno} dispatches on a name per row"
+
+
+def test_expressions_have_one_evaluator():
+    """Every node lowers itself (``compile``); ``eval`` is the base
+    class's "apply the compiled closure" and nobody's interpreter."""
+    from repro.engines.hive import ast_nodes, parser  # noqa: F401
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    nodes = list(subclasses(ast_nodes.Expr))
+    assert len(nodes) >= 11
+    for cls in nodes:
+        assert "compile" in vars(cls), f"{cls.__name__} has no compile"
+        assert "eval" not in vars(cls), f"{cls.__name__} overrides eval"

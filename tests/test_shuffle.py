@@ -17,6 +17,7 @@ from repro.shuffle import (
     merge_and_group,
     merge_sorted_runs,
     sort_key,
+    sort_keys,
     sort_records,
 )
 from repro.sim import Environment
@@ -177,6 +178,33 @@ class TestShuffleService:
         assert svc.spill_count("app1") == 1
         services.delete_app("app1")
         assert svc.spill_count("app1") == 0
+
+    def test_app_cleanup_touches_only_that_app(self):
+        env, cluster, security, services = make_services()
+        tok1 = security.issue("JOB", "app1")
+        tok2 = security.issue("JOB", "app2")
+        svc = services.on_node("node0000")
+        svc.register_spill("app1", "a", {0: [1]}, token=tok1)
+        svc.register_spill("app1", "b", {0: [2]}, token=tok1)
+        svc.register_spill("app2", "c", {0: [3]}, token=tok2)
+        svc.drop_spill("a")
+        svc.drop_spill("a")                       # twice is once
+        assert svc.spill_count("app1") == 1 and svc.spill_count() == 2
+        services.delete_app("never-ran")          # unknown app: no-op
+        assert svc.spill_ids() == ["b", "c"]
+        services.delete_app("app1")
+        # The second app's spill survives; the dropped one stays gone.
+        assert svc.spill_ids() == ["c"]
+        assert svc.spill_count("app1") == 0 and svc.spill_count("app2") == 1
+        assert svc.fetch("c", 0, "app2", tok2) == [3]
+        with pytest.raises(SpillLost):
+            svc.fetch("a", 0, "app1", tok1)
+        # An id freed by delete_app can be registered again.
+        svc.register_spill("app1", "b", {0: [4]}, token=tok1)
+        assert svc.spill_count("app1") == 1
+        services.delete_app("app2")
+        services.delete_app("app1")
+        assert svc.spill_ids() == [] and svc.spill_count() == 0
 
     def test_bytes_per_record_hint(self):
         env, cluster, security, services = make_services()
@@ -443,6 +471,16 @@ class TestRecordKernelEquivalence:
         merged = _ref_sort_records(kvs)
         assert _same(list(group_by_key(merged)),
                      list(_ref_group_by_key(merged)))
+
+    @given(_key_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_sort_keys_is_sort_key_of_every_key(self, ks):
+        # The list form the engines' grouping, join and order kernels
+        # use: same tags, same key objects, whichever path tagged them.
+        got = list(sort_keys(ks))
+        assert _same(got, list(map(_ref_sort_key, ks)))
+        assert all(tagged[1] is key for tagged, key in zip(got, ks)
+                   if type(key) in (bool, int, float, str, bytes))
 
     def test_int_float_ties_keep_first_seen_key(self):
         runs = [[(1, "a"), (2.0, "b")], [(1.0, "c"), (2, "d")]]

@@ -20,29 +20,7 @@ from repro.workloads import (
     register_tpch,
 )
 
-from helpers import make_sim
-
-
-def canon(rows):
-    """Normalize rows for comparison: distributed float summation
-    order differs from serial, so round floats."""
-    def fix(value):
-        if isinstance(value, float):
-            return round(value, 4)
-        return value
-
-    return sorted(
-        (tuple(fix(v) for v in row) for row in rows), key=repr
-    )
-
-
-def canon_ordered(rows):
-    def fix(value):
-        if isinstance(value, float):
-            return round(value, 4)
-        return value
-
-    return [tuple(fix(v) for v in row) for row in rows]
+from helpers import make_sim, rows_close
 
 
 class TestGenerators:
@@ -84,16 +62,20 @@ def tpch_session():
     return HiveSession(sim, catalog)
 
 
+def assert_backends_agree(session, sql):
+    """Tez rows == MR rows == reference rows, float sums up to their
+    folding order (``rows_close``) and nothing else."""
+    ref = session.run(sql, backend="reference")
+    ordered = "ORDER BY" in sql.upper()
+    for backend in ("tez", "mr"):
+        got = session.run(sql, backend=backend)
+        assert got.columns == ref.columns
+        assert rows_close(got.rows, ref.rows, ordered), backend
+
+
 @pytest.mark.parametrize("name", sorted(TPCH_QUERIES))
 def test_tpch_queries_tez_vs_reference(tpch_session, name):
-    sql = TPCH_QUERIES[name]
-    ref = tpch_session.run(sql, backend="reference")
-    tez = tpch_session.run(sql, backend="tez")
-    ordered = "ORDER BY" in sql.upper()
-    if ordered:
-        assert canon_ordered(tez.rows) == canon_ordered(ref.rows)
-    else:
-        assert canon(tez.rows) == canon(ref.rows)
+    assert_backends_agree(tpch_session, TPCH_QUERIES[name])
 
 
 @pytest.fixture(scope="module")
@@ -106,14 +88,7 @@ def tpcds_session():
 
 @pytest.mark.parametrize("name", sorted(TPCDS_QUERIES))
 def test_tpcds_queries_tez_vs_reference(tpcds_session, name):
-    sql = TPCDS_QUERIES[name]
-    ref = tpcds_session.run(sql, backend="reference")
-    tez = tpcds_session.run(sql, backend="tez")
-    ordered = "ORDER BY" in sql.upper()
-    if ordered:
-        assert canon_ordered(tez.rows) == canon_ordered(ref.rows)
-    else:
-        assert canon(tez.rows) == canon(ref.rows)
+    assert_backends_agree(tpcds_session, TPCDS_QUERIES[name])
 
 
 def test_tpcds_dpp_query_uses_pruning(tpcds_session):
@@ -133,10 +108,12 @@ def test_etl_scripts_tez_vs_reference(script_name):
     load_etl_data(sim.hdfs, scale=1)
     runner = PigRunner(sim)
     ref = runner.run(build_script(script_name), backend="reference")
-    tez = runner.run(build_script(script_name), backend="tez")
-    assert set(ref.outputs) == set(tez.outputs)
-    for path in ref.outputs:
-        assert canon(ref.outputs[path]) == canon(tez.outputs[path])
+    for backend in ("tez", "mr"):
+        got = runner.run(build_script(script_name), backend=backend)
+        assert set(ref.outputs) == set(got.outputs)
+        for path in ref.outputs:
+            assert rows_close(ref.outputs[path], got.outputs[path]), \
+                (backend, path)
     runner.close()
 
 
