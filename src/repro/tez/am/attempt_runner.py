@@ -15,7 +15,7 @@ from typing import Generator, Optional
 
 from ...sim import Interrupt, Store
 from ...telemetry import get_telemetry
-from ...yarn import Container, Resource
+from ...yarn import Container
 from ..dag import DataMovementType
 from ..edge_manager import OneToOneEdgeManager
 from ..events import DataMovementEvent, TezEvent
@@ -131,11 +131,10 @@ class AttemptRunner:
         if speculative:
             am.metrics["speculative_attempts"] += 1
         nodes, racks = self.task_locality(task)
-        vertex = task.vertex.vertex
         request = TaskRequest(
             attempt,
             priority=self.task_priority(task, speculative),
-            capability=Resource(vertex.resource_mb, vertex.resource_vcores),
+            capability=task.vertex.capability,
             nodes=nodes,
             racks=racks,
         )

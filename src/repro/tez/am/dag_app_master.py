@@ -209,7 +209,9 @@ class DAGAppMaster:
         seq = next(self._dag_seq)
         # Shard 0 keeps the historical id shape (`name#seq`) so
         # single-shard runs are byte-identical; higher shards qualify
-        # the suffix. `dag_name_of` splits at "#" either way.
+        # the suffix. Recovery is keyed by the DAG *name* - a restarted
+        # AM re-submits under a fresh `#seq` - so the journal reads
+        # `_dag.name` / `VertexRuntime.dag_name`, never parses the id.
         self._dag_id = (
             f"{dag.name}#{seq}" if self.shard_id == 0
             else f"{dag.name}#{self.shard_id}.{seq}"
@@ -232,7 +234,7 @@ class DAGAppMaster:
         depths = dag.vertex_depths()
         for vertex in dag.topological_order():
             vr = VertexRuntime(vertex, depths[vertex.name],
-                               dag_id=self._dag_id)
+                               dag_id=self._dag_id, dag_name=dag.name)
             self._vertices[vertex.name] = vr
         for edge in dag.edges:
             self._vertices[edge.source.name].out_edges.append(edge)

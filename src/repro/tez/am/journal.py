@@ -52,14 +52,7 @@ from .dispatcher import (
 )
 from .structures import AttemptState, VertexState
 
-__all__ = ["RecoveredTask", "DagJournalState", "RecoveryJournal",
-           "dag_name_of"]
-
-
-def dag_name_of(dag_id: str) -> str:
-    """``"wordcount#3"`` -> ``"wordcount"`` (recovery is keyed by DAG
-    name: the restarted AM re-submits under a fresh ``#seq``)."""
-    return dag_id.rsplit("#", 1)[0] if "#" in dag_id else dag_id
+__all__ = ["RecoveredTask", "DagJournalState", "RecoveryJournal"]
 
 
 @dataclass(frozen=True)
@@ -141,7 +134,7 @@ class RecoveryJournal:
             a = event.attempt
             t = a.task
             self._append((
-                "uplink", epoch, dag_name_of(t.vertex.dag_id),
+                "uplink", epoch, t.vertex.dag_name,
                 (t.vertex.name, t.index, a.number),
                 type(event.payload).__name__,
             ))
@@ -189,7 +182,7 @@ class RecoveryJournal:
         t = a.task
         err = type(event.error).__name__ if event.error else "ok"
         return (
-            "exit", epoch, dag_name_of(t.vertex.dag_id),
+            "exit", epoch, t.vertex.dag_name,
             (t.vertex.name, t.index, a.number), err,
         )
 
@@ -211,23 +204,25 @@ class RecoveryJournal:
                     tuple(getattr(subject, "_pending_success_events",
                                   ()) or ()),
                 )
-            return ("transition", epoch, dag_name_of(vr.dag_id), machine,
+            return ("transition", epoch, vr.dag_name, machine,
                     (vr.name, task.index, subject.number),
                     event.trigger, event.to_state, extra)
         if machine == "task":
             vr = subject.vertex
-            return ("transition", epoch, dag_name_of(vr.dag_id), machine,
+            return ("transition", epoch, vr.dag_name, machine,
                     (vr.name, subject.index),
                     event.trigger, event.to_state, None)
         if machine in ("vertex", "vertex_init"):
             # vertex_init records are replay history only: fold()
             # ignores the kind (a restarted AM re-enters init from
             # PENDING on a fresh VertexRuntime).
-            return ("transition", epoch, dag_name_of(subject.dag_id),
+            return ("transition", epoch, subject.dag_name,
                     machine, subject.name,
                     event.trigger, event.to_state, None)
         # machine == "dag": subject is the AM, subject_id the dag_id.
-        return ("transition", epoch, dag_name_of(event.subject_id),
+        # An AM runs one DAG at a time and a terminal dag machine does
+        # not fire, so the AM's current DAG is the one that moved.
+        return ("transition", epoch, subject._dag.name,
                 machine, event.subject_id,
                 event.trigger, event.to_state, None)
 
@@ -236,7 +231,7 @@ class RecoveryJournal:
         task = event.attempt.task
         dme = event.payload
         return (
-            "data", epoch, dag_name_of(task.vertex.dag_id),
+            "data", epoch, task.vertex.dag_name,
             (task.vertex.name, task.index),
             (getattr(dme, "source_vertex", None),
              getattr(dme, "source_task_index", None),

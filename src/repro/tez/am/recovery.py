@@ -22,7 +22,6 @@ from ...cluster import Node
 from ...telemetry import get_telemetry
 from ..dag import DataSourceType
 from .dispatcher import RecoveryEvent
-from .journal import dag_name_of
 from .structures import AttemptEndReason, DAGState, TaskState
 
 __all__ = ["RecoveryService"]
@@ -57,8 +56,7 @@ class RecoveryService:
             if vertex_name != vr.name:
                 continue
             if index >= len(vr.tasks):
-                self._count_dropped(dag_name_of(vr.dag_id),
-                                    (vertex_name, index),
+                self._count_dropped(vr.dag_name, (vertex_name, index),
                                     "index-out-of-range")
                 continue
             am.registry.counter("recovery.events_replayed").inc()

@@ -10,6 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Any, Optional, TYPE_CHECKING
 
+from ...yarn import Resource
 from ..dag import Edge, Vertex
 from ..events import CompositeDataMovementEvent, DataMovementEvent
 
@@ -186,11 +187,16 @@ class Task:
 class VertexRuntime:
     """AM-side state of one vertex."""
 
-    def __init__(self, vertex: Vertex, depth: int, dag_id: str = ""):
+    def __init__(self, vertex: Vertex, depth: int, dag_id: str,
+                 dag_name: str):
         self.vertex = vertex
         self.name = vertex.name
         self.depth = depth
         self.dag_id = dag_id   # session-unique DAG execution id
+        self.dag_name = dag_name   # what the journal keys recovery by
+        # What every attempt of this vertex asks YARN for.
+        self.capability = Resource(vertex.resource_mb,
+                                   vertex.resource_vcores)
         self.state = VertexState.NEW
         self.init_state = VertexInitState.PENDING
         self.parallelism = vertex.parallelism

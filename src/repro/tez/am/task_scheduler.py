@@ -48,6 +48,7 @@ class TaskRequest:
     ):
         self.attempt = attempt
         self.priority = priority
+        self.yarn_priority = Priority(priority)   # the same, as YARN's record
         self.capability = capability
         self.nodes = tuple(nodes)
         self.racks = tuple(racks)
@@ -306,7 +307,7 @@ class TaskSchedulerService:
     def _ask_yarn(self, request: TaskRequest) -> None:
         request.asked_yarn = True
         self.ctx.request_containers(
-            Priority(request.priority),
+            request.yarn_priority,
             request.capability,
             nodes=list(request.nodes),
             racks=list(request.racks),
@@ -314,7 +315,7 @@ class TaskSchedulerService:
 
     def _cancel_ask(self, request: TaskRequest) -> None:
         self.ctx.cancel_request(
-            Priority(request.priority),
+            request.yarn_priority,
             nodes=list(request.nodes),
             racks=list(request.racks),
         )

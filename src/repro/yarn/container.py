@@ -29,6 +29,7 @@ class Container:
     ):
         self.container_id = container_id
         self.node = node
+        self.node_id = node.node_id     # a container never changes node
         self.resource = resource
         self.spec = spec
         self.queue = queue
@@ -39,10 +40,6 @@ class Container:
         self.tasks_run = 0          # how many tasks reused this container
         self.allocated_at: float = 0.0
         self.process = None         # sim Process once launched
-
-    @property
-    def node_id(self) -> str:
-        return self.node.node_id
 
     @property
     def is_warm(self) -> bool:

@@ -93,11 +93,13 @@ class NodeManager:
         launch_overhead: Optional[float] = None,
     ) -> None:
         """Start the container process (localization + JVM start first)."""
-        self.security.verify(nm_token, "NM", str(container.container_id.app_id))
-        if container.container_id not in self.containers:
-            raise RuntimeError(f"{container.container_id} not allocated here")
+        container_id = container.container_id
+        name, app = str(container_id), str(container_id.app_id)
+        self.security.verify(nm_token, "NM", app)
+        if container_id not in self.containers:
+            raise RuntimeError(f"{name} not allocated here")
         if container.state != ContainerState.NEW:
-            raise RuntimeError(f"{container.container_id} already launched")
+            raise RuntimeError(f"{name} already launched")
         overhead = (
             container.spec.container_launch_overhead
             if launch_overhead is None
@@ -107,19 +109,15 @@ class NodeManager:
         telemetry = get_telemetry(self.env)
         if telemetry is not None:
             container.telemetry_span = telemetry.span(
-                "container", str(container.container_id),
-                node=self.node.node_id,
-                app=str(container.container_id.app_id),
+                "container", name, node=self.node.node_id, app=app,
             )
             telemetry.event(
                 "yarn.container_launched",
-                container=str(container.container_id),
-                node=self.node.node_id,
-                app=str(container.container_id.app_id),
+                container=name, node=self.node.node_id, app=app,
             )
         container.process = self.env.process(
             self._supervise(container, runner, overhead),
-            name=f"container:{container.container_id}",
+            name=f"container:{name}",
         )
 
     def _supervise(self, container: Container, runner: ContainerRunner,

@@ -163,3 +163,19 @@ def test_expressions_have_one_evaluator():
     for cls in nodes:
         assert "compile" in vars(cls), f"{cls.__name__} has no compile"
         assert "eval" not in vars(cls), f"{cls.__name__} overrides eval"
+
+
+def test_yarn_records_have_c_level_identity():
+    """``Resource`` / ``Priority`` / ``ApplicationId`` / ``ContainerId``
+    are value tuples: hashing, equality and ordering are ``tuple``'s C
+    slots, so no scheduler index, ask table or memo lookup opens a
+    Python frame, and no dataclass is left to generate one."""
+    from repro.yarn import records
+
+    for cls in (records.Resource, records.Priority, records.ApplicationId,
+                records.ContainerId):
+        for slot in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__",
+                     "__gt__", "__ge__"):
+            assert getattr(cls, slot) is getattr(tuple, slot), \
+                f"{cls.__name__}.{slot} is not tuple's"
+        assert not hasattr(cls, "__dataclass_fields__")

@@ -34,11 +34,16 @@ def small_dag(name, out):
     return dag
 
 
+def fake_vertex_runtime(dag_id, vertex):
+    return SimpleNamespace(dag_id=dag_id, dag_name=dag_id.split("#")[0],
+                           name=vertex)
+
+
 def attempt_success_event(dag_id="d#1", vertex="v", index=0, number=0,
                           node="node1", events=("ev",)):
     """A fabricated attempt SUCCEEDED transition, shaped like what the
     dispatcher hands the journal at enqueue time."""
-    vr = SimpleNamespace(dag_id=dag_id, name=vertex)
+    vr = fake_vertex_runtime(dag_id, vertex)
     task = SimpleNamespace(vertex=vr, index=index)
     attempt = SimpleNamespace(
         task=task, number=number, node_id=node,
@@ -52,7 +57,7 @@ def attempt_success_event(dag_id="d#1", vertex="v", index=0, number=0,
 
 
 def task_restart_event(dag_id="d#1", vertex="v", index=0):
-    vr = SimpleNamespace(dag_id=dag_id, name=vertex)
+    vr = fake_vertex_runtime(dag_id, vertex)
     task = SimpleNamespace(vertex=vr, index=index)
     return StateTransitionEvent(
         machine="task", subject_id=f"{vertex}/t{index}",
