@@ -22,7 +22,7 @@ K = 4
 ITERATIONS = 10
 
 
-def run(backend: str) -> tuple[float, list, dict]:
+def run(backend: str) -> tuple[float, list]:
     sim = SimCluster(num_nodes=2, nodes_per_rack=2)
     points = generate_points(10_000, k=K)
     sim.hdfs.write("/km/points", points, record_bytes=24)
@@ -41,29 +41,17 @@ def run(backend: str) -> tuple[float, list, dict]:
         rows = result.outputs[f"/km/{backend}/iter{i}"]
         centroids = centroids_from_rows(rows, K, centroids)
     elapsed = sim.env.now - start
-    templates: dict = {}
-    if backend == "tez":
-        # Every iteration after the first is structurally identical,
-        # so the session AM replays its cached execution template
-        # instead of re-running split calculation, vertex-manager
-        # decisions and container matching.
-        for summary in runner.tez_client.coordinator.template_summaries():
-            for key in ("hits", "recorded", "misses", "fallbacks"):
-                templates[key] = templates.get(key, 0) + summary[key]
     runner.close()
-    return elapsed, centroids, templates
+    return elapsed, centroids
 
 
 def main():
-    tez_time, tez_centroids, templates = run("tez")
-    mr_time, mr_centroids, _ = run("mr")
+    tez_time, tez_centroids = run("tez")
+    mr_time, mr_centroids = run("mr")
     print(f"{ITERATIONS} k-means iterations over 10,000 points:")
     print(f"  tez session : {tez_time:8.1f} simulated seconds")
     print(f"  mapreduce   : {mr_time:8.1f} simulated seconds")
     print(f"  speedup     : {mr_time / tez_time:.2f}x")
-    print(f"  templates   : {templates.get('recorded', 0)} recorded, "
-          f"{templates.get('hits', 0)} replayed, "
-          f"{templates.get('fallbacks', 0)} fallbacks")
     for a, b in zip(tez_centroids, mr_centroids):
         assert all(abs(x - y) < 1e-6 for x, y in zip(a, b)), \
             "backends must converge identically"

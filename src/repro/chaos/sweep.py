@@ -14,12 +14,10 @@ point that
 * no task whose success was journaled before the crash is re-executed
   by the recovered AM (the journal's write-ahead guarantee).
 
-The ``session2`` shape extends the sweep to the execution-template
-cache: one session AM runs two structurally-identical DAGs (record,
-then replay), and every crash boundary must additionally leave the
-replayed iteration byte-identical with the cache fenced across AM
-attempts (the recovered attempt starts cold and journal-folds instead
-of trusting a stale template).
+The ``session2`` shape extends the sweep to a session: one session AM
+runs two DAGs back to back, every first-attempt event boundary of both
+is a crash point, and the recovered attempt must finish the one in
+flight from the journal and then run the other on the same terms.
 
 Soak mode drives a session through several DAGs while a fault plan
 repeatedly crashes the AM (both timer- and event-boundary-triggered)
@@ -217,7 +215,6 @@ class RunOutcome:
     entries_dropped: int = 0
     fenced_appends: int = 0
     checkpoints: int = 0
-    template_hits: int = 0          # execution-template replays, all AMs
 
     def reexecutions(self) -> list:
         """Runs of journaled-at-crash tasks strictly after the crash —
@@ -397,16 +394,11 @@ def _execute_session2(records: int, reducers: int,
                       crash_after: Optional[int] = None,
                       checkpoint_interval: Optional[int] = None
                       ) -> RunOutcome:
-    """One run of a two-iteration template session: a single session
-    AM executes two structurally-identical DAGs back to back (distinct
-    DAG names, same vertex names — the template signature keys on
-    structure, not DAG name), with ``execution_templates`` on. The
-    baseline records the template on the first DAG and replays it on
-    the second; a crash at any first-attempt event boundary must leave
-    the terminal state byte-identical, with no journaled task re-run
-    and the template cache starting cold on the recovered attempt
-    (per-AM cache + recovered-DAG fencing — never trusted across
-    epochs).
+    """One run of a two-DAG session: a single session AM executes two
+    DAGs back to back (distinct DAG names, same vertex names). A crash
+    at any first-attempt event boundary - in either DAG, or between
+    them - must leave the terminal state of both byte-identical, with
+    no journaled task re-run.
 
     The no-re-execution evidence spans both DAGs: vertex names collide
     between them, so runs and the journaled-at-crash snapshot are
@@ -414,10 +406,9 @@ def _execute_session2(records: int, reducers: int,
     sim = _make_sim()
     sim.hdfs.write(IN_PATH, [(i, i) for i in range(records)],
                    record_bytes=16)
-    kwargs: dict = {"execution_templates": True}
+    config = TezConfig()
     if checkpoint_interval is not None:
-        kwargs["journal_checkpoint_interval"] = checkpoint_interval
-    config = TezConfig(**kwargs)
+        config = TezConfig(journal_checkpoint_interval=checkpoint_interval)
     client = sim.tez_client("sweep", config=config, session=True,
                             am_max_attempts=3)
     dag_names = (f"{DAG_NAME}2a", f"{DAG_NAME}2b")
@@ -451,8 +442,8 @@ def _execute_session2(records: int, reducers: int,
         dag = _build_dag(runs_by_dag[i], reducers,
                          out_path=f"{OUT_PATH}{i}", name=name)
         handle = client.submit_dag(dag)
-        # Serialize the iterations: the template is recorded when the
-        # first DAG finishes, so the second must not start before it.
+        # One DAG at a time: the crash boundary k counts through the
+        # first DAG's events, then the second's.
         sim.env.run(until=handle.completion)
         handles.append(handle)
     wall = sim.env.now
@@ -488,7 +479,6 @@ def _execute_session2(records: int, reducers: int,
         entries_dropped=counter("recovery.entries_dropped"),
         fenced_appends=client.recovery.fenced_appends,
         checkpoints=client.recovery.checkpoints,
-        template_hits=sum(am.templates.stats.hits for am in ams),
     )
 
 
@@ -569,12 +559,6 @@ def run_sweep(records: int = 120, reducers: int = 2, stride: int = 1,
         raise RuntimeError(
             f"baseline run did not succeed: {base.status_name}"
         )
-    if shape == "session2" and base.template_hits < 1:
-        # The leg is vacuous unless the baseline actually replayed a
-        # template on its second iteration.
-        raise RuntimeError(
-            "session2 baseline never hit the template cache"
-        )
     total = base.dispatched
     where = f" (shard {shard}/{shards})" if shards > 1 else ""
     say(f"baseline{where}: {base.status_name}, "
@@ -619,7 +603,6 @@ def run_sweep(records: int = 120, reducers: int = 2, stride: int = 1,
         "ok": not failures,
         "baseline_events": total,
         "baseline_wall": base.wall,
-        "baseline_template_hits": base.template_hits,
         "shards": shards,
         "shard": shard,
         "points": n_points,
@@ -791,9 +774,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                         default="mr",
                         help="reference workload: the two-stage "
                              "map-reduce, the fast-path diamond "
-                             "slice, or a two-iteration template "
-                             "session (record on the first DAG, "
-                             "replay on the second)")
+                             "slice, or two DAGs back to back "
+                             "through one session AM")
     parser.add_argument("--out", default=None,
                         help="write recovery telemetry JSONL here")
     parser.add_argument("--soak", action="store_true",

@@ -234,9 +234,10 @@ class PigTezCompiler:
     def _build_load(self, rel: Relation) -> _PStage:
         stage = self._new_stage(f"load", -1)
         # Name the root input after the stage (per-compile counter),
-        # not the relation (process-global counter): recompiles of the
-        # same script must be structurally identical or the session
-        # AM's execution-template cache can never match them.
+        # not the relation (process-global counter): input names reach
+        # journals, telemetry spans and run digests, so recompiling
+        # the same script must give the same DAG whatever else this
+        # process compiled before it.
         input_name = f"in_{stage.name}"
         stage.roots[input_name] = (
             DataSourceDescriptor(

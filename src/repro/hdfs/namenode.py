@@ -43,8 +43,8 @@ class Hdfs:
         self.replication = replication or self.spec.hdfs_replication
         self._files: dict[str, DfsFile] = {}
         # Monotonic per-path write versions (never reset by delete):
-        # cheap namespace-change detection for cached split plans
-        # (repro.tez.templates) without hashing file contents.
+        # how a commit-exactly-once check counts the writes a path saw
+        # (the ledger's workloads, tests/test_session_fuzz.py).
         self._versions: dict[str, int] = {}
 
     # -- namespace -------------------------------------------------------

@@ -78,9 +78,6 @@ class Telemetry:
         # Control-plane shard-summary suppliers (one per sharded
         # client); sampled at persist time into <store>/shards.json.
         self._shard_suppliers: list[tuple[str, Callable]] = []
-        # Execution-template cache-stat suppliers (one per client);
-        # sampled at persist time into <store>/templates.json.
-        self._template_suppliers: list[tuple[str, Callable]] = []
         # Per-process events are high volume; off by default (counters
         # are always maintained).
         self.verbose_sim = verbose_sim
@@ -115,15 +112,6 @@ class Telemetry:
         root — next to the manifest, *not* under ``rollups/`` (rollup
         payloads are indexed by ``dag_id``)."""
         self._shard_suppliers.append((name, supplier))
-
-    def attach_templates(self, name: str,
-                         supplier: Callable[[], list]) -> None:
-        """Register an execution-template stat supplier (a
-        :class:`~repro.tez.client.TezClient` registers its
-        coordinator's ``template_summaries``). Sampled once, at
-        :meth:`persist_store` time, into ``templates.json`` at the
-        store root, next to ``kernel.json``."""
-        self._template_suppliers.append((name, supplier))
 
     def _on_process_created(self, process) -> None:
         # sim.core scheduling hook: cheap accounting for every process
@@ -185,7 +173,6 @@ class Telemetry:
         path = self.spanstore.persist(target_dir)
         self._write_shards(path)
         self._write_kernel(path)
-        self._write_templates(path)
         return path
 
     def _write_kernel(self, store_dir: str) -> None:
@@ -220,26 +207,6 @@ class Telemetry:
         tmp = out + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump({"shards": shards}, fh, indent=1, sort_keys=True)
-        os.replace(tmp, out)
-
-    def _write_templates(self, store_dir: str) -> None:
-        """Sample every registered template-stat supplier into
-        ``<store_dir>/templates.json`` (skipped when none registered
-        or every sampled shard reports zero activity, so stores from
-        template-less runs are unchanged on disk)."""
-        shards = []
-        for name, supplier in self._template_suppliers:
-            for summary in supplier():
-                shards.append({"client": name, **summary})
-        if not shards or not any(
-            s.get("hits") or s.get("recorded") or s.get("misses")
-            for s in shards
-        ):
-            return
-        out = os.path.join(store_dir, "templates.json")
-        tmp = out + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"templates": shards}, fh, indent=1, sort_keys=True)
         os.replace(tmp, out)
 
     # -- emission -------------------------------------------------------

@@ -45,8 +45,7 @@ from .store import ROLLUP_DIR, SpanStore, read_manifest
 from .timeline import TimelineStore
 
 __all__ = ["main", "load_rollups", "load_shards", "shard_line",
-           "load_kernel", "kernel_line", "load_templates",
-           "template_line"]
+           "load_kernel", "kernel_line"]
 
 
 # ---------------------------------------------------------------------------
@@ -88,36 +87,6 @@ def load_kernel(store_dir: str) -> Optional[dict]:
         return None
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def load_templates(store_dir: str) -> list[dict]:
-    """Execution-template cache stats sampled at persist time
-    (``templates.json`` at the store root); [] for stores from runs
-    without template activity."""
-    path = os.path.join(store_dir, "templates.json")
-    if not os.path.isfile(path):
-        return []
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh).get("templates", [])
-
-
-def template_line(payload: dict) -> str:
-    def reasons(counts: dict) -> str:
-        if not counts:
-            return "0"
-        inner = ",".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        return f"{sum(counts.values())}({inner})"
-
-    return (
-        f"templates {payload['client']}/{payload['shard']}: "
-        f"hits={payload['hits']} "
-        f"recorded={payload['recorded']} "
-        f"misses={reasons(payload.get('misses_by_reason', {}))} "
-        f"fallbacks={reasons(payload.get('fallbacks_by_reason', {}))} "
-        f"invalidations="
-        f"{reasons(payload.get('invalidations_by_reason', {}))} "
-        f"params_patched={payload['params_patched']}"
-    )
 
 
 def kernel_line(payload: dict) -> str:
@@ -299,8 +268,6 @@ def main(argv=None) -> int:
         if not args.dag:
             for payload in load_shards(args.store):
                 print(shard_line(payload))
-            for payload in load_templates(args.store):
-                print(template_line(payload))
             kernel = load_kernel(args.store)
             if kernel is not None:
                 print(kernel_line(kernel))

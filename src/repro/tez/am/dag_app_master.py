@@ -40,7 +40,6 @@ from .dispatcher import (
     RecoveryEvent,
     StateTransitionEvent,
     TaskUplinkEvent,
-    TemplateEvent,
 )
 from .event_router import EventRouter
 from .journal import RecoveryJournal
@@ -56,7 +55,6 @@ from .structures import (
 )
 from .task_scheduler import TaskSchedulerService
 from .vertex_lifecycle import DagAbort, VertexLifecycle
-from ..templates import TemplateManager
 from .vm_context import _VMContext
 
 __all__ = ["DAGAppMaster", "DAGStatus", "RecoveryJournal", "DagAbort"]
@@ -138,10 +136,6 @@ class DAGAppMaster:
         self.runner = AttemptRunner(self)
         self.router = EventRouter(self)
         self.recovery_service = RecoveryService(self)
-        # Execution-template cache (repro.tez.templates): per-AM by
-        # construction, so a failed-over attempt starts cold and never
-        # trusts pre-crash decisions.
-        self.templates = TemplateManager(self)
         self.speculation = SpeculationMonitor(self)
         self.deadlock = DeadlockMonitor(self)
         self.machines.bind("vertex", self.lifecycle)
@@ -161,10 +155,6 @@ class DAGAppMaster:
         self.dispatcher.register(FaultEvent, self._on_fault)
         self.dispatcher.register(RecoveryEvent,
                                  self.recovery_service.on_recovery_event)
-        # Audit-only (see TemplateEvent): demotion already happened
-        # synchronously at the divergence site; the bus crossing exists
-        # so the journal records it.
-        self.dispatcher.register(TemplateEvent, lambda event: None)
         # Session-wide counters; `metrics` is a dict-compatible live
         # view, so historical `am.metrics[...]` call sites keep working.
         for key in (
@@ -264,7 +254,6 @@ class DAGAppMaster:
             )
 
         recovered = self.recovery_service.recovered_work(dag.name)
-        self.templates.begin_dag(dag, recovered)
 
         # Start monitors.
         self._monitors = []
@@ -310,7 +299,7 @@ class DAGAppMaster:
 
         finish = self.env.now
         # O(changed): only counters dirtied during this DAG are
-        # visited; the un-namespaced template restores the zeros the
+        # visited; the un-namespaced names below restore the zeros the
         # legacy full-registry diff carried.
         delta = self.registry.delta_sparse(base_counters)
         status = DAGStatus(
@@ -351,7 +340,6 @@ class DAGAppMaster:
                 state=self._dag_state.value,
                 elapsed=finish - start,
             )
-        self.templates.finish_dag(status)
         self._dag = None
         self._release_dag()
         self.scheduler.session_waiting = True
@@ -433,7 +421,6 @@ class DAGAppMaster:
         self.dispatcher.dispatch(NodeLostEvent(node))
 
     def _on_node_lost_event(self, event: NodeLostEvent) -> None:
-        self.templates.on_disturbance("node_lost")
         self.recovery_service.on_node_lost(event.node)
 
     def _record_node_failure(self, node_id: Optional[str]) -> None:
@@ -465,7 +452,6 @@ class DAGAppMaster:
 
     def _on_fault(self, event: FaultEvent) -> None:
         """Apply a chaos fault delivered as a control-plane event."""
-        self.templates.on_disturbance(f"fault:{event.kind}")
         if event.kind == "node_crash":
             self.services.cluster.crash_node(event.target)
         elif event.kind == "am_crash":
@@ -552,7 +538,6 @@ class DAGAppMaster:
 
     # -------------------------------------------------- shutdown
     def shutdown(self) -> None:
-        self.templates.detach()
         self.scheduler.shutdown()
         self.services.shuffle.delete_app(str(self.ctx.app_id))
         telemetry = get_telemetry(self.env)

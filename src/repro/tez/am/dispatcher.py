@@ -41,7 +41,6 @@ __all__ = [
     "NodeLostEvent",
     "FaultEvent",
     "RecoveryEvent",
-    "TemplateEvent",
     "Dispatcher",
     "UnhandledEventError",
 ]
@@ -150,20 +149,6 @@ class RecoveryEvent(ControlEvent):
     number: int = 0         # original winning attempt number
     node_id: str = ""
     events: list = field(default_factory=list)  # routed output events
-
-
-@dataclass
-class TemplateEvent(ControlEvent):
-    """An execution-template fallback or cache invalidation.
-
-    The demotion itself happens synchronously at the divergence site
-    (a deferred handler would let replayed decisions race the
-    fallback); this event is the *audit record* — it crosses the bus
-    so the write-ahead journal logs why and when a template was
-    abandoned, exactly like any other control-plane decision."""
-
-    kind: str = ""          # "fallback" | "invalidate"
-    reason: str = ""
 
 
 class Dispatcher:

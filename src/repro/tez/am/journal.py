@@ -48,7 +48,6 @@ from .dispatcher import (
     RecoveryEvent,
     StateTransitionEvent,
     TaskUplinkEvent,
-    TemplateEvent,
 )
 from .structures import AttemptState, VertexState
 
@@ -154,11 +153,6 @@ class RecoveryJournal:
             self._append(("fault", epoch, event.kind))
         elif cls is RecoveryEvent:
             self._append(("recovery", epoch, (event.vertex, event.index)))
-        elif cls is TemplateEvent:
-            # Audit-only: why an execution template was abandoned.
-            # fold() carries no state for these, so recovery replay is
-            # identical with templates on or off.
-            self._append(("template", epoch, event.kind, event.reason))
         else:
             self._append(("event", epoch, cls.__name__))
 

@@ -99,11 +99,6 @@ class TaskSchedulerService:
         # running the exit unit synchronously; ``unit(process)`` replays
         # [free slot, process exit, match slot] later in the tick.
         self.defer_exits = None
-        # Execution-template bridge (set by the AM when templates are
-        # on): consulted for recorded placements before the reuse
-        # matcher runs, notified of every assignment and of slot-set
-        # churn so stale templates demote to full scheduling.
-        self.template_bridge = None
         # Queued requests in queue order (see ``_enqueue``).
         self.pending: list[TaskRequest] = []
         self.slots: dict[Any, _Slot] = {}   # ContainerId -> _Slot
@@ -179,23 +174,9 @@ class TaskSchedulerService:
             self.cluster.nodes[n].rack
             for n in request.nodes if n in self.cluster.nodes
         }
-        bridge = self.template_bridge
-        if bridge is not None:
-            # Template replay: the recorded slot, re-validated with the
-            # matcher's own usability predicate. A hit is exactly the
-            # slot the matcher would pick (identical start state, no
-            # churn, identical request sequence); a miss demotes the
-            # template and falls through to full matching.
-            slot = bridge.try_assign(self, request)
-            if slot is not None:
-                self._c_reuse.inc()
-                self._assign(slot, request, reuse=True)
-                return
         slot = self._find_reusable_slot(request)
         if slot is not None:
             self._c_reuse.inc()
-            if bridge is not None:
-                bridge.on_assign(request, slot, schedule_time=True)
             self._assign(slot, request, reuse=True)
             return
         self._enqueue(request)
@@ -245,8 +226,6 @@ class TaskSchedulerService:
         if slot.releasing:
             return
         slot.releasing = True
-        if self.template_bridge is not None:
-            self.template_bridge.on_slot_churn("release")
         self._unmark_idle(slot)
         current = slot.current
         if current is not None and self._slot_by_attempt.get(current) is slot:
@@ -269,8 +248,6 @@ class TaskSchedulerService:
         if node_id in self.blacklisted:
             return
         self.blacklisted.add(node_id)
-        if self.template_bridge is not None:
-            self.template_bridge.on_slot_churn("blacklist")
         self.ctx.update_blacklist(additions=[node_id])
         for slot in list(self.slots.values()):
             if slot.container.node_id == node_id and slot.current is None:
@@ -280,8 +257,6 @@ class TaskSchedulerService:
         """Failsafe path: forget every blacklisted node."""
         if self.blacklisted:
             self.ctx.update_blacklist(removals=sorted(self.blacklisted))
-            if self.template_bridge is not None:
-                self.template_bridge.on_slot_churn("blacklist_clear")
         self.blacklisted.clear()
 
     def shutdown(self) -> None:
@@ -333,8 +308,6 @@ class TaskSchedulerService:
             if slot is None:
                 continue
             slot.mailbox.abandon()      # as in release_slot
-            if self.template_bridge is not None:
-                self.template_bridge.on_slot_churn("container_completed")
             self._unmark_idle(slot)
             attempt = slot.current
             if (
@@ -372,16 +345,11 @@ class TaskSchedulerService:
         slot = _Slot(container, mailbox, seq=next(self._slot_seq))
         self.slots[container.container_id] = slot
         self._mark_idle(slot)
-        if self.template_bridge is not None:
-            self.template_bridge.on_slot_churn("new_container")
         request = self._match_pending(container)
         if request is not None:
             self._dequeue(request)
             if request.asked_yarn:
                 request.asked_yarn = False  # consumed by this allocation
-            if self.template_bridge is not None:
-                self.template_bridge.on_assign(
-                    request, slot, schedule_time=False)
             self._assign(slot, request)
         else:
             # Pre-warm or surplus container: warm it and hold it idle.
@@ -561,11 +529,6 @@ class TaskSchedulerService:
             if request.asked_yarn:
                 self._cancel_ask(request)
             self._c_reuse.inc()
-            if self.template_bridge is not None:
-                # Idle-match assignments depend on completion timing:
-                # a recording containing one is not replayable.
-                self.template_bridge.on_assign(
-                    request, slot, schedule_time=False)
             self._assign(slot, request, reuse=True)
         else:
             slot.idle_since = self.env.now

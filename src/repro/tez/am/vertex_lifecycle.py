@@ -134,14 +134,8 @@ class VertexLifecycle:
             initializer = source.initializer_descriptor.cls(
                 ictx, source.initializer_descriptor.payload
             )
-            # The template manager may substitute a cached split plan,
-            # but the process always drives the real initializer's
-            # waiting phase so the kernel event sequence is identical
-            # with templates on, off, or invalidated mid-run.
             splits = yield am.env.process(
-                am.templates.initializer_process(
-                    vr, input_name, source, ictx, initializer
-                ),
+                initializer.initialize(),
                 name=f"init:{vr.name}:{input_name}",
             )
             vr.root_splits[input_name] = list(splits)
@@ -198,9 +192,7 @@ class VertexLifecycle:
         """Action for vertex_init ``manager_ready`` (TASKS_CREATED ->
         MANAGER_READY): bring up the VertexManager plugin and feed it
         the initialized root inputs."""
-        vr.manager = self.am.templates.wrap_manager(
-            vr, self.create_vertex_manager
-        )
+        vr.manager = self.create_vertex_manager(vr)
         vr.manager.initialize()
         for input_name in vr.root_splits:
             vr.manager.on_root_input_initialized(

@@ -101,8 +101,6 @@ class TezClient:
         if telemetry is not None:
             telemetry.attach_shards(name,
                                     self.coordinator.shard_summaries)
-            telemetry.attach_templates(name,
-                                       self.coordinator.template_summaries)
 
     # ------------------------------------------------------------- session
     def start(self) -> None:

@@ -41,20 +41,6 @@ class TezConfig:
     deadlock_check_interval: float = 10.0
     deadlock_pending_timeout: float = 30.0
 
-    # -- execution templates (Mashayekhi et al., PAPERS.md) -------------------
-    # On the first execution of a DAG structure in a session AM, record
-    # an ExecutionTemplate (root-input split plans, vertex-manager
-    # scheduling plans, edge routing tables, container/slot assignment
-    # sequences) keyed by the structural DAG signature. Later
-    # structurally-identical DAGs instantiate the template by patching
-    # parameters and bypass the recomputation; any validity divergence
-    # (node loss, blacklist change, slot churn, recovery in flight)
-    # falls back to full scheduling automatically — replayed and fully
-    # scheduled runs are decision-for-decision identical, so simulated
-    # outcomes never depend on this flag. Off disables recording and
-    # replay entirely: the path every invalidated replay already takes.
-    execution_templates: bool = True
-
     # -- commit ---------------------------------------------------------------
     commit_on_dag_success: bool = True
 

@@ -63,25 +63,10 @@ class ShardRecord:
         self._folded = {"recovery.events_replayed": 0,
                         "recovery.tasks_recovered": 0,
                         "recovery.entries_dropped": 0}
-        # Template-cache stats folded the same way: each AM attempt
-        # starts with a cold cache (never trusted across epochs), so
-        # the shard total is the sum over attempts.
-        from .templates import TemplateStats
-        self._folded_templates = TemplateStats()
 
     def _fold_am(self, am: "DAGAppMaster") -> None:
         for key in self._folded:
             self._folded[key] += int(am.registry.counter(key).value)
-        self._folded_templates.fold_from(am.templates.stats)
-
-    def template_stats(self) -> dict:
-        """Folded template-cache stats across every AM attempt."""
-        from .templates import TemplateStats
-        totals = TemplateStats()
-        totals.fold_from(self._folded_templates)
-        if self.am is not None:
-            totals.fold_from(self.am.templates.stats)
-        return totals.summary()
 
     def recovery_counters(self) -> dict:
         """Folded totals across every AM attempt of this shard."""
@@ -202,9 +187,7 @@ class ShardCoordinator:
         return [record.summary() for record in self.records()]
 
     def template_summaries(self) -> list[dict]:
-        """Per-shard execution-template cache stats (hits, misses,
-        fallbacks and invalidations by reason, patched parameters)."""
-        return [
-            {"shard": record.shard_id, **record.template_stats()}
-            for record in self.records()
-        ]
+        """Always empty: there is no template cache. Read by
+        ``benchmarks/ledger/run.py``; goes when the ledger stops
+        reading it."""
+        return []

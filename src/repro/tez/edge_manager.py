@@ -105,12 +105,6 @@ class ScatterGatherEdgeManager(EdgeManagerPlugin):
     def __init__(self, payload: Any = None):
         super().__init__(payload)
         self._num_partitions: int | None = None
-        # Optional routing memo injected by the execution-template
-        # cache (repro.tez.templates): route() is a pure function of
-        # (source/dest parallelism, partition count, source task,
-        # output), so the dict may be shared across DAG runs of the
-        # same template. Callers treat routing dicts as read-only.
-        self._route_cache: dict | None = None
 
     @property
     def num_partitions(self) -> int:
@@ -142,17 +136,6 @@ class ScatterGatherEdgeManager(EdgeManagerPlugin):
         return self.source_parallelism * len(self.partition_range(dest_task))
 
     def route(self, source_task: int, source_output: int) -> dict[int, int]:
-        cache = self._route_cache
-        if cache is not None:
-            key = (self.source_parallelism, self.dest_parallelism,
-                   self.num_partitions, source_task, source_output)
-            routed = cache.get(key)
-            if routed is None:
-                routed = cache[key] = self._route(source_task, source_output)
-            return routed
-        return self._route(source_task, source_output)
-
-    def _route(self, source_task: int, source_output: int) -> dict[int, int]:
         g = self._group_factor()
         dest_task = source_output // g
         if dest_task >= self.dest_parallelism:

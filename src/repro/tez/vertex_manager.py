@@ -93,17 +93,7 @@ class VertexManagerPlugin:
     Subclass and override the ``on_*`` callbacks; actuate through
     ``self.ctx`` (set parallelism, schedule tasks). The framework
     guarantees callbacks are serialized per vertex.
-
-    ``template_deterministic`` declares that the manager's actuations
-    are a pure function of its observation history (the ordered ``on_*``
-    callback sequence) — no clocks, no randomness, no dependence on
-    event *payload data* such as reported output sizes. The execution
-    template cache (``repro.tez.templates``) only records/replays
-    scheduling decisions of managers that declare this; custom plugins
-    default to ``False`` and always run live.
     """
-
-    template_deterministic = False
 
     def __init__(self, ctx: VertexManagerContext, payload: Any = None):
         self.ctx = ctx
@@ -139,16 +129,12 @@ class VertexManagerPlugin:
 class ImmediateStartVertexManager(VertexManagerPlugin):
     """Schedule every task as soon as the vertex starts."""
 
-    template_deterministic = True
-
     def on_vertex_started(self) -> None:
         self._schedule_all()
 
 
 class RootInputVertexManager(VertexManagerPlugin):
     """Root vertices with initializers: schedule once splits are known."""
-
-    template_deterministic = True
 
     def __init__(self, ctx, payload: Any = None):
         super().__init__(ctx, payload)
@@ -173,8 +159,6 @@ class InputReadyVertexManager(VertexManagerPlugin):
     For one-to-one edges task i waits only for source task i; for
     broadcast (or any other) edges every task waits for all sources.
     """
-
-    template_deterministic = True
 
     def __init__(self, ctx, payload: Any = None):
         super().__init__(ctx, payload)
@@ -291,14 +275,7 @@ class ShuffleVertexManager(VertexManagerPlugin):
     * **Slow-start**: consumer tasks are scheduled gradually as the
       fraction of completed producers moves between the min and max
       thresholds, overlapping fetch with producer execution.
-
-    Slow-start decisions depend only on *which* producers completed —
-    observation history — so they are template-deterministic;
-    auto-parallelism additionally reads reported byte sizes (payload
-    data), which the template layer excludes via its payload check.
     """
-
-    template_deterministic = True
 
     def __init__(self, ctx, payload: Any = None):
         super().__init__(ctx, payload)

@@ -231,10 +231,6 @@ class ResourceManager:
         }
         self.nodes_lost_total = 0
         self.nodes_recovered_total = 0
-        # Cluster-membership watchers (execution-template validity):
-        # called with (node_id, "lost" | "recovered") on every liveness
-        # transition, after RM state and telemetry are updated.
-        self._membership_listeners: list = []
         self.scheduler = CapacityScheduler(
             env, cluster, self.node_managers, queues,
             node_locality_delay=node_locality_delay,
@@ -427,17 +423,6 @@ class ResourceManager:
             handle.completion.succeed(handle.final_status)
 
     # -- node liveness ------------------------------------------------------
-    def add_membership_listener(self, callback) -> None:
-        self._membership_listeners.append(callback)
-
-    def remove_membership_listener(self, callback) -> None:
-        if callback in self._membership_listeners:
-            self._membership_listeners.remove(callback)
-
-    def _notify_membership(self, node_id: str, change: str) -> None:
-        for callback in list(self._membership_listeners):
-            callback(node_id, change)
-
     def node_heartbeat(self, node_id: str) -> None:
         """An NM heartbeat arrived; revive a LOST node if needed."""
         self._last_heartbeat[node_id] = self.env.now
@@ -451,7 +436,6 @@ class ResourceManager:
             telemetry = get_telemetry(self.env)
             if telemetry is not None:
                 telemetry.event("yarn.node_recovered", node=node_id)
-            self._notify_membership(node_id, "recovered")
 
     def _check_node_liveness(self) -> None:
         timeout = self.spec.node_liveness_timeout
@@ -485,7 +469,6 @@ class ResourceManager:
         for ctx in self.am_service.live_contexts():
             for callback in ctx._node_loss_callbacks:
                 callback(node)
-        self._notify_membership(node_id, "lost")
 
     def node_schedulable(self, node_id: str) -> bool:
         node = self.cluster.nodes[node_id]

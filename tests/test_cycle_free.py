@@ -11,9 +11,9 @@ does not grow with DAGs or tasks.
 Every cut this rests on was put back by hand in turn, and each one
 fails a test here on its own: in ``DAGAppMaster._release_dag`` the
 ``vr.tasks``, ``task.attempts`` and ``task.succeeded_attempt`` resets,
-``vr.manager`` (the recorder's wrappers and the replayer each close
-their own loop through the VM context), ``MachineSet.forget`` on the
-attempt, the task and the vertex (``_sm`` and ``_init_sm`` each),
+``vr.manager`` (the vertex holds its manager, whose VM context holds
+the vertex), ``MachineSet.forget`` on the attempt, the task and the
+vertex (``_sm`` and ``_init_sm`` each),
 ``attempt.process`` (a failed attempt's process stores the exception
 whose traceback holds the attempt body's frame) and the call to
 ``_release_dag`` itself; ``_InlineEventChannel.close`` letting go of
@@ -36,6 +36,7 @@ sizes below are ones where no node crash catches an attempt so.
 """
 
 import gc
+import types
 from collections import Counter
 
 import pytest
@@ -44,21 +45,19 @@ import control_plane_scenarios as S
 from helpers import make_sim
 from repro import SimCluster
 from repro.engines.hive import Catalog, HiveSession
-from repro.tez import templates
+from repro.sim import Environment
 from repro.tez.am import FaultEvent
 from repro.tez.am.state_machines import StateMachine
 from repro.tez.am.structures import Task, TaskAttempt, VertexRuntime
 from repro.tez.am.vm_context import _VMContext
 from repro.tez.vertex_manager import VertexManagerPlugin
 from repro.yarn import AMContext, SchedulerApp
-from test_templates import _drive_session
+from test_session_fuzz import _drive_session
 
 # A finished DAG's runtime graph and a finished application's RM side.
 FREED_BY_REFERENCE_COUNT = (
     Task, TaskAttempt, StateMachine, VertexRuntime, _VMContext,
-    VertexManagerPlugin, templates._RecordingManager,
-    templates._RecordingVMContext, templates._VertexRecorder,
-    templates._ReplayManager, AMContext, SchedulerApp,
+    VertexManagerPlugin, AMContext, SchedulerApp,
 )
 
 
@@ -128,16 +127,9 @@ def test_the_census_sees_a_cycle_and_restores_the_collector():
 
 
 def test_a_session_strands_nothing_per_dag():
-    """One template recorded, the rest replayed: both manager wrappers
-    are on the released graph."""
-    def session(dags):
-        def scenario():
-            _log, _results, stats = _drive_session(True, iterations=dags)
-            assert stats["recorded"] == 1 and stats["hits"] == dags - 1
-        return scenario
-
-    _assert_same_and_nothing_of_a_finished_dag(unreachable_after(session(2)),
-                                     unreachable_after(session(6)))
+    _assert_same_and_nothing_of_a_finished_dag(
+        unreachable_after(lambda: _drive_session(iterations=2)),
+        unreachable_after(lambda: _drive_session(iterations=6)))
 
 
 def _am_crash_and_recovery(reducers):
@@ -151,10 +143,13 @@ def _am_crash_and_recovery(reducers):
     client.start()
     handle = client.submit_dag(dag)
 
+    crashed = []
+
     def am_killer():
         while client.last_am is None or \
                 client.last_am.metrics["tasks_succeeded"] < 2:
             yield sim.env.timeout(0.5)
+        crashed.append(client.last_am)
         client.last_am.dispatcher.dispatch(FaultEvent(kind="am_crash"))
 
     sim.env.process(am_killer())
@@ -163,6 +158,7 @@ def _am_crash_and_recovery(reducers):
     assert client.last_am.ctx.attempt == 2
     client.stop()
     sim.env.run(until=sim.env.now + 5.0)
+    return sim, crashed[0]
 
 
 def _hive_on_both_backends(rows):
@@ -193,3 +189,38 @@ def test_garbage_does_not_grow_with_tasks(shape, small, large):
     _assert_same_and_nothing_of_a_finished_dag(
         unreachable_after(lambda: shape(**small)),
         unreachable_after(lambda: shape(**large)))
+
+
+def _reachable_from(root):
+    """Every object ``root`` keeps alive through instance state: the
+    ``gc.get_referents`` closure, not entering classes, modules, code
+    or a function's globals (those reach the whole interpreter) nor
+    the kernel (its heap is every component's, not ``root``'s)."""
+    opaque = (type, types.ModuleType, types.CodeType,
+              types.BuiltinFunctionType, Environment)
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, types.FunctionType):
+            referents = [obj.__closure__, obj.__defaults__,
+                         obj.__kwdefaults__]
+        else:
+            referents = gc.get_referents(obj)
+        for ref in referents:
+            if id(ref) not in seen and not isinstance(ref, opaque):
+                seen[id(ref)] = ref
+                stack.append(ref)
+    return seen.values()
+
+
+def test_the_rm_lets_go_of_a_crashed_am():
+    """A crashed attempt never runs ``shutdown()``, so nothing it
+    registered with the RM for the life of the application may outlive
+    it: every later cluster event would call into a halted control
+    plane. (The kernel still holds the attempt: ``crash()`` leaves its
+    processes running, fenced, and its deadlock monitor ticks on.)"""
+    sim, crashed_am = _am_crash_and_recovery(reducers=2)
+    assert crashed_am.ctx.attempt == 1 and crashed_am.dispatcher.halted
+    assert not any(o is crashed_am for o in _reachable_from(sim.rm)), \
+        "sim.rm still reaches the crashed attempt's DAGAppMaster"

@@ -2,6 +2,7 @@
 preserved historical implementation stay gone."""
 
 import ast
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -21,7 +22,7 @@ RETIRED = [a + "_" + b for a, b in (
     ("indexed", "scheduler"), ("attempt", "fast_path"),
     ("batch", "attempt_exits"), ("fast_path", "min_tasks"),
     ("scheduler", "incremental"), ("event_driven", "ticks"),
-    ("timer", "wheel"))]
+    ("timer", "wheel"), ("execution", "templates"))]
 # As identifiers: the ledger-facing `<timer><wheel>_hits` counter passes.
 GUARD = re.compile(r"(?<![A-Za-z0-9_])(%s)(?![A-Za-z0-9_])"
                    % "|".join(RETIRED))
@@ -51,7 +52,8 @@ def test_no_retired_switch_is_named_anywhere():
 
 
 @pytest.mark.parametrize("cls, name", [
-    (TezConfig, RETIRED[3]), (ClusterSpec, RETIRED[8])])
+    (TezConfig, RETIRED[3]), (ClusterSpec, RETIRED[8]),
+    (TezConfig, RETIRED[9])])
 def test_retired_switches_are_not_accepted(cls, name):
     with pytest.raises(TypeError):
         cls(**{name: False})
@@ -69,6 +71,28 @@ def _source_files_matching(pattern):
     found = re.compile(pattern, re.MULTILINE)
     return sorted(str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
                   if found.search(path.read_text(encoding="utf-8")))
+
+
+def test_no_template_cache_is_left_behind():
+    """The execution-template subsystem is gone but for the two names
+    ``benchmarks/ledger/`` still reads: an empty module and a method
+    that returns ``[]``."""
+    stub = ast.parse((SRC / "tez" / "templates.py").read_text())
+    assert len(stub.body) == 1 and ast.get_docstring(stub) is not None
+    coordinator = ast.parse((SRC / "tez" / "coordinator.py").read_text())
+    identifiers = [
+        getattr(node, field) for node in ast.walk(coordinator)
+        for field in ("id", "attr", "name", "arg")
+        if isinstance(getattr(node, field, None), str)]
+    assert [name for name in identifiers if "template" in name.lower()] \
+        == ["template_summaries"]
+    # Spelled in halves, as above.
+    gone = [a + b for a, b in (
+        ("template_", "bridge"), ("template_", "deterministic"),
+        ("membership_", "listener"), ("_route_", "cache"),
+        ("Template", "Event"))]
+    assert not _source_files_matching("|".join(gone))
+    assert len(dataclasses.fields(TezConfig)) == 19
 
 
 def test_only_the_kernel_touches_the_host_collector():

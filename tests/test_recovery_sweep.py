@@ -36,16 +36,14 @@ class TestCrashAnywhereSweep:
         assert summary["events_replayed"] > 0
         assert summary["tasks_recovered"] > 0
 
-    def test_session2_template_sweep(self):
-        # Two-iteration template session (record, then replay) swept at
-        # a coarse stride: every crash boundary must leave terminal
-        # state byte-identical with zero journaled re-execution, and
-        # the no-crash baseline must actually replay a template.
+    def test_session2_two_dag_session_sweep(self):
+        # Two DAGs back to back through one session AM, swept at a
+        # coarse stride: every crash boundary must leave the terminal
+        # state of both byte-identical with zero journaled re-execution.
         summary = run_sweep(records=120, stride=9, shape="session2",
                             verbose=False)
         assert summary["ok"], summary
         assert summary["violations"] == 0
-        assert summary["baseline_template_hits"] >= 1
         assert summary["crashed_points"] > 0
 
     def test_mid_run_crash_recovers_journaled_work(self):

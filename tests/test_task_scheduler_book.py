@@ -121,9 +121,6 @@ class _FrozenBook(TaskSchedulerService):
             if request.asked_yarn:
                 self._cancel_ask(request)
             self._c_reuse.inc()
-            if self.template_bridge is not None:
-                self.template_bridge.on_assign(
-                    request, slot, schedule_time=False)
             self._assign(slot, request, reuse=True)
         else:
             slot.idle_since = self.env.now

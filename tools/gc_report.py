@@ -41,15 +41,12 @@ EDGES_SHOWN = 24
 
 def _am_structures() -> tuple:
     """The types a finished DAG must free by reference count."""
-    from repro.tez import templates
     from repro.tez.am.state_machines import StateMachine
     from repro.tez.am.structures import Task, TaskAttempt, VertexRuntime
     from repro.tez.am.vm_context import _VMContext
     from repro.tez.vertex_manager import VertexManagerPlugin
     return (Task, TaskAttempt, StateMachine, VertexRuntime, _VMContext,
-            VertexManagerPlugin, templates._RecordingManager,
-            templates._RecordingVMContext, templates._VertexRecorder,
-            templates._ReplayManager)
+            VertexManagerPlugin)
 
 
 class _Collections:
