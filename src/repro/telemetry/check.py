@@ -10,8 +10,9 @@ manifest/segment cross-consistency (files exist, footers agree with
 their manifest entries, record counts match), partition-key discipline
 (every record in a segment belongs to the segment's partition),
 intra-segment ordering (events by seq, both within the footer's key
-range), plus the per-record schema of every span/event — including the
-attr schema of ``telemetry.backpressure`` control events.
+range), one record per ``span_id`` across the store, plus the
+per-record schema of every span/event — including the attr schema of
+``telemetry.backpressure`` control events.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ def check_store(store_dir: str) -> list[str]:
     if not entries:
         problems.append(f"{store_dir}: manifest lists no segments")
     seen_files = set()
+    span_files: dict = {}       # span_id -> the segment that holds it
     for entry in entries:
         name = entry.get("file", "?")
         where = f"{store_dir}/{SEGMENT_DIR}/{name}"
@@ -103,6 +105,11 @@ def check_store(store_dir: str) -> list[str]:
             key = rec.get(order_key)
             if rtype == "event" and prev is not None and key < prev:
                 problems.append(f"{where}: seq {key} out of order")
+            if rtype == "span":
+                if key in span_files:
+                    problems.append(f"{where}: span_id {key} stored twice "
+                                    f"(also in {span_files[key]})")
+                span_files[key] = name
             prev = key
             lo, hi = entry.get("min_key"), entry.get("max_key")
             if lo is not None and (key < lo or key > hi):

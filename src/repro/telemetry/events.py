@@ -1,10 +1,11 @@
 """Structured events: the timeline's raw record stream.
 
-Every emission is a :class:`TelemetryEvent` — a simulated-clock
-timestamp, a dotted ``kind`` (``"yarn.allocation"``,
-``"scheduler.task_placed"``, ``"chaos.fault"``, ...) and a free-form
-attribute dict. The :class:`EventLog` is append-only and ordered by
-emission; queries live on :class:`~repro.telemetry.timeline.TimelineStore`.
+Every emission is a simulated-clock timestamp, a dotted ``kind``
+(``"yarn.allocation"``, ``"scheduler.task_placed"``, ``"chaos.fault"``,
+...) and a free-form attribute dict; readers get each one back as a
+:class:`TelemetryEvent`. The :class:`EventLog` is append-only and
+ordered by emission; queries live on
+:class:`~repro.telemetry.timeline.TimelineStore`.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ class EventLog:
     """Append-only, emission-ordered log of :class:`TelemetryEvent`.
 
     With a *sink* (the partitioned span store) the log keeps nothing
-    resident: every emission is handed straight to the store's event
-    ring and queries stream back out of partitioned segments. Without
-    one it retains the full list, as it always did.
+    resident: every emission goes to the store's event ring as the
+    ``(seq, ts, kind, attrs)`` tuple the spool writes, and queries
+    stream back out of partitioned segments as :class:`TelemetryEvent`.
+    Without one it retains the full list of events, as it always did.
     """
 
     def __init__(self, sink=None):
@@ -42,15 +44,15 @@ class EventLog:
         self._events: list[TelemetryEvent] = []
         self._count = 0
 
-    def emit(self, kind: str, ts: float, _control: bool = False,
-             **attrs) -> TelemetryEvent:
-        event = TelemetryEvent(ts, kind, attrs, self._count)
-        self._count += 1
+    def emit(self, kind: str, ts: float, attrs: dict,
+             control: bool = False) -> None:
+        """Record one event; ``attrs`` is kept by reference."""
+        seq = self._count
+        self._count = seq + 1
         if self.sink is None:
-            self._events.append(event)
+            self._events.append(TelemetryEvent(ts, kind, attrs, seq))
         else:
-            self.sink.add_event(event, control=_control)
-        return event
+            self.sink.add_event((seq, ts, kind, attrs), control)
 
     def __len__(self) -> int:
         return self._count

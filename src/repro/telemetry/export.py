@@ -29,8 +29,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .events import TelemetryEvent
-from .spans import Span
+from .store import event_record, span_record
 from .timeline import TimelineStore
 
 __all__ = ["chrome_trace", "write_chrome_trace", "write_jsonl",
@@ -221,17 +220,6 @@ def write_chrome_trace(store: TimelineStore, path: str,
 # JSONL (lossless)
 # ---------------------------------------------------------------------------
 
-def _event_record(ev: TelemetryEvent) -> dict:
-    return {"type": "event", "seq": ev.seq, "ts": ev.ts, "kind": ev.kind,
-            "attrs": ev.attrs}
-
-
-def _span_record(span: Span) -> dict:
-    return {"type": "span", "span_id": span.span_id, "kind": span.kind,
-            "name": span.name, "start": span.start, "end": span.end,
-            "parent_id": span.parent_id, "attrs": span.attrs}
-
-
 def write_jsonl(store: TimelineStore, path: str) -> int:
     """Dump every span then every event, one JSON object per line.
 
@@ -243,7 +231,7 @@ def write_jsonl(store: TimelineStore, path: str) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for span in store.spans():
-            fh.write(json.dumps(_span_record(span)) + "\n")
+            fh.write(json.dumps(span_record(span)) + "\n")
             count += 1
         if store.spanstore is not None and store.log.sink is not None:
             for rec in store.spanstore.iter_event_records():
@@ -251,7 +239,7 @@ def write_jsonl(store: TimelineStore, path: str) -> int:
                 count += 1
         else:
             for ev in store.events():
-                fh.write(json.dumps(_event_record(ev)) + "\n")
+                fh.write(json.dumps(event_record(ev)) + "\n")
                 count += 1
     return count
 

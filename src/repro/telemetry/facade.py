@@ -27,9 +27,9 @@ import json
 import os
 from typing import Callable, Optional
 
-from .events import EventLog, TelemetryEvent
+from .events import EventLog
 from .metrics import MetricsRegistry
-from .rollups import RollupEngine
+from .rollups import _INTERESTING, RollupEngine
 from .spans import Span, Tracer
 from .store import SpanStore
 from .timeline import TimelineStore
@@ -52,8 +52,7 @@ def get_telemetry(env) -> Optional["Telemetry"]:
 
 
 class Telemetry:
-    def __init__(self, env=None, verbose_sim: bool = False,
-                 enabled: bool = True,
+    def __init__(self, env=None, enabled: bool = True,
                  store_opts: Optional[dict] = None):
         self.env = env
         # Hot-path kill switch: when False, get_telemetry() reports no
@@ -62,8 +61,6 @@ class Telemetry:
         # registered for enabled telemetry.
         self.enabled = enabled
         opts = dict(store_opts or {})
-        if os.environ.get("REPRO_TELEMETRY_TEE") == "1":
-            opts.setdefault("tee", True)
         opts.setdefault("on_overflow", self._on_ring_overflow)
         self.spanstore = SpanStore(**opts)
         self.rollups = RollupEngine()
@@ -78,9 +75,6 @@ class Telemetry:
         # Control-plane shard-summary suppliers (one per sharded
         # client); sampled at persist time into <store>/shards.json.
         self._shard_suppliers: list[tuple[str, Callable]] = []
-        # Per-process events are high volume; off by default (counters
-        # are always maintained).
-        self.verbose_sim = verbose_sim
         self._dropped_synced = (0, 0)
         if env is not None:
             self.install(env)
@@ -114,11 +108,8 @@ class Telemetry:
         self._shard_suppliers.append((name, supplier))
 
     def _on_process_created(self, process) -> None:
-        # sim.core scheduling hook: cheap accounting for every process
-        # the kernel spawns; full events only when explicitly enabled.
+        # sim.core scheduling hook: count every process the kernel spawns.
         self._proc_counter.inc()
-        if self.verbose_sim:
-            self.event("sim.process_started", name=process.name)
 
     def _on_ring_overflow(self, which: str, capacity: int) -> None:
         # Lossy-mode ring overflow (edge-triggered once per episode):
@@ -126,12 +117,12 @@ class Telemetry:
         # is never silent. Control events use the ring's reserve slots,
         # so this cannot recurse.
         self._sync_dropped()
-        self.log.emit(
-            "telemetry.backpressure", self.now, _control=True,
-            ring=which, capacity=capacity, policy=self.spanstore.overflow,
-            dropped_spans=self.spanstore.dropped_spans,
-            dropped_events=self.spanstore.dropped_events,
-        )
+        self.log.emit("telemetry.backpressure", self.now, {
+            "ring": which, "capacity": capacity,
+            "policy": self.spanstore.overflow,
+            "dropped_spans": self.spanstore.dropped_spans,
+            "dropped_events": self.spanstore.dropped_events,
+        }, control=True)
 
     def _sync_dropped(self) -> None:
         spans, events = self.spanstore.dropped_spans, \
@@ -160,10 +151,11 @@ class Telemetry:
     def persist_store(self, target_dir: str) -> str:
         """Land the full partitioned store — segments, manifest and
         per-DAG rollups — in ``target_dir``. Spans still open (e.g. the
-        session span) are included so the store is as lossless as the
-        JSONL export."""
+        session span) are included as snapshots so the store is as
+        lossless as the JSONL export; a span that closes afterwards
+        replaces its snapshot."""
         for span in self.tracer.open_spans():
-            self.spanstore.add_span(span)
+            self.spanstore.add_snapshot(span.record())
         for dag_id in self.rollups.dag_ids():
             roll = self.rollups.get(dag_id)
             if roll is not None and roll.closed:
@@ -214,16 +206,15 @@ class Telemetry:
     def now(self) -> float:
         return self.env.now if self.env is not None else 0.0
 
-    def event(self, kind: str, ts: Optional[float] = None,
-              **attrs) -> Optional[TelemetryEvent]:
+    def event(self, kind: str, ts: Optional[float] = None, **attrs) -> None:
         if not self.enabled:
-            return None
+            return
         if ts is None:
             env = self.env
             ts = env.now if env is not None else 0.0
-        event = self.log.emit(kind, ts, **attrs)
-        self.rollups.on_event(kind, ts, attrs)
-        return event
+        self.log.emit(kind, ts, attrs)
+        if kind in _INTERESTING:
+            self.rollups.on_event(kind, ts, attrs)
 
     def span(self, kind: str, name: str, parent=None,
              ts: Optional[float] = None, **attrs) -> Optional[Span]:
@@ -246,11 +237,13 @@ class Telemetry:
             env = self.env
             ts = env.now if env is not None else 0.0
         # Close inline (the facade's tracer is always sink-backed):
-        # stamp, hand the span to the store, fold the rollups.
+        # stamp, hand the record to the store, fold the rollups - which
+        # fold attempt, vertex and dag spans only.
         span.end = ts
         if attrs:
             span.attrs.update(attrs)
         self.tracer._by_id.pop(span.span_id, None)
-        self.spanstore.add_span(span)
-        self.rollups.on_span_closed(span)
+        self.spanstore.add_span(span.record())
+        if span.kind in ("attempt", "vertex", "dag"):
+            self.rollups.on_span_closed(span)
         return span

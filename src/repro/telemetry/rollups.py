@@ -40,8 +40,9 @@ __all__ = ["RollupEngine", "DagRollup", "LATENCY_BUCKETS"]
 LATENCY_BUCKETS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0,
                    300.0, 600.0)
 
-# Event kinds the engine folds; everything else returns in two
-# comparisons from the emission hot path.
+# Event kinds the engine folds. The facade offers it only these events,
+# and only attempt, vertex and dag spans (on_span_closed folds no other
+# kind), so the bulk of the record stream never enters this module.
 _INTERESTING = frozenset((
     "am.dag_submitted", "am.dag_finished", "am.speculation",
     "am.reexecution", "shuffle.fetch_retry", "chaos.fault",

@@ -13,10 +13,10 @@ explicitly with the simulation's current time.
 
 When the tracer is given a *sink* (the partitioned
 :class:`~repro.telemetry.store.SpanStore`), it stops being the system
-of record: only **open** spans stay resident; a span is handed to the
-sink the moment it finishes and queries for closed spans go through
-the store. Without a sink the tracer retains everything, exactly as
-it always did.
+of record: only **open** spans stay resident; a span's
+:meth:`Span.record` tuple is handed to the sink the moment it finishes
+and queries for closed spans go through the store. Without a sink the
+tracer retains everything, exactly as it always did.
 """
 
 from __future__ import annotations
@@ -46,6 +46,12 @@ class Span:
         if self.end is None:
             return None
         return self.end - self.start
+
+    def record(self) -> tuple:
+        """The store's record of this span, as it stands now. It shares
+        ``attrs``, so an update before the record is flushed lands."""
+        return (self.span_id, self.kind, self.name, self.start, self.end,
+                self.parent_id, self.attrs)
 
     def __repr__(self) -> str:
         end = f"{self.end:.3f}" if self.end is not None else "..."
@@ -104,10 +110,10 @@ class Tracer:
             if attrs:
                 span.attrs.update(attrs)
             if self.sink is not None:
-                # Closed: the store owns it now. Drop our reference so
-                # resident state is exactly the open-span set.
+                # Closed: the store owns its record now. Drop our
+                # reference so resident state is exactly the open set.
                 self._by_id.pop(span.span_id, None)
-                self.sink.add_span(span)
+                self.sink.add_span(span.record())
         elif attrs:
             span.attrs.update(attrs)
         return span

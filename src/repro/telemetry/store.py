@@ -16,7 +16,7 @@ dimension-partitioned on-disk *segments*:
   ``seq``; spans by close order), terminated by a ``footer`` carrying
   the record count and key ranges. Canonical segments are ``.jsonl``
   (one JSON object per line). While spooling, flushes instead land as
-  ``.pkl`` *runs* — one pickled batch of raw field tuples per ring per
+  ``.pkl`` *runs* — one pickled batch of record tuples per ring per
   flush, LSM-style: no record dicts, no partitioning, no footers, just
   the cheapest possible drain of the ring (~4x cheaper than shaping at
   flush time). :meth:`SpanStore.persist` compacts every run into
@@ -155,15 +155,6 @@ def _segment_sources(store_dir: str, entries: list[dict]) -> list[str]:
             for e in entries]
 
 
-def _span_tuple(span) -> tuple:
-    return (span.span_id, span.kind, span.name, span.start, span.end,
-            span.parent_id, span.attrs)
-
-
-def _event_tuple(ev) -> tuple:
-    return (ev.seq, ev.ts, ev.kind, ev.attrs)
-
-
 def _span_tuple_record(t: tuple) -> dict:
     return {"type": "span", "span_id": t[0], "kind": t[1], "name": t[2],
             "start": t[3], "end": t[4], "parent_id": t[5], "attrs": t[6]}
@@ -175,7 +166,7 @@ def _event_tuple_record(t: tuple) -> dict:
 
 
 def _read_spool_run(path: str) -> tuple[str, list[tuple]]:
-    """(rtype, raw field tuples) from a write-optimized spool run. Only
+    """(rtype, record tuples) from a write-optimized spool run. Only
     files named by this store's own manifest are ever loaded."""
     with open(path, "rb") as fh:
         return pickle.load(fh)
@@ -213,7 +204,6 @@ class SpanStore:
         ring_spans: int = 8192,
         ring_events: int = 8192,
         overflow: str = "block",
-        tee: bool = False,
         on_overflow: Optional[Callable[[str, int], None]] = None,
     ):
         if overflow not in ("block", "drop"):
@@ -225,7 +215,7 @@ class SpanStore:
         self._block = overflow == "block"
         # Live mode (explicit dir): segments land as canonical JSONL
         # and the manifest is rewritten every flush so readers can tail
-        # the directory. Lazy spools drain each ring as one raw-tuple
+        # the directory. Lazy spools drain each ring as one record-tuple
         # pickle run and defer shaping and the manifest to
         # close()/persist().
         self._live = dir is not None
@@ -245,13 +235,11 @@ class SpanStore:
         self._bp_episode = {"span": False, "event": False}
         self._flushed_spans = 0
         self._flushed_events = 0
+        # Open-span snapshots (see add_snapshot): ids whose snapshot is
+        # still in the ring, and ids whose flushed record is one.
+        self._ring_snapshots: set = set()
+        self._snapshots: set = set()
         self.closed = False
-        # Test instrumentation: retain every record in memory alongside
-        # the bounded path so round-trip equivalence can be asserted
-        # within a single run. Never enabled in production paths.
-        self.tee = tee
-        self.tee_spans: list = []
-        self.tee_events: list = []
         if dir is not None and os.path.isdir(
                 os.path.join(dir, SEGMENT_DIR)):
             self._attach_existing(dir)
@@ -289,27 +277,35 @@ class SpanStore:
         return self._dir
 
     # -- write side -----------------------------------------------------
-    # Resident memory only ever shrinks at a flush, so the high-water
-    # mark is always observed either immediately before one (or a drop)
-    # or at close; sampling there keeps the per-record path to an
-    # append and a length check.
+    # A record is the tuple the spool pickles, from emission to disk:
+    # spans ``(span_id, kind, name, start, end, parent_id, attrs)``
+    # (``Span.record``), events ``(seq, ts, kind, attrs)``. Resident
+    # memory only ever shrinks at a flush, so the high-water mark is
+    # always observed either immediately before one (or a drop) or at
+    # close; sampling there keeps the per-record path to an append and
+    # a length check.
 
-    def add_span(self, span) -> None:
-        if self.tee:
-            self.tee_spans.append(span)
+    def add_span(self, rec: tuple) -> None:
         ring = self._span_ring
-        ring.append(span)
+        ring.append(rec)
         if len(ring) >= self.ring_spans:
             if self._block:
                 self.flush()
             elif len(ring) > self.ring_spans:
                 self._drop(ring, "span", self.ring_spans)
 
-    def add_event(self, ev, control: bool = False) -> None:
-        if self.tee:
-            self.tee_events.append(ev)
+    def add_snapshot(self, rec: tuple) -> None:
+        """Store an open span's record as it stands; the span's next
+        record (its close, or a later snapshot) replaces it, so the
+        store keeps one record per span. Taken at persist time, so by
+        the time a snapshot can be replaced every segment holding it is
+        canonical JSONL."""
+        self._ring_snapshots.add(rec[0])
+        self.add_span(rec)
+
+    def add_event(self, rec: tuple, control: bool = False) -> None:
         ring = self._event_ring
-        ring.append(ev)
+        ring.append(rec)
         # Control-event headroom: backpressure events are accepted past
         # the nominal capacity so overflow itself is never silent.
         cap = self.ring_events + (_CONTROL_RESERVE if control else 0)
@@ -339,7 +335,7 @@ class SpanStore:
 
     @property
     def span_count(self) -> int:
-        """Stored (flushed + ring) closed-span records."""
+        """Stored (flushed + ring) span records: one per span."""
         return self._flushed_spans + len(self._span_ring)
 
     @property
@@ -364,30 +360,40 @@ class SpanStore:
         if resident > self.peak_resident:
             self.peak_resident = resident
         root = self._dir if self._dir is not None else self._materialize()
+        older = len(self._manifest_entries)
         written = 0
         if self._live:
             parts: dict[tuple, list] = {}
-            for span in span_ring:
-                key = span_partition(span.kind, span.attrs)
-                parts.setdefault(key, []).append(span_record(span))
-            for ev in event_ring:
-                key = event_partition(ev.kind, ev.attrs)
-                parts.setdefault(key, []).append(event_record(ev))
+            for t in span_ring:
+                key = span_partition(t[1], t[6])
+                parts.setdefault(key, []).append(_span_tuple_record(t))
+            for t in event_ring:
+                key = event_partition(t[2], t[3])
+                parts.setdefault(key, []).append(_event_tuple_record(t))
             for (rtype, kind, dag), records in parts.items():
                 written += self._write_segment(root, rtype, kind, dag,
                                                records)
         else:
-            # Spool fast path: drain each ring as one pickled run of
-            # raw field tuples — partitioning, record dicts and footers
+            # Spool fast path: drain each ring as one pickled run of its
+            # record tuples — partitioning, record dicts and footers
             # all wait for persist-time compaction.
             if span_ring:
-                written += self._write_spool_run(
-                    root, "span", [_span_tuple(s) for s in span_ring])
+                written += self._write_spool_run(root, "span",
+                                                 list(span_ring))
             if event_ring:
-                written += self._write_spool_run(
-                    root, "event", [_event_tuple(e) for e in event_ring])
+                written += self._write_spool_run(root, "event",
+                                                 list(event_ring))
         self._flushed_spans += len(span_ring)
         self._flushed_events += len(event_ring)
+        if self._snapshots:
+            replaced = {t[0] for t in span_ring} & self._snapshots
+            if replaced:
+                self._forget_spans(root, replaced,
+                                   self._manifest_entries[:older])
+                self._snapshots -= replaced
+        if self._ring_snapshots:
+            self._snapshots |= self._ring_snapshots
+            self._ring_snapshots.clear()
         span_ring.clear()
         event_ring.clear()
         if self._live:
@@ -433,7 +439,7 @@ class SpanStore:
 
     def _write_spool_run(self, root: str, rtype: str,
                          tuples: list[tuple]) -> int:
-        """One un-shaped run: the ring's raw field tuples, pickled.
+        """One un-shaped run: the ring's record tuples, pickled.
 
         The manifest entry uses the wildcard partition ``("*", "*")``
         and no time range — readers never prune a spool run; compaction
@@ -451,6 +457,30 @@ class SpanStore:
             "min_key": None, "max_key": None,
         })
         return len(tuples)
+
+    def _forget_spans(self, root: str, span_ids: set,
+                      entries: list[dict]) -> None:
+        """Delete the records of ``span_ids`` from these (JSONL) span
+        segments, dropping a segment that is left empty."""
+        for entry in entries:
+            if entry["rtype"] != "span":
+                continue
+            name = entry["file"]
+            path = os.path.join(root, SEGMENT_DIR, name)
+            records = list(_iter_segment_records(path))
+            kept = [r for r in records if r["span_id"] not in span_ids]
+            if len(kept) == len(records):
+                continue
+            self._flushed_spans -= len(records) - len(kept)
+            if not kept:
+                os.remove(path)
+                self._manifest_entries.remove(entry)
+                continue
+            footer = self._segment_footer(name, "span", entry["kind"],
+                                          entry["dag"], kept)
+            self._write_jsonl_segment(path, kept, footer)
+            entry.update(footer)
+            entry.pop("type")
 
     def _write_manifest(self, root: str) -> None:
         manifest = {
@@ -605,8 +635,8 @@ class SpanStore:
         if self._dir is not None:
             sources = [_iter_segment_records(p)
                        for p in _segment_sources(self._dir, entries)]
-        sources.append(iter([event_record(ev)
-                             for ev in self._event_ring]))
+        sources.append(iter([_event_tuple_record(t)
+                             for t in self._event_ring]))
         for rec in heapq.merge(*sources, key=lambda r: r["seq"]):
             if kind is not None and rec["kind"] != kind:
                 continue
@@ -651,8 +681,8 @@ class SpanStore:
                 for rec in _iter_segment_records(path):
                     if want(rec):
                         matches.append(rec)
-        for span in self._span_ring:
-            rec = span_record(span)
+        for t in self._span_ring:
+            rec = _span_tuple_record(t)
             if want(rec):
                 matches.append(rec)
         matches.sort(key=lambda r: r["span_id"])

@@ -77,7 +77,11 @@ class TimelineStore:
         open_ = self.tracer.select(kind=kind, **attrs)
         if not open_:
             return closed
-        return sorted(closed + open_, key=lambda s: s.span_id)
+        # A stored record of a span still open is a persist-time
+        # snapshot: the live span supersedes it.
+        open_ids = {span.span_id for span in open_}
+        return sorted([s for s in closed if s.span_id not in open_ids]
+                      + open_, key=lambda s: s.span_id)
 
     def dag_ids(self) -> list[str]:
         """DAG execution ids in submission order."""

@@ -126,7 +126,7 @@ class AttemptRunner:
                 index=task.index,
                 attempt=attempt.attempt_id,
                 speculative=speculative,
-                state=attempt.state.value,
+                state=attempt.state._value_,    # not the .value descriptor
             )
         if speculative:
             am.metrics["speculative_attempts"] += 1

@@ -436,17 +436,19 @@ class DAGAppMaster:
         else:
             span = getattr(subject, "telemetry_span", None)
             state = subject.state
+        # Enum values are read as `_value_`, the member's own attribute:
+        # `.value` is a Python-level descriptor call, three a transition.
         if span is not None and not span.finished:
             # The live state, not `event.to_state`: queued transition
             # events can trail the machine by a dispatch cascade.
-            span.attrs["state"] = state.value
+            span.attrs["state"] = state._value_
         if telemetry is not None:
             telemetry.event(
                 "am.transition",
                 machine=event.machine,
                 subject=event.subject_id,
-                from_state=event.from_state.value,
-                to_state=event.to_state.value,
+                from_state=event.from_state._value_,
+                to_state=event.to_state._value_,
                 trigger=event.trigger,
             )
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.sim import Environment
+from repro.telemetry import SpanStore, Telemetry
 from repro.tez import TezConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,7 +23,8 @@ RETIRED = [a + "_" + b for a, b in (
     ("indexed", "scheduler"), ("attempt", "fast_path"),
     ("batch", "attempt_exits"), ("fast_path", "min_tasks"),
     ("scheduler", "incremental"), ("event_driven", "ticks"),
-    ("timer", "wheel"), ("execution", "templates"))]
+    ("timer", "wheel"), ("execution", "templates"),
+    ("verbose", "sim"), ("REPRO", "TELEMETRY_TEE"))]
 # As identifiers: the ledger-facing `<timer><wheel>_hits` counter passes.
 GUARD = re.compile(r"(?<![A-Za-z0-9_])(%s)(?![A-Za-z0-9_])"
                    % "|".join(RETIRED))
@@ -53,7 +55,7 @@ def test_no_retired_switch_is_named_anywhere():
 
 @pytest.mark.parametrize("cls, name", [
     (TezConfig, RETIRED[3]), (ClusterSpec, RETIRED[8]),
-    (TezConfig, RETIRED[9])])
+    (TezConfig, RETIRED[9]), (Telemetry, RETIRED[10]), (SpanStore, "tee")])
 def test_retired_switches_are_not_accepted(cls, name):
     with pytest.raises(TypeError):
         cls(**{name: False})

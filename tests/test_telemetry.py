@@ -122,9 +122,9 @@ def test_task_trace_entry_is_tuple_compatible():
 # ======================================================= event log API
 def test_event_log_select_by_kind_prefix_and_attrs():
     log = EventLog()
-    log.emit("yarn.allocation", 1.0, node="n0")
-    log.emit("yarn.preemption", 2.0, node="n1")
-    log.emit("am.speculation", 3.0, vertex="m")
+    log.emit("yarn.allocation", 1.0, {"node": "n0"})
+    log.emit("yarn.preemption", 2.0, {"node": "n1"})
+    log.emit("am.speculation", 3.0, {"vertex": "m"})
     assert len(log.select(prefix="yarn.")) == 2
     assert log.select(kind="am.speculation")[0].attrs["vertex"] == "m"
     assert log.select(prefix="yarn.", node="n1")[0].ts == 2.0

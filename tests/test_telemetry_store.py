@@ -6,11 +6,12 @@ Three layers of coverage:
   wildcards and persist-time compaction, overflow policies (lossless
   ``block`` vs lossy ``drop`` + the schema-checked backpressure
   event), reopening a persisted directory, ``discard()``.
-* **Equivalence on the figure benchmarks** — with the tee enabled the
-  legacy in-memory timeline is retained alongside the bounded store,
-  so every figure workload asserts that the partitioned store (and a
-  persisted+reopened copy of it) yields the exact same timeline,
-  summaries and critical paths the in-memory store would have.
+* **Equivalence on the figure benchmarks** — a test-local recorder
+  keeps every record the store is handed in memory alongside the
+  bounded path, so every figure workload asserts that the partitioned
+  store (and a persisted+reopened copy of it) yields the exact same
+  timeline, summaries and critical paths the in-memory store would
+  have.
 * **Incremental rollups (Hypothesis)** — random span trees closed in
   random order must produce rollup summaries and critical paths
   identical to post-hoc scans over the store.
@@ -36,27 +37,28 @@ from repro.telemetry.events import EventLog, TelemetryEvent
 from repro.telemetry.spans import Span, Tracer
 from repro.telemetry.store import (
     SpanStore,
+    _span_tuple_record,
     event_record,
     read_manifest,
     span_record,
 )
-from repro.telemetry.timeline import TimelineStore
+from repro.telemetry.timeline import TimelineStore, span_from_record
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmarks")
 
 
 # ----------------------------------------------------------- builders
+# The records a store is handed: span and event tuples.
 def mk_span(span_id, kind="attempt", dag="dag#1", end_offset=1.0,
             **attrs):
     return Span(span_id, kind, f"s{span_id}", float(span_id),
                 float(span_id) + end_offset, None,
-                {"dag": dag, **attrs})
+                {"dag": dag, **attrs}).record()
 
 
 def mk_event(seq, kind="am.task", dag="dag#1", **attrs):
-    return TelemetryEvent(ts=float(seq), kind=kind,
-                          attrs={"dag": dag, **attrs}, seq=seq)
+    return (seq, float(seq), kind, {"dag": dag, **attrs})
 
 
 def fill(store, n_spans=10, n_events=10):
@@ -188,6 +190,83 @@ def test_discard_drops_the_private_spool():
     assert not os.path.isdir(spool)
 
 
+# ================================================ one record per span
+def _warm_session():
+    """A session AM holding 4 prewarmed containers: the session span
+    and one span per container stay open until the session stops."""
+    from helpers import make_sim
+    from repro.tez import TezConfig
+    sim = make_sim()
+    client = sim.tez_client("s", session=True, config=TezConfig(
+        container_idle_timeout=1e9, session_idle_timeout=1e9))
+    client.start()
+    client.prewarm(4)
+    sim.env.run(until=sim.env.now + 30.0)
+    return sim, client
+
+
+def _stored_span_ids(store_dir):
+    return [rec["span_id"] for rec in
+            TimelineStore.open(store_dir).spanstore.iter_span_records()]
+
+
+def test_a_span_persisted_open_is_stored_once_after_it_closes(tmp_path):
+    """persist_store() snapshots every open span; the span's close
+    replaces the snapshot, so the store holds one record per span id -
+    the closed one - and span_count counts spans."""
+    sim, client = _warm_session()
+    tel = sim.telemetry
+    open_ids = {span.span_id for span in tel.tracer.open_spans()}
+    assert len(open_ids) >= 5
+    target = str(tmp_path / "store")
+    tel.persist_store(target)
+    live = [span.span_id for span in tel.store.spans()]
+    assert sorted(live) == sorted(set(live)) and open_ids <= set(live)
+    client.stop()
+    sim.env.run(until=sim.env.now + 60.0)
+    assert not open_ids & {span.span_id for span in tel.tracer.open_spans()}
+    tel.close()
+    ids = _stored_span_ids(target)
+    assert sorted(ids) == sorted(set(ids))
+    assert tel.spanstore.span_count == len(ids)
+    assert open_ids <= set(ids)
+    assert all(rec["end"] is not None for rec in
+               TimelineStore.open(target).spanstore.iter_span_records()
+               if rec["span_id"] in open_ids)
+    assert check_store(target) == []
+
+
+def test_a_span_persisted_open_twice_keeps_its_latest_snapshot(tmp_path):
+    sim, _client = _warm_session()
+    tel = sim.telemetry
+    session = tel.tracer.select(kind="session")[0]
+    target = str(tmp_path / "store")
+    tel.persist_store(target)
+    session.attrs["mark"] = "second"
+    tel.persist_store(target)
+    ids = _stored_span_ids(target)
+    assert sorted(ids) == sorted(set(ids))
+    assert tel.spanstore.span_count == len(ids)
+    (rec,) = [r for r in TimelineStore.open(target).spanstore
+              .iter_span_records(kind="session")]
+    assert rec["end"] is None and rec["attrs"]["mark"] == "second"
+    assert check_store(target) == []
+
+
+def test_store_check_fails_on_a_duplicate_span_id(tmp_path, capsys):
+    from repro.telemetry.check import main as check_main
+    target = str(tmp_path / "store")
+    store = SpanStore(dir=target, ring_spans=2)
+    store.add_span(mk_span(1, kind="vertex"))
+    store.add_span(mk_span(2))
+    store.add_span(mk_span(1, kind="vertex", end_offset=2.0))
+    store.close()
+    problems = check_store(target)
+    assert len(problems) == 1 and "span_id 1 stored twice" in problems[0]
+    assert check_main(["--store", target]) == 1
+    assert "stored twice" in capsys.readouterr().out
+
+
 # ==================================================== overflow policy
 def test_block_policy_is_lossless_and_bounded():
     store = SpanStore(ring_spans=8, ring_events=8, overflow="block")
@@ -263,19 +342,42 @@ FIG_MODULES = [
 ]
 
 
-def legacy_timeline(tel):
-    """The in-memory store the tee retained: a sink-less tracer/log
-    holding every span and event, exactly as pre-store telemetry did."""
+@pytest.fixture
+def recorded(monkeypatch):
+    """store -> (span records, event records): everything each
+    ``SpanStore`` is handed, kept in memory beside the bounded path."""
+    seen = {}
+    add_span, add_event = SpanStore.add_span, SpanStore.add_event
+
+    def recording_add_span(store, rec):
+        seen.setdefault(store, ([], []))[0].append(rec)
+        add_span(store, rec)
+
+    def recording_add_event(store, rec, control=False):
+        seen.setdefault(store, ([], []))[1].append(rec)
+        add_event(store, rec, control)
+
+    monkeypatch.setattr(SpanStore, "add_span", recording_add_span)
+    monkeypatch.setattr(SpanStore, "add_event", recording_add_event)
+    return seen
+
+
+def legacy_timeline(tel, recorded):
+    """The in-memory timeline the recorder retained: a sink-less
+    tracer/log holding every span and event, exactly as pre-store
+    telemetry did."""
+    spans, events = recorded[tel.spanstore]
     by_id = {}
-    # persist_store() hands still-open spans to the (teed) store, so
-    # after a persist they appear both in the tee and in the tracer's
-    # open set — same objects, keep one.
-    for span in list(tel.spanstore.tee_spans) + tel.tracer.open_spans():
+    # A span still open is in the tracer's open set and, once
+    # persist_store() has snapshotted it, among the records: keep one.
+    for span in [span_from_record(_span_tuple_record(t)) for t in spans] \
+            + tel.tracer.open_spans():
         by_id.setdefault(span.span_id, span)
     tracer = Tracer()
     tracer.spans = [by_id[span_id] for span_id in sorted(by_id)]
     log = EventLog()
-    log._events = list(tel.spanstore.tee_events)
+    log._events = [TelemetryEvent(ts, kind, attrs, seq)
+                   for seq, ts, kind, attrs in events]
     log._count = len(log._events)
     return TimelineStore(log=log, tracer=tracer)
 
@@ -302,12 +404,11 @@ def assert_store_equals_legacy(tel, store, legacy):
 
 @pytest.mark.parametrize("mod_name", FIG_MODULES)
 def test_figure_benchmark_store_equivalence(mod_name, monkeypatch,
-                                            tmp_path):
-    """ISSUE acceptance: on every figure benchmark the partitioned
-    store round-trips to the exact same timeline, summaries and
-    critical paths as the legacy in-memory store (retained via the
-    tee), live and after persist+reopen."""
-    monkeypatch.setenv("REPRO_TELEMETRY_TEE", "1")
+                                            tmp_path, recorded):
+    """On every figure benchmark the partitioned store round-trips to
+    the exact same timeline, summaries and critical paths as the legacy
+    in-memory store (retained by the recorder), live and after
+    persist+reopen."""
     monkeypatch.syspath_prepend(BENCH_DIR)
     mod = importlib.import_module(mod_name)
     sims = []
@@ -324,10 +425,10 @@ def test_figure_benchmark_store_equivalence(mod_name, monkeypatch,
 
     for sim in sims:
         tel = sim.telemetry
-        assert tel.spanstore.tee, "tee must be on for ground truth"
+        assert tel.spanstore in recorded, "no record reached the store"
         assert tel.spanstore.dropped_spans == 0
         assert tel.spanstore.dropped_events == 0
-        legacy = legacy_timeline(tel)
+        legacy = legacy_timeline(tel, recorded)
         assert_store_equals_legacy(tel, tel.store, legacy)
 
     # Persist + reopen the last simulation's store: the directory is
@@ -337,7 +438,7 @@ def test_figure_benchmark_store_equivalence(mod_name, monkeypatch,
     target = str(tmp_path / "store")
     tel.persist_store(target)
     assert check_store(target) == []
-    legacy = legacy_timeline(tel)
+    legacy = legacy_timeline(tel, recorded)
     reopened = TimelineStore.open(target)
     assert_store_equals_legacy(None, reopened, legacy)
 
