@@ -307,12 +307,7 @@ class _MRAppMaster:
             ))
             task.staged = staged
         else:
-            partitions: dict[int, list] = {
-                p: [] for p in range(job.num_reducers)
-            }
-            for kv in out:
-                p = self.partitioner.partition(kv[0], job.num_reducers)
-                partitions[p].append(kv)
+            partitions = self.partitioner.split(out, job.num_reducers)
             yield self.env.timeout(container.compute_delay(
                 self.spec.sort_time(len(out))
             ))

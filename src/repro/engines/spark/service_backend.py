@@ -235,15 +235,9 @@ class SparkServiceBackend:
                     stage.shuffle_emit(records)
                     if stage.shuffle_emit else records
                 )
-                partitions_count = consumer_stages[0].num_partitions
-                partitions: dict[int, list] = {
-                    p: [] for p in range(partitions_count)
-                }
-                for kv in emitted:
-                    p = self.partitioner.partition(
-                        kv[0], partitions_count
-                    )
-                    partitions[p].append(kv)
+                partitions = self.partitioner.split(
+                    emitted, consumer_stages[0].num_partitions
+                )
                 service = self.sim.shuffle.on_node(container.node_id)
                 refs = service.register_spill(
                     str(ctx.app_id),

@@ -1,6 +1,11 @@
 """In-memory simulated HDFS with rack-aware placement and locality."""
 
-from .blocks import DataBlock, DfsFile, estimate_record_bytes
+from .blocks import (
+    DataBlock,
+    DfsFile,
+    estimate_record_bytes,
+    estimate_records_bytes,
+)
 from .namenode import BlockUnavailable, FileNotFound, Hdfs, HdfsError
 
 __all__ = [
@@ -11,4 +16,5 @@ __all__ = [
     "Hdfs",
     "HdfsError",
     "estimate_record_bytes",
+    "estimate_records_bytes",
 ]

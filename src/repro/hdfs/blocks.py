@@ -7,41 +7,75 @@ cluster nodes; a replica on a dead node is unreadable.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Any, Sequence
+from itertools import chain, compress, repeat
+from operator import is_
+from typing import Any, Iterable, Sequence
 
-__all__ = ["DataBlock", "DfsFile", "estimate_record_bytes"]
+__all__ = ["DataBlock", "DfsFile", "estimate_record_bytes",
+           "estimate_records_bytes"]
 
-_PRIMITIVE_SIZES = {int: 8, float: 8, bool: 1, type(None): 1}
+# Header size of one value by exact type: a container's 8 is its own
+# header, its fields are sized on top; anything absent is opaque (32).
+_HEADER_SIZES = {int: 8, float: 8, bool: 1, type(None): 1,
+                 str: 4, bytes: 4, tuple: 8, list: 8, dict: 8}
+_OPAQUE = 32
+
+
+def estimate_records_bytes(records: Iterable[Any]) -> int:
+    """Cheap serialized-size estimate of a record list for the cost
+    model: an int or float is 8, a bool or None 1, a str or bytes its
+    length + 4, a tuple, list or dict 8 + its fields (a dict's keys and
+    values), anything else 32. Only ``type(v)`` is looked up, so a
+    subclass (an ``IntEnum``, a ``str`` subclass) is opaque.
+
+    Sized a column at a time: the records are one column; a column of
+    one type adds its header size per value, a mixed one is split by
+    type, and a container column pushes its fields, flattened, as
+    further columns. Every loop over values runs in C, so a spill's
+    partition costs one call, not one per record."""
+    total = 0
+    stack = [records if type(records) in (list, tuple) else list(records)]
+    while stack:
+        column = stack.pop()
+        types = set(map(type, column))
+        if len(types) > 1:
+            # Mixed: one sub-column per type, picked out by a mask.
+            kinds = list(map(type, column))
+            for t in types:
+                stack.append(list(compress(column, map(is_, kinds, repeat(t)))))
+            continue
+        if not types:
+            continue
+        t = types.pop()
+        total += _HEADER_SIZES.get(t, _OPAQUE) * len(column)
+        if t is str or t is bytes:
+            total += sum(map(len, column))
+        elif t is tuple or t is list:
+            _push_fields(stack, column, column)
+        elif t is dict:
+            stack.append(list(chain.from_iterable(column)))
+            _push_fields(stack, column, map(dict.values, column))
+    return total
+
+
+def _push_fields(stack: list, column: Sequence, fields: Iterable) -> None:
+    """Push the flattened ``fields`` of ``column``'s containers as one
+    column per position of its first container. Slices at that stride
+    cover every field whatever the lengths: a ragged column only gives
+    mixed columns, which the caller splits by type. Fields that fill no
+    more than one stride (one container, as in a one-record spill) stay
+    one column: slicing them would cost a pass per field."""
+    flat = list(chain.from_iterable(fields))
+    stride = len(column[0])
+    if stride <= 1 or len(flat) <= stride:
+        stack.append(flat)
+    else:
+        stack.extend(flat[i::stride] for i in range(stride))
 
 
 def estimate_record_bytes(record: Any) -> int:
-    """Cheap serialized-size estimate for the cost model."""
-    t = type(record)
-    if t is tuple or t is list:
-        fields = record
-    elif t is dict:
-        fields = chain(record, record.values())
-    else:
-        size = _PRIMITIVE_SIZES.get(t)
-        if size is not None:
-            return size
-        if t is str or t is bytes:
-            return len(record) + 4
-        return 32  # opaque object
-    # Called once per shuffled record: flat fields are sized in this
-    # loop, only nested containers and opaque objects recurse.
-    fixed = _PRIMITIVE_SIZES.get
-    total = 8
-    for v in fields:
-        size = fixed(type(v))
-        if size is not None:
-            total += size
-        elif type(v) is str or type(v) is bytes:
-            total += len(v) + 4
-        else:
-            total += estimate_record_bytes(v)
-    return total
+    """``estimate_records_bytes`` of the one record ``record``."""
+    return estimate_records_bytes((record,))
 
 
 class DataBlock:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional, Sequence
 
 from ..cluster import Cluster, LOCAL, RACK_LOCAL
-from .blocks import DataBlock, DfsFile, estimate_record_bytes
+from .blocks import DataBlock, DfsFile, estimate_records_bytes
 
 __all__ = ["Hdfs", "HdfsError", "FileNotFound", "BlockUnavailable"]
 
@@ -98,8 +98,7 @@ class Hdfs:
             sample = records[: min(64, len(records))]
             if sample:
                 record_bytes = max(
-                    1,
-                    sum(estimate_record_bytes(r) for r in sample) // len(sample),
+                    1, estimate_records_bytes(sample) // len(sample),
                 )
             else:
                 record_bytes = 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Any, Sequence
 
 from .sorter import sort_key
@@ -36,11 +37,29 @@ def _stable_hash(key: Any) -> int:
     return hash(key) & 0x7FFFFFFF
 
 
+def _empty_partitions(num_partitions: int) -> tuple[dict[int, list], list]:
+    """``{p: []}`` for every partition, and the lists' bound appends."""
+    lists = [[] for _ in range(num_partitions)]
+    return dict(enumerate(lists)), [part.append for part in lists]
+
+
 class Partitioner:
     """Interface: subclasses route keys to partitions."""
 
     def partition(self, key: Any, num_partitions: int) -> int:
         raise NotImplementedError
+
+    def split(self, records: Sequence, num_partitions: int
+              ) -> dict[int, list]:
+        """Records partitioned by ``record[0]``: every partition in
+        ``range(num_partitions)`` is present, each holding its records
+        in their original order. One call per record list, so a task's
+        output crosses into the shuffle layer once."""
+        partitions, appends = _empty_partitions(num_partitions)
+        partition = self.partition
+        for record in records:
+            appends[partition(record[0], num_partitions)](record)
+        return partitions
 
 
 class HashPartitioner(Partitioner):
@@ -50,6 +69,23 @@ class HashPartitioner(Partitioner):
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
         return _stable_hash(key) % num_partitions
+
+    def split(self, records: Sequence, num_partitions: int
+              ) -> dict[int, list]:
+        if type(self).partition is not HashPartitioner.partition:
+            return super().split(records, num_partitions)
+        if num_partitions <= 0:
+            raise ValueError("num_partitions must be positive")
+        partitions, appends = _empty_partitions(num_partitions)
+        if set(map(type, map(itemgetter(0), records))) <= {int}:
+            # `_stable_hash` of an exact int (never a bool), inlined.
+            for record in records:
+                appends[(record[0] * 2654435761 & 0x7FFFFFFF)
+                        % num_partitions](record)
+        else:
+            for record in records:
+                appends[_stable_hash(record[0]) % num_partitions](record)
+        return partitions
 
 
 class RangePartitioner(Partitioner):

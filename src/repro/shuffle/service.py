@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..cluster import Cluster
-from ..hdfs import estimate_record_bytes
+from ..hdfs import estimate_records_bytes
 from ..yarn.security import SecurityManager, Token
 
 __all__ = ["ShuffleService", "ShuffleServices", "Spill", "SpillRef",
@@ -63,7 +63,8 @@ class ShuffleService:
     """One node's shuffle service."""
 
     def __init__(self, node_id: str, cluster: Cluster,
-                 security: SecurityManager):
+                 security: SecurityManager,
+                 app_nodes: dict[str, set[str]]):
         self.node_id = node_id
         self.cluster = cluster
         self.security = security
@@ -71,6 +72,10 @@ class ShuffleService:
         # app id -> its spill ids here, so a finished application's
         # spills are found without scanning every other app's.
         self._app_spills: dict[str, set[str]] = {}
+        # app id -> ids of the nodes holding its spills, shared by every
+        # service of one ShuffleServices directory: an app is listed
+        # under this node exactly while ``_app_spills`` lists it.
+        self._app_nodes = app_nodes
 
     @property
     def alive(self) -> bool:
@@ -95,14 +100,18 @@ class ShuffleService:
         for part, records in partitions.items():
             if bytes_per_record is not None:
                 partition_bytes[part] = int(len(records) * bytes_per_record)
+            elif records:
+                partition_bytes[part] = estimate_records_bytes(records)
             else:
-                partition_bytes[part] = sum(
-                    estimate_record_bytes(r) for r in records
-                )
+                partition_bytes[part] = 0
         spill = Spill(spill_id, app_id, self.node_id, partitions,
                       partition_bytes)
         self._spills[spill_id] = spill
-        self._app_spills.setdefault(app_id, set()).add(spill_id)
+        spill_ids = self._app_spills.get(app_id)
+        if spill_ids is None:
+            spill_ids = self._app_spills[app_id] = set()
+            self._app_nodes.setdefault(app_id, set()).add(self.node_id)
+        spill_ids.add(spill_id)
         return [
             SpillRef(self.node_id, spill_id, part, partition_bytes[part])
             for part in sorted(partitions)
@@ -123,11 +132,24 @@ class ShuffleService:
         """Reclaim all spills of a finished application."""
         for spill_id in self._app_spills.pop(app_id, ()):
             del self._spills[spill_id]
+        self._unlist(app_id)
 
     def drop_spill(self, spill_id: str) -> None:
         spill = self._spills.pop(spill_id, None)
         if spill is not None:
-            self._app_spills[spill.app_id].discard(spill_id)
+            spill_ids = self._app_spills[spill.app_id]
+            spill_ids.discard(spill_id)
+            if not spill_ids:
+                del self._app_spills[spill.app_id]
+                self._unlist(spill.app_id)
+
+    def _unlist(self, app_id: str) -> None:
+        """This node holds no more spills of ``app_id``."""
+        nodes = self._app_nodes.get(app_id)
+        if nodes is not None:
+            nodes.discard(self.node_id)
+            if not nodes:
+                del self._app_nodes[app_id]
 
     def spill_ids(self) -> list[str]:
         """Registered spill ids, sorted (fault injection + testing)."""
@@ -145,14 +167,22 @@ class ShuffleServices:
     def __init__(self, cluster: Cluster, security: SecurityManager):
         self.cluster = cluster
         self.security = security
+        # app id -> ids of the nodes holding its spills (kept by the
+        # services), so cleanup visits only those nodes.
+        self._app_nodes: dict[str, set[str]] = {}
         self.services = {
-            node_id: ShuffleService(node_id, cluster, security)
+            node_id: ShuffleService(node_id, cluster, security,
+                                    self._app_nodes)
             for node_id in cluster.nodes
         }
 
     def on_node(self, node_id: str) -> ShuffleService:
         return self.services[node_id]
 
+    def app_nodes(self, app_id: str) -> list[str]:
+        """Ids of the nodes holding spills of ``app_id``, sorted."""
+        return sorted(self._app_nodes.get(app_id, ()))
+
     def delete_app(self, app_id: str) -> None:
-        for service in self.services.values():
-            service.delete_app(app_id)
+        for node_id in self.app_nodes(app_id):
+            self.services[node_id].delete_app(app_id)

@@ -11,6 +11,8 @@ exits arrive as ``AttemptExitedEvent`` on the AM dispatcher.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
 from typing import Generator, Optional
 
 from ...sim import Interrupt, Store
@@ -18,7 +20,7 @@ from ...telemetry import get_telemetry
 from ...yarn import Container
 from ..dag import DataMovementType
 from ..edge_manager import OneToOneEdgeManager
-from ..events import DataMovementEvent, TezEvent
+from ..events import CompositeDataMovementEvent, DataMovementEvent, TezEvent
 from ..library.processors import (
     FnProcessor,
     NoOpProcessor,
@@ -200,8 +202,7 @@ class AttemptRunner:
                            processor]:
                 yield from entity.initialize()
             attempt.event_store = channel = _InlineEventChannel(inputs)
-            for event in self.snapshot_events(task):
-                self.dispatch_to_input(inputs, event)
+            self.deliver_snapshot(task, inputs)
             try:
                 yield from processor.run(inputs, outputs)
                 out_events: list[TezEvent] = []
@@ -224,8 +225,7 @@ class AttemptRunner:
         # Deliver buffered events routed to this task, then keep
         # pumping live events for the attempt's lifetime.
         attempt.event_store = Store(am.env)
-        for event in self.snapshot_events(task):
-            self.dispatch_to_input(inputs, event)
+        self.deliver_snapshot(task, inputs)
         pump = am.env.process(
             self.event_pump(attempt, inputs),
             name=f"pump:{attempt.attempt_id}",
@@ -284,6 +284,14 @@ class AttemptRunner:
         source = getattr(event, "source_vertex", None)
         if source is not None and source in inputs:
             inputs[source].handle_event(event)
+
+    def deliver_snapshot(self, task: Task, inputs: dict) -> None:
+        """Hand ``snapshot_events(task)`` to the task's inputs in order,
+        one ``handle_events`` call per source input."""
+        for source, events in groupby(self.snapshot_events(task),
+                                      key=attrgetter("source_vertex")):
+            if source in inputs:
+                inputs[source].handle_events(list(events))
 
     def build_task_spec(self, task: Task,
                         attempt: TaskAttempt) -> TaskSpec:
@@ -400,6 +408,7 @@ class AttemptRunner:
             partition_range = getattr(manager, "partition_range", None)
             own_range = None if partition_range is None \
                 else partition_range(task.index)
+            picks = []
             for (src_name, src_task), comp in \
                     vr.incoming_composites.items():
                 if src_name != source_name:
@@ -413,11 +422,10 @@ class AttemptRunner:
                     if not 0 <= offset < comp.count:
                         continue
                     routing = manager.route(src_task, partition)
-                    if task.index not in routing:
-                        continue
-                    sub = comp.sub_event(offset)
-                    sub.target_input_index = routing[task.index]
-                    out.append(sub)
+                    if task.index in routing:
+                        picks.append((comp, offset, routing[task.index]))
+            if picks:
+                out.extend(CompositeDataMovementEvent.sub_events(picks))
         out.sort(key=lambda e: (e.source_vertex, e.source_task_index,
                                 e.source_output_index))
         return out

@@ -86,16 +86,26 @@ class CompositeDataMovementEvent(TezEvent):
 
     def sub_event(self, offset: int) -> DataMovementEvent:
         """Materialise the per-partition event at ``offset``."""
-        return DataMovementEvent(
-            source_vertex=self.source_vertex,
-            source_task_index=self.source_task_index,
-            source_output_index=self.source_output_start + offset,
-            payload=self.payload_for(offset),
-            version=self.version,
-        )
+        return self.sub_events(((self, offset, None),))[0]
+
+    @staticmethod
+    def sub_events(picks) -> list[DataMovementEvent]:
+        """Materialise ``(composite, offset, target_input_index)`` picks,
+        in order: a consumer's whole snapshot of one edge in one call."""
+        return [
+            DataMovementEvent(
+                source_vertex=comp.source_vertex,
+                source_task_index=comp.source_task_index,
+                source_output_index=comp.source_output_start + offset,
+                payload=comp.payload_for(offset),
+                version=comp.version,
+                target_input_index=target,
+            )
+            for comp, offset, target in picks
+        ]
 
     def expand(self) -> list[DataMovementEvent]:
-        return [self.sub_event(i) for i in range(self.count)]
+        return self.sub_events([(self, i, None) for i in range(self.count)])
 
 
 @dataclass

@@ -69,11 +69,7 @@ class _SpillOutputBase(LogicalOutput):
         count = self.spec.physical_count
         if count == 1:
             return {0: self.records}
-        partitions: dict[int, list] = {p: [] for p in range(count)}
-        partition = self.partitioner.partition
-        for record in self.records:
-            partitions[partition(record[0], count)].append(record)
-        return partitions
+        return self.partitioner.split(self.records, count)
 
     def close(self) -> Generator:
         ctx = self.ctx

@@ -228,6 +228,12 @@ class LogicalInput:
         """
         self.events.put_nowait(event)
 
+    def handle_events(self, events: list[TezEvent]) -> None:
+        """``handle_event`` on each of ``events``, in order: a task's
+        buffered events arrive in one call per input."""
+        for event in events:
+            self.handle_event(event)
+
     def reader(self) -> Generator:
         """Process returning the input's records."""
         raise NotImplementedError

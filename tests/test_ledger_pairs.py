@@ -4,7 +4,8 @@ tool makes, so the pairing, the alternation, the two identity gates
 (changed result: exit 2, untimed; changed count: timed, exit 3), the
 traced-pass gate (the change alone fails it: exit 2, untimed), the
 ranking margin printed for each side's traced pass whatever the gate
-says, and the flag on an end-to-end metric that got worse than its
+says (with ``tez.am``'s share against its limit on ``shuffle_rows``),
+and the flag on an end-to-end metric that got worse than its
 bound (exit 1) are tested without running the ledger."""
 
 import importlib.util
@@ -98,6 +99,27 @@ def test_pairs_alternate_and_report(tmp_path, capsys):
     assert calls[0] == "--child batch --workload w --seed 5"
     assert calls[1] == "--workload w --seed 5 --seconds 4 --trace 1"
     assert calls[2:] == ["--workload w --seed 5 --seconds 4 --trace 0"] * 3
+
+
+def test_shuffle_rows_margin_also_gives_the_tez_am_share(tmp_path, capsys):
+    # shuffle_rows's traced pass also fails once tez.am reaches 5 % of
+    # the traced wall: each side's line shows how close it is.
+    parent = _checkout(tmp_path / "p", wall=4.0)
+    change = _checkout(tmp_path / "c", wall=3.0, traced={
+        "correct": True, "wall": 25.0, "sim": 5.9, "tez.am": 1.0})
+    assert ledger_pairs.main(["--parent", str(parent), "--change",
+                              str(change), "--workload", "shuffle_rows",
+                              "--pairs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "parent traced pass: largest sim 5.900s, runner-up tez.am " \
+           "1.250s, lead 4.650s (46.5% of traced wall 10.000s); tez.am " \
+           "12.5% of traced wall (limit 5%)\n" in out
+    assert "change traced pass: largest sim 5.900s, runner-up tez.am " \
+           "1.000s, lead 4.900s (19.6% of traced wall 25.000s); tez.am " \
+           "4.0% of traced wall (limit 5%)\n" in out
+    # Other workloads have no share rule and print none.
+    assert _main(parent, change, "--pairs", "1") == 0
+    assert "limit" not in capsys.readouterr().out
 
 
 def test_changed_result_fails_before_timing(tmp_path, capsys):

@@ -206,6 +206,61 @@ class TestShuffleService:
         services.delete_app("app1")
         assert svc.spill_ids() == [] and svc.spill_count() == 0
 
+    def test_app_cleanup_visits_only_the_apps_nodes(self, monkeypatch):
+        env, cluster, security, services = make_services()
+        tok = security.issue("JOB", "app1")
+        services.on_node("node0001").register_spill(
+            "app1", "a", {0: [1]}, token=tok)
+        services.on_node("node0003").register_spill(
+            "app1", "b", {0: [2]}, token=tok)
+        assert services.app_nodes("app1") == ["node0001", "node0003"]
+        visited = []
+        for node_id, service in services.services.items():
+            monkeypatch.setattr(
+                service, "delete_app",
+                lambda app, _n=node_id, _d=service.delete_app: (
+                    visited.append(_n), _d(app)))
+        services.delete_app("app1")
+        assert visited == ["node0001", "node0003"]
+        assert services.app_nodes("app1") == []
+        services.delete_app("app1")                # nothing left to visit
+        assert visited == ["node0001", "node0003"]
+        # Dropping a node's last spill of the app unlists the node.
+        services.on_node("node0002").register_spill(
+            "app1", "c", {0: [3]}, token=tok)
+        services.on_node("node0002").drop_spill("c")
+        assert services.app_nodes("app1") == []
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["register", "drop", "delete_app", "delete_here"]),
+        st.sampled_from(["app1", "app2"]), st.integers(0, 2),
+        st.integers(0, 2)), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_app_node_index_agrees_with_spill_counts(self, ops):
+        # Whatever registers, drops (fault injection's path) and
+        # deletes did, an app is indexed under exactly the nodes whose
+        # service still counts a spill of it.
+        env, cluster, security, services = make_services()
+        tokens = {app: security.issue("JOB", app) for app in ("app1",
+                                                              "app2")}
+        node_ids = sorted(services.services)
+        for op, app, node, n in ops:
+            svc = services.on_node(node_ids[node])
+            spill_id = f"{app}-s{n}"
+            if op == "register" and spill_id not in svc.spill_ids():
+                svc.register_spill(app, spill_id, {0: [n]},
+                                   token=tokens[app])
+            elif op == "drop":
+                svc.drop_spill(spill_id)
+            elif op == "delete_app":
+                services.delete_app(app)
+            elif op == "delete_here":
+                svc.delete_app(app)
+            for each in ("app1", "app2"):
+                assert services.app_nodes(each) == [
+                    node_id for node_id in node_ids
+                    if services.on_node(node_id).spill_count(each)]
+
     def test_bytes_per_record_hint(self):
         env, cluster, security, services = make_services()
         tok = security.issue("JOB", "app1")

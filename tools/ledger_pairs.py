@@ -23,7 +23,9 @@ per-layer ``self_s`` and exits 2 as well. Pass or fail, each side's
 traced pass is summed up in one line - its largest layer, the
 runner-up, and the lead between them in seconds and as a share of the
 traced wall - so a change that narrows the margin a ranking rule rests
-on shows it before the ranking flips. A
+on shows it before the ranking flips. On a workload with a share rule
+(``shuffle_rows``: ``tez.am`` under 5 % of the traced wall) the line
+also gives that layer's share against its limit, for the same reason. A
 differing exact *count* (``counts.*``) with the result unchanged means
 the same answer was reached by different work: the keys are listed,
 the pairs are timed anyway, and the tool ends with exit 3 naming them
@@ -58,6 +60,8 @@ BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCHMARK.json")
 SECONDS = 4                    # BENCHMARK.json run_seconds
 IDENTITY_KEYS = ("digest", "sim_makespan_s", "attempted", "failed", "tasks")
+# run.py's share rules on a traced pass: workload -> (layer, limit).
+SHARE_LIMITS = {"shuffle_rows": ("tez.am", 0.05)}
 # run.py's per-batch progress line: "batch 2: wall 3.437s / host 0.953 = ..."
 _RAW_WALL = re.compile(r"batch \d+: wall ([0-9.]+)s / host")
 
@@ -114,6 +118,12 @@ def ranking_margin(traced: dict) -> str:
             f"{next_most:.3f}s, lead {lead:.3f}s "
             f"({lead / traced['wall_s']:.1%} of traced wall "
             f"{traced['wall_s']:.3f}s)")
+
+
+def share_of_wall(traced: dict, layer: str, limit: float) -> str:
+    """A layer's share of the traced wall against the rule's limit."""
+    share = traced["self_s"].get(layer, 0.0) / traced["wall_s"]
+    return f"{layer} {share:.1%} of traced wall (limit {limit:.0%})"
 
 
 def measure(checkout: str, workload: str, seed: int) -> dict:
@@ -181,8 +191,12 @@ def main(argv=None) -> int:
 
     traced = {name: traced_pass(checkout, args.workload, args.seed)
               for name, checkout in sides.items()}
+    share_rule = SHARE_LIMITS.get(args.workload)
     for name in sides:
-        print(f"{name} traced pass: {ranking_margin(traced[name])}")
+        line = f"{name} traced pass: {ranking_margin(traced[name])}"
+        if share_rule is not None:
+            line += f"; {share_of_wall(traced[name], *share_rule)}"
+        print(line)
     if traced["parent"]["correct"] and not traced["change"]["correct"]:
         print(f"{args.workload} seed {args.seed}: the change's traced pass "
               f"is correct: false, the parent's is not")
