@@ -51,7 +51,7 @@ try:
 except ImportError:          # pragma: no cover - non-POSIX hosts
     _resource = None
 
-from ..chaos import FaultPlan
+from ..chaos import CrashWitness, FaultPlan
 from ..harness import SimCluster
 from ..telemetry.store import JsonlStreamWriter
 from ..tez import DAG, Descriptor, TezConfig, Vertex
@@ -73,21 +73,7 @@ def _noop(ctx, data):
     return {}
 
 
-def _tracked(runs: list, dag_name: str):
-    """Processor fn that logs every execution — the evidence for the
-    crashed shard's no-re-execution assertion."""
-
-    def fn(ctx, data):
-        runs.append((dag_name, "work", ctx.task_index, ctx.attempt,
-                     ctx.env.now))
-        return {}
-
-    return fn
-
-
-def _make_dag(name: str, tasks: int, runs: Optional[list],
-              setup: float) -> DAG:
-    fn = _noop if runs is None else _tracked(runs, name)
+def _make_dag(name: str, tasks: int, fn, setup: float) -> DAG:
     v = Vertex("work", Descriptor(FnProcessor,
                                   {"fn": fn, "setup_seconds": setup}),
                parallelism=tasks, resource_mb=256)
@@ -176,44 +162,15 @@ def run_cluster_day(
         for i in range(sessions)
     ]
 
-    # Track every AM attempt (per client) for dispatch/recovery
-    # accounting, and snapshot the crashed shard's journaled successes
-    # at the instant it dies.
-    ams_by_client: list[list] = [[] for _ in range(sessions)]
-    crash_info: dict = {}
+    # Record every AM attempt for dispatch/recovery accounting, and
+    # snapshot the crashed shard's journaled successes at the instant
+    # its first attempt dies.
+    witness = CrashWitness()
     crash_client = clients[crash_session]
-    crash_journal = crash_client.coordinator.shard(crash_shard).journal
-
-    def wrap(client, idx: int):
-        inner = client._make_am
-
-        def make_am(ctx):
-            am = inner(ctx)
-            ams_by_client[idx].append(am)
-            if (
-                client is crash_client
-                and am.shard_id == crash_shard
-                and ctx.attempt == 1
-            ):
-                orig_crash = am.crash
-
-                def crash():
-                    crash_info["time"] = env.now
-                    crash_info["journaled"] = frozenset(
-                        (dag, key[0], key[1])
-                        for dag, st in crash_journal.fold_state().items()
-                        if not st.finished
-                        for key in st.successes
-                    )
-                    orig_crash()
-
-                am.crash = crash
-            return am
-
-        client._make_am = make_am
-
-    for idx, client in enumerate(clients):
-        wrap(client, idx)
+    for client in clients:
+        witness.watch(client, target=(
+            lambda am, ctx: am.shard_id == crash_shard and ctx.attempt == 1
+        ) if client is crash_client else None)
 
     # Chaos: background node-level faults plus the mid-soak shard-
     # targeted AM crash. Node crashes are safe for the re-execution
@@ -233,16 +190,16 @@ def run_cluster_day(
                       when_journaled=crash_threshold)
     sim.chaos(plan, client=crash_client)
 
-    crash_runs: list = []
     handles: list = []
 
     def driver():
         for j in range(dags):
             yield env.timeout(gaps[j])
             si = j % sessions
-            runs = crash_runs if si == crash_session else None
-            dag = _make_dag(f"s{si:03d}d{j}", task_counts[j], runs,
-                            setups[j])
+            name = f"s{si:03d}d{j}"
+            fn = (witness.tracked(_noop, name, "work")
+                  if si == crash_session else _noop)
+            dag = _make_dag(name, task_counts[j], fn, setups[j])
             handles.append((si, clients[si].submit_dag(dag)))
 
     t0 = time.perf_counter()
@@ -267,23 +224,16 @@ def run_cluster_day(
     ).hexdigest()
     not_succeeded = [s for s in statuses if s[2] != "SUCCEEDED"]
 
-    crash_time = crash_info.get("time", -1.0)
-    journaled = crash_info.get("journaled", frozenset())
-    reexecutions = [
-        run for run in crash_runs
-        if (run[0], run[1], run[2]) in journaled and run[4] > crash_time
-    ]
+    crash_time = witness.crash_time
+    journaled = witness.journaled
+    reexecutions = witness.reexecutions()
 
     violations = [
         f"dag {name} ({session}): terminal state {state}"
         for session, name, state, _, _ in not_succeeded
     ]
-    violations += [
-        f"journaled task {dag}/{vertex}[{index}] re-executed as "
-        f"attempt {attempt} at t={t:.2f} (crash was t={crash_time:.2f})"
-        for dag, vertex, index, attempt, t in reexecutions
-    ]
-    if "time" not in crash_info:
+    violations += reexecutions
+    if not witness.crashed:
         trigger = (f"crash_at={crash_at}" if crash_at is not None
                    else f"when_journaled={crash_threshold}")
         violations.append(
@@ -305,18 +255,9 @@ def run_cluster_day(
             f"ring capacity {resident_cap}: memory is not bounded"
         )
 
-    def counter(name: str) -> int:
-        return int(sum(
-            am.registry.counter(name).value
-            for ams in ams_by_client for am in ams
-        ))
-
-    am_attempts = sum(len(ams) for ams in ams_by_client)
-    dispatched = sum(
-        am.dispatcher.dispatched
-        for ams in ams_by_client for am in ams
-        if am.dispatcher is not None
-    )
+    am_attempts = len(witness.ams)
+    dispatched = sum(am.dispatcher.dispatched for am in witness.ams
+                     if am.dispatcher is not None)
     fenced = sum(
         record.journal.fenced_appends
         for client in clients
@@ -341,9 +282,9 @@ def run_cluster_day(
         "crash_shard": crash_shard,
         "journaled_at_crash": len(journaled),
         "reexecutions": len(reexecutions),
-        "events_replayed": counter("recovery.events_replayed"),
-        "tasks_recovered": counter("recovery.tasks_recovered"),
-        "entries_dropped": counter("recovery.entries_dropped"),
+        "events_replayed": witness.counter("recovery.events_replayed"),
+        "tasks_recovered": witness.counter("recovery.tasks_recovered"),
+        "entries_dropped": witness.counter("recovery.entries_dropped"),
         "fenced_appends": fenced,
         "faults_injected": len(plan.faults),
         "peak_resident": store.peak_resident,

@@ -1,46 +1,58 @@
 """Crash-anywhere recovery harness: the proof behind journal-backed
 AM failover.
 
-Sweep mode runs a reference two-stage DAG once with no faults to
-establish the baseline — terminal status, committed output rows, and
-the total number of control events the AM dispatched (``E``). It then
-re-runs the workload from scratch once per crash point ``k``
-(``1..E``, strided), arming the first AM attempt to die at the exact
-boundary of its ``k``-th dispatched event, and asserts for every
-point that
+Everything here is one run, :func:`_execute`, of one *shape*: which
+vertices and edges a DAG has, how many such DAGs run back to back
+(named and committed where), through a session AM or not, and how many
+AM attempts YARN allows. Three shapes are swept:
 
-* the terminal DAG status is identical to the baseline,
+* ``mr`` - a two-stage map-reduce DAG, one AM;
+* ``diamond`` - ``m -> (a, b) -> j``, whose middle and join vertices
+  take the inline fast path while the HDFS-rooted ``m`` does not, so
+  every crash point crosses that boundary;
+* ``session2`` - two ``mr`` DAGs back to back through one session AM.
+
+Sweep mode runs the shape once with no faults to establish the
+baseline - terminal status, committed output rows, and the number of
+control events the first AM attempt dispatched (``E``). It then re-runs
+it from scratch once per crash point ``k`` (``1..E``, strided), arming
+the first AM attempt to die at the exact boundary of its ``k``-th
+dispatched event, and asserts for every point that
+
+* the terminal status of every DAG is identical to the baseline,
 * the committed rows in HDFS are byte-identical to the baseline, and
 * no task whose success was journaled before the crash is re-executed
   by the recovered AM (the journal's write-ahead guarantee).
 
-The ``session2`` shape extends the sweep to a session: one session AM
-runs two DAGs back to back, every first-attempt event boundary of both
-is a crash point, and the recovered attempt must finish the one in
-flight from the journal and then run the other on the same terms.
+A :class:`~repro.chaos.witness.CrashWitness` holds the evidence for
+the last check. A point whose run raises is a violation of that point.
 
-Soak mode drives a session through several DAGs while a fault plan
-repeatedly crashes the AM (both timer- and event-boundary-triggered)
-and takes a worker node down mid-run, then checks every DAG still
-committed the baseline rows.
+Soak mode is the same run of a three-DAG session under a
+:class:`FaultPlan` that repeatedly crashes the AM (timer- and
+event-boundary-triggered) and takes a worker node down, checked
+against the same run without the plan.
 
-Both modes emit recovery telemetry — events replayed, work recovered
-vs. re-executed, a recovery wall-time histogram — and can write it as
+Both modes emit recovery telemetry - events replayed, work recovered
+vs. re-executed, a recovery wall-time histogram - and can write it as
 a schema-checked JSONL artifact (``python -m repro.telemetry.check``).
 
 Usage::
 
-    python -m repro.chaos.sweep [--records N] [--reducers R]
-        [--stride K] [--checkpoint-interval C] [--out trace.jsonl]
-    python -m repro.chaos.sweep --soak [--out trace.jsonl]
+    python -m repro.chaos.sweep [--shape mr|diamond|session2]
+        [--records N] [--stride K] [--checkpoint-interval C]
+        [--out trace.jsonl]
+    python -m repro.chaos.sweep --soak [--records N] [--out trace.jsonl]
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+import traceback
+from dataclasses import dataclass
+from typing import Optional
 
 from ..harness import SimCluster
 from ..telemetry.metrics import Histogram
@@ -66,12 +78,11 @@ from ..tez.library import (
     OrderedPartitionedKVOutput,
 )
 from .plan import FaultPlan
+from .witness import CrashWitness
 
-__all__ = ["run_sweep", "run_soak", "RunOutcome", "CrashPoint"]
+__all__ = ["run_sweep", "run_soak", "RunOutcome", "CrashPoint", "SHAPES"]
 
-DAG_NAME = "sweep"
 IN_PATH = "/sweep/in"
-OUT_PATH = "/sweep/out"
 KEYS = 23
 
 
@@ -82,43 +93,6 @@ def _map_fn(ctx, data):
 
 def _reduce_fn(ctx, data):
     return {"out": sorted((k, len(vs)) for k, vs in data["m"])}
-
-
-def _tracked(fn, vertex_name: str, runs: list) -> Callable:
-    """Wrap a processor fn to log (vertex, task, attempt, time) per
-    execution — the evidence for the no-re-execution assertion."""
-
-    def wrapper(ctx, data):
-        runs.append((vertex_name, ctx.task_index, ctx.attempt,
-                     ctx.env.now))
-        return fn(ctx, data)
-
-    return wrapper
-
-
-def _build_dag(runs: list, reducers: int, out_path: str = OUT_PATH,
-               name: str = DAG_NAME) -> DAG:
-    m = Vertex("m", Descriptor(FnProcessor,
-                               {"fn": _tracked(_map_fn, "m", runs)}),
-               parallelism=-1)
-    m.add_data_source("src", DataSourceDescriptor(
-        Descriptor(HdfsInput),
-        Descriptor(HdfsInputInitializer, {"paths": [IN_PATH]}),
-    ))
-    r = Vertex("r", Descriptor(FnProcessor,
-                               {"fn": _tracked(_reduce_fn, "r", runs)}),
-               parallelism=reducers)
-    r.add_data_sink("out", DataSinkDescriptor(
-        Descriptor(HdfsOutput, {"path": out_path}),
-        Descriptor(HdfsOutputCommitter, {"path": out_path}),
-    ))
-    dag = DAG(name).add_vertex(m).add_vertex(r)
-    dag.add_edge(Edge(m, r, EdgeProperty(
-        DataMovementType.SCATTER_GATHER,
-        output_descriptor=Descriptor(OrderedPartitionedKVOutput),
-        input_descriptor=Descriptor(OrderedGroupedKVInput),
-    )))
-    return dag
 
 
 def _diamond_map_fn(ctx, data):
@@ -142,57 +116,60 @@ def _diamond_join_fn(ctx, data):
     return {"out": sorted(merged.items())}
 
 
-def _build_diamond_dag(runs: list, reducers: int,
-                       out_path: str = OUT_PATH,
-                       name: str = DAG_NAME) -> DAG:
-    """Diamond slice ``m -> (a, b) -> j``: the middle and join
-    vertices are inline-fast-path eligible (FnProcessor over shuffle
-    IO) while the HDFS-rooted ``m`` takes the legacy generator path —
-    a sweep over this shape crosses the fast-path boundary at every
-    crash point."""
+_MR = (("m", _map_fn, -1), ("r", _reduce_fn, 2))
+_MR_EDGES = (("m", "r"),)
+_DIAMOND = (("m", _diamond_map_fn, -1), ("a", _diamond_left_fn, 2),
+            ("b", _diamond_right_fn, 2), ("j", _diamond_join_fn, 2))
+_DIAMOND_EDGES = (("m", "a"), ("m", "b"), ("a", "j"), ("b", "j"))
 
-    def sg(src: Vertex, dst: Vertex) -> Edge:
-        return Edge(src, dst, EdgeProperty(
-            DataMovementType.SCATTER_GATHER,
-            output_descriptor=Descriptor(OrderedPartitionedKVOutput),
-            input_descriptor=Descriptor(OrderedGroupedKVInput),
+
+@dataclass(frozen=True)
+class Shape:
+    """One run of the sweep, as data."""
+
+    vertices: tuple        # (name, fn, parallelism), topological order
+    edges: tuple           # scatter-gather (source, target) pairs
+    dags: tuple            # (DAG name, output path), run back to back
+    session: bool = False
+    am_max_attempts: int = 3
+
+    def build(self, name: str, out_path: str, witness: CrashWitness) -> DAG:
+        """The DAG called ``name``: its first vertex reads ``IN_PATH``,
+        its last commits to ``out_path``, every fn is tracked."""
+        made = {
+            vertex: Vertex(vertex, Descriptor(
+                FnProcessor, {"fn": witness.tracked(fn, name, vertex)}),
+                parallelism=parallelism)
+            for vertex, fn, parallelism in self.vertices
+        }
+        vertices = list(made.values())
+        vertices[0].add_data_source("src", DataSourceDescriptor(
+            Descriptor(HdfsInput),
+            Descriptor(HdfsInputInitializer, {"paths": [IN_PATH]}),
         ))
-
-    m = Vertex("m", Descriptor(FnProcessor,
-                               {"fn": _tracked(_diamond_map_fn, "m",
-                                               runs)}),
-               parallelism=-1)
-    m.add_data_source("src", DataSourceDescriptor(
-        Descriptor(HdfsInput),
-        Descriptor(HdfsInputInitializer, {"paths": [IN_PATH]}),
-    ))
-    a = Vertex("a", Descriptor(FnProcessor,
-                               {"fn": _tracked(_diamond_left_fn, "a",
-                                               runs)}),
-               parallelism=2)
-    b = Vertex("b", Descriptor(FnProcessor,
-                               {"fn": _tracked(_diamond_right_fn, "b",
-                                               runs)}),
-               parallelism=2)
-    j = Vertex("j", Descriptor(FnProcessor,
-                               {"fn": _tracked(_diamond_join_fn, "j",
-                                               runs)}),
-               parallelism=reducers)
-    j.add_data_sink("out", DataSinkDescriptor(
-        Descriptor(HdfsOutput, {"path": out_path}),
-        Descriptor(HdfsOutputCommitter, {"path": out_path}),
-    ))
-    dag = (DAG(name).add_vertex(m).add_vertex(a)
-           .add_vertex(b).add_vertex(j))
-    dag.add_edge(sg(m, a)).add_edge(sg(m, b))
-    dag.add_edge(sg(a, j)).add_edge(sg(b, j))
-    return dag
+        vertices[-1].add_data_sink("out", DataSinkDescriptor(
+            Descriptor(HdfsOutput, {"path": out_path}),
+            Descriptor(HdfsOutputCommitter, {"path": out_path}),
+        ))
+        dag = DAG(name)
+        for vertex in vertices:
+            dag.add_vertex(vertex)
+        for source, target in self.edges:
+            dag.add_edge(Edge(made[source], made[target], EdgeProperty(
+                DataMovementType.SCATTER_GATHER,
+                output_descriptor=Descriptor(OrderedPartitionedKVOutput),
+                input_descriptor=Descriptor(OrderedGroupedKVInput),
+            )))
+        return dag
 
 
-def _make_sim() -> SimCluster:
-    return SimCluster(num_nodes=4, nodes_per_rack=2, cores_per_node=8,
-                      memory_per_node_mb=16 * 1024, hdfs_block_size=4096,
-                      telemetry=False)
+SHAPES = {
+    "mr": Shape(_MR, _MR_EDGES, (("sweep", "/sweep/out"),)),
+    "diamond": Shape(_DIAMOND, _DIAMOND_EDGES, (("sweep", "/sweep/out"),)),
+    "session2": Shape(_MR, _MR_EDGES, (("sweep2a", "/sweep/out0"),
+                                       ("sweep2b", "/sweep/out1")),
+                      session=True),
+}
 
 
 # ------------------------------------------------------------ single run
@@ -200,293 +177,111 @@ def _make_sim() -> SimCluster:
 class RunOutcome:
     """Everything one (possibly crashed) run yields for comparison."""
 
-    status_name: str
+    status_name: str                # every DAG's terminal state, "/"-joined
     succeeded: bool
-    rows: tuple
+    rows: tuple                     # every DAG's committed rows, sorted
     dispatched: int                 # first AM attempt's event count
-    wall: float                     # sim seconds to DAG completion
-    runs: list = field(default_factory=list)
-    crashed: bool = False
-    crash_time: float = -1.0
-    journaled_at_crash: frozenset = frozenset()
-    am_attempts: int = 1
-    events_replayed: int = 0
-    tasks_recovered: int = 0
-    entries_dropped: int = 0
-    fenced_appends: int = 0
-    checkpoints: int = 0
-
-    def reexecutions(self) -> list:
-        """Runs of journaled-at-crash tasks strictly after the crash —
-        always empty when write-ahead recovery holds."""
-        if not self.crashed:
-            return []
-        return [run for run in self.runs
-                if (run[0], run[1]) in self.journaled_at_crash
-                and run[3] > self.crash_time]
-
-    def reexecuted_work(self) -> int:
-        """Task executions the recovered AM had to redo (not journaled
-        before the crash, so legitimately re-run)."""
-        if not self.crashed:
-            return 0
-        return sum(1 for run in self.runs if run[3] > self.crash_time)
+    wall: float                     # sim seconds to the last DAG's end
+    crashed: bool
+    journaled_at_crash: frozenset   # (dag, vertex, index)
+    reexecutions: list              # journaled tasks run after the crash
+    work_reexecuted: int            # executions after the crash
+    am_attempts: int
+    events_replayed: int
+    tasks_recovered: int
+    entries_dropped: int
+    fenced_appends: int
+    checkpoints: int
 
 
-def _execute(records: int, reducers: int,
+def _execute(shape: Shape, records: int,
              crash_after: Optional[int] = None,
              checkpoint_interval: Optional[int] = None,
-             shape: str = "mr") -> RunOutcome:
-    sim = _make_sim()
+             plan: Optional[FaultPlan] = None) -> RunOutcome:
+    """Run ``shape`` over ``records`` input rows on a fresh cluster.
+    ``crash_after=k`` crashes the first AM attempt after its ``k``-th
+    dispatched event; ``plan`` runs a fault plan against the client."""
+    sim = SimCluster(num_nodes=4, nodes_per_rack=2, cores_per_node=8,
+                     memory_per_node_mb=16 * 1024, hdfs_block_size=4096,
+                     telemetry=False)
     sim.hdfs.write(IN_PATH, [(i, i) for i in range(records)],
                    record_bytes=16)
     config = TezConfig()
     if checkpoint_interval is not None:
         config = TezConfig(journal_checkpoint_interval=checkpoint_interval)
-    client = sim.tez_client("sweep", config=config, session=False,
-                            am_max_attempts=3)
+    client = sim.tez_client("sweep", config=config,
+                            session=shape.session,
+                            am_max_attempts=shape.am_max_attempts)
+    witness = CrashWitness()
+    if crash_after is None:
+        witness.watch(client)
+    else:
+        witness.watch(
+            client, target=lambda am, ctx: ctx.attempt == 1,
+            arm=lambda am: am.dispatcher.halt_after(crash_after, am.crash))
+    if plan is not None:
+        sim.chaos(plan, client=client)
 
-    ams: list = []
-    crash: dict = {}
-    inner_make_am = client._make_am
-
-    def make_am(ctx):
-        am = inner_make_am(ctx)
-        ams.append(am)
-        if crash_after is not None and ctx.attempt == 1:
-            def boom():
-                crash["time"] = sim.env.now
-                crash["journaled"] = frozenset(
-                    client.recovery.successes(DAG_NAME)
-                )
-                am.crash()
-
-            am.dispatcher.halt_after(crash_after, boom)
-        return am
-
-    client._make_am = make_am
-
-    runs: list = []
-    builder = _build_diamond_dag if shape == "diamond" else _build_dag
-    handle = client.submit_dag(builder(runs, reducers))
-    sim.env.run(until=handle.completion)
-    status = handle.status
-
-    rows: tuple = ()
-    if sim.hdfs.exists(OUT_PATH):
-        rows = tuple(sorted(sim.hdfs.read_file(OUT_PATH)))
-
-    def counter(name: str) -> int:
-        return int(sum(am.registry.counter(name).value for am in ams))
-
-    return RunOutcome(
-        status_name=status.state.name,
-        succeeded=status.succeeded,
-        rows=rows,
-        dispatched=ams[0].dispatcher.dispatched if ams else 0,
-        wall=sim.env.now,
-        runs=runs,
-        crashed="time" in crash,
-        crash_time=crash.get("time", -1.0),
-        journaled_at_crash=crash.get("journaled", frozenset()),
-        am_attempts=len(ams),
-        events_replayed=counter("recovery.events_replayed"),
-        tasks_recovered=counter("recovery.tasks_recovered"),
-        entries_dropped=counter("recovery.entries_dropped"),
-        fenced_appends=client.recovery.fenced_appends,
-        checkpoints=client.recovery.checkpoints,
-    )
-
-
-def _execute_sharded(records: int, reducers: int, shards: int,
-                     shard: int, crash_after: Optional[int] = None,
-                     checkpoint_interval: Optional[int] = None
-                     ) -> RunOutcome:
-    """One run of a sharded session: ``shards`` session AMs, one DAG
-    per shard (round-robin assignment), with the crash armed on the
-    *selected* shard's first AM attempt only. The outcome folds every
-    DAG's terminal status/rows (so any cross-shard fallout shows up in
-    the baseline comparison) while the no-re-execution evidence —
-    runs, journaled-at-crash snapshot — is scoped to the crashed
-    shard alone."""
-    sim = _make_sim()
-    sim.hdfs.write(IN_PATH, [(i, i) for i in range(records)],
-                   record_bytes=16)
-    config = TezConfig()
-    if checkpoint_interval is not None:
-        config = TezConfig(journal_checkpoint_interval=checkpoint_interval)
-    client = sim.tez_client("sweep", config=config, session=True,
-                            am_max_attempts=3, shards=shards)
-    dag_names = [f"{DAG_NAME}{i}" for i in range(shards)]
-
-    ams: list = []
-    crash: dict = {}
-    inner_make_am = client._make_am
-
-    def make_am(ctx):
-        am = inner_make_am(ctx)
-        ams.append(am)
-        if (
-            crash_after is not None
-            and ctx.attempt == 1
-            and am.shard_id == shard
-        ):
-            journal = client.coordinator.shard(shard).journal
-
-            def boom():
-                crash["time"] = sim.env.now
-                crash["journaled"] = frozenset(
-                    journal.successes(dag_names[shard])
-                )
-                am.crash()
-
-            am.dispatcher.halt_after(crash_after, boom)
-        return am
-
-    client._make_am = make_am
-
-    runs_by_shard: list[list] = [[] for _ in range(shards)]
     handles = []
-    for i in range(shards):
-        dag = _build_dag(runs_by_shard[i], reducers,
-                         out_path=f"{OUT_PATH}{i}", name=dag_names[i])
-        handles.append(client.submit_dag(dag))
-    for handle in handles:
+    for name, out_path in shape.dags:
+        handle = client.submit_dag(shape.build(name, out_path, witness))
+        # One DAG at a time: the crash boundary k counts through the
+        # first DAG's events, then the next's.
         sim.env.run(until=handle.completion)
+        handles.append(handle)
     wall = sim.env.now
-    client.stop()
-    sim.env.run(until=sim.env.now + 60)
+    if plan is not None:
+        # Let the plan drain against the idle (still-registered)
+        # session AM before tearing the session down.
+        last_fault = max(fault.at for fault in plan.faults)
+        if sim.env.now < last_fault + 1:
+            sim.env.run(until=last_fault + 1)
+    if shape.session:
+        client.stop()
+        sim.env.run(until=sim.env.now + 60)
 
-    all_rows = []
-    for i in range(shards):
-        rows: tuple = ()
-        if sim.hdfs.exists(f"{OUT_PATH}{i}"):
-            rows = tuple(sorted(sim.hdfs.read_file(f"{OUT_PATH}{i}")))
-        all_rows.append(rows)
-
-    def counter(name: str) -> int:
-        return int(sum(am.registry.counter(name).value for am in ams))
-
-    shard_ams = [am for am in ams if am.shard_id == shard]
-    journals = [r.journal for r in client.coordinator.records()]
+    journals = [record.journal for record in client.coordinator.records()]
     return RunOutcome(
         status_name="/".join(h.status.state.name for h in handles),
         succeeded=all(h.status.succeeded for h in handles),
-        rows=tuple(all_rows),
-        dispatched=(
-            shard_ams[0].dispatcher.dispatched if shard_ams else 0
-        ),
+        rows=tuple(
+            tuple(sorted(sim.hdfs.read_file(out_path)))
+            if sim.hdfs.exists(out_path) else ()
+            for _, out_path in shape.dags),
+        dispatched=(witness.ams[0].dispatcher.dispatched
+                    if witness.ams else 0),
         wall=wall,
-        runs=runs_by_shard[shard],
-        crashed="time" in crash,
-        crash_time=crash.get("time", -1.0),
-        journaled_at_crash=crash.get("journaled", frozenset()),
-        am_attempts=len(ams),
-        events_replayed=counter("recovery.events_replayed"),
-        tasks_recovered=counter("recovery.tasks_recovered"),
-        entries_dropped=counter("recovery.entries_dropped"),
+        crashed=witness.crashed,
+        journaled_at_crash=witness.journaled,
+        reexecutions=witness.reexecutions(),
+        work_reexecuted=witness.reruns(),
+        am_attempts=len(witness.ams),
+        events_replayed=witness.counter("recovery.events_replayed"),
+        tasks_recovered=witness.counter("recovery.tasks_recovered"),
+        entries_dropped=witness.counter("recovery.entries_dropped"),
         fenced_appends=sum(j.fenced_appends for j in journals),
         checkpoints=sum(j.checkpoints for j in journals),
     )
 
 
-def _execute_session2(records: int, reducers: int,
-                      crash_after: Optional[int] = None,
-                      checkpoint_interval: Optional[int] = None
-                      ) -> RunOutcome:
-    """One run of a two-DAG session: a single session AM executes two
-    DAGs back to back (distinct DAG names, same vertex names). A crash
-    at any first-attempt event boundary - in either DAG, or between
-    them - must leave the terminal state of both byte-identical, with
-    no journaled task re-run.
-
-    The no-re-execution evidence spans both DAGs: vertex names collide
-    between them, so runs and the journaled-at-crash snapshot are
-    namespaced per DAG before comparison."""
-    sim = _make_sim()
-    sim.hdfs.write(IN_PATH, [(i, i) for i in range(records)],
-                   record_bytes=16)
-    config = TezConfig()
-    if checkpoint_interval is not None:
-        config = TezConfig(journal_checkpoint_interval=checkpoint_interval)
-    client = sim.tez_client("sweep", config=config, session=True,
-                            am_max_attempts=3)
-    dag_names = (f"{DAG_NAME}2a", f"{DAG_NAME}2b")
-    tags = ("a:", "b:")
-
-    ams: list = []
-    crash: dict = {}
-    inner_make_am = client._make_am
-
-    def make_am(ctx):
-        am = inner_make_am(ctx)
-        ams.append(am)
-        if crash_after is not None and ctx.attempt == 1:
-            def boom():
-                crash["time"] = sim.env.now
-                crash["journaled"] = frozenset(
-                    (tag + vertex, index)
-                    for tag, name in zip(tags, dag_names)
-                    for vertex, index in client.recovery.successes(name)
-                )
-                am.crash()
-
-            am.dispatcher.halt_after(crash_after, boom)
-        return am
-
-    client._make_am = make_am
-
-    runs_by_dag: list[list] = [[], []]
-    handles = []
-    for i, name in enumerate(dag_names):
-        dag = _build_dag(runs_by_dag[i], reducers,
-                         out_path=f"{OUT_PATH}{i}", name=name)
-        handle = client.submit_dag(dag)
-        # One DAG at a time: the crash boundary k counts through the
-        # first DAG's events, then the second's.
-        sim.env.run(until=handle.completion)
-        handles.append(handle)
-    wall = sim.env.now
-    client.stop()
-    sim.env.run(until=sim.env.now + 60)
-
-    all_rows = []
-    for i in range(len(dag_names)):
-        rows: tuple = ()
-        if sim.hdfs.exists(f"{OUT_PATH}{i}"):
-            rows = tuple(sorted(sim.hdfs.read_file(f"{OUT_PATH}{i}")))
-        all_rows.append(rows)
-
-    def counter(name: str) -> int:
-        return int(sum(am.registry.counter(name).value for am in ams))
-
-    runs = [(tag + vertex, index, attempt, t)
-            for tag, dag_runs in zip(tags, runs_by_dag)
-            for vertex, index, attempt, t in dag_runs]
-    return RunOutcome(
-        status_name="/".join(h.status.state.name for h in handles),
-        succeeded=all(h.status.succeeded for h in handles),
-        rows=tuple(all_rows),
-        dispatched=ams[0].dispatcher.dispatched if ams else 0,
-        wall=wall,
-        runs=runs,
-        crashed="time" in crash,
-        crash_time=crash.get("time", -1.0),
-        journaled_at_crash=crash.get("journaled", frozenset()),
-        am_attempts=len(ams),
-        events_replayed=counter("recovery.events_replayed"),
-        tasks_recovered=counter("recovery.tasks_recovered"),
-        entries_dropped=counter("recovery.entries_dropped"),
-        fenced_appends=client.recovery.fenced_appends,
-        checkpoints=client.recovery.checkpoints,
-    )
+def _violations(base: RunOutcome, res: RunOutcome, where: str) -> list:
+    found = []
+    if res.status_name != base.status_name:
+        found.append(f"{where}: terminal status {res.status_name} != "
+                     f"baseline {base.status_name}")
+    if res.rows != base.rows:
+        found.append(f"{where}: committed rows diverge from baseline "
+                     f"({sum(map(len, res.rows))} vs "
+                     f"{sum(map(len, base.rows))} rows)")
+    found += [f"{where}: {line}" for line in res.reexecutions]
+    return found
 
 
 # ------------------------------------------------------------ sweep mode
 @dataclass
 class CrashPoint:
     k: int
-    outcome: RunOutcome
+    outcome: Optional[RunOutcome]      # None: the run raised
     violations: list
 
     @property
@@ -494,130 +289,96 @@ class CrashPoint:
         return not self.violations
 
 
-def _check_point(base: RunOutcome, res: RunOutcome, k: int) -> CrashPoint:
-    violations = []
-    if res.status_name != base.status_name:
-        violations.append(
-            f"k={k}: terminal status {res.status_name} != baseline "
-            f"{base.status_name}"
-        )
-    if res.rows != base.rows:
-        violations.append(
-            f"k={k}: committed rows diverge from baseline "
-            f"({len(res.rows)} vs {len(base.rows)} rows)"
-        )
-    for vertex, index, attempt, t in res.reexecutions():
-        violations.append(
-            f"k={k}: journaled task {vertex}[{index}] re-executed as "
-            f"attempt {attempt} at t={t:.2f} (crash was t="
-            f"{res.crash_time:.2f})"
-        )
-    return CrashPoint(k=k, outcome=res, violations=violations)
+def _crash_point(shape: Shape, records: int, base: RunOutcome, k: int,
+                 checkpoint_interval: Optional[int]) -> CrashPoint:
+    try:
+        res = _execute(shape, records, crash_after=k,
+                       checkpoint_interval=checkpoint_interval)
+    except Exception as exc:     # e.g. a recovered run that never ends
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return CrashPoint(k, None, [
+            f"k={k}: run raised {exc!r} in {frame.name} "
+            f"({os.path.basename(frame.filename)}:{frame.lineno})"])
+    return CrashPoint(k, res, _violations(base, res, f"k={k}"))
 
 
-def run_sweep(records: int = 120, reducers: int = 2, stride: int = 1,
+def run_sweep(records: int = 120, stride: int = 1,
               checkpoint_interval: Optional[int] = None,
               out: Optional[str] = None, verbose: bool = True,
-              shards: int = 1, shard: int = 0,
               shape: str = "mr") -> dict:
     """Crash after every ``stride``-th dispatched event; compare every
     recovered run against the no-crash baseline. Returns the summary
-    dict (``summary["ok"]`` is the verdict).
-
-    With ``shards > 1`` the workload is a sharded session (one DAG per
-    shard) and the crash targets shard ``shard``'s AM at every one of
-    *its* event boundaries — every other shard must sail through
-    untouched, and the crashed shard must recover without re-executing
-    journaled work."""
+    dict (``summary["ok"]`` is the verdict)."""
 
     def say(msg: str) -> None:
         if verbose:
             print(msg)
 
-    if not 0 <= shard < shards:
-        raise ValueError(f"shard {shard} out of range for {shards} shards")
-    if shape not in ("mr", "diamond", "session2"):
+    if shape not in SHAPES:
         raise ValueError(f"unknown sweep shape {shape!r}")
-    if shape != "mr" and shards > 1:
-        raise ValueError("sharded sweeps support only the 'mr' shape")
-
-    def execute(crash_after: Optional[int] = None) -> RunOutcome:
-        if shape == "session2":
-            return _execute_session2(
-                records, reducers, crash_after=crash_after,
-                checkpoint_interval=checkpoint_interval)
-        if shards == 1:
-            return _execute(records, reducers, crash_after=crash_after,
-                            checkpoint_interval=checkpoint_interval,
-                            shape=shape)
-        return _execute_sharded(records, reducers, shards, shard,
-                                crash_after=crash_after,
-                                checkpoint_interval=checkpoint_interval)
-
-    base = execute()
+    run_shape = SHAPES[shape]
+    base = _execute(run_shape, records,
+                    checkpoint_interval=checkpoint_interval)
     if not base.succeeded:
         raise RuntimeError(
             f"baseline run did not succeed: {base.status_name}"
         )
     total = base.dispatched
-    where = f" (shard {shard}/{shards})" if shards > 1 else ""
-    say(f"baseline{where}: {base.status_name}, "
-        f"{total} control events, wall {base.wall:.2f}s")
+    say(f"baseline: {base.status_name}, {total} control events, "
+        f"wall {base.wall:.2f}s")
 
     # One record per crash point streams straight to the artifact as
     # it is produced; only scalar accumulators stay resident, so a
     # full-stride sweep (thousands of crash points, each with a
     # per-task run log) holds one outcome in memory at a time.
-    stream = JsonlStreamWriter(out) if out else None
     n_points = n_crashed = 0
     failures: list[str] = []
     sums = {"events_replayed": 0, "tasks_recovered": 0,
             "work_reexecuted": 0, "entries_dropped": 0,
             "fenced_appends": 0}
     wall_delta = Histogram("recovery.wall_delta")
-    for k in range(1, total + 1, max(1, stride)):
-        res = execute(crash_after=k)
-        point = _check_point(base, res, k)
-        if stream is not None:
-            stream.write(_point_record(n_points, point))
-        n_points += 1
-        if res.crashed:
-            n_crashed += 1
-            wall_delta.observe(res.wall - base.wall)
-        failures.extend(point.violations)
-        sums["events_replayed"] += res.events_replayed
-        sums["tasks_recovered"] += res.tasks_recovered
-        sums["work_reexecuted"] += res.reexecuted_work()
-        sums["entries_dropped"] += res.entries_dropped
-        sums["fenced_appends"] += res.fenced_appends
-        if point.violations:
+    with (JsonlStreamWriter(out) if out else
+          contextlib.nullcontext()) as stream:
+        for k in range(1, total + 1, max(1, stride)):
+            point = _crash_point(run_shape, records, base, k,
+                                 checkpoint_interval)
+            if stream is not None:
+                stream.write(_point_record(n_points, point))
+            n_points += 1
+            failures.extend(point.violations)
             for violation in point.violations:
                 say(f"FAIL {violation}")
-        elif verbose and (k % 25 == 0 or k == 1):
-            say(f"  k={k}: {res.status_name}, replayed "
-                f"{res.events_replayed}, recovered {res.tasks_recovered}, "
-                f"redone {res.reexecuted_work()}, wall +"
-                f"{res.wall - base.wall:.2f}s")
+            res = point.outcome
+            if res is None:
+                continue
+            if res.crashed:
+                n_crashed += 1
+                wall_delta.observe(res.wall - base.wall)
+            for key in sums:
+                sums[key] += getattr(res, key)
+            if point.ok and (k % 25 == 0 or k == 1):
+                say(f"  k={k}: {res.status_name}, replayed "
+                    f"{res.events_replayed}, recovered "
+                    f"{res.tasks_recovered}, redone {res.work_reexecuted},"
+                    f" wall +{res.wall - base.wall:.2f}s")
 
-    summary = {
-        "ok": not failures,
-        "baseline_events": total,
-        "baseline_wall": base.wall,
-        "shards": shards,
-        "shard": shard,
-        "points": n_points,
-        "crashed_points": n_crashed,
-        "violations": len(failures),
-        **sums,
-        "wall_delta_mean": wall_delta.mean,
-        "wall_delta_p50": wall_delta.percentile(50),
-        "wall_delta_p95": wall_delta.percentile(95),
-        "wall_delta_max": wall_delta.percentile(100),
-    }
-    if stream is not None:
-        stream.write(_summary_record(n_points, "recovery.sweep_summary",
-                                     summary))
-        stream.close()
+        summary = {
+            "ok": not failures,
+            "baseline_events": total,
+            "baseline_wall": base.wall,
+            "points": n_points,
+            "crashed_points": n_crashed,
+            "violations": len(failures),
+            **sums,
+            "wall_delta_mean": wall_delta.mean,
+            "wall_delta_p50": wall_delta.percentile(50),
+            "wall_delta_p95": wall_delta.percentile(95),
+            "wall_delta_max": wall_delta.percentile(100),
+        }
+        if stream is not None:
+            stream.write(_summary_record(n_points, "recovery.sweep_summary",
+                                         summary))
+    if out:
         say(f"wrote {out}")
     say(f"sweep: {n_crashed}/{n_points} crash points recovered, "
         f"{len(failures)} violations")
@@ -625,7 +386,7 @@ def run_sweep(records: int = 120, reducers: int = 2, stride: int = 1,
 
 
 # ------------------------------------------------------------- soak mode
-def run_soak(records: int = 200, reducers: int = 2, dags: int = 3,
+def run_soak(records: int = 200, dags: int = 3,
              out: Optional[str] = None, verbose: bool = True) -> dict:
     """Repeated AM crashes (timed and event-boundary) plus a worker
     node crash, across a multi-DAG session; every DAG must still
@@ -635,79 +396,36 @@ def run_soak(records: int = 200, reducers: int = 2, dags: int = 3,
         if verbose:
             print(msg)
 
-    def drive(chaos: bool) -> tuple[list, list, object]:
-        sim = _make_sim()
-        sim.hdfs.write(IN_PATH, [(i, i) for i in range(records)],
-                       record_bytes=16)
-        client = sim.tez_client("soak", session=True, am_max_attempts=8)
-        ams: list = []
-        inner = client._make_am
-
-        def make_am(ctx):
-            am = inner(ctx)
-            ams.append(am)
-            return am
-
-        client._make_am = make_am
-        last_fault_at = 22.0
-        if chaos:
-            # Times sit past AM startup (~4.3s in this sim) so every
-            # am_crash finds a live dispatcher-carrying AM — injecting
-            # one into a void is a hard error by design.
-            plan = (FaultPlan(seed=11)
-                    .crash_am(at=5.0, after_events=40)
-                    .crash_node(at=9.0, restart_after=15.0)
-                    .crash_am(at=16.0)
-                    .crash_am(at=last_fault_at, after_events=20))
-            sim.chaos(plan, client=client)
-        results = []
-        runs: list = []
-        for i in range(dags):
-            dag = _build_dag(runs, reducers, out_path=f"/soak/out{i}",
-                             name=f"soak{i}")
-            handle = client.submit_dag(dag)
-            sim.env.run(until=handle.completion)
-            rows = ()
-            if sim.hdfs.exists(f"/soak/out{i}"):
-                rows = tuple(sorted(sim.hdfs.read_file(f"/soak/out{i}")))
-            results.append((handle.status.state.name, rows))
-        if chaos and sim.env.now < last_fault_at + 1:
-            # Let the plan drain against the idle (still-registered)
-            # session AM before tearing the session down.
-            sim.env.run(until=last_fault_at + 1)
-        client.stop()
-        sim.env.run(until=sim.env.now + 60)
-        return results, ams, client
-
-    baseline, _, _ = drive(chaos=False)
-    chaotic, ams, client = drive(chaos=True)
-
-    failures = []
-    for i, ((b_status, b_rows), (c_status, c_rows)) in enumerate(
-            zip(baseline, chaotic)):
-        if c_status != b_status:
-            failures.append(f"dag {i}: status {c_status} != {b_status}")
-        if c_rows != b_rows:
-            failures.append(f"dag {i}: rows diverge from baseline")
-
-    def counter(name: str) -> int:
-        return int(sum(am.registry.counter(name).value for am in ams))
+    shape = Shape(_MR, _MR_EDGES,
+                  tuple((f"soak{i}", f"/soak/out{i}") for i in range(dags)),
+                  session=True, am_max_attempts=8)
+    # Times sit past AM startup (~4.3s in this sim) so every am_crash
+    # finds a live dispatcher-carrying AM — injecting one into a void
+    # is a hard error by design.
+    plan = (FaultPlan(seed=11)
+            .crash_am(at=5.0, after_events=40)
+            .crash_node(at=9.0, restart_after=15.0)
+            .crash_am(at=16.0)
+            .crash_am(at=22.0, after_events=20))
+    base = _execute(shape, records)
+    res = _execute(shape, records, plan=plan)
+    failures = _violations(base, res, "soak")
 
     summary = {
         "ok": not failures,
         "dags": dags,
-        "am_attempts": len(ams),
+        "am_attempts": res.am_attempts,
         "violations": len(failures),
-        "events_replayed": counter("recovery.events_replayed"),
-        "tasks_recovered": counter("recovery.tasks_recovered"),
-        "entries_dropped": counter("recovery.entries_dropped"),
-        "fenced_appends": client.recovery.fenced_appends,
+        "events_replayed": res.events_replayed,
+        "tasks_recovered": res.tasks_recovered,
+        "entries_dropped": res.entries_dropped,
+        "fenced_appends": res.fenced_appends,
     }
     for failure in failures:
         say(f"FAIL {failure}")
-    say(f"soak: {len(ams)} AM attempts over {dags} DAGs, "
-        f"{summary['events_replayed']} events replayed, "
-        f"{summary['tasks_recovered']} tasks recovered, "
+    say(f"soak: {res.am_attempts} AM attempts over {dags} DAGs, "
+        f"{res.events_replayed} events replayed, "
+        f"{res.tasks_recovered} tasks recovered, "
         f"{len(failures)} violations")
     if out:
         with JsonlStreamWriter(out) as stream:
@@ -720,28 +438,26 @@ def run_soak(records: int = 200, reducers: int = 2, dags: int = 3,
 # -------------------------------------------------------------- artifact
 # The artifact is JSONL in the telemetry event schema, one record per
 # crash point plus a trailing summary (``repro.telemetry.check``-clean),
-# streamed through the store's JsonlStreamWriter as points complete —
-# byte-identical to the historical build-a-list-then-dump form.
+# streamed through the store's JsonlStreamWriter as points complete.
 
 def _point_record(seq: int, point: CrashPoint) -> dict:
+    attrs: dict = {"k": point.k}
     o = point.outcome
-    return {
-        "type": "event", "seq": seq, "ts": float(point.k),
-        "kind": "recovery.sweep_point",
-        "attrs": {
-            "k": point.k,
-            "crashed": o.crashed,
-            "status": o.status_name,
-            "am_attempts": o.am_attempts,
-            "events_replayed": o.events_replayed,
-            "tasks_recovered": o.tasks_recovered,
-            "work_reexecuted": o.reexecuted_work(),
-            "entries_dropped": o.entries_dropped,
-            "fenced_appends": o.fenced_appends,
-            "wall": o.wall,
-            "violations": list(point.violations),
-        },
-    }
+    if o is not None:
+        attrs.update(
+            crashed=o.crashed,
+            status=o.status_name,
+            am_attempts=o.am_attempts,
+            events_replayed=o.events_replayed,
+            tasks_recovered=o.tasks_recovered,
+            work_reexecuted=o.work_reexecuted,
+            entries_dropped=o.entries_dropped,
+            fenced_appends=o.fenced_appends,
+            wall=o.wall,
+        )
+    attrs["violations"] = list(point.violations)
+    return {"type": "event", "seq": seq, "ts": float(point.k),
+            "kind": "recovery.sweep_point", "attrs": attrs}
 
 
 def _summary_record(seq: int, kind: str, summary: dict) -> dict:
@@ -756,22 +472,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="Crash-anywhere AM recovery sweep / chaos soak.",
     )
     parser.add_argument("--records", type=int, default=120,
-                        help="input records in the reference DAG")
-    parser.add_argument("--reducers", type=int, default=2)
+                        help="input records of every DAG")
     parser.add_argument("--stride", type=int, default=1,
                         help="test every stride-th crash point")
     parser.add_argument("--checkpoint-interval", type=int, default=None,
                         help="journal checkpoint interval override")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="run a sharded session with this many "
-                             "control-plane shards (one DAG per shard)")
-    parser.add_argument("--shard", type=int, default=None,
-                        help="crash this shard's AM at every event "
-                             "boundary (implies --shards 2 when "
-                             "--shards is not given)")
-    parser.add_argument("--shape",
-                        choices=("mr", "diamond", "session2"),
-                        default="mr",
+    parser.add_argument("--shape", choices=tuple(SHAPES), default="mr",
                         help="reference workload: the two-stage "
                              "map-reduce, the fast-path diamond "
                              "slice, or two DAGs back to back "
@@ -783,22 +489,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    shards = args.shards
-    shard = args.shard
-    if shards is None:
-        shards = 2 if shard is not None else 1
-    if shard is None:
-        shard = 0
-
     if args.soak:
-        summary = run_soak(records=args.records, reducers=args.reducers,
-                           out=args.out, verbose=not args.quiet)
+        summary = run_soak(records=args.records, out=args.out,
+                           verbose=not args.quiet)
     else:
-        summary = run_sweep(records=args.records, reducers=args.reducers,
-                            stride=args.stride,
+        summary = run_sweep(records=args.records, stride=args.stride,
                             checkpoint_interval=args.checkpoint_interval,
                             out=args.out, verbose=not args.quiet,
-                            shards=shards, shard=shard,
                             shape=args.shape)
     return 0 if summary["ok"] else 1
 

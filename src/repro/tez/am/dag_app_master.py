@@ -278,10 +278,7 @@ class DAGAppMaster:
         try:
             yield self._dag_done
         finally:
-            for monitor in self._monitors:
-                if monitor.is_alive:
-                    monitor.interrupt("dag finished")
-            self._monitors = []
+            self._stop_monitors("dag finished")
 
         if self._dag_state == DAGState.SUCCEEDED:
             yield from self._commit_outputs()
@@ -344,6 +341,12 @@ class DAGAppMaster:
         self._release_dag()
         self.scheduler.session_waiting = True
         return status
+
+    def _stop_monitors(self, cause: str) -> None:
+        for monitor in self._monitors:
+            if monitor.is_alive:
+                monitor.interrupt(cause)
+        self._monitors = []
 
     def _release_dag(self) -> None:
         """Cut the finished DAG's runtime graph so reference counting
@@ -468,12 +471,14 @@ class DAGAppMaster:
         """Kill this AM attempt at the current event boundary.
 
         Halts the bus (no further control events are processed or
-        journaled), fences this attempt's journal epoch (anything the
-        orphaned simulation generators still try to append is
-        rejected), then aborts the AM container so the RM's restart
-        policy takes over. The single crash path for chaos faults, the
-        sweep harness and direct test injection."""
+        journaled) and the DAG's monitors, fences this attempt's
+        journal epoch (anything the orphaned simulation generators
+        still try to append is rejected), then aborts the AM container
+        so the RM's restart policy takes over. The single crash path
+        for chaos faults, the sweep harness and direct test
+        injection."""
         self.dispatcher.halt()
+        self._stop_monitors("am crashed")
         if self.recovery is not None:
             self.recovery.fence(self.epoch)
         container = self.ctx.am_container

@@ -128,6 +128,33 @@ def test_the_kernel_has_one_dispatch_loop():
     assert poppers == {"run", "peek"}
 
 
+def _functions_calling(tree, name):
+    return {
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name for node in ast.walk(fn))}
+
+
+def test_the_recovery_sweep_has_one_executor():
+    """Every shape of the crash-anywhere sweep, and the soak, is one
+    run of ``_execute``: no second function builds its own cluster."""
+    tree = ast.parse((SRC / "chaos" / "sweep.py").read_text(encoding="utf-8"))
+    assert _functions_calling(tree, "SimCluster") == {"_execute"}
+    assert {"run_soak", "_crash_point"} <= _functions_calling(tree, "_execute")
+
+
+def test_the_sharded_sweep_is_retired():
+    from repro.chaos.sweep import main, run_sweep
+
+    for retired in ({"shards": 2}, {"shard": 1}, {"reducers": 2}):
+        with pytest.raises(TypeError):
+            run_sweep(**retired)
+    for flag in ("--shard", "--shards", "--reducers"):
+        with pytest.raises(SystemExit) as exit_:
+            main([flag, "1"])
+        assert exit_.value.code == 2
+
+
 OPERATOR_FILES = [
     "engines/hive/fragments.py", "engines/hive/compiler_tez.py",
     "engines/hive/compiler_mr.py", "engines/hive/reference.py",
