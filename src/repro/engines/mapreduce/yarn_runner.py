@@ -23,7 +23,7 @@ from typing import Any, Generator, Optional
 
 from ...hdfs import Hdfs
 from ...shuffle import FetchFailure, Fetcher, HashPartitioner, ShuffleServices
-from ...shuffle import merge_and_group, sort_records
+from ...shuffle import group_by_key, merge_and_group
 from ...sim import Environment, Interrupt, Store
 from ...yarn import (
     AMContext,
@@ -307,23 +307,20 @@ class _MRAppMaster:
             ))
             task.staged = staged
         else:
-            partitions = self.partitioner.split(out, job.num_reducers)
             yield self.env.timeout(container.compute_delay(
                 self.spec.sort_time(len(out))
             ))
-            for p, kvs in partitions.items():
-                if job.combiner is None:
-                    partitions[p] = sort_records(kvs)
-                else:
-                    partitions[p] = [
-                        kv for key, values in merge_and_group([kvs])
-                        for kv in job.combiner(key, values)
-                    ]
+            combiner = None
+            if job.combiner is not None:
+                def combiner(kvs, _c=job.combiner):
+                    # One key-sorted partition.
+                    return [kv for key, values in group_by_key(kvs)
+                            for kv in _c(key, values)]
             service = self.shuffle.on_node(container.node_id)
-            spill_id = f"map_{task.index}_a{task.attempts}"
-            refs = service.register_spill(
-                str(self.ctx.app_id), spill_id, partitions,
-                token=self.job_token,
+            refs = service.spill(
+                str(self.ctx.app_id), f"map_{task.index}_a{task.attempts}",
+                out, job.num_reducers, self.partitioner, ordered=True,
+                combiner=combiner, token=self.job_token,
             )
             total = sum(r.nbytes for r in refs)
             yield self.env.timeout(container.io_delay(
@@ -388,6 +385,7 @@ class _MRAppMaster:
             job_token=self.job_token,
         )
         fetched: dict[int, list] = {}
+        kinds: list = []    # the fetched refs' key kinds
         # Snapshot already-completed maps, then consume the inbox.
         pending = [
             (m.index, m.refs[task.index])
@@ -415,11 +413,12 @@ class _MRAppMaster:
                     self._request_map(source)
                 continue
             fetched[map_index] = records
+            kinds.append(ref.key_kind)
         total = sum(len(run) for run in fetched.values())
         yield self.env.timeout(container.compute_delay(
             self.spec.sort_time(total)
         ))
-        groups = merge_and_group(fetched.values())
+        groups = merge_and_group(fetched.values(), kinds)
         if job.descending_sort:
             groups.reverse()
         out: list = []

@@ -235,14 +235,12 @@ class SparkServiceBackend:
                     stage.shuffle_emit(records)
                     if stage.shuffle_emit else records
                 )
-                partitions = self.partitioner.split(
-                    emitted, consumer_stages[0].num_partitions
-                )
                 service = self.sim.shuffle.on_node(container.node_id)
-                refs = service.register_spill(
+                refs = service.spill(
                     str(ctx.app_id),
                     f"spark_{job_id}_{stage.stage_id}_{index}",
-                    partitions, token=job_token,
+                    emitted, consumer_stages[0].num_partitions,
+                    self.partitioner, ordered=False, token=job_token,
                 )
                 total = sum(r.nbytes for r in refs)
                 yield self.env.timeout(container.io_delay(

@@ -5,6 +5,7 @@ from .blocks import (
     DfsFile,
     estimate_record_bytes,
     estimate_records_bytes,
+    record_width,
 )
 from .namenode import BlockUnavailable, FileNotFound, Hdfs, HdfsError
 
@@ -17,4 +18,5 @@ __all__ = [
     "HdfsError",
     "estimate_record_bytes",
     "estimate_records_bytes",
+    "record_width",
 ]

@@ -8,17 +8,18 @@ cluster nodes; a replica on a dead node is unreadable.
 from __future__ import annotations
 
 from itertools import chain, compress, repeat
-from operator import is_
-from typing import Any, Iterable, Sequence
+from operator import is_, itemgetter
+from typing import AbstractSet, Any, Iterable, Optional, Sequence
 
 __all__ = ["DataBlock", "DfsFile", "estimate_record_bytes",
-           "estimate_records_bytes"]
+           "estimate_records_bytes", "record_width"]
 
 # Header size of one value by exact type: a container's 8 is its own
 # header, its fields are sized on top; anything absent is opaque (32).
 _HEADER_SIZES = {int: 8, float: 8, bool: 1, type(None): 1,
                  str: 4, bytes: 4, tuple: 8, list: 8, dict: 8}
 _OPAQUE = 32
+_TUPLE = {tuple}
 
 
 def estimate_records_bytes(records: Iterable[Any]) -> int:
@@ -76,6 +77,49 @@ def _push_fields(stack: list, column: Sequence, fields: Iterable) -> None:
 def estimate_record_bytes(record: Any) -> int:
     """``estimate_records_bytes`` of the one record ``record``."""
     return estimate_records_bytes((record,))
+
+
+# The header sizes that are a value's whole size.
+_FIXED_WIDTHS = {t: _HEADER_SIZES[t] for t in (int, float, bool, type(None))}
+
+
+def record_width(records: Sequence,
+                 first_types: Optional[AbstractSet] = None
+                 ) -> Optional[int]:
+    """The size every record of ``records`` estimates to, when each is
+    a flat tuple of one length whose every column holds one exact type
+    among ``int``, ``float``, ``bool`` and ``None``; else ``None``.
+    Then ``estimate_records_bytes`` of any ``n`` of them is ``n`` times
+    it: a tuple is 8 plus its fields, and every record has the same
+    fields. ``first_types``, when given, is the set of the first
+    column's exact types (a spill's key kind), not scanned again."""
+    first = None
+    if first_types is not None:
+        first = _one_width(first_types)
+        if first is None:
+            return None
+    if not records or set(map(type, records)) != _TUPLE:
+        return None
+    lengths = set(map(len, records))
+    if len(lengths) != 1:
+        return None
+    width = _HEADER_SIZES[tuple]
+    for column in range(lengths.pop()):
+        field = first if column == 0 and first is not None else \
+            _one_width(set(map(type, map(itemgetter(column), records))))
+        if field is None:
+            return None
+        width += field
+    return width
+
+
+def _one_width(types: AbstractSet) -> Optional[int]:
+    """The width of a column of these exact types, if it is one
+    fixed-width type."""
+    if len(types) != 1:
+        return None
+    (only,) = types
+    return _FIXED_WIDTHS.get(only)
 
 
 class DataBlock:

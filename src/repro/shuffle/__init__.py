@@ -12,8 +12,10 @@ from .service import (
 )
 from .sorter import (
     group_by_key,
+    key_kind,
     merge_and_group,
     merge_sorted_runs,
+    native,
     sort_key,
     sort_keys,
     sort_records,
@@ -33,8 +35,10 @@ __all__ = [
     "SpillRef",
     "TransientFetchError",
     "group_by_key",
+    "key_kind",
     "merge_and_group",
     "merge_sorted_runs",
+    "native",
     "sort_key",
     "sort_keys",
     "sort_records",

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import bisect
 from operator import itemgetter
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 from .sorter import sort_key
 
 __all__ = ["HashPartitioner", "RangePartitioner", "Partitioner"]
+
+_INTS = frozenset((int,))
 
 
 def _stable_hash(key: Any) -> int:
@@ -49,12 +51,15 @@ class Partitioner:
     def partition(self, key: Any, num_partitions: int) -> int:
         raise NotImplementedError
 
-    def split(self, records: Sequence, num_partitions: int
-              ) -> dict[int, list]:
+    def split(self, records: Sequence, num_partitions: int,
+              key_kind: Optional[frozenset] = None) -> dict[int, list]:
         """Records partitioned by ``record[0]``: every partition in
         ``range(num_partitions)`` is present, each holding its records
         in their original order. One call per record list, so a task's
-        output crosses into the shuffle layer once."""
+        output crosses into the shuffle layer once. ``key_kind`` is
+        ``sorter.key_kind(records)`` when the caller has it; a
+        partitioner that routes by key type reads it instead of
+        scanning the keys again."""
         partitions, appends = _empty_partitions(num_partitions)
         partition = self.partition
         for record in records:
@@ -70,14 +75,16 @@ class HashPartitioner(Partitioner):
             raise ValueError("num_partitions must be positive")
         return _stable_hash(key) % num_partitions
 
-    def split(self, records: Sequence, num_partitions: int
-              ) -> dict[int, list]:
+    def split(self, records: Sequence, num_partitions: int,
+              key_kind: Optional[frozenset] = None) -> dict[int, list]:
         if type(self).partition is not HashPartitioner.partition:
             return super().split(records, num_partitions)
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
         partitions, appends = _empty_partitions(num_partitions)
-        if set(map(type, map(itemgetter(0), records))) <= {int}:
+        if key_kind is None:
+            key_kind = set(map(type, map(itemgetter(0), records)))
+        if key_kind <= _INTS:
             # `_stable_hash` of an exact int (never a bool), inlined.
             for record in records:
                 appends[(record[0] * 2654435761 & 0x7FFFFFFF)

@@ -19,7 +19,7 @@ from ...sim import Interrupt, Store
 from ...telemetry import get_telemetry
 from ...yarn import Container
 from ..dag import DataMovementType
-from ..edge_manager import OneToOneEdgeManager
+from ..edge_manager import OneToOneEdgeManager, ScatterGatherEdgeManager
 from ..events import CompositeDataMovementEvent, DataMovementEvent, TezEvent
 from ..library.processors import (
     FnProcessor,
@@ -51,6 +51,10 @@ BASE_TASK_PRIORITY = 3
 # process of their own). Root HDFS inputs/outputs are deliberately
 # absent — they take the full generator path.
 _INLINE_PROCESSORS = (FnProcessor, NoOpProcessor, SleepProcessor)
+
+# The order a task's buffered events reach its inputs in.
+_EVENT_ORDER = attrgetter("source_vertex", "source_task_index",
+                          "source_output_index")
 
 
 class _InlineEventChannel:
@@ -403,31 +407,43 @@ class AttemptRunner:
                             target_input_index=routing[task.index],
                         )
                         out.append(routed)
-            # What this task reads is the same range for every
-            # composite of the edge.
-            partition_range = getattr(manager, "partition_range", None)
-            own_range = None if partition_range is None \
-                else partition_range(task.index)
+            composites = [
+                (src_task, comp) for (src_name, src_task), comp
+                in vr.incoming_composites.items() if src_name == source_name]
             picks = []
-            for (src_name, src_task), comp in \
-                    vr.incoming_composites.items():
-                if src_name != source_name:
-                    continue
-                partitions = own_range if own_range is not None else range(
-                    comp.source_output_start,
-                    comp.source_output_start + comp.count,
-                )
-                for partition in partitions:
-                    offset = partition - comp.source_output_start
-                    if not 0 <= offset < comp.count:
-                        continue
-                    routing = manager.route(src_task, partition)
-                    if task.index in routing:
-                        picks.append((comp, offset, routing[task.index]))
+            if type(manager) is ScatterGatherEdgeManager:
+                # Every partition of the task's range routes to the task,
+                # at input route(0, p) + source task: route once per
+                # partition, not once per (producer, partition).
+                bases = [(partition, manager.route(0, partition)[task.index])
+                         for partition in manager.partition_range(task.index)]
+                picks = [(comp, partition - comp.source_output_start,
+                          base + src_task)
+                         for src_task, comp in composites
+                         for partition, base in bases
+                         if 0 <= partition - comp.source_output_start
+                         < comp.count]
+            else:
+                # What this task reads is the same range for every
+                # composite of the edge.
+                partition_range = getattr(manager, "partition_range", None)
+                own_range = None if partition_range is None \
+                    else partition_range(task.index)
+                for src_task, comp in composites:
+                    start = comp.source_output_start
+                    partitions = own_range if own_range is not None \
+                        else range(start, start + comp.count)
+                    for partition in partitions:
+                        offset = partition - start
+                        if not 0 <= offset < comp.count:
+                            continue
+                        routing = manager.route(src_task, partition)
+                        if task.index in routing:
+                            picks.append(
+                                (comp, offset, routing[task.index]))
             if picks:
                 out.extend(CompositeDataMovementEvent.sub_events(picks))
-        out.sort(key=lambda e: (e.source_vertex, e.source_task_index,
-                                e.source_output_index))
+        out.sort(key=_EVENT_ORDER)
         return out
 
     # -------------------------------------------------- exit handling

@@ -36,6 +36,8 @@ from .structures import (
 
 __all__ = ["EventRouter"]
 
+_LIVE = (AttemptState.QUEUED, AttemptState.RUNNING)
+
 
 class EventRouter:
     """Event-routing component of one AM instance."""
@@ -93,14 +95,26 @@ class EventRouter:
             ] = event
             if not target.scheduled:
                 continue
+            # Nothing to expand until some consumer attempt is live
+            # with its inputs up (`_live_attempts` of some task).
             if not any(
-                a.event_store is not None
-                for t in target.tasks for a in t.running_attempts()
+                a.state in _LIVE and a.event_store is not None
+                for t in target.tasks for a in t.attempts
             ):
                 continue
+            # What `_deliver_live` does for each sub-event, with the
+            # routed events materialised in one `sub_events` call.
+            picks, attempts = [], []
             for offset in range(event.count):
-                self._deliver_live(target, manager,
-                                   event.sub_event(offset))
+                routing = manager.route(event.source_task_index,
+                                        event.source_output_start + offset)
+                for dest_index, input_index in routing.items():
+                    for attempt in self._live_attempts(target, dest_index):
+                        picks.append((event, offset, input_index))
+                        attempts.append(attempt)
+            for attempt, routed in zip(
+                    attempts, CompositeDataMovementEvent.sub_events(picks)):
+                self.deliver_later(attempt, routed)
 
     def _deliver_live(self, target: VertexRuntime, manager,
                       event: DataMovementEvent) -> None:
@@ -110,12 +124,7 @@ class EventRouter:
             event.source_task_index, event.source_output_index
         )
         for dest_index, input_index in routing.items():
-            if dest_index >= len(target.tasks):
-                continue
-            dest_task = target.tasks[dest_index]
-            for dest_attempt in dest_task.running_attempts():
-                if dest_attempt.event_store is None:
-                    continue
+            for dest_attempt in self._live_attempts(target, dest_index):
                 routed = DataMovementEvent(
                     source_vertex=event.source_vertex,
                     source_task_index=event.source_task_index,
@@ -125,6 +134,15 @@ class EventRouter:
                     target_input_index=input_index,
                 )
                 self.deliver_later(dest_attempt, routed)
+
+    @staticmethod
+    def _live_attempts(target: VertexRuntime, dest_index: int) -> list:
+        """The running attempts (``Task.running_attempts``) of consumer
+        task ``dest_index`` whose inputs are up to take events."""
+        if dest_index >= len(target.tasks):
+            return []
+        return [a for a in target.tasks[dest_index].attempts
+                if a.state in _LIVE and a.event_store is not None]
 
     def deliver_later(self, attempt: TaskAttempt,
                       event: DataMovementEvent) -> None:

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from ...shuffle import (
-    FetchFailure,
-    Fetcher,
-    HashPartitioner,
-    merge_and_group,
-    sort_records,
-)
+from ...shuffle import FetchFailure, Fetcher, HashPartitioner, merge_and_group
 from ..events import (
     CompositeDataMovementEvent,
     DataMovementEvent,
@@ -65,33 +59,20 @@ class _SpillOutputBase(LogicalOutput):
         self.records.extend(records)
         yield from ()
 
-    def _partition_records(self) -> dict[int, list]:
-        count = self.spec.physical_count
-        if count == 1:
-            return {0: self.records}
-        return self.partitioner.split(self.records, count)
-
     def close(self) -> Generator:
         ctx = self.ctx
         spec_model = ctx.services.spec
-        partitions = self._partition_records()
         # CPU: partitioning pass (+ sort per partition when ordered).
         yield ctx.compute(spec_model.compute_time(len(self.records)))
         if self.sorted_output:
             yield ctx.compute(spec_model.sort_time(len(self.records)))
-            for part, recs in partitions.items():
-                partitions[part] = sort_records(recs)
-        if self.combiner is not None:
-            combined = {}
-            for part, recs in partitions.items():
-                combined[part] = self.combiner(recs)
-            partitions = combined
         # Spill to local disk through the node's shuffle service.
         service = ctx.services.shuffle.on_node(ctx.node_id)
-        app_id = ctx.services.job_token.owner
-        spill_id = f"{ctx.task.attempt_id}/{self.spec.target_name}"
-        refs = service.register_spill(
-            app_id, spill_id, partitions,
+        refs = service.spill(
+            ctx.services.job_token.owner,
+            f"{ctx.task.attempt_id}/{self.spec.target_name}",
+            self.records, self.spec.physical_count, self.partitioner,
+            ordered=self.sorted_output, combiner=self.combiner,
             token=ctx.services.job_token,
             bytes_per_record=self.bytes_per_record,
         )
@@ -171,8 +152,8 @@ class _FetchingInputBase(LogicalInput):
 
     def __init__(self, ctx, spec, payload):
         super().__init__(ctx, spec, payload)
-        # (source_task, source_output) -> (version, records | None)
-        self.fetched: dict[tuple[int, int], tuple[int, list]] = {}
+        # (source_task, source_output) -> (version, records, key kind)
+        self.fetched: dict[tuple[int, int], tuple] = {}
         self.total_bytes = 0
 
     def _fetcher(self) -> Fetcher:
@@ -225,13 +206,11 @@ class _FetchingInputBase(LogicalInput):
                     diagnostics=f"fetch failed for {ref}",
                 ))
                 continue
-            self.fetched[key] = (event.version, records)
+            self.fetched[key] = (event.version, records, ref.key_kind)
             self.total_bytes += ref.nbytes
         self.ctx.count("shuffle_bytes_read", self.total_bytes)
-        runs = [
-            records for _version, records in self.fetched.values()
-        ]
-        return runs
+        return [records for _version, records, _kind
+                in self.fetched.values()]
 
 
 class OrderedGroupedKVInput(_FetchingInputBase):
@@ -246,7 +225,8 @@ class OrderedGroupedKVInput(_FetchingInputBase):
         yield self.ctx.compute(
             self.ctx.services.spec.sort_time(total)
         )
-        return merge_and_group(runs)
+        return merge_and_group(runs, [
+            kind for _version, _records, kind in self.fetched.values()])
 
 
 class UnorderedKVInput(_FetchingInputBase):

@@ -16,19 +16,51 @@ record:
   own ``partition``), ``RangePartitioner`` and a subclass of it.
 * A reducer's buffered events reach each input in one
   ``handle_events`` call, in the order per-event delivery gave.
+* ``ShuffleService.spill`` types a task's output once and carries the
+  kind on its SpillRefs; it must give what the frozen split / sort /
+  size / merge path it replaced gave - the same record objects in the
+  same order, the same bytes per partition, the same reduce groups -
+  however the kinds of the merged spills combine, after a combiner that
+  changes key types, and on one-partition outputs of records that are
+  not pairs. ``record_width`` is exact wherever it answers.
 """
 
 import enum
 import math
+from itertools import chain, groupby
+from operator import attrgetter, itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hdfs import estimate_record_bytes, estimate_records_bytes
-from repro.shuffle import HashPartitioner, RangePartitioner
-from repro.tez import DAG
+from repro.cluster import Cluster, ClusterSpec
+from repro.hdfs import (
+    estimate_record_bytes,
+    estimate_records_bytes,
+    record_width,
+)
+from repro.shuffle import (
+    HashPartitioner,
+    RangePartitioner,
+    ShuffleServices,
+    SpillRef,
+    group_by_key,
+    key_kind,
+    merge_and_group,
+    native,
+    sort_key,
+)
+from repro.shuffle.partitioner import _stable_hash
+from repro.sim import Environment
+from repro.tez import (
+    DAG,
+    Descriptor,
+    ShuffleVertexManager,
+    ShuffleVertexManagerConfig,
+)
 from repro.tez.events import CompositeDataMovementEvent, DataMovementEvent
 from repro.tez.runtime import LogicalInput
+from repro.yarn import SecurityManager
 
 from helpers import (
     SG,
@@ -265,3 +297,375 @@ class TestEventBatches:
                      for e in events]
             assert order == sorted(order)
             assert all(e.target_input_index is not None for e in events)
+
+    @pytest.mark.parametrize("auto_reduce", [False, True])
+    def test_scatter_gather_snapshot_equals_routing_each_pick(
+            self, monkeypatch, auto_reduce):
+        """A scatter-gather snapshot routes each partition of the task's
+        range once; it must pick what routing every (producer,
+        partition) gives - the generic path, which any other manager
+        takes - also when auto-reduce groups several partitions per
+        consumer."""
+        from repro.tez.am import attempt_runner
+
+        real = attempt_runner.AttemptRunner.snapshot_events
+        compared = []
+
+        def both_paths(self, task):
+            fast = real(self, task)
+            with monkeypatch.context() as patch:
+                patch.setattr(attempt_runner, "ScatterGatherEdgeManager",
+                              type("NotScatterGather", (), {}))
+                generic = real(self, task)
+            fields = attrgetter(
+                "source_vertex", "source_task_index", "source_output_index",
+                "payload", "version", "target_input_index")
+            assert list(map(fields, fast)) == list(map(fields, generic))
+            compared.append(len(fast))
+            return fast
+
+        monkeypatch.setattr(attempt_runner.AttemptRunner, "snapshot_events",
+                            both_paths)
+        sim = make_sim()
+        for part in range(4):
+            sim.hdfs.write(f"/in/{part}", [(i % 11, i) for i in range(60)],
+                           record_bytes=16)
+        m = fn_vertex("m", lambda ctx, data: {"r": list(data["src"])}, -1)
+        hdfs_source(m, "src", [f"/in/{part}" for part in range(4)],
+                    max_splits=4)
+        r = fn_vertex("r", lambda ctx, data: {
+            "out": [(k, len(vs)) for k, vs in data["m"]]}, 10)
+        r.vertex_manager = Descriptor(
+            ShuffleVertexManager, ShuffleVertexManagerConfig(
+                auto_parallelism=auto_reduce, slowstart_min_fraction=1.0,
+                slowstart_max_fraction=1.0,
+                desired_task_input_bytes=10_000_000))
+        hdfs_sink(r, "out", "/out")
+        dag = DAG("snapshot-sg").add_vertex(m).add_vertex(r)
+        dag.add_edge(edge(m, r, SG))
+        status, _ = run_dag(sim, dag)
+        assert status.succeeded, status.diagnostics
+        assert dict(sim.hdfs.read_file("/out")) == \
+            {k: 4 * len(range(k, 60, 11)) for k in range(11)}
+        # Every reducer's snapshot held every producer's partitions:
+        # one consumer reading all 10 when auto-reduce shrank the vertex.
+        reducers = [n for n in compared if n]
+        assert reducers == ([40] if auto_reduce else [4] * 10)
+
+
+# ------------------------------------------------------------------
+# One typed spill against the path it replaced. The `_ref_*` functions
+# below are verbatim copies of `HashPartitioner.split`, `sort_records`
+# (with `_native_order`) and `merge_and_group` as they stood when every
+# partition and every merge looked at its own key types; a partition
+# was sized by `estimate_records_bytes`, which is the frozen per-record
+# estimator summed (`TestEstimateRecordsBytes`). Keep them frozen.
+
+_REF_KEY = itemgetter(0)
+_REF_VALUE = itemgetter(1)
+_REF_NATIVE_SCALARS = ({int}, {float}, {int, float}, {str}, {bytes})
+_REF_NATIVE_FIELDS = frozenset((int, float, str, bytes))
+
+
+def _ref_kv_sort_key(kv):
+    return sort_key(kv[0])
+
+
+def _ref_native_order(kvs):
+    kinds = set(map(type, map(_REF_KEY, kvs)))
+    if kinds == {tuple}:
+        signatures = {tuple(map(type, kv[0])) for kv in kvs}
+        return len(signatures) == 1 \
+            and _REF_NATIVE_FIELDS.issuperset(signatures.pop())
+    return kinds in _REF_NATIVE_SCALARS
+
+
+def _ref_sort_records(kvs):
+    kvs = list(kvs)
+    if len(kvs) > 1:
+        kvs.sort(key=_REF_KEY if _ref_native_order(kvs) else _ref_kv_sort_key)
+    return kvs
+
+
+def _ref_merge_and_group(runs):
+    kvs = list(chain.from_iterable(runs))
+    if len(kvs) > 1 and _ref_native_order(kvs):
+        kvs.sort(key=_REF_KEY)
+        return [(key, list(map(_REF_VALUE, group)))
+                for key, group in groupby(kvs, _REF_KEY)]
+    kvs.sort(key=_ref_kv_sort_key)
+    return list(group_by_key(kvs))
+
+
+def _ref_hash_split(records, num_partitions):
+    lists = [[] for _ in range(num_partitions)]
+    partitions, appends = dict(enumerate(lists)), [p.append for p in lists]
+    if set(map(type, map(itemgetter(0), records))) <= {int}:
+        for record in records:
+            appends[(record[0] * 2654435761 & 0x7FFFFFFF)
+                    % num_partitions](record)
+    else:
+        for record in records:
+            appends[_stable_hash(record[0]) % num_partitions](record)
+    return partitions
+
+
+def _ref_spill(records, n, ordered, combiner=None, bytes_per_record=None):
+    """What a spill output's close and `register_spill` did: partition,
+    sort each partition, combine each, size each."""
+    partitions = {0: records} if n == 1 else _ref_hash_split(records, n)
+    if ordered:
+        partitions = {p: _ref_sort_records(r) for p, r in partitions.items()}
+    if combiner is not None:
+        partitions = {p: combiner(r) for p, r in partitions.items()}
+    sizes = {p: int(len(r) * bytes_per_record) if bytes_per_record is not None
+             else sum(map(_ref_estimate_record_bytes, r))
+             for p, r in partitions.items()}
+    return partitions, sizes
+
+
+def _service():
+    env = Environment()
+    cluster = Cluster(env, ClusterSpec(num_nodes=2, nodes_per_rack=2))
+    security = SecurityManager()
+    services = ShuffleServices(cluster, security)
+    return services.on_node("node0000"), security.issue("JOB", "app")
+
+
+def _fetch(svc, refs, token):
+    return {ref.partition: svc.fetch(ref.spill_id, ref.partition, "app",
+                                     token) for ref in refs}
+
+
+def _ids(partitions):
+    return {p: list(map(id, records)) for p, records in partitions.items()}
+
+
+# Key families: one per spill, so the native paths are taken and the
+# kinds of merged spills meet in every combination, plus the families
+# that must stay tagged.
+_SMALL_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, math.nan,
+                                 math.inf])
+_KEY_FAMILIES = st.sampled_from([
+    st.integers(-4, 4), _SMALL_FLOATS, st.one_of(st.integers(-2, 2),
+                                                 _SMALL_FLOATS),
+    st.text("ab", max_size=2), st.binary(max_size=2), st.booleans(),
+    st.none(), st.sampled_from(list(_Color)), st.integers(-2, 2).map(_MyInt),
+    st.tuples(st.integers(-2, 2), st.text("ab", max_size=1)),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.tuples(_SMALL_FLOATS), st.just(()),
+    st.lists(st.integers(-1, 1), max_size=2).map(tuple),        # ragged
+    st.tuples(st.integers(-1, 1), st.tuples(st.integers(-1, 1))),
+    st.one_of(st.integers(-2, 2), st.booleans(), st.none(),
+              st.text("a", max_size=1)),
+])
+# Value columns: fixed-width (one type), or not.
+_VALUE_FAMILIES = st.sampled_from([
+    st.integers(), st.floats(allow_nan=False), st.booleans(), st.none(),
+    st.one_of(st.booleans(), st.integers()), st.text(max_size=2),
+    st.tuples(st.integers()),
+])
+
+
+@st.composite
+def _spill_records(draw, pairs=True):
+    """One task's output: keys of one family, values of one family,
+    and (unless ``pairs``) sometimes a third field."""
+    keys, values = draw(_KEY_FAMILIES), draw(_VALUE_FAMILIES)
+    arity = 2 if pairs else draw(st.sampled_from([2, 3]))
+    rows = draw(st.lists(st.tuples(keys, values, values), max_size=16))
+    return [row[:arity] for row in rows]
+
+
+# Combiners over one (sorted) partition; two of them change key types.
+_COMBINERS = {
+    "count": lambda recs: [(k, len(vs)) for k, vs in group_by_key(recs)],
+    "key_repr": lambda recs: [(repr(k), v) for k, v in recs],
+    "key_tuple": lambda recs: [((repr(k), 0), v) for k, v in recs],
+}
+
+
+class TestSpill:
+    @given(_spill_records(pairs=False), st.integers(1, 5), st.booleans(),
+           st.sampled_from([None, 20.0, 24]))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_frozen_split_sort_and_size(self, records, n, ordered,
+                                               bytes_per_record):
+        if ordered:
+            records = [record[:2] for record in records]
+        svc, token = _service()
+        refs = svc.spill("app", "s", list(records), n, HashPartitioner(),
+                         ordered=ordered, token=token,
+                         bytes_per_record=bytes_per_record)
+        want, sizes = _ref_spill(list(records), n, ordered,
+                                 bytes_per_record=bytes_per_record)
+        got = _fetch(svc, refs, token)
+        assert [ref.partition for ref in refs] == list(range(n))
+        # The very same record objects, in the very same order.
+        assert _ids(got) == _ids(want)
+        assert {ref.partition: ref.nbytes for ref in refs} == sizes
+        typed = n > 1 or ordered
+        kind = key_kind(records) if typed else None
+        assert all(ref.key_kind == kind for ref in refs)
+        if typed and len(records) > 1:
+            assert native(kind) == _ref_native_order(records)
+
+    @given(st.lists(_spill_records(), min_size=1, max_size=4),
+           st.integers(1, 4))
+    @settings(max_examples=400, deadline=None)
+    def test_merge_of_typed_spills_equals_frozen_merge(self, outputs, n):
+        svc, token = _service()
+        spills = [svc.spill("app", f"s{i}", list(records), n,
+                            HashPartitioner(), ordered=True, token=token)
+                  for i, records in enumerate(outputs)]
+        wants = [_ref_spill(list(records), n, True)[0] for records in outputs]
+        for p in range(n):
+            runs = [svc.fetch(f"s{i}", p, "app", token)
+                    for i in range(len(outputs))]
+            kinds = [refs[p].key_kind for refs in spills]
+            want = _ref_merge_and_group([w[p] for w in wants])
+            got = merge_and_group(runs, kinds)
+            assert repr(got) == repr(want)
+            # The first-seen key object of every group.
+            assert list(map(id, map(_REF_KEY, got))) == \
+                list(map(id, map(_REF_KEY, want)))
+
+    @given(st.lists(_spill_records(), min_size=1, max_size=3),
+           st.integers(1, 3), st.sampled_from(sorted(_COMBINERS)))
+    @settings(max_examples=300, deadline=None)
+    def test_combined_spill_is_typed_after_combining(self, outputs, n,
+                                                      name):
+        combiner = _COMBINERS[name]
+        svc, token = _service()
+        spills = [svc.spill("app", f"s{i}", list(records), n,
+                            HashPartitioner(), ordered=True,
+                            combiner=combiner, token=token)
+                  for i, records in enumerate(outputs)]
+        for i, records in enumerate(outputs):
+            want, sizes = _ref_spill(list(records), n, True, combiner)
+            got = _fetch(svc, spills[i], token)
+            assert repr(got) == repr(want)
+            assert {ref.partition: ref.nbytes for ref in spills[i]} == sizes
+            combined = list(chain.from_iterable(want.values()))
+            assert all(ref.key_kind == key_kind(combined)
+                       for ref in spills[i])
+        for p in range(n):
+            runs = [svc.fetch(f"s{i}", p, "app", token)
+                    for i in range(len(outputs))]
+            assert repr(merge_and_group(runs, [r[p].key_kind
+                                               for r in spills])) == \
+                repr(_ref_merge_and_group(runs))
+
+    def test_combiner_never_inherits_the_pre_combine_kind(self):
+        svc, token = _service()
+        records = [(3, 1), (1, 2), (3, 3)]
+        refs = svc.spill("app", "s", records, 2, HashPartitioner(),
+                         ordered=True, combiner=_COMBINERS["key_repr"],
+                         token=token)
+        assert {ref.key_kind for ref in refs} == {frozenset({str})}
+
+    @pytest.mark.parametrize("kinds_of, is_native", [
+        (([1, 2], [0.5, 2.0]), True),             # {int} + {float}
+        (([1, 2], ["a", "b"]), False),            # {int} + {str}
+        (([(1, "a"), (2, "b")], [(1, 2), (0, 0)]), False),  # signatures
+        (([(1, "a")], [(2, "b"), (0, "")]), True),          # one signature
+        (([1, True], [0, False]), False),         # bool among ints
+        (([None, 1], [2]), False),
+        (([_Color.RED, _Color.BLUE], [1, 2]), False),
+        (([], [2, 1]), True),                     # an empty spill
+        (([], []), None),
+    ])
+    def test_kind_unions(self, kinds_of, is_native):
+        svc, token = _service()
+        spills = [svc.spill("app", f"s{i}", [(k, i) for k in keys], 1,
+                            HashPartitioner(), ordered=True, token=token)
+                  for i, keys in enumerate(kinds_of)]
+        kinds = [refs[0].key_kind for refs in spills]
+        union = frozenset().union(*kinds)
+        if is_native is not None:
+            assert native(union) is is_native
+        runs = [svc.fetch(f"s{i}", 0, "app", token)
+                for i in range(len(kinds_of))]
+        assert repr(merge_and_group(runs, kinds)) == \
+            repr(_ref_merge_and_group(runs))
+        # An unknown kind among the runs: the keys are scanned instead.
+        assert repr(merge_and_group(runs, kinds + [None])) == \
+            repr(_ref_merge_and_group(runs))
+
+    @pytest.mark.parametrize("records", [
+        [{"a": 1}, {"b": 2.0}],
+        [{0: "zero"}, 5],
+        [1, "x", None],
+        [(1, 2, 3), ("only",), [4, 5]],
+        [],
+    ])
+    def test_unordered_single_partition_reads_no_key(self, records):
+        class _NoPartitioner(HashPartitioner):
+            def split(self, *args, **kwargs):
+                raise AssertionError("a one-partition output is not split")
+
+        svc, token = _service()
+        refs = svc.spill("app", "s", records, 1, _NoPartitioner(),
+                         ordered=False, token=token)
+        assert [ref.key_kind for ref in refs] == [None]
+        assert svc.fetch("s", 0, "app", token) is records
+        assert refs[0].nbytes == sum(map(_ref_estimate_record_bytes, records))
+
+
+_FIXED_COLUMNS = st.sampled_from([st.integers(), st.floats(), st.booleans(),
+                                  st.none()])
+
+
+@st.composite
+def _fixed_width_records(draw):
+    columns = draw(st.lists(_FIXED_COLUMNS, min_size=0, max_size=4))
+    return draw(st.lists(st.tuples(*columns), min_size=1, max_size=20))
+
+
+class TestRecordWidth:
+    @given(_fixed_width_records(), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_width_times_len_is_the_estimate(self, records, n):
+        width = record_width(records)
+        assert width is not None
+        for part in (records, records[:n], records[n:]):
+            assert width * len(part) == estimate_records_bytes(part) == \
+                sum(map(_ref_estimate_record_bytes, part))
+        if records[0]:
+            first = set(map(type, map(itemgetter(0), records)))
+            assert record_width(records, first) == width
+
+    @pytest.mark.parametrize("records", [
+        [(1, "a"), (2, "b")],                     # a str field
+        [(1, b"a")],
+        [(1, (2, 3)), (2, (3, 4))],               # nested
+        [(1, 2), (3,)],                           # ragged
+        [(1, True), (2, 3)],                      # bool and int in a column
+        [(1.0, 2), (1, 2)],                       # float and int in a column
+        [(1, _Color.RED)],                        # a subclass
+        [[1, 2], [3, 4]],                         # lists
+        [{"a": 1}],
+        [1, 2],
+        [(1, 2), [3, 4]],
+        [],
+    ])
+    def test_no_width(self, records):
+        assert record_width(records) is None
+
+    def test_first_types_are_trusted(self):
+        records = [(1, 2), (3, 4)]
+        assert record_width(records, {int}) == 24
+        assert record_width(records, {int, float}) is None
+        assert record_width(records, {(int, int)}) is None
+        assert record_width([(None, 1.0)], {type(None)}) == 17
+
+
+class TestSpillRef:
+    def test_kind_takes_no_part_in_identity(self):
+        a = SpillRef("n1", "s", 3, 24, frozenset({int}))
+        b = SpillRef("n1", "s", 3, 24, None)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != SpillRef("n1", "s", 3, 25, frozenset({int}))
+        assert a != ("n1", "s", 3, 24)
+        assert repr(a) == "<SpillRef s[p3]@n1>"
+        assert not hasattr(a, "__dict__")

@@ -232,3 +232,136 @@ def test_yarn_records_have_c_level_identity():
             assert getattr(cls, slot) is getattr(tuple, slot), \
                 f"{cls.__name__}.{slot} is not tuple's"
         assert not hasattr(cls, "__dataclass_fields__")
+
+
+def _own_nodes(fn):
+    """The nodes of ``fn``'s body, not of functions defined inside it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _attribute_calls(fn):
+    """``(receiver, method)`` of every ``x.method(...)`` call in ``fn``,
+    the receiver as its last name (``self.partitioner`` -> partitioner)."""
+    for node in _own_nodes(fn):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            receiver = node.func.value
+            name = getattr(receiver, "attr", getattr(receiver, "id", None))
+            yield name, node.func.attr
+
+
+def test_one_function_makes_a_spill():
+    """Partition -> sort / combine -> size -> register is one function,
+    ``ShuffleService.spill``, which every producer (Tez spill outputs,
+    the MapReduce map side, the Spark service backend) calls: no second
+    hand-rolled copy that could type a spill differently."""
+    registers, splits = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            where = f"{path.relative_to(SRC)}:{fn.name}"
+            for receiver, method in _attribute_calls(fn):
+                if method == "register_spill":
+                    registers.add(where)
+                if method == "split" and receiver and \
+                        "partitioner" in receiver:
+                    splits.add(where)
+    assert registers == splits == {"shuffle/service.py:spill"}
+
+
+def _word_dag(maps=4, reducers=3):
+    from helpers import SG, edge, fn_vertex, hdfs_sink, hdfs_source, make_sim
+
+    from repro.tez import DAG
+
+    sim = make_sim()
+    for part in range(maps):
+        sim.hdfs.write(f"/in/{part}", [(i % 7, i) for i in range(40)])
+    m = fn_vertex("m", lambda ctx, data: {"r": list(data["src"])}, -1)
+    hdfs_source(m, "src", [f"/in/{part}" for part in range(maps)],
+                max_splits=maps)
+    r = fn_vertex("r", lambda ctx, data: {
+        "out": [(k, sum(vs)) for k, vs in data["m"]]}, reducers)
+    hdfs_sink(r, "out", "/out")
+    dag = DAG("typed-once").add_vertex(m).add_vertex(r)
+    dag.add_edge(edge(m, r, SG))
+    return sim, dag
+
+
+def _count_key_passes(monkeypatch):
+    """Every key-type pass (``key_kind``) and every kind ``split`` is
+    handed, wherever the shuffle layer calls them from."""
+    from repro.shuffle import HashPartitioner, sorter
+
+    passes, kinds = [], []
+    real_kind, real_split = sorter.key_kind, HashPartitioner.split
+
+    def spy_kind(kvs):
+        passes.append(len(kvs))
+        return real_kind(kvs)
+
+    def spy_split(self, records, num_partitions, key_kind=None):
+        kinds.append(key_kind)
+        return real_split(self, records, num_partitions, key_kind)
+
+    monkeypatch.setattr(sorter, "key_kind", spy_kind)
+    monkeypatch.setattr(HashPartitioner, "split", spy_split)
+    return passes, kinds
+
+
+@pytest.mark.parametrize("kinds_on_refs", [True, False])
+def test_a_spill_is_typed_once_and_its_merges_never(monkeypatch,
+                                                    kinds_on_refs):
+    from helpers import run_dag
+
+    from repro.shuffle import ShuffleService
+
+    sim, dag = _word_dag()
+    if not kinds_on_refs:
+        # The control: refs without a kind make every merge rescan, so
+        # the spy would see a regression of the reduce side.
+        register = ShuffleService.register_spill
+
+        def unkinded(self, *args, **kwargs):
+            kwargs["key_kind"] = None
+            return register(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShuffleService, "register_spill", unkinded)
+    passes, kinds = _count_key_passes(monkeypatch)
+    status, _client = run_dag(sim, dag)
+    assert status.succeeded, status.diagnostics
+    assert sorted(sim.hdfs.read_file("/out")) == [
+        (k, sum(i for i in range(40) if i % 7 == k) * 4) for k in range(7)]
+    # One pass per map output, handed to the partitioner; every reducer
+    # merges > 1 record, so a rescan there would show.
+    assert len(kinds) == 4 and None not in kinds
+    assert passes[:4] == [40] * 4
+    assert len(passes) == (4 if kinds_on_refs else 4 + 3)
+
+
+def test_mapreduce_reducers_merge_on_the_refs_kinds(monkeypatch):
+    from helpers import make_sim
+
+    from repro.engines.mapreduce import MRJob, MapReduceYarnRunner
+
+    sim = make_sim()
+    sim.hdfs.write("/in/words", ["a b c a", "b a d", "c c a b"] * 10,
+                   record_bytes=64)
+    passes, kinds = _count_key_passes(monkeypatch)
+    runner = MapReduceYarnRunner(sim.env, sim.rm, sim.hdfs, sim.shuffle)
+    done = sim.env.process(runner.run_job(MRJob(
+        name="wc", input_paths=["/in/words"], output_path="/out/wc",
+        mapper=lambda line: [(w, 1) for w in line.split()],
+        reducer=lambda key, values: [(key, sum(values))], num_reducers=2)))
+    sim.env.run(until=done)
+    assert done.value.succeeded, done.value.diagnostics
+    assert dict(sim.hdfs.read_file("/out/wc")) == \
+        {"a": 40, "b": 30, "c": 30, "d": 10}
+    assert len(passes) == len(kinds) == done.value.metrics["maps"]
+    assert None not in kinds
