@@ -15,9 +15,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
-from ..mapreduce.model import MRJob
+from ..lowering import key_tuples
+from ..mapreduce.model import MRJob, map_side_job
 from .aggregates import (
     aggregate_finisher,
     merge_aggregate_groups,
@@ -35,7 +36,7 @@ from .plan import (
     Scan,
     Sort,
 )
-from .reference import rows_from_tuples, rows_to_tuples, sort_rows
+from .reference import rows_from_tuples, sort_rows
 
 __all__ = ["MRCompiler", "HiveMRConfig", "CompiledMRQuery"]
 
@@ -100,13 +101,10 @@ class MRCompiler:
             math.ceil(est_bytes / self.config.bytes_per_reducer),
         ))
 
-    def _make_mapper(self, decoder: Callable, fragment: PlanNode,
-                     leaf: str, emit: Callable) -> Callable:
-        def mapper(records):
-            rows = execute_fragment(fragment, {leaf: decoder(records)})
-            return emit(rows)
-        mapper.batch = True   # split-at-a-time, like Hive's operator tree
-        return mapper
+    def _job(self, label: str, sides: list, out: str, **fields) -> None:
+        """One MR job over map-side ``sides`` (see :func:`_sides`)."""
+        self._jobs.append(map_side_job(
+            f"{label}_{next(self._seq)}", sides, out, **fields))
 
     # ------------------------------------------------------- compilation
     def _build(self, node: PlanNode) -> _Pending:
@@ -148,31 +146,6 @@ class MRCompiler:
             return self._build_generic_limit(node)
         raise TypeError(f"cannot compile {type(node).__name__}")
 
-    def _job(self, name: str, pending: _Pending, emit: Callable,
-             reducer: Callable, num_reducers: int, out: str,
-             out_bytes: int) -> None:
-        """One MR job: pending map-side work + a reduce function."""
-        path_mappers: dict[str, Callable] = {}
-        input_paths: list[str] = []
-        for paths, decoder, leaf in pending.inputs:
-            mapper = self._make_mapper(
-                decoder, pending.fragment, leaf, emit
-            )
-            for path in paths:
-                path_mappers[path] = mapper
-                input_paths.append(path)
-        job = MRJob(
-            name=f"{name}_{next(self._seq)}",
-            input_paths=input_paths,
-            output_path=out,
-            mapper=next(iter(path_mappers.values())),
-            reducer=reducer,
-            num_reducers=num_reducers,
-            output_record_bytes=out_bytes,
-        )
-        job.path_mappers = path_mappers
-        self._jobs.append(job)
-
     def _build_join(self, node: Join) -> _Pending:
         left = self._build(node.left)
         right = self._build(node.right)
@@ -202,29 +175,11 @@ class MRCompiler:
                 return []
             return [{**lrow, **padding} for lrow in left_rows]
 
-        path_mappers: dict[str, Callable] = {}
-        input_paths: list[str] = []
-        for pending, tag, key in ((left, "L", lk), (right, "R", rk)):
-            emit = make_emit(tag, key)
-            for paths, decoder, leaf in pending.inputs:
-                mapper = self._make_mapper(
-                    decoder, pending.fragment, leaf, emit
-                )
-                for path in paths:
-                    path_mappers[path] = mapper
-                    input_paths.append(path)
         row_bytes = int(node.estimated_row_bytes) or 64
-        job = MRJob(
-            name=f"join_{next(self._seq)}",
-            input_paths=input_paths,
-            output_path=out,
-            mapper=next(iter(path_mappers.values())),
-            reducer=reducer,
-            num_reducers=reducers,
-            output_record_bytes=row_bytes,
-        )
-        job.path_mappers = path_mappers
-        self._jobs.append(job)
+        self._job("join", _sides(left, make_emit("L", lk))
+                  + _sides(right, make_emit("R", rk)), out,
+                  reducer=reducer, num_reducers=reducers,
+                  output_record_bytes=row_bytes)
         leaf = f"joined_{next(self._seq)}"
         return _Pending(
             [([out], lambda records: list(records), leaf)],
@@ -253,9 +208,9 @@ class MRCompiler:
             return [(group_key, tuple(merge_states(states)))]
 
         row_bytes = int(node.estimated_row_bytes) or 32
-        self._job("agg", pending, emit, reducer, reducers, out,
-                  row_bytes)
-        self._jobs[-1].combiner = combiner
+        self._job("agg", _sides(pending, emit), out, reducer=reducer,
+                  num_reducers=reducers, combiner=combiner,
+                  output_record_bytes=row_bytes)
 
         def decoder(records, _g=group_items, _a=aggs):
             # A global aggregate over empty input never reaches the
@@ -289,7 +244,8 @@ class MRCompiler:
             return ordered
 
         row_bytes = int(node.estimated_row_bytes) or 64
-        self._job("sort", pending, emit, reducer, 1, out, row_bytes)
+        self._job("sort", _sides(pending, emit), out, reducer=reducer,
+                  output_record_bytes=row_bytes)
         leaf = f"sorted_{next(self._seq)}"
         return _Pending(
             [([out], lambda records: list(records), leaf)],
@@ -308,7 +264,8 @@ class MRCompiler:
             return list(rows)[:_n]
 
         row_bytes = int(node.estimated_row_bytes) or 64
-        self._job("limit", pending, emit, reducer, 1, out, row_bytes)
+        self._job("limit", _sides(pending, emit), out, reducer=reducer,
+                  output_record_bytes=row_bytes)
         leaf = f"limited_{next(self._seq)}"
         return _Pending(
             [([out], lambda records: list(records), leaf)],
@@ -319,7 +276,7 @@ class MRCompiler:
                   columns: list[str]) -> None:
         """Map-only job converting final rows to output tuples."""
         def emit(rows, _c=columns):
-            return rows_to_tuples(rows, _c)
+            return key_tuples(rows, _c)
 
         trivial = (
             isinstance(pending.fragment, InputLeaf)
@@ -333,13 +290,24 @@ class MRCompiler:
             prev_reducer = last.reducer
 
             def final_reducer(key, values, _r=prev_reducer, _c=columns):
-                return rows_to_tuples(list(_r(key, values)), _c)
+                return key_tuples(list(_r(key, values)), _c)
 
             last.reducer = final_reducer
             last.output_path = output_path
             return
-        self._job(
-            "final", pending, lambda rows: emit(rows),
-            reducer=None, num_reducers=0, out=output_path,
-            out_bytes=int(pending.est_row_bytes) or 64,
-        )
+        self._job("final", _sides(pending, emit), output_path,
+                  output_record_bytes=int(pending.est_row_bytes) or 64)
+
+
+def _sides(pending: _Pending, emit: Callable) -> list:
+    """The map side of ``pending`` feeding ``emit``: per input, its
+    decoder into the fragment's leaf, then the fragment, a split at a
+    time (like Hive's operator tree)."""
+    fragment = pending.fragment
+
+    def to_rows(decoder, leaf):
+        return lambda records: execute_fragment(
+            fragment, {leaf: decoder(records)})
+
+    return [(paths, to_rows(decoder, leaf), emit)
+            for paths, decoder, leaf in pending.inputs]

@@ -18,37 +18,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from ...shuffle.sorter import sort_key
-from ...tez import (
-    DAG,
-    DataMovementType,
-    DataSinkDescriptor,
-    DataSourceDescriptor,
-    Descriptor,
-    Edge,
-    EdgeProperty,
-    ShuffleVertexManager,
-    ShuffleVertexManagerConfig,
-    Vertex,
-)
+from ...tez import DAG, DataMovementType
 from ...tez.events import InputInitializerEvent
-from ...tez.library import (
-    BroadcastKVInput,
-    BroadcastKVOutput,
-    FnProcessor,
-    HdfsInput,
-    HdfsInputInitializer,
-    HdfsOutput,
-    HdfsOutputCommitter,
-    OrderedGroupedKVInput,
-    OrderedPartitionedKVOutput,
-    UnorderedKVInput,
-    UnorderedPartitionedKVOutput,
+from ..lowering import (
+    Exchange,
+    Root,
+    Stage,
+    shuffle_manager,
+    to_dag,
+    tuple_sink,
 )
 from .aggregates import merge_aggregate_groups, partial_aggregate
 from .fragments import InputLeaf, execute_fragment
@@ -62,7 +46,7 @@ from .plan import (
     Scan,
     Sort,
 )
-from .reference import rows_from_tuples, rows_to_tuples, sort_rows
+from .reference import rows_from_tuples, sort_rows
 
 __all__ = ["TezCompiler", "HiveTezConfig"]
 
@@ -76,60 +60,35 @@ class HiveTezConfig:
     scan_waves: int = 1
 
 
-class _EdgeSpec:
-    def __init__(self, src: "_VSpec", movement: DataMovementType,
-                 emit: Callable, decoder: Callable,
-                 bytes_per_record: float, grouped: bool):
-        self.src = src
-        self.movement = movement
-        self.emit = emit
-        self.decoder = decoder
-        self.bytes_per_record = bytes_per_record
-        self.grouped = grouped
-
-
-class _VSpec:
-    def __init__(self, name: str, parallelism: int):
-        self.name = name
-        self.parallelism = parallelism
-        self.fragment: Optional[PlanNode] = None
-        self.roots: dict[str, tuple[DataSourceDescriptor, Callable]] = {}
-        self.in_edges: list[_EdgeSpec] = []
-        self.sink: Optional[tuple[str, str, list[str], int]] = None
-        self.events_fn: Optional[Callable] = None
-        self.manager: Optional[Descriptor] = None
-        self.estimated_input_bytes: float = 0.0
-
-
 class TezCompiler:
     def __init__(self, catalog, config: Optional[HiveTezConfig] = None):
         self.catalog = catalog
         self.config = config or HiveTezConfig()
         self._seq = itertools.count(1)
-        self._vspecs: list[_VSpec] = []
+        self._stages: list[Stage] = []
 
     # ------------------------------------------------------------ public
     def compile(self, plan: PlanNode, dag_name: str,
                 output_path: Optional[str] = None
                 ) -> tuple[DAG, list[str], str]:
         """Returns (dag, output column names, output HDFS path)."""
-        self._vspecs = []
+        self._stages = []
         output_path = output_path or (
             f"{self.config.output_path}/{dag_name}"
         )
-        vspec, frag = self._build(plan)
-        vspec.fragment = frag
+        stage, frag = self._build(plan)
+        stage.combine = _run(frag)
         columns = plan.output_columns()
-        vspec.sink = ("result", output_path, columns,
-                      max(16, int(plan.estimated_row_bytes) or 16))
-        dag = self._materialize(dag_name)
-        return dag, columns, output_path
+        stage.sinks.append(tuple_sink(
+            "result", output_path, columns,
+            max(16, int(plan.estimated_row_bytes) or 16)))
+        return to_dag(dag_name, self._stages), columns, output_path
 
     # ----------------------------------------------------------- helpers
-    def _new_stage(self, label: str, parallelism: int) -> _VSpec:
-        vspec = _VSpec(f"{label}_{next(self._seq)}", parallelism)
-        self._vspecs.append(vspec)
-        return vspec
+    def _new_stage(self, label: str, parallelism: int) -> Stage:
+        stage = Stage(f"{label}_{next(self._seq)}", parallelism)
+        self._stages.append(stage)
+        return stage
 
     def _reducers(self, est_bytes: float) -> int:
         return max(1, min(
@@ -137,22 +96,16 @@ class TezCompiler:
             math.ceil(est_bytes / self.config.bytes_per_reducer),
         ))
 
-    def _shuffle_manager(self) -> Descriptor:
-        return Descriptor(ShuffleVertexManager, ShuffleVertexManagerConfig(
-            auto_parallelism=self.config.auto_parallelism,
-            desired_task_input_bytes=self.config.bytes_per_reducer,
-        ))
-
     # -------------------------------------------------------- compilation
-    def _build(self, node: PlanNode) -> tuple[_VSpec, PlanNode]:
+    def _build(self, node: PlanNode) -> tuple[Stage, PlanNode]:
         if isinstance(node, Scan):
             return self._build_scan(node)
         if isinstance(node, Filter):
-            vspec, frag = self._build(node.child)
-            return vspec, Filter(frag, node.predicate)
+            stage, frag = self._build(node.child)
+            return stage, Filter(frag, node.predicate)
         if isinstance(node, Project):
-            vspec, frag = self._build(node.child)
-            return vspec, Project(frag, node.items)
+            stage, frag = self._build(node.child)
+            return stage, Project(frag, node.items)
         if isinstance(node, Join):
             return self._build_join(node)
         if isinstance(node, Aggregate):
@@ -165,8 +118,8 @@ class TezCompiler:
             return self._build_limit(node)
         raise TypeError(f"cannot compile {type(node).__name__}")
 
-    def _build_scan(self, node: Scan) -> tuple[_VSpec, PlanNode]:
-        vspec = self._new_stage(f"scan_{node.alias}", parallelism=-1)
+    def _build_scan(self, node: Scan) -> tuple[Stage, PlanNode]:
+        stage = self._new_stage(f"scan_{node.alias}", parallelism=-1)
         input_name = f"src_{node.alias}"
         table = node.table
         if table.partitions:
@@ -186,39 +139,32 @@ class TezCompiler:
         }
         if node.dpp is not None and table.partitions:
             init_payload["wait_for_pruning_events"] = 1
-            self._build_dpp_feeder(node, vspec.name, input_name)
-        vspec.roots[input_name] = (
-            DataSourceDescriptor(
-                Descriptor(HdfsInput),
-                Descriptor(HdfsInputInitializer, init_payload),
-            ),
-            _scan_decoder(node),
-        )
-        vspec.estimated_input_bytes = node.estimated_bytes
-        return vspec, InputLeaf(input_name)
+            self._build_dpp_feeder(node, stage.name, input_name)
+        stage.roots[input_name] = Root(init_payload, _scan_decoder(node))
+        return stage, InputLeaf(input_name)
 
     def _build_dpp_feeder(self, scan: Scan, target_vertex: str,
                           target_input: str) -> None:
         """Dim sub-plan → single collector task → pruning event."""
         info = scan.dpp
-        dim_vspec, dim_frag = self._build(info["dim_plan"])
+        dim_stage, dim_frag = self._build(info["dim_plan"])
         key_of = info["dim_key"].compile()
         collector = self._new_stage("dpp_collect", 1)
 
         def emit_values(ctx, rows):
             return list(zip(repeat(0), map(key_of, rows)))
 
-        dim_vspec.fragment = dim_frag
-        collector.in_edges.append(_EdgeSpec(
-            dim_vspec, DataMovementType.SCATTER_GATHER,
+        dim_stage.combine = _run(dim_frag)
+        collector.in_exchanges.append(Exchange(
+            dim_stage, DataMovementType.SCATTER_GATHER,
             emit=emit_values,
-            decoder=lambda ctx, data: [
+            decode=lambda ctx, data: [
                 v for _k, values in data for v in values
             ],
-            bytes_per_record=16,
             grouped=True,
+            bytes_per_record=16,
         ))
-        collector.fragment = InputLeaf(dim_vspec.name)
+        collector.combine = _run(InputLeaf(dim_stage.name))
 
         def send_pruning(ctx, values,
                          _tv=target_vertex, _ti=target_input):
@@ -228,35 +174,33 @@ class TezCompiler:
                 payload={"partitions": sorted(set(values), key=sort_key)},
             ))
 
-        collector.events_fn = send_pruning
+        collector.events = send_pruning
 
-    def _build_join(self, node: Join) -> tuple[_VSpec, PlanNode]:
+    def _build_join(self, node: Join) -> tuple[Stage, PlanNode]:
         if node.strategy == Join.BROADCAST:
-            probe_vspec, probe_frag = self._build(node.left)
-            build_vspec, build_frag = self._build(node.right)
-            build_vspec.fragment = build_frag
-            leaf = InputLeaf(build_vspec.name, broadcast=True)
-            probe_vspec.in_edges.append(_EdgeSpec(
-                build_vspec, DataMovementType.BROADCAST,
+            probe_stage, probe_frag = self._build(node.left)
+            build_stage, build_frag = self._build(node.right)
+            build_stage.combine = _run(build_frag)
+            leaf = InputLeaf(build_stage.name, broadcast=True)
+            probe_stage.in_exchanges.append(Exchange(
+                build_stage, DataMovementType.BROADCAST,
                 emit=lambda ctx, rows: list(rows),
-                decoder=lambda ctx, data: list(data),
+                decode=lambda ctx, data: list(data),
                 bytes_per_record=node.right.estimated_row_bytes + 8,
-                grouped=False,
             ))
             joined = Join(probe_frag, leaf, node.left_key, node.right_key,
                           node.how)
             joined.strategy = Join.BROADCAST
             joined.right_columns = node.right.output_columns()
-            return probe_vspec, joined
+            return probe_stage, joined
 
-        left_vspec, left_frag = self._build(node.left)
-        right_vspec, right_frag = self._build(node.right)
-        left_vspec.fragment = left_frag
-        right_vspec.fragment = right_frag
+        left_stage, left_frag = self._build(node.left)
+        right_stage, right_frag = self._build(node.right)
+        left_stage.combine = _run(left_frag)
+        right_stage.combine = _run(right_frag)
         est = node.left.estimated_bytes + node.right.estimated_bytes
-        join_vspec = self._new_stage("join", self._reducers(est))
-        join_vspec.manager = self._shuffle_manager()
-        join_vspec.estimated_input_bytes = est
+        join_stage = self._new_stage("join", self._reducers(est))
+        join_stage.manager = shuffle_manager(self.config)
 
         def emit_keyed(key_expr):
             key_of = key_expr.compile()
@@ -266,38 +210,35 @@ class TezCompiler:
             return emit
 
         flat = lambda ctx, data: list(map(itemgetter(1), data))
-        join_vspec.in_edges.append(_EdgeSpec(
-            left_vspec, DataMovementType.SCATTER_GATHER,
-            emit=emit_keyed(node.left_key), decoder=flat,
+        join_stage.in_exchanges.append(Exchange(
+            left_stage, DataMovementType.SCATTER_GATHER,
+            emit=emit_keyed(node.left_key), decode=flat,
             bytes_per_record=node.left.estimated_row_bytes + 8,
-            grouped=False,
         ))
-        join_vspec.in_edges.append(_EdgeSpec(
-            right_vspec, DataMovementType.SCATTER_GATHER,
-            emit=emit_keyed(node.right_key), decoder=flat,
+        join_stage.in_exchanges.append(Exchange(
+            right_stage, DataMovementType.SCATTER_GATHER,
+            emit=emit_keyed(node.right_key), decode=flat,
             bytes_per_record=node.right.estimated_row_bytes + 8,
-            grouped=False,
         ))
         joined = Join(
-            InputLeaf(left_vspec.name), InputLeaf(right_vspec.name),
+            InputLeaf(left_stage.name), InputLeaf(right_stage.name),
             node.left_key, node.right_key, node.how,
         )
         joined.right_columns = node.right.output_columns()
-        return join_vspec, joined
+        return join_stage, joined
 
-    def _build_aggregate(self, node: Aggregate) -> tuple[_VSpec, PlanNode]:
+    def _build_aggregate(self, node: Aggregate) -> tuple[Stage, PlanNode]:
         producer, frag = self._build(node.child)
-        producer.fragment = frag
+        producer.combine = _run(frag)
         group_items = node.group_items
         aggs = node.aggs
         est = node.estimated_bytes
         parallelism = 1 if not group_items else self._reducers(
             max(est, node.child.estimated_bytes / 4)
         )
-        vspec = self._new_stage("agg", parallelism)
+        stage = self._new_stage("agg", parallelism)
         if group_items:
-            vspec.manager = self._shuffle_manager()
-        vspec.estimated_input_bytes = est
+            stage.manager = shuffle_manager(self.config)
 
         def emit_partial(ctx, rows, _g=group_items, _a=aggs):
             return partial_aggregate(rows, _g, _a)
@@ -306,20 +247,19 @@ class TezCompiler:
             return merge_aggregate_groups(data, _g, _a,
                                           include_empty_global=True)
 
-        vspec.in_edges.append(_EdgeSpec(
+        stage.in_exchanges.append(Exchange(
             producer, DataMovementType.SCATTER_GATHER,
-            emit=emit_partial, decoder=decode_final,
-            bytes_per_record=node.estimated_row_bytes + 16,
+            emit=emit_partial, decode=decode_final,
             grouped=True,
+            bytes_per_record=node.estimated_row_bytes + 16,
         ))
-        return vspec, InputLeaf(producer.name)
+        return stage, InputLeaf(producer.name)
 
     def _build_sort(self, node: Sort,
-                    limit: Optional[int]) -> tuple[_VSpec, PlanNode]:
+                    limit: Optional[int]) -> tuple[Stage, PlanNode]:
         producer, frag = self._build(node.child)
-        producer.fragment = frag
-        vspec = self._new_stage("sort", 1)
-        vspec.estimated_input_bytes = node.estimated_bytes
+        producer.combine = _run(frag)
+        stage = self._new_stage("sort", 1)
         keys = node.keys
 
         def emit_rows(ctx, rows, _keys=keys, _limit=limit):
@@ -329,122 +269,35 @@ class TezCompiler:
                 ordered = ordered[:_limit]
             return [(0, row) for row in ordered]
 
-        vspec.in_edges.append(_EdgeSpec(
+        stage.in_exchanges.append(Exchange(
             producer, DataMovementType.SCATTER_GATHER,
             emit=emit_rows,
-            decoder=lambda ctx, data: [row for _k, row in data],
+            decode=lambda ctx, data: [row for _k, row in data],
             bytes_per_record=node.estimated_row_bytes + 8,
-            grouped=False,
         ))
         frag2: PlanNode = Sort(InputLeaf(producer.name), keys)
         if limit is not None:
             frag2 = Limit(frag2, limit)
-        return vspec, frag2
+        return stage, frag2
 
-    def _build_limit(self, node: Limit) -> tuple[_VSpec, PlanNode]:
+    def _build_limit(self, node: Limit) -> tuple[Stage, PlanNode]:
         producer, frag = self._build(node.child)
-        producer.fragment = Limit(frag, node.n)   # local pre-truncate
-        vspec = self._new_stage("limit", 1)
-        vspec.estimated_input_bytes = node.estimated_bytes
-        vspec.in_edges.append(_EdgeSpec(
+        producer.combine = _run(Limit(frag, node.n))  # local pre-truncate
+        stage = self._new_stage("limit", 1)
+        stage.in_exchanges.append(Exchange(
             producer, DataMovementType.SCATTER_GATHER,
             emit=lambda ctx, rows: [(0, row) for row in rows],
-            decoder=lambda ctx, data: [row for _k, row in data],
+            decode=lambda ctx, data: [row for _k, row in data],
             bytes_per_record=node.estimated_row_bytes + 8,
-            grouped=False,
         ))
-        return vspec, Limit(InputLeaf(producer.name), node.n)
+        return stage, Limit(InputLeaf(producer.name), node.n)
 
-    # ------------------------------------------------------- materialize
-    def _materialize(self, dag_name: str) -> DAG:
-        dag = DAG(dag_name)
-        vertices: dict[str, Vertex] = {}
-        emits: dict[str, dict[str, Callable]] = {
-            v.name: {} for v in self._vspecs
-        }
-        for vspec in self._vspecs:
-            for espec in vspec.in_edges:
-                emits[espec.src.name][vspec.name] = espec.emit
-        for vspec in self._vspecs:
-            fn = self._make_fn(vspec, emits[vspec.name])
-            vertex = Vertex(
-                vspec.name,
-                Descriptor(FnProcessor, {"fn": fn}),
-                parallelism=vspec.parallelism,
-                vertex_manager=vspec.manager,
-            )
-            for input_name, (source, _decoder) in vspec.roots.items():
-                vertex.add_data_source(input_name, source)
-            if vspec.sink is not None:
-                sink_name, path, _cols, rb = vspec.sink
-                vertex.add_data_sink(sink_name, DataSinkDescriptor(
-                    Descriptor(HdfsOutput,
-                               {"path": path, "record_bytes": rb}),
-                    Descriptor(HdfsOutputCommitter,
-                               {"path": path, "record_bytes": rb}),
-                ))
-            vertices[vspec.name] = vertex
-            dag.add_vertex(vertex)
-        for vspec in self._vspecs:
-            for espec in vspec.in_edges:
-                dag.add_edge(Edge(
-                    vertices[espec.src.name], vertices[vspec.name],
-                    self._edge_property(espec),
-                ))
-        return dag
 
-    def _edge_property(self, espec: _EdgeSpec) -> EdgeProperty:
-        payload = {"bytes_per_record": espec.bytes_per_record}
-        if espec.movement == DataMovementType.BROADCAST:
-            return EdgeProperty(
-                DataMovementType.BROADCAST,
-                output_descriptor=Descriptor(BroadcastKVOutput, payload),
-                input_descriptor=Descriptor(BroadcastKVInput),
-            )
-        if espec.grouped:
-            return EdgeProperty(
-                DataMovementType.SCATTER_GATHER,
-                output_descriptor=Descriptor(
-                    OrderedPartitionedKVOutput, payload
-                ),
-                input_descriptor=Descriptor(OrderedGroupedKVInput),
-            )
-        return EdgeProperty(
-            DataMovementType.SCATTER_GATHER,
-            output_descriptor=Descriptor(
-                UnorderedPartitionedKVOutput, payload
-            ),
-            input_descriptor=Descriptor(UnorderedKVInput),
-        )
-
-    def _make_fn(self, vspec: _VSpec,
-                 targets: dict[str, Callable]) -> Callable:
-        roots = dict(vspec.roots)
-        in_edges = list(vspec.in_edges)
-        fragment = vspec.fragment
-        events_fn = vspec.events_fn
-        sink = vspec.sink
-
-        def fn(ctx, data):
-            inputs: dict[str, list] = {}
-            for input_name, (_source, decoder) in roots.items():
-                inputs[input_name] = decoder(ctx, data.get(input_name, []))
-            for espec in in_edges:
-                inputs[espec.src.name] = espec.decoder(
-                    ctx, data.get(espec.src.name, [])
-                )
-            rows = execute_fragment(fragment, inputs, ctx)
-            if events_fn is not None:
-                events_fn(ctx, rows)
-            out: dict[str, list] = {}
-            for target_name, emit in targets.items():
-                out[target_name] = emit(ctx, rows)
-            if sink is not None:
-                sink_name, _path, columns, _rb = sink
-                out[sink_name] = rows_to_tuples(rows, columns)
-            return out
-
-        return fn
+def _run(fragment: PlanNode) -> Callable:
+    """A stage's combine: its plan fragment over the decoded inputs."""
+    def combine(ctx, inputs):
+        return execute_fragment(fragment, inputs, ctx)
+    return combine
 
 
 def _scan_decoder(node: Scan) -> Callable:

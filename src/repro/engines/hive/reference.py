@@ -11,7 +11,6 @@ operators, must produce exactly these rows.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Callable, Optional
 
 from ...shuffle.sorter import sort_key, sort_keys
@@ -28,7 +27,7 @@ from .plan import (
 )
 
 __all__ = ["execute_plan", "run_operators", "scan_rows", "run_aggregate",
-           "sort_rows", "rows_from_tuples", "rows_to_tuples"]
+           "sort_rows", "rows_from_tuples"]
 
 
 def rows_from_tuples(records: list[tuple], alias: str,
@@ -46,12 +45,6 @@ def rows_from_tuples(records: list[tuple], alias: str,
             row[key] = rec[i]
         rows.append(row)
     return rows
-
-
-def rows_to_tuples(rows: list[dict], columns: list[str]) -> list[tuple]:
-    if not columns:
-        return [()] * len(rows)
-    return list(zip(*[map(itemgetter(c), rows) for c in columns]))
 
 
 def scan_rows(scan: Scan, hdfs) -> list[dict]:

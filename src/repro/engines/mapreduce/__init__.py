@@ -1,9 +1,10 @@
 """MapReduce: the job model, the native YARN baseline runner, the
-MR-on-Tez runner (paper 5.1) and workflow stitching (paper section 7)."""
+MR-on-Tez runner (paper 5.1, a one-job stitch) and workflow stitching
+(paper section 7)."""
 
-from .model import JobResult, MRJob
+from .model import JobResult, MRJob, map_side_job
 from .stitcher import StitchError, run_stitched, stitch_pipeline
-from .tez_runner import MapReduceTezRunner, mrjob_to_dag
+from .tez_runner import MapReduceTezRunner
 from .yarn_runner import JobHandle, MapReduceYarnRunner
 
 __all__ = [
@@ -13,7 +14,7 @@ __all__ = [
     "MapReduceTezRunner",
     "MapReduceYarnRunner",
     "StitchError",
-    "mrjob_to_dag",
+    "map_side_job",
     "run_stitched",
     "stitch_pipeline",
 ]

@@ -56,7 +56,8 @@ def _check_linear(jobs: list[MRJob]) -> None:
                 f"job {job.name!r} does not read exactly the output of "
                 f"{prev.name!r}: cannot stitch"
             )
-        if getattr(job, "path_mappers", None):
+    for job in jobs:
+        if job.path_mappers:
             raise StitchError(
                 f"job {job.name!r} uses per-path mappers: cannot stitch"
             )
@@ -79,6 +80,8 @@ def _map_fn(job: MRJob, target: str):
 def _reduce_fn(job: MRJob, target: str):
     def fn(ctx, data):
         (grouped,) = data.values()
+        if job.descending_sort:
+            grouped = reversed(grouped)
         out = []
         for key, values in grouped:
             out.extend(job.reducer(key, values))

@@ -5,114 +5,21 @@ vertex and a reduce vertex connected by a scatter-gather edge, with
 built-in Map/Reduce processors. Unmodified MRJobs run on Tez by just
 switching the runner — and pipelines gain sessions, container reuse
 and all the execution efficiencies of section 4.2.
+
+A job runs as the one-job stitch (:func:`stitch_pipeline` of ``[job]``):
+one translation of the MRJob contract serves single jobs and stitched
+workflows alike.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
-from ...tez import (
-    DAG,
-    DataMovementType,
-    DataSinkDescriptor,
-    DataSourceDescriptor,
-    Descriptor,
-    Edge,
-    EdgeProperty,
-    TezClient,
-    TezConfig,
-    Vertex,
-)
-from ...tez.library import (
-    FnProcessor,
-    HdfsInput,
-    HdfsInputInitializer,
-    HdfsOutput,
-    HdfsOutputCommitter,
-    OrderedGroupedKVInput,
-    OrderedPartitionedKVOutput,
-)
-from .model import JobResult, MRJob
+from ...tez import TezClient
+from .model import MRJob
+from .stitcher import run_stitched
 
-__all__ = ["MapReduceTezRunner", "mrjob_to_dag"]
-
-
-def _map_fn(job: MRJob):
-    def fn(ctx, data):
-        out = []
-        for record in data["input"]:
-            out.extend(job.mapper(record))
-        target = "reduce" if job.reducer is not None else "output"
-        return {target: out}
-    return fn
-
-
-def _reduce_fn(job: MRJob):
-    def fn(ctx, data):
-        out = []
-        for key, values in data["map"]:
-            out.extend(job.reducer(key, values))
-        return {"output": out}
-    return fn
-
-
-def mrjob_to_dag(job: MRJob) -> DAG:
-    """Translate an MRJob into the canonical 2-vertex Tez DAG."""
-    dag = DAG(job.name)
-    map_vertex = Vertex(
-        "map",
-        Descriptor(FnProcessor, {
-            "fn": _map_fn(job),
-            "cpu_per_record": job.map_cpu_per_record,
-        }),
-        parallelism=-1,
-    )
-    map_vertex.add_data_source("input", DataSourceDescriptor(
-        Descriptor(HdfsInput),
-        Descriptor(HdfsInputInitializer, {"paths": job.input_paths}),
-    ))
-    dag.add_vertex(map_vertex)
-    sink = DataSinkDescriptor(
-        Descriptor(HdfsOutput, {
-            "path": job.output_path,
-            "record_bytes": job.output_record_bytes,
-        }),
-        Descriptor(HdfsOutputCommitter, {
-            "path": job.output_path,
-            "record_bytes": job.output_record_bytes,
-        }),
-    )
-    if job.reducer is None:
-        map_vertex.add_data_sink("output", sink)
-        return dag
-    combiner = None
-    if job.combiner is not None:
-        from ...shuffle import group_by_key
-
-        def combiner(records, _c=job.combiner):
-            out = []
-            for key, values in group_by_key(records):
-                out.extend(_c(key, values))
-            return out
-
-    reduce_vertex = Vertex(
-        "reduce",
-        Descriptor(FnProcessor, {
-            "fn": _reduce_fn(job),
-            "cpu_per_record": job.reduce_cpu_per_record,
-        }),
-        parallelism=job.num_reducers,
-    )
-    reduce_vertex.add_data_sink("output", sink)
-    dag.add_vertex(reduce_vertex)
-    dag.add_edge(Edge(map_vertex, reduce_vertex, EdgeProperty(
-        DataMovementType.SCATTER_GATHER,
-        output_descriptor=Descriptor(
-            OrderedPartitionedKVOutput, {"combiner": combiner}
-        ),
-        input_descriptor=Descriptor(OrderedGroupedKVInput),
-    )))
-    return dag
+__all__ = ["MapReduceTezRunner"]
 
 
 class MapReduceTezRunner:
@@ -122,16 +29,9 @@ class MapReduceTezRunner:
         self.client = client
 
     def run_job(self, job: MRJob) -> Generator:
-        dag = mrjob_to_dag(job)
-        status = yield from self.client.run_dag(dag)
-        return JobResult(
-            name=job.name,
-            succeeded=status.succeeded,
-            start_time=status.start_time,
-            finish_time=status.finish_time,
-            diagnostics=status.diagnostics,
-            metrics=dict(status.metrics),
-        )
+        """Process: run one job; returns its JobResult. A job with
+        per-path mappers raises :class:`StitchError`."""
+        return (yield from run_stitched(self.client, [job], job.name))
 
     def run_pipeline(self, jobs: list[MRJob]) -> Generator:
         results = []

@@ -276,7 +276,7 @@ class _MRAppMaster:
     def _run_map(self, container: Container,
                  task: _MapTask) -> Generator:
         job = self.job
-        path_mappers = getattr(job, "path_mappers", None)
+        path_mappers = job.path_mappers
         out: list[tuple] = []
         n_records = 0
         for block in task.blocks:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Generator, Optional
 
 from ...shuffle import RangePartitioner
 from ...shuffle.sorter import sort_key
-from ..mapreduce.model import MRJob
+from ..mapreduce.model import MRJob, map_side_job
 from ..mapreduce.yarn_runner import MapReduceYarnRunner
 from .model import PigScript, Relation
 from .reference import (
@@ -70,41 +70,27 @@ class PigMRCompiler:
         script.validate()
         self._steps: list[JobStep] = []
         self._done: dict[int, _Pending] = {}
-        self._consumer_counts: dict[int, int] = {}
+        self._consumer_counts = script.consumer_counts()
         self._script_tag = f"{script.name}_{next(self._seq)}"
-        for rel in script.live_relations():
-            for parent in rel.parents:
-                self._consumer_counts[id(parent)] = (
-                    self._consumer_counts.get(id(parent), 0) + 1
-                )
-        for rel, _p in script.stores:
-            self._consumer_counts[id(rel)] = (
-                self._consumer_counts.get(id(rel), 0) + 1
-            )
         for rel, path in script.stores:
             pending = self._build(rel)
             self._emit_store(pending, rel, path)
         return self._steps
 
     # ------------------------------------------------------------ helpers
-    def _tmp(self, label: str) -> str:
-        return f"{self.config.tmp_base}/{self._script_tag}/" \
-               f"{label}_{next(self._seq)}"
+    def _tmp(self, label: str, seq: Optional[int] = None) -> str:
+        seq = next(self._seq) if seq is None else seq
+        return f"{self.config.tmp_base}/{self._script_tag}/{label}_{seq}"
 
-    def _apply_ops(self, ops: list[Callable], rows: list) -> list:
-        for op in ops:
-            rows = op(rows)
-        return rows
-
-    def _mapper(self, decoder: Callable, ops: list[Callable],
-                emit: Callable) -> Callable:
-        def mapper(records):
-            rows = self._apply_ops(ops, decoder(records))
-            return emit(rows)
-        mapper.batch = True
-        return mapper
-
-    def _static_job(self, job: MRJob) -> None:
+    def _job(self, label: str, feeds: list[tuple[_Pending, Callable]],
+             out: str, **fields) -> None:
+        """One MR job step that needs no earlier job's output: each
+        ``(pending, emit)`` feed's inputs run its ops, then ``emit``."""
+        sides = [([path], _pipeline(decoder, pending.ops), emit)
+                 for pending, emit in feeds
+                 for path, decoder in pending.inputs]
+        job = map_side_job(f"{label}_{next(self._seq)}", sides, out,
+                           **fields)
         self._steps.append(lambda hdfs, _j=job: _j)
 
     # -------------------------------------------------------- compilation
@@ -123,50 +109,8 @@ class PigMRCompiler:
         if not pending.ops and len(pending.inputs) == 1:
             return pending   # already a plain file
         out = self._tmp(f"shared_{rel.op}")
-        self._map_only_job(pending, out, f"shared_{rel.op}")
+        self._job(f"shared_{rel.op}", [(pending, _identity_rows)], out)
         return _Pending([(out, _identity_rows)], [])
-
-    def _map_only_job(self, pending: _Pending, out: str,
-                      label: str) -> None:
-        path_mappers = {}
-        for path, decoder in pending.inputs:
-            path_mappers[path] = self._mapper(
-                decoder, pending.ops, lambda rows: list(rows)
-            )
-        job = MRJob(
-            name=f"{label}_{next(self._seq)}",
-            input_paths=[p for p, _d in pending.inputs],
-            output_path=out,
-            mapper=next(iter(path_mappers.values())),
-        )
-        job.path_mappers = path_mappers
-        self._static_job(job)
-
-    def _shuffle_job(self, label: str, pendings: list[tuple[_Pending,
-                                                            Callable]],
-                     reducer: Callable, reducers: int, out: str,
-                     combiner: Optional[Callable] = None,
-                     partitioner=None) -> None:
-        path_mappers = {}
-        input_paths = []
-        for pending, emit in pendings:
-            for path, decoder in pending.inputs:
-                path_mappers[path] = self._mapper(
-                    decoder, pending.ops, emit
-                )
-                input_paths.append(path)
-        job = MRJob(
-            name=f"{label}_{next(self._seq)}",
-            input_paths=input_paths,
-            output_path=out,
-            mapper=next(iter(path_mappers.values())),
-            reducer=reducer,
-            num_reducers=reducers,
-            combiner=combiner,
-            partitioner=partitioner,
-        )
-        job.path_mappers = path_mappers
-        self._static_job(job)
 
     def _build_load(self, rel: Relation) -> _Pending:
         schema = list(rel.schema)
@@ -206,10 +150,10 @@ class PigMRCompiler:
             out_l = self._tmp("union_l")
             out_r = self._tmp("union_r")
             if left.ops:
-                self._map_only_job(left, out_l, "union_side")
+                self._job("union_side", [(left, _identity_rows)], out_l)
                 left = _Pending([(out_l, _identity_rows)], [])
             if right.ops:
-                self._map_only_job(right, out_r, "union_side")
+                self._job("union_side", [(right, _identity_rows)], out_r)
                 right = _Pending([(out_r, _identity_rows)], [])
         return _Pending(left.inputs + right.inputs, [])
 
@@ -227,8 +171,8 @@ class PigMRCompiler:
                 "bag": list(rows),
             }]
 
-        self._shuffle_job("group", [(pending, emit)], reducer,
-                          self.config.default_parallel, out)
+        self._job("group", [(pending, emit)], out, reducer=reducer,
+                  num_reducers=self.config.default_parallel)
         return _Pending([(out, _identity_rows)], [])
 
     def _build_aggregate(self, rel: Relation) -> _Pending:
@@ -249,8 +193,8 @@ class PigMRCompiler:
             return [(key, tuple(merge_states(states)))]
 
         reducers = self.config.default_parallel if keys else 1
-        self._shuffle_job("agg", [(pending, emit)], reducer, reducers,
-                          out, combiner=combiner)
+        self._job("agg", [(pending, emit)], out, reducer=reducer,
+                  num_reducers=reducers, combiner=combiner)
         return _Pending([(out, _identity_rows)], [])
 
     def _build_distinct(self, rel: Relation) -> _Pending:
@@ -264,8 +208,8 @@ class PigMRCompiler:
         def reducer(key, _values, _s=schema):
             return [dict(zip(_s, key))]
 
-        self._shuffle_job("distinct", [(pending, emit)], reducer,
-                          self.config.default_parallel, out)
+        self._job("distinct", [(pending, emit)], out, reducer=reducer,
+                  num_reducers=self.config.default_parallel)
         return _Pending([(out, _identity_rows)], [])
 
     def _build_join(self, rel: Relation) -> _Pending:
@@ -296,10 +240,10 @@ class PigMRCompiler:
                 return []
             return [{**l, **padding} for l in left_rows]
 
-        self._shuffle_job(
+        self._job(
             "join",
             [(left, emit_side("L", lk)), (right, emit_side("R", rk))],
-            reducer, self.config.default_parallel, out,
+            out, reducer=reducer, num_reducers=self.config.default_parallel,
         )
         return _Pending([(out, _identity_rows)], [])
 
@@ -309,7 +253,7 @@ class PigMRCompiler:
         pending = self._build(rel.parents[0])
         if pending.ops or len(pending.inputs) > 1:
             staged = self._tmp("presort")
-            self._map_only_job(pending, staged, "presort")
+            self._job("presort", [(pending, _identity_rows)], staged)
             pending = _Pending([(staged, _identity_rows)], [])
         keys = rel.params["keys"]
         ascending = rel.params["ascending"]
@@ -323,16 +267,20 @@ class PigMRCompiler:
         def sample_reducer(_key, samples):
             return [{"sample": list(samples)}]
 
-        self._shuffle_job("sample", [(pending, sample_emit)],
-                          sample_reducer, 1, sample_out)
+        self._job("sample", [(pending, sample_emit)], sample_out,
+                  reducer=sample_reducer)
 
-        sort_out = self._tmp("sorted")
-        src_path = pending.inputs[0][0]
-        src_decoder = pending.inputs[0][1]
+        # The sort job is built later but named now, from the counter
+        # value its output path draws: the same name in every process,
+        # and no later name shifts.
+        sort_seq = next(self._seq)
+        sort_out = self._tmp("sorted", sort_seq)
+        [(src_path, src_decoder)] = pending.inputs
 
         def build_sort_job(hdfs, _sample=sample_out, _src=src_path,
                            _dec=src_decoder, _k=keys, _asc=ascending,
-                           _p=parallel, _out=sort_out):
+                           _p=parallel, _out=sort_out,
+                           _name=f"ordersort_{sort_seq}"):
             # Client-side histogram from the sample artifact.
             sample_rows = hdfs.read_file(_sample)
             sample = sample_rows[0]["sample"] if sample_rows else []
@@ -340,10 +288,8 @@ class PigMRCompiler:
                 sorted(sample, key=sort_key), _p
             )
 
-            def mapper(records, _d=_dec, _kk=_k):
-                rows = _d(records)
+            def emit(rows, _kk=_k):
                 return list(zip(key_tuples(rows, _kk), rows))
-            mapper.batch = True
 
             def reducer(key, rows, _kk=_k, _a=_asc):
                 return order_rows(rows, _kk, _a)
@@ -359,17 +305,11 @@ class PigMRCompiler:
                         idx = num_partitions - 1 - idx
                     return idx
 
-            job = MRJob(
-                name=f"ordersort_{id(rel)}",
-                input_paths=[_src],
-                output_path=_out,
-                mapper=mapper,
-                reducer=reducer,
-                num_reducers=_p,
-                partitioner=_Oriented(partitioner, _asc),
+            return map_side_job(
+                _name, [([_src], _dec, emit)], _out, reducer=reducer,
+                num_reducers=_p, partitioner=_Oriented(partitioner, _asc),
                 descending_sort=not _asc,
             )
-            return job
 
         self._steps.append(build_sort_job)
         return _Pending([(sort_out, _identity_rows)], [])
@@ -385,7 +325,7 @@ class PigMRCompiler:
         def reducer(_key, rows, _n=n):
             return list(rows)[:_n]
 
-        self._shuffle_job("limit", [(pending, emit)], reducer, 1, out)
+        self._job("limit", [(pending, emit)], out, reducer=reducer)
         return _Pending([(out, _identity_rows)], [])
 
     # ------------------------------------------------------------- stores
@@ -396,13 +336,21 @@ class PigMRCompiler:
         def emit(rows, _s=schema):
             return key_tuples(rows, _s)
 
-        self._map_only_job(
-            _Pending(pending.inputs, pending.ops + [emit]), path, "store"
-        )
+        self._job("store", [(pending, emit)], path)
 
 
 def _identity_rows(records):
     return list(records)
+
+
+def _pipeline(decoder: Callable, ops: list[Callable]) -> Callable:
+    """records -> rows: decode a split, then run the fused ops."""
+    def to_rows(records):
+        rows = decoder(records)
+        for op in ops:
+            rows = op(rows)
+        return rows
+    return to_rows
 
 
 def run_pig_on_mr(script: PigScript, runner: MapReduceYarnRunner,

@@ -13,6 +13,7 @@ Rows are dicts keyed by the relation's schema fields.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Any, Callable, Optional, Sequence
 
 __all__ = ["PigScript", "Relation", "AGG_FUNCS"]
@@ -176,3 +177,11 @@ class PigScript:
             live.add(id(rel))
             stack.extend(rel.parents)
         return [r for r in self._relations if id(r) in live]
+
+    def consumer_counts(self) -> Counter:
+        """id(relation) -> how many live operators and stores read it:
+        a relation read more than once is *shared*."""
+        counts = Counter(id(parent) for rel in self.live_relations()
+                         for parent in rel.parents)
+        counts.update(id(rel) for rel, _path in self.stores)
+        return counts

@@ -1,6 +1,7 @@
 """Pig's relational kernels, and the in-memory reference executor.
 
-The kernels (:func:`key_tuples`, the aggregation trio, :func:`hash_join`,
+The kernels (:func:`key_tuples` - the lowering's, shared with Hive and
+every sink -, the aggregation trio, :func:`hash_join`,
 :func:`order_rows`) are what the Tez and MapReduce compilers ship into
 tasks and what :func:`execute_script` runs in process for differential
 tests. Each resolves its field getters and aggregate steppers once per
@@ -15,6 +16,7 @@ from operator import itemgetter
 from typing import Any, Callable
 
 from ...shuffle.sorter import sort_keys
+from ..lowering import key_tuples
 from .model import PigScript, Relation
 
 __all__ = ["execute_script", "rows_from_tuples", "key_tuples", "tagged_keys",
@@ -35,13 +37,6 @@ def rows_from_tuples(records: list[tuple], schema: list[str]) -> list[dict]:
             row[name] = rec[i]
         rows.append(row)
     return rows
-
-
-def key_tuples(rows: list[dict], keys: list[str]) -> list[tuple]:
-    """``tuple(row[k] for k in keys)`` of every row."""
-    if not keys:
-        return [()] * len(rows)
-    return list(zip(*[map(itemgetter(k), rows) for k in keys]))
 
 
 def tagged_keys(rows: list[dict], keys: list[str]) -> list[tuple]:

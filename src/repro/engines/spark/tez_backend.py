@@ -11,30 +11,17 @@ behaviour measured in Figures 12/13.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Generator, Optional
+from typing import Callable, Generator, Optional
 
 from ...tez import (
     DAG,
     DataMovementType,
-    DataSinkDescriptor,
-    DataSourceDescriptor,
     Descriptor,
-    Edge,
-    EdgeProperty,
     ShuffleVertexManager,
     ShuffleVertexManagerConfig,
     TezClient,
-    Vertex,
 )
-from ...tez.library import (
-    FnProcessor,
-    HdfsInput,
-    HdfsInputInitializer,
-    HdfsOutput,
-    HdfsOutputCommitter,
-    UnorderedKVInput,
-    UnorderedPartitionedKVOutput,
-)
+from ..lowering import Exchange, Root, Sink, Stage as TezStage, to_dag
 from .rdd import Stage
 
 __all__ = ["SparkTezBackend"]
@@ -91,99 +78,79 @@ class SparkTezBackend:
         kind, arg = action
         out_path = arg if kind == "save" else \
             f"/tmp/spark/{name}_{next(self._seq)}"
-        dag = DAG(name)
-        vertices: dict[int, Vertex] = {}
-        consumers: dict[int, list[Stage]] = {}
+        lowered: dict[int, TezStage] = {}
         for stage in stages:
-            for parent, _tag in stage.parents:
-                consumers.setdefault(parent.stage_id, []).append(stage)
-        for stage in stages:
-            fn = self._stage_fn(
-                stage, consumers.get(stage.stage_id, []),
-                is_result=stage is result, action=action,
+            low = TezStage(
+                f"stage_{stage.stage_id}",
+                -1 if stage.sources else stage.num_partitions,
             )
-            parallelism = -1 if stage.sources else stage.num_partitions
-            manager = None
+            if stage.sources:
+                paths = list(dict.fromkeys(p for p, _t in stage.sources))
+                low.roots["hdfs"] = Root(
+                    {"paths": paths}, _by_source(stage.sources),
+                    input_payload={"with_paths": True},
+                )
             if stage.parents:
                 # Conservative slow-start: on the shared, contended
                 # clusters of the multi-tenancy experiments, eager
                 # out-of-order reducers just invite preemption.
-                manager = Descriptor(
+                low.manager = Descriptor(
                     ShuffleVertexManager,
                     ShuffleVertexManagerConfig(
                         slowstart_min_fraction=0.8,
                         slowstart_max_fraction=1.0,
                     ),
                 )
-            vertex = Vertex(
-                f"stage_{stage.stage_id}",
-                Descriptor(FnProcessor, {"fn": fn}),
-                parallelism=parallelism,
-                vertex_manager=manager,
-            )
-            if stage.sources:
-                paths = list(dict.fromkeys(p for p, _t in stage.sources))
-                vertex.add_data_source("hdfs", DataSourceDescriptor(
-                    Descriptor(HdfsInput, {"with_paths": True}),
-                    Descriptor(HdfsInputInitializer, {"paths": paths}),
-                ))
-            if stage is result:
-                vertex.add_data_sink("out", DataSinkDescriptor(
-                    Descriptor(HdfsOutput, {"path": out_path}),
-                    Descriptor(HdfsOutputCommitter, {"path": out_path}),
-                ))
-            vertices[stage.stage_id] = vertex
-            dag.add_vertex(vertex)
-        for stage in stages:
             for parent, _tag in stage.parents:
-                dag.add_edge(Edge(
-                    vertices[parent.stage_id], vertices[stage.stage_id],
-                    EdgeProperty(
-                        DataMovementType.SCATTER_GATHER,
-                        output_descriptor=Descriptor(
-                            UnorderedPartitionedKVOutput
-                        ),
-                        input_descriptor=Descriptor(UnorderedKVInput),
-                    ),
+                low.in_exchanges.append(Exchange(
+                    lowered[parent.stage_id],
+                    DataMovementType.SCATTER_GATHER,
+                    _emitter(parent.shuffle_emit), _copy,
                 ))
-        return dag, out_path
+            low.combine = _compute(stage)
+            if stage is result:
+                low.sinks.append(Sink(
+                    "out", out_path, _count if kind == "count" else list,
+                ))
+            lowered[stage.stage_id] = low
+        return to_dag(name, list(lowered.values())), out_path
 
-    def _stage_fn(self, stage: Stage, consumer_stages: list[Stage],
-                  is_result: bool, action: tuple) -> Callable:
-        sources = list(stage.sources)
-        parents = list(stage.parents)
-        compute = stage.compute
-        shuffle_emit = stage.shuffle_emit
-        kind, _arg = action
 
-        def fn(ctx, data):
-            inputs: dict[str, list] = {}
-            if sources:
-                tagged = data.get("hdfs", [])
-                by_path: dict[str, list] = {}
-                for path, record in tagged:
-                    by_path.setdefault(path, []).append(record)
-                for path, tag in sources:
-                    inputs[tag] = [
-                        r
-                        for p, rows in by_path.items()
-                        if p == path or p.startswith(f"{path}/")
-                        for r in rows
-                    ]
-            for parent, tag in parents:
-                inputs[tag] = list(
-                    data.get(f"stage_{parent.stage_id}", [])
-                )
-            records = compute(inputs)
-            out: dict[str, list] = {}
-            emitted = shuffle_emit(records) if shuffle_emit else records
-            for consumer in consumer_stages:
-                out[f"stage_{consumer.stage_id}"] = list(emitted)
-            if is_result:
-                if kind == "count":
-                    out["out"] = [(0, len(records))]
-                else:
-                    out["out"] = list(records)
-            return out
+def _by_source(sources: list[tuple[str, str]]) -> Callable:
+    """Root decode: the path-tagged records of the one HDFS input,
+    regrouped as {source tag: records under that source's path}."""
+    def decode(ctx, tagged):
+        by_path: dict[str, list] = {}
+        for path, record in tagged:
+            by_path.setdefault(path, []).append(record)
+        return {tag: [r for p, rows in by_path.items()
+                      if p == path or p.startswith(f"{path}/")
+                      for r in rows]
+                for path, tag in sources}
+    return decode
 
-        return fn
+
+def _compute(stage: Stage) -> Callable:
+    compute = stage.compute
+    parents = [(f"stage_{p.stage_id}", tag) for p, tag in stage.parents]
+
+    def combine(ctx, inputs):
+        by_tag = dict(inputs.get("hdfs", {}))
+        for vertex, tag in parents:
+            by_tag[tag] = inputs[vertex]
+        return compute(by_tag)
+    return combine
+
+
+def _emitter(shuffle_emit: Optional[Callable]) -> Callable:
+    if shuffle_emit is None:
+        return _copy
+    return lambda ctx, records: list(shuffle_emit(records))
+
+
+def _copy(ctx, records):
+    return list(records)
+
+
+def _count(records):
+    return [(0, len(records))]

@@ -6,8 +6,11 @@ from repro.engines.mapreduce import (
     MRJob,
     MapReduceTezRunner,
     MapReduceYarnRunner,
-    mrjob_to_dag,
+    StitchError,
+    map_side_job,
+    stitch_pipeline,
 )
+from repro.shuffle import RangePartitioner
 
 from helpers import make_sim
 
@@ -164,10 +167,11 @@ class TestTezRunner:
         assert sim.hdfs.read_file("/out/m")
 
     def test_dag_translation_shape(self):
-        dag = mrjob_to_dag(wc_job())
-        assert set(dag.vertices) == {"map", "reduce"}
+        # A job runs on Tez as the one-job stitch.
+        dag = stitch_pipeline([wc_job()], "wc")
+        assert set(dag.vertices) == {"map_0", "reduce_0"}
         assert len(dag.edges) == 1
-        assert dag.vertices["reduce"].parallelism == 2
+        assert dag.vertices["reduce_0"].parallelism == 2
         dag.verify()
 
     def test_pipeline_in_session_beats_fresh_apps(self):
@@ -192,3 +196,71 @@ class TestTezRunner:
         assert all(r.succeeded for r in results2)
         # The headline claim, in miniature: Tez pipelines beat MR.
         assert tez_elapsed < mr_elapsed
+
+
+class TestTezRunnerHonoursTheJobContract:
+    """MR-on-Tez commits what the native runner commits, in the same
+    key order: the partitioner, a batch mapper and a descending sort
+    are part of an MRJob, not hints."""
+
+    @staticmethod
+    def committed(runner_of, job):
+        sim = make_sim()
+        sim.hdfs.write("/in/nums", [f"{i % 40} {i}" for i in range(200)],
+                       record_bytes=32)
+        done = sim.env.process(runner_of(sim).run_job(job()))
+        sim.env.run(until=done)
+        assert done.value.succeeded, done.value.diagnostics
+        return sim.hdfs.read_file(job().output_path)
+
+    def same_on_both(self, job):
+        on_yarn = self.committed(lambda sim: MapReduceYarnRunner(
+            sim.env, sim.rm, sim.hdfs, sim.shuffle), job)
+        on_tez = self.committed(
+            lambda sim: MapReduceTezRunner(sim.tez_client()), job)
+        assert on_tez == on_yarn
+        return on_yarn
+
+    def test_range_partitioned_job(self):
+        def job():
+            return MRJob(
+                name="ranged", input_paths=["/in/nums"],
+                output_path="/out/ranged",
+                mapper=lambda line: [(int(line.split()[0]), 1)],
+                reducer=sum_reducer, num_reducers=4,
+                partitioner=RangePartitioner([10, 20, 30]))
+        rows = self.same_on_both(job)
+        # Range partitions commit in task order: globally sorted keys
+        # (a hash partitioner interleaves them).
+        assert [k for k, _n in rows] == list(range(40))
+
+    def test_descending_job(self):
+        def job():
+            return MRJob(
+                name="desc", input_paths=["/in/nums"],
+                output_path="/out/desc",
+                mapper=lambda line: [(int(line.split()[0]), 1)],
+                reducer=sum_reducer, num_reducers=1, descending_sort=True)
+        rows = self.same_on_both(job)
+        assert [k for k, _n in rows] == list(range(39, -1, -1))
+
+    def test_batch_mapper_job(self):
+        def mapper(lines):
+            return [(int(line.split()[0]), len(lines)) for line in lines]
+        mapper.batch = True
+
+        def job():
+            return MRJob(
+                name="batch", input_paths=["/in/nums"],
+                output_path="/out/batch", mapper=mapper,
+                reducer=lambda k, vs: [(k, len(vs))], num_reducers=1)
+        rows = self.same_on_both(job)
+        assert rows == [(k, 5) for k in range(40)]
+
+    def test_per_path_mappers_are_refused(self):
+        job = map_side_job(
+            "sides", [(["/in/a"], list, list), (["/in/b"], list, list)],
+            "/out/sides", reducer=sum_reducer)
+        runner = MapReduceTezRunner(make_sim().tez_client())
+        with pytest.raises(StitchError, match="per-path mappers"):
+            next(runner.run_job(job))

@@ -365,3 +365,49 @@ def test_mapreduce_reducers_merge_on_the_refs_kinds(monkeypatch):
         {"a": 40, "b": 30, "c": 30, "d": 10}
     assert len(passes) == len(kinds) == done.value.metrics["maps"]
     assert None not in kinds
+
+
+def _calls_named(tree, names):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name in names:
+                yield node
+
+
+def test_one_lowering_builds_the_engines_dags():
+    """Hive, Pig and Spark lower their stage graphs through
+    ``engines/lowering.py::to_dag``; the MR stitcher (which MR-on-Tez
+    runs as a one-job stitch) is the only other engine code that
+    builds a vertex, an edge or an edge property."""
+    builders = {
+        str(path.relative_to(SRC))
+        for path in sorted((SRC / "engines").rglob("*.py"))
+        if any(_calls_named(ast.parse(path.read_text(encoding="utf-8")),
+                            {"Vertex", "Edge", "EdgeProperty"}))}
+    assert builders == {"engines/lowering.py",
+                        "engines/mapreduce/stitcher.py"}
+    import repro.engines.mapreduce as mapreduce
+
+    gone = "mrjob" + "_to_dag"    # spelled in halves, as above
+    assert not hasattr(mapreduce, gone)
+    assert not _source_files_matching(gone)
+
+
+def test_only_the_map_side_builder_sets_path_mappers():
+    setters = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in _own_nodes(fn):
+                assigned = isinstance(node, ast.Attribute) and \
+                    node.attr == "path_mappers" and \
+                    isinstance(node.ctx, ast.Store)
+                passed = isinstance(node, ast.keyword) and \
+                    node.arg == "path_mappers"
+                if assigned or passed:
+                    setters.add(f"{path.relative_to(SRC)}:{fn.name}")
+    assert setters == {"engines/mapreduce/model.py:map_side_job"}

@@ -10,6 +10,7 @@ from repro.engines.pig import (
 )
 from repro.tez import DataMovementType
 from repro.tez.events import VertexManagerEvent
+from repro.workloads import ETL_SCRIPTS, build_script
 
 
 def etl_script():
@@ -89,6 +90,26 @@ class TestMRCompiler:
         steps = PigMRCompiler().compile(s)
         # shared materialization + 2 agg jobs + 2 store jobs.
         assert len(steps) == 5
+
+    @pytest.mark.parametrize("name", sorted(ETL_SCRIPTS))
+    def test_job_names_do_not_depend_on_the_process(self, name):
+        # Both scripts stay alive, so their relations differ in id():
+        # a name drawn from a memory address would differ here too.
+        first, second = build_script(name), build_script(name)
+        names = [[step(_SampleHdfs()).name
+                  for step in PigMRCompiler().compile(script)]
+                 for script in (first, second)]
+        assert names[0] == names[1]
+        # Every ETL script orders, and the ORDER BY defers its sort job.
+        assert any(n.startswith("ordersort_") for n in names[0])
+
+
+class _SampleHdfs:
+    """The client-side HDFS a deferred order-by step reads its key
+    sample from."""
+
+    def read_file(self, path):
+        return [{"sample": [(float(i),) for i in range(20)]}]
 
 
 class _FakePDVMContext:
