@@ -13,8 +13,8 @@ import random
 from typing import Generator, Optional
 
 from ..cluster import Cluster, ClusterSpec
-from ..sim import Environment
-from ..telemetry import get_telemetry
+from ..sim import Environment, Interrupt
+from ..telemetry.spans import Span
 from ..yarn.security import Token
 from .service import ShuffleServices, SpillLost, SpillRef
 
@@ -91,17 +91,89 @@ class Fetcher:
         total retry-time budget (``shuffle_retry_total_timeout``) are
         exhausted the fetch escalates to :class:`FetchFailure`, as does
         a spill whose data is gone.
+
+        One frame per fetch (this generator, nothing delegated to) and,
+        with telemetry, one ``fetch`` span built in place: the record
+        ``Telemetry.span`` / ``finish`` would make - the next span id,
+        no parent, attrs ``node, source, owner, dag, nbytes`` and then
+        ``outcome`` - and, while in flight, in the tracer's open set.
+        It closes ``ok``, ``failed`` or, when an :class:`Interrupt`
+        (the owning attempt killed) runs through it, ``killed`` at that
+        instant; a fetch the simulation ends in stays open.
         """
-        telemetry = get_telemetry(self.env)
+        env = self.env
+        spec = self.spec
+        now = env.now
+        # get_telemetry(env), in this frame.
+        telemetry = env.telemetry
+        if telemetry is not None and not telemetry.enabled:
+            telemetry = None
         span = None
         if telemetry is not None:
-            span = telemetry.span(
-                "fetch", f"{ref.spill_id}:p{ref.partition}",
-                node=self.reader_node, source=ref.node_id,
-                owner=self.owner, dag=self._owner_dag, nbytes=ref.nbytes,
-            )
+            tracer = telemetry.tracer
+            tracer._count = span_id = tracer._count + 1
+            # Field by field rather than Span(...): no __init__ frame.
+            span = Span.__new__(Span)
+            span.span_id = span_id
+            span.kind = "fetch"
+            span.name = name = f"{ref.spill_id}:p{ref.partition}"
+            span.start = now
+            span.end = span.parent_id = None
+            span.attrs = attrs = {
+                "node": self.reader_node, "source": ref.node_id,
+                "owner": self.owner, "dag": self._owner_dag,
+                "nbytes": ref.nbytes}
+            tracer._by_id[span_id] = span
         try:
-            records = yield from self._fetch(ref, telemetry)
+            attempts = 0
+            deadline = now + spec.shuffle_retry_total_timeout
+            while True:
+                attempts += 1
+                yield env.timeout(spec.shuffle_connection_latency)
+                # A partitioned link: the connection hangs, then times out.
+                if self.cluster.link_partitioned(ref.node_id,
+                                                 self.reader_node):
+                    yield env.timeout(spec.shuffle_fetch_timeout)
+                    self._note_retry(ref, telemetry, "partition_timeout",
+                                     attempts)
+                    if (
+                        attempts > spec.shuffle_max_retries
+                        or env.now >= deadline
+                    ):
+                        raise FetchFailure(
+                            ref,
+                            f"fetch timed out after {attempts} attempts "
+                            f"(network partition)",
+                        )
+                    yield env.timeout(self._backoff(attempts))
+                    continue
+                # Transient error injection (network blips / flaky links).
+                error_rate = (
+                    spec.shuffle_transient_error_rate
+                    + self.cluster.link_loss_rate(ref.node_id,
+                                                  self.reader_node)
+                )
+                if (
+                    error_rate > 0
+                    and self.rng.random() < error_rate
+                    and attempts <= spec.shuffle_max_retries
+                    and env.now < deadline
+                ):
+                    self._note_retry(ref, telemetry, "transient_error",
+                                     attempts)
+                    yield env.timeout(self._backoff(attempts))
+                    continue
+                try:
+                    records = self.services.services[ref.node_id].fetch(
+                        ref.spill_id, ref.partition, self.app_id,
+                        self.job_token
+                    )
+                except SpillLost as exc:
+                    raise FetchFailure(ref, str(exc)) from exc
+                yield env.timeout(self.cluster.transfer_time(
+                    ref.nbytes, ref.node_id, self.reader_node
+                ))
+                break
         except FetchFailure as exc:
             if telemetry is not None:
                 telemetry.event(
@@ -110,11 +182,21 @@ class Fetcher:
                     reason=exc.reason,
                 )
                 telemetry.metrics.counter("shuffle.fetch_failures").inc()
-                telemetry.finish(span, outcome="failed")
+                _close(telemetry, span, "failed")
             raise
-        if telemetry is not None:
-            telemetry.finish(span, outcome="ok")
-        return records
+        except Interrupt:
+            if span is not None:
+                _close(telemetry, span, "killed")
+            raise
+        self.bytes_fetched += ref.nbytes
+        self.fetch_count += 1
+        if span is not None:
+            span.end = end = env.now
+            attrs["outcome"] = "ok"
+            del tracer._by_id[span_id]
+            telemetry.spanstore.add_span(
+                (span_id, "fetch", name, now, end, None, attrs))
+        return list(records)
 
     def _note_retry(self, ref: SpillRef, telemetry, reason: str,
                     attempts: int) -> None:
@@ -127,64 +209,10 @@ class Fetcher:
             )
             telemetry.metrics.counter("shuffle.retries").inc()
 
-    def _fetch(self, ref: SpillRef, telemetry=None) -> Generator:
-        attempts = 0
-        deadline = self.env.now + self.spec.shuffle_retry_total_timeout
-        while True:
-            attempts += 1
-            yield self.env.timeout(self.spec.shuffle_connection_latency)
-            # A partitioned link: the connection hangs, then times out.
-            if self.cluster.link_partitioned(ref.node_id, self.reader_node):
-                yield self.env.timeout(self.spec.shuffle_fetch_timeout)
-                self._note_retry(ref, telemetry, "partition_timeout",
-                                 attempts)
-                if (
-                    attempts > self.spec.shuffle_max_retries
-                    or self.env.now >= deadline
-                ):
-                    raise FetchFailure(
-                        ref,
-                        f"fetch timed out after {attempts} attempts "
-                        f"(network partition)",
-                    )
-                yield self.env.timeout(self._backoff(attempts))
-                continue
-            # Transient error injection (network blips / flaky links).
-            error_rate = (
-                self.spec.shuffle_transient_error_rate
-                + self.cluster.link_loss_rate(ref.node_id, self.reader_node)
-            )
-            if (
-                error_rate > 0
-                and self.rng.random() < error_rate
-                and attempts <= self.spec.shuffle_max_retries
-                and self.env.now < deadline
-            ):
-                self._note_retry(ref, telemetry, "transient_error", attempts)
-                yield self.env.timeout(self._backoff(attempts))
-                continue
-            service = self.services.on_node(ref.node_id)
-            try:
-                records = service.fetch(
-                    ref.spill_id, ref.partition, self.app_id, self.job_token
-                )
-            except SpillLost as exc:
-                raise FetchFailure(ref, str(exc)) from exc
-            transfer = self.cluster.transfer_time(
-                ref.nbytes, ref.node_id, self.reader_node
-            )
-            yield self.env.timeout(transfer)
-            self.bytes_fetched += ref.nbytes
-            self.fetch_count += 1
-            return list(records)
 
-    def fetch_all(self, refs: list[SpillRef]) -> Generator:
-        """Process: fetch several partitions sequentially; returns a
-        list of record lists (order matches ``refs``)."""
-        out = []
-        for ref in refs:
-            records = yield self.env.process(
-                self.fetch(ref), name=f"fetch:{ref.spill_id}"
-            )
-            out.append(records)
-        return out
+def _close(telemetry, span: Span, outcome: str) -> None:
+    """Close a fetch span off the hot path (a failure or a kill)."""
+    span.end = telemetry.now
+    span.attrs["outcome"] = outcome
+    del telemetry.tracer._by_id[span.span_id]
+    telemetry.spanstore.add_span(span.record())

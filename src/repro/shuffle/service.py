@@ -98,6 +98,10 @@ class ShuffleService:
         # service of one ShuffleServices directory: an app is listed
         # under this node exactly while ``_app_spills`` lists it.
         self._app_nodes = app_nodes
+        # app id -> the job token object a fetch here last verified for
+        # it: the secret never changes, so a token that passed once
+        # passes again. Only a check that ran is remembered.
+        self._verified: dict[str, Token] = {}
 
     @property
     def alive(self) -> bool:
@@ -203,8 +207,16 @@ class ShuffleService:
 
     def fetch(self, spill_id: str, partition: int,
               app_id: str, token: Optional[Token] = None) -> list:
-        """Return one partition's records; raises SpillLost when gone."""
-        self.security.verify(token, "JOB", app_id)
+        """Return one partition's records; raises SpillLost when gone.
+
+        The token is verified once per app and token object; any other
+        token is verified on every call, so a bad one (wrong kind or
+        owner, a forged signature, none) raises every time."""
+        if token is None or self._verified.get(app_id) is not token:
+            security = self.security
+            security.verify(token, "JOB", app_id)
+            if security.enabled:
+                self._verified[app_id] = token
         if not self.alive:
             raise SpillLost(f"node {self.node_id} is down")
         spill = self._spills.get(spill_id)

@@ -225,8 +225,7 @@ class Process(Event):
         init.callbacks.append(self._resume)
         env._seq = seq = env._seq + 1
         heappush(env._queue, (env._now, 1, seq, init))
-        for hook in env._process_hooks:
-            hook(self)
+        env.processes_started += 1
 
     @property
     def is_alive(self) -> bool:
@@ -392,15 +391,13 @@ class Environment:
         # Recyclable kernel hop events (see _PooledEvent).
         self._event_pool: list[_PooledEvent] = []
         self._pool_reuse = 0
+        # Every Process ever created, counted where it is created: no
+        # call out of the kernel per process (telemetry reads it as
+        # ``sim.processes_started``).
+        self.processes_started = 0
         # Observability: ambient telemetry handle (set by
-        # repro.telemetry.Telemetry.install) and process-creation hooks.
-        # Hooks observe scheduling only — they must not schedule events.
+        # repro.telemetry.Telemetry.install).
         self.telemetry = None
-        self._process_hooks: list = []
-
-    def add_process_hook(self, hook) -> None:
-        """Register ``hook(process)`` called for every spawned Process."""
-        self._process_hooks.append(hook)
 
     @property
     def now(self) -> float:

@@ -12,7 +12,8 @@ their manifest entries, record counts match), partition-key discipline
 intra-segment ordering (events by seq, both within the footer's key
 range), one record per ``span_id`` across the store, plus the
 per-record schema of every span/event — including the attr schema of
-``telemetry.backpressure`` control events.
+``telemetry.backpressure`` control events — and, when the store has
+one, ``kernel.json``'s counters.
 """
 
 from __future__ import annotations
@@ -45,6 +46,22 @@ def check_backpressure_event(attrs: dict) -> list[str]:
     for key in ("capacity", "dropped_spans", "dropped_events"):
         if not isinstance(attrs[key], int) or attrs[key] < 0:
             problems.append(f"backpressure {key}={attrs[key]!r}")
+    return problems
+
+
+# kernel.json (Telemetry._write_kernel): the DES kernel's counters.
+_KERNEL_KEYS = {"heap_pushes", "pool_reuse", "processes_started"}
+
+
+def check_kernel(payload) -> list[str]:
+    if not isinstance(payload, dict):
+        return [f"kernel counters are not an object: {payload!r}"]
+    problems = [f"kernel counter {key!r} unknown"
+                for key in sorted(payload.keys() - _KERNEL_KEYS)]
+    for key in sorted(payload.keys() & _KERNEL_KEYS):
+        value = payload[key]
+        if type(value) is not int or value < 0:
+            problems.append(f"kernel {key}={value!r}")
     return problems
 
 
@@ -129,6 +146,15 @@ def check_store(store_dir: str) -> list[str]:
     for missing in sorted(seen_files - on_disk):
         problems.append(f"{store_dir}: manifest entry {missing} missing "
                         f"on disk")
+    kernel = os.path.join(store_dir, "kernel.json")
+    if os.path.isfile(kernel):
+        try:
+            with open(kernel, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            problems.append(f"{kernel}: {exc}")
+        else:
+            problems.extend(f"{kernel}: {p}" for p in check_kernel(payload))
     return problems
 
 

@@ -57,7 +57,7 @@ class Telemetry:
         self.env = env
         # Hot-path kill switch: when False, get_telemetry() reports no
         # telemetry and event/span/finish return without recording.
-        # Decided at construction: the kernel process hook is only
+        # Decided at construction: ``sim.processes_started`` is only
         # registered for enabled telemetry.
         self.enabled = enabled
         opts = dict(store_opts or {})
@@ -86,11 +86,10 @@ class Telemetry:
         self.tracer.env = env
         env.telemetry = self
         if self.enabled:
-            # The hook fires for every process the kernel ever spawns;
-            # bind its counter once instead of a registry lookup each.
-            self._proc_counter = self.metrics.counter(
-                "sim.processes_started")
-            env.add_process_hook(self._on_process_created)
+            # The kernel counts its processes itself; the metric reads
+            # that integer instead of being called once per process.
+            self.metrics.read_counter(
+                "sim.processes_started", lambda: env.processes_started)
 
     def attach_registry(self, name: str,
                         registry: MetricsRegistry) -> MetricsRegistry:
@@ -106,10 +105,6 @@ class Telemetry:
         root — next to the manifest, *not* under ``rollups/`` (rollup
         payloads are indexed by ``dag_id``)."""
         self._shard_suppliers.append((name, supplier))
-
-    def _on_process_created(self, process) -> None:
-        # sim.core scheduling hook: count every process the kernel spawns.
-        self._proc_counter.inc()
 
     def _on_ring_overflow(self, which: str, capacity: int) -> None:
         # Lossy-mode ring overflow (edge-triggered once per episode):
@@ -170,14 +165,15 @@ class Telemetry:
     def _write_kernel(self, store_dir: str) -> None:
         """Snapshot the DES kernel's scheduling counters into
         ``<store_dir>/kernel.json`` so ``query --summary`` reports
-        event-plane volume (heap pushes, pooled-event reuse) next to
-        the DAG rollups."""
+        event-plane volume (heap pushes, pooled-event reuse, processes
+        started) next to the DAG rollups."""
         env = self.env
         if env is None or not hasattr(env, "heap_pushes"):
             return
         payload = {
             "heap_pushes": env.heap_pushes,
             "pool_reuse": getattr(env, "pool_reuse", 0),
+            "processes_started": getattr(env, "processes_started", 0),
         }
         out = os.path.join(store_dir, "kernel.json")
         tmp = out + ".tmp"

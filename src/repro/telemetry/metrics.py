@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator, MutableMapping, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "MetricsView", "Snapshot"]
+           "MetricsView", "ReadCounter", "Snapshot"]
 
 
 def _norm(value: float):
@@ -73,6 +73,28 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}={_norm(self._value)}>"
+
+
+class ReadCounter(Counter):
+    """A counter kept by someone else and read on demand: ``read()`` is
+    its value. For a count bumped where the work happens (a kernel
+    integer) that must not call into Python each time. Read-only:
+    ``inc`` and assignment raise ``AttributeError``; being written
+    nowhere, it never enters the registry's modification log, so
+    :meth:`MetricsRegistry.delta_sparse` does not see it move."""
+
+    __slots__ = ("_read",)
+
+    def __init__(self, name: str, read, _registry=None, _idx: int = 0):
+        self.name = name
+        self._read = read
+        self._reg = _registry
+        self._idx = _idx
+        self._log_pos = -1
+
+    @property
+    def _value(self) -> float:
+        return self._read()
 
 
 class Gauge:
@@ -158,6 +180,12 @@ class MetricsRegistry:
                 name, _registry=self, _idx=len(self.counters))
             if "." not in name:
                 self._unscoped.append(name)
+        return counter
+
+    def read_counter(self, name: str, read) -> ReadCounter:
+        """Register ``name`` as a :class:`ReadCounter` over ``read``."""
+        counter = self.counters[name] = ReadCounter(
+            name, read, _registry=self, _idx=len(self.counters))
         return counter
 
     def unscoped_names(self) -> list[str]:

@@ -92,7 +92,8 @@ def load_kernel(store_dir: str) -> Optional[dict]:
 def kernel_line(payload: dict) -> str:
     return (
         f"kernel: heap_pushes={payload.get('heap_pushes', 0)} "
-        f"pool_reuse={payload.get('pool_reuse', 0)}"
+        f"pool_reuse={payload.get('pool_reuse', 0)} "
+        f"processes_started={payload.get('processes_started', 0)}"
     )
 
 

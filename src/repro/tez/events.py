@@ -12,7 +12,8 @@ vertex managers; InputInitializerEvents target root-input initializers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Optional
 
 __all__ = [
@@ -32,10 +33,16 @@ _event_counter = itertools.count(1)
 
 @dataclass
 class TezEvent:
-    """Base event; concrete subclasses below."""
+    """Base event; concrete subclasses below.
 
-    def __post_init__(self):
-        self.event_id = next(_event_counter)
+    ``event_id`` is unique per event and drawn on first read, not at
+    construction: a routed scatter-gather edge builds one
+    DataMovementEvent per consumer partition, and nothing on the
+    routing path reads the id."""
+
+    @cached_property
+    def event_id(self) -> int:
+        return next(_event_counter)
 
 
 @dataclass

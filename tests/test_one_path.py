@@ -411,3 +411,42 @@ def test_only_the_map_side_builder_sets_path_mappers():
                 if assigned or passed:
                     setters.add(f"{path.relative_to(SRC)}:{fn.name}")
     assert setters == {"engines/mapreduce/model.py:map_side_job"}
+
+
+def test_a_fetch_is_one_generator():
+    """``Fetcher.fetch`` is the fetch: no generator it delegates to, no
+    batch wrapper around it."""
+    from repro.shuffle.fetcher import Fetcher
+
+    tree = ast.parse((SRC / "shuffle" / "fetcher.py").read_text(
+        encoding="utf-8"))
+    generators = [
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, (ast.Yield, ast.YieldFrom))
+                for node in _own_nodes(fn))]
+    assert generators == ["fetch"]
+    assert not hasattr(Fetcher, "_fetch") and not hasattr(Fetcher,
+                                                          "fetch_all")
+
+
+def test_the_kernel_calls_nobody_per_process():
+    """Processes are counted by the kernel (``processes_started``), not
+    reported to registered hooks."""
+    env = Environment()
+    assert env.processes_started == 0
+    assert not hasattr(env, "add_process_hook")
+    assert not hasattr(env, "_process_hooks")
+    assert not hasattr(Telemetry, "_on_process_created")
+    assert not hasattr(Telemetry(env), "_proc_counter")
+    assert not _source_files_matching(r"process_hook|_on_process_created")
+
+
+def test_routed_events_build_no_id():
+    """A TezEvent draws its ``event_id`` on first read; no event class
+    runs code after its dataclass ``__init__``."""
+    from repro.tez import events
+
+    classes = [cls for cls in vars(events).values()
+               if isinstance(cls, type) and issubclass(cls, events.TezEvent)]
+    assert len(classes) == 9
+    assert not [cls for cls in classes if "__post_init__" in vars(cls)]

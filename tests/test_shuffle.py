@@ -373,7 +373,14 @@ def test_fetch_processes_and_spans_name_their_attempt():
     attempt as ``owner`` and its DAG as ``dag``."""
     sim = make_sim()
     spawned = []
-    sim.env.add_process_hook(lambda proc: spawned.append(proc.name))
+    process = sim.env.process
+
+    def named_process(generator, name=""):
+        proc = process(generator, name=name)
+        spawned.append(proc.name)
+        return proc
+
+    sim.env.process = named_process
     paths = [f"/in/{i}" for i in range(3)]
     for path in paths:
         sim.hdfs.write(path, [(j % 4, j) for j in range(20)])

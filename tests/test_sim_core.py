@@ -796,7 +796,9 @@ class _FrozenKernel(Environment):
     ``Event.succeed`` / ``fail`` (``_FROZEN_PUSH_SIDE``) are patched in
     for the length of a frozen run; they are verbatim too, except that
     ``super().__init__`` is spelled ``Event.__init__`` (no class cell
-    outside a class body).
+    outside a class body) and that ``Process.__init__`` bumps
+    ``processes_started`` where it called the process hooks that
+    counter replaced.
 
     ``test_the_dispatch_loop_is_the_frozen_kernel`` runs generated
     kernel programs on both and compares everything either can show.
@@ -942,8 +944,7 @@ def _frozen_process_init(self, env, generator, name=""):
     init = env._hop()
     init.callbacks.append(self._resume)
     env._schedule(init)
-    for hook in env._process_hooks:
-        hook(self)
+    env.processes_started += 1
 
 
 def _frozen_resume(self, event):
@@ -1069,12 +1070,12 @@ class _ProgramRun:
         self.stores = [Store(env), Store(env, capacity=1)]
         self.processes = []
         self.handles = []     # (event, generation | None)
-        env.add_process_hook(lambda p: self.note(("spawned", p.name)))
 
     def note(self, label):
         self.trace.append((self.env.now, label))
 
     def spawn(self, name, catches, ops):
+        self.note(("spawned", name))
         proc = self.env.process(self.body(name, catches, ops), name=name)
         self.processes.append(proc)
         return proc
@@ -1213,8 +1214,8 @@ def _run_kernel_program(program, env):
             except (SimulationError, Interrupt, _Boom) as exc:
                 outcome = ("raised", type(exc).__name__, str(exc))
             shown.append((outcome, env.now, env.heap_pushes, env.pool_reuse,
-                          len(env._queue), len(env._event_pool),
-                          gc.isenabled()))
+                          env.processes_started, len(env._queue),
+                          len(env._event_pool), gc.isenabled()))
     finally:
         (gc.enable if was_enabled else gc.disable)()
     return shown, run.trace

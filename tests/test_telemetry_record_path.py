@@ -28,7 +28,10 @@ tests in ``test_telemetry_store.py`` instead.
 
 The golden pins what two control-plane scenarios leave in a persisted
 store: the sha256 of every file, recorded at 16c8b43 in one fresh
-process, ``reuse_session`` first.
+process, ``reuse_session`` first. ``kernel.json`` has since gained
+``processes_started``; it is checked against the kernel's count and
+taken out before hashing, so everything the store held then is still
+pinned byte for byte.
 
     python tests/test_telemetry_record_path.py            # print
     python tests/test_telemetry_record_path.py --record   # rewrite golden
@@ -474,8 +477,22 @@ def persisted_store_sha256(name: str) -> str:
         scenarios.make_sim = make_sim
     (sim,) = sims
     with tempfile.TemporaryDirectory() as root:
-        sim.telemetry.persist_store(os.path.join(root, "store"))
-        return _tree_sha256(os.path.join(root, "store"))
+        store = os.path.join(root, "store")
+        sim.telemetry.persist_store(store)
+        _as_recorded(store, sim.env)
+        return _tree_sha256(store)
+
+
+def _as_recorded(store, env) -> None:
+    """Take out of ``kernel.json`` the one counter added after the
+    golden was recorded, ``processes_started``, having checked it is the
+    kernel's: the rest of the store must hash as recorded."""
+    path = os.path.join(store, "kernel.json")
+    with open(path, encoding="utf-8") as fh:
+        kernel = json.load(fh)
+    assert kernel.pop("processes_started") == env.processes_started > 0
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(kernel, fh, indent=1, sort_keys=True)
 
 
 def test_persisted_stores_match_the_golden():
