@@ -355,7 +355,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--crash-at", type=float, default=None)
     parser.add_argument("--store-out", metavar="DIR", default=None,
                         help="persist the partitioned telemetry store "
-                             "(segments + rollups + shards.json) here")
+                             "(MANIFEST.json + segments/) here")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write recovery telemetry JSONL here")
     parser.add_argument("--quiet", action="store_true")

@@ -44,7 +44,7 @@ class SimCluster:
         # perf-sensitive runs: spans/events are skipped at every
         # emission site (see telemetry.facade.get_telemetry).
         # ``telemetry_opts`` configures the partitioned span store
-        # (ring sizes, overflow policy, spool directory — see
+        # (ring sizes, spool directory — see
         # telemetry.store.SpanStore).
         self.telemetry = Telemetry(self.env, enabled=telemetry,
                                    store_opts=telemetry_opts)

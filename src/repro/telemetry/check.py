@@ -10,10 +10,11 @@ manifest/segment cross-consistency (files exist, footers agree with
 their manifest entries, record counts match), partition-key discipline
 (every record in a segment belongs to the segment's partition),
 intra-segment ordering (events by seq, both within the footer's key
-range), one record per ``span_id`` across the store, plus the
-per-record schema of every span/event — including the attr schema of
-``telemetry.backpressure`` control events — and, when the store has
-one, ``kernel.json``'s counters.
+range), one record per ``span_id`` across the store, the per-record
+schema of every span/event, and the manifest's run keys: ``kernel``
+(known counters, non-negative ints, or ``null``), ``shards`` (what
+``query`` prints of each) and ``rollups`` (what ``query`` reads of
+each, keyed by a ``dag_id`` that has a stored ``dag`` span).
 """
 
 from __future__ import annotations
@@ -26,42 +27,81 @@ from .export import validate_records
 from .store import (MANIFEST_NAME, SEGMENT_DIR, event_partition,
                     read_manifest, span_partition)
 
-# telemetry.backpressure is a control event (emitted on ring overflow
-# in lossy mode); its attrs are a stable schema so downstream alerting
-# can rely on them.
-_BACKPRESSURE_KEYS = {"ring", "capacity", "policy", "dropped_spans",
-                      "dropped_events"}
-
-
-def check_backpressure_event(attrs: dict) -> list[str]:
-    problems = []
-    missing = _BACKPRESSURE_KEYS - attrs.keys()
-    if missing:
-        problems.append(f"backpressure event missing {sorted(missing)}")
-        return problems
-    if attrs["ring"] not in ("span", "event"):
-        problems.append(f"backpressure ring {attrs['ring']!r}")
-    if attrs["policy"] not in ("block", "drop"):
-        problems.append(f"backpressure policy {attrs['policy']!r}")
-    for key in ("capacity", "dropped_spans", "dropped_events"):
-        if not isinstance(attrs[key], int) or attrs[key] < 0:
-            problems.append(f"backpressure {key}={attrs[key]!r}")
-    return problems
-
-
-# kernel.json (Telemetry._write_kernel): the DES kernel's counters.
+# The manifest's kernel counters (Telemetry._run).
 _KERNEL_KEYS = {"heap_pushes", "pool_reuse", "processes_started"}
+# The fields query.shard_line prints of a shard summary, besides its
+# string ``client``.
+_SHARD_COUNTS = ("shard", "dags", "am_attempts", "journal_records",
+                 "fenced_appends", "checkpoints", "events_replayed",
+                 "tasks_recovered", "entries_dropped")
+# The keys query.summary_from_payload / report_from_payload read.
+_ROLLUP_KEYS = {"dag_id", "name", "outcome", "wall_clock", "vertices",
+                "attempts", "succeeded", "failed", "killed",
+                "speculations", "reexecutions", "fetch_retries", "faults",
+                "start", "end", "critical_path"}
+_SEGMENT_KEYS = {"kind", "start", "end", "vertex", "attempt"}
+
+
+def _count(value) -> bool:
+    return type(value) is int and value >= 0
 
 
 def check_kernel(payload) -> list[str]:
+    if payload is None:
+        return []
     if not isinstance(payload, dict):
         return [f"kernel counters are not an object: {payload!r}"]
     problems = [f"kernel counter {key!r} unknown"
                 for key in sorted(payload.keys() - _KERNEL_KEYS)]
     for key in sorted(payload.keys() & _KERNEL_KEYS):
-        value = payload[key]
-        if type(value) is not int or value < 0:
-            problems.append(f"kernel {key}={value!r}")
+        if not _count(payload[key]):
+            problems.append(f"kernel {key}={payload[key]!r}")
+    return problems
+
+
+def check_shards(shards) -> list[str]:
+    if not isinstance(shards, list):
+        return [f"shards are not a list: {shards!r}"]
+    problems = []
+    for i, shard in enumerate(shards):
+        if not isinstance(shard, dict):
+            problems.append(f"shard #{i} is not an object: {shard!r}")
+            continue
+        if not isinstance(shard.get("client"), str):
+            problems.append(f"shard #{i} client={shard.get('client')!r}")
+        for key in _SHARD_COUNTS:
+            if not _count(shard.get(key)):
+                problems.append(f"shard #{i} {key}={shard.get(key)!r}")
+    return problems
+
+
+def check_rollups(rollups, dag_spans: set) -> list[str]:
+    """``dag_spans``: the ids of the store's ``dag`` spans."""
+    if not isinstance(rollups, dict):
+        return [f"rollups are not an object: {rollups!r}"]
+    problems = []
+    seen: set = set()
+    for key, payload in rollups.items():
+        if not isinstance(payload, dict):
+            problems.append(f"rollup {key!r} is not an object")
+            continue
+        missing = _ROLLUP_KEYS - payload.keys()
+        if missing:
+            problems.append(f"rollup {key!r} missing {sorted(missing)}")
+            continue
+        dag_id = payload["dag_id"]
+        if dag_id != key:
+            problems.append(f"rollup {key!r} holds dag_id {dag_id!r}")
+        if dag_id in seen:
+            problems.append(f"rollup dag_id {dag_id!r} stored twice")
+        seen.add(dag_id)
+        if dag_id not in dag_spans:
+            problems.append(f"rollup {dag_id!r} has no stored dag span")
+        path = payload["critical_path"]
+        if not isinstance(path, list) or any(
+                not isinstance(seg, dict) or _SEGMENT_KEYS - seg.keys()
+                for seg in path):
+            problems.append(f"rollup {dag_id!r} critical_path {path!r}")
     return problems
 
 
@@ -77,6 +117,7 @@ def check_store(store_dir: str) -> list[str]:
         problems.append(f"{store_dir}: manifest lists no segments")
     seen_files = set()
     span_files: dict = {}       # span_id -> the segment that holds it
+    dag_spans: set = set()      # dag id of every stored dag span
     for entry in entries:
         name = entry.get("file", "?")
         where = f"{store_dir}/{SEGMENT_DIR}/{name}"
@@ -127,15 +168,13 @@ def check_store(store_dir: str) -> list[str]:
                     problems.append(f"{where}: span_id {key} stored twice "
                                     f"(also in {span_files[key]})")
                 span_files[key] = name
+                if rec["kind"] == "dag":
+                    dag_spans.add(rec["attrs"].get("dag", rec["name"]))
             prev = key
             lo, hi = entry.get("min_key"), entry.get("max_key")
             if lo is not None and (key < lo or key > hi):
                 problems.append(f"{where}: {order_key} {key} outside "
                                 f"footer range [{lo}, {hi}]")
-            if (rtype == "event"
-                    and rec["kind"] == "telemetry.backpressure"):
-                problems.extend(f"{where}: {p}" for p in
-                                check_backpressure_event(rec["attrs"]))
     try:
         on_disk = set(os.listdir(os.path.join(store_dir, SEGMENT_DIR)))
     except OSError as exc:
@@ -146,15 +185,14 @@ def check_store(store_dir: str) -> list[str]:
     for missing in sorted(seen_files - on_disk):
         problems.append(f"{store_dir}: manifest entry {missing} missing "
                         f"on disk")
-    kernel = os.path.join(store_dir, "kernel.json")
-    if os.path.isfile(kernel):
-        try:
-            with open(kernel, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            problems.append(f"{kernel}: {exc}")
-        else:
-            problems.extend(f"{kernel}: {p}" for p in check_kernel(payload))
+    where = f"{store_dir}/{MANIFEST_NAME}"
+    for key in ("kernel", "shards", "rollups"):
+        if key not in manifest:
+            problems.append(f"{where}: no {key!r}")
+    problems.extend(f"{where}: {p}" for p in
+                    check_kernel(manifest.get("kernel"))
+                    + check_shards(manifest.get("shards", []))
+                    + check_rollups(manifest.get("rollups", {}), dag_spans))
     return problems
 
 

@@ -44,15 +44,14 @@ class EventLog:
         self._events: list[TelemetryEvent] = []
         self._count = 0
 
-    def emit(self, kind: str, ts: float, attrs: dict,
-             control: bool = False) -> None:
+    def emit(self, kind: str, ts: float, attrs: dict) -> None:
         """Record one event; ``attrs`` is kept by reference."""
         seq = self._count
         self._count = seq + 1
         if self.sink is None:
             self._events.append(TelemetryEvent(ts, kind, attrs, seq))
         else:
-            self.sink.add_event((seq, ts, kind, attrs), control)
+            self.sink.add_event((seq, ts, kind, attrs))
 
     def __len__(self) -> int:
         return self._count

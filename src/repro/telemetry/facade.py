@@ -19,12 +19,13 @@ dimension-partitioned segments, and per-DAG summaries / critical paths
 are maintained incrementally by the :class:`RollupEngine` at
 span-close time. The :class:`TimelineStore` query API (``self.store``)
 is unchanged and reads back through the segments transparently.
+:meth:`Telemetry.persist_store` lands the run as one directory: the
+segments, and a manifest that also carries the kernel counters, the
+shard summaries and the rollups.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Callable, Optional
 
 from .events import EventLog
@@ -60,9 +61,7 @@ class Telemetry:
         # Decided at construction: ``sim.processes_started`` is only
         # registered for enabled telemetry.
         self.enabled = enabled
-        opts = dict(store_opts or {})
-        opts.setdefault("on_overflow", self._on_ring_overflow)
-        self.spanstore = SpanStore(**opts)
+        self.spanstore = SpanStore(**(store_opts or {}))
         self.rollups = RollupEngine()
         self.log = EventLog(sink=self.spanstore)
         self.tracer = Tracer(env=env, sink=self.spanstore)
@@ -73,9 +72,8 @@ class Telemetry:
         # attached for discovery/export alongside the global registry.
         self.registries: dict[str, MetricsRegistry] = {}
         # Control-plane shard-summary suppliers (one per sharded
-        # client); sampled at persist time into <store>/shards.json.
+        # client); sampled at persist time into the manifest.
         self._shard_suppliers: list[tuple[str, Callable]] = []
-        self._dropped_synced = (0, 0)
         if env is not None:
             self.install(env)
 
@@ -101,101 +99,47 @@ class Telemetry:
         """Register a control-plane shard-summary supplier (a sharded
         :class:`~repro.tez.client.TezClient` registers its
         coordinator's ``shard_summaries``). Sampled once, at
-        :meth:`persist_store` time, into ``shards.json`` at the store
-        root — next to the manifest, *not* under ``rollups/`` (rollup
-        payloads are indexed by ``dag_id``)."""
+        :meth:`persist_store` time, into the manifest's ``shards``."""
         self._shard_suppliers.append((name, supplier))
-
-    def _on_ring_overflow(self, which: str, capacity: int) -> None:
-        # Lossy-mode ring overflow (edge-triggered once per episode):
-        # account the loss and put a control event on the record so it
-        # is never silent. Control events use the ring's reserve slots,
-        # so this cannot recurse.
-        self._sync_dropped()
-        self.log.emit("telemetry.backpressure", self.now, {
-            "ring": which, "capacity": capacity,
-            "policy": self.spanstore.overflow,
-            "dropped_spans": self.spanstore.dropped_spans,
-            "dropped_events": self.spanstore.dropped_events,
-        }, control=True)
-
-    def _sync_dropped(self) -> None:
-        spans, events = self.spanstore.dropped_spans, \
-            self.spanstore.dropped_events
-        seen_spans, seen_events = self._dropped_synced
-        if spans > seen_spans:
-            self.metrics.counter("telemetry.dropped_spans").inc(
-                spans - seen_spans)
-        if events > seen_events:
-            self.metrics.counter("telemetry.dropped_events").inc(
-                events - seen_events)
-        self._dropped_synced = (spans, events)
 
     # -- lifecycle ------------------------------------------------------
     def flush(self) -> int:
         """Drain the ring buffers to partitioned segments."""
-        written = self.spanstore.flush()
-        self._sync_dropped()
-        return written
+        return self.spanstore.flush()
 
     def close(self) -> None:
         """Flush and seal the store (manifest marked closed)."""
         self.spanstore.close()
-        self._sync_dropped()
 
     def persist_store(self, target_dir: str) -> str:
-        """Land the full partitioned store — segments, manifest and
-        per-DAG rollups — in ``target_dir``. Spans still open (e.g. the
-        session span) are included as snapshots so the store is as
-        lossless as the JSONL export; a span that closes afterwards
-        replaces its snapshot."""
+        """Land the full partitioned store — segments, and a manifest
+        carrying the kernel counters, shard summaries and per-DAG
+        rollups — in ``target_dir``. Spans still open (e.g. the session
+        span) are included as snapshots so the store is as lossless as
+        the JSONL export; a span that closes afterwards replaces its
+        snapshot."""
         for span in self.tracer.open_spans():
             self.spanstore.add_snapshot(span.record())
-        for dag_id in self.rollups.dag_ids():
-            roll = self.rollups.get(dag_id)
-            if roll is not None and roll.closed:
-                self.spanstore.write_rollup(dag_id,
-                                            self.rollups.payload(dag_id))
-        self._sync_dropped()
-        path = self.spanstore.persist(target_dir)
-        self._write_shards(path)
-        self._write_kernel(path)
-        return path
+        return self.spanstore.persist(target_dir, self._run())
 
-    def _write_kernel(self, store_dir: str) -> None:
-        """Snapshot the DES kernel's scheduling counters into
-        ``<store_dir>/kernel.json`` so ``query --summary`` reports
-        event-plane volume (heap pushes, pooled-event reuse, processes
-        started) next to the DAG rollups."""
+    def _run(self) -> dict:
+        """What the manifest says about the run: the DES kernel's
+        scheduling counters (event-plane volume, for ``query
+        --summary``), every registered shard supplier's summaries, and
+        the rollup of every closed DAG."""
         env = self.env
-        if env is None or not hasattr(env, "heap_pushes"):
-            return
-        payload = {
+        kernel = None if env is None else {
             "heap_pushes": env.heap_pushes,
-            "pool_reuse": getattr(env, "pool_reuse", 0),
-            "processes_started": getattr(env, "processes_started", 0),
+            "pool_reuse": env.pool_reuse,
+            "processes_started": env.processes_started,
         }
-        out = os.path.join(store_dir, "kernel.json")
-        tmp = out + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-        os.replace(tmp, out)
-
-    def _write_shards(self, store_dir: str) -> None:
-        """Sample every registered shard supplier into
-        ``<store_dir>/shards.json`` (skipped when none registered, so
-        unsharded stores are unchanged on disk)."""
-        shards = []
-        for name, supplier in self._shard_suppliers:
-            for summary in supplier():
-                shards.append({"client": name, **summary})
-        if not shards:
-            return
-        out = os.path.join(store_dir, "shards.json")
-        tmp = out + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"shards": shards}, fh, indent=1, sort_keys=True)
-        os.replace(tmp, out)
+        shards = [{"client": name, **summary}
+                  for name, supplier in self._shard_suppliers
+                  for summary in supplier()]
+        rollups = {dag_id: self.rollups.payload(dag_id)
+                   for dag_id in self.rollups.dag_ids()
+                   if self.rollups.get(dag_id).closed}
+        return {"kernel": kernel, "shards": shards, "rollups": rollups}
 
     # -- emission -------------------------------------------------------
     @property

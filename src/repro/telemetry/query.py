@@ -2,8 +2,10 @@
 
 The ATS-analogue read path: where production Tez answers the Tez UI
 from the YARN Application Timeline Server, this CLI answers the same
-questions from a persisted ``SpanStore`` directory (segments +
-manifest + rollups) without loading the timeline into memory.
+questions from a persisted ``SpanStore`` directory (``segments/`` plus
+``MANIFEST.json``, which also carries the per-DAG rollups, shard
+summaries and kernel counters) without loading the timeline into
+memory.
 
 Usage::
 
@@ -22,9 +24,10 @@ Filters (compose; segment partitions prune what gets read):
 Modes:
 
     (default)                 matching records as JSONL on stdout
-    --summary                 per-DAG summary lines (reads incremental
-                              rollups when present; falls back to a
-                              segment scan)
+    --summary                 per-DAG summary lines (reads the
+                              manifest's rollups when present; falls
+                              back to a segment scan), then shard and
+                              kernel lines
     --critical-path [DAG]     rendered critical path (rollups or scan)
     --follow                  live tail: poll for new events until the
                               store is sealed (``--poll`` seconds)
@@ -37,56 +40,23 @@ import json
 import os
 import sys
 import time
-from typing import Optional
 
 from .analysis import (CriticalPathReport, CriticalPathSegment,
                        DagSummary, critical_path, dag_summary)
-from .store import ROLLUP_DIR, SpanStore, read_manifest
+from .store import MANIFEST_NAME, SpanStore, read_manifest
 from .timeline import TimelineStore
 
-__all__ = ["main", "load_rollups", "load_shards", "shard_line",
-           "load_kernel", "kernel_line"]
+__all__ = ["main", "rollup_payloads", "shard_line", "kernel_line"]
 
 
 # ---------------------------------------------------------------------------
-# Rollup-backed summaries (no timeline scan)
+# Manifest-backed summaries (no timeline scan)
 # ---------------------------------------------------------------------------
 
-def load_rollups(store_dir: str) -> list[dict]:
-    rolldir = os.path.join(store_dir, ROLLUP_DIR)
-    if not os.path.isdir(rolldir):
-        return []
-    payloads = []
-    for name in sorted(os.listdir(rolldir)):
-        if not name.endswith(".json"):
-            continue
-        with open(os.path.join(rolldir, name), encoding="utf-8") as fh:
-            payloads.append(json.load(fh))
-    # Rollup files are named by dag id; present in submission order by
-    # start time, which the payloads carry.
-    payloads.sort(key=lambda p: (p.get("start") or 0.0, p["dag_id"]))
-    return payloads
-
-
-def load_shards(store_dir: str) -> list[dict]:
-    """Control-plane shard summaries sampled at persist time
-    (``shards.json`` at the store root); [] for unsharded stores."""
-    path = os.path.join(store_dir, "shards.json")
-    if not os.path.isfile(path):
-        return []
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh).get("shards", [])
-
-
-def load_kernel(store_dir: str) -> Optional[dict]:
-    """DES-kernel scheduling counters sampled at persist time
-    (``kernel.json`` at the store root); ``None`` for stores persisted
-    without an attached environment."""
-    path = os.path.join(store_dir, "kernel.json")
-    if not os.path.isfile(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def rollup_payloads(manifest: dict) -> list[dict]:
+    """The manifest's rollups in submission order (by start time)."""
+    return sorted(manifest["rollups"].values(),
+                  key=lambda p: (p.get("start") or 0.0, p["dag_id"]))
 
 
 def kernel_line(payload: dict) -> str:
@@ -252,9 +222,14 @@ def main(argv=None) -> int:
         return 0
 
     store = TimelineStore.open(args.store)
+    try:
+        manifest = read_manifest(args.store)
+    except OSError:
+        print(f"no {MANIFEST_NAME} in {args.store}", file=sys.stderr)
+        return 2
 
     if args.summary:
-        payloads = load_rollups(args.store)
+        payloads = rollup_payloads(manifest)
         if payloads:
             if args.dag:
                 payloads = [p for p in payloads
@@ -267,15 +242,14 @@ def main(argv=None) -> int:
                 print(dag_summary(store, dag_id,
                                   with_critical_path=False).line())
         if not args.dag:
-            for payload in load_shards(args.store):
+            for payload in manifest["shards"]:
                 print(shard_line(payload))
-            kernel = load_kernel(args.store)
-            if kernel is not None:
-                print(kernel_line(kernel))
+            if manifest["kernel"] is not None:
+                print(kernel_line(manifest["kernel"]))
         return 0
 
     if args.critical is not None:
-        payloads = {p["dag_id"]: p for p in load_rollups(args.store)}
+        payloads = {p["dag_id"]: p for p in rollup_payloads(manifest)}
         dag_ids = ([args.critical] if args.critical != "*"
                    else (list(payloads) or store.dag_ids()))
         for dag_id in dag_ids:

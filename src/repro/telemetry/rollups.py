@@ -229,7 +229,7 @@ class RollupEngine:
 
     # -- persistence ----------------------------------------------------
     def payload(self, dag_id: str) -> dict:
-        """JSON-serializable rollup for ``SpanStore.write_rollup``."""
+        """JSON-serializable rollup for the store manifest's ``rollups``."""
         roll = self._dags[dag_id]
         summary = self.summary(dag_id, with_critical_path=False)
         return {

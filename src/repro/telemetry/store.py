@@ -25,26 +25,23 @@ dimension-partitioned on-disk *segments*:
 * **Manifest** — ``MANIFEST.json`` lists every segment with its
   partition and ranges; readers discover segments only through it, and
   ``python -m repro.telemetry.check --store`` cross-validates footer
-  against manifest. While the writer is spooling to its lazy temp dir
-  the manifest lives in memory and is written once at close/persist;
-  a store opened on an explicit ``dir`` is *live* — it spools straight
-  to JSONL and rewrites the manifest each flush so ``query --follow``
-  can tail it.
+  against manifest. It also carries what the run says about itself,
+  handed to :meth:`SpanStore.persist`: ``kernel`` (the DES kernel's
+  counters, ``null`` without an environment), ``shards`` (control-plane
+  shard summaries, ``[]`` when none) and ``rollups`` (per-DAG summaries
+  and critical paths, keyed by ``dag_id``). A persisted store is
+  ``MANIFEST.json`` plus ``segments/`` and nothing else. While the
+  writer is spooling to its lazy temp dir the manifest lives in memory
+  and is written once at close/persist; a store opened on an explicit
+  ``dir`` is *live* — it spools straight to JSONL and rewrites the
+  manifest each flush so ``query --follow`` can tail it.
 
-Overflow policy when a ring fills:
-
-* ``block`` (lossless, the default) — synchronously flush the ring to
-  disk and carry on; nothing is ever dropped. The spool directory is
-  created lazily on the first flush, so small runs never touch disk.
-* ``drop`` (lossy) — true ring semantics: the oldest record is evicted
-  and counted (``dropped_spans`` / ``dropped_events``), and the first
-  eviction of an episode raises an overflow signal so the facade can
-  emit a schema-checked ``telemetry.backpressure`` event instead of
-  losing data silently.
-
-Resident memory is therefore bounded by the ring capacities plus the
-set of currently-open spans — constant in task count; the store tracks
-its high-water mark in :attr:`SpanStore.peak_resident`.
+A ring that fills is flushed to disk synchronously, so nothing is ever
+dropped; the spool directory is created lazily on the first flush, so
+small runs never touch disk. Resident memory is therefore bounded by
+the ring capacities plus the set of currently-open spans — constant in
+task count; the store tracks its high-water mark in
+:attr:`SpanStore.peak_resident`.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ import os
 import pickle
 import tempfile
 from collections import deque
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 __all__ = ["SpanStore", "JsonlStreamWriter", "event_record",
            "span_record", "event_partition", "span_partition",
@@ -63,12 +60,7 @@ __all__ = ["SpanStore", "JsonlStreamWriter", "event_record",
 
 MANIFEST_NAME = "MANIFEST.json"
 SEGMENT_DIR = "segments"
-ROLLUP_DIR = "rollups"
 MANIFEST_VERSION = 1
-
-# Control-event headroom: backpressure events are accepted past the
-# nominal event-ring capacity so overflow itself is never silent.
-_CONTROL_RESERVE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -203,25 +195,16 @@ class SpanStore:
         dir: Optional[str] = None,
         ring_spans: int = 8192,
         ring_events: int = 8192,
-        overflow: str = "block",
-        on_overflow: Optional[Callable[[str, int], None]] = None,
     ):
-        if overflow not in ("block", "drop"):
-            raise ValueError(f"unknown overflow policy {overflow!r}")
         self.configured_dir = dir
         self.ring_spans = int(ring_spans)
         self.ring_events = int(ring_events)
-        self.overflow = overflow
-        self._block = overflow == "block"
         # Live mode (explicit dir): segments land as canonical JSONL
         # and the manifest is rewritten every flush so readers can tail
         # the directory. Lazy spools drain each ring as one record-tuple
         # pickle run and defer shaping and the manifest to
         # close()/persist().
         self._live = dir is not None
-        # Overflow signal: called as on_overflow(ring_name, dropped_so_far)
-        # at the start of each drop episode (lossy mode only).
-        self.on_overflow = on_overflow
         self._dir: Optional[str] = None
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self._span_ring: deque = deque()
@@ -229,16 +212,15 @@ class SpanStore:
         self._manifest_entries: list[dict] = []
         self._segment_seq = 0
         self._flushes = 0
-        self.dropped_spans = 0
-        self.dropped_events = 0
         self.peak_resident = 0
-        self._bp_episode = {"span": False, "event": False}
         self._flushed_spans = 0
         self._flushed_events = 0
         # Open-span snapshots (see add_snapshot): ids whose snapshot is
         # still in the ring, and ids whose flushed record is one.
         self._ring_snapshots: set = set()
         self._snapshots: set = set()
+        # What the manifest says about the run until persist() is told.
+        self._run = {"kernel": None, "shards": [], "rollups": {}}
         self.closed = False
         if dir is not None and os.path.isdir(
                 os.path.join(dir, SEGMENT_DIR)):
@@ -254,6 +236,7 @@ class SpanStore:
             return
         self._manifest_entries = manifest.get("segments", [])
         self._segment_seq = manifest.get("next_segment", 0)
+        self._run = {key: manifest[key] for key in self._run}
         self._flushed_spans = sum(e["count"] for e in self._manifest_entries
                                   if e["rtype"] == "span")
         self._flushed_events = sum(e["count"] for e in self._manifest_entries
@@ -281,18 +264,15 @@ class SpanStore:
     # spans ``(span_id, kind, name, start, end, parent_id, attrs)``
     # (``Span.record``), events ``(seq, ts, kind, attrs)``. Resident
     # memory only ever shrinks at a flush, so the high-water mark is
-    # always observed either immediately before one (or a drop) or at
-    # close; sampling there keeps the per-record path to an append and
-    # a length check.
+    # always observed either immediately before one or at close;
+    # sampling there keeps the per-record path to an append and a
+    # length check.
 
     def add_span(self, rec: tuple) -> None:
         ring = self._span_ring
         ring.append(rec)
         if len(ring) >= self.ring_spans:
-            if self._block:
-                self.flush()
-            elif len(ring) > self.ring_spans:
-                self._drop(ring, "span", self.ring_spans)
+            self.flush()
 
     def add_snapshot(self, rec: tuple) -> None:
         """Store an open span's record as it stands; the span's next
@@ -303,35 +283,11 @@ class SpanStore:
         self._ring_snapshots.add(rec[0])
         self.add_span(rec)
 
-    def add_event(self, rec: tuple, control: bool = False) -> None:
+    def add_event(self, rec: tuple) -> None:
         ring = self._event_ring
         ring.append(rec)
-        # Control-event headroom: backpressure events are accepted past
-        # the nominal capacity so overflow itself is never silent.
-        cap = self.ring_events + (_CONTROL_RESERVE if control else 0)
-        if len(ring) >= cap:
-            if self._block:
-                self.flush()
-            elif len(ring) > cap:
-                self._drop(ring, "event", cap)
-
-    def _drop(self, ring: deque, which: str, cap: int) -> None:
-        ring.popleft()
-        resident = len(self._span_ring) + len(self._event_ring)
-        if resident > self.peak_resident:
-            self.peak_resident = resident
-        if which == "span":
-            self.dropped_spans += 1
-        else:
-            self.dropped_events += 1
-        if not self._bp_episode[which]:
-            self._bp_episode[which] = True
-            if self.on_overflow is not None:
-                self.on_overflow(which, cap)
-
-    @property
-    def resident_records(self) -> int:
-        return len(self._span_ring) + len(self._event_ring)
+        if len(ring) >= self.ring_events:
+            self.flush()
 
     @property
     def span_count(self) -> int:
@@ -399,8 +355,6 @@ class SpanStore:
         if self._live:
             self._write_manifest(root)
         self._flushes += 1
-        self._bp_episode["span"] = False
-        self._bp_episode["event"] = False
         return written
 
     def _segment_footer(self, name: str, rtype: str, kind: str, dag: str,
@@ -488,8 +442,7 @@ class SpanStore:
             "next_segment": self._segment_seq,
             "closed": self.closed,
             "segments": self._manifest_entries,
-            "dropped_spans": self.dropped_spans,
-            "dropped_events": self.dropped_events,
+            **self._run,
         }
         path = os.path.join(root, MANIFEST_NAME)
         tmp = path + ".tmp"
@@ -515,12 +468,15 @@ class SpanStore:
             self._dir = None
             self._manifest_entries = []
 
-    def persist(self, target_dir: str) -> str:
+    def persist(self, target_dir: str, run: dict) -> str:
         """Flush, compact and land the whole store (segments +
-        manifest) in ``target_dir``; returns the directory. Safe to
-        call on a store that spooled to a lazy temp dir — canonical
-        JSONL segments are moved, spool-codec segments are transcoded
-        on the way through, so a persisted store is pure JSONL."""
+        manifest) in ``target_dir``; returns the directory. ``run``
+        (``kernel``, ``shards``, ``rollups``) goes into the manifest.
+        Safe to call on a store that spooled to a lazy temp dir —
+        canonical JSONL segments are moved, spool-codec segments are
+        transcoded on the way through, so a persisted store is pure
+        JSONL."""
+        self._run = run
         self._live = True  # the final flush lands as canonical JSONL
         if self._dir is None:
             self.configured_dir = target_dir
@@ -570,31 +526,12 @@ class SpanStore:
             compacted.append(entry)
         self._manifest_entries = compacted
         if not same:
-            roll_src = os.path.join(src, ROLLUP_DIR)
-            if os.path.isdir(roll_src):
-                os.makedirs(os.path.join(target_dir, ROLLUP_DIR),
-                            exist_ok=True)
-                for name in os.listdir(roll_src):
-                    os.replace(os.path.join(roll_src, name),
-                               os.path.join(target_dir, ROLLUP_DIR, name))
             self._dir = target_dir
         self._write_manifest(target_dir)
         if not same and self._tmp is not None:
             self._tmp.cleanup()
             self._tmp = None
         return target_dir
-
-    # -- rollup persistence (filled in by the facade's rollup engine) ---
-    def write_rollup(self, dag_id: str, payload: dict) -> str:
-        root = self._materialize()
-        rolldir = os.path.join(root, ROLLUP_DIR)
-        os.makedirs(rolldir, exist_ok=True)
-        safe = "".join(c if c.isalnum() or c in "-._" else "_"
-                       for c in dag_id)
-        path = os.path.join(rolldir, f"{safe}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-        return path
 
     # -- read side ------------------------------------------------------
     def _event_segments(self, kind=None, prefix=None, since=None,

@@ -62,12 +62,6 @@ class TimelineStore:
         return self.log.select(kind=kind, prefix=prefix, since=since,
                                until=until, **attrs)
 
-    def event_kinds(self) -> dict[str, int]:
-        kinds: dict[str, int] = {}
-        for event in self.log:
-            kinds[event.kind] = kinds.get(event.kind, 0) + 1
-        return kinds
-
     # -- spans ----------------------------------------------------------
     def spans(self, kind: Optional[str] = None, **attrs) -> list[Span]:
         if self.spanstore is None:

@@ -37,6 +37,7 @@ from repro.shuffle.service import SpillLost
 from repro.sim import Environment, Interrupt
 from repro.telemetry import Telemetry, check, query
 from repro.telemetry.spans import Span
+from repro.telemetry.store import read_manifest
 from repro.tez import DAG
 from repro.yarn import SecurityManager
 from repro.yarn.security import AuthenticationError, Token
@@ -512,8 +513,8 @@ def test_the_store_reports_processes_started(tmp_path, capsys):
     sim = _small_run()
     store = str(tmp_path / "store")
     sim.telemetry.persist_store(store)
-    with open(os.path.join(store, "kernel.json"), encoding="utf-8") as fh:
-        kernel = json.load(fh)
+    manifest = read_manifest(store)
+    kernel = manifest["kernel"]
     assert kernel == {"heap_pushes": sim.env.heap_pushes,
                       "pool_reuse": sim.env.pool_reuse,
                       "processes_started": sim.env.processes_started}
@@ -525,8 +526,8 @@ def test_the_store_reports_processes_started(tmp_path, capsys):
     assert check.main(["--store", store]) == 0
     for broken in ({**kernel, "processes_started": -1},
                    {**kernel, "processes_started": 1.5},
-                   {**kernel, "hooks": 1}):
-        with open(os.path.join(store, "kernel.json"), "w",
+                   {**kernel, "hooks": 1}, [1]):
+        with open(os.path.join(store, "MANIFEST.json"), "w",
                   encoding="utf-8") as fh:
-            json.dump(broken, fh)
+            json.dump({**manifest, "kernel": broken}, fh)
         assert check.main(["--store", store]) == 1

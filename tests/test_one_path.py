@@ -55,7 +55,8 @@ def test_no_retired_switch_is_named_anywhere():
 
 @pytest.mark.parametrize("cls, name", [
     (TezConfig, RETIRED[3]), (ClusterSpec, RETIRED[8]),
-    (TezConfig, RETIRED[9]), (Telemetry, RETIRED[10]), (SpanStore, "tee")])
+    (TezConfig, RETIRED[9]), (Telemetry, RETIRED[10]), (SpanStore, "tee"),
+    (SpanStore, "overflow"), (SpanStore, "on_overflow")])
 def test_retired_switches_are_not_accepted(cls, name):
     with pytest.raises(TypeError):
         cls(**{name: False})
@@ -450,3 +451,14 @@ def test_routed_events_build_no_id():
                if isinstance(cls, type) and issubclass(cls, events.TezEvent)]
     assert len(classes) == 9
     assert not [cls for cls in classes if "__post_init__" in vars(cls)]
+
+
+def test_a_store_is_one_artefact_with_one_ring_policy():
+    """A persisted store is ``MANIFEST.json`` plus ``segments/``: the
+    sidecar files, the rollup directory and the lossy ring are gone."""
+    gone = [r"kernel\.json", r"shards\.json", "ROLLUP_DIR",
+            r"telemetry\.backpressure", "dropped_spans"]
+    assert not _source_files_matching("|".join(gone))
+    for name in ("write_rollup", "resident_records", "_drop"):
+        assert not hasattr(SpanStore, name)
+    assert not hasattr(Telemetry, "_on_ring_overflow")

@@ -7,7 +7,8 @@ import pytest
 from repro.chaos import FaultPlan
 from repro.cluster import Cluster, ClusterSpec
 from repro.sim import Environment
-from repro.telemetry.query import load_shards, shard_line
+from repro.telemetry.query import shard_line
+from repro.telemetry.store import read_manifest
 from repro.tez import DAG, TezConfig
 from repro.yarn import (
     FinalApplicationStatus,
@@ -290,14 +291,13 @@ def test_persisted_store_carries_shard_summaries(tmp_path):
     sim.env.run(until=sim.env.now + 60)
     store_dir = str(tmp_path / "store")
     sim.telemetry.persist_store(store_dir)
-    shards = load_shards(store_dir)
+    shards = read_manifest(store_dir)["shards"]
     assert len(shards) == 2
     for payload in shards:
         assert payload["client"] == "tez"
         line = shard_line(payload)
         assert "fenced_appends=0" in line
         assert "recovered=0" in line
-    assert load_shards(str(tmp_path / "nope")) == []
 
 
 # ------------------------------------------------- cluster-day soak

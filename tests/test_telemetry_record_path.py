@@ -5,33 +5,40 @@ closed ``Span`` object was put on the ring, and both were re-tupled at
 flush. Now the ring holds the tuple the spool writes from the moment a
 record is emitted. ``_FrozenLog`` / ``_FrozenStore`` below keep the old
 ``EventLog.emit`` and ``SpanStore.add_span`` / ``add_event`` / ``flush``
-/ ``_write_spool_run`` / ``persist`` verbatim (as does
-``_frozen_persist_store`` for ``Telemetry.persist_store``), and
+/ ``_write_spool_run`` / ``persist`` verbatim, with the manifest they
+read and wrote (``_attach_existing``, ``_write_manifest``,
+``write_rollup``; as does ``_frozen_persist_store`` for
+``Telemetry.persist_store``), and
 Hypothesis drives both paths in lock-step through generated scripts:
-events with and without a ``dag``, control events, spans closed in
-random order, attrs updated after a close both before and after a
-flush, ring capacities 1-16, ``block`` and ``drop``, spool and live
-directories, persist, then reopen and append. Both must agree on the
-unpickled spool runs, on every byte of a live or persisted directory
-(segments, ``MANIFEST.json``, rollups), and on ``span_count``,
-``event_count``, ``flushes``, ``peak_resident`` and ``dropped_*``.
+events with and without a ``dag``, spans closed in random order, attrs
+updated after a close both before and after a flush, ring capacities
+1-16, spool and live directories, persist, then reopen and append. Both
+must agree on the unpickled spool runs, on every byte of a live or
+persisted directory (segments, ``MANIFEST.json``, rollups), and on
+``span_count``, ``event_count``, ``flushes`` and ``peak_resident``.
+
+A store now keeps its rollups (and shard summaries and kernel counters)
+in ``MANIFEST.json``; ``_as_recorded`` lays a shipped directory out as
+the frozen path wrote it before the bytes are compared. The frozen path
+keeps that layout but only the lossless ``block`` ring: the lossy
+``drop`` policy and its control events were deleted from the store,
+and with them their branches here.
 
 Hand mutations of the shipped path this test was checked against, on a
 scratch copy, each caught within the example budget below: ``flush``
 spooling the deque itself instead of ``list(ring)``; ``Span.record``
 copying ``attrs`` (an update after the close is lost);
 ``Telemetry.finish`` taking the record before it stamps ``end``;
-``EventLog.emit`` numbering from 1; the control-event reserve dropped
-from ``add_event``. A script does nothing after a persist, so
+``EventLog.emit`` numbering from 1. A script does nothing after a persist, so
 ``add_snapshot`` registering nothing is caught by the one-record-per-span
 tests in ``test_telemetry_store.py`` instead.
 
 The golden pins what two control-plane scenarios leave in a persisted
 store: the sha256 of every file, recorded at 16c8b43 in one fresh
-process, ``reuse_session`` first. ``kernel.json`` has since gained
-``processes_started``; it is checked against the kernel's count and
-taken out before hashing, so everything the store held then is still
-pinned byte for byte.
+process, ``reuse_session`` first. The kernel counters have since gained
+``processes_started``; ``_as_recorded`` checks it against the kernel's
+count and takes it out before hashing, so everything the store held
+then is still pinned byte for byte.
 
     python tests/test_telemetry_record_path.py            # print
     python tests/test_telemetry_record_path.py --record   # rewrite golden
@@ -57,7 +64,7 @@ from repro.telemetry import Telemetry
 from repro.telemetry.events import EventLog, TelemetryEvent
 from repro.telemetry.spans import Span
 from repro.telemetry.store import (
-    ROLLUP_DIR,
+    MANIFEST_NAME,
     SEGMENT_DIR,
     SpanStore,
     _event_tuple_record,
@@ -65,12 +72,14 @@ from repro.telemetry.store import (
     _span_tuple_record,
     event_partition,
     event_record,
+    read_manifest,
     span_partition,
     span_record,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "telemetry_store.json"
 STORE_SCENARIOS = ("reuse_session", "chaos_node_crash")
+ROLLUP_DIR = "rollups"
 
 
 # ==================================== the replaced write path, verbatim
@@ -84,18 +93,20 @@ def _event_tuple(ev) -> tuple:
 
 
 class _FrozenLog(EventLog):
-    def emit(self, kind: str, ts: float, _control: bool = False,
-             **attrs) -> TelemetryEvent:
+    def emit(self, kind: str, ts: float, **attrs) -> TelemetryEvent:
         event = TelemetryEvent(ts, kind, attrs, self._count)
         self._count += 1
         if self.sink is None:
             self._events.append(event)
         else:
-            self.sink.add_event(event, control=_control)
+            self.sink.add_event(event)
         return event
 
 
 class _FrozenStore(SpanStore):
+    # The manifest's loss counters: always 0 with a ``block`` ring.
+    dropped_spans = dropped_events = 0
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.tee = False
@@ -108,24 +119,15 @@ class _FrozenStore(SpanStore):
         ring = self._span_ring
         ring.append(span)
         if len(ring) >= self.ring_spans:
-            if self._block:
-                self.flush()
-            elif len(ring) > self.ring_spans:
-                self._drop(ring, "span", self.ring_spans)
+            self.flush()
 
-    def add_event(self, ev, control: bool = False) -> None:
+    def add_event(self, ev) -> None:
         if self.tee:
             self.tee_events.append(ev)
         ring = self._event_ring
         ring.append(ev)
-        # Control-event headroom: backpressure events are accepted past
-        # the nominal capacity so overflow itself is never silent.
-        cap = self.ring_events + (8 if control else 0)
-        if len(ring) >= cap:
-            if self._block:
-                self.flush()
-            elif len(ring) > cap:
-                self._drop(ring, "event", cap)
+        if len(ring) >= self.ring_events:
+            self.flush()
 
     def flush(self) -> int:
         """Drain both rings into new segments; returns records written."""
@@ -165,8 +167,6 @@ class _FrozenStore(SpanStore):
         if self._live:
             self._write_manifest(root)
         self._flushes += 1
-        self._bp_episode["span"] = False
-        self._bp_episode["event"] = False
         return written
 
     def _write_spool_run(self, root: str, rtype: str,
@@ -183,6 +183,43 @@ class _FrozenStore(SpanStore):
             "min_key": None, "max_key": None,
         })
         return len(tuples)
+
+    def _attach_existing(self, dir: str) -> None:
+        self._dir = dir
+        try:
+            manifest = read_manifest(dir)
+        except OSError:
+            return
+        self._manifest_entries = manifest.get("segments", [])
+        self._segment_seq = manifest.get("next_segment", 0)
+        self._flushed_spans = sum(e["count"] for e in self._manifest_entries
+                                  if e["rtype"] == "span")
+        self._flushed_events = sum(e["count"] for e in self._manifest_entries
+                                   if e["rtype"] == "event")
+
+    def _write_manifest(self, root: str) -> None:
+        manifest = {
+            "version": 1,
+            "next_segment": self._segment_seq,
+            "closed": self.closed,
+            "segments": self._manifest_entries,
+            "dropped_spans": self.dropped_spans,
+            "dropped_events": self.dropped_events,
+        }
+        path = os.path.join(root, MANIFEST_NAME)
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+
+    def write_rollup(self, dag_id: str, payload: dict) -> str:
+        root = self._materialize()
+        rolldir = os.path.join(root, ROLLUP_DIR)
+        os.makedirs(rolldir, exist_ok=True)
+        path = os.path.join(rolldir, f"{_safe(dag_id)}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+        return path
 
     def persist(self, target_dir: str) -> str:
         self._live = True  # the final flush lands as canonical JSONL
@@ -270,7 +307,6 @@ _DAGS = ("dag#1", "dag#2")
 _OP = st.one_of(
     st.tuples(st.just("event"), st.sampled_from(_EVENT_KINDS),
               st.sampled_from(_DAGS + (None,)), st.integers(0, 9)),
-    st.tuples(st.just("control"), st.integers(0, 9)),
     st.tuples(st.just("open"), st.sampled_from(_SPAN_KINDS),
               st.sampled_from(_DAGS + (None,)), st.integers(0, 50)),
     st.tuples(st.just("close"), st.integers(0, 50),
@@ -285,7 +321,6 @@ def _scripts(draw):
     return {
         "ring_spans": draw(st.integers(1, 16)),
         "ring_events": draw(st.integers(1, 16)),
-        "overflow": draw(st.sampled_from(("block", "drop"))),
         "live": draw(st.booleans()),
         "ops": draw(st.lists(_OP, max_size=60)),
         "persist": draw(st.booleans()),
@@ -305,28 +340,17 @@ class _Sides:
     fed the same script."""
 
     def __init__(self, script, root):
-        opts = {key: script[key] for key in
-                ("ring_spans", "ring_events", "overflow")}
+        opts = {key: script[key] for key in ("ring_spans", "ring_events")}
         self.root = root
         self.dirs = {side: os.path.join(root, side) if script["live"]
                      else None for side in ("shipped", "frozen")}
         self.tel = Telemetry(store_opts={"dir": self.dirs["shipped"],
                                          **opts})
-        self.store = _FrozenStore(dir=self.dirs["frozen"],
-                                  on_overflow=self._frozen_overflow, **opts)
+        self.store = _FrozenStore(dir=self.dirs["frozen"], **opts)
         self.log = _FrozenLog(sink=self.store)
         self.open = []       # (shipped span, frozen span) in open order
         self.closed = []
         self.frozen_ids = 0
-
-    def _frozen_overflow(self, which, capacity):
-        # Telemetry._on_ring_overflow as it was (the clock is 0.0).
-        self.log.emit(
-            "telemetry.backpressure", 0.0, _control=True,
-            ring=which, capacity=capacity, policy=self.store.overflow,
-            dropped_spans=self.store.dropped_spans,
-            dropped_events=self.store.dropped_events,
-        )
 
     def apply(self, step, op) -> None:
         ts = float(step)
@@ -335,13 +359,6 @@ class _Sides:
             _, kind, dag, value = op
             tel.event(kind, ts=ts, **_attrs(dag, value))
             self.log.emit(kind, ts, **_attrs(dag, value))
-        elif what == "control":
-            attrs = {"ring": "event", "capacity": op[1], "policy": "drop",
-                     "dropped_spans": 0, "dropped_events": op[1]}
-            tel.log.emit("telemetry.backpressure", ts, dict(attrs),
-                         control=True)
-            self.log.emit("telemetry.backpressure", ts, _control=True,
-                          **attrs)
         elif what == "open":
             _, kind, dag, pick = op
             parent = self.open[pick % len(self.open)] if self.open \
@@ -377,8 +394,7 @@ class _Sides:
     def counters(self) -> list:
         return [
             tuple(getattr(store, name) for name in (
-                "span_count", "event_count", "flushes", "peak_resident",
-                "dropped_spans", "dropped_events"))
+                "span_count", "event_count", "flushes", "peak_resident"))
             for store in (self.tel.spanstore, self.store)]
 
     def persist(self) -> dict:
@@ -401,6 +417,41 @@ def _tree(root) -> dict:
     return out
 
 
+def _safe(dag_id: str) -> str:
+    return "".join(c if c.isalnum() or c in "-._" else "_" for c in dag_id)
+
+
+def _json_bytes(payload) -> bytes:
+    return json.dumps(payload, indent=1, sort_keys=True).encode()
+
+
+def _as_recorded(tree: dict, env=None) -> dict:
+    """A shipped store's ``tree`` laid out as the frozen path and the
+    golden's recording wrote it: the manifest's ``kernel`` as
+    ``kernel.json`` without ``processes_started`` (checked to be the
+    kernel's), ``shards`` as ``shards.json``, each rollup as
+    ``rollups/<safe dag id>.json``, and a manifest without those three
+    keys whose ``dropped_spans`` and ``dropped_events`` are 0."""
+    if MANIFEST_NAME not in tree:       # a live store yet to flush
+        return tree
+    tree = dict(tree)
+    manifest = json.loads(tree[MANIFEST_NAME])
+    kernel = manifest.pop("kernel")
+    shards = manifest.pop("shards")
+    rollups = manifest.pop("rollups")
+    manifest.update(dropped_spans=0, dropped_events=0)
+    tree[MANIFEST_NAME] = _json_bytes(manifest)
+    if kernel is not None:
+        assert kernel.pop("processes_started") == env.processes_started > 0
+        tree["kernel.json"] = _json_bytes(kernel)
+    if shards:
+        tree["shards.json"] = _json_bytes({"shards": shards})
+    for dag_id, payload in rollups.items():
+        tree[os.path.join(ROLLUP_DIR, f"{_safe(dag_id)}.json")] = \
+            _json_bytes(payload)
+    return tree
+
+
 def _spool_runs(store) -> list:
     """(manifest entry, unpickled run) of every spooled run."""
     return [(entry, _read_spool_run(
@@ -419,7 +470,8 @@ def test_the_record_path_writes_what_the_object_path_wrote(script):
         shipped, frozen = sides.tel.spanstore, sides.store
         assert sides.counters()[0] == sides.counters()[1]
         if script["live"]:
-            assert _tree(sides.dirs["shipped"]) == _tree(sides.dirs["frozen"])
+            assert _as_recorded(_tree(sides.dirs["shipped"])) == \
+                _tree(sides.dirs["frozen"])
         elif shipped.spool_dir is not None:
             assert _spool_runs(shipped) == _spool_runs(frozen)
         if not script["persist"]:
@@ -427,7 +479,7 @@ def test_the_record_path_writes_what_the_object_path_wrote(script):
             frozen.close()
             assert sides.counters()[0] == sides.counters()[1]
             if script["live"]:
-                assert _tree(sides.dirs["shipped"]) == \
+                assert _as_recorded(_tree(sides.dirs["shipped"])) == \
                     _tree(sides.dirs["frozen"])
             elif shipped.spool_dir is not None:
                 assert _spool_runs(shipped) == _spool_runs(frozen)
@@ -436,7 +488,8 @@ def test_the_record_path_writes_what_the_object_path_wrote(script):
             return
         targets = sides.persist()
         assert sides.counters()[0] == sides.counters()[1]
-        assert _tree(targets["shipped"]) == _tree(targets["frozen"])
+        assert _as_recorded(_tree(targets["shipped"])) == \
+            _tree(targets["frozen"])
         # Reopen and append: the same records land the same way.
         again = {"shipped": SpanStore(dir=targets["shipped"]),
                  "frozen": _FrozenStore(dir=targets["frozen"])}
@@ -450,13 +503,14 @@ def test_the_record_path_writes_what_the_object_path_wrote(script):
         assert [store.span_count for store in again.values()] == \
             [shipped.span_count] * 2
         assert again["shipped"].event_count == again["frozen"].event_count
-        assert _tree(targets["shipped"]) == _tree(targets["frozen"])
+        assert _as_recorded(_tree(targets["shipped"])) == \
+            _tree(targets["frozen"])
 
 
 # ============================================================ the golden
-def _tree_sha256(root) -> str:
+def _tree_sha256(tree: dict) -> str:
     digest = hashlib.sha256()
-    for rel, data in sorted(_tree(root).items()):
+    for rel, data in sorted(tree.items()):
         digest.update(rel.encode() + b"\0" + data + b"\0")
     return digest.hexdigest()
 
@@ -479,20 +533,8 @@ def persisted_store_sha256(name: str) -> str:
     with tempfile.TemporaryDirectory() as root:
         store = os.path.join(root, "store")
         sim.telemetry.persist_store(store)
-        _as_recorded(store, sim.env)
-        return _tree_sha256(store)
-
-
-def _as_recorded(store, env) -> None:
-    """Take out of ``kernel.json`` the one counter added after the
-    golden was recorded, ``processes_started``, having checked it is the
-    kernel's: the rest of the store must hash as recorded."""
-    path = os.path.join(store, "kernel.json")
-    with open(path, encoding="utf-8") as fh:
-        kernel = json.load(fh)
-    assert kernel.pop("processes_started") == env.processes_started > 0
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(kernel, fh, indent=1, sort_keys=True)
+        assert sorted(os.listdir(store)) == [MANIFEST_NAME, SEGMENT_DIR]
+        return _tree_sha256(_as_recorded(_tree(store), sim.env))
 
 
 def test_persisted_stores_match_the_golden():

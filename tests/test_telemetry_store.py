@@ -3,9 +3,10 @@
 Three layers of coverage:
 
 * **Store mechanics** — spool runs vs live JSONL segments, manifest
-  wildcards and persist-time compaction, overflow policies (lossless
-  ``block`` vs lossy ``drop`` + the schema-checked backpressure
-  event), reopening a persisted directory, ``discard()``.
+  wildcards and persist-time compaction, the lossless ring flush,
+  reopening a persisted directory, ``discard()``, and the one run
+  artefact: ``MANIFEST.json`` (with the run's kernel counters, shard
+  summaries and rollups) plus ``segments/``, checked key by key.
 * **Equivalence on the figure benchmarks** — a test-local recorder
   keeps every record the store is handed in memory alongside the
   bounded path, so every figure workload asserts that the partitioned
@@ -32,7 +33,8 @@ from repro.telemetry import (
     dag_summary,
     summarize_session,
 )
-from repro.telemetry.check import check_backpressure_event, check_store
+from repro.telemetry import query
+from repro.telemetry.check import check_store
 from repro.telemetry.events import EventLog, TelemetryEvent
 from repro.telemetry.spans import Span, Tracer
 from repro.telemetry.store import (
@@ -68,6 +70,10 @@ def fill(store, n_spans=10, n_events=10):
     for i in range(n_events):
         store.add_event(mk_event(i, kind="am.task" if i % 2 else
                                  "shuffle.fetch", dag=f"dag#{i % 2}"))
+
+
+# What a store persisted without a Telemetry facade says about its run.
+NO_RUN = {"kernel": None, "shards": [], "rollups": {}}
 
 
 def normalize(records):
@@ -112,7 +118,7 @@ def test_persist_compacts_runs_into_partitioned_jsonl(tmp_path):
     before_spans = normalize(store.iter_span_records())
     before_events = normalize(store.iter_event_records())
     target = str(tmp_path / "store")
-    store.persist(target)
+    store.persist(target, NO_RUN)
     files = sorted(os.listdir(os.path.join(target, "segments")))
     assert files and all(f.endswith(".jsonl") for f in files)
     manifest = read_manifest(target)
@@ -164,7 +170,7 @@ def test_reopen_persisted_store_appends_without_collisions(tmp_path):
     target = str(tmp_path / "store")
     first = SpanStore(ring_spans=4, ring_events=4)
     fill(first, 6, 6)
-    first.persist(target)
+    first.persist(target, NO_RUN)
 
     again = SpanStore(dir=target)
     assert again.span_count == 6 and again.event_count == 6
@@ -267,11 +273,10 @@ def test_store_check_fails_on_a_duplicate_span_id(tmp_path, capsys):
     assert "stored twice" in capsys.readouterr().out
 
 
-# ==================================================== overflow policy
+# ========================================================= ring flush
 def test_block_policy_is_lossless_and_bounded():
-    store = SpanStore(ring_spans=8, ring_events=8, overflow="block")
+    store = SpanStore(ring_spans=8, ring_events=8)
     fill(store, 100, 100)
-    assert store.dropped_spans == 0 and store.dropped_events == 0
     assert store.flushes > 1
     assert store.peak_resident <= 16
     assert store.span_count == 100 and store.event_count == 100
@@ -279,37 +284,111 @@ def test_block_policy_is_lossless_and_bounded():
     store.discard()
 
 
-def test_drop_policy_counts_drops_and_emits_backpressure_once():
-    tel = Telemetry(store_opts={"ring_spans": 8, "ring_events": 16,
-                                "overflow": "drop"})
-    for i in range(20):
-        tel.event("am.tick", ts=float(i), i=i)
-    store = tel.spanstore
-    assert store.dropped_events > 0
-    # Edge-triggered: one schema-checked control event per episode,
-    # recorded via the ring's control reserve (never silent).
-    bp = tel.store.events(kind="telemetry.backpressure")
-    assert len(bp) == 1
-    assert check_backpressure_event(bp[0].attrs) == []
-    assert bp[0].attrs["ring"] == "event"
-    assert bp[0].attrs["policy"] == "drop"
-    # A flush ends the episode and syncs the loss counters.
-    tel.flush()
-    assert tel.metrics.counter("telemetry.dropped_events").value == \
-        store.dropped_events
-    for i in range(17):
-        tel.event("am.tick", ts=float(20 + i), i=20 + i)
-    assert len(tel.store.events(kind="telemetry.backpressure")) == 2
-    store.discard()
+# ================================================== one run artefact
+def _session_run(*names, clients=1, shards=1):
+    """A sim whose session clients ran a one-vertex DAG per name, the
+    names dealt to the clients in turn."""
+    from helpers import fn_vertex, make_sim
+    from repro.tez import DAG
+    sim = make_sim()
+    runs = [sim.tez_client(f"c{i}", session=True, shards=shards)
+            for i in range(clients)]
+    for i, name in enumerate(names):
+        dag = DAG(name).add_vertex(fn_vertex("v", lambda c, d: {}, 2))
+        handle = runs[i % clients].submit_dag(dag)
+        sim.env.run(until=handle.completion)
+        assert handle.status.succeeded
+    for client in runs:
+        client.stop()
+    sim.env.run(until=sim.env.now + 60.0)
+    return sim
 
 
-def test_drop_policy_evicts_oldest_span_records():
-    store = SpanStore(ring_spans=4, overflow="drop")
-    for i in range(10):
-        store.add_span(mk_span(i + 1))
-    assert store.dropped_spans == 6
-    survivors = [r["span_id"] for r in store.iter_span_records()]
-    assert survivors == [7, 8, 9, 10]
+def test_a_persisted_store_is_the_manifest_and_its_segments(tmp_path):
+    sim = _session_run("a", "b", shards=2)
+    target = str(tmp_path / "store")
+    sim.telemetry.persist_store(target)
+    assert sorted(os.listdir(target)) == ["MANIFEST.json", "segments"]
+    manifest = read_manifest(target)
+    assert set(manifest["rollups"]) == set(sim.telemetry.store.dag_ids())
+    assert [s["client"] for s in manifest["shards"]] == ["c0", "c0"]
+    assert manifest["kernel"]["heap_pushes"] == sim.env.heap_pushes
+    assert check_store(target) == []
+    # Reopened and appended to, the store keeps what the run said.
+    again = SpanStore(dir=target)
+    again.add_event(mk_event(10**6))
+    again.close()
+    reread = read_manifest(target)
+    assert {key: reread[key] for key in NO_RUN} == \
+        {key: manifest[key] for key in NO_RUN}
+    assert check_store(target) == []
+    # Without an environment or shard clients the keys are still there.
+    bare = Telemetry()
+    bare.event("am.tick", ts=0.0)
+    bare.persist_store(str(tmp_path / "bare"))
+    manifest = read_manifest(str(tmp_path / "bare"))
+    assert {key: manifest[key] for key in NO_RUN} == NO_RUN
+
+
+def test_dags_whose_file_safe_names_collide_keep_both_rollups(
+        tmp_path, capsys):
+    sim = _session_run("a#1", "a_1", clients=2)
+    assert sorted(sim.telemetry.store.dag_ids()) == ["a#1#1", "a_1#1"]
+    target = str(tmp_path / "store")
+    sim.telemetry.persist_store(target)
+    assert query.main([target, "--summary"]) == 0
+    out = capsys.readouterr().out
+    assert "a#1#1" in out and "a_1#1" in out
+    assert check_store(target) == []
+
+
+@pytest.fixture(scope="module")
+def sharded_store(tmp_path_factory):
+    target = str(tmp_path_factory.mktemp("sharded") / "store")
+    _session_run("a", "b", shards=2).telemetry.persist_store(target)
+    assert sorted(read_manifest(target)["rollups"]) == ["a#1", "b#1.1"]
+    assert check_store(target) == []
+    return target
+
+
+def _problems_after(store_dir, tmp_path, edit):
+    """check_store's problems for a copy of the store whose manifest
+    ``edit`` changed in place."""
+    import shutil
+    copy = str(tmp_path / "copy")
+    shutil.copytree(store_dir, copy)
+    manifest = read_manifest(copy)
+    edit(manifest)
+    with open(os.path.join(copy, "MANIFEST.json"), "w") as fh:
+        json.dump(manifest, fh)
+    return check_store(copy)
+
+
+@pytest.mark.parametrize("edit, expect", [
+    (lambda m: m.pop("rollups"), "no 'rollups'"),
+    (lambda m: m.update(shards={}), "shards are not a list"),
+    (lambda m: m["shards"][0].update(client=7), "shard #0 client=7"),
+    (lambda m: m["shards"][1].pop("checkpoints"),
+     "shard #1 checkpoints=None"),
+    (lambda m: m["shards"][0].update(dags=-1), "shard #0 dags=-1"),
+    (lambda m: m["shards"][0].update(journal_records=2.0),
+     "shard #0 journal_records=2.0"),
+    (lambda m: m.update(rollups=[]), "rollups are not an object"),
+    (lambda m: m["rollups"]["a#1"].pop("wall_clock"),
+     "rollup 'a#1' missing ['wall_clock']"),
+    (lambda m: m["rollups"]["b#1.1"].update(dag_id="a#1"),
+     "rollup dag_id 'a#1' stored twice"),
+    (lambda m: m["rollups"].update({"z#1": {**m["rollups"]["a#1"],
+                                             "dag_id": "z#1"}}),
+     "rollup 'z#1' has no stored dag span"),
+    (lambda m: m["rollups"]["a#1"]["critical_path"][0].pop("vertex"),
+     "rollup 'a#1' critical_path"),
+])
+def test_store_check_validates_every_manifest_key(sharded_store, tmp_path,
+                                                   edit, expect):
+    problems = _problems_after(sharded_store, tmp_path, edit)
+    assert problems and all("MANIFEST.json" in p for p in problems)
+    assert any(expect in p for p in problems), problems
 
 
 # ============================================= metrics snapshot delta
@@ -353,9 +432,9 @@ def recorded(monkeypatch):
         seen.setdefault(store, ([], []))[0].append(rec)
         add_span(store, rec)
 
-    def recording_add_event(store, rec, control=False):
+    def recording_add_event(store, rec):
         seen.setdefault(store, ([], []))[1].append(rec)
-        add_event(store, rec, control)
+        add_event(store, rec)
 
     monkeypatch.setattr(SpanStore, "add_span", recording_add_span)
     monkeypatch.setattr(SpanStore, "add_event", recording_add_event)
@@ -426,8 +505,6 @@ def test_figure_benchmark_store_equivalence(mod_name, monkeypatch,
     for sim in sims:
         tel = sim.telemetry
         assert tel.spanstore in recorded, "no record reached the store"
-        assert tel.spanstore.dropped_spans == 0
-        assert tel.spanstore.dropped_events == 0
         legacy = legacy_timeline(tel, recorded)
         assert_store_equals_legacy(tel, tel.store, legacy)
 
@@ -437,6 +514,7 @@ def test_figure_benchmark_store_equivalence(mod_name, monkeypatch,
     tel = sims[-1].telemetry
     target = str(tmp_path / "store")
     tel.persist_store(target)
+    assert sorted(os.listdir(target)) == ["MANIFEST.json", "segments"]
     assert check_store(target) == []
     legacy = legacy_timeline(tel, recorded)
     reopened = TimelineStore.open(target)
@@ -564,8 +642,7 @@ def test_store_is_bounded_and_lossless_and_moves_nothing():
     sim, on = run(True)
     assert on == off
     store = sim.telemetry.spanstore
-    assert store.peak_resident <= 2 * ring + 8   # rings + control reserve
+    assert store.peak_resident <= 2 * ring
     assert store.flushes >= 1
-    assert store.dropped_spans == 0 and store.dropped_events == 0
     sim.telemetry.close()
     store.discard()
