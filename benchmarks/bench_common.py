@@ -72,16 +72,6 @@ def finish_bench(sim, table=None, label="bench"):
               f"({n} segments) to {store_dir}")
 
 
-def rows_equal(a, b):
-    """Result equality tolerant of distributed float-summation order."""
-    def fix(v):
-        return round(v, 4) if isinstance(v, float) else v
-
-    def canon(rows):
-        return sorted((tuple(fix(v) for v in r) for r in rows), key=repr)
-
-    return canon(a) == canon(b)
-
 # Paper-reported reference numbers (for EXPERIMENTS.md comparison).
 PAPER_NOTES = {
     "fig8": "Hive TPC-DS 30TB/20 nodes: Tez beats MR on every query, "

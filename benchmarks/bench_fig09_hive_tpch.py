@@ -15,11 +15,11 @@ Run: pytest benchmarks/bench_fig09_hive_tpch.py --benchmark-only -q -s
 import pytest
 
 from repro import SimCluster
-from repro.bench import BenchTable, speedup
+from repro.bench import BenchTable, rows_close, speedup
 from repro.engines.hive import Catalog, HiveSession
 from repro.workloads import TPCH_QUERIES, generate_tpch, register_tpch
 
-from bench_common import PAPER_NOTES, SCALE, finish_bench, rows_equal
+from bench_common import PAPER_NOTES, SCALE, finish_bench
 
 
 def run_workload():
@@ -39,7 +39,7 @@ def run_workload():
         sql = TPCH_QUERIES[name]
         tez = session.run(sql, backend="tez")
         mr = session.run(sql, backend="mr")
-        assert rows_equal(tez.rows, mr.rows)
+        assert rows_close(tez.rows, mr.rows)
         s = speedup(mr.elapsed, tez.elapsed)
         speedups.append(s)
         table.add(name, tez.elapsed, mr.elapsed, s)

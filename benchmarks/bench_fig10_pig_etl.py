@@ -17,12 +17,12 @@ Run: pytest benchmarks/bench_fig10_pig_etl.py --benchmark-only -q -s
 import pytest
 
 from repro import SimCluster
-from repro.bench import BenchTable, speedup
+from repro.bench import BenchTable, rows_close, speedup
 from repro.engines.pig import PigRunner
 from repro.workloads import ETL_SCRIPTS, build_script, load_etl_data
 from repro.yarn import FinalApplicationStatus, Priority, Resource
 
-from bench_common import PAPER_NOTES, SCALE, finish_bench, rows_equal
+from bench_common import PAPER_NOTES, SCALE, finish_bench
 
 
 def occupy_cluster(sim, fraction=0.6):
@@ -69,7 +69,7 @@ def run_workload():
         tez = runner.run(build_script(name), backend="tez")
         mr = runner.run(build_script(name), backend="mr")
         for path in tez.outputs:
-            assert rows_equal(tez.outputs[path], mr.outputs[path])
+            assert rows_close(tez.outputs[path], mr.outputs[path])
         s = speedup(mr.elapsed, tez.elapsed)
         speedups[name] = s
         table.add(name, tez.elapsed, mr.elapsed, mr.jobs, s)

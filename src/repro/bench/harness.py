@@ -9,10 +9,12 @@ can be checked against EXPERIMENTS.md at a glance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
-__all__ = ["BenchTable", "speedup", "capacity_trace", "telemetry_notes"]
+__all__ = ["BenchTable", "speedup", "capacity_trace", "telemetry_notes",
+           "rows_close"]
 
 
 @dataclass
@@ -68,6 +70,34 @@ def speedup(baseline: float, improved: float) -> float:
     if improved <= 0:
         return float("inf")
     return baseline / improved
+
+
+def rows_close(a, b, ordered=False) -> bool:
+    """Row-list equality up to EXPERIMENTS.md divergence 5, the one
+    thing forgiven between two executions of one program: a float SUM /
+    AVG folded in another order (Tez and MapReduce merge one partial
+    state per split, the reference folds every row into one) differs in
+    its last bits - relative 1e-9 here, far above n * eps for any sum
+    the tests and figure benchmarks make and far below a lost or
+    doubled row. Everything else - row count, NULLs, ints, strings,
+    NaN-ness - must be equal. Where the arithmetic is exact (MIN / MAX,
+    counts, integer-valued data) compare with ``==`` instead:
+    reordering is then not an excuse."""
+    def rough(row):
+        return repr(tuple(float(f"{v:.6g}") if isinstance(v, float) else v
+                          for v in row))
+
+    def close(x, y):
+        if isinstance(x, float) and isinstance(y, float):
+            return x == y or (x != x and y != y) \
+                or math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
+        return x == y
+
+    if not ordered:
+        a, b = sorted(a, key=rough), sorted(b, key=rough)
+    return len(a) == len(b) and all(
+        len(ra) == len(rb) and all(map(close, ra, rb))
+        for ra, rb in zip(a, b))
 
 
 def capacity_trace(sim, interval: float = 2.0,

@@ -43,8 +43,8 @@ class SimCluster:
         # ``telemetry=False`` turns observability into a no-op for
         # perf-sensitive runs: spans/events are skipped at every
         # emission site (see telemetry.facade.get_telemetry).
-        # ``telemetry_opts`` configures the partitioned span store
-        # (ring sizes, spool directory — see
+        # ``telemetry_opts`` sizes the span store's rings
+        # (``ring_spans`` / ``ring_events`` - see
         # telemetry.store.SpanStore).
         self.telemetry = Telemetry(self.env, enabled=telemetry,
                                    store_opts=telemetry_opts)

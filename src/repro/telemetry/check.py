@@ -5,7 +5,9 @@ Usage::
     python -m repro.telemetry.check trace.jsonl [more.jsonl ...]
     python -m repro.telemetry.check --store STORE_DIR [...]
 
-``--store`` validates a partitioned segment directory end to end:
+``--store`` validates a persisted segment directory end to end: the
+write-once layout (a ``closed`` manifest listing only canonical JSONL
+segments - no ``.pkl`` spool run, no ``*`` wildcard partition),
 manifest/segment cross-consistency (files exist, footers agree with
 their manifest entries, record counts match), partition-key discipline
 (every record in a segment belongs to the segment's partition),
@@ -112,6 +114,9 @@ def check_store(store_dir: str) -> list[str]:
     except (OSError, json.JSONDecodeError) as exc:
         return [f"{store_dir}: unreadable {MANIFEST_NAME}: {exc}"]
     problems: list[str] = []
+    if manifest.get("closed") is not True:
+        problems.append(f"{store_dir}/{MANIFEST_NAME}: not closed "
+                        f"(closed={manifest.get('closed')!r})")
     entries = manifest.get("segments", [])
     if not entries:
         problems.append(f"{store_dir}: manifest lists no segments")
@@ -124,6 +129,12 @@ def check_store(store_dir: str) -> list[str]:
         if name in seen_files:
             problems.append(f"{where}: listed twice in manifest")
         seen_files.add(name)
+        if "*" in (entry.get("kind"), entry.get("dag")):
+            problems.append(f"{where}: wildcard partition "
+                            f"({entry.get('kind')}, {entry.get('dag')})")
+        if name.endswith(".pkl"):
+            problems.append(f"{where}: a spool run, not a JSONL segment")
+            continue
         path = os.path.join(store_dir, SEGMENT_DIR, name)
         try:
             with open(path, encoding="utf-8") as fh:

@@ -12,16 +12,16 @@ so the whole layer is optional: simulations built without a
 :class:`Telemetry` (raw ``Environment`` unit tests) pay only a
 ``getattr`` per emission site.
 
-Storage: the system of record is the partitioned on-disk
+Storage: the system of record is the write-once on-disk
 :class:`~repro.telemetry.store.SpanStore` (``self.spanstore``) —
-spans and events stream through its ring buffers into
-dimension-partitioned segments, and per-DAG summaries / critical paths
-are maintained incrementally by the :class:`RollupEngine` at
-span-close time. The :class:`TimelineStore` query API (``self.store``)
-is unchanged and reads back through the segments transparently.
-:meth:`Telemetry.persist_store` lands the run as one directory: the
-segments, and a manifest that also carries the kernel counters, the
-shard summaries and the rollups.
+spans and events stream through its ring buffers into a private spool,
+and per-DAG summaries / critical paths are maintained incrementally by
+the :class:`RollupEngine` at span-close time. The
+:class:`TimelineStore` query API (``self.store``) reads back through
+the spool transparently. :meth:`Telemetry.persist_store` lands the run
+once, as one directory - dimension-partitioned segments, and a
+manifest that also carries the kernel counters, the shard summaries
+and the rollups - and ends the recording.
 """
 
 from __future__ import annotations
@@ -58,9 +58,11 @@ class Telemetry:
         self.env = env
         # Hot-path kill switch: when False, get_telemetry() reports no
         # telemetry and event/span/finish return without recording.
-        # Decided at construction: ``sim.processes_started`` is only
-        # registered for enabled telemetry.
+        # Decided at construction (``sim.processes_started`` is only
+        # registered for enabled telemetry); persist_store() turns it
+        # off for good.
         self.enabled = enabled
+        # store_opts: the ring sizes, ``ring_spans`` / ``ring_events``.
         self.spanstore = SpanStore(**(store_opts or {}))
         self.rollups = RollupEngine()
         self.log = EventLog(sink=self.spanstore)
@@ -104,23 +106,27 @@ class Telemetry:
 
     # -- lifecycle ------------------------------------------------------
     def flush(self) -> int:
-        """Drain the ring buffers to partitioned segments."""
+        """Spool the ring buffers (see :meth:`SpanStore.flush`)."""
         return self.spanstore.flush()
 
     def close(self) -> None:
-        """Flush and seal the store (manifest marked closed)."""
+        """End a run that is not persisted (see :meth:`SpanStore.close`)."""
         self.spanstore.close()
 
     def persist_store(self, target_dir: str) -> str:
-        """Land the full partitioned store — segments, and a manifest
+        """Land the run in ``target_dir`` - segments, and a manifest
         carrying the kernel counters, shard summaries and per-DAG
-        rollups — in ``target_dir``. Spans still open (e.g. the session
-        span) are included as snapshots so the store is as lossless as
-        the JSONL export; a span that closes afterwards replaces its
-        snapshot."""
+        rollups - and end the recording. Spans still open (e.g. the
+        session span) are stored as they stand, so the store is as
+        lossless as the JSONL export. Afterwards this telemetry is
+        disabled and its store sealed: a simulation that runs on records
+        nothing and leaves the directory as it is, and a second call
+        raises."""
         for span in self.tracer.open_spans():
-            self.spanstore.add_snapshot(span.record())
-        return self.spanstore.persist(target_dir, self._run())
+            self.spanstore.add_span(span.record())
+        target = self.spanstore.persist(target_dir, self._run())
+        self.enabled = False
+        return target
 
     def _run(self) -> dict:
         """What the manifest says about the run: the DES kernel's

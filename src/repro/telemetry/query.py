@@ -29,8 +29,9 @@ Modes:
                               back to a segment scan), then shard and
                               kernel lines
     --critical-path [DAG]     rendered critical path (rollups or scan)
-    --follow                  live tail: poll for new events until the
-                              store is sealed (``--poll`` seconds)
+
+A store is written once, when its run persists it, so there is nothing
+to tail: query a run after it ends.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from .analysis import (CriticalPathReport, CriticalPathSegment,
                        DagSummary, critical_path, dag_summary)
-from .store import MANIFEST_NAME, SpanStore, read_manifest
+from .store import MANIFEST_NAME, read_manifest
 from .timeline import TimelineStore
 
 __all__ = ["main", "rollup_payloads", "shard_line", "kernel_line"]
@@ -155,34 +155,6 @@ def select_records(store: TimelineStore, args) -> list[dict]:
     return out
 
 
-def follow(store_dir: str, args, out=sys.stdout) -> int:
-    """Live tail: print event records as segments land, until the
-    writer seals the manifest (``closed: true``)."""
-    last_seq = -1
-    printed = 0
-    attrs = {"dag": args.dag} if args.dag else {}
-    while True:
-        try:
-            manifest = read_manifest(store_dir)
-        except (OSError, json.JSONDecodeError):
-            manifest = {}
-        store = SpanStore(dir=store_dir)
-        for rec in store.iter_event_records(kind=args.kind,
-                                            prefix=args.prefix,
-                                            since=args.since,
-                                            until=args.until,
-                                            attrs=attrs):
-            if rec["seq"] > last_seq:
-                last_seq = rec["seq"]
-                out.write(json.dumps(rec) + "\n")
-                printed += 1
-                if args.limit and printed >= args.limit:
-                    return printed
-        if manifest.get("closed"):
-            return printed
-        time.sleep(args.poll)
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -205,9 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--summary", action="store_true")
     parser.add_argument("--critical-path", nargs="?", const="*",
                         metavar="DAG_ID", dest="critical")
-    parser.add_argument("--follow", action="store_true")
-    parser.add_argument("--poll", type=float, default=0.2,
-                        metavar="SECONDS")
     return parser
 
 
@@ -217,16 +186,12 @@ def main(argv=None) -> int:
         print(f"no such store directory: {args.store}", file=sys.stderr)
         return 2
 
-    if args.follow:
-        follow(args.store, args)
-        return 0
-
-    store = TimelineStore.open(args.store)
     try:
         manifest = read_manifest(args.store)
     except OSError:
         print(f"no {MANIFEST_NAME} in {args.store}", file=sys.stderr)
         return 2
+    store = TimelineStore.open(args.store)
 
     if args.summary:
         payloads = rollup_payloads(manifest)

@@ -1,27 +1,29 @@
 """Partitioned on-disk span/event store: bounded-memory system of record.
 
 This is the scale backend behind :class:`~repro.telemetry.Telemetry`
-(the simulation's Application-Timeline-Server analogue). Spans and
-events flow through fixed-size ring buffers and are flushed into
-dimension-partitioned on-disk *segments*:
+(the simulation's Application-Timeline-Server analogue). A store is
+written once: during a run spans and events flow through fixed-size
+ring buffers into a private spool, and :meth:`SpanStore.persist` lands
+the run in one directory and seals the store.
 
+* **Spool** — a ring that fills is drained as one ``.pkl`` *run*: one
+  pickled batch of record tuples per ring per flush, LSM-style: no
+  record dicts, no partitioning, no footers, just the cheapest possible
+  drain of the ring (~4x cheaper than shaping at flush time). The spool
+  directory is created lazily on the first flush, so small runs never
+  touch disk, and it lives only until ``persist`` or ``discard``.
 * **Partition key** — ``(record type, entity kind, dag_id)``: spans
   partition by their span kind (``dag``/``vertex``/``attempt``/...),
   events by the first dotted component of their kind (``am``, ``yarn``,
   ``shuffle``, ...), both crossed with the owning DAG id (``-`` when a
   record is cluster-scoped). Queries prune whole segments by partition
   before reading a byte.
-* **Segment** — one file per (flush, partition): records in the exact
-  schema of the JSONL exporter, time-ordered (events by emission
-  ``seq``; spans by close order), terminated by a ``footer`` carrying
-  the record count and key ranges. Canonical segments are ``.jsonl``
-  (one JSON object per line). While spooling, flushes instead land as
-  ``.pkl`` *runs* — one pickled batch of record tuples per ring per
-  flush, LSM-style: no record dicts, no partitioning, no footers, just
-  the cheapest possible drain of the ring (~4x cheaper than shaping at
-  flush time). :meth:`SpanStore.persist` compacts every run into
-  partitioned canonical JSONL segments, so a persisted store directory
-  is pure JSONL; the binary form only ever lives in the private spool.
+* **Segment** — one canonical ``.jsonl`` file per partition of a ring:
+  records in the exact schema of the JSONL exporter, time-ordered
+  (events by emission ``seq``; spans by close order), terminated by a
+  ``footer`` carrying the record count and key ranges. ``persist``
+  writes the final ring first, then compacts every spooled run, so a
+  persisted store directory is pure JSONL.
 * **Manifest** — ``MANIFEST.json`` lists every segment with its
   partition and ranges; readers discover segments only through it, and
   ``python -m repro.telemetry.check --store`` cross-validates footer
@@ -29,19 +31,18 @@ dimension-partitioned on-disk *segments*:
   handed to :meth:`SpanStore.persist`: ``kernel`` (the DES kernel's
   counters, ``null`` without an environment), ``shards`` (control-plane
   shard summaries, ``[]`` when none) and ``rollups`` (per-DAG summaries
-  and critical paths, keyed by ``dag_id``). A persisted store is
-  ``MANIFEST.json`` plus ``segments/`` and nothing else. While the
-  writer is spooling to its lazy temp dir the manifest lives in memory
-  and is written once at close/persist; a store opened on an explicit
-  ``dir`` is *live* — it spools straight to JSONL and rewrites the
-  manifest each flush so ``query --follow`` can tail it.
+  and critical paths, keyed by ``dag_id``). It is written once, with
+  ``closed: true``. A persisted store is ``MANIFEST.json`` plus
+  ``segments/`` and nothing else; ``SpanStore(store_dir)`` opens one
+  for reading.
 
 A ring that fills is flushed to disk synchronously, so nothing is ever
-dropped; the spool directory is created lazily on the first flush, so
-small runs never touch disk. Resident memory is therefore bounded by
-the ring capacities plus the set of currently-open spans — constant in
+dropped before ``persist``. Resident memory is therefore bounded by the
+ring capacities plus the set of currently-open spans — constant in
 task count; the store tracks its high-water mark in
-:attr:`SpanStore.peak_resident`.
+:attr:`SpanStore.peak_resident`. A sealed store (persisted, closed,
+discarded or opened for reading) records nothing: what is emitted into
+it is dropped, and its directory never changes.
 """
 
 from __future__ import annotations
@@ -157,9 +158,22 @@ def _event_tuple_record(t: tuple) -> dict:
             "attrs": t[3]}
 
 
+def _partitioned(spans, events) -> dict[tuple, list[dict]]:
+    """Records of span and event tuples grouped by partition, in
+    first-seen partition order, spans first."""
+    parts: dict[tuple, list] = {}
+    for t in spans:
+        parts.setdefault(span_partition(t[1], t[6]), []).append(
+            _span_tuple_record(t))
+    for t in events:
+        parts.setdefault(event_partition(t[2], t[3]), []).append(
+            _event_tuple_record(t))
+    return parts
+
+
 def _read_spool_run(path: str) -> tuple[str, list[tuple]]:
     """(rtype, record tuples) from a write-optimized spool run. Only
-    files named by this store's own manifest are ever loaded."""
+    files this store spooled itself are ever loaded."""
     with open(path, "rb") as fh:
         return pickle.load(fh)
 
@@ -188,75 +202,50 @@ def _iter_segment_records(path: str) -> Iterator[dict]:
 # ---------------------------------------------------------------------------
 
 class SpanStore:
-    """Ring-buffered writer plus segment reader over one store dir."""
+    """Ring-buffered write-once writer, or the reader of one persisted
+    store directory (``SpanStore(store_dir)``)."""
 
-    def __init__(
-        self,
-        dir: Optional[str] = None,
-        ring_spans: int = 8192,
-        ring_events: int = 8192,
-    ):
-        self.configured_dir = dir
+    def __init__(self, store_dir: Optional[str] = None, /, *,
+                 ring_spans: int = 8192, ring_events: int = 8192):
         self.ring_spans = int(ring_spans)
         self.ring_events = int(ring_events)
-        # Live mode (explicit dir): segments land as canonical JSONL
-        # and the manifest is rewritten every flush so readers can tail
-        # the directory. Lazy spools drain each ring as one record-tuple
-        # pickle run and defer shaping and the manifest to
-        # close()/persist().
-        self._live = dir is not None
         self._dir: Optional[str] = None
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self._span_ring: deque = deque()
         self._event_ring: deque = deque()
+        # Spool runs while writing; the segments once persisted.
         self._manifest_entries: list[dict] = []
         self._segment_seq = 0
         self._flushes = 0
         self.peak_resident = 0
+        # Records drained from the rings: they outlive a discarded spool.
         self._flushed_spans = 0
         self._flushed_events = 0
-        # Open-span snapshots (see add_snapshot): ids whose snapshot is
-        # still in the ring, and ids whose flushed record is one.
-        self._ring_snapshots: set = set()
-        self._snapshots: set = set()
-        # What the manifest says about the run until persist() is told.
-        self._run = {"kernel": None, "shards": [], "rollups": {}}
         self.closed = False
-        if dir is not None and os.path.isdir(
-                os.path.join(dir, SEGMENT_DIR)):
-            self._attach_existing(dir)
+        if store_dir is not None:
+            segments = read_manifest(store_dir)["segments"]
+            if any(not e["file"].endswith(".jsonl") for e in segments):
+                raise ValueError(f"{store_dir}: a spool, not a persisted "
+                                 f"store")
+            self._dir = store_dir
+            self._manifest_entries = segments
+            self._flushed_spans = sum(e["count"] for e in segments
+                                      if e["rtype"] == "span")
+            self._flushed_events = sum(e["count"] for e in segments
+                                       if e["rtype"] == "event")
+            self._seal()
 
-    # -- directory lifecycle -------------------------------------------
-    def _attach_existing(self, dir: str) -> None:
-        """Re-open an existing store directory for appending."""
-        self._dir = dir
-        try:
-            manifest = read_manifest(dir)
-        except OSError:
-            return
-        self._manifest_entries = manifest.get("segments", [])
-        self._segment_seq = manifest.get("next_segment", 0)
-        self._run = {key: manifest[key] for key in self._run}
-        self._flushed_spans = sum(e["count"] for e in self._manifest_entries
-                                  if e["rtype"] == "span")
-        self._flushed_events = sum(e["count"] for e in self._manifest_entries
-                                   if e["rtype"] == "event")
+    def _seal(self) -> None:
+        """Record nothing more: a sealed store's rings hold no record
+        (``maxlen=0`` drops every append), so nothing reaches a flush."""
+        self.closed = True
+        self._span_ring = deque(maxlen=0)
+        self._event_ring = deque(maxlen=0)
 
     @property
     def spool_dir(self) -> Optional[str]:
-        """The on-disk directory, if any flush has materialized one."""
-        return self._dir
-
-    def _materialize(self) -> str:
-        if self._dir is None:
-            if self.configured_dir is not None:
-                self._dir = self.configured_dir
-            else:
-                self._tmp = tempfile.TemporaryDirectory(
-                    prefix="repro-telemetry-")
-                self._dir = self._tmp.name
-            os.makedirs(os.path.join(self._dir, SEGMENT_DIR),
-                        exist_ok=True)
+        """The on-disk directory: the private spool once a flush has
+        materialized it, the store's own directory once persisted."""
         return self._dir
 
     # -- write side -----------------------------------------------------
@@ -264,24 +253,14 @@ class SpanStore:
     # spans ``(span_id, kind, name, start, end, parent_id, attrs)``
     # (``Span.record``), events ``(seq, ts, kind, attrs)``. Resident
     # memory only ever shrinks at a flush, so the high-water mark is
-    # always observed either immediately before one or at close;
-    # sampling there keeps the per-record path to an append and a
-    # length check.
+    # always observed immediately before one; sampling there keeps the
+    # per-record path to an append and a length check.
 
     def add_span(self, rec: tuple) -> None:
         ring = self._span_ring
         ring.append(rec)
         if len(ring) >= self.ring_spans:
             self.flush()
-
-    def add_snapshot(self, rec: tuple) -> None:
-        """Store an open span's record as it stands; the span's next
-        record (its close, or a later snapshot) replaces it, so the
-        store keeps one record per span. Taken at persist time, so by
-        the time a snapshot can be replaced every segment holding it is
-        canonical JSONL."""
-        self._ring_snapshots.add(rec[0])
-        self.add_span(rec)
 
     def add_event(self, rec: tuple) -> None:
         ring = self._event_ring
@@ -291,7 +270,7 @@ class SpanStore:
 
     @property
     def span_count(self) -> int:
-        """Stored (flushed + ring) span records: one per span."""
+        """Stored (flushed + ring) span records."""
         return self._flushed_spans + len(self._span_ring)
 
     @property
@@ -306,102 +285,44 @@ class SpanStore:
     def flushes(self) -> int:
         return self._flushes
 
-    # -- flush ----------------------------------------------------------
+    def _drained(self) -> int:
+        """Count a flush of the rings as they stand; returns how many
+        records it drains."""
+        resident = len(self._span_ring) + len(self._event_ring)
+        if resident:
+            if resident > self.peak_resident:
+                self.peak_resident = resident
+            self._flushes += 1
+            self._flushed_spans += len(self._span_ring)
+            self._flushed_events += len(self._event_ring)
+        return resident
+
     def flush(self) -> int:
-        """Drain both rings into new segments; returns records written."""
-        span_ring, event_ring = self._span_ring, self._event_ring
-        resident = len(span_ring) + len(event_ring)
-        if resident == 0:
+        """Spool each ring as one pickled run of its record tuples -
+        partitioning, record dicts and footers all wait for
+        :meth:`persist`; returns records written."""
+        written = self._drained()
+        if not written:
             return 0
-        if resident > self.peak_resident:
-            self.peak_resident = resident
-        root = self._dir if self._dir is not None else self._materialize()
-        older = len(self._manifest_entries)
-        written = 0
-        if self._live:
-            parts: dict[tuple, list] = {}
-            for t in span_ring:
-                key = span_partition(t[1], t[6])
-                parts.setdefault(key, []).append(_span_tuple_record(t))
-            for t in event_ring:
-                key = event_partition(t[2], t[3])
-                parts.setdefault(key, []).append(_event_tuple_record(t))
-            for (rtype, kind, dag), records in parts.items():
-                written += self._write_segment(root, rtype, kind, dag,
-                                               records)
-        else:
-            # Spool fast path: drain each ring as one pickled run of its
-            # record tuples — partitioning, record dicts and footers
-            # all wait for persist-time compaction.
-            if span_ring:
-                written += self._write_spool_run(root, "span",
-                                                 list(span_ring))
-            if event_ring:
-                written += self._write_spool_run(root, "event",
-                                                 list(event_ring))
-        self._flushed_spans += len(span_ring)
-        self._flushed_events += len(event_ring)
-        if self._snapshots:
-            replaced = {t[0] for t in span_ring} & self._snapshots
-            if replaced:
-                self._forget_spans(root, replaced,
-                                   self._manifest_entries[:older])
-                self._snapshots -= replaced
-        if self._ring_snapshots:
-            self._snapshots |= self._ring_snapshots
-            self._ring_snapshots.clear()
-        span_ring.clear()
-        event_ring.clear()
-        if self._live:
-            self._write_manifest(root)
-        self._flushes += 1
+        if self._dir is None:
+            self._tmp = tempfile.TemporaryDirectory(
+                prefix="repro-telemetry-")
+            self._dir = self._tmp.name
+            os.makedirs(os.path.join(self._dir, SEGMENT_DIR))
+        for rtype, ring in (("span", self._span_ring),
+                            ("event", self._event_ring)):
+            if ring:
+                self._write_spool_run(rtype, list(ring))
+                ring.clear()
         return written
 
-    def _segment_footer(self, name: str, rtype: str, kind: str, dag: str,
-                        records: list[dict]) -> dict:
-        ts_key = "ts" if rtype == "event" else "end"
-        order_key = "seq" if rtype == "event" else "span_id"
-        times = [r[ts_key] for r in records if r[ts_key] is not None] \
-            or [0.0]
-        return {
-            "type": "footer", "file": name, "rtype": rtype, "kind": kind,
-            "dag": dag, "count": len(records),
-            "min_ts": min(times), "max_ts": max(times),
-            "min_key": min(r[order_key] for r in records),
-            "max_key": max(r[order_key] for r in records),
-        }
-
-    @staticmethod
-    def _write_jsonl_segment(path: str, records: list[dict],
-                             footer: dict) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
-            fh.write(json.dumps(footer) + "\n")
-
-    def _write_segment(self, root: str, rtype: str, kind: str, dag: str,
-                       records: list[dict]) -> int:
-        self._segment_seq += 1
-        name = f"seg-{self._segment_seq:06d}.jsonl"
-        footer = self._segment_footer(name, rtype, kind, dag, records)
-        self._write_jsonl_segment(
-            os.path.join(root, SEGMENT_DIR, name), records, footer)
-        entry = dict(footer)
-        entry.pop("type")
-        self._manifest_entries.append(entry)
-        return len(records)
-
-    def _write_spool_run(self, root: str, rtype: str,
-                         tuples: list[tuple]) -> int:
-        """One un-shaped run: the ring's record tuples, pickled.
-
-        The manifest entry uses the wildcard partition ``("*", "*")``
-        and no time range — readers never prune a spool run; compaction
-        at persist() replaces it with properly partitioned segments.
-        """
+    def _write_spool_run(self, rtype: str, tuples: list[tuple]) -> None:
+        """One un-shaped run: the ring's record tuples, pickled, under
+        the wildcard partition ``("*", "*")`` with no time range -
+        readers never prune a spool run."""
         self._segment_seq += 1
         name = f"seg-{self._segment_seq:06d}.pkl"
-        path = os.path.join(root, SEGMENT_DIR, name)
+        path = os.path.join(self._dir, SEGMENT_DIR, name)
         with open(path, "wb") as fh:
             pickle.dump((rtype, tuples), fh,
                         protocol=pickle.HIGHEST_PROTOCOL)
@@ -410,127 +331,91 @@ class SpanStore:
             "count": len(tuples), "min_ts": None, "max_ts": None,
             "min_key": None, "max_key": None,
         })
-        return len(tuples)
 
-    def _forget_spans(self, root: str, span_ids: set,
-                      entries: list[dict]) -> None:
-        """Delete the records of ``span_ids`` from these (JSONL) span
-        segments, dropping a segment that is left empty."""
-        for entry in entries:
-            if entry["rtype"] != "span":
-                continue
-            name = entry["file"]
-            path = os.path.join(root, SEGMENT_DIR, name)
-            records = list(_iter_segment_records(path))
-            kept = [r for r in records if r["span_id"] not in span_ids]
-            if len(kept) == len(records):
-                continue
-            self._flushed_spans -= len(records) - len(kept)
-            if not kept:
-                os.remove(path)
-                self._manifest_entries.remove(entry)
-                continue
-            footer = self._segment_footer(name, "span", entry["kind"],
-                                          entry["dag"], kept)
-            self._write_jsonl_segment(path, kept, footer)
-            entry.update(footer)
-            entry.pop("type")
-
-    def _write_manifest(self, root: str) -> None:
-        manifest = {
-            "version": MANIFEST_VERSION,
-            "next_segment": self._segment_seq,
-            "closed": self.closed,
-            "segments": self._manifest_entries,
-            **self._run,
+    def _write_segment(self, seg_dir: str, part: tuple,
+                       records: list[dict]) -> dict:
+        """One canonical JSONL segment of one partition; returns its
+        manifest entry (the footer without its ``type``)."""
+        rtype, kind, dag = part
+        self._segment_seq += 1
+        name = f"seg-{self._segment_seq:06d}.jsonl"
+        ts_key = "ts" if rtype == "event" else "end"
+        order_key = "seq" if rtype == "event" else "span_id"
+        times = [r[ts_key] for r in records if r[ts_key] is not None] \
+            or [0.0]
+        entry = {
+            "file": name, "rtype": rtype, "kind": kind, "dag": dag,
+            "count": len(records),
+            "min_ts": min(times), "max_ts": max(times),
+            "min_key": min(r[order_key] for r in records),
+            "max_key": max(r[order_key] for r in records),
         }
-        path = os.path.join(root, MANIFEST_NAME)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-        os.replace(tmp, path)
+        with open(os.path.join(seg_dir, name), "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(json.dumps(record) + "\n")
+            fh.write(json.dumps({"type": "footer", **entry}) + "\n")
+        return entry
 
     def close(self) -> None:
-        """Flush everything and seal the manifest."""
+        """End a run that is not persisted: spool what the rings hold
+        (the store's counters settle) and seal the store."""
         self.flush()
-        self.closed = True
-        if self._dir is not None:
-            self._write_manifest(self._dir)
+        self._seal()
 
     def discard(self) -> None:
-        """Drop the private spool immediately instead of waiting for
-        the temp dir's finalizer (the telemetry object graph is cyclic,
-        so that can be a whole gen-2 GC away). For callers that only
-        wanted the write-path statistics, e.g. benchmarks."""
+        """End a run that is not persisted: drop the private spool now
+        instead of waiting for the temp dir's finalizer (the telemetry
+        object graph is cyclic, so that can be a whole gen-2 GC away),
+        and seal the store. For callers that only wanted the write-path
+        statistics, e.g. benchmarks."""
         if self._tmp is not None:
             self._tmp.cleanup()
             self._tmp = None
             self._dir = None
             self._manifest_entries = []
+        self._seal()
 
     def persist(self, target_dir: str, run: dict) -> str:
-        """Flush, compact and land the whole store (segments +
-        manifest) in ``target_dir``; returns the directory. ``run``
-        (``kernel``, ``shards``, ``rollups``) goes into the manifest.
-        Safe to call on a store that spooled to a lazy temp dir —
-        canonical JSONL segments are moved, spool-codec segments are
-        transcoded on the way through, so a persisted store is pure
-        JSONL."""
-        self._run = run
-        self._live = True  # the final flush lands as canonical JSONL
-        if self._dir is None:
-            self.configured_dir = target_dir
-            self._materialize()
-        self.flush()
-        self.closed = True
-        src = self._dir
-        same = os.path.abspath(src) == os.path.abspath(target_dir)
-        seg_src = os.path.join(src, SEGMENT_DIR)
+        """Land the whole store in ``target_dir`` and seal it; returns
+        the directory. The final ring lands first as partitioned
+        canonical JSONL segments (first-seen partition order), then
+        every spooled run is compacted into one segment per partition
+        (sorted partition order), and the manifest is written once,
+        carrying ``run`` (``kernel``, ``shards``, ``rollups``). A
+        store is persisted once: a second call raises."""
+        if self.closed:
+            raise RuntimeError("the store is sealed (persisted, closed, "
+                               "discarded or opened for reading)")
         seg_dst = os.path.join(target_dir, SEGMENT_DIR)
-        if not same:
-            os.makedirs(seg_dst, exist_ok=True)
-        compacted: list[dict] = []
+        os.makedirs(seg_dst, exist_ok=True)
+        self._drained()
+        final = [self._write_segment(seg_dst, part, records)
+                 for part, records in _partitioned(
+                     self._span_ring, self._event_ring).items()]
+        segments: list[dict] = []
         for entry in self._manifest_entries:
-            name = entry["file"]
-            spath = os.path.join(seg_src, name)
-            if name.endswith(".pkl"):
-                # Compact the un-shaped run into one canonical segment
-                # per partition, in deterministic partition order.
-                rtype, tuples = _read_spool_run(spath)
-                parts: dict[tuple, list] = {}
-                if rtype == "span":
-                    for t in tuples:
-                        key = span_partition(t[1], t[6])
-                        parts.setdefault(key, []).append(
-                            _span_tuple_record(t))
-                else:
-                    for t in tuples:
-                        key = event_partition(t[2], t[3])
-                        parts.setdefault(key, []).append(
-                            _event_tuple_record(t))
-                for (rt, kind, dag) in sorted(parts):
-                    records = parts[(rt, kind, dag)]
-                    self._segment_seq += 1
-                    seg_name = f"seg-{self._segment_seq:06d}.jsonl"
-                    footer = self._segment_footer(seg_name, rt, kind,
-                                                  dag, records)
-                    self._write_jsonl_segment(
-                        os.path.join(seg_dst, seg_name), records, footer)
-                    seg_entry = dict(footer)
-                    seg_entry.pop("type")
-                    compacted.append(seg_entry)
-                os.remove(spath)
-                continue
-            if not same:
-                os.replace(spath, os.path.join(seg_dst, name))
-            compacted.append(entry)
-        self._manifest_entries = compacted
-        if not same:
-            self._dir = target_dir
-        self._write_manifest(target_dir)
-        if not same and self._tmp is not None:
+            rtype, tuples = _read_spool_run(
+                os.path.join(self._dir, SEGMENT_DIR, entry["file"]))
+            parts = (_partitioned(tuples, ()) if rtype == "span"
+                     else _partitioned((), tuples))
+            segments += [self._write_segment(seg_dst, part, parts[part])
+                         for part in sorted(parts)]
+        self._manifest_entries = segments + final
+        manifest = {
+            "version": MANIFEST_VERSION,
+            "next_segment": self._segment_seq,
+            "closed": True,
+            "segments": self._manifest_entries,
+            **run,
+        }
+        with open(os.path.join(target_dir, MANIFEST_NAME), "w",
+                  encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=1, sort_keys=True)
+        if self._tmp is not None:
             self._tmp.cleanup()
             self._tmp = None
+        self._dir = target_dir
+        self._seal()
         return target_dir
 
     # -- read side ------------------------------------------------------
@@ -568,10 +453,8 @@ class SpanStore:
         dag = dag if isinstance(dag, str) else None
         entries = self._event_segments(kind=kind, prefix=prefix,
                                        since=since, until=until, dag=dag)
-        sources = []
-        if self._dir is not None:
-            sources = [_iter_segment_records(p)
-                       for p in _segment_sources(self._dir, entries)]
+        sources = [_iter_segment_records(p)
+                   for p in _segment_sources(self._dir, entries)]
         sources.append(iter([_event_tuple_record(t)
                              for t in self._event_ring]))
         for rec in heapq.merge(*sources, key=lambda r: r["seq"]):
@@ -605,19 +488,18 @@ class SpanStore:
             return not any(rec["attrs"].get(k) != v
                            for k, v in attrs.items())
 
-        if self._dir is not None:
-            for entry in self._manifest_entries:
-                if entry["rtype"] != "span":
+        for entry in self._manifest_entries:
+            if entry["rtype"] != "span":
+                continue
+            if entry["kind"] != "*":
+                if kind is not None and entry["kind"] != kind:
                     continue
-                if entry["kind"] != "*":
-                    if kind is not None and entry["kind"] != kind:
-                        continue
-                    if dag is not None and entry["dag"] != dag:
-                        continue
-                path = os.path.join(self._dir, SEGMENT_DIR, entry["file"])
-                for rec in _iter_segment_records(path):
-                    if want(rec):
-                        matches.append(rec)
+                if dag is not None and entry["dag"] != dag:
+                    continue
+            path = os.path.join(self._dir, SEGMENT_DIR, entry["file"])
+            for rec in _iter_segment_records(path):
+                if want(rec):
+                    matches.append(rec)
         for t in self._span_ring:
             rec = _span_tuple_record(t)
             if want(rec):

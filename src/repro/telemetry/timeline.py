@@ -7,9 +7,9 @@ instead of poking at AM internals.
 
 The query API is storage-agnostic: when the telemetry is backed by the
 partitioned :class:`~repro.telemetry.store.SpanStore`, closed spans
-are streamed back out of on-disk segments (pruned by partition) and
-merged with the tracer's open-span set; without one, everything comes
-from the in-memory tracer and log exactly as before.
+are streamed back out of its spool or persisted segments (pruned by
+partition) and merged with the tracer's open-span set; without one,
+everything comes from the in-memory tracer and log.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class TimelineStore:
         """Query surface over a persisted partitioned store directory
         (no live tracer/log: exactly what the segments hold)."""
         from .store import SpanStore
-        return cls(spanstore=SpanStore(dir=store_dir))
+        return cls(spanstore=SpanStore(store_dir))
 
     # -- events ---------------------------------------------------------
     def events(

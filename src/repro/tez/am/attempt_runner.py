@@ -45,6 +45,9 @@ __all__ = ["AttemptRunner", "BASE_TASK_PRIORITY"]
 
 BASE_TASK_PRIORITY = 3
 
+# Simulated seconds a failed task backs off before its next attempt.
+_RETRY_DELAY = 1.0
+
 # IPO descriptor classes proven safe for the inline fast path: their
 # ``initialize`` generators are empty and their readers/writers compose
 # correctly under ``yield from`` (no reliance on running in a child
@@ -564,8 +567,6 @@ class AttemptRunner:
         reason = attempt.end_reason
         if reason == AttemptEndReason.SPECULATION_LOST:
             return
-        if am.config.count_killed_as_failure:
-            task.failed_attempts += 1
         if task.state == TaskState.SUCCEEDED:
             return
         if reason == AttemptEndReason.DAG_KILLED:
@@ -598,7 +599,7 @@ class AttemptRunner:
             # Back off before retrying so transient environment faults
             # (e.g. a replica's node rebooting) have time to clear.
             def relaunch() -> Generator:
-                yield am.env.timeout(am.config.task_retry_delay)
+                yield am.env.timeout(_RETRY_DELAY)
                 if (
                     am._dag_state == DAGState.RUNNING
                     and task.state not in (TaskState.SUCCEEDED,

@@ -59,11 +59,11 @@ from .vm_context import _VMContext
 
 __all__ = ["DAGAppMaster", "DAGStatus", "RecoveryJournal", "DagAbort"]
 
-# DAGs whose created-task total stays below this run without the pooled
-# dispatch timers and the per-tick exit batching: that plumbing's fixed
-# bookkeeping only amortizes at scale. Selected from the task count the
-# AM observes; both sides produce identical simulated outcomes, only
-# host time moves.
+# DAGs whose created-task total stays below this run without the
+# per-tick exit batching. Selected from the task count the AM observes;
+# both sides produce identical makespans and rows, but batched exits
+# reorder journal records within a tick, and the control-plane and
+# recovery goldens were recorded with small DAGs unbatched.
 _FAST_PLUMBING_MIN_TASKS = 16
 
 
@@ -124,8 +124,7 @@ class DAGAppMaster:
         # Same-tick attempt-exit coalescing (mirrors the event router's
         # delivery buckets): tick -> AttemptBatchExitedEvent.
         self._exit_buckets: dict[float, AttemptBatchExitedEvent] = {}
-        # Fast-path *plumbing* (pooled dispatch timers, per-tick exit
-        # batching) is sized to the running DAG: see
+        # Per-tick exit batching is sized to the running DAG: see
         # _FAST_PLUMBING_MIN_TASKS.
         self._created_tasks = 0
         self._apply_fast_plumbing()
@@ -375,14 +374,13 @@ class DAGAppMaster:
     # -------------------------------------------------- dispatcher glue
     def note_tasks_created(self, count: int) -> None:
         """Vertex lifecycle callback: another ``count`` tasks exist in
-        the running DAG; promote the fast-path plumbing once the DAG is
-        provably big enough to amortize it."""
+        the running DAG; batch attempt exits once the DAG is big enough
+        (see _FAST_PLUMBING_MIN_TASKS)."""
         self._created_tasks += count
         self._apply_fast_plumbing()
 
     def _apply_fast_plumbing(self) -> None:
         big = self._created_tasks >= _FAST_PLUMBING_MIN_TASKS
-        self.dispatcher.fast_timers = big
         self.scheduler.defer_exits = (
             self._defer_attempt_exit if big else None
         )
@@ -408,8 +406,7 @@ class DAGAppMaster:
         if batch is None:
             batch = AttemptBatchExitedEvent()
             self._exit_buckets[now] = batch
-            self.dispatcher.dispatch_after(0.0, batch,
-                                           name="attempt-exits")
+            self.dispatcher.dispatch_after(0.0, batch)
         batch.exits.append(exit_event)
 
     def _on_attempt_batch_exited(self,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional, Type
+from typing import Any, Callable, Optional, Type
 
 __all__ = [
     "ControlEvent",
@@ -173,11 +173,6 @@ class Dispatcher:
         self.halted = False
         self._halt_at: Optional[int] = None
         self._halt_callback: Optional[Callable[[], None]] = None
-        # Timer fast path: deliver dispatch_after through a pooled
-        # kernel callback hop (one heap entry) instead of a dedicated
-        # timeout-then-dispatch generator process (three). Switched on
-        # by the AM for DAGs big enough to amortize the pool.
-        self.fast_timers = False
         # Opt-in journal for determinism tests / debugging: (time, seq,
         # type name, summary) per event. Off by default — big DAG runs
         # cross the bus hundreds of thousands of times.
@@ -243,25 +238,15 @@ class Dispatcher:
         finally:
             self._draining = False
 
-    def dispatch_after(self, delay: float, event: ControlEvent,
-                       name: str = "") -> None:
-        """Deliver after ``delay`` simulated seconds.
+    def dispatch_after(self, delay: float, event: ControlEvent) -> None:
+        """Deliver after ``delay`` simulated seconds, through one pooled
+        kernel callback hop (one heap entry).
 
         Events scheduled for the same timestamp drain in enqueue order:
         each delivery is its own kernel event and the sim heap breaks
         timestamp ties by insertion sequence.
         """
-        if self.fast_timers:
-            self.env.call_later_pooled(
-                delay, lambda: self.dispatch(event)
-            )
-            return
-
-        def fire() -> Generator:
-            yield self.env.timeout(delay)
-            self.dispatch(event)
-
-        self.env.process(fire(), name=name or f"dispatch:{self.name}")
+        self.env.call_later_pooled(delay, lambda: self.dispatch(event))
 
     def _deliver(self, event: ControlEvent) -> None:
         if isinstance(event, AttemptBatchExitedEvent):

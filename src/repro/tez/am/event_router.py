@@ -158,8 +158,7 @@ class EventRouter:
         if batch is None:
             batch = DataDeliveryBatchEvent()
             self._delivery_buckets[due] = batch
-            am.dispatcher.dispatch_after(delay, batch,
-                                         name="dme-deliver")
+            am.dispatcher.dispatch_after(delay, batch)
         batch.deliveries.append(DataDeliveryEvent(attempt, event))
 
     def on_data_delivery_batch(self,
@@ -188,7 +187,6 @@ class EventRouter:
         self.am.dispatcher.dispatch_after(
             self.am.spec.heartbeat_interval / 2,
             TaskUplinkEvent(attempt, event),
-            name="task-event",
         )
 
     def on_task_uplink(self, uplink: TaskUplinkEvent) -> None:

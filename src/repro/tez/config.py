@@ -11,8 +11,6 @@ __all__ = ["TezConfig"]
 class TezConfig:
     # -- fault tolerance -----------------------------------------------------
     max_task_attempts: int = 4
-    count_killed_as_failure: bool = False
-    task_retry_delay: float = 1.0   # back-off before retrying a failure
 
     # -- node blacklisting (paper 4.3) ----------------------------------------
     # A node accumulating this many task failures (app errors or lost
@@ -40,9 +38,6 @@ class TezConfig:
     # -- deadlock handling (paper 3.4) ------------------------------------------
     deadlock_check_interval: float = 10.0
     deadlock_pending_timeout: float = 30.0
-
-    # -- commit ---------------------------------------------------------------
-    commit_on_dag_success: bool = True
 
     # -- recovery journal (paper 4.3) ----------------------------------------
     # Accepted journal appends between checkpoint compactions: every

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import BenchTable, capacity_trace, speedup
+from repro.bench import BenchTable, capacity_trace, rows_close, speedup
 
 from helpers import make_sim
 
@@ -66,3 +66,11 @@ class TestCapacityTrace:
         sim.env.process(stopper())
         sim.env.run(until=10)
         assert len(trace) <= 5
+
+
+def test_rows_close_forgives_summation_order_and_nothing_else():
+    """The figure benchmarks' Tez-vs-MR row check: rounding to 4 places
+    took a 4x error below 1e-4 as equal and split two sums that differ
+    in their 13th digit across a rounding boundary."""
+    assert not rows_close([(1, 1e-05)], [(1, 4e-05)])
+    assert rows_close([(1, 0.12345)], [(1, 0.1234499999999)])

@@ -227,15 +227,16 @@ def test_speculation_scenario_is_not_vacuous():
 ])
 def test_dispatch_plumbing_size_never_changes_outcomes(monkeypatch,
                                                        scenario):
-    """Pooled dispatch timers and per-tick exit batching (DAGs at or
-    above the size constant) against process timers and unit exits
-    (below it): same makespan, rows and per-tick journal."""
+    """Per-tick exit batching (DAGs at or above the size constant)
+    against unit exits (below it), the one thing the constant still
+    varies - every delayed dispatch is one pooled kernel hop either
+    way: same makespan, rows and per-tick journal."""
     monkeypatch.setattr(dag_app_master, "_FAST_PLUMBING_MIN_TASKS", 0)
-    pooled_batched = scenarios.per_tick(scenario())
+    batched = scenarios.per_tick(scenario())
     monkeypatch.setattr(dag_app_master, "_FAST_PLUMBING_MIN_TASKS",
                         10 ** 9)
-    process_unit = scenarios.per_tick(scenario())
-    assert pooled_batched == process_unit
+    unit = scenarios.per_tick(scenario())
+    assert batched == unit
 
 
 # ------------------- journal-prefix replay determinism (hypothesis)

@@ -56,7 +56,9 @@ def test_no_retired_switch_is_named_anywhere():
 @pytest.mark.parametrize("cls, name", [
     (TezConfig, RETIRED[3]), (ClusterSpec, RETIRED[8]),
     (TezConfig, RETIRED[9]), (Telemetry, RETIRED[10]), (SpanStore, "tee"),
-    (SpanStore, "overflow"), (SpanStore, "on_overflow")])
+    (SpanStore, "overflow"), (SpanStore, "on_overflow"), (SpanStore, "dir"),
+    (TezConfig, "commit_on_dag_success"),
+    (TezConfig, "count_killed_as_failure"), (TezConfig, "task_retry_delay")])
 def test_retired_switches_are_not_accepted(cls, name):
     with pytest.raises(TypeError):
         cls(**{name: False})
@@ -95,7 +97,7 @@ def test_no_template_cache_is_left_behind():
         ("membership_", "listener"), ("_route_", "cache"),
         ("Template", "Event"))]
     assert not _source_files_matching("|".join(gone))
-    assert len(dataclasses.fields(TezConfig)) == 19
+    assert len(dataclasses.fields(TezConfig)) == 16
 
 
 def test_only_the_kernel_touches_the_host_collector():
@@ -462,3 +464,20 @@ def test_a_store_is_one_artefact_with_one_ring_policy():
     for name in ("write_rollup", "resident_records", "_drop"):
         assert not hasattr(SpanStore, name)
     assert not hasattr(Telemetry, "_on_ring_overflow")
+
+
+def test_a_store_is_written_once(tmp_path):
+    """No live writer, no reopen-for-append, no write after ``persist``
+    and no ``query --follow``: a store is spooled, then persisted once;
+    and a delayed dispatch has one timer path."""
+    from repro.telemetry import query
+
+    for name in ("add_snapshot", "configured_dir", "_attach_existing",
+                 "_forget_spans", "_materialize"):
+        assert not hasattr(SpanStore, name)
+    assert not hasattr(query, "follow")
+    with pytest.raises(TypeError):
+        Telemetry(store_opts={"dir": str(tmp_path)})
+    with pytest.raises(SystemExit):
+        query.main([str(tmp_path), "--follow"])
+    assert not _source_files_matching(r"\b_live\b|_snapshots\b|fast_timers")

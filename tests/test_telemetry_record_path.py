@@ -5,17 +5,20 @@ closed ``Span`` object was put on the ring, and both were re-tupled at
 flush. Now the ring holds the tuple the spool writes from the moment a
 record is emitted. ``_FrozenLog`` / ``_FrozenStore`` below keep the old
 ``EventLog.emit`` and ``SpanStore.add_span`` / ``add_event`` / ``flush``
-/ ``_write_spool_run`` / ``persist`` verbatim, with the manifest they
-read and wrote (``_attach_existing``, ``_write_manifest``,
+/ ``_write_spool_run`` / ``persist`` verbatim, with the segment writer
+and the manifest they wrote (``_write_segment``, ``_write_manifest``,
 ``write_rollup``; as does ``_frozen_persist_store`` for
 ``Telemetry.persist_store``), and
 Hypothesis drives both paths in lock-step through generated scripts:
 events with and without a ``dag``, spans closed in random order, attrs
 updated after a close both before and after a flush, ring capacities
-1-16, spool and live directories, persist, then reopen and append. Both
-must agree on the unpickled spool runs, on every byte of a live or
-persisted directory (segments, ``MANIFEST.json``, rollups), and on
-``span_count``, ``event_count``, ``flushes`` and ``peak_resident``.
+1-16, then a persist or not. Both must agree on the unpickled spool
+runs, on every byte of a persisted directory (segments,
+``MANIFEST.json``, rollups), and on ``span_count``, ``event_count``,
+``flushes`` and ``peak_resident``. A store is written once now: the
+frozen path's live directories (JSONL and a manifest rewritten every
+flush) and its reopen-and-append have no shipped counterpart left, so
+the scripts no longer draw them.
 
 A store now keeps its rollups (and shard summaries and kernel counters)
 in ``MANIFEST.json``; ``_as_recorded`` lays a shipped directory out as
@@ -29,9 +32,7 @@ scratch copy, each caught within the example budget below: ``flush``
 spooling the deque itself instead of ``list(ring)``; ``Span.record``
 copying ``attrs`` (an update after the close is lost);
 ``Telemetry.finish`` taking the record before it stamps ``end``;
-``EventLog.emit`` numbering from 1. A script does nothing after a persist, so
-``add_snapshot`` registering nothing is caught by the one-record-per-span
-tests in ``test_telemetry_store.py`` instead.
+``EventLog.emit`` numbering from 1.
 
 The golden pins what two control-plane scenarios leave in a persisted
 store: the sha256 of every file, recorded at 16c8b43 in one fresh
@@ -109,6 +110,8 @@ class _FrozenStore(SpanStore):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.configured_dir = None
+        self._live = False
         self.tee = False
         self.tee_spans: list = []
         self.tee_events: list = []
@@ -169,6 +172,52 @@ class _FrozenStore(SpanStore):
         self._flushes += 1
         return written
 
+    def _materialize(self) -> str:
+        if self._dir is None:
+            if self.configured_dir is not None:
+                self._dir = self.configured_dir
+            else:
+                self._tmp = tempfile.TemporaryDirectory(
+                    prefix="repro-telemetry-")
+                self._dir = self._tmp.name
+            os.makedirs(os.path.join(self._dir, SEGMENT_DIR),
+                        exist_ok=True)
+        return self._dir
+
+    def _segment_footer(self, name: str, rtype: str, kind: str, dag: str,
+                        records: list[dict]) -> dict:
+        ts_key = "ts" if rtype == "event" else "end"
+        order_key = "seq" if rtype == "event" else "span_id"
+        times = [r[ts_key] for r in records if r[ts_key] is not None] \
+            or [0.0]
+        return {
+            "type": "footer", "file": name, "rtype": rtype, "kind": kind,
+            "dag": dag, "count": len(records),
+            "min_ts": min(times), "max_ts": max(times),
+            "min_key": min(r[order_key] for r in records),
+            "max_key": max(r[order_key] for r in records),
+        }
+
+    @staticmethod
+    def _write_jsonl_segment(path: str, records: list[dict],
+                             footer: dict) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(json.dumps(record) + "\n")
+            fh.write(json.dumps(footer) + "\n")
+
+    def _write_segment(self, root: str, rtype: str, kind: str, dag: str,
+                       records: list[dict]) -> int:
+        self._segment_seq += 1
+        name = f"seg-{self._segment_seq:06d}.jsonl"
+        footer = self._segment_footer(name, rtype, kind, dag, records)
+        self._write_jsonl_segment(
+            os.path.join(root, SEGMENT_DIR, name), records, footer)
+        entry = dict(footer)
+        entry.pop("type")
+        self._manifest_entries.append(entry)
+        return len(records)
+
     def _write_spool_run(self, root: str, rtype: str,
                          tuples: list[tuple]) -> int:
         self._segment_seq += 1
@@ -183,19 +232,6 @@ class _FrozenStore(SpanStore):
             "min_key": None, "max_key": None,
         })
         return len(tuples)
-
-    def _attach_existing(self, dir: str) -> None:
-        self._dir = dir
-        try:
-            manifest = read_manifest(dir)
-        except OSError:
-            return
-        self._manifest_entries = manifest.get("segments", [])
-        self._segment_seq = manifest.get("next_segment", 0)
-        self._flushed_spans = sum(e["count"] for e in self._manifest_entries
-                                  if e["rtype"] == "span")
-        self._flushed_events = sum(e["count"] for e in self._manifest_entries
-                                   if e["rtype"] == "event")
 
     def _write_manifest(self, root: str) -> None:
         manifest = {
@@ -321,11 +357,8 @@ def _scripts(draw):
     return {
         "ring_spans": draw(st.integers(1, 16)),
         "ring_events": draw(st.integers(1, 16)),
-        "live": draw(st.booleans()),
         "ops": draw(st.lists(_OP, max_size=60)),
         "persist": draw(st.booleans()),
-        "tail": draw(st.lists(st.tuples(st.sampled_from(_EVENT_KINDS),
-                                        st.integers(0, 9)), max_size=8)),
     }
 
 
@@ -342,11 +375,8 @@ class _Sides:
     def __init__(self, script, root):
         opts = {key: script[key] for key in ("ring_spans", "ring_events")}
         self.root = root
-        self.dirs = {side: os.path.join(root, side) if script["live"]
-                     else None for side in ("shipped", "frozen")}
-        self.tel = Telemetry(store_opts={"dir": self.dirs["shipped"],
-                                         **opts})
-        self.store = _FrozenStore(dir=self.dirs["frozen"], **opts)
+        self.tel = Telemetry(store_opts=opts)
+        self.store = _FrozenStore(**opts)
         self.log = _FrozenLog(sink=self.store)
         self.open = []       # (shipped span, frozen span) in open order
         self.closed = []
@@ -432,8 +462,6 @@ def _as_recorded(tree: dict, env=None) -> dict:
     kernel's), ``shards`` as ``shards.json``, each rollup as
     ``rollups/<safe dag id>.json``, and a manifest without those three
     keys whose ``dropped_spans`` and ``dropped_events`` are 0."""
-    if MANIFEST_NAME not in tree:       # a live store yet to flush
-        return tree
     tree = dict(tree)
     manifest = json.loads(tree[MANIFEST_NAME])
     kernel = manifest.pop("kernel")
@@ -469,40 +497,19 @@ def test_the_record_path_writes_what_the_object_path_wrote(script):
             sides.apply(step, op)
         shipped, frozen = sides.tel.spanstore, sides.store
         assert sides.counters()[0] == sides.counters()[1]
-        if script["live"]:
-            assert _as_recorded(_tree(sides.dirs["shipped"])) == \
-                _tree(sides.dirs["frozen"])
-        elif shipped.spool_dir is not None:
-            assert _spool_runs(shipped) == _spool_runs(frozen)
         if not script["persist"]:
-            shipped.close()
-            frozen.close()
+            shipped.flush()
+            frozen.flush()
             assert sides.counters()[0] == sides.counters()[1]
-            if script["live"]:
-                assert _as_recorded(_tree(sides.dirs["shipped"])) == \
-                    _tree(sides.dirs["frozen"])
-            elif shipped.spool_dir is not None:
+            if shipped.spool_dir is not None:
                 assert _spool_runs(shipped) == _spool_runs(frozen)
             shipped.discard()
             frozen.discard()
             return
+        if shipped.spool_dir is not None:
+            assert _spool_runs(shipped) == _spool_runs(frozen)
         targets = sides.persist()
         assert sides.counters()[0] == sides.counters()[1]
-        assert _as_recorded(_tree(targets["shipped"])) == \
-            _tree(targets["frozen"])
-        # Reopen and append: the same records land the same way.
-        again = {"shipped": SpanStore(dir=targets["shipped"]),
-                 "frozen": _FrozenStore(dir=targets["frozen"])}
-        logs = {"shipped": EventLog(sink=again["shipped"]),
-                "frozen": _FrozenLog(sink=again["frozen"])}
-        for step, (kind, value) in enumerate(script["tail"]):
-            logs["shipped"].emit(kind, float(step), _attrs("dag#1", value))
-            logs["frozen"].emit(kind, float(step), **_attrs("dag#1", value))
-        for store in again.values():
-            store.close()
-        assert [store.span_count for store in again.values()] == \
-            [shipped.span_count] * 2
-        assert again["shipped"].event_count == again["frozen"].event_count
         assert _as_recorded(_tree(targets["shipped"])) == \
             _tree(targets["frozen"])
 

@@ -2,11 +2,12 @@
 
 Three layers of coverage:
 
-* **Store mechanics** — spool runs vs live JSONL segments, manifest
-  wildcards and persist-time compaction, the lossless ring flush,
-  reopening a persisted directory, ``discard()``, and the one run
-  artefact: ``MANIFEST.json`` (with the run's kernel counters, shard
-  summaries and rollups) plus ``segments/``, checked key by key.
+* **Store mechanics** — spool runs, manifest wildcards and
+  persist-time compaction, the lossless ring flush, ``discard()``, a
+  store written once (nothing reaches it after ``persist``), and the
+  one run artefact: ``MANIFEST.json`` (with the run's kernel counters,
+  shard summaries and rollups) plus ``segments/``, checked key by key
+  and for its write-once layout.
 * **Equivalence on the figure benchmarks** — a test-local recorder
   keeps every record the store is handed in memory alongside the
   bounded path, so every figure workload asserts that the partitioned
@@ -150,41 +151,6 @@ def test_persist_compacts_runs_into_partitioned_jsonl(tmp_path):
     assert normalize(store.iter_event_records()) == before_events
 
 
-def test_live_store_is_jsonl_and_tails_manifest_each_flush(tmp_path):
-    target = str(tmp_path / "live")
-    store = SpanStore(dir=target, ring_spans=4, ring_events=4)
-    fill(store, 9, 9)
-    # Mid-run (not closed): a reader can already discover every
-    # flushed segment through the on-disk manifest.
-    manifest = read_manifest(target)
-    assert manifest["closed"] is False
-    assert manifest["segments"]
-    assert all(e["file"].endswith(".jsonl") and e["kind"] != "*"
-               for e in manifest["segments"])
-    store.close()
-    assert read_manifest(target)["closed"] is True
-    assert check_store(target) == []
-
-
-def test_reopen_persisted_store_appends_without_collisions(tmp_path):
-    target = str(tmp_path / "store")
-    first = SpanStore(ring_spans=4, ring_events=4)
-    fill(first, 6, 6)
-    first.persist(target, NO_RUN)
-
-    again = SpanStore(dir=target)
-    assert again.span_count == 6 and again.event_count == 6
-    for i in range(6, 9):
-        again.add_span(mk_span(i + 1))
-        again.add_event(mk_event(i))
-    again.close()
-    assert again.span_count == 9 and again.event_count == 9
-    names = [e["file"] for e in read_manifest(target)["segments"]]
-    assert len(names) == len(set(names))
-    assert check_store(target) == []
-    assert [r["seq"] for r in again.iter_event_records()] == list(range(9))
-
-
 def test_discard_drops_the_private_spool():
     store = SpanStore(ring_spans=2)
     for i in range(4):
@@ -196,77 +162,83 @@ def test_discard_drops_the_private_spool():
     assert not os.path.isdir(spool)
 
 
-# ================================================ one record per span
-def _warm_session():
-    """A session AM holding 4 prewarmed containers: the session span
-    and one span per container stay open until the session stops."""
-    from helpers import make_sim
-    from repro.tez import TezConfig
+# ================================================== written once
+def _tree(root):
+    """relative path -> bytes of every file under ``root``."""
+    out = {}
+    for folder, _dirs, files in os.walk(root):
+        for name in files:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+def test_a_run_goes_on_after_persist_without_touching_the_store(tmp_path):
+    """persist_store() mid-DAG, with shuffle fetches in flight, ends the
+    recording: the open spans are stored as they stand, the simulation
+    runs on to a second DAG without raising, and the directory keeps
+    every byte. A second persist raises."""
+    from helpers import SG, edge, fn_vertex, make_sim
+    from repro.tez import DAG, TezConfig
+
+    def shuffle_dag(name):
+        producer = fn_vertex(
+            "m", lambda c, d: {"r": [(p, 1) for p in range(8)]}, 8)
+        consumer = fn_vertex("r", lambda c, d: {}, 8)
+        dag = DAG(name).add_vertex(producer).add_vertex(consumer)
+        return dag.add_edge(edge(producer, consumer, SG))
+
     sim = make_sim()
+    tel = sim.telemetry
     client = sim.tez_client("s", session=True, config=TezConfig(
         container_idle_timeout=1e9, session_idle_timeout=1e9))
     client.start()
-    client.prewarm(4)
-    sim.env.run(until=sim.env.now + 30.0)
-    return sim, client
-
-
-def _stored_span_ids(store_dir):
-    return [rec["span_id"] for rec in
-            TimelineStore.open(store_dir).spanstore.iter_span_records()]
-
-
-def test_a_span_persisted_open_is_stored_once_after_it_closes(tmp_path):
-    """persist_store() snapshots every open span; the span's close
-    replaces the snapshot, so the store holds one record per span id -
-    the closed one - and span_count counts spans."""
-    sim, client = _warm_session()
-    tel = sim.telemetry
+    first = client.submit_dag(shuffle_dag("first"))
+    while not any(span.kind == "fetch" for span in tel.tracer.open_spans()):
+        assert not first.completion.triggered, "no fetch was in flight"
+        sim.env.run(until=sim.env.now + 0.01)
     open_ids = {span.span_id for span in tel.tracer.open_spans()}
-    assert len(open_ids) >= 5
     target = str(tmp_path / "store")
     tel.persist_store(target)
-    live = [span.span_id for span in tel.store.spans()]
-    assert sorted(live) == sorted(set(live)) and open_ids <= set(live)
-    client.stop()
-    sim.env.run(until=sim.env.now + 60.0)
-    assert not open_ids & {span.span_id for span in tel.tracer.open_spans()}
-    tel.close()
-    ids = _stored_span_ids(target)
-    assert sorted(ids) == sorted(set(ids))
-    assert tel.spanstore.span_count == len(ids)
-    assert open_ids <= set(ids)
-    assert all(rec["end"] is not None for rec in
-               TimelineStore.open(target).spanstore.iter_span_records()
-               if rec["span_id"] in open_ids)
+    persisted = _tree(target)
+    stored = {rec["span_id"]: rec for rec in
+              TimelineStore.open(target).spanstore.iter_span_records()}
+    assert open_ids <= set(stored)
+    assert all(stored[i]["end"] is None for i in open_ids)
     assert check_store(target) == []
 
-
-def test_a_span_persisted_open_twice_keeps_its_latest_snapshot(tmp_path):
-    sim, _client = _warm_session()
-    tel = sim.telemetry
-    session = tel.tracer.select(kind="session")[0]
-    target = str(tmp_path / "store")
-    tel.persist_store(target)
-    session.attrs["mark"] = "second"
-    tel.persist_store(target)
-    ids = _stored_span_ids(target)
-    assert sorted(ids) == sorted(set(ids))
-    assert tel.spanstore.span_count == len(ids)
-    (rec,) = [r for r in TimelineStore.open(target).spanstore
-              .iter_span_records(kind="session")]
-    assert rec["end"] is None and rec["attrs"]["mark"] == "second"
+    sim.env.run(until=first.completion)
+    second = client.submit_dag(shuffle_dag("second"))
+    sim.env.run(until=second.completion)
+    client.stop()
+    sim.env.run(until=sim.env.now + 60.0)
+    assert first.status.succeeded and second.status.succeeded
+    assert _tree(target) == persisted
+    with pytest.raises(RuntimeError):
+        tel.persist_store(target)
+    assert _tree(target) == persisted
     assert check_store(target) == []
 
 
 def test_store_check_fails_on_a_duplicate_span_id(tmp_path, capsys):
     from repro.telemetry.check import main as check_main
     target = str(tmp_path / "store")
-    store = SpanStore(dir=target, ring_spans=2)
+    store = SpanStore(ring_spans=8)
     store.add_span(mk_span(1, kind="vertex"))
-    store.add_span(mk_span(2))
-    store.add_span(mk_span(1, kind="vertex", end_offset=2.0))
-    store.close()
+    store.add_span(mk_span(2, kind="vertex", end_offset=2.0))
+    store.persist(target, NO_RUN)
+    # Inject the duplicate into the persisted segment: span 2's record
+    # takes span 1's id, inside the footer's key range.
+    (entry,) = read_manifest(target)["segments"]
+    path = os.path.join(target, "segments", entry["file"])
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    record = json.loads(lines[1])
+    record["span_id"] = 1
+    lines[1] = json.dumps(record)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     problems = check_store(target)
     assert len(problems) == 1 and "span_id 1 stored twice" in problems[0]
     assert check_main(["--store", target]) == 1
@@ -313,14 +285,6 @@ def test_a_persisted_store_is_the_manifest_and_its_segments(tmp_path):
     assert set(manifest["rollups"]) == set(sim.telemetry.store.dag_ids())
     assert [s["client"] for s in manifest["shards"]] == ["c0", "c0"]
     assert manifest["kernel"]["heap_pushes"] == sim.env.heap_pushes
-    assert check_store(target) == []
-    # Reopened and appended to, the store keeps what the run said.
-    again = SpanStore(dir=target)
-    again.add_event(mk_event(10**6))
-    again.close()
-    reread = read_manifest(target)
-    assert {key: reread[key] for key in NO_RUN} == \
-        {key: manifest[key] for key in NO_RUN}
     assert check_store(target) == []
     # Without an environment or shard clients the keys are still there.
     bare = Telemetry()
@@ -388,6 +352,23 @@ def test_store_check_validates_every_manifest_key(sharded_store, tmp_path,
                                                    edit, expect):
     problems = _problems_after(sharded_store, tmp_path, edit)
     assert problems and all("MANIFEST.json" in p for p in problems)
+    assert any(expect in p for p in problems), problems
+
+
+_SPOOL_RUN = {"file": "seg-999999.pkl", "rtype": "event", "kind": "*",
+              "dag": "*", "count": 1, "min_ts": None, "max_ts": None,
+              "min_key": None, "max_key": None}
+
+
+@pytest.mark.parametrize("edit, expect", [
+    (lambda m: m.update(closed=False), "MANIFEST.json: not closed"),
+    (lambda m: m["segments"].append(_SPOOL_RUN),
+     "seg-999999.pkl: a spool run"),
+    (lambda m: m["segments"][0].update(dag="*"), ": wildcard partition"),
+])
+def test_store_check_enforces_the_write_once_layout(sharded_store, tmp_path,
+                                                    edit, expect):
+    problems = _problems_after(sharded_store, tmp_path, edit)
     assert any(expect in p for p in problems), problems
 
 
@@ -644,5 +625,4 @@ def test_store_is_bounded_and_lossless_and_moves_nothing():
     store = sim.telemetry.spanstore
     assert store.peak_resident <= 2 * ring
     assert store.flushes >= 1
-    sim.telemetry.close()
     store.discard()
