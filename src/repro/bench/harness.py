@@ -118,12 +118,10 @@ def capacity_trace(sim, interval: float = 2.0,
 
 
 def telemetry_notes(sim, max_dags: int = 3) -> list[str]:
-    """Digest of a SimCluster's telemetry timeline for table notes:
-    one aggregate line, then the slowest ``max_dags`` DAG one-liners."""
-    from ..telemetry import summarize_session
-
-    store = sim.telemetry.store
-    summaries = summarize_session(store, with_critical_path=False)
+    """Digest of a SimCluster's telemetry for table notes: one
+    aggregate line, then the slowest ``max_dags`` DAG one-liners, read
+    from the rollups the run already folded."""
+    summaries = sim.telemetry.rollups.summaries(with_critical_path=False)
     if not summaries:
         return []
     notes = [

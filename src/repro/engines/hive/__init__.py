@@ -1,8 +1,8 @@
 """Mini-Hive (paper 5.2): SQL subset, CBO, Tez and MapReduce backends."""
 
 from .catalog import Catalog, TableMeta
-from .compiler_mr import HiveMRConfig, MRCompiler
-from .compiler_tez import HiveTezConfig, TezCompiler
+from .compiler_mr import MRCompiler
+from .compiler_tez import TezCompiler
 from .optimizer import Optimizer, OptimizerConfig
 from .parser import ParseError, parse
 from .plan import (
@@ -24,9 +24,7 @@ __all__ = [
     "Aggregate",
     "Catalog",
     "Filter",
-    "HiveMRConfig",
     "HiveSession",
-    "HiveTezConfig",
     "Join",
     "Limit",
     "MRCompiler",

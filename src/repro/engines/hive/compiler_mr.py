@@ -12,7 +12,6 @@ MapReduce" the paper describes in 5.2.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Optional
@@ -35,17 +34,11 @@ from .plan import (
     Project,
     Scan,
     Sort,
+    reducers_for,
 )
 from .reference import rows_from_tuples, sort_rows
 
-__all__ = ["MRCompiler", "HiveMRConfig", "CompiledMRQuery"]
-
-
-@dataclass
-class HiveMRConfig:
-    bytes_per_reducer: int = 64 * 1024 * 1024
-    max_reducers: int = 64
-    tmp_path: str = "/tmp/hive_mr"
+__all__ = ["MRCompiler", "CompiledMRQuery"]
 
 
 class _Pending:
@@ -72,9 +65,8 @@ class CompiledMRQuery:
 
 
 class MRCompiler:
-    def __init__(self, catalog, config: Optional[HiveMRConfig] = None):
+    def __init__(self, catalog):
         self.catalog = catalog
-        self.config = config or HiveMRConfig()
         self._seq = itertools.count(1)
         self._jobs: list[MRJob] = []
         self._query_id = 0
@@ -84,7 +76,7 @@ class MRCompiler:
                 output_path: Optional[str] = None) -> CompiledMRQuery:
         self._jobs = []
         self._query_id += 1
-        self._tmp_base = f"{self.config.tmp_path}/{query_name}_{self._query_id}"
+        self._tmp_base = f"/tmp/hive_mr/{query_name}_{self._query_id}"
         output_path = output_path or f"{self._tmp_base}/final"
         pending = self._build(plan)
         columns = plan.output_columns()
@@ -94,12 +86,6 @@ class MRCompiler:
     # -------------------------------------------------------- utilities
     def _tmp(self, label: str) -> str:
         return f"{self._tmp_base}/{label}_{next(self._seq)}"
-
-    def _reducers(self, est_bytes: float) -> int:
-        return max(1, min(
-            self.config.max_reducers,
-            math.ceil(est_bytes / self.config.bytes_per_reducer),
-        ))
 
     def _job(self, label: str, sides: list, out: str, **fields) -> None:
         """One MR job over map-side ``sides`` (see :func:`_sides`)."""
@@ -151,7 +137,7 @@ class MRCompiler:
         right = self._build(node.right)
         out = self._tmp("join")
         est = node.left.estimated_bytes + node.right.estimated_bytes
-        reducers = self._reducers(est)
+        reducers = reducers_for(est)
         lk, rk = node.left_key, node.right_key
         padding = dict.fromkeys(node.right.output_columns()) \
             if node.how == "left" else None
@@ -190,7 +176,7 @@ class MRCompiler:
         pending = self._build(node.child)
         out = self._tmp("agg")
         group_items, aggs = node.group_items, node.aggs
-        reducers = 1 if not group_items else self._reducers(
+        reducers = 1 if not group_items else reducers_for(
             max(node.estimated_bytes, node.child.estimated_bytes / 4)
         )
 

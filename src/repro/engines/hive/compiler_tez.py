@@ -17,8 +17,6 @@ exploits exactly the Tez features the paper credits for Hive's gains:
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from typing import Any, Callable, Optional
@@ -37,6 +35,7 @@ from ..lowering import (
 from .aggregates import merge_aggregate_groups, partial_aggregate
 from .fragments import InputLeaf, execute_fragment
 from .plan import (
+    BYTES_PER_REDUCER,
     Aggregate,
     Filter,
     Join,
@@ -45,25 +44,16 @@ from .plan import (
     Project,
     Scan,
     Sort,
+    reducers_for,
 )
 from .reference import rows_from_tuples, sort_rows
 
-__all__ = ["TezCompiler", "HiveTezConfig"]
-
-
-@dataclass
-class HiveTezConfig:
-    bytes_per_reducer: int = 64 * 1024 * 1024
-    max_reducers: int = 64
-    auto_parallelism: bool = True
-    output_path: str = "/tmp/hive"
-    scan_waves: int = 1
+__all__ = ["TezCompiler"]
 
 
 class TezCompiler:
-    def __init__(self, catalog, config: Optional[HiveTezConfig] = None):
+    def __init__(self, catalog):
         self.catalog = catalog
-        self.config = config or HiveTezConfig()
         self._seq = itertools.count(1)
         self._stages: list[Stage] = []
 
@@ -73,9 +63,7 @@ class TezCompiler:
                 ) -> tuple[DAG, list[str], str]:
         """Returns (dag, output column names, output HDFS path)."""
         self._stages = []
-        output_path = output_path or (
-            f"{self.config.output_path}/{dag_name}"
-        )
+        output_path = output_path or f"/tmp/hive/{dag_name}"
         stage, frag = self._build(plan)
         stage.combine = _run(frag)
         columns = plan.output_columns()
@@ -89,12 +77,6 @@ class TezCompiler:
         stage = Stage(f"{label}_{next(self._seq)}", parallelism)
         self._stages.append(stage)
         return stage
-
-    def _reducers(self, est_bytes: float) -> int:
-        return max(1, min(
-            self.config.max_reducers,
-            math.ceil(est_bytes / self.config.bytes_per_reducer),
-        ))
 
     # -------------------------------------------------------- compilation
     def _build(self, node: PlanNode) -> tuple[Stage, PlanNode]:
@@ -135,7 +117,7 @@ class TezCompiler:
             paths = [table.path]
         init_payload: dict[str, Any] = {
             "paths": paths,
-            "waves": self.config.scan_waves,
+            "waves": 1,
         }
         if node.dpp is not None and table.partitions:
             init_payload["wait_for_pruning_events"] = 1
@@ -199,8 +181,8 @@ class TezCompiler:
         left_stage.combine = _run(left_frag)
         right_stage.combine = _run(right_frag)
         est = node.left.estimated_bytes + node.right.estimated_bytes
-        join_stage = self._new_stage("join", self._reducers(est))
-        join_stage.manager = shuffle_manager(self.config)
+        join_stage = self._new_stage("join", reducers_for(est))
+        join_stage.manager = shuffle_manager(BYTES_PER_REDUCER)
 
         def emit_keyed(key_expr):
             key_of = key_expr.compile()
@@ -233,12 +215,12 @@ class TezCompiler:
         group_items = node.group_items
         aggs = node.aggs
         est = node.estimated_bytes
-        parallelism = 1 if not group_items else self._reducers(
+        parallelism = 1 if not group_items else reducers_for(
             max(est, node.child.estimated_bytes / 4)
         )
         stage = self._new_stage("agg", parallelism)
         if group_items:
-            stage.manager = shuffle_manager(self.config)
+            stage.manager = shuffle_manager(BYTES_PER_REDUCER)
 
         def emit_partial(ctx, rows, _g=group_items, _a=aggs):
             return partial_aggregate(rows, _g, _a)

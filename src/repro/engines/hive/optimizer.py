@@ -54,8 +54,6 @@ class OptimizerConfig:
     enable_partition_pruning: bool = True
     enable_dynamic_partition_pruning: bool = True
     enable_predicate_pushdown: bool = True
-    enable_column_pruning: bool = True
-    agg_reduction_factor: float = 10.0
 
 
 def _split_conjuncts(expr: Expr) -> list[Expr]:
@@ -113,8 +111,7 @@ class Optimizer:
             plan = self._push_predicates(plan)
         if self.config.enable_partition_pruning:
             self._prune_partitions(plan)
-        if self.config.enable_column_pruning:
-            self._prune_columns(plan)
+        self._prune_columns(plan)
         self._annotate_stats(plan)
         self._choose_join_strategies(plan)
         if self.config.enable_dynamic_partition_pruning:
@@ -275,10 +272,8 @@ class Optimizer:
         elif isinstance(node, Aggregate):
             child = node.child
             if node.group_items:
-                node.estimated_rows = max(
-                    1.0,
-                    child.estimated_rows / self.config.agg_reduction_factor,
-                )
+                # A grouping is assumed to keep one row in ten.
+                node.estimated_rows = max(1.0, child.estimated_rows / 10.0)
             else:
                 node.estimated_rows = 1.0
             node.estimated_row_bytes = 16.0 * max(

@@ -10,6 +10,7 @@ difference them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -34,8 +35,13 @@ from .catalog import Catalog, TableMeta
 
 __all__ = [
     "PlanNode", "Scan", "Filter", "Project", "Join", "Aggregate",
-    "Sort", "Limit", "build_plan", "PlanError", "expr_key",
+    "Sort", "Limit", "build_plan", "PlanError", "expr_key", "reducers_for",
 ]
+
+# Reducer sizing, read by both compilers: one reducer per 64 MiB of
+# estimated shuffle input, at most 64.
+BYTES_PER_REDUCER = 64 * 1024 * 1024
+MAX_REDUCERS = 64
 
 
 class PlanError(ValueError):
@@ -45,6 +51,10 @@ class PlanError(ValueError):
 def expr_key(expr: Expr) -> str:
     """Canonical name for an expression (used for matching/rewrite)."""
     return _expr_repr(expr)
+
+
+def reducers_for(est_bytes: float) -> int:
+    return max(1, min(MAX_REDUCERS, math.ceil(est_bytes / BYTES_PER_REDUCER)))
 
 
 _node_ids = itertools.count(1)

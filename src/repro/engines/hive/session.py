@@ -21,8 +21,8 @@ from ...harness import SimCluster
 from ...tez import TezClient, TezConfig
 from ..mapreduce.yarn_runner import MapReduceYarnRunner
 from .catalog import Catalog
-from .compiler_mr import HiveMRConfig, MRCompiler
-from .compiler_tez import HiveTezConfig, TezCompiler
+from .compiler_mr import MRCompiler
+from .compiler_tez import TezCompiler
 from .optimizer import Optimizer, OptimizerConfig
 from .parser import parse
 from .plan import PlanNode, build_plan
@@ -60,8 +60,6 @@ class HiveSession:
         catalog: Optional[Catalog] = None,
         backend: str = "tez",
         optimizer_config: Optional[OptimizerConfig] = None,
-        tez_config: Optional[HiveTezConfig] = None,
-        mr_config: Optional[HiveMRConfig] = None,
         tez_framework_config: Optional[TezConfig] = None,
         queue: str = "default",
     ):
@@ -71,8 +69,8 @@ class HiveSession:
         self.catalog = catalog or Catalog()
         self.backend = backend
         self.optimizer = Optimizer(optimizer_config)
-        self.tez_compiler = TezCompiler(self.catalog, tez_config)
-        self.mr_compiler = MRCompiler(self.catalog, mr_config)
+        self.tez_compiler = TezCompiler(self.catalog)
+        self.mr_compiler = MRCompiler(self.catalog)
         self._query_seq = 0
         self._tez_client: Optional[TezClient] = None
         self._tez_framework_config = tez_framework_config

@@ -119,12 +119,13 @@ class Exchange:
     partitioner: Optional[Any] = None
 
 
-def shuffle_manager(config) -> Descriptor:
-    """The ShuffleVertexManager of a shuffle consumer, as a front-end's
-    ``config`` (``auto_parallelism``, ``bytes_per_reducer``) asks."""
+def shuffle_manager(bytes_per_reducer: int,
+                    auto_parallelism: bool = True) -> Descriptor:
+    """The ShuffleVertexManager of a shuffle consumer that wants
+    ``bytes_per_reducer`` of input per task."""
     return Descriptor(ShuffleVertexManager, ShuffleVertexManagerConfig(
-        auto_parallelism=config.auto_parallelism,
-        desired_task_input_bytes=config.bytes_per_reducer,
+        auto_parallelism=auto_parallelism,
+        desired_task_input_bytes=bytes_per_reducer,
     ))
 
 

@@ -1,6 +1,6 @@
 """Mini-Pig (paper 5.3): ETL dataflows on Tez and MapReduce."""
 
-from .compiler_mr import PigMRCompiler, PigMRConfig, run_pig_on_mr
+from .compiler_mr import PigMRCompiler, run_pig_on_mr
 from .compiler_tez import (
     IndexPartitioner,
     PartitionerDefinedVertexManager,
@@ -15,7 +15,6 @@ __all__ = [
     "IndexPartitioner",
     "PartitionerDefinedVertexManager",
     "PigMRCompiler",
-    "PigMRConfig",
     "PigResult",
     "PigRunner",
     "PigScript",

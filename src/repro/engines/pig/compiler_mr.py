@@ -19,7 +19,6 @@ workflow).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Callable, Generator, Optional
 
@@ -27,7 +26,7 @@ from ...shuffle import RangePartitioner
 from ...shuffle.sorter import sort_key
 from ..mapreduce.model import MRJob, map_side_job
 from ..mapreduce.yarn_runner import MapReduceYarnRunner
-from .model import PigScript, Relation
+from .model import DEFAULT_PARALLEL, SAMPLE_RATE, PigScript, Relation
 from .reference import (
     key_tuples,
     order_rows,
@@ -37,14 +36,7 @@ from .reference import (
     state_merger,
 )
 
-__all__ = ["PigMRCompiler", "PigMRConfig", "run_pig_on_mr"]
-
-
-@dataclass
-class PigMRConfig:
-    default_parallel: int = 4
-    sample_rate: int = 10
-    tmp_base: str = "/tmp/pig_mr"
+__all__ = ["PigMRCompiler", "run_pig_on_mr"]
 
 
 class _Pending:
@@ -62,8 +54,7 @@ JobStep = Callable[[Any], MRJob]
 
 
 class PigMRCompiler:
-    def __init__(self, config: Optional[PigMRConfig] = None):
-        self.config = config or PigMRConfig()
+    def __init__(self):
         self._seq = itertools.count(1)
 
     def compile(self, script: PigScript) -> list[JobStep]:
@@ -80,7 +71,7 @@ class PigMRCompiler:
     # ------------------------------------------------------------ helpers
     def _tmp(self, label: str, seq: Optional[int] = None) -> str:
         seq = next(self._seq) if seq is None else seq
-        return f"{self.config.tmp_base}/{self._script_tag}/{label}_{seq}"
+        return f"/tmp/pig_mr/{self._script_tag}/{label}_{seq}"
 
     def _job(self, label: str, feeds: list[tuple[_Pending, Callable]],
              out: str, **fields) -> None:
@@ -172,7 +163,7 @@ class PigMRCompiler:
             }]
 
         self._job("group", [(pending, emit)], out, reducer=reducer,
-                  num_reducers=self.config.default_parallel)
+                  num_reducers=DEFAULT_PARALLEL)
         return _Pending([(out, _identity_rows)], [])
 
     def _build_aggregate(self, rel: Relation) -> _Pending:
@@ -192,7 +183,7 @@ class PigMRCompiler:
         def combiner(key, states):
             return [(key, tuple(merge_states(states)))]
 
-        reducers = self.config.default_parallel if keys else 1
+        reducers = DEFAULT_PARALLEL if keys else 1
         self._job("agg", [(pending, emit)], out, reducer=reducer,
                   num_reducers=reducers, combiner=combiner)
         return _Pending([(out, _identity_rows)], [])
@@ -209,7 +200,7 @@ class PigMRCompiler:
             return [dict(zip(_s, key))]
 
         self._job("distinct", [(pending, emit)], out, reducer=reducer,
-                  num_reducers=self.config.default_parallel)
+                  num_reducers=DEFAULT_PARALLEL)
         return _Pending([(out, _identity_rows)], [])
 
     def _build_join(self, rel: Relation) -> _Pending:
@@ -243,7 +234,7 @@ class PigMRCompiler:
         self._job(
             "join",
             [(left, emit_side("L", lk)), (right, emit_side("R", rk))],
-            out, reducer=reducer, num_reducers=self.config.default_parallel,
+            out, reducer=reducer, num_reducers=DEFAULT_PARALLEL,
         )
         return _Pending([(out, _identity_rows)], [])
 
@@ -258,7 +249,7 @@ class PigMRCompiler:
         keys = rel.params["keys"]
         ascending = rel.params["ascending"]
         parallel = rel.params["parallel"]
-        rate = self.config.sample_rate
+        rate = SAMPLE_RATE
         sample_out = self._tmp("sample")
 
         def sample_emit(rows, _k=keys, _r=rate):
@@ -353,14 +344,14 @@ def _pipeline(decoder: Callable, ops: list[Callable]) -> Callable:
     return to_rows
 
 
-def run_pig_on_mr(script: PigScript, runner: MapReduceYarnRunner,
-                  config: Optional[PigMRConfig] = None) -> Generator:
+def run_pig_on_mr(script: PigScript,
+                  runner: MapReduceYarnRunner) -> Generator:
     """Process: compile and run a script on MapReduce.
 
     Returns {store path: rows-as-tuples} plus per-job results on the
     generator's return value: (outputs, job_results).
     """
-    compiler = PigMRCompiler(config)
+    compiler = PigMRCompiler()
     steps = compiler.compile(script)
     results = []
     for step in steps:

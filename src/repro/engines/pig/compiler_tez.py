@@ -41,7 +41,7 @@ from ..lowering import (
     to_dag,
     tuple_sink,
 )
-from .model import PigScript, Relation
+from .model import DEFAULT_PARALLEL, SAMPLE_RATE, PigScript, Relation
 from .reference import (
     hash_join,
     key_tuples,
@@ -57,8 +57,8 @@ __all__ = ["PigTezCompiler", "PigTezConfig",
 
 @dataclass
 class PigTezConfig:
-    default_parallel: int = 4
-    sample_rate: int = 10          # 1-in-N sampling for order/skew
+    default_parallel: int = DEFAULT_PARALLEL
+    sample_rate: int = SAMPLE_RATE
     auto_parallelism: bool = True
     bytes_per_reducer: int = 64 * 1024 * 1024
     output_base: str = "/tmp/pig"
@@ -121,6 +121,10 @@ class PigTezCompiler:
     def __init__(self, config: Optional[PigTezConfig] = None):
         self.config = config or PigTezConfig()
         self._seq = itertools.count(1)
+
+    def _shuffle_manager(self) -> Descriptor:
+        return shuffle_manager(self.config.bytes_per_reducer,
+                               self.config.auto_parallelism)
 
     # ------------------------------------------------------------- public
     def compile(self, script: PigScript) -> tuple[DAG, dict[str, str]]:
@@ -223,7 +227,7 @@ class PigTezCompiler:
         producer = self._build(rel.parents[0])
         keys = rel.params["keys"]
         stage = self._new_stage("group", self.config.default_parallel)
-        stage.manager = shuffle_manager(self.config)
+        stage.manager = self._shuffle_manager()
 
         def emit(ctx, rows, _k=keys):
             return list(zip(key_tuples(rows, _k), rows))
@@ -247,7 +251,7 @@ class PigTezCompiler:
         parallelism = self.config.default_parallel if keys else 1
         stage = self._new_stage("agg", parallelism)
         if keys:
-            stage.manager = shuffle_manager(self.config)
+            stage.manager = self._shuffle_manager()
 
         def emit(ctx, rows, _k=keys, _a=aggs):
             return partial_aggregate_states(rows, _k, _a)
@@ -266,7 +270,7 @@ class PigTezCompiler:
         producer = self._build(rel.parents[0])
         schema = list(rel.schema)
         stage = self._new_stage("distinct", self.config.default_parallel)
-        stage.manager = shuffle_manager(self.config)
+        stage.manager = self._shuffle_manager()
 
         def emit(ctx, rows, _s=schema):
             return list(zip(key_tuples(rows, _s), repeat(None)))
@@ -307,7 +311,7 @@ class PigTezCompiler:
         left = self._build(rel.parents[0])
         right = self._build(rel.parents[1])
         stage = self._new_stage("join", self.config.default_parallel)
-        stage.manager = shuffle_manager(self.config)
+        stage.manager = self._shuffle_manager()
         lk, rk = rel.params["left_keys"], rel.params["right_keys"]
 
         def emit_keys(keys):

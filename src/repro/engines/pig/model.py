@@ -20,6 +20,11 @@ __all__ = ["PigScript", "Relation", "AGG_FUNCS"]
 
 AGG_FUNCS = ("count", "sum", "avg", "min", "max")
 
+# Read by both compilers: every shuffle runs Pig's default parallelism,
+# and ORDER BY and skewed joins sample one row in ``SAMPLE_RATE``.
+DEFAULT_PARALLEL = 4
+SAMPLE_RATE = 10
+
 
 class Relation:
     """One node of the dataflow DAG."""

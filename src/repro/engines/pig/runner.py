@@ -8,8 +8,8 @@ from typing import Generator, Optional
 from ...harness import SimCluster
 from ...tez import TezClient
 from ..mapreduce.yarn_runner import MapReduceYarnRunner
-from .compiler_mr import PigMRCompiler, PigMRConfig, run_pig_on_mr
-from .compiler_tez import PigTezCompiler, PigTezConfig
+from .compiler_mr import run_pig_on_mr
+from .compiler_tez import PigTezCompiler
 from .model import PigScript
 from .reference import execute_script
 
@@ -30,12 +30,8 @@ class PigRunner:
     """Runs Pig scripts against the simulated cluster."""
 
     def __init__(self, sim: SimCluster,
-                 tez_config: Optional[PigTezConfig] = None,
-                 mr_config: Optional[PigMRConfig] = None,
                  tez_client: Optional[TezClient] = None):
         self.sim = sim
-        self.tez_config = tez_config or PigTezConfig()
-        self.mr_config = mr_config or PigMRConfig()
         self._tez_client = tez_client
         self._mr_runner = MapReduceYarnRunner(
             sim.env, sim.rm, sim.hdfs, sim.shuffle
@@ -68,8 +64,7 @@ class PigRunner:
             yield self.sim.env.timeout(0)
             return PigResult(script.name, backend, 0.0, outputs, jobs=0)
         if backend == "tez":
-            compiler = PigTezCompiler(self.tez_config)
-            dag, _outs = compiler.compile(script)
+            dag, _outs = PigTezCompiler().compile(script)
             status = yield from self.tez_client.run_dag(dag)
             if not status.succeeded:
                 raise RuntimeError(
@@ -85,7 +80,7 @@ class PigRunner:
             )
         if backend == "mr":
             outputs, results = yield from run_pig_on_mr(
-                script, self._mr_runner, self.mr_config
+                script, self._mr_runner
             )
             return PigResult(
                 script.name, backend, self.sim.env.now - start,

@@ -15,6 +15,7 @@ so legacy call sites (``am.metrics["reexecutions"] += 1``,
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, MutableMapping, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -144,9 +145,8 @@ class Histogram:
         if not self.samples:
             return 0.0
         ordered = sorted(self.samples)
-        rank = max(0, min(len(ordered) - 1,
-                          round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+        rank = max(1, math.ceil(q * len(ordered) / 100.0))
+        return ordered[rank - 1]
 
     def __repr__(self) -> str:
         return f"<Histogram {self.name} n={self.count} mean={self.mean:.3f}>"

@@ -59,13 +59,6 @@ from .vm_context import _VMContext
 
 __all__ = ["DAGAppMaster", "DAGStatus", "RecoveryJournal", "DagAbort"]
 
-# DAGs whose created-task total stays below this run without the
-# per-tick exit batching. Selected from the task count the AM observes;
-# both sides produce identical makespans and rows, but batched exits
-# reorder journal records within a tick, and the control-plane and
-# recovery goldens were recorded with small DAGs unbatched.
-_FAST_PLUMBING_MIN_TASKS = 16
-
 
 class DAGAppMaster:
     """One AM instance (one YARN application attempt)."""
@@ -98,7 +91,8 @@ class DAGAppMaster:
         self.registry = MetricsRegistry()
         self.scheduler = TaskSchedulerService(
             self.env, ctx, self.config, self._attempt_body,
-            self._attempt_exit, registry=self.registry,
+            self._attempt_exit, self._defer_attempt_exit,
+            registry=self.registry,
         )
         ctx.on_node_loss(self._on_node_loss)
         # Node blacklisting (paper 4.3): failure accounting survives
@@ -124,10 +118,6 @@ class DAGAppMaster:
         # Same-tick attempt-exit coalescing (mirrors the event router's
         # delivery buckets): tick -> AttemptBatchExitedEvent.
         self._exit_buckets: dict[float, AttemptBatchExitedEvent] = {}
-        # Per-tick exit batching is sized to the running DAG: see
-        # _FAST_PLUMBING_MIN_TASKS.
-        self._created_tasks = 0
-        self._apply_fast_plumbing()
         if recovery is not None:
             self.dispatcher.attach_journal(recovery, self.epoch)
         self.machines = MachineSet(self.dispatcher)
@@ -214,9 +204,6 @@ class DAGAppMaster:
         self._edge_managers = {}
         self._init_contexts = {}
         self.scheduler.session_waiting = False
-        # Re-size the fast-path plumbing for this DAG's task count.
-        self._created_tasks = 0
-        self._apply_fast_plumbing()
         # Per-DAG scoping: the whole registry is deltaed against this.
         base_counters = self.registry.snapshot()
 
@@ -372,33 +359,22 @@ class DAGAppMaster:
         self._init_contexts = {}
 
     # -------------------------------------------------- dispatcher glue
-    def note_tasks_created(self, count: int) -> None:
-        """Vertex lifecycle callback: another ``count`` tasks exist in
-        the running DAG; batch attempt exits once the DAG is big enough
-        (see _FAST_PLUMBING_MIN_TASKS)."""
-        self._created_tasks += count
-        self._apply_fast_plumbing()
-
-    def _apply_fast_plumbing(self) -> None:
-        big = self._created_tasks >= _FAST_PLUMBING_MIN_TASKS
-        self.scheduler.defer_exits = (
-            self._defer_attempt_exit if big else None
-        )
-
     def _attempt_body(self, attempt, container) -> Generator:
         return self.runner.attempt_body(attempt, container)
 
     def _attempt_exit(self, attempt, error) -> None:
+        """Scheduler hook for kills and lost containers: the exit is
+        dispatched synchronously."""
         self.dispatcher.dispatch(AttemptExitedEvent(attempt, error))
 
     def _defer_attempt_exit(self, attempt, error, unit) -> None:
-        """Scheduler hook (big DAGs, see _apply_fast_plumbing):
+        """Scheduler hook for every attempt that ends in its container:
         coalesce same-tick completions into one batch envelope
-        processed at the tail of the tick.  ``unit`` is the scheduler's deferred exit tail —
-        replaying the units in arrival order preserves the exact
-        task->slot pairing of the synchronous path.  The journal
-        expands the batch per member, so recovery folds are
-        batching-agnostic."""
+        processed at the tail of the tick.  ``unit`` is the scheduler's
+        exit tail; replaying the units in arrival order gives each
+        exit's consumers its own slot and those of earlier exits, never
+        a slot whose exit is still queued.  The journal expands the
+        batch per member, so recovery folds are batching-agnostic."""
         exit_event = AttemptExitedEvent(attempt, error)
         exit_event._unit = unit
         now = self.env.now

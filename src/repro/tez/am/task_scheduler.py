@@ -85,6 +85,7 @@ class TaskSchedulerService:
         config: TezConfig,
         run_attempt: Callable[[TaskAttempt, Container], Generator],
         on_attempt_exit: Callable[[TaskAttempt, Optional[BaseException]], None],
+        defer_exits: Callable[..., None],
         registry: Optional[MetricsRegistry] = None,
     ):
         self.env = env
@@ -93,12 +94,12 @@ class TaskSchedulerService:
         self.spec = ctx.rm.spec
         self.cluster = ctx.rm.cluster
         self._run_attempt = run_attempt
+        # Kills and lost containers exit through ``on_attempt_exit``,
+        # synchronously. An attempt that ends in its container exits
+        # through ``defer_exits(attempt, error, unit)``; ``unit(process)``
+        # replays [free slot, process exit, match slot] later in the tick.
         self._on_attempt_exit = on_attempt_exit
-        # Batched-exit hook (set by the AM for DAGs big enough to
-        # amortize it): called with (attempt, error, unit) instead of
-        # running the exit unit synchronously; ``unit(process)`` replays
-        # [free slot, process exit, match slot] later in the tick.
-        self.defer_exits = None
+        self.defer_exits = defer_exits
         # Queued requests in queue order (see ``_enqueue``).
         self.pending: list[TaskRequest] = []
         self.slots: dict[Any, _Slot] = {}   # ContainerId -> _Slot
@@ -421,18 +422,14 @@ class TaskSchedulerService:
             if slot is not None:
                 return slot
         racks = request.rack_set
-        if racks and self.config.reuse_rack_fallback:
+        if racks:
             slot = best_in([
                 b for r in racks
                 if (b := self._idle_by_rack.get(r)) is not None
             ])
             if slot is not None:
                 return slot
-        if not request.nodes and not racks:
-            return best_in([self._idle_slots])
-        if self.config.reuse_any_fallback:
-            return best_in([self._idle_slots])
-        return None
+        return best_in([self._idle_slots])
 
     def _enqueue(self, request: TaskRequest) -> None:
         """Enter ``request`` into the queue and its locality buckets.
@@ -512,18 +509,12 @@ class TaskSchedulerService:
             container = slot.container
             # A request without preferences competes from the rack
             # level down, in queue order with the rack's own.
-            anywhere = self._pending_anywhere
-            levels = [(self._pending_by_node.get(container.node_id, ()),)]
-            if self.config.reuse_rack_fallback:
-                levels.append((
-                    self._pending_by_rack.get(container.node.rack, ()),
-                    anywhere,
-                ))
-            if self.config.reuse_any_fallback:
-                levels.append((self.pending,))
-            elif not self.config.reuse_rack_fallback:
-                levels.append((anywhere,))
-            request = self._first_fit(container, levels)
+            request = self._first_fit(container, (
+                (self._pending_by_node.get(container.node_id, ()),),
+                (self._pending_by_rack.get(container.node.rack, ()),
+                 self._pending_anywhere),
+                (self.pending,),
+            ))
         if request is not None:
             self._dequeue(request)
             if request.asked_yarn:
@@ -642,36 +633,24 @@ class TaskSchedulerService:
                 )
                 telemetry.metrics.histogram(
                     "scheduler.task_run_seconds").observe(entry.duration)
-            if self.defer_exits is None:
-                self._attempt_exit_unit(slot, attempt, error)
-            else:
-                self.defer_exits(
-                    attempt, error,
-                    lambda process, s=slot, a=attempt, e=error:
-                        self._attempt_exit_unit(s, a, e, process),
-                )
+            self.defer_exits(
+                attempt, error,
+                lambda process, s=slot: self._attempt_exit_unit(s, process),
+            )
 
-    def _attempt_exit_unit(self, slot: _Slot, attempt: TaskAttempt,
-                           error: Optional[BaseException],
-                           process=None) -> None:
+    def _attempt_exit_unit(self, slot: _Slot,
+                           process: Callable[[], None]) -> None:
         """The tail of an attempt's life: make its slot reusable,
-        process the exit, then offer the slot to the pending queue.
+        ``process`` the exit, then offer the slot to the pending queue.
 
-        Kept as one function so batched-exit mode (``defer_exits``)
-        can replay deferred units in arrival order at the tail of the
-        tick with exactly the slot visibility the synchronous path
-        has: an exit's consumers may reuse its own slot and slots of
-        earlier-processed exits, never a slot whose exit is still
-        queued.  ``process`` overrides the exit-processing step (the
-        batch handler delivers the member exits itself instead of
-        re-dispatching them)."""
+        Kept as one function so ``defer_exits`` can replay the units in
+        arrival order at the tail of the tick: an exit's consumers may
+        reuse its own slot and slots of earlier-processed exits, never
+        a slot whose exit is still queued."""
         # Reusable from this instant: the exit processing below may
         # schedule() consumer tasks synchronously.
         self._mark_idle(slot)
-        if process is None:
-            self._on_attempt_exit(attempt, error)
-        else:
-            process()
+        process()
         self._match_slot_to_pending(slot)
 
     # ------------------------------------------------------------ idle reaper

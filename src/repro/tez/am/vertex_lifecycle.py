@@ -176,7 +176,6 @@ class VertexLifecycle:
         (RESOLVING_PARALLELISM -> TASKS_CREATED): create the task set,
         apply locality hints, and sync edge-manager parallelism."""
         vr.create_tasks()
-        self.am.note_tasks_created(len(vr.tasks))
         # Root-split locality hints.
         for input_name, split_list in vr.root_splits.items():
             for task, split in zip(vr.tasks, split_list):

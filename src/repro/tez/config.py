@@ -24,8 +24,6 @@ class TezConfig:
 
     # -- container reuse / sessions (paper 4.2) ------------------------------
     container_reuse: bool = True
-    reuse_rack_fallback: bool = True
-    reuse_any_fallback: bool = True
     container_idle_timeout: float = 10.0
     session_idle_timeout: float = 60.0   # idle cap while a session waits
 

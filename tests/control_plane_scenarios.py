@@ -4,9 +4,13 @@ The control plane once carried most of its mechanisms twice - a
 shipped path and a switchable historical one - and the tests compared
 the two. The historical paths are gone; what they proved is frozen in
 the golden file, recorded once at commit 98c7bea with every switch on
-its historical value. Each scenario here runs one simulation and
-returns ``(sim_makespan, observation)``; the golden holds the makespan
-and the sha256 of both. ``tests/test_control_plane_golden.py`` checks
+its historical value. Three entries (``chaos_shape``,
+``coalescing_eager_slowstart``, ``live_events_speculation_kill``) were
+re-recorded when every DAG came to batch its attempt exits: their
+makespans, rows and per-tick journals held, and ``chaos_shape``'s task
+trace swapped two entries with equal end times. Each scenario here
+runs one simulation and returns ``(sim_makespan, observation)``; the
+golden holds the makespan and the sha256 of both. ``tests/test_control_plane_golden.py`` checks
 them, and the differential tests in ``tests/test_determinism.py`` run
 the same scenarios with the surviving *semantic* selections forced
 each way.
@@ -93,9 +97,10 @@ def canonical_journals(ams) -> list:
 
 def per_tick(result):
     """``(makespan, (rows, journals, ...))`` with every journal sorted
-    within each timestamp. Attempt exits batch per tick on DAGs of 16
-    tasks and more, which moves exit records relative to the same
-    tick's transition records; this is the form both plumbings share."""
+    within each timestamp. Attempt exits batch per tick, which moves
+    exit records relative to the same tick's transition records; this
+    is the form a run with batched exits shares with one recorded from
+    unit exits, as ``chaos_node_crash``'s golden was."""
     makespan, (rows, journals, *rest) = result
     return makespan, (rows, [sorted(j) for j in journals], *rest)
 

@@ -7,7 +7,10 @@ commit 98c7bea from the historical implementation of every mechanism
 that then had two (per-partition events, per-delivery dispatch,
 scan-everything task and capacity schedulers, tick-every-heartbeat RM,
 generator-only attempts, unit exits, the other kernel queue); the one
-implementation that remains must keep reproducing them.
+implementation that remains must keep reproducing them. The three
+entries whose journals or task traces order a tick's attempt exits
+were re-recorded when every DAG came to batch them (see
+``control_plane_scenarios.py``).
 """
 
 import json

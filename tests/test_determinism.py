@@ -178,7 +178,7 @@ def test_hive_query_deterministic_end_to_end():
 import pytest
 
 import control_plane_scenarios as scenarios
-from repro.tez.am import dag_app_master
+from repro.tez.am.dag_app_master import DAGAppMaster
 from repro.tez.am.attempt_runner import AttemptRunner
 
 
@@ -220,23 +220,26 @@ def test_speculation_scenario_is_not_vacuous():
                for line in flat), "no speculation/kill in the journal"
 
 
-@pytest.mark.parametrize("scenario", [
-    scenarios.coalescing_eager_slowstart,
-    scenarios.live_events_speculation_kill,
-    scenarios.chaos_node_crash,
-])
-def test_dispatch_plumbing_size_never_changes_outcomes(monkeypatch,
-                                                       scenario):
-    """Per-tick exit batching (DAGs at or above the size constant)
-    against unit exits (below it), the one thing the constant still
-    varies - every delayed dispatch is one pooled kernel hop either
-    way: same makespan, rows and per-tick journal."""
-    monkeypatch.setattr(dag_app_master, "_FAST_PLUMBING_MIN_TASKS", 0)
-    batched = scenarios.per_tick(scenario())
-    monkeypatch.setattr(dag_app_master, "_FAST_PLUMBING_MIN_TASKS",
-                        10 ** 9)
-    unit = scenarios.per_tick(scenario())
-    assert batched == unit
+def test_a_small_dag_batches_its_same_tick_exits(monkeypatch):
+    """Exit batching does not depend on a DAG's size: four map tasks
+    over four equal splits end on one tick and reach the AM as one
+    ``AttemptBatchExitedEvent``."""
+    batches = []
+    on_batch = DAGAppMaster._on_attempt_batch_exited
+
+    def probe(am, batch):
+        batches.append(sorted(e.attempt.attempt_id for e in batch.exits))
+        on_batch(am, batch)
+
+    monkeypatch.setattr(DAGAppMaster, "_on_attempt_batch_exited", probe)
+    sim = make_sim()
+    sim.hdfs.write("/in", [(i, i) for i in range(4 * 128)], record_bytes=32)
+    m = fn_vertex("m", lambda c, d: {"out": list(d["src"])}, -1)
+    hdfs_source(m, "src", ["/in"])
+    hdfs_sink(m, "out", "/out")
+    status, _ = run_dag(sim, DAG("small").add_vertex(m))
+    assert status.succeeded
+    assert batches == [[f"small#1/m/t{i}_a0" for i in range(4)]]
 
 
 # ------------------- journal-prefix replay determinism (hypothesis)

@@ -3,6 +3,7 @@ preserved historical implementation stay gone."""
 
 import ast
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.engines.hive import HiveSession, OptimizerConfig
+from repro.engines.pig import PigRunner
 from repro.sim import Environment
 from repro.telemetry import SpanStore, Telemetry
 from repro.tez import TezConfig
@@ -24,7 +27,9 @@ RETIRED = [a + "_" + b for a, b in (
     ("batch", "attempt_exits"), ("fast_path", "min_tasks"),
     ("scheduler", "incremental"), ("event_driven", "ticks"),
     ("timer", "wheel"), ("execution", "templates"),
-    ("verbose", "sim"), ("REPRO", "TELEMETRY_TEE"))]
+    ("verbose", "sim"), ("REPRO", "TELEMETRY_TEE"),
+    ("_FAST", "PLUMBING_MIN_TASKS"), ("reuse", "rack_fallback"),
+    ("reuse", "any_fallback"))]
 # As identifiers: the ledger-facing `<timer><wheel>_hits` counter passes.
 GUARD = re.compile(r"(?<![A-Za-z0-9_])(%s)(?![A-Za-z0-9_])"
                    % "|".join(RETIRED))
@@ -58,10 +63,27 @@ def test_no_retired_switch_is_named_anywhere():
     (TezConfig, RETIRED[9]), (Telemetry, RETIRED[10]), (SpanStore, "tee"),
     (SpanStore, "overflow"), (SpanStore, "on_overflow"), (SpanStore, "dir"),
     (TezConfig, "commit_on_dag_success"),
-    (TezConfig, "count_killed_as_failure"), (TezConfig, "task_retry_delay")])
+    (TezConfig, "count_killed_as_failure"), (TezConfig, "task_retry_delay"),
+    (TezConfig, RETIRED[13]), (TezConfig, RETIRED[14])])
 def test_retired_switches_are_not_accepted(cls, name):
     with pytest.raises(TypeError):
         cls(**{name: False})
+
+
+@pytest.mark.parametrize("cls", [HiveSession, PigRunner])
+@pytest.mark.parametrize("name", ["tez_config", "mr_config"])
+def test_engine_sessions_take_no_compiler_config(cls, name):
+    with pytest.raises(TypeError):
+        inspect.signature(cls).bind(None, **{name: None})
+
+
+def test_single_valued_engine_configs_are_gone():
+    for module, name in (("repro.engines.hive", "HiveTezConfig"),
+                         ("repro.engines.hive", "HiveMRConfig"),
+                         ("repro.engines.pig", "PigMRConfig")):
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}")
+    assert len(dataclasses.fields(OptimizerConfig)) == 5
 
 
 @pytest.mark.parametrize("module", [
@@ -97,7 +119,7 @@ def test_no_template_cache_is_left_behind():
         ("membership_", "listener"), ("_route_", "cache"),
         ("Template", "Event"))]
     assert not _source_files_matching("|".join(gone))
-    assert len(dataclasses.fields(TezConfig)) == 16
+    assert len(dataclasses.fields(TezConfig)) == 14
 
 
 def test_only_the_kernel_touches_the_host_collector():

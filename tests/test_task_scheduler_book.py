@@ -99,7 +99,7 @@ class _FrozenBook(TaskSchedulerService):
                 if node in r.nodes:
                     request = r
                     break
-            if request is None and self.config.reuse_rack_fallback:
+            if request is None:
                 for r in candidates:
                     r_racks = set(r.racks) | {
                         self.cluster.nodes[n].rack
@@ -108,13 +108,8 @@ class _FrozenBook(TaskSchedulerService):
                     if rack in r_racks or (not r.nodes and not r.racks):
                         request = r
                         break
-            if request is None and self.config.reuse_any_fallback:
-                request = candidates[0]
             if request is None:
-                for r in candidates:
-                    if not r.nodes and not r.racks:
-                        request = r
-                        break
+                request = candidates[0]
         if request is not None:
             self.pending.remove(request)
             self._pending_by_attempt.pop(request.attempt, None)
@@ -209,7 +204,9 @@ class _Rig:
         self.requests = {}       # attempt id -> its TaskRequest
         self.sched = scheduler_cls(
             self.env, self.ctx, config, run_attempt=None,
-            on_attempt_exit=self._on_exit)
+            on_attempt_exit=self._on_exit,
+            defer_exits=lambda attempt, error, unit:
+                unit(lambda: self._on_exit(attempt, error)))
         self._attempts = itertools.count()
         self._containers = itertools.count(1)
 
@@ -267,7 +264,8 @@ class _Rig:
                 attempt, slot.current = slot.current, None
                 sched._slot_by_attempt.pop(attempt, None)
                 self.follow_ups = list(op[2])
-                sched._attempt_exit_unit(slot, attempt, None)
+                sched._attempt_exit_unit(
+                    slot, lambda: self._on_exit(attempt, None))
         elif kind == "container":
             sched._on_new_container(Container(
                 ContainerId(_APP, next(self._containers)), self.node(op[1]),
@@ -345,16 +343,18 @@ _ops = st.lists(
     .flatmap(_OPS.__getitem__),
     min_size=15, max_size=60,
 )
-_FLAGS = list(itertools.product([True, False], repeat=3))
+_REUSE, _NO_REUSE = {"container_reuse": True}, {"container_reuse": False}
+_FLAGS = [_REUSE, _NO_REUSE]
+# Ids are the places these two held among the eight reuse x rack-fallback x
+# any-fallback settings the scheduler once took, so a case keeps its name.
+_FLAGS_IDS = ["flags0", "flags4"]
 
 
 def _config(flags):
-    reuse, rack, anywhere = flags
-    return TezConfig(container_reuse=reuse, reuse_rack_fallback=rack,
-                     reuse_any_fallback=anywhere)
+    return TezConfig(**flags)
 
 
-@pytest.mark.parametrize("flags", _FLAGS)
+@pytest.mark.parametrize("flags", _FLAGS, ids=_FLAGS_IDS)
 @settings(max_examples=30, deadline=None)
 @given(ops=_ops)
 def test_randomized_book_matches_frozen_scans(flags, ops):
@@ -382,34 +382,32 @@ _FREE = ("free", 0, [])
 
 @pytest.mark.parametrize("flags, script, placed", [
     # An earlier no-preference request beats a later rack-local one...
-    ((True, True, True), [_sched(), _sched(rack=0), _FREE], 1),
+    (_REUSE, [_sched(), _sched(rack=0), _FREE], 1),
     # ...a later one does not...
-    ((True, True, True), [_sched(rack=0), _sched(), _FREE], 1),
+    (_REUSE, [_sched(rack=0), _sched(), _FREE], 1),
     # ...and either beats the head of the queue when that is off-rack.
-    ((True, True, True), [_sched(nodes=[5]), _sched(), _FREE], 2),
-    ((True, True, True), [_sched(nodes=[5]), _sched(nodes=[1]), _FREE], 2),
+    (_REUSE, [_sched(nodes=[5]), _sched(), _FREE], 2),
+    (_REUSE, [_sched(nodes=[5]), _sched(nodes=[1]), _FREE], 2),
     # Node-local beats everything queued ahead of it.
-    ((True, True, True),
+    (_REUSE,
      [_sched(), _sched(rack=0), _sched(nodes=[0], level=2), _FREE], 3),
     # Upstream priority first, then the speculative +1, then arrival.
-    ((True, True, True),
+    (_REUSE,
      [_sched(level=1), _sched(speculative=True), _sched(), _sched(), _FREE],
      3),
     # A head that fits no slot is stepped over, in every bucket.
-    ((True, True, True), [_sched(cap=2), _sched(cap=1), _FREE], 2),
-    ((True, True, True),
+    (_REUSE, [_sched(cap=2), _sched(cap=1), _FREE], 2),
+    (_REUSE,
      [_sched(cap=2, nodes=[0]), _sched(nodes=[0]), _FREE], 2),
-    # Without the any-level an off-rack request waits; no-preference
-    # requests are still served.
-    ((True, True, False), [_sched(nodes=[5]), _FREE], None),
-    ((True, False, False), [_sched(rack=0), _sched(), _FREE], 2),
-    ((True, False, True), [_sched(rack=0), _sched(), _FREE], 1),
-    ((True, False, False), [_sched(rack=0), _sched(nodes=[0]), _FREE], 2),
-    # A deallocated request is gone from every bucket.
-    ((True, True, True),
-     [_sched(nodes=[0], rack=0), ("deallocate", 0, False), _FREE], None),
+    # A deallocated request is gone from every bucket. (These two keep the
+    # ids they had behind the reuse-fallback cases the scheduler dropped.)
+    pytest.param(
+        _REUSE,
+        [_sched(nodes=[0], rack=0), ("deallocate", 0, False), _FREE], None,
+        id="flags12-script12-None"),
     # No reuse: a freed slot takes nothing.
-    ((False, True, True), [_sched(nodes=[0]), _FREE], None),
+    pytest.param(_NO_REUSE, [_sched(nodes=[0]), _FREE], None,
+                 id="flags13-script13-None"),
 ])
 def test_freed_slot_takes_the_request_the_scans_would(flags, script, placed):
     rig = _lockstep(_BUSY_SLOT_ON_NODE0 + script, _config(flags))
@@ -426,7 +424,7 @@ def test_freed_slot_takes_the_request_the_scans_would(flags, script, placed):
     ([_sched(cap=2), ("container", 1, 1)], None),
 ])
 def test_new_container_takes_the_request_the_scans_would(script, placed):
-    rig = _lockstep(script, _config((True, True, True)))
+    rig = _lockstep(script, _config(_REUSE))
     assert _running(rig) == placed
 
 
@@ -434,7 +432,7 @@ def test_blacklisted_preferences_are_dropped_before_indexing():
     rig = _lockstep([
         ("container", 0, 1), _sched(), ("blacklist", 1),
         _sched(nodes=[1, 2]), _sched(nodes=[1]),
-    ], _config((True, True, True)))
+    ], _config(_REUSE))
     sched = rig.sched
     assert [r.nodes for r in sched.pending] == [("node0002",), ()]
     assert "node0001" not in sched._pending_by_node

@@ -79,7 +79,9 @@ def test_metrics_registry_counters_gauges_histograms():
     assert reg.gauge("g").value == 7.5
     assert reg.histogram("h").count == 4
     assert reg.histogram("h").mean == pytest.approx(2.5)
-    assert reg.histogram("h").percentile(50) in (2.0, 3.0)
+    # Nearest rank: the ceil(q/100 * n)-th smallest sample.
+    assert reg.histogram("h").percentile(50) == 2.0
+    assert reg.histogram("h").percentile(25) == 1.0
 
 
 def test_metrics_registry_snapshot_delta_scopes_per_dag():
