@@ -82,10 +82,20 @@ def rows_close(a, b, ordered=False) -> bool:
     doubled row. Everything else - row count, NULLs, ints, strings,
     NaN-ness - must be equal. Where the arithmetic is exact (MIN / MAX,
     counts, integer-valued data) compare with ``==`` instead:
-    reordering is then not an excuse."""
-    def rough(row):
-        return repr(tuple(float(f"{v:.6g}") if isinstance(v, float) else v
-                          for v in row))
+    reordering is then not an excuse.
+
+    Unordered lists are paired by sorting on each row's non-numbers
+    first, then on its numbers exactly: rounding would put two values
+    within the tolerance on either side of a boundary and pair them
+    with the wrong rows. Only rows alike in every non-number that
+    differ in a leading number by less than the tolerance can still
+    pair wrongly."""
+    def order(row):
+        is_number = [isinstance(v, (int, float)) and type(v) is not bool
+                     for v in row]
+        return ([("" if n else repr(v)) for n, v in zip(is_number, row)],
+                [(0, v) if v == v else (1, 0)
+                 for n, v in zip(is_number, row) if n])
 
     def close(x, y):
         if isinstance(x, float) and isinstance(y, float):
@@ -94,7 +104,7 @@ def rows_close(a, b, ordered=False) -> bool:
         return x == y
 
     if not ordered:
-        a, b = sorted(a, key=rough), sorted(b, key=rough)
+        a, b = sorted(a, key=order), sorted(b, key=order)
     return len(a) == len(b) and all(
         len(ra) == len(rb) and all(map(close, ra, rb))
         for ra, rb in zip(a, b))

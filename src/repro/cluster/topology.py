@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..sim import Environment
 from .spec import ClusterSpec
@@ -194,13 +194,6 @@ class Cluster:
             node.isolated = False
 
     # -- placement helpers ------------------------------------------------
-    def sample_nodes(self, count: int, exclude: Iterable[str] = ()) -> list[Node]:
-        """Uniform sample of live nodes (deterministic given the seed)."""
-        pool = [n for n in self.live_nodes() if n.node_id not in set(exclude)]
-        if count >= len(pool):
-            return list(pool)
-        return self.rng.sample(pool, count)
-
     def place_replicas(self, count: int, preferred: Optional[str] = None) -> list[Node]:
         """HDFS-style replica placement: first replica on the preferred
         (writer's) node, second on a different rack, rest spread out."""

@@ -18,12 +18,8 @@ from typing import Callable, Optional
 
 from ..lowering import key_tuples
 from ..mapreduce.model import MRJob, map_side_job
-from .aggregates import (
-    aggregate_finisher,
-    merge_aggregate_groups,
-    partial_aggregate,
-    state_merger,
-)
+from ..relational import join_reducer, order_rows, rows_of
+from .aggregates import aggregation, sql_rows
 from .fragments import InputLeaf, execute_fragment
 from .plan import (
     Aggregate,
@@ -36,7 +32,7 @@ from .plan import (
     Sort,
     reducers_for,
 )
-from .reference import rows_from_tuples, sort_rows
+from .reference import scan_fields
 
 __all__ = ["MRCompiler", "CompiledMRQuery"]
 
@@ -99,15 +95,12 @@ class MRCompiler:
                 node.table.paths(node.partition_values)
                 if node.table.partitions else [node.table.path]
             )
-            alias = node.alias
-            all_columns = list(node.table.columns)
-            needed = list(node.needed_columns) \
-                if node.needed_columns is not None else None
+            fields = scan_fields(node)
 
-            def decoder(records, _a=alias, _c=all_columns, _n=needed):
-                return rows_from_tuples(records, _a, _c, _n)
+            def decoder(records, _f=fields):
+                return rows_of(records, _f)
 
-            leaf = f"scan_{alias}"
+            leaf = f"scan_{node.alias}"
             return _Pending(
                 [(paths, decoder, leaf)], InputLeaf(leaf),
                 node.estimated_bytes, node.estimated_row_bytes,
@@ -125,11 +118,12 @@ class MRCompiler:
         if isinstance(node, Aggregate):
             return self._build_aggregate(node)
         if isinstance(node, Sort):
-            return self._build_sort(node, limit=None)
+            return self._build_sort(node, node.keys, limit=None)
         if isinstance(node, Limit):
             if isinstance(node.child, Sort):
-                return self._build_sort(node.child, limit=node.n)
-            return self._build_generic_limit(node)
+                return self._build_sort(node.child, node.child.keys,
+                                        limit=node.n)
+            return self._build_sort(node, [], limit=node.n)
         raise TypeError(f"cannot compile {type(node).__name__}")
 
     def _build_join(self, node: Join) -> _Pending:
@@ -139,8 +133,8 @@ class MRCompiler:
         est = node.left.estimated_bytes + node.right.estimated_bytes
         reducers = reducers_for(est)
         lk, rk = node.left_key, node.right_key
-        padding = dict.fromkeys(node.right.output_columns()) \
-            if node.how == "left" else None
+        reducer = join_reducer(dict.fromkeys(node.right.output_columns())
+                               if node.how == "left" else None)
 
         # Tag each side in the map output so the reducer can split.
         def make_emit(tag, key_expr):
@@ -149,17 +143,6 @@ class MRCompiler:
             def emit(rows):
                 return list(zip(map(key_of, rows), zip(repeat(tag), rows)))
             return emit
-
-        def reducer(key, tagged):
-            left_rows, right_rows = [], []
-            for tag, row in tagged:
-                (left_rows if tag == "L" else right_rows).append(row)
-            if right_rows:
-                return [{**lrow, **rrow}
-                        for lrow in left_rows for rrow in right_rows]
-            if padding is None:
-                return []
-            return [{**lrow, **padding} for lrow in left_rows]
 
         row_bytes = int(node.estimated_row_bytes) or 64
         self._job("join", _sides(left, make_emit("L", lk))
@@ -175,36 +158,22 @@ class MRCompiler:
     def _build_aggregate(self, node: Aggregate) -> _Pending:
         pending = self._build(node.child)
         out = self._tmp("agg")
-        group_items, aggs = node.group_items, node.aggs
+        group_items = node.group_items
         reducers = 1 if not group_items else reducers_for(
             max(node.estimated_bytes, node.child.estimated_bytes / 4)
         )
-
-        def emit(rows, _g=group_items, _a=aggs):
-            return partial_aggregate(rows, _g, _a)
-
-        finish = aggregate_finisher(group_items, aggs)
-        merge_states = state_merger(aggs)
-
-        def reducer(group_key, states):
-            return [finish(group_key, states)]
-
-        def combiner(group_key, states):
-            # Map-side combining: merge partial states per group.
-            return [(group_key, tuple(merge_states(states)))]
-
+        agg = aggregation(group_items, node.aggs)
         row_bytes = int(node.estimated_row_bytes) or 32
-        self._job("agg", _sides(pending, emit), out, reducer=reducer,
-                  num_reducers=reducers, combiner=combiner,
-                  output_record_bytes=row_bytes)
+        # Map-side combining merges partial states per group.
+        self._job("agg", _sides(pending, agg.partial), out,
+                  reducer=agg.reducer, num_reducers=reducers,
+                  combiner=agg.combiner, output_record_bytes=row_bytes)
 
-        def decoder(records, _g=group_items, _a=aggs):
+        def decoder(records):
             # A global aggregate over empty input never reaches the
-            # reducer, and SQL still wants its one row (COUNT 0, SUM
-            # NULL): the consuming job reads the empty output as one
-            # empty split, and finds that row here.
-            return list(records) or merge_aggregate_groups(
-                [], _g, _a, include_empty_global=True)
+            # reducer: the consuming job reads the empty output as one
+            # empty split, and finds SQL's one row here.
+            return sql_rows(agg, list(records))
 
         leaf = f"agged_{next(self._seq)}"
         return _Pending(
@@ -212,47 +181,29 @@ class MRCompiler:
             InputLeaf(leaf), node.estimated_bytes, row_bytes,
         )
 
-    def _build_sort(self, node: Sort, limit: Optional[int]) -> _Pending:
+    def _build_sort(self, node: PlanNode, keys: list[tuple[str, bool]],
+                    limit: Optional[int]) -> _Pending:
+        """ORDER BY ``keys`` of ``node`` (a Sort), LIMIT ``limit``: one
+        reducer merges the mappers' top rows. A LIMIT without ORDER BY
+        is ``node`` itself with no keys."""
         pending = self._build(node.child)
-        out = self._tmp("sort")
-        keys = node.keys
+        label = "sort" if isinstance(node, Sort) else "limit"
+        out = self._tmp(label)
 
-        def emit(rows, _k=keys, _l=limit):
-            ordered = sort_rows(rows, _k)
-            if _l is not None:
-                ordered = ordered[:_l]
-            return [(0, row) for row in ordered]
+        def top(rows, _k=keys, _l=limit):
+            ordered = order_rows(rows, _k)
+            return ordered if _l is None else ordered[:_l]
 
-        def reducer(_key, rows, _k=keys, _l=limit):
-            ordered = sort_rows(list(rows), _k)
-            if _l is not None:
-                ordered = ordered[:_l]
-            return ordered
+        def emit(rows):
+            return [(0, row) for row in top(rows)]
+
+        def reducer(_key, rows):
+            return top(list(rows))
 
         row_bytes = int(node.estimated_row_bytes) or 64
-        self._job("sort", _sides(pending, emit), out, reducer=reducer,
+        self._job(label, _sides(pending, emit), out, reducer=reducer,
                   output_record_bytes=row_bytes)
-        leaf = f"sorted_{next(self._seq)}"
-        return _Pending(
-            [([out], lambda records: list(records), leaf)],
-            InputLeaf(leaf), node.estimated_bytes, row_bytes,
-        )
-
-    def _build_generic_limit(self, node: Limit) -> _Pending:
-        pending = self._build(node.child)
-        out = self._tmp("limit")
-        n = node.n
-
-        def emit(rows, _n=n):
-            return [(0, row) for row in rows[:_n]]
-
-        def reducer(_key, rows, _n=n):
-            return list(rows)[:_n]
-
-        row_bytes = int(node.estimated_row_bytes) or 64
-        self._job("limit", _sides(pending, emit), out, reducer=reducer,
-                  output_record_bytes=row_bytes)
-        leaf = f"limited_{next(self._seq)}"
+        leaf = f"{label}ed_{next(self._seq)}"
         return _Pending(
             [([out], lambda records: list(records), leaf)],
             InputLeaf(leaf), node.estimated_bytes, row_bytes,

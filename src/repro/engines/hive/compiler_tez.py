@@ -32,7 +32,8 @@ from ..lowering import (
     to_dag,
     tuple_sink,
 )
-from .aggregates import merge_aggregate_groups, partial_aggregate
+from ..relational import order_rows, rows_of
+from .aggregates import aggregation, sql_rows
 from .fragments import InputLeaf, execute_fragment
 from .plan import (
     BYTES_PER_REDUCER,
@@ -46,7 +47,7 @@ from .plan import (
     Sort,
     reducers_for,
 )
-from .reference import rows_from_tuples, sort_rows
+from .reference import scan_fields
 
 __all__ = ["TezCompiler"]
 
@@ -93,11 +94,12 @@ class TezCompiler:
         if isinstance(node, Aggregate):
             return self._build_aggregate(node)
         if isinstance(node, Sort):
-            return self._build_sort(node, limit=None)
+            return self._build_sort(node, node.keys, limit=None)
         if isinstance(node, Limit):
             if isinstance(node.child, Sort):
-                return self._build_sort(node.child, limit=node.n)
-            return self._build_limit(node)
+                return self._build_sort(node.child, node.child.keys,
+                                        limit=node.n)
+            return self._build_sort(node, [], limit=node.n)
         raise TypeError(f"cannot compile {type(node).__name__}")
 
     def _build_scan(self, node: Scan) -> tuple[Stage, PlanNode]:
@@ -221,32 +223,29 @@ class TezCompiler:
         stage = self._new_stage("agg", parallelism)
         if group_items:
             stage.manager = shuffle_manager(BYTES_PER_REDUCER)
-
-        def emit_partial(ctx, rows, _g=group_items, _a=aggs):
-            return partial_aggregate(rows, _g, _a)
-
-        def decode_final(ctx, data, _g=group_items, _a=aggs):
-            return merge_aggregate_groups(data, _g, _a,
-                                          include_empty_global=True)
-
+        agg = aggregation(group_items, aggs)
         stage.in_exchanges.append(Exchange(
             producer, DataMovementType.SCATTER_GATHER,
-            emit=emit_partial, decode=decode_final,
+            emit=lambda ctx, rows: agg.partial(rows),
+            decode=lambda ctx, data: sql_rows(agg, agg.merge_groups(data)),
             grouped=True,
             bytes_per_record=node.estimated_row_bytes + 16,
         ))
         return stage, InputLeaf(producer.name)
 
-    def _build_sort(self, node: Sort,
+    def _build_sort(self, node: PlanNode, keys: list[tuple[str, bool]],
                     limit: Optional[int]) -> tuple[Stage, PlanNode]:
+        """ORDER BY ``keys`` of ``node`` (a Sort), LIMIT ``limit``: one
+        task merges the producers' top rows. A LIMIT without ORDER BY
+        is ``node`` itself with no keys."""
         producer, frag = self._build(node.child)
         producer.combine = _run(frag)
-        stage = self._new_stage("sort", 1)
-        keys = node.keys
+        stage = self._new_stage(
+            "sort" if isinstance(node, Sort) else "limit", 1)
 
         def emit_rows(ctx, rows, _keys=keys, _limit=limit):
             # Top-N pushdown: each producer pre-sorts and truncates.
-            ordered = sort_rows(rows, _keys)
+            ordered = order_rows(rows, _keys)
             if _limit is not None:
                 ordered = ordered[:_limit]
             return [(0, row) for row in ordered]
@@ -262,18 +261,6 @@ class TezCompiler:
             frag2 = Limit(frag2, limit)
         return stage, frag2
 
-    def _build_limit(self, node: Limit) -> tuple[Stage, PlanNode]:
-        producer, frag = self._build(node.child)
-        producer.combine = _run(Limit(frag, node.n))  # local pre-truncate
-        stage = self._new_stage("limit", 1)
-        stage.in_exchanges.append(Exchange(
-            producer, DataMovementType.SCATTER_GATHER,
-            emit=lambda ctx, rows: [(0, row) for row in rows],
-            decode=lambda ctx, data: [row for _k, row in data],
-            bytes_per_record=node.estimated_row_bytes + 8,
-        ))
-        return stage, Limit(InputLeaf(producer.name), node.n)
-
 
 def _run(fragment: PlanNode) -> Callable:
     """A stage's combine: its plan fragment over the decoded inputs."""
@@ -283,12 +270,9 @@ def _run(fragment: PlanNode) -> Callable:
 
 
 def _scan_decoder(node: Scan) -> Callable:
-    alias = node.alias
-    all_columns = list(node.table.columns)
-    needed = list(node.needed_columns) \
-        if node.needed_columns is not None else None
+    fields = scan_fields(node)
 
     def decoder(ctx, records):
-        return rows_from_tuples(records, alias, all_columns, needed)
+        return rows_of(records, fields)
 
     return decoder

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ...shuffle.sorter import sort_key, sort_keys
-from .aggregates import merge_aggregate_groups, partial_aggregate
+from ...shuffle.sorter import sort_keys
+from ..relational import build_table, order_rows, probe, rows_of
+from .aggregates import aggregation, sql_rows
 from .plan import (
     Aggregate,
     Filter,
@@ -26,52 +27,32 @@ from .plan import (
     Sort,
 )
 
-__all__ = ["execute_plan", "run_operators", "scan_rows", "run_aggregate",
-           "sort_rows", "rows_from_tuples"]
+__all__ = ["execute_plan", "run_operators", "scan_rows", "scan_fields",
+           "run_aggregate"]
 
 
-def rows_from_tuples(records: list[tuple], alias: str,
-                     all_columns: list[str],
-                     needed_columns: Optional[list[str]]) -> list[dict]:
-    """Decode raw table tuples into qualified row dicts."""
-    cols = needed_columns if needed_columns is not None else all_columns
-    fields = [(f"{alias}.{c}", all_columns.index(c)) for c in cols]
-    rows = []
-    for rec in records:
-        # Not a comprehension per row: on CPython 3.11 that makes and
-        # calls a function per row, and costs 40 % more than this loop.
-        row = {}
-        for key, i in fields:
-            row[key] = rec[i]
-        rows.append(row)
-    return rows
+def scan_fields(scan: Scan) -> list[tuple[str, int]]:
+    """``(qualified column, tuple index)`` of every column a scan reads:
+    how ``relational.rows_of`` decodes the table's stored tuples."""
+    columns = list(scan.table.columns)
+    needed = scan.needed_columns if scan.needed_columns is not None \
+        else columns
+    return [(f"{scan.alias}.{c}", columns.index(c)) for c in needed]
 
 
 def scan_rows(scan: Scan, hdfs) -> list[dict]:
     """Materialize a scan: qualified row dicts from HDFS tuples."""
-    table = scan.table
+    fields = scan_fields(scan)
     rows: list[dict] = []
-    for path in table.paths(scan.partition_values):
-        rows.extend(rows_from_tuples(hdfs.read_file(path), scan.alias,
-                                     table.columns, scan.needed_columns))
+    for path in scan.table.paths(scan.partition_values):
+        rows.extend(rows_of(hdfs.read_file(path), fields))
     return rows
 
 
 def run_aggregate(node: Aggregate, rows: list[dict]) -> list[dict]:
-    """Full (non-partial) aggregation of rows: the grouping pass, then
-    the merge of its one state per group."""
-    partial = partial_aggregate(rows, node.group_items, node.aggs)
-    return merge_aggregate_groups(
-        [(values, [state]) for values, state in partial],
-        node.group_items, node.aggs, include_empty_global=True,
-    )
-
-
-def sort_rows(rows: list[dict], keys: list[tuple[str, bool]]) -> list[dict]:
-    out = list(rows)
-    for name, asc in reversed(keys):
-        out.sort(key=lambda r: sort_key(r[name]), reverse=not asc)
-    return out
+    """Full (non-partial) aggregation of rows."""
+    agg = aggregation(node.group_items, node.aggs)
+    return sql_rows(agg, agg.full(rows))
 
 
 def _hash_join(node: Join, left_rows: list[dict], right_rows: list[dict],
@@ -86,11 +67,9 @@ def _hash_join(node: Join, left_rows: list[dict], right_rows: list[dict],
         cache_key = f"hashtable:{node.right.name}:{node.node_id}"
         table = ctx.cache_get(cache_key)
     if table is None:
-        table = {}
-        build_keys = sort_keys(list(map(node.right_key.compile(),
-                                        right_rows)))
-        for key, row in zip(build_keys, right_rows):
-            table.setdefault(key, []).append(row)
+        table = build_table(
+            sort_keys(list(map(node.right_key.compile(), right_rows))),
+            right_rows)
         if cache_key is not None:
             from ...tez.registry import Scope
             ctx.cache_put(Scope.DAG, cache_key, table)
@@ -98,17 +77,9 @@ def _hash_join(node: Join, left_rows: list[dict], right_rows: list[dict],
     if right_columns is None:
         right_columns = node.right.output_columns()
     padding = dict.fromkeys(right_columns) if node.how == "left" else None
-    matches_of = table.get
-    probe_keys = sort_keys(list(map(node.left_key.compile(), left_rows)))
-    out: list[dict] = []
-    for key, row in zip(probe_keys, left_rows):
-        matches = matches_of(key)
-        if matches:
-            for match in matches:
-                out.append({**row, **match})
-        elif padding is not None:
-            out.append({**row, **padding})
-    return out
+    return probe(table, sort_keys(list(map(node.left_key.compile(),
+                                           left_rows))),
+                 left_rows, padding)
 
 
 def run_operators(node: PlanNode, leaf_rows: Callable[[PlanNode], list],
@@ -130,7 +101,7 @@ def run_operators(node: PlanNode, leaf_rows: Callable[[PlanNode], list],
     if isinstance(node, Aggregate):
         return run_aggregate(node, rows)
     if isinstance(node, Sort):
-        return sort_rows(rows, node.keys)
+        return order_rows(rows, node.keys)
     if isinstance(node, Limit):
         return rows[: node.n]
     raise TypeError(f"cannot execute {type(node).__name__}")

@@ -41,9 +41,6 @@ class QueryResult:
     jobs: int = 1                     # MR jobs or Tez DAGs submitted
     metrics: dict = field(default_factory=dict)
 
-    def as_dicts(self) -> list[dict]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 class HiveSession:
     """A Hive connection: SQL in, rows out, on a chosen backend.

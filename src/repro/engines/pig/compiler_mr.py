@@ -26,15 +26,9 @@ from ...shuffle import RangePartitioner
 from ...shuffle.sorter import sort_key
 from ..mapreduce.model import MRJob, map_side_job
 from ..mapreduce.yarn_runner import MapReduceYarnRunner
+from ..relational import join_reducer, order_rows, rows_of
 from .model import DEFAULT_PARALLEL, SAMPLE_RATE, PigScript, Relation
-from .reference import (
-    key_tuples,
-    order_rows,
-    partial_aggregate_states,
-    rows_from_tuples,
-    state_finisher,
-    state_merger,
-)
+from .reference import aggregation, key_tuples, tuple_fields
 
 __all__ = ["PigMRCompiler", "run_pig_on_mr"]
 
@@ -104,10 +98,10 @@ class PigMRCompiler:
         return _Pending([(out, _identity_rows)], [])
 
     def _build_load(self, rel: Relation) -> _Pending:
-        schema = list(rel.schema)
+        fields = tuple_fields(rel.schema)
 
-        def decoder(records, _s=schema):
-            return rows_from_tuples(records, _s)
+        def decoder(records, _f=fields):
+            return rows_of(records, _f)
 
         return _Pending([(rel.params["path"], decoder)], [])
 
@@ -168,24 +162,12 @@ class PigMRCompiler:
 
     def _build_aggregate(self, rel: Relation) -> _Pending:
         pending = self._build(rel.parents[0])
-        keys, aggs = rel.params["keys"], rel.params["aggs"]
+        keys = rel.params["keys"]
         out = self._tmp("agg")
-
-        def emit(rows, _k=keys, _a=aggs):
-            return partial_aggregate_states(rows, _k, _a)
-
-        finish = state_finisher(keys, aggs)
-        merge_states = state_merger(aggs)
-
-        def reducer(key, states):
-            return [finish(key, states)]
-
-        def combiner(key, states):
-            return [(key, tuple(merge_states(states)))]
-
+        agg = aggregation(keys, rel.params["aggs"])
         reducers = DEFAULT_PARALLEL if keys else 1
-        self._job("agg", [(pending, emit)], out, reducer=reducer,
-                  num_reducers=reducers, combiner=combiner)
+        self._job("agg", [(pending, agg.partial)], out, reducer=agg.reducer,
+                  num_reducers=reducers, combiner=agg.combiner)
         return _Pending([(out, _identity_rows)], [])
 
     def _build_distinct(self, rel: Relation) -> _Pending:
@@ -212,25 +194,14 @@ class PigMRCompiler:
                       if c not in rel.parents[0].schema]
         out = self._tmp("join")
 
-        padding = dict.fromkeys(right_only) if how == "left" else None
-
         def emit_side(tag, keys):
             def emit(rows, _t=tag, _k=keys):
                 return list(zip(key_tuples(rows, _k), zip(repeat(_t), rows)))
             return emit
 
-        def reducer(key, tagged):
-            left_rows, right_rows = [], []
-            for tag, row in tagged:
-                (left_rows if tag == "L" else right_rows).append(row)
-            if right_rows:
-                matches = [{c: m[c] for c in right_only}
-                           for m in right_rows]
-                return [{**l, **m} for l in left_rows for m in matches]
-            if padding is None:
-                return []
-            return [{**l, **padding} for l in left_rows]
-
+        reducer = join_reducer(
+            dict.fromkeys(right_only) if how == "left" else None,
+            project=right_only)
         self._job(
             "join",
             [(left, emit_side("L", lk)), (right, emit_side("R", rk))],
@@ -282,8 +253,10 @@ class PigMRCompiler:
             def emit(rows, _kk=_k):
                 return list(zip(key_tuples(rows, _kk), rows))
 
-            def reducer(key, rows, _kk=_k, _a=_asc):
-                return order_rows(rows, _kk, _a)
+            order = [(k, _asc) for k in _k]
+
+            def reducer(key, rows):
+                return order_rows(rows, order)
 
             class _Oriented(RangePartitioner):
                 def __init__(self, base, asc):

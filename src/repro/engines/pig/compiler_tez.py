@@ -41,15 +41,9 @@ from ..lowering import (
     to_dag,
     tuple_sink,
 )
+from ..relational import order_rows, rows_of
 from .model import DEFAULT_PARALLEL, SAMPLE_RATE, PigScript, Relation
-from .reference import (
-    hash_join,
-    key_tuples,
-    merge_aggregate_states,
-    order_rows,
-    partial_aggregate_states,
-    rows_from_tuples,
-)
+from .reference import aggregation, hash_join, key_tuples, tuple_fields
 
 __all__ = ["PigTezCompiler", "PigTezConfig",
            "PartitionerDefinedVertexManager", "IndexPartitioner"]
@@ -252,15 +246,11 @@ class PigTezCompiler:
         stage = self._new_stage("agg", parallelism)
         if keys:
             stage.manager = self._shuffle_manager()
-
-        def emit(ctx, rows, _k=keys, _a=aggs):
-            return partial_aggregate_states(rows, _k, _a)
-
-        def decode(ctx, data, _k=keys, _a=aggs):
-            return merge_aggregate_states(data, _k, _a)
-
+        agg = aggregation(keys, aggs)
         stage.in_exchanges.append(Exchange(
-            producer, DataMovementType.SCATTER_GATHER, emit, decode,
+            producer, DataMovementType.SCATTER_GATHER,
+            lambda ctx, rows: agg.partial(rows),
+            lambda ctx, data: agg.merge_groups(data),
             grouped=True, bytes_per_record=48,
         ))
         stage.combine = _single_input_combine(producer.name)
@@ -372,8 +362,8 @@ class PigTezCompiler:
         ))
         stage.combine = _single_input_combine(part.name)
 
-        stage.ops.append(
-            lambda rows, _k=keys, _a=ascending: order_rows(rows, _k, _a))
+        order = [(k, ascending) for k in keys]
+        stage.ops.append(lambda rows, _o=order: order_rows(rows, _o))
         return stage
 
     def _build_limit(self, rel: Relation) -> Stage:
@@ -460,8 +450,10 @@ class PigTezCompiler:
 
 # -------------------------------------------------------------- helpers
 def _tuple_decoder(schema: list[str]) -> Callable:
+    fields = tuple_fields(schema)
+
     def decoder(ctx, records):
-        return rows_from_tuples(records, schema)
+        return rows_of(records, fields)
     return decoder
 
 

@@ -1,42 +1,39 @@
-"""Pig's relational kernels, and the in-memory reference executor.
+"""Pig's translation into the relational kernels, and the in-memory
+reference executor.
 
-The kernels (:func:`key_tuples` - the lowering's, shared with Hive and
-every sink -, the aggregation trio, :func:`hash_join`,
-:func:`order_rows`) are what the Tez and MapReduce compilers ship into
-tasks and what :func:`execute_script` runs in process for differential
-tests. Each resolves its field getters and aggregate steppers once per
-call and then touches every row once (DESIGN.md "Operator kernels").
+The kernels live in ``engines/relational.py`` with Hive's; what is
+Pig's is the translation (:func:`aggregation`: a ``(func, field)``
+pair to a kernel, COUNT counting every row) and the field-name forms
+(:func:`tagged_keys`, :func:`hash_join`) the Tez and MapReduce
+compilers ship into tasks and :func:`execute_script` runs in process
+for differential tests (DESIGN.md "Operator kernels").
 """
 
 from __future__ import annotations
 
-import operator
-from itertools import repeat
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Optional
 
 from ...shuffle.sorter import sort_keys
 from ..lowering import key_tuples
+from ..relational import (
+    AggKernel,
+    Aggregation,
+    build_table,
+    kernel,
+    order_rows,
+    probe,
+    rows_of,
+)
 from .model import PigScript, Relation
 
-__all__ = ["execute_script", "rows_from_tuples", "key_tuples", "tagged_keys",
-           "partial_aggregate_states", "state_merger", "state_finisher",
-           "merge_aggregate_states", "apply_aggregate", "hash_join",
-           "order_rows"]
+__all__ = ["execute_script", "key_tuples", "tagged_keys", "aggregation",
+           "hash_join", "tuple_fields"]
 
 
-def rows_from_tuples(records: list[tuple], schema: list[str]) -> list[dict]:
-    """Decode stored tuples into row dicts."""
-    fields = list(enumerate(schema))
-    rows = []
-    for rec in records:
-        # Not ``dict(zip(schema, rec))`` per row: on CPython 3.11 that
-        # costs 40 % more than this loop.
-        row = {}
-        for i, name in fields:
-            row[name] = rec[i]
-        rows.append(row)
-    return rows
+def tuple_fields(schema: list[str]) -> list[tuple[str, int]]:
+    """How ``relational.rows_of`` decodes stored tuples of ``schema``."""
+    return [(name, i) for i, name in enumerate(schema)]
 
 
 def tagged_keys(rows: list[dict], keys: list[str]) -> list[tuple]:
@@ -48,132 +45,19 @@ def tagged_keys(rows: list[dict], keys: list[str]) -> list[tuple]:
                       for k in keys]))
 
 
-def _null_first(fn):
-    """Combine two states where NULL means "no value seen yet"."""
-    def combine(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return fn(a, b)
-    return combine
+def _kernel(out: str, func: str, field: Optional[str]) -> AggKernel:
+    # COUNT counts every row, NULL or not (SQL's COUNT(*)).
+    counts_rows = func == "count" or field is None
+    return kernel(func, out, None if counts_rows else itemgetter(field))
 
 
-def _count(state, _value):
-    return state + 1
-
-
-def _sum(state, value):
-    if value is None:
-        return state
-    return value if state is None else state + value
-
-
-def _avg(state, value):
-    if value is None:
-        return state
-    return (state[0] + value, state[1] + 1)
-
-
-def _min(state, value):
-    if value is None:
-        return state
-    return value if state is None or value < state else state
-
-
-def _max(state, value):
-    if value is None:
-        return state
-    return value if state is None or value > state else state
-
-
-def _avg_result(state):
-    total, n = state
-    return total / n if n else None
-
-
-# func -> (initial state, step, combine, result or None for "the state");
-# every initial state is immutable, so one list seeds every group.
-_AGGREGATES = {
-    "count": (0, _count, operator.add, None),
-    "sum": (None, _sum, _null_first(operator.add), None),
-    "avg": ((0.0, 0), _avg, lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            _avg_result),
-    "min": (None, _min, _null_first(min), None),
-    "max": (None, _max, _null_first(max), None),
-}
-
-
-def partial_aggregate_states(rows: list[dict], keys: list[str],
-                             aggs: dict) -> list[tuple]:
-    """The grouping pass: ``[(key_values, state_tuple)]`` in first-seen
-    order, every row stepped into its group's states in row order."""
-    kernels = [_AGGREGATES[func] for func, _field in aggs.values()]
-    initial = [kernel[0] for kernel in kernels]
-    steps = [(i, kernel[1]) for i, kernel in enumerate(kernels)]
-    inputs = zip(*[
-        repeat(1) if field is None else map(itemgetter(field), rows)
-        for _func, field in aggs.values()
-    ]) if aggs else repeat(())
-    groups: dict[tuple, tuple] = {}
-    for key, raw, args in zip(tagged_keys(rows, keys),
-                              key_tuples(rows, keys), inputs):
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = (raw, initial.copy())
-        state = group[1]
-        for i, step in steps:
-            state[i] = step(state[i], args[i])
-    return [(raw, tuple(state)) for raw, state in groups.values()]
-
-
-def state_merger(aggs: dict) -> Callable[[list], Any]:
-    """``[partial states, ...] -> merged states``, left to right."""
-    combines = [_AGGREGATES[func][2] for func, _field in aggs.values()]
-
-    def merge_states(states):
-        merged = states[0]
-        for state in states[1:]:
-            merged = [c(a, b) for c, a, b in zip(combines, merged, state)]
-        return merged
-
-    return merge_states
-
-
-def state_finisher(keys: list[str], aggs: dict) -> Callable[[tuple, list],
-                                                            dict]:
-    """``(key_values, [partial states, ...]) -> final row``."""
-    merge_states = state_merger(aggs)
-    outs = list(aggs)
-    results = [(out, _AGGREGATES[func][3]) for out, (func, _f) in aggs.items()
-               if _AGGREGATES[func][3] is not None]
-
-    def finish(key_values, states):
-        row = dict(zip(keys, key_values))
-        row.update(zip(outs, merge_states(states)))
-        for out, result in results:
-            row[out] = result(row[out])
-        return row
-
-    return finish
-
-
-def merge_aggregate_states(grouped: list[tuple], keys: list[str],
-                           aggs: dict) -> list[dict]:
-    """Reduce-side merge of partial states into final rows."""
-    finish = state_finisher(keys, aggs)
-    return [finish(key_values, states) for key_values, states in grouped]
-
-
-def apply_aggregate(rows: list[dict], keys: list[str],
-                    aggs: dict[str, tuple[str, Any]]) -> list[dict]:
-    """Full aggregation: the grouping pass, then the merge of its one
-    state per group."""
-    return merge_aggregate_states(
-        [(raw, [state])
-         for raw, state in partial_aggregate_states(rows, keys, aggs)],
-        keys, aggs,
-    )
+def aggregation(keys: list[str],
+                aggs: dict[str, tuple[str, Optional[str]]]) -> Aggregation:
+    """GROUP ``keys`` computing ``aggs`` (output field -> ``(func,
+    input field)``). A global aggregate over no rows yields no row."""
+    return Aggregation(list(keys), list(map(itemgetter, keys)),
+                       [_kernel(out, func, field)
+                        for out, (func, field) in aggs.items()])
 
 
 def hash_join(left: list[dict], right: list[dict], left_keys: list[str],
@@ -181,30 +65,11 @@ def hash_join(left: list[dict], right: list[dict], left_keys: list[str],
               right_only: list[str]) -> list[dict]:
     """Build on the right, probe with the left, in row order; a match
     contributes the fields only the right side has."""
-    build: dict = {}
-    picked = key_tuples(right, right_only)
-    for key, fields in zip(tagged_keys(right, right_keys), picked):
-        build.setdefault(key, []).append(dict(zip(right_only, fields)))
+    table = build_table(tagged_keys(right, right_keys), [
+        dict(zip(right_only, fields))
+        for fields in key_tuples(right, right_only)])
     padding = dict.fromkeys(right_only) if how == "left" else None
-    matches_of = build.get
-    rows = []
-    for key, row in zip(tagged_keys(left, left_keys), left):
-        matches = matches_of(key)
-        if matches:
-            for match in matches:
-                rows.append({**row, **match})
-        elif padding is not None:
-            rows.append({**row, **padding})
-    return rows
-
-
-def order_rows(rows: list[dict], keys: list[str],
-               ascending: bool) -> list[dict]:
-    """Stable sort by the tagged key tuple."""
-    tagged = tagged_keys(rows, keys)
-    order = sorted(range(len(rows)), key=tagged.__getitem__,
-                   reverse=not ascending)
-    return [rows[i] for i in order]
+    return probe(table, tagged_keys(left, left_keys), left, padding)
 
 
 def _eval(rel: Relation, hdfs, cache: dict) -> list[dict]:
@@ -213,7 +78,7 @@ def _eval(rel: Relation, hdfs, cache: dict) -> list[dict]:
     p = rel.params
     if rel.op == "load":
         records = hdfs.read_file(p["path"])
-        rows = rows_from_tuples(records, rel.schema)
+        rows = rows_of(records, tuple_fields(rel.schema))
     elif rel.op == "filter":
         rows = [r for r in _eval(rel.parents[0], hdfs, cache)
                 if p["predicate"](r)]
@@ -239,9 +104,8 @@ def _eval(rel: Relation, hdfs, cache: dict) -> list[dict]:
             for g, bag in groups.items()
         ]
     elif rel.op == "aggregate":
-        rows = apply_aggregate(
-            _eval(rel.parents[0], hdfs, cache), p["keys"], p["aggs"]
-        )
+        rows = aggregation(p["keys"], p["aggs"]).full(
+            _eval(rel.parents[0], hdfs, cache))
     elif rel.op == "join":
         rows = hash_join(
             _eval(rel.parents[0], hdfs, cache),
@@ -262,8 +126,8 @@ def _eval(rel: Relation, hdfs, cache: dict) -> list[dict]:
             first.setdefault(key, r)
         rows = list(first.values())
     elif rel.op == "order":
-        rows = order_rows(_eval(rel.parents[0], hdfs, cache), p["keys"],
-                          p["ascending"])
+        rows = order_rows(_eval(rel.parents[0], hdfs, cache),
+                          [(k, p["ascending"]) for k in p["keys"]])
     elif rel.op == "limit":
         rows = _eval(rel.parents[0], hdfs, cache)[: p["n"]]
     else:

@@ -50,9 +50,6 @@ class RDD:
     def map_values(self, fn: Callable) -> "RDD":
         return self._derive("map_values", fn=fn)
 
-    def key_by(self, fn: Callable) -> "RDD":
-        return self._derive("map", fn=lambda x, _f=fn: (_f(x), x))
-
     def union(self, other: "RDD") -> "RDD":
         return RDD(self.context, "union", [self, other],
                    self.num_partitions + other.num_partitions)

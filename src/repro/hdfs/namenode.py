@@ -175,10 +175,6 @@ class Hdfs:
         return self.get_file(path).records()
 
     # -- splits (for MR-style input) -----------------------------------------
-    def block_locations(self, path: str) -> list[tuple[DataBlock, list[str]]]:
-        dfile = self.get_file(path)
-        return [(b, self.live_replicas(b)) for b in dfile.blocks]
-
     def splits_for(
         self, paths: Iterable[str], max_splits: Optional[int] = None
     ) -> list[list[DataBlock]]:

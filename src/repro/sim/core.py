@@ -445,9 +445,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling -------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
         self._seq += 1

@@ -238,11 +238,6 @@ class TaskSchedulerService:
         slot.mailbox.abandon()
         self.ctx.release_container(slot.container.container_id)
 
-    def release_all_idle(self) -> None:
-        for slot in list(self.slots.values()):
-            if slot.current is None:
-                self.release_slot(slot)
-
     # ------------------------------------------------------- node blacklist
     def blacklist_node(self, node_id: str) -> None:
         """Stop placing work on a node: tell YARN, drop idle slots."""
@@ -267,9 +262,6 @@ class TaskSchedulerService:
 
     def held_containers(self) -> int:
         return len(self.slots)
-
-    def idle_containers(self) -> int:
-        return sum(1 for s in self.slots.values() if s.current is None)
 
     def prewarm(self, count: int, capability: Resource,
                 priority: int = 1) -> None:

@@ -41,10 +41,6 @@ class Container:
         self.allocated_at: float = 0.0
         self.process = None         # sim Process once launched
 
-    @property
-    def is_warm(self) -> bool:
-        return self._warmup_remaining <= 0
-
     def prewarm(self) -> None:
         """Mark the JVM as fully warmed (session pre-warm containers)."""
         self._warmup_remaining = 0.0

@@ -74,3 +74,7 @@ def test_rows_close_forgives_summation_order_and_nothing_else():
     in their 13th digit across a rounding boundary."""
     assert not rows_close([(1, 1e-05)], [(1, 4e-05)])
     assert rows_close([(1, 0.12345)], [(1, 0.1234499999999)])
+    # Within the tolerance, on either side of a 6-digit rounding
+    # boundary: a rounded sort key paired each with the other's row.
+    assert rows_close([(0.12345655,), (0.1234565000000002,)],
+                      [(0.12345655,), (0.1234564999999998,)])

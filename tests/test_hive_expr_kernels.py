@@ -2,7 +2,8 @@
 
 The engines lower every expression to a closure once per fragment
 (``Expr.compile``) and choose every aggregate's closures once
-(``aggregates.agg_kernel``, Pig's steppers). What they replaced - a
+(``aggregates.agg_kernel``, Pig's ``(func, field)`` translation, both
+onto ``engines/relational.py``). What they replaced - a
 tree-walking ``eval`` per node type and ``agg_update`` / ``agg_step``
 ladders over the aggregate's name, paid per row - is kept here verbatim
 as ``_FrozenEval``, ``_FrozenPartialAggregate``, ``_FrozenRunAggregate``,
@@ -48,13 +49,11 @@ Hand mutations of the shipped kernels each of these tests catches
 
 import enum
 import re
+from types import SimpleNamespace
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.engines.hive.aggregates import (
-    merge_aggregate_groups,
-    partial_aggregate,
-)
+from repro.engines.hive.aggregates import aggregation, sql_rows
 from repro.engines.hive.ast_nodes import (
     AGGREGATE_FUNCS,
     SCALAR_FUNCS,
@@ -74,8 +73,30 @@ from repro.engines.hive.ast_nodes import (
 from repro.engines.hive.fragments import InputLeaf
 from repro.engines.hive.plan import Aggregate
 from repro.engines.hive.reference import run_aggregate
-from repro.engines.pig import reference as pig
+from repro.engines.pig.reference import aggregation as pig_aggregation
 from repro.shuffle.sorter import sort_key
+
+
+# The shipped kernels (engines/relational.py, reached through each
+# front-end's translation) in the call shapes of the per-engine copies
+# they replaced, so every comparison below reads as it did.
+def partial_aggregate(rows, group_items, aggs):
+    return aggregation(group_items, aggs).partial(rows)
+
+
+def merge_aggregate_groups(grouped, group_items, aggs, empty_global=False):
+    agg = aggregation(group_items, aggs)
+    rows = agg.merge_groups(grouped)
+    return sql_rows(agg, rows) if empty_global else rows
+
+
+pig = SimpleNamespace(
+    state_merger=lambda aggs: pig_aggregation([], aggs).merge,
+    partial_aggregate_states=lambda rows, keys, aggs:
+        pig_aggregation(keys, aggs).partial(rows),
+    apply_aggregate=lambda rows, keys, aggs:
+        pig_aggregation(keys, aggs).full(rows),
+)
 
 
 class _FixedByThisPR(Exception):

@@ -181,6 +181,7 @@ def test_the_sharded_sweep_is_retired():
 
 
 OPERATOR_FILES = [
+    "engines/relational.py",
     "engines/hive/fragments.py", "engines/hive/compiler_tez.py",
     "engines/hive/compiler_mr.py", "engines/hive/reference.py",
     "engines/pig/reference.py", "engines/pig/compiler_tez.py",
@@ -210,8 +211,9 @@ def _names_an_operator(node):
 @pytest.mark.parametrize("module", OPERATOR_FILES)
 def test_operators_resolve_nothing_per_row(module):
     """Expressions and aggregates are lowered to closures before the
-    row loop (``Expr.compile``, ``agg_kernel``, Pig's ``_AGGREGATES``):
-    no tree walk and no dispatch on an aggregate's name inside one."""
+    row loop (``Expr.compile``, ``relational.kernel`` - reached through
+    Hive's ``agg_kernel`` and Pig's ``aggregation``): no tree walk and
+    no dispatch on an aggregate's name inside one."""
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     for node in _inside_loops(tree):
         if isinstance(node, ast.Call):
@@ -224,6 +226,67 @@ def test_operators_resolve_nothing_per_row(module):
                 isinstance(s, ast.Constant) and isinstance(s.value, str)
                 for s in sides)), \
                 f"{module}:{node.lineno} dispatches on a name per row"
+
+
+# module -> the per-engine kernel copies ``engines/relational.py``
+# replaced: each is gone, not kept beside the shared one.
+DELETED_KERNELS = {
+    "engines/hive/aggregates.py": [
+        "partial_aggregate", "state_merger", "aggregate_finisher",
+        "merge_aggregate_groups", "_PLAIN", "_count", "_sum", "_avg",
+        "_min", "_max", "_null_first"],
+    "engines/pig/reference.py": [
+        "_AGGREGATES", "_count", "_sum", "_avg", "_min", "_max",
+        "_avg_result", "_null_first", "partial_aggregate_states",
+        "state_merger", "state_finisher", "merge_aggregate_states",
+        "apply_aggregate", "order_rows", "rows_from_tuples"],
+    "engines/hive/reference.py": ["sort_rows", "rows_from_tuples"],
+}
+
+
+def _defined_names(module):
+    """Every name ``module`` defines at any depth: functions, classes,
+    assignments."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+@pytest.mark.parametrize("module", sorted(DELETED_KERNELS))
+def test_each_engine_kernel_copy_is_gone(module):
+    assert not set(DELETED_KERNELS[module]) & set(_defined_names(module))
+
+
+def test_one_set_of_relational_kernels():
+    """Hive and Pig share one hash join, one MR aggregation reducer and
+    combiner and one tagged join reducer; a LIMIT without ORDER BY is
+    ``_build_sort`` with no keys in both Hive compilers."""
+    from repro.engines.hive import MRCompiler, TezCompiler
+
+    for compiler in (TezCompiler, MRCompiler):
+        assert not hasattr(compiler, "_build_limit")
+        assert not hasattr(compiler, "_build_generic_limit")
+    hash_loops = {"engines/hive/reference.py": "_hash_join",
+                  "engines/pig/reference.py": "hash_join"}
+    for module, name in hash_loops.items():
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        [fn] = [n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == name]
+        assert not any(isinstance(n, (ast.For, ast.While))
+                       for n in ast.walk(fn)), f"{module}:{name} loops"
+    for module in ("engines/hive/compiler_mr.py",
+                   "engines/pig/compiler_mr.py"):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and \
+                    fn.name in ("_build_aggregate", "_build_join"):
+                inner = {n.name for n in ast.walk(fn)
+                         if isinstance(n, ast.FunctionDef)}
+                assert not inner & {"reducer", "combiner"}, \
+                    f"{module}:{fn.name} writes its own reducer"
 
 
 def test_expressions_have_one_evaluator():
