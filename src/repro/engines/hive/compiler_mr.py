@@ -58,6 +58,7 @@ class CompiledMRQuery:
     jobs: list[MRJob]
     output_path: str
     columns: list[str]
+    scratch: str                      # the jobs' intermediate directory
 
 
 class MRCompiler:
@@ -77,7 +78,8 @@ class MRCompiler:
         pending = self._build(plan)
         columns = plan.output_columns()
         self._finalize(pending, output_path, columns)
-        return CompiledMRQuery(list(self._jobs), output_path, columns)
+        return CompiledMRQuery(list(self._jobs), output_path, columns,
+                               self._tmp_base)
 
     # -------------------------------------------------------- utilities
     def _tmp(self, label: str) -> str:

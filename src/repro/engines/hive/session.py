@@ -120,25 +120,33 @@ class HiveSession:
             dag, columns, output_path = self.tez_compiler.compile(
                 plan, name
             )
-            status = yield from self.tez_client.run_dag(dag)
-            if not status.succeeded:
-                raise RuntimeError(
-                    f"query failed on tez: {status.diagnostics}"
-                )
-            rows = list(self.sim.hdfs.read_file(output_path))
+            try:
+                status = yield from self.tez_client.run_dag(dag)
+                if not status.succeeded:
+                    raise RuntimeError(
+                        f"query failed on tez: {status.diagnostics}"
+                    )
+                rows = list(self.sim.hdfs.read_file(output_path))
+            finally:
+                # The result file is the query's scratch: read, then gone.
+                self.sim.hdfs.delete_tree(output_path)
             return QueryResult(
                 sql, columns, rows, status.elapsed, backend,
                 jobs=1, metrics=dict(status.metrics),
             )
         # MapReduce chain.
         compiled = self.mr_compiler.compile(plan, name)
-        results = yield from self._mr_runner.run_pipeline(compiled.jobs)
-        failed = [r for r in results if not r.succeeded]
-        if failed:
-            raise RuntimeError(
-                f"query failed on mr: {failed[0].diagnostics}"
-            )
-        rows = list(self.sim.hdfs.read_file(compiled.output_path))
+        try:
+            results = yield from self._mr_runner.run_pipeline(
+                compiled.jobs)
+            failed = [r for r in results if not r.succeeded]
+            if failed:
+                raise RuntimeError(
+                    f"query failed on mr: {failed[0].diagnostics}"
+                )
+            rows = list(self.sim.hdfs.read_file(compiled.output_path))
+        finally:
+            self.sim.hdfs.delete_tree(compiled.scratch)
         return QueryResult(
             sql, compiled.columns, rows, self.sim.env.now - start,
             backend, jobs=len(compiled.jobs),

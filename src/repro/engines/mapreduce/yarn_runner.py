@@ -453,6 +453,5 @@ class _MRAppMaster:
             record_bytes=self.job.output_record_bytes,
             overwrite=True,
         )
-        for path in self.hdfs.list_files(f"{self.job.output_path}/_tmp/"):
-            self.hdfs.delete(path)
+        self.hdfs.delete_tree(f"{self.job.output_path}/_tmp")
         yield self.env.timeout(0.05)

@@ -56,7 +56,8 @@ class PigMRCompiler:
         self._steps: list[JobStep] = []
         self._done: dict[int, _Pending] = {}
         self._consumer_counts = script.consumer_counts()
-        self._script_tag = f"{script.name}_{next(self._seq)}"
+        # Where this script's intermediate files go.
+        self.scratch = f"/tmp/pig_mr/{script.name}_{next(self._seq)}"
         for rel, path in script.stores:
             pending = self._build(rel)
             self._emit_store(pending, rel, path)
@@ -65,7 +66,7 @@ class PigMRCompiler:
     # ------------------------------------------------------------ helpers
     def _tmp(self, label: str, seq: Optional[int] = None) -> str:
         seq = next(self._seq) if seq is None else seq
-        return f"/tmp/pig_mr/{self._script_tag}/{label}_{seq}"
+        return f"{self.scratch}/{label}_{seq}"
 
     def _job(self, label: str, feeds: list[tuple[_Pending, Callable]],
              out: str, **fields) -> None:
@@ -327,14 +328,18 @@ def run_pig_on_mr(script: PigScript,
     compiler = PigMRCompiler()
     steps = compiler.compile(script)
     results = []
-    for step in steps:
-        job = step(runner.hdfs)
-        result = yield from runner.run_job(job)
-        results.append(result)
-        if not result.succeeded:
-            raise RuntimeError(
-                f"pig-on-mr job {job.name} failed: {result.diagnostics}"
-            )
+    try:
+        for step in steps:
+            job = step(runner.hdfs)
+            result = yield from runner.run_job(job)
+            results.append(result)
+            if not result.succeeded:
+                raise RuntimeError(
+                    f"pig-on-mr job {job.name} failed: "
+                    f"{result.diagnostics}"
+                )
+    finally:
+        runner.hdfs.delete_tree(compiler.scratch)
     outputs = {
         path: runner.hdfs.read_file(path)
         for _rel, path in script.stores

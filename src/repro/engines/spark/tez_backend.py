@@ -61,11 +61,18 @@ class SparkTezBackend:
     def run_job(self, stages: list[Stage], result: Stage,
                 action: tuple, name: str) -> Generator:
         dag, out_path = self._build_dag(stages, result, action, name)
-        status = yield from self.client.run_dag(dag)
-        if not status.succeeded:
-            raise RuntimeError(f"spark-on-tez failed: {status.diagnostics}")
         kind, _arg = action
-        records = list(self.sim.hdfs.read_file(out_path))
+        try:
+            status = yield from self.client.run_dag(dag)
+            if not status.succeeded:
+                raise RuntimeError(
+                    f"spark-on-tez failed: {status.diagnostics}")
+            records = list(self.sim.hdfs.read_file(out_path))
+        finally:
+            # A count's or collect's result file is scratch; a save's
+            # path is the user's.
+            if kind != "save":
+                self.sim.hdfs.delete_tree(out_path)
         if kind == "count":
             return sum(n for _z, n in records)
         if kind == "collect":

@@ -61,6 +61,14 @@ class Hdfs:
         if self._files.pop(path, None) is not None:
             self._versions[path] = self._versions.get(path, 0) + 1
 
+    def delete_tree(self, path: str) -> None:
+        """Delete ``path`` and every file under ``path + "/"``: a
+        directory, so ``/tmp/hive/q1`` leaves ``/tmp/hive/q10``."""
+        under = f"{path}/"
+        for name in [p for p in self._files
+                     if p == path or p.startswith(under)]:
+            self.delete(name)
+
     def version(self, path: str) -> int:
         """Write version of ``path``: 0 if never written, bumped on
         every (over)write and delete. Equal versions imply identical

@@ -356,13 +356,13 @@ class AttemptRunner:
         )
 
     def scrub_registry(self, registry: ObjectRegistry, vr) -> None:
-        """Lazy scope cleanup: entries from other DAGs/vertices die when
-        a task from a different scope reuses the container."""
+        """A vertex change: VERTEX entries of another vertex die when a
+        task of ``vr`` reuses the container. A finished DAG's entries
+        are gone already (``DAGAppMaster._release_dag``)."""
         keep_vertex = f"{self.am._dag_id}/{vr.name}"
         stale = [
             key for key, (scope, scope_id, _v) in registry._entries.items()
-            if (scope == Scope.DAG and scope_id != self.am._dag_id)
-            or (scope == Scope.VERTEX and scope_id != keep_vertex)
+            if scope == Scope.VERTEX and scope_id != keep_vertex
         ]
         for key in stale:
             registry._entries.pop(key, None)

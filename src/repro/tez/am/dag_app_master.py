@@ -28,6 +28,7 @@ from ...yarn import AMContext, ContainerExitStatus
 from ..committer import CommitterContext
 from ..config import TezConfig
 from ..dag import DAG
+from ..registry import Scope
 from ..runtime import FrameworkServices
 from .attempt_runner import BASE_TASK_PRIORITY, AttemptRunner
 from .dispatcher import (
@@ -324,7 +325,7 @@ class DAGAppMaster:
                 elapsed=finish - start,
             )
         self._dag = None
-        self._release_dag()
+        self._release_dag(recovered=bool(recovered))
         self.scheduler.session_waiting = True
         return status
 
@@ -334,14 +335,37 @@ class DAGAppMaster:
                 monitor.interrupt(cause)
         self._monitors = []
 
-    def _release_dag(self) -> None:
-        """Cut the finished DAG's runtime graph so reference counting
+    def _release_dag(self, recovered: bool) -> None:
+        """Free what the finished DAG made (DESIGN.md "What a finished
+        DAG or query leaves behind"): its spills on every node, and its
+        DAG- and VERTEX-scoped registry entries in every container
+        this AM still holds. Runs only once the DAG's finish marker is
+        journaled, so a recovering AM still finds the spills of the
+        producers it recovers. Those were made under the crashed
+        attempt's id for the DAG, so a DAG that ``recovered`` work
+        frees every spill of the application: a session AM runs one
+        DAG at a time, so none of them is live any more.
+
+        Then cut the finished DAG's runtime graph so reference counting
         frees it now, not a full heap scan later (DESIGN.md "The host
         collector"). Only references that point *down* the
         vertex -> task -> attempt tree go: a straggler from this DAG
         (a container-lost exit, a killed attempt's children) still
         reaches its task and vertex through ``attempt.task`` /
         ``task.vertex`` and is discarded as stale."""
+        dag_id = self._dag_id
+        app_id = str(self.ctx.app_id)
+        if recovered:
+            self.services.shuffle.delete_app(app_id)
+        else:
+            self.services.shuffle.delete_dag(app_id, dag_id)
+        vertex_scopes = [f"{dag_id}/{name}" for name in self._vertices]
+        for slot in self.scheduler.slots.values():
+            registry = getattr(slot.container, "tez_registry", None)
+            if registry:
+                registry.clear_scope(Scope.DAG, dag_id)
+                for scope_id in vertex_scopes:
+                    registry.clear_scope(Scope.VERTEX, scope_id)
         forget = self.machines.forget
         for vr in self._vertices.values():
             for task in vr.tasks:

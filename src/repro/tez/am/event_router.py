@@ -190,8 +190,14 @@ class EventRouter:
         )
 
     def on_task_uplink(self, uplink: TaskUplinkEvent) -> None:
+        """Route an event a running task sent. One from an attempt of a
+        finished DAG is stale and dropped: a killed attempt's children
+        run on (EXPERIMENTS.md divergence 6), and once their DAG's
+        spills are freed their fetches report read errors that name
+        vertices the session's next DAG may have too."""
         am = self.am
-        if am._dag_state != DAGState.RUNNING:
+        if am._dag_state != DAGState.RUNNING \
+                or uplink.attempt.task.vertex.dag_id != am._dag_id:
             return
         event = uplink.payload
         if isinstance(event, VertexManagerEvent):

@@ -202,5 +202,4 @@ class HdfsOutputCommitter(OutputCommitter):
         yield from ()
 
     def _cleanup(self, hdfs, final: str) -> None:
-        for path in hdfs.list_files(f"{final}/_staging/"):
-            hdfs.delete(path)
+        hdfs.delete_tree(f"{final}/_staging")

@@ -1,9 +1,13 @@
 """Shared object registry (paper section 4.2).
 
 A per-container in-memory cache surviving across the tasks that reuse
-the container. Entries are scoped to a vertex, a DAG, or the session;
-the framework clears the matching entries when that scope ends. Hive
-uses this to build a broadcast-join hash table once per container.
+the container. Entries are scoped to a vertex, a DAG, or the session.
+When a DAG ends, its AM clears the DAG's DAG- and VERTEX-scoped entries
+(``clear_scope``) in every container it still holds; a VERTEX entry of
+another vertex of the running DAG is dropped when a task of a different
+vertex is launched in the container; SESSION entries live as long as
+the container. Hive uses this to build a broadcast-join hash table once
+per container.
 """
 
 from __future__ import annotations

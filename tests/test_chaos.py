@@ -274,6 +274,35 @@ def test_chaos_shuffle_output_loss_triggers_reexecution():
     assert (0, 1) in map_runs  # map 0 regenerated its output
 
 
+def test_shuffle_output_loss_in_a_sessions_second_dag_hits_that_dag():
+    """A finished DAG's spills are freed when it ends, so a lost-output
+    fault fired during the session's next DAG finds that DAG's map
+    output, not a dead leftover of the first: the loss is real and
+    costs one re-execution. (When the first DAG's spills stayed, this
+    fault dropped ``one#1/m/t0_a0/r``, re-executed nothing and the
+    second DAG took 1.002 s.)"""
+    sim = make_sim()
+    write_kv(sim, "/in", 500)
+    client = sim.tez_client(session=True)
+    client.start()
+    first = client.submit_dag(two_stage_dag(sim, name="one"))
+    sim.env.run(until=first.completion)
+    assert first.status.succeeded, first.status.diagnostics
+    second = client.submit_dag(two_stage_dag(sim, name="two"))
+    plan = FaultPlan().drop_shuffle_output(at=sim.env.now + 0.5,
+                                           pattern="/m/", count=1,
+                                           wait=30.0)
+    controller = sim.chaos(plan, client=client)
+    sim.env.run(until=second.completion)
+    status = second.status
+    assert status.succeeded, status.diagnostics
+    [(_at, _kind, dropped)] = controller.injected
+    assert dropped.startswith("two#2/m/"), dropped
+    assert status.metrics["reexecutions"] == 1
+    assert status.elapsed == pytest.approx(1.703, abs=1e-3)
+    assert dict(sim.hdfs.read_file("/out/two")) == expected_sums(500)
+
+
 # ======================================================= blacklisting
 def _session_am(sim, config=None):
     client = sim.tez_client(session=True, config=config)

@@ -77,6 +77,21 @@ def test_list_files_prefix(fs):
     assert fs.list_files("/a/") == ["/a/x", "/a/y"]
 
 
+def test_delete_tree_is_a_directory_not_a_prefix(fs):
+    for path in ("/tmp/hive/q1", "/tmp/hive/q1/_staging/a",
+                 "/tmp/hive/q10", "/tmp/hive/q10/_staging/a"):
+        fs.write(path, [1])
+    assert fs.list_files("/tmp/hive/q1") == [
+        "/tmp/hive/q1", "/tmp/hive/q1/_staging/a",
+        "/tmp/hive/q10", "/tmp/hive/q10/_staging/a"]
+    fs.delete_tree("/tmp/hive/q1")
+    assert fs.list_files() == ["/tmp/hive/q10", "/tmp/hive/q10/_staging/a"]
+    assert fs.version("/tmp/hive/q1") == 2     # written, then deleted
+    fs.delete_tree("/tmp/hive/q10/_staging")
+    assert fs.list_files() == ["/tmp/hive/q10"]
+    fs.delete_tree("/nothing/here")            # no such tree: no-op
+
+
 def test_pick_replica_prefers_local_then_rack(fs):
     f = fs.write("/loc", list(range(10)), record_bytes=8,
                  writer_node="node0000")

@@ -14,12 +14,21 @@ read-only) in this process, runs its timed region once and prints
 * what one full collection under ``gc.DEBUG_SAVEALL`` finds afterwards:
   unreachable objects by type and, for the largest strongly-connected
   components, the attribute edges that close each cycle - the listing
-  that says which reference to cut.
+  that says which reference to cut;
+* what the finished DAGs and queries still hold once the timed region
+  returns (no DAG is running then): HDFS files that are neither inputs
+  nor committed outputs - scratch under ``/tmp/`` (the Spark RDD cache
+  aside) and staging under ``_staging/`` or ``_tmp/`` - shuffle spills
+  per application, and object-registry entries per scope in every live
+  container.
 
-The script uses nothing that was added to the program for it, so a copy
-of this file dropped into a parent checkout's ``tools/`` gives the
-"before" column. ``--check`` exits 1 when a collection ran inside
-``Environment.run`` or the unreachable set holds an AM structure.
+The script uses nothing that was added to the program for it (it reads
+the shuffle services' and registries' own tables), so a copy of this
+file dropped into a parent checkout's ``tools/`` gives the "before"
+column. ``--check`` exits 1 when a collection ran inside
+``Environment.run``, the unreachable set holds an AM structure, or a
+finished DAG or query left a scratch or staging file, a spill or a DAG-
+or VERTEX-scoped registry entry.
 """
 
 from __future__ import annotations
@@ -37,6 +46,34 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHAPES_SHOWN = 4
 EDGES_SHOWN = 24
+LEFT_SHOWN = 8
+SCRATCH_ROOT = "/tmp/"
+RDD_CACHE = "/tmp/spark/cache/"     # data a later job reads, not scratch
+
+
+def _scratch(path: str) -> bool:
+    """Neither an input nor a committed output."""
+    if path.startswith(SCRATCH_ROOT):
+        return not path.startswith(RDD_CACHE)
+    return "/_staging/" in path or "/_tmp/" in path
+
+
+def _left_behind(sims) -> tuple[list, Counter, Counter]:
+    """(scratch and staging files, spills per app id, registry entries
+    per scope) still held in ``sims``."""
+    files, spills, entries = [], Counter(), Counter()
+    for sim in sims:
+        files += [path for path in sim.hdfs.list_files() if _scratch(path)]
+        for service in sim.shuffle.services.values():
+            for app_id, spill_ids in service._app_spills.items():
+                spills[app_id] += len(spill_ids)
+        for nm in sim.rm.node_managers.values():
+            for container in nm.containers.values():
+                registry = getattr(container, "tez_registry", None)
+                if registry is not None:
+                    entries.update(scope for scope, _id, _value
+                                   in registry._entries.values())
+    return files, spills, entries
 
 
 def _am_structures() -> tuple:
@@ -229,6 +266,7 @@ def main(argv=None) -> int:
             w.run()
             wall = time.perf_counter() - started
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        files, spills, entries = _left_behind(w.sims)
         garbage = _unreachable()
         outcome = w.check()
         for sim in w.sims:
@@ -256,6 +294,18 @@ def main(argv=None) -> int:
         print(f"  {n:>8}  {name}")
     _print_components(garbage)
 
+    print(f"left behind by finished DAGs and queries: {len(files)} "
+          f"scratch or staging files, {sum(spills.values())} spills, "
+          f"{sum(entries.values())} registry entries")
+    for path in files[:LEFT_SHOWN]:
+        print(f"  file      {path}")
+    if len(files) > LEFT_SHOWN:
+        print(f"  ... and {len(files) - LEFT_SHOWN} more files")
+    for app_id, n in sorted(spills.items()):
+        print(f"  spills    {n:>8}  {app_id}")
+    for scope, n in sorted(entries.items()):
+        print(f"  registry  {n:>8}  {scope}")
+
     if not args.check:
         return 0
     stranded = Counter(type(o).__name__ for o in garbage
@@ -268,11 +318,18 @@ def main(argv=None) -> int:
         problems.append("AM structures left to the cyclic collector: "
                         + ", ".join(f"{n} {t}"
                                     for t, n in stranded.most_common()))
+    scoped = entries["DAG"] + entries["VERTEX"]
+    if files or spills or scoped:
+        problems.append(f"finished DAGs or queries left {len(files)} "
+                        f"scratch or staging files, "
+                        f"{sum(spills.values())} spills and {scoped} DAG- "
+                        f"or VERTEX-scoped registry entries")
     for problem in problems:
         print(f"CHECK FAILED: {problem}")
     if not problems:
         print("check: no collection inside Environment.run, no AM "
-              "structure among the unreachable objects")
+              "structure among the unreachable objects, nothing left "
+              "behind by a finished DAG or query")
     return 1 if problems else 0
 
 
