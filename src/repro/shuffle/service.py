@@ -230,22 +230,6 @@ class ShuffleService:
             del self._spills[spill_id]
         self._unlist(app_id)
 
-    def delete_dag(self, app_id: str, dag_id: str) -> None:
-        """Reclaim the spills of one finished DAG of ``app_id``: every
-        spill id begins ``{dag_id}/`` (the producing attempt's id)."""
-        spill_ids = self._app_spills.get(app_id)
-        if spill_ids is None:
-            return
-        prefix = f"{dag_id}/"
-        done = [spill_id for spill_id in spill_ids
-                if spill_id.startswith(prefix)]
-        for spill_id in done:
-            del self._spills[spill_id]
-        spill_ids.difference_update(done)
-        if not spill_ids:
-            del self._app_spills[app_id]
-            self._unlist(app_id)
-
     def drop_spill(self, spill_id: str) -> None:
         spill = self._spills.pop(spill_id, None)
         if spill is not None:
@@ -298,9 +282,3 @@ class ShuffleServices:
     def delete_app(self, app_id: str) -> None:
         for node_id in self.app_nodes(app_id):
             self.services[node_id].delete_app(app_id)
-
-    def delete_dag(self, app_id: str, dag_id: str) -> None:
-        """Reclaim one finished DAG's spills; the app's other DAGs keep
-        theirs."""
-        for node_id in self.app_nodes(app_id):
-            self.services[node_id].delete_dag(app_id, dag_id)

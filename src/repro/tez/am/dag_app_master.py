@@ -325,7 +325,7 @@ class DAGAppMaster:
                 elapsed=finish - start,
             )
         self._dag = None
-        self._release_dag(recovered=bool(recovered))
+        self._release_dag()
         self.scheduler.session_waiting = True
         return status
 
@@ -335,16 +335,16 @@ class DAGAppMaster:
                 monitor.interrupt(cause)
         self._monitors = []
 
-    def _release_dag(self, recovered: bool) -> None:
+    def _release_dag(self) -> None:
         """Free what the finished DAG made (DESIGN.md "What a finished
-        DAG or query leaves behind"): its spills on every node, and its
-        DAG- and VERTEX-scoped registry entries in every container
-        this AM still holds. Runs only once the DAG's finish marker is
-        journaled, so a recovering AM still finds the spills of the
-        producers it recovers. Those were made under the crashed
-        attempt's id for the DAG, so a DAG that ``recovered`` work
-        frees every spill of the application: a session AM runs one
-        DAG at a time, so none of them is live any more.
+        DAG or query leaves behind"): every spill of the application on
+        every node, and every DAG- and VERTEX-scoped registry entry in
+        every container this AM still holds. A session AM runs one DAG
+        at a time, so all of them are dead: this DAG's, a crashed AM
+        attempt's for it, and any a straggler of an earlier DAG made
+        late. Runs only once the DAG's finish marker is journaled, so
+        a recovering AM still finds the spills of the producers it
+        recovers.
 
         Then cut the finished DAG's runtime graph so reference counting
         frees it now, not a full heap scan later (DESIGN.md "The host
@@ -353,19 +353,11 @@ class DAGAppMaster:
         (a container-lost exit, a killed attempt's children) still
         reaches its task and vertex through ``attempt.task`` /
         ``task.vertex`` and is discarded as stale."""
-        dag_id = self._dag_id
-        app_id = str(self.ctx.app_id)
-        if recovered:
-            self.services.shuffle.delete_app(app_id)
-        else:
-            self.services.shuffle.delete_dag(app_id, dag_id)
-        vertex_scopes = [f"{dag_id}/{name}" for name in self._vertices]
+        self.services.shuffle.delete_app(str(self.ctx.app_id))
         for slot in self.scheduler.slots.values():
             registry = getattr(slot.container, "tez_registry", None)
             if registry:
-                registry.clear_scope(Scope.DAG, dag_id)
-                for scope_id in vertex_scopes:
-                    registry.clear_scope(Scope.VERTEX, scope_id)
+                registry.clear_scope(Scope.DAG)
         forget = self.machines.forget
         for vr in self._vertices.values():
             for task in vr.tasks:

@@ -2,8 +2,10 @@
 
 A per-container in-memory cache surviving across the tasks that reuse
 the container. Entries are scoped to a vertex, a DAG, or the session.
-When a DAG ends, its AM clears the DAG's DAG- and VERTEX-scoped entries
-(``clear_scope``) in every container it still holds; a VERTEX entry of
+When a DAG ends, its AM clears every DAG- and VERTEX-scoped entry
+(``clear_scope(Scope.DAG)``) in every container it still holds: a
+session AM runs one DAG at a time, so all of them are dead, a late one
+a straggler of an earlier DAG put included. A VERTEX entry of
 another vertex of the running DAG is dropped when a task of a different
 vertex is launched in the container; SESSION entries live as long as
 the container. Hive uses this to build a broadcast-join hash table once
@@ -21,6 +23,10 @@ class Scope:
     VERTEX = "VERTEX"
     DAG = "DAG"
     SESSION = "SESSION"
+
+
+# Innermost first: each scope nests inside the next.
+_LEVELS = (Scope.VERTEX, Scope.DAG, Scope.SESSION)
 
 
 class ObjectRegistry:
@@ -46,8 +52,16 @@ class ObjectRegistry:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def clear_scope(self, scope: str, scope_id: str) -> None:
-        """Drop all entries registered under (scope, scope_id)."""
+    def clear_scope(self, scope: str,
+                    scope_id: Optional[str] = None) -> None:
+        """Drop all entries registered under (scope, scope_id). With no
+        ``scope_id`` a whole level ends: every entry of ``scope`` and of
+        the scopes inside it (a DAG's end ends its vertices too)."""
+        if scope_id is None:
+            ended = _LEVELS[:_LEVELS.index(scope) + 1]
+            self._entries = {k: v for k, v in self._entries.items()
+                             if v[0] not in ended}
+            return
         self._entries = {
             k: v
             for k, v in self._entries.items()

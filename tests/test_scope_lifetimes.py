@@ -200,6 +200,42 @@ def test_journal_aimed_crash_still_recovers_producers_from_spills():
     sim.env.run(until=sim.env.now + 60)
 
 
+def test_crash_between_spill_and_journaled_success_frees_those_spills():
+    """An AM crash while the maps write their registered spills, before
+    any success is journaled, leaves the restarted AM nothing to recover:
+    it re-runs the maps under its own id for the DAG. The crashed
+    attempt's spills are dead as well, and go when the DAG ends."""
+    sim = make_sim()
+    sim.hdfs.write("/in", [(i % 10, i) for i in range(400)],
+                   record_bytes=32)
+    client = sim.tez_client(session=True)
+    runs: list = []
+    first = client.submit_dag(_two_stage("one", runs))
+    sim.env.run(until=first.completion)
+    assert first.status.succeeded, first.status.diagnostics
+    second = client.submit_dag(_two_stage("two", runs))
+    crashed: list = []
+
+    def crash_once_spilled():
+        while not spills(sim):
+            yield sim.env.timeout(0.001)
+        crashed.extend(spills(sim))
+        client.last_am.crash()
+
+    sim.env.process(crash_once_spilled())
+    sim.env.run(until=second.completion)
+    assert second.status.succeeded, second.status.diagnostics
+    summary = client.coordinator.shard_summaries()[0]
+    assert summary["am_attempts"] == 2
+    assert summary["tasks_recovered"] == 0
+    assert crashed and all(s.startswith("two#2/m/") for s in crashed)
+    assert dict(sim.hdfs.read_file("/out/two")) == \
+        dict(sim.hdfs.read_file("/out/one"))
+    assert spills(sim) == []
+    client.stop()
+    sim.env.run(until=sim.env.now + 60)
+
+
 def test_read_error_from_a_finished_dags_straggler_is_dropped():
     """A killed attempt's children run on after their DAG ends
     (EXPERIMENTS.md divergence 6); once its spills are freed, their next

@@ -231,32 +231,8 @@ class TestShuffleService:
         services.on_node("node0002").drop_spill("c")
         assert services.app_nodes("app1") == []
 
-    def test_dag_cleanup_frees_only_that_dags_spills(self):
-        env, cluster, security, services = make_services()
-        tok1 = security.issue("JOB", "app1")
-        tok2 = security.issue("JOB", "app2")
-        for node_id, spill_id in (("node0000", "q1#1/m/t0_a0/r"),
-                                  ("node0001", "q1#1/m/t1_a0/r"),
-                                  ("node0001", "q1#10/m/t0_a0/r")):
-            services.on_node(node_id).register_spill(
-                "app1", spill_id, {0: [1]}, token=tok1)
-        services.on_node("node0000").register_spill(
-            "app2", "q1#1/m/t0_a0/r2", {0: [2]}, token=tok2)
-        services.delete_dag("app1", "q1#1")
-        # Its own spills only: not q1#10's, nor another app's q1#1.
-        assert services.on_node("node0000").spill_ids() == \
-            ["q1#1/m/t0_a0/r2"]
-        assert services.on_node("node0001").spill_ids() == \
-            ["q1#10/m/t0_a0/r"]
-        assert services.app_nodes("app1") == ["node0001"]
-        services.delete_dag("app1", "q1#10")
-        assert services.app_nodes("app1") == []
-        services.delete_dag("app1", "q1#10")       # nothing left: no-op
-        assert services.app_nodes("app2") == ["node0000"]
-
     @given(st.lists(st.tuples(
-        st.sampled_from(["register", "drop", "delete_app", "delete_here",
-                         "delete_dag"]),
+        st.sampled_from(["register", "drop", "delete_app", "delete_here"]),
         st.sampled_from(["app1", "app2"]), st.integers(0, 2),
         st.integers(0, 2)), max_size=40))
     @settings(max_examples=150, deadline=None)
@@ -270,7 +246,7 @@ class TestShuffleService:
         node_ids = sorted(services.services)
         for op, app, node, n in ops:
             svc = services.on_node(node_ids[node])
-            spill_id = f"d{n % 2}/{app}-s{n}"
+            spill_id = f"{app}-s{n}"
             if op == "register" and spill_id not in svc.spill_ids():
                 svc.register_spill(app, spill_id, {0: [n]},
                                    token=tokens[app])
@@ -280,8 +256,6 @@ class TestShuffleService:
                 services.delete_app(app)
             elif op == "delete_here":
                 svc.delete_app(app)
-            elif op == "delete_dag":
-                services.delete_dag(app, f"d{n % 2}")
             for each in ("app1", "app2"):
                 assert services.app_nodes(each) == [
                     node_id for node_id in node_ids

@@ -43,6 +43,16 @@ class TestObjectRegistry:
         assert reg.get("b") is None
         assert reg.get("c") == 3
 
+    def test_dag_level_cleanup_keeps_only_session_entries(self):
+        reg = ObjectRegistry()
+        reg.put(Scope.VERTEX, "d1/v1", "a", 1)
+        reg.put(Scope.DAG, "d1", "b", 2)
+        reg.put(Scope.DAG, "d0", "late", 0)     # an earlier DAG's
+        reg.put(Scope.SESSION, "s", "c", 3)
+        reg.clear_scope(Scope.DAG)
+        assert len(reg) == 1
+        assert reg.get("c") == 3
+
     def test_unknown_scope_rejected(self):
         with pytest.raises(ValueError):
             ObjectRegistry().put("GALAXY", "x", "k", 1)
