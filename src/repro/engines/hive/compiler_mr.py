@@ -1,12 +1,15 @@
 """Hive → MapReduce compiler: the paper's baseline execution path.
 
-Faithful to pre-Tez Hive: every distributed boundary (join, group-by,
-order-by) becomes a separate MapReduce job, and every job materializes
-its output to replicated HDFS for the next job's mappers to re-read.
-Joins are reduce-side (shuffle) joins with input-path-aware mappers
-tagging each side; there is no broadcast edge, no dynamic partition
-pruning, no container reuse — the "restricted expressiveness of
-MapReduce" the paper describes in 5.2.
+Faithful to pre-Tez Hive: every distributed boundary (shuffle join,
+group-by, order-by) becomes a separate MapReduce job, and every job
+materializes its output to replicated HDFS for the next job's mappers
+to re-read. A join the shared optimizer marks ``BROADCAST`` is a map
+join (``hive.auto.convert.join``): it runs in the mappers of the next
+job, each of which reads the small side whole from the distributed
+cache. Any other join is a reduce-side join with input-path-aware
+mappers tagging each side. There is no broadcast edge, no dynamic
+partition pruning, no container reuse — the "restricted
+expressiveness of MapReduce" the paper describes in 5.2.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ class _Pending:
     """Work still to be done on the map side of the *next* job.
 
     ``inputs`` is a list of (paths, decoder, fragment-leaf-name); the
-    fragment runs over the union of the decoded inputs.
+    fragment runs over the union of the decoded inputs. ``cache`` has
+    the same shape: the map joins' build sides, which every map task
+    reads whole from the distributed cache.
     """
 
     def __init__(self, inputs: list[tuple[list[str], Callable, str]],
@@ -51,6 +56,7 @@ class _Pending:
         self.fragment = fragment
         self.est_bytes = est_bytes
         self.est_row_bytes = est_row_bytes
+        self.cache: list[tuple[list[str], Callable, str]] = []
 
 
 @dataclass
@@ -85,10 +91,18 @@ class MRCompiler:
     def _tmp(self, label: str) -> str:
         return f"{self._tmp_base}/{label}_{next(self._seq)}"
 
-    def _job(self, label: str, sides: list, out: str, **fields) -> None:
-        """One MR job over map-side ``sides`` (see :func:`_sides`)."""
+    def _job(self, label: str, feeds: list[tuple[_Pending, Callable]],
+             out: str, **fields) -> None:
+        """One MR job over the map side of each ``(pending, emit)`` feed
+        (see :func:`_sides`), the feeds' build sides in its cache."""
+        sides = [side for pending, emit in feeds
+                 for side in _sides(pending, emit)]
+        cache_paths = list(dict.fromkeys(
+            path for pending, _emit in feeds
+            for paths, _decoder, _leaf in pending.cache for path in paths))
         self._jobs.append(map_side_job(
-            f"{label}_{next(self._seq)}", sides, out, **fields))
+            f"{label}_{next(self._seq)}", sides, out,
+            cache_paths=cache_paths, **fields))
 
     # ------------------------------------------------------- compilation
     def _build(self, node: PlanNode) -> _Pending:
@@ -129,8 +143,25 @@ class MRCompiler:
         raise TypeError(f"cannot compile {type(node).__name__}")
 
     def _build_join(self, node: Join) -> _Pending:
+        """A ``BROADCAST`` join is a map join: it joins in the mappers
+        of the next job, through the same ``Join`` fragment Hive on Tez
+        runs, and every map task reads the build side whole from the
+        distributed cache. The reduce-side join job serves ``SHUFFLE``
+        joins, and broadcast ones whose build side itself needs a
+        shuffle (an aggregate, sort, limit or reduce-side join below
+        it): Hive converts a join at compile time from the small
+        side's stored files, and such a side has none yet."""
         left = self._build(node.left)
+        jobs_before = len(self._jobs)
         right = self._build(node.right)
+        if node.strategy == Join.BROADCAST and len(self._jobs) == jobs_before:
+            joined = Join(left.fragment, right.fragment, node.left_key,
+                          node.right_key, node.how)
+            joined.right_columns = node.right.output_columns()
+            left.fragment = joined
+            left.cache += right.inputs + right.cache
+            left.est_row_bytes = int(node.estimated_row_bytes) or 64
+            return left
         out = self._tmp("join")
         est = node.left.estimated_bytes + node.right.estimated_bytes
         reducers = reducers_for(est)
@@ -147,8 +178,8 @@ class MRCompiler:
             return emit
 
         row_bytes = int(node.estimated_row_bytes) or 64
-        self._job("join", _sides(left, make_emit("L", lk))
-                  + _sides(right, make_emit("R", rk)), out,
+        self._job("join", [(left, make_emit("L", lk)),
+                           (right, make_emit("R", rk))], out,
                   reducer=reducer, num_reducers=reducers,
                   output_record_bytes=row_bytes)
         leaf = f"joined_{next(self._seq)}"
@@ -167,7 +198,7 @@ class MRCompiler:
         agg = aggregation(group_items, node.aggs)
         row_bytes = int(node.estimated_row_bytes) or 32
         # Map-side combining merges partial states per group.
-        self._job("agg", _sides(pending, agg.partial), out,
+        self._job("agg", [(pending, agg.partial)], out,
                   reducer=agg.reducer, num_reducers=reducers,
                   combiner=agg.combiner, output_record_bytes=row_bytes)
 
@@ -203,7 +234,7 @@ class MRCompiler:
             return top(list(rows))
 
         row_bytes = int(node.estimated_row_bytes) or 64
-        self._job(label, _sides(pending, emit), out, reducer=reducer,
+        self._job(label, [(pending, emit)], out, reducer=reducer,
                   output_record_bytes=row_bytes)
         leaf = f"{label}ed_{next(self._seq)}"
         return _Pending(
@@ -234,19 +265,26 @@ class MRCompiler:
             last.reducer = final_reducer
             last.output_path = output_path
             return
-        self._job("final", _sides(pending, emit), output_path,
+        self._job("final", [(pending, emit)], output_path,
                   output_record_bytes=int(pending.est_row_bytes) or 64)
 
 
 def _sides(pending: _Pending, emit: Callable) -> list:
     """The map side of ``pending`` feeding ``emit``: per input, its
-    decoder into the fragment's leaf, then the fragment, a split at a
-    time (like Hive's operator tree)."""
+    decoder into the fragment's leaf, and each build side's decoder
+    over the cached files into its leaf, then the fragment, a split at
+    a time (like Hive's operator tree)."""
     fragment = pending.fragment
+    cache = pending.cache
 
     def to_rows(decoder, leaf):
-        return lambda records: execute_fragment(
-            fragment, {leaf: decoder(records)})
+        def rows(records, cached=None):
+            leaves = {leaf: decoder(records)}
+            for paths, build_decoder, build_leaf in cache:
+                leaves[build_leaf] = build_decoder(
+                    [r for path in paths for r in cached[path]])
+            return execute_fragment(fragment, leaves)
+        return rows
 
     return [(paths, to_rows(decoder, leaf), emit)
             for paths, decoder, leaf in pending.inputs]

@@ -36,6 +36,10 @@ class MRJob:
     descending_sort: bool = False              # custom key comparator
     # input path -> its own mapper; set only by ``map_side_job``.
     path_mappers: Optional[dict[str, Mapper]] = None
+    # Hadoop's distributed cache: files every map task reads whole
+    # before its split; a batch mapper then gets ``(records, cached)``,
+    # ``cached`` mapping each of these paths to its records.
+    cache_paths: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.reducer is None:
@@ -56,13 +60,15 @@ def map_side_job(name: str, sides: list[tuple[list[str], Callable,
     records (``emit(rows)``) a split at a time, like Hive's and Pig's
     map-side operator pipelines. The first side's mapper is the job's
     ``mapper``; every path names its side's in ``path_mappers``.
-    ``fields`` are the rest of the job (reducer, combiner, ...).
+    ``fields`` are the rest of the job (reducer, combiner, ...); with
+    ``cache_paths`` among them every side is handed the cached rows
+    too, ``to_rows(records, cached)``.
     """
     path_mappers: dict[str, Mapper] = {}
     input_paths: list[str] = []
     for paths, to_rows, emit in sides:
-        def mapper(records, _rows=to_rows, _emit=emit):
-            return _emit(_rows(records))
+        def mapper(records, *cached, _rows=to_rows, _emit=emit):
+            return _emit(_rows(records, *cached))
         mapper.batch = True
         for path in paths:
             path_mappers[path] = mapper

@@ -61,6 +61,11 @@ def _check_linear(jobs: list[MRJob]) -> None:
             raise StitchError(
                 f"job {job.name!r} uses per-path mappers: cannot stitch"
             )
+        if job.cache_paths:
+            raise StitchError(
+                f"job {job.name!r} reads a distributed cache: cannot "
+                f"stitch"
+            )
 
 
 def _map_fn(job: MRJob, target: str):

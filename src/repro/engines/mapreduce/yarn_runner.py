@@ -279,6 +279,20 @@ class _MRAppMaster:
         path_mappers = job.path_mappers
         out: list[tuple] = []
         n_records = 0
+        cached: tuple = ()
+        if job.cache_paths:
+            # The distributed cache: the task reads every cached file
+            # whole, from its own node, before its split.
+            files: dict[str, list] = {}
+            for path in job.cache_paths:
+                records = files[path] = []
+                for block in self.hdfs.get_file(path).blocks:
+                    yield self.env.timeout(container.io_delay(
+                        self.hdfs.read_time(block, container.node_id)
+                    ))
+                    records.extend(
+                        self.hdfs.read_block(block, container.node_id))
+            cached = (files,)
         for block in task.blocks:
             yield self.env.timeout(container.io_delay(
                 self.hdfs.read_time(block, container.node_id)
@@ -289,7 +303,7 @@ class _MRAppMaster:
             if path_mappers is not None:
                 mapper = path_mappers.get(block.path, job.mapper)
             if getattr(mapper, "batch", False):
-                out.extend(mapper(records))
+                out.extend(mapper(records, *cached))
             else:
                 for record in records:
                     out.extend(mapper(record))

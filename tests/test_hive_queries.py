@@ -195,10 +195,19 @@ def test_tez_query_is_single_dag_mr_is_many_jobs(session):
     tez = session.run(sql, backend="tez")
     mr = session.run(sql, backend="mr")
     assert tez.jobs == 1
-    assert mr.jobs >= 3  # join, agg, sort as separate jobs
+    # The broadcast join is a map join inside the aggregate job's
+    # mappers: agg, then sort + limit.
+    assert mr.jobs == 2
     assert norm(tez.rows, False) == norm(mr.rows, False)
     # And Tez is faster end-to-end on the same cluster.
     assert tez.elapsed < mr.elapsed
+    # A shuffle join is its own reduce-side job: join, agg, sort.
+    shuffled = HiveSession(
+        session.sim, session.catalog,
+        optimizer_config=OptimizerConfig(enable_broadcast_join=False),
+    ).run(sql, backend="mr")
+    assert shuffled.jobs == 3
+    assert norm(shuffled.rows, False) == norm(mr.rows, False)
     session.close()
 
 
@@ -333,3 +342,36 @@ def test_case_without_when_rejected():
     from repro.engines.hive import ParseError, parse
     with pytest.raises(ParseError):
         parse("SELECT CASE ELSE 1 END FROM t")
+
+
+def test_broadcast_join_over_a_shuffled_build_side_keeps_its_join_job(
+        session):
+    # Hand-set: the optimizer never broadcasts a side that holds a
+    # shuffle join (a join is estimated at least as large as its
+    # sides), but a plan may still say so.
+    sql = (
+        "SELECT c_region, o_total, l_qty FROM lineitems "
+        "JOIN orders ON l_oid = o_id JOIN customers ON o_custkey = c_id"
+    )
+    shuffled = HiveSession(
+        session.sim, session.catalog,
+        optimizer_config=OptimizerConfig(broadcast_threshold_bytes=0),
+    )
+    optimize = shuffled.optimizer.optimize
+
+    def broadcast_the_inner_join(plan):
+        plan = optimize(plan)
+        outer = next(n for n in plan.walk()
+                     if isinstance(n, Join) and isinstance(n.left, Join))
+        outer.children.reverse()
+        outer.left_key, outer.right_key = outer.right_key, outer.left_key
+        outer.strategy = Join.BROADCAST
+        return plan
+
+    shuffled.optimizer.optimize = broadcast_the_inner_join
+    ref = shuffled.run(sql, backend="reference")
+    mr = shuffled.run(sql, backend="mr")
+    # Both joins are reduce-side jobs, then the final projection.
+    assert mr.jobs == 3
+    assert norm(mr.rows) == norm(ref.rows) and ref.rows
+    session.close()

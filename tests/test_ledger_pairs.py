@@ -3,6 +3,7 @@ a fake benchmarks/ledger/run.py that answers the three invocations the
 tool makes, so the pairing, the alternation, the two identity gates
 (changed result: exit 2, untimed; changed count: timed, exit 3), the
 traced-pass gate (the change alone fails it: exit 2, untimed), the
+declared model change (a changed result timed anyway: exit 4), the
 ranking margin printed for each side's traced pass whatever the gate
 says (with ``tez.am``'s share against its limit on ``shuffle_rows``),
 and the flag on an end-to-end metric that got worse than its
@@ -24,12 +25,13 @@ _STUB = textwrap.dedent('''
     import json, sys
     WALL, ALLOCATIONS, CORRECT = {wall!r}, {allocations!r}, {correct!r}
     DIGEST, TRACED, RSS = {digest!r}, {traced!r}, {rss!r}
+    MAKESPAN = {makespan!r}
     args = sys.argv[1:]
     with open("calls.log", "a") as fh:
         fh.write(" ".join(args) + "\\n")
     if "--child" in args:
         print(json.dumps({{
-            "digest": DIGEST, "sim_makespan_s": 9.5, "attempted": 10,
+            "digest": DIGEST, "sim_makespan_s": MAKESPAN, "attempted": 10,
             "failed": 0, "tasks": 10, "wall_s": WALL,
             "counts": {{"yarn.allocations": ALLOCATIONS}}}}))
     elif args[-2:] == ["--trace", "1"]:
@@ -47,7 +49,7 @@ _STUB = textwrap.dedent('''
             "tasks_per_s": {{"value": 10 / WALL, "unit": "1/s"}},
             "peak_rss_mb": {{"value": RSS, "unit": "MiB"}},
             "setup_s": {{"value": 0.5, "unit": "s"}},
-            "sim_makespan_s": {{"value": 9.5, "unit": "sim_s"}}}}}}))
+            "sim_makespan_s": {{"value": MAKESPAN, "unit": "sim_s"}}}}}}))
 ''')
 
 
@@ -56,12 +58,13 @@ _TRACE_1 = "--workload w --seed 20150531 --seconds 4 --trace 1"
 
 
 def _checkout(root: Path, wall, allocations=7, correct=True,
-              digest="d1", traced=_TRACED_OK, rss=80.0) -> Path:
+              digest="d1", traced=_TRACED_OK, rss=80.0,
+              makespan=9.5) -> Path:
     ledger = root / "benchmarks" / "ledger"
     ledger.mkdir(parents=True)
     (ledger / "run.py").write_text(_STUB.format(
         wall=wall, allocations=allocations, correct=correct,
-        digest=digest, traced=traced, rss=rss))
+        digest=digest, traced=traced, rss=rss, makespan=makespan))
     return root
 
 
@@ -131,6 +134,39 @@ def test_changed_result_fails_before_timing(tmp_path, capsys):
     assert "result DIFFERS" in out
     assert "digest" in out and "counts.yarn.allocations" in out
     assert len((change / "calls.log").read_text().splitlines()) == 1
+
+
+def test_declared_model_change_is_timed_then_exits_4(tmp_path, capsys):
+    parent = _checkout(tmp_path / "p", wall=4.0, allocations=7)
+    change = _checkout(tmp_path / "c", wall=3.0, allocations=8,
+                       digest="d2", makespan=8.0)
+    assert _main(parent, change, "--pairs", "2", "--model-change") == 4
+    out = capsys.readouterr().out
+    assert "result DIFFERS" in out
+    assert "counts.yarn.allocations: parent 7 change 8" in out
+    assert "declared model change, timed anyway\n" \
+        "  parent: digest d1 sim_makespan_s 9.5\n" \
+        "  change: digest d2 sim_makespan_s 8.0\n" \
+        "  sim_makespan_s -15.8%; 0 exact counts identical\n" in out
+    assert "change wins 2/2 pairs" in out
+    # The moved makespan is reported, and judged, with the rest.
+    assert "change: median sim_makespan_s 8.000" in out
+    assert "WORSE" not in out
+    assert out.splitlines()[-2:] == [
+        "exact counts differ: counts.yarn.allocations",
+        "model change: digest, sim_makespan_s differ"]
+    assert len((change / "calls.log").read_text().splitlines()) == 4
+    # A longer makespan past its 15 % bound is flagged like any metric.
+    slower = _checkout(tmp_path / "s", wall=3.0, digest="d2",
+                       makespan=11.5)
+    assert _main(parent, slower, "--pairs", "1", "--model-change") == 1
+    assert "WORSE: the change's median sim_makespan_s is +21.1%" \
+        in capsys.readouterr().out
+    # Counts alone keep exit 3, and an unchanged result exit 0.
+    counts = _checkout(tmp_path / "n", wall=3.0, allocations=8)
+    assert _main(parent, counts, "--pairs", "1", "--model-change") == 3
+    same = _checkout(tmp_path / "e", wall=3.0)
+    assert _main(parent, same, "--pairs", "1", "--model-change") == 0
 
 
 def test_changed_count_is_timed_then_named_with_exit_3(tmp_path, capsys):

@@ -143,6 +143,32 @@ class TestYarnRunner:
         result = drive(sim, runner.run_job(job))
         assert result.succeeded, result.diagnostics
 
+    def test_distributed_cache_is_read_whole_by_every_map_task(self):
+        sim = make_sim()
+        expected = write_text(sim, copies=200)     # several splits
+        names = [(w, w.upper()) for w in expected]
+        sim.hdfs.write("/cache/names", names, record_bytes=2048)
+        assert len(sim.hdfs.get_file("/cache/names").blocks) > 1
+        seen = []
+
+        def to_rows(lines, cached):
+            seen.append(len(cached["/cache/names"]))
+            upper = dict(cached["/cache/names"])
+            return [upper[w] for line in lines for w in line.split()]
+
+        job = map_side_job(
+            "cached", [(["/in/text"], to_rows,
+                        lambda words: [(w, 1) for w in words])],
+            "/out/cached", reducer=sum_reducer,
+            cache_paths=["/cache/names"])
+        runner = MapReduceYarnRunner(sim.env, sim.rm, sim.hdfs, sim.shuffle)
+        result = drive(sim, runner.run_job(job))
+        assert result.succeeded, result.diagnostics
+        assert dict(sim.hdfs.read_file("/out/cached")) == {
+            w.upper(): n for w, n in expected.items()}
+        assert result.metrics["maps"] > 1
+        assert seen == [len(names)] * result.metrics["maps"]
+
 
 class TestTezRunner:
     def test_wordcount_matches_yarn_runner(self):

@@ -115,6 +115,14 @@ def test_nonlinear_chain_rejected():
         stitch_pipeline([j1, j2])
 
 
+def test_distributed_cache_job_rejected():
+    # The stitched map vertex has no distributed cache to read.
+    job = MRJob(name="cached", input_paths=["/x"], output_path="/t/c",
+                mapper=lambda r: [(r, 1)], cache_paths=["/dim"])
+    with pytest.raises(StitchError, match="distributed cache"):
+        stitch_pipeline([job])
+
+
 def test_empty_chain_rejected():
     with pytest.raises(StitchError):
         stitch_pipeline([])
