@@ -50,11 +50,9 @@ class _Pending:
     """
 
     def __init__(self, inputs: list[tuple[list[str], Callable, str]],
-                 fragment: PlanNode, est_bytes: float,
-                 est_row_bytes: float):
+                 fragment: PlanNode, est_row_bytes: float):
         self.inputs = inputs
         self.fragment = fragment
-        self.est_bytes = est_bytes
         self.est_row_bytes = est_row_bytes
         self.cache: list[tuple[list[str], Callable, str]] = []
 
@@ -70,7 +68,6 @@ class CompiledMRQuery:
 class MRCompiler:
     def __init__(self, catalog):
         self.catalog = catalog
-        self._seq = itertools.count(1)
         self._jobs: list[MRJob] = []
         self._query_id = 0
 
@@ -78,6 +75,9 @@ class MRCompiler:
     def compile(self, plan: PlanNode, query_name: str,
                 output_path: Optional[str] = None) -> CompiledMRQuery:
         self._jobs = []
+        # Jobs and scratch files are numbered within the query, so its
+        # plan does not depend on what the session compiled before.
+        self._seq = itertools.count(1)
         self._query_id += 1
         self._tmp_base = f"/tmp/hive_mr/{query_name}_{self._query_id}"
         output_path = output_path or f"{self._tmp_base}/final"
@@ -117,10 +117,8 @@ class MRCompiler:
                 return rows_of(records, _f)
 
             leaf = f"scan_{node.alias}"
-            return _Pending(
-                [(paths, decoder, leaf)], InputLeaf(leaf),
-                node.estimated_bytes, node.estimated_row_bytes,
-            )
+            return _Pending([(paths, decoder, leaf)], InputLeaf(leaf),
+                            node.estimated_row_bytes)
         if isinstance(node, Filter):
             pending = self._build(node.child)
             pending.fragment = Filter(pending.fragment, node.predicate)
@@ -157,6 +155,7 @@ class MRCompiler:
         if node.strategy == Join.BROADCAST and len(self._jobs) == jobs_before:
             joined = Join(left.fragment, right.fragment, node.left_key,
                           node.right_key, node.how)
+            joined.strategy = Join.BROADCAST
             joined.right_columns = node.right.output_columns()
             left.fragment = joined
             left.cache += right.inputs + right.cache
@@ -183,10 +182,8 @@ class MRCompiler:
                   reducer=reducer, num_reducers=reducers,
                   output_record_bytes=row_bytes)
         leaf = f"joined_{next(self._seq)}"
-        return _Pending(
-            [([out], lambda records: list(records), leaf)],
-            InputLeaf(leaf), node.estimated_bytes, row_bytes,
-        )
+        return _Pending([([out], lambda records: list(records), leaf)],
+                        InputLeaf(leaf), row_bytes)
 
     def _build_aggregate(self, node: Aggregate) -> _Pending:
         pending = self._build(node.child)
@@ -209,10 +206,8 @@ class MRCompiler:
             return sql_rows(agg, list(records))
 
         leaf = f"agged_{next(self._seq)}"
-        return _Pending(
-            [([out], decoder, leaf)],
-            InputLeaf(leaf), node.estimated_bytes, row_bytes,
-        )
+        return _Pending([([out], decoder, leaf)], InputLeaf(leaf),
+                        row_bytes)
 
     def _build_sort(self, node: PlanNode, keys: list[tuple[str, bool]],
                     limit: Optional[int]) -> _Pending:
@@ -237,10 +232,8 @@ class MRCompiler:
         self._job(label, [(pending, emit)], out, reducer=reducer,
                   output_record_bytes=row_bytes)
         leaf = f"{label}ed_{next(self._seq)}"
-        return _Pending(
-            [([out], lambda records: list(records), leaf)],
-            InputLeaf(leaf), node.estimated_bytes, row_bytes,
-        )
+        return _Pending([([out], lambda records: list(records), leaf)],
+                        InputLeaf(leaf), row_bytes)
 
     def _finalize(self, pending: _Pending, output_path: str,
                   columns: list[str]) -> None:
@@ -271,20 +264,39 @@ class MRCompiler:
 
 def _sides(pending: _Pending, emit: Callable) -> list:
     """The map side of ``pending`` feeding ``emit``: per input, its
-    decoder into the fragment's leaf, and each build side's decoder
-    over the cached files into its leaf, then the fragment, a split at
-    a time (like Hive's operator tree)."""
+    decoder into the fragment's leaf, then the fragment, a split at a
+    time (like Hive's operator tree). A map join's build side is read
+    from the distributed cache, and decoded and hashed once per job run
+    (``_MapInputs``)."""
     fragment = pending.fragment
-    cache = pending.cache
+    builds = {leaf: (paths, decoder) for paths, decoder, leaf in
+              pending.cache}
 
     def to_rows(decoder, leaf):
         def rows(records, cached=None):
-            leaves = {leaf: decoder(records)}
-            for paths, build_decoder, build_leaf in cache:
-                leaves[build_leaf] = build_decoder(
-                    [r for path in paths for r in cached[path]])
-            return execute_fragment(fragment, leaves)
+            return execute_fragment(
+                fragment, _MapInputs(leaf, decoder(records), builds,
+                                     cached), cached)
         return rows
 
     return [(paths, to_rows(decoder, leaf), emit)
             for paths, decoder, leaf in pending.inputs]
+
+
+class _MapInputs(dict):
+    """A map task's fragment inputs: its split's rows under ``leaf``,
+    and each build side's rows decoded from the task's cached files
+    only when the fragment reads that leaf - which a map join does only
+    until the job run's hash table for it is built."""
+
+    __slots__ = ("builds", "cached")
+
+    def __init__(self, leaf: str, rows: list, builds: dict, cached):
+        super().__init__(((leaf, rows),))
+        self.builds = builds
+        self.cached = cached
+
+    def __missing__(self, leaf: str) -> list:
+        paths, decoder = self.builds[leaf]
+        cached = self.cached
+        return decoder([r for path in paths for r in cached[path]])

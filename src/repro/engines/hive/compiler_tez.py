@@ -165,7 +165,7 @@ class TezCompiler:
             probe_stage, probe_frag = self._build(node.left)
             build_stage, build_frag = self._build(node.right)
             build_stage.combine = _run(build_frag)
-            leaf = InputLeaf(build_stage.name, broadcast=True)
+            leaf = InputLeaf(build_stage.name)
             probe_stage.in_exchanges.append(Exchange(
                 build_stage, DataMovementType.BROADCAST,
                 emit=lambda ctx, rows: list(rows),

@@ -20,10 +20,9 @@ __all__ = ["InputLeaf", "execute_fragment"]
 class InputLeaf(PlanNode):
     """Fragment leaf: rows delivered through a task input."""
 
-    def __init__(self, name: str, broadcast: bool = False):
+    def __init__(self, name: str):
         super().__init__([])
         self.name = name
-        self.broadcast = broadcast
 
     def output_columns(self) -> list[str]:
         return []

@@ -55,18 +55,23 @@ def run_aggregate(node: Aggregate, rows: list[dict]) -> list[dict]:
     return sql_rows(agg, agg.full(rows))
 
 
-def _hash_join(node: Join, left_rows: list[dict], right_rows: list[dict],
-               ctx=None) -> list[dict]:
+def _hash_join(node: Join, left_rows: list[dict],
+               leaf_rows: Callable[[PlanNode], list], ctx=None
+               ) -> list[dict]:
     """Build on the right, probe with the left, in row order. Keys
-    match by tagged equality, so a NULL key joins a NULL key."""
+    match by tagged equality, so a NULL key joins a NULL key.
+
+    A ``BROADCAST`` join's table is cached in ``ctx`` (paper 4.2:
+    Hive's map-join hash table reuse) - a Tez container's object
+    registry, DAG-scoped, or a MapReduce job run's distributed cache -
+    and a task that finds it there never evaluates the build side."""
     table: Optional[dict] = None
-    # Broadcast build sides are cached in the container's shared
-    # object registry (paper 4.2: Hive's map-join hash table reuse).
     cache_key = None
-    if ctx is not None and getattr(node.right, "broadcast", False):
-        cache_key = f"hashtable:{node.right.name}:{node.node_id}"
+    if ctx is not None and node.strategy == Join.BROADCAST:
+        cache_key = f"hashtable:{node.node_id}"
         table = ctx.cache_get(cache_key)
     if table is None:
+        right_rows = run_operators(node.right, leaf_rows, ctx)
         table = build_table(
             sort_keys(list(map(node.right_key.compile(), right_rows))),
             right_rows)
@@ -90,7 +95,7 @@ def run_operators(node: PlanNode, leaf_rows: Callable[[PlanNode], list],
         return leaf_rows(node)
     if isinstance(node, Join):
         return _hash_join(node, run_operators(node.left, leaf_rows, ctx),
-                          run_operators(node.right, leaf_rows, ctx), ctx)
+                          leaf_rows, ctx)
     rows = run_operators(node.child, leaf_rows, ctx)
     if isinstance(node, Filter):
         return list(filter(node.predicate.compile(), rows))

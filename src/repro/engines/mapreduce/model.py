@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-__all__ = ["MRJob", "JobResult", "map_side_job"]
+__all__ = ["MRJob", "JobResult", "map_side_job", "DistributedCache"]
 
 # mapper(record) -> iterable[(k, v)]
 Mapper = Callable[[Any], Iterable[tuple]]
@@ -38,7 +38,8 @@ class MRJob:
     path_mappers: Optional[dict[str, Mapper]] = None
     # Hadoop's distributed cache: files every map task reads whole
     # before its split; a batch mapper then gets ``(records, cached)``,
-    # ``cached`` mapping each of these paths to its records.
+    # ``cached`` a DistributedCache mapping each of these paths to its
+    # records.
     cache_paths: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -77,6 +78,27 @@ def map_side_job(name: str, sides: list[tuple[list[str], Callable,
                  output_path=output_path,
                  mapper=next(iter(path_mappers.values())),
                  path_mappers=path_mappers, **fields)
+
+
+class DistributedCache(dict):
+    """What a map task of a job with ``cache_paths`` gets beside its
+    split: each cache path -> its records, as the task read them. Its
+    ``objects`` belong to the job run, shared by every map task of it:
+    what the tasks derive from the files is built once per run (a map
+    join's hash table, through ``cache_get`` / ``cache_put`` as on a
+    Tez task context) and dropped when the job ends."""
+
+    __slots__ = ("objects",)
+
+    def __init__(self, objects: dict):
+        super().__init__()
+        self.objects = objects
+
+    def cache_get(self, key: str) -> Any:
+        return self.objects.get(key)
+
+    def cache_put(self, _scope, key: str, value: Any) -> None:
+        self.objects[key] = value
 
 
 @dataclass

@@ -33,7 +33,7 @@ from ...yarn import (
     Resource,
     ResourceManager,
 )
-from .model import JobResult, MRJob
+from .model import DistributedCache, JobResult, MRJob
 
 __all__ = ["MapReduceYarnRunner", "JobHandle"]
 
@@ -139,6 +139,8 @@ class _MRAppMaster:
         self._task_seq = itertools.count()
         self._pending_maps: list[_MapTask] = []
         self._pending_reduces: list[_ReduceTask] = []
+        # What map tasks build from the distributed cache, once per run.
+        self.cache_objects: dict = {}
 
     # ------------------------------------------------------------- lifecycle
     def run(self) -> Generator:
@@ -166,6 +168,7 @@ class _MRAppMaster:
             for map_task in self.maps:
                 self._request_map(map_task)
             yield self.done_event
+        self.cache_objects.clear()
         succeeded = self.failed is None
         if succeeded:
             yield from self._commit()
@@ -283,7 +286,7 @@ class _MRAppMaster:
         if job.cache_paths:
             # The distributed cache: the task reads every cached file
             # whole, from its own node, before its split.
-            files: dict[str, list] = {}
+            files = DistributedCache(self.cache_objects)
             for path in job.cache_paths:
                 records = files[path] = []
                 for block in self.hdfs.get_file(path).blocks:

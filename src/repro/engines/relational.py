@@ -18,7 +18,8 @@ equality (``sort_key`` of each value: ``True`` is not ``1``, ``1`` is
 from __future__ import annotations
 
 import operator
-from itertools import repeat
+from collections import Counter
+from itertools import count, repeat
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -121,6 +122,33 @@ def kernel(func: str, key: str,
     return AggKernel(key, init, input, update, merge, final)
 
 
+def _fold(k: AggKernel, groups: list[int], firsts: list[int],
+          rows: list[dict]) -> dict:
+    """One kernel's states, keyed by their group's first row: each
+    row's input folded into its group's state in row order."""
+    inputs = repeat(1) if k.input is None else map(k.input, rows)
+    update = k.update
+    if update is _count:
+        if k.input is None:
+            return Counter(groups)
+        counts = dict.fromkeys(firsts, 0)
+        for group, value in zip(groups, inputs):
+            if value is not None:
+                counts[group] += 1
+        return counts
+    init = k.init
+    states = {first: init() for first in firsts}
+    if update is _sum:
+        for group, value in zip(groups, inputs):
+            if value is not None:
+                state = states[group]
+                states[group] = value if state is None else state + value
+        return states
+    for group, value in zip(groups, inputs):
+        states[group] = update(states[group], value)
+    return states
+
+
 class Aggregation:
     """GROUP BY ``names`` (``getters`` read them from a row) computing
     one kernel per output column. Full aggregation is :meth:`partial`
@@ -140,26 +168,31 @@ class Aggregation:
     def partial(self, rows: list[dict]) -> list[tuple]:
         """The grouping pass: ``[(group values, partial states)]`` in
         first-seen order, every row folded into its group's states in
-        row order (float sums depend on it)."""
-        kernels = self.kernels
+        row order (float sums depend on it).
+
+        One pass gives each row its group - the index of the group's
+        first row - and then each kernel folds its column of inputs
+        on its own, COUNT and SUM inline: a kernel's states see the
+        rows in the same order as a row-at-a-time fold over all
+        kernels would."""
         columns = [list(map(get, rows)) for get in self.getters]
-        values = zip(*columns) if columns else repeat(())
-        keys = zip(*map(sort_keys, columns)) if columns else repeat(())
-        inputs = zip(*[
-            repeat(1) if k.input is None else map(k.input, rows)
-            for k in kernels
-        ]) if kernels else repeat(())
-        updates = [(i, k.update) for i, k in enumerate(kernels)]
-        groups: dict[tuple, tuple] = {}
-        # `rows` ends the zip: a global COUNT(*) has only repeats beside it.
-        for _row, key, raw, args in zip(rows, keys, values, inputs):
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = (raw, [k.init() for k in kernels])
-            state = group[1]
-            for i, update in updates:
-                state[i] = update(state[i], args[i])
-        return [(raw, tuple(state)) for raw, state in groups.values()]
+        if len(columns) == 1:
+            keys = sort_keys(columns[0])
+        elif columns:
+            keys = zip(*map(sort_keys, columns))
+        else:
+            keys = repeat((), len(rows))
+        first_of: dict = {}
+        groups = list(map(first_of.setdefault, keys, count()))
+        firsts = list(first_of.values())
+        folded = [_fold(k, groups, firsts, rows) for k in self.kernels]
+        values = zip(*[list(map(column.__getitem__, firsts))
+                       for column in columns]) if columns \
+            else repeat((), len(firsts))
+        states = zip(*[list(map(by_first.__getitem__, firsts))
+                       for by_first in folded]) if folded \
+            else repeat((), len(firsts))
+        return list(zip(values, states))
 
     def merge(self, states: list) -> list:
         """``[partial states, ...] -> merged states``, left to right."""

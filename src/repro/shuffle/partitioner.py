@@ -11,13 +11,25 @@ from .sorter import sort_key
 __all__ = ["HashPartitioner", "RangePartitioner", "Partitioner"]
 
 _INTS = frozenset((int,))
+# Exact key types whose Python equality implies tagged equality, so
+# equal keys have one ``_stable_hash`` (``1 == 1.0 == True`` hash alike)
+# and a split may hash each distinct key once.
+_MEMO_TYPES = frozenset((int, float, bool, str, bytes, type(None)))
+_NAN_HASH = 0x7FF80000
 
 
 def _stable_hash(key: Any) -> int:
-    """Deterministic hash across runs (no PYTHONHASHSEED dependence)."""
+    """Deterministic hash across runs (no PYTHONHASHSEED dependence).
+    Keys equal under tagged equality hash alike: an integral float
+    hashes as its int (``-1.0`` as ``-1``), and every NaN as one
+    constant."""
     if isinstance(key, int):
         return key * 2654435761 & 0x7FFFFFFF
     if isinstance(key, float):
+        if key != key:
+            return _NAN_HASH
+        if key.is_integer():
+            return int(key) * 2654435761 & 0x7FFFFFFF
         return _stable_hash(hash(key) & 0x7FFFFFFF)
     if isinstance(key, str):
         h = 2166136261
@@ -89,6 +101,18 @@ class HashPartitioner(Partitioner):
             for record in records:
                 appends[(record[0] * 2654435761 & 0x7FFFFFFF)
                         % num_partitions](record)
+        elif all(_MEMO_TYPES.issuperset(kind) if type(kind) is tuple
+                 else kind in _MEMO_TYPES for kind in key_kind):
+            # Each distinct key hashed once: keys that compare equal
+            # (``1``, ``1.0``, ``True``, ``(1,)`` and ``(1.0,)``) share
+            # one dict slot and one `_stable_hash`.
+            keys = list(map(itemgetter(0), records))
+            slots = dict.fromkeys(keys)
+            for key in slots:
+                slots[key] = appends[_stable_hash(key) % num_partitions]
+            for append, record in zip(map(slots.__getitem__, keys),
+                                      records):
+                append(record)
         else:
             for record in records:
                 appends[_stable_hash(record[0]) % num_partitions](record)

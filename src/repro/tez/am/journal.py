@@ -95,6 +95,9 @@ class RecoveryJournal:
         self._since_checkpoint = 0
         self.fenced_appends = 0
         self.checkpoints = 0
+        # fold_state's last answer, and how many records it folded.
+        self._folded: dict[str, DagJournalState] = {}
+        self._folded_upto = 0
 
     # ------------------------------------------------------ epochs
     @property
@@ -242,6 +245,7 @@ class RecoveryJournal:
     def _compact(self) -> None:
         state = self.fold(self._records)
         self._records = [("checkpoint", self._epoch, state)]
+        self._folded, self._folded_upto = {}, 0
         self._since_checkpoint = 0
         self.checkpoints += 1
 
@@ -302,7 +306,18 @@ class RecoveryJournal:
         return state
 
     def fold_state(self) -> dict[str, DagJournalState]:
-        return self.fold(self._records)
+        """``fold`` of the record stream, for reading only. Each read
+        folds just the records appended since the last one: the state
+        it gave then, as a checkpoint record, and the new suffix
+        through the same :meth:`fold`. After a compaction the next
+        read folds the new checkpoint and what follows it."""
+        records = self._records
+        if self._folded_upto < len(records):
+            self._folded = self.fold(
+                [("checkpoint", self._epoch, self._folded),
+                 *records[self._folded_upto:]])
+            self._folded_upto = len(records)
+        return self._folded
 
     def successes(self, dag_name: str) -> dict:
         """``(vertex, index) -> RecoveredTask`` for the named DAG —

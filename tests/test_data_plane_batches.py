@@ -181,6 +181,18 @@ _SCALAR_KEYS = st.one_of(
 _KEYS = st.one_of(_SCALAR_KEYS, st.tuples(_SCALAR_KEYS, _SCALAR_KEYS),
                   st.tuples(_SCALAR_KEYS))
 _INT_KEYS = st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
+# Ints and the integral floats equal to them, either sign of zero, and
+# values past 2 ** 31, 2 ** 53 and 2 ** 64 (``True`` is not ``1`` under
+# tagged equality, but equal to it in a dict).
+_EQUAL_NUMBERS = [
+    v for i in (0, 1, -1, 2, -2, 7, -7, 2 ** 31, -(2 ** 31) - 1, 2 ** 53,
+                -(2 ** 53), 2 ** 64 + 2 ** 12, -(2 ** 70))
+    for v in (i, float(i))] + [-0.0, True, False, 0.5, -0.5, math.inf,
+                               -math.inf]
+_MIXED_KEYS = st.one_of(
+    st.sampled_from(_EQUAL_NUMBERS), _SCALAR_KEYS,
+    st.tuples(st.sampled_from(_EQUAL_NUMBERS)),
+    st.tuples(st.sampled_from(_EQUAL_NUMBERS), _SCALAR_KEYS))
 
 
 def _nan_free(key) -> bool:
@@ -194,8 +206,8 @@ def _records(keys):
     return [(key, object()) for key in keys]
 
 
-def _assert_split_matches(partitioner, records, n):
-    got = partitioner.split(records, n)
+def _assert_split_matches(partitioner, records, n, kind=None):
+    got = partitioner.split(records, n, kind)
     want = _ref_split(partitioner, records, n)
     assert list(got) == list(range(n))
     # The same record objects, in the same order (identity, so NaN keys
@@ -223,6 +235,34 @@ class TestSplit:
         records = _records(keys)
         _assert_split_matches(base, records, n)
         _assert_split_matches(_Descending(base.boundaries), records, n)
+
+    @given(st.lists(_MIXED_KEYS, max_size=40),
+           st.integers(min_value=1, max_value=9))
+    @settings(max_examples=300, deadline=None)
+    def test_hash_split_of_mixed_keys_equals_per_record_partition(
+            self, keys, n):
+        """Keys equal across types (``-1`` / ``-1.0`` / ``(-1,)``), NaNs
+        and mixed scalars: split hashes each distinct key once, with
+        the kind it scans or the kind a spill hands it."""
+        records = _records(keys)
+        _assert_split_matches(HashPartitioner(), records, n)
+        _assert_split_matches(HashPartitioner(), records, n,
+                              key_kind(records))
+
+    def test_tagged_equal_keys_share_a_partition(self):
+        keys = _EQUAL_NUMBERS + [(k,) for k in _EQUAL_NUMBERS]
+        partition = HashPartitioner().partition
+        for a in keys:
+            for b in keys:
+                if sort_key(a) == sort_key(b):
+                    for n in range(1, 12):
+                        assert partition(a, n) == partition(b, n), (a, b)
+        assert partition(-1, 7) == partition(-1.0, 7)
+        assert partition(0, 7) == partition(-0.0, 7)
+        # Every NaN object hashes alike, so its partition does not
+        # depend on where the run allocated it.
+        assert len({_stable_hash(float("nan")) for _ in range(8)}
+                   | {_stable_hash(math.nan), _stable_hash(-math.nan)}) == 1
 
     def test_true_one_and_one_point_oh(self):
         # Equal keys of three types: True and 1 hash alike, 1.0 through

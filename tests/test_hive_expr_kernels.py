@@ -745,6 +745,40 @@ def test_pig_grouping_matches_frozen(rows, keys, aggs):
         == _outcome(lambda: _bits(_FrozenApplyAggregate(rows, keys, aggs)))
 
 
+# COUNT and SUM fold inline in ``Aggregation.partial`` (not through the
+# kernel's ``update``): every input shape of each - every row, a NULL-
+# skipping column, Pig's ``("sum", None)`` summing a 1 per row - alone
+# and beside the generic kernels.
+_inlined_hive_aggs = st.lists(st.one_of(
+    st.just(FuncCall("count", [Star()])),
+    st.builds(FuncCall, st.sampled_from(["count", "sum"]),
+              st.sampled_from([[_X], [_Y], [BinaryOp("*", _X, _Y)]])),
+    st.builds(FuncCall, st.sampled_from(["avg", "min"]), st.just([_X]),
+              st.booleans()),
+), min_size=1, max_size=4, unique_by=lambda agg: agg.agg_key())
+_inlined_pig_aggs = st.dictionaries(
+    st.sampled_from(["n", "total", "mean", "lo", "hi"]),
+    st.tuples(st.sampled_from(["count", "count", "sum", "sum", "max"]),
+              st.sampled_from([None, "t.x", "t.y"])),
+    min_size=1, max_size=4)
+
+
+@given(rows=_agg_rows, group_items=_group_items, hive=_inlined_hive_aggs,
+       keys=_pig_keys, pig_aggs=_inlined_pig_aggs)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_inlined_count_and_sum_match_frozen(rows, group_items, hive, keys,
+                                           pig_aggs):
+    assert _outcome(lambda: _bits(partial_aggregate(rows, group_items,
+                                                    hive))) \
+        == _outcome(lambda: _bits(_FrozenPartialAggregate(
+            rows, group_items, hive)))
+    assert _outcome(lambda: _bits(pig.partial_aggregate_states(
+        rows, keys, pig_aggs))) \
+        == _outcome(lambda: _bits(_FrozenPartialStates(rows, keys,
+                                                       pig_aggs)))
+
+
 def test_tagged_groups_by_name():
     rows = [{"t.g": g, "t.h": None, "t.x": 1, "t.y": None}
             for g in (True, 1, 1.0, _Level.ONE, None, None, _NAN, _NAN,

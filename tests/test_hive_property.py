@@ -76,3 +76,44 @@ def test_tez_matches_reference_on_random_data(sql, facts, dims):
     assert canon(session.run(sql, backend="tez").rows) == ref
     assert canon(session.run(sql, backend="mr").rows) == ref
     session.close()
+
+
+# Keys equal under tagged equality but not of one type: ``-1`` and
+# ``-1.0`` are one group, and so are ``0`` and ``-0.0``.
+signed_strategy = st.lists(
+    st.tuples(st.sampled_from([-1, -1.0, -2, -2.0, 0, -0.0, 3, 3.0, 1.5,
+                               -7.5]),
+              st.integers(-5, 5)),
+    min_size=4, max_size=24,
+)
+
+
+@given(rows=signed_strategy)
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow,
+                           HealthCheck.function_scoped_fixture],
+)
+def test_group_by_over_ints_and_integral_floats_on_many_reducers(rows):
+    """Wide rows make the aggregate's MR job run several reducers, so
+    a group whose keys hash apart (``-1`` and ``-1.0`` once did) would
+    leave as two rows."""
+    sim = make_sim(num_nodes=2, nodes_per_rack=2)
+    catalog = Catalog()
+    catalog.create_table(sim.hdfs, "signed", ["g", "v"], rows,
+                         row_bytes=256 * 1024 * 1024)
+    session = HiveSession(sim, catalog)
+    sql = "SELECT g, COUNT(*) AS n, SUM(v) AS sv FROM signed GROUP BY g"
+    plan = session.mr_compiler.compile(session.plan(sql), "probe")
+    assert plan.jobs[0].num_reducers > 1
+    ref = session.run(sql, backend="reference").rows
+    assert len(ref) == len({float(g) for g, _v in rows})
+
+    def canon_groups(result):
+        return sorted((float(g), n, sv) for g, n, sv in map(tuple, result))
+
+    for backend in ("tez", "mr"):
+        assert canon_groups(session.run(sql, backend=backend).rows) \
+            == canon_groups(ref)
+    session.close()

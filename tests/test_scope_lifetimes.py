@@ -8,14 +8,22 @@ the outputs the user asked for (no scratch, no staging). A journal-aimed
 AM crash mid-DAG still recovers its producers from their spills, and a
 ten-DAG iterative session retains no more host memory after its tenth
 DAG than after its second (DESIGN.md "What a finished DAG or query
-leaves behind").
+leaves behind"). A map join's hash table is built once per MR job run
+and is gone when the job ends, and a task that finds its table cached
+never evaluates the build side.
 """
 
 import gc
 import tracemalloc
+import weakref
 
 from repro import FaultPlan
-from repro.engines.hive import Catalog, HiveSession
+from repro.engines.hive import Catalog, HiveSession, reference
+from repro.engines.hive.ast_nodes import BinaryOp, Column, Literal
+from repro.engines.hive.fragments import InputLeaf
+from repro.engines.hive.plan import Filter, Join
+from repro.engines.hive.reference import run_operators
+from repro.engines.mapreduce import JobHandle
 from repro.engines.pig import PigRunner, PigScript
 from repro.engines.spark import SparkContext
 from repro.tez import DAG, Scope
@@ -66,6 +74,108 @@ HIVE_QUERIES = [
     "ORDER BY rev DESC",
     "SELECT o_id, o_total FROM orders ORDER BY o_total DESC LIMIT 5",
 ]
+
+
+class _Table(dict):
+    """A hash table a test can hold a weak reference to."""
+
+
+def _counting(monkeypatch) -> tuple[list, list]:
+    """Count ``build_table`` / ``probe`` calls of the Hive operators;
+    every table built is a ``_Table`` whose weak reference is kept."""
+    tables, probes = [], []
+    build, probe = reference.build_table, reference.probe
+
+    def counting_build(keys, rows):
+        table = _Table(build(keys, rows))
+        tables.append(weakref.ref(table))
+        return table
+
+    def counting_probe(*args):
+        probes.append(1)
+        return probe(*args)
+
+    monkeypatch.setattr(reference, "build_table", counting_build)
+    monkeypatch.setattr(reference, "probe", counting_probe)
+    return tables, probes
+
+
+def test_mr_map_join_builds_its_table_once_per_job(monkeypatch):
+    """Each map task of the map-join job reads the cached build side,
+    but the job run decodes and hashes it once, and the table is gone
+    by the time the job reports its result."""
+    tables, probes = _counting(monkeypatch)
+    alive_at_job_end = []
+    finish = JobHandle._finish
+
+    def watched_finish(handle, result):
+        alive_at_job_end.append(sum(t() is not None for t in tables))
+        finish(handle, result)
+
+    monkeypatch.setattr(JobHandle, "_finish", watched_finish)
+    sim = make_sim()
+    catalog = Catalog()
+    # Wide orders rows: several splits, so several map tasks probe.
+    catalog.create_table(sim.hdfs, "orders",
+                         ["o_id", "o_custkey", "o_total", "o_status"],
+                         ORDERS, row_bytes=4 * 1024 * 1024)
+    catalog.create_table(sim.hdfs, "customers",
+                         ["c_id", "c_name", "c_region"], CUSTOMERS)
+    session = HiveSession(sim, catalog)
+    sql = HIVE_QUERIES[1]
+    want = session.run(sql, backend="reference").rows
+    del tables[:], probes[:]
+    got = session.run(sql, backend="mr")
+    assert sorted(got.rows, key=repr) == sorted(want, key=repr)
+    assert got.jobs == 2                 # the map join, then the sort
+    assert len(probes) > 1               # one probe per map task
+    assert len(tables) == 1              # one build for the whole job
+    assert alive_at_job_end == [0, 0]
+    session.close()
+
+
+class _Registry(dict):
+    """A task context's registry calls over one dict."""
+
+    gets = 0
+
+    def cache_get(self, key):
+        self.gets += 1
+        return self.get(key)
+
+    def cache_put(self, _scope, key, value):
+        self[key] = value
+
+
+def test_tez_registry_hit_does_not_evaluate_the_broadcast_side():
+    """A probe task whose container already holds the DAG's table for
+    a broadcast join reads neither the build side's input nor the
+    operators above it."""
+    probe_leaf, build_leaf = InputLeaf("probe"), InputLeaf("build")
+    build = Filter(build_leaf, BinaryOp(">", Column(None, "c_id"),
+                                        Literal(10)))
+    join = Join(probe_leaf, build, Column(None, "o_custkey"),
+                Column(None, "c_id"))
+    join.strategy = Join.BROADCAST
+    join.right_columns = ["c_id", "c_region"]
+    registry = _Registry()
+    inputs = {
+        "probe": [{"o_custkey": k} for k in (11, 12, 13, 99)],
+        "build": [{"c_id": 10 + i, "c_region": r}
+                  for i, r in enumerate(("EU", "US", "APAC", "EU"))],
+    }
+    read = []
+
+    def leaf_rows(leaf):
+        read.append(leaf.name)
+        return inputs[leaf.name]
+
+    first = run_operators(join, leaf_rows, registry)
+    assert read == ["probe", "build"] and len(registry) == 1
+    read.clear()
+    assert run_operators(join, leaf_rows, registry) == first
+    assert read == ["probe"]
+    assert registry.gets == 2 and len(first) == 3
 
 
 def test_hive_queries_leave_nothing_behind():

@@ -3,6 +3,7 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.tez import TezConfig
 from repro.tez.am import RecoveredTask, RecoveryJournal
@@ -128,6 +129,35 @@ class TestRecoveryJournal:
         assert len(recovered) == 50
         assert recovered[("v", 17)] == RecoveredTask(("ev",), "node1", 0)
 
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("success"), st.sampled_from(["a", "b"]),
+                  st.integers(0, 5)),
+        st.tuples(st.just("restart"), st.sampled_from(["a", "b"]),
+                  st.integers(0, 5)),
+        st.tuples(st.just("finished"), st.sampled_from(["a", "b"])),
+        st.just(("read",))), max_size=40),
+        st.sampled_from([2, 3, 5, 4096]))
+    @settings(max_examples=150, deadline=None)
+    def test_fold_state_folds_only_the_new_suffix(self, ops, interval):
+        """Reads between appends and compactions: each ``fold_state``
+        equals a fold of the whole record stream."""
+        journal = RecoveryJournal(checkpoint_interval=interval)
+        epoch = journal.open_epoch()
+        for op in ops:
+            if op[0] == "success":
+                journal.record(epoch, attempt_success_event(
+                    dag_id=f"{op[1]}#1", index=op[2]))
+            elif op[0] == "restart":
+                journal.record(epoch, task_restart_event(
+                    dag_id=f"{op[1]}#1", index=op[2]))
+            elif op[0] == "finished":
+                journal.record_dag_finished(op[1], epoch=epoch)
+            else:
+                assert journal.fold_state() == \
+                    RecoveryJournal.fold(journal.records())
+        assert journal.fold_state() == RecoveryJournal.fold(
+            journal.records())
+
     def test_fold_is_pure_and_reusable(self):
         journal = RecoveryJournal()
         epoch = journal.open_epoch()
@@ -205,6 +235,45 @@ class TestSessionLifecycle:
         sim.env.run(until=sim.env.now + 60)
         am = client.last_am
         assert am.scheduler.held_containers() == 0
+        client.stop()
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="_idle_reaper counts a held container's idle time from "
+               "before the DAG started against container_idle_timeout "
+               "(ROADMAP: the session's idle reaper)")
+    def test_warm_containers_outlive_the_dags_first_reaper_tick(self):
+        """Containers that waited in the session longer than
+        ``container_idle_timeout`` (but under ``session_idle_timeout``)
+        are the session's warm pool: the DAG that arrives should find
+        them, not lose them at its first 1 s reaper tick."""
+        sim = make_sim()
+        sim.hdfs.write("/in", [(i % 5, i) for i in range(50)],
+                       record_bytes=16)
+        config = TezConfig()
+        client = sim.tez_client(session=True, config=config)
+        client.start()
+        client.prewarm(4)
+        sim.env.run(until=sim.env.now + 30.0)
+        scheduler = client.last_am.scheduler
+        idle_for = [sim.env.now - slot.idle_since
+                    for slot in scheduler.slots.values()]
+        # Not AssertionError: a broken set-up must fail the test, not
+        # pass as the expected failure.
+        if len(idle_for) != 4 or not all(
+                config.container_idle_timeout < t
+                < config.session_idle_timeout for t in idle_for):
+            raise RuntimeError(f"set-up: idle for {idle_for}")
+        released = scheduler.containers_released
+        # The map task's 3 s set-up spans the DAG's first ticks while
+        # the other warm containers wait for the reducers.
+        dag = small_dag("d", "/o")
+        dag.vertices["m"].processor.payload["setup_seconds"] = 3.0
+        dag.vertices["r"].parallelism = 3
+        status, _ = run_dag(sim, dag, client=client)
+        if not status.succeeded:
+            raise RuntimeError(status.diagnostics)
+        assert scheduler.containers_released == released
         client.stop()
 
     def test_non_session_apps_are_independent(self):
