@@ -67,13 +67,13 @@ def run_once(min_f: float, max_f: float) -> float:
     sim.env.run(until=handle.completion)
     assert handle.status.succeeded
     trace = client.last_am.scheduler.task_trace
-    map_ends = [e for _c, _a, v, _s, e in trace if v == "m"]
+    map_ends = [e.end for e in trace if e.vertex == "m"]
     last_map = max(map_ends)
     # Overlap: reducer runtime spent before the last producer finished
     # (the fetch latency slow-start hides).
     overlap = sum(
-        max(0.0, min(e, last_map) - s)
-        for _c, _a, v, s, e in trace if v == "r"
+        max(0.0, min(e.end, last_map) - e.start)
+        for e in trace if e.vertex == "r"
     )
     return handle.status.elapsed, overlap
 

@@ -4,15 +4,12 @@ Scale knobs: the paper ran 20-4200 node clusters on terabytes; we run
 the same *workload shapes* on a simulated cluster at laptop scale. Set
 ``REPRO_BENCH_SCALE=2`` (etc.) to grow the datasets.
 
-Tracing: pass ``--trace-out PATH`` (or set ``REPRO_TRACE_OUT=PATH``)
-to any figure script to dump the run's execution timeline — Chrome
-trace-event JSON (open in chrome://tracing or Perfetto) by default, or
-lossless JSONL when PATH ends in ``.jsonl``.
-
-Partitioned store: pass ``--store-out DIR`` (or ``REPRO_STORE_OUT``)
-to land the run's full partitioned telemetry store — segments,
-manifest and incremental rollups — queryable afterwards with
-``python -m repro.telemetry.query DIR``.
+Telemetry: pass ``--store-out DIR`` (or set ``REPRO_STORE_OUT=DIR``)
+to any figure script to land the run's one artefact, its partitioned
+telemetry store - segments, and a manifest with the incremental rollups
+- and read it afterwards with ``python -m repro.telemetry.query DIR``
+(``--summary``, ``--critical-path``, or ``--chrome-trace OUT.json`` for
+a trace to open in chrome://tracing or Perfetto).
 """
 
 import os
@@ -21,45 +18,26 @@ import sys
 SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "1"))
 
 
-def _cli_path(flag, env_var):
+def store_out_path():
+    """DIR from ``--store-out DIR`` / ``--store-out=DIR`` on the command
+    line, else the ``REPRO_STORE_OUT`` env var, else None."""
     argv = sys.argv
     for i, arg in enumerate(argv):
-        if arg == flag and i + 1 < len(argv):
+        if arg == "--store-out" and i + 1 < len(argv):
             return argv[i + 1]
-        if arg.startswith(flag + "="):
+        if arg.startswith("--store-out="):
             return arg.split("=", 1)[1]
-    return os.environ.get(env_var) or None
-
-
-def trace_out_path():
-    """PATH from ``--trace-out PATH`` / ``--trace-out=PATH`` on the
-    command line, else the ``REPRO_TRACE_OUT`` env var, else None."""
-    return _cli_path("--trace-out", "REPRO_TRACE_OUT")
-
-
-def store_out_path():
-    """DIR from ``--store-out DIR`` / ``REPRO_STORE_OUT``, else None."""
-    return _cli_path("--store-out", "REPRO_STORE_OUT")
+    return os.environ.get("REPRO_STORE_OUT") or None
 
 
 def finish_bench(sim, table=None, label="bench"):
     """Shared benchmark epilogue: attach a telemetry digest to the
-    table and honour --trace-out/--store-out by exporting the
-    timeline."""
+    table and honour --store-out by persisting the run's store."""
     from repro.bench import telemetry_notes
-    from repro.telemetry import write_chrome_trace, write_jsonl
 
     if table is not None:
         for note in telemetry_notes(sim):
             table.note(note)
-    path = trace_out_path()
-    if path:
-        store = sim.telemetry.store
-        if path.endswith(".jsonl"):
-            count = write_jsonl(store, path)
-        else:
-            count = write_chrome_trace(store, path)
-        print(f"[{label}] wrote {count} trace records to {path}")
     store_dir = store_out_path()
     if store_dir:
         # Benchmarks that run several simulations (e.g. fig12's

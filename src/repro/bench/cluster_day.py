@@ -25,10 +25,15 @@ RNG so queues and shards see uneven, realistic pressure.
 
 Usage::
 
-    python -m repro.bench.cluster_day --smoke [--out recovery.jsonl]
-        [--store-out STORE_DIR]
+    python -m repro.bench.cluster_day --smoke [--store-out STORE_DIR]
     python -m repro.bench.cluster_day          # full: 100 sessions,
         # 1,000 DAGs, ~1M tasks (several minutes of host time)
+
+``--store-out`` persists the run's telemetry store; besides every span
+and event of the run it holds one ``cluster_day.shard`` event per shard
+of the crashed session and the ``cluster_day.summary`` event (the
+returned summary, host-time fields ``wall_s`` and ``maxrss_mb``
+included), both at the end of the run.
 
 The full-size defaults honour the acceptance floor (>=100 sessions,
 >=1,000 DAGs, ~1M tasks); ``--smoke`` is the CI-sized cut of the same
@@ -53,7 +58,6 @@ except ImportError:          # pragma: no cover - non-POSIX hosts
 
 from ..chaos import CrashWitness, FaultPlan
 from ..harness import SimCluster
-from ..telemetry.store import JsonlStreamWriter
 from ..tez import DAG, Descriptor, TezConfig, Vertex
 from ..tez.library import FnProcessor
 from ..yarn import QueueConfig, Resource
@@ -101,7 +105,6 @@ def run_cluster_day(
     num_nodes: Optional[int] = None,
     ring: int = 4096,
     store_out: Optional[str] = None,
-    recovery_out: Optional[str] = None,
     verbose: bool = True,
 ) -> dict:
     """One seeded cluster-day run; returns the summary dict
@@ -310,25 +313,13 @@ def run_cluster_day(
     )
     say(f"  digest {digest}")
 
-    if recovery_out:
-        with JsonlStreamWriter(recovery_out) as stream:
-            seq = 0
-            for shard_summary in crash_client.coordinator \
-                    .shard_summaries():
-                stream.write({
-                    "type": "event", "seq": seq, "ts": 0.0,
-                    "kind": "cluster_day.shard",
-                    "attrs": {"client": crash_client.name,
-                              **shard_summary},
-                })
-                seq += 1
-            stream.write({
-                "type": "event", "seq": seq, "ts": 0.0,
-                "kind": "cluster_day.summary", "attrs": summary,
-            })
-        say(f"wrote {recovery_out}")
     if store_out:
-        sim.telemetry.persist_store(store_out)
+        telemetry = sim.telemetry
+        for shard_summary in crash_client.coordinator.shard_summaries():
+            telemetry.event("cluster_day.shard", client=crash_client.name,
+                            **shard_summary)
+        telemetry.event("cluster_day.summary", **summary)
+        telemetry.persist_store(store_out)
         say(f"persisted store to {store_out}")
     else:
         sim.telemetry.close()
@@ -356,8 +347,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--store-out", metavar="DIR", default=None,
                         help="persist the partitioned telemetry store "
                              "(MANIFEST.json + segments/) here")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="write recovery telemetry JSONL here")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -372,7 +361,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         shards=args.shards, seed=args.seed,
         crash_session=args.crash_session, crash_shard=args.crash_shard,
         crash_at=args.crash_at, store_out=args.store_out,
-        recovery_out=args.out, verbose=not args.quiet,
+        verbose=not args.quiet,
     )
     if not args.quiet:
         print(json.dumps(

@@ -75,7 +75,7 @@ class ChaosController:
         self.counters[fault.kind.value] += 1
         am = getattr(self.client, "last_am", None)
         if am is not None:
-            am.metrics["faults_injected"] += 1
+            am.registry.counter("faults_injected").inc()
         telemetry = get_telemetry(self.env)
         if telemetry is not None:
             telemetry.event("chaos.fault", fault=fault.kind.value,

@@ -33,21 +33,25 @@ event-boundary-triggered) and takes a worker node down, checked
 against the same run without the plan.
 
 Both modes emit recovery telemetry - events replayed, work recovered
-vs. re-executed, a recovery wall-time histogram - and can write it as
-a schema-checked JSONL artifact (``python -m repro.telemetry.check``).
+vs. re-executed, a recovery wall-time histogram - and ``--out DIR``
+persists it as a telemetry store (``MANIFEST.json`` + ``segments/``, no
+kernel, shards or rollups): one ``recovery.sweep_point`` event per crash
+point and a closing ``recovery.sweep_summary`` (the soak: one
+``recovery.soak_summary``). Check it with ``python -m
+repro.telemetry.check --store DIR``, read it with ``python -m
+repro.telemetry.query DIR --kind recovery.sweep_point``.
 
 Usage::
 
     python -m repro.chaos.sweep [--shape mr|diamond|session2]
         [--records N] [--stride K] [--checkpoint-interval C]
-        [--out trace.jsonl]
-    python -m repro.chaos.sweep --soak [--records N] [--out trace.jsonl]
+        [--out STORE_DIR]
+    python -m repro.chaos.sweep --soak [--records N] [--out STORE_DIR]
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 import traceback
@@ -56,7 +60,7 @@ from typing import Optional
 
 from ..harness import SimCluster
 from ..telemetry.metrics import Histogram
-from ..telemetry.store import JsonlStreamWriter
+from ..telemetry.store import SpanStore
 from ..tez import (
     DAG,
     DataMovementType,
@@ -327,58 +331,57 @@ def run_sweep(records: int = 120, stride: int = 1,
     say(f"baseline: {base.status_name}, {total} control events, "
         f"wall {base.wall:.2f}s")
 
-    # One record per crash point streams straight to the artifact as
-    # it is produced; only scalar accumulators stay resident, so a
-    # full-stride sweep (thousands of crash points, each with a
-    # per-task run log) holds one outcome in memory at a time.
+    # One record per crash point streams into the store's ring as it is
+    # produced; only scalar accumulators stay resident, so a full-stride
+    # sweep (thousands of crash points, each with a per-task run log)
+    # holds one outcome in memory at a time.
+    store = SpanStore() if out else None
     n_points = n_crashed = 0
     failures: list[str] = []
     sums = {"events_replayed": 0, "tasks_recovered": 0,
             "work_reexecuted": 0, "entries_dropped": 0,
             "fenced_appends": 0}
     wall_delta = Histogram("recovery.wall_delta")
-    with (JsonlStreamWriter(out) if out else
-          contextlib.nullcontext()) as stream:
-        for k in range(1, total + 1, max(1, stride)):
-            point = _crash_point(run_shape, records, base, k,
-                                 checkpoint_interval)
-            if stream is not None:
-                stream.write(_point_record(n_points, point))
-            n_points += 1
-            failures.extend(point.violations)
-            for violation in point.violations:
-                say(f"FAIL {violation}")
-            res = point.outcome
-            if res is None:
-                continue
-            if res.crashed:
-                n_crashed += 1
-                wall_delta.observe(res.wall - base.wall)
-            for key in sums:
-                sums[key] += getattr(res, key)
-            if point.ok and (k % 25 == 0 or k == 1):
-                say(f"  k={k}: {res.status_name}, replayed "
-                    f"{res.events_replayed}, recovered "
-                    f"{res.tasks_recovered}, redone {res.work_reexecuted},"
-                    f" wall +{res.wall - base.wall:.2f}s")
+    for k in range(1, total + 1, max(1, stride)):
+        point = _crash_point(run_shape, records, base, k,
+                             checkpoint_interval)
+        if store is not None:
+            store.add_event(_point_record(n_points, point))
+        n_points += 1
+        failures.extend(point.violations)
+        for violation in point.violations:
+            say(f"FAIL {violation}")
+        res = point.outcome
+        if res is None:
+            continue
+        if res.crashed:
+            n_crashed += 1
+            wall_delta.observe(res.wall - base.wall)
+        for key in sums:
+            sums[key] += getattr(res, key)
+        if point.ok and (k % 25 == 0 or k == 1):
+            say(f"  k={k}: {res.status_name}, replayed "
+                f"{res.events_replayed}, recovered "
+                f"{res.tasks_recovered}, redone {res.work_reexecuted},"
+                f" wall +{res.wall - base.wall:.2f}s")
 
-        summary = {
-            "ok": not failures,
-            "baseline_events": total,
-            "baseline_wall": base.wall,
-            "points": n_points,
-            "crashed_points": n_crashed,
-            "violations": len(failures),
-            **sums,
-            "wall_delta_mean": wall_delta.mean,
-            "wall_delta_p50": wall_delta.percentile(50),
-            "wall_delta_p95": wall_delta.percentile(95),
-            "wall_delta_max": wall_delta.percentile(100),
-        }
-        if stream is not None:
-            stream.write(_summary_record(n_points, "recovery.sweep_summary",
-                                         summary))
-    if out:
+    summary = {
+        "ok": not failures,
+        "baseline_events": total,
+        "baseline_wall": base.wall,
+        "points": n_points,
+        "crashed_points": n_crashed,
+        "violations": len(failures),
+        **sums,
+        "wall_delta_mean": wall_delta.mean,
+        "wall_delta_p50": wall_delta.percentile(50),
+        "wall_delta_p95": wall_delta.percentile(95),
+        "wall_delta_max": wall_delta.percentile(100),
+    }
+    if store is not None:
+        store.add_event(_summary_record(n_points, "recovery.sweep_summary",
+                                        summary))
+        store.persist(out, _NO_RUN)
         say(f"wrote {out}")
     say(f"sweep: {n_crashed}/{n_points} crash points recovered, "
         f"{len(failures)} violations")
@@ -428,19 +431,23 @@ def run_soak(records: int = 200, dags: int = 3,
         f"{res.tasks_recovered} tasks recovered, "
         f"{len(failures)} violations")
     if out:
-        with JsonlStreamWriter(out) as stream:
-            stream.write(_summary_record(0, "recovery.soak_summary",
-                                         summary))
+        store = SpanStore()
+        store.add_event(_summary_record(0, "recovery.soak_summary",
+                                        summary))
+        store.persist(out, _NO_RUN)
         say(f"wrote {out}")
     return summary
 
 
 # -------------------------------------------------------------- artifact
-# The artifact is JSONL in the telemetry event schema, one record per
-# crash point plus a trailing summary (``repro.telemetry.check``-clean),
-# streamed through the store's JsonlStreamWriter as points complete.
+# The artifact is a telemetry store of event records, one per crash
+# point plus a trailing summary, added to the store's ring as points
+# complete. Nothing simulated stands behind it: no kernel counters, no
+# shards, no rollups.
+_NO_RUN = {"kernel": None, "shards": [], "rollups": {}}
 
-def _point_record(seq: int, point: CrashPoint) -> dict:
+
+def _point_record(seq: int, point: CrashPoint) -> tuple:
     attrs: dict = {"k": point.k}
     o = point.outcome
     if o is not None:
@@ -456,13 +463,11 @@ def _point_record(seq: int, point: CrashPoint) -> dict:
             wall=o.wall,
         )
     attrs["violations"] = list(point.violations)
-    return {"type": "event", "seq": seq, "ts": float(point.k),
-            "kind": "recovery.sweep_point", "attrs": attrs}
+    return (seq, float(point.k), "recovery.sweep_point", attrs)
 
 
-def _summary_record(seq: int, kind: str, summary: dict) -> dict:
-    return {"type": "event", "seq": seq, "ts": 0.0, "kind": kind,
-            "attrs": summary}
+def _summary_record(seq: int, kind: str, summary: dict) -> tuple:
+    return (seq, 0.0, kind, summary)
 
 
 # ------------------------------------------------------------------- CLI
@@ -482,8 +487,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                              "map-reduce, the fast-path diamond "
                              "slice, or two DAGs back to back "
                              "through one session AM")
-    parser.add_argument("--out", default=None,
-                        help="write recovery telemetry JSONL here")
+    parser.add_argument("--out", default=None, metavar="STORE_DIR",
+                        help="persist the recovery telemetry as a "
+                             "store (MANIFEST.json + segments/) here")
     parser.add_argument("--soak", action="store_true",
                         help="run the chaos soak instead of the sweep")
     parser.add_argument("--quiet", action="store_true")

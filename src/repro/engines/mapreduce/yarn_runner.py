@@ -191,6 +191,13 @@ class _MRAppMaster:
             diagnostics=self.failed or "",
             result=result,
         )
+        # Unregistered, the context is put to no more: YARN releases a
+        # container it grants from now on itself and reports no further
+        # completion. Let go of the pumps parked on both stores: their
+        # getters would hold this finished job in a reference cycle that
+        # only the cyclic collector frees, which Environment.run holds off.
+        ctx.allocated.abandon()
+        ctx.completed.abandon()
 
     def _fail(self, diagnostics: str) -> None:
         if self.failed is None:

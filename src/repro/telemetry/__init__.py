@@ -12,40 +12,29 @@ role for the simulated stack:
 * :class:`Tracer` / :class:`Span` — hierarchical spans
   (session → DAG → vertex → task-attempt, plus container lifecycle and
   shuffle-fetch spans).
-* :class:`MetricsRegistry` — typed counters/gauges/histograms replacing
-  the ad-hoc AM metric dicts (a :class:`MetricsView` keeps the old
-  ``DAGAppMaster.metrics`` dict interface working).
-* :class:`TimelineStore` — the query API (by DAG, kind, time range).
-* :mod:`~repro.telemetry.export` — Chrome trace-event JSON (loadable
-  in ``chrome://tracing`` / Perfetto) and JSONL exporters.
-* :mod:`~repro.telemetry.analysis` — critical-path extraction and
-  per-DAG summary reports.
+* :class:`MetricsRegistry` — typed counters/gauges/histograms, the one
+  counter surface of an AM (``DAGAppMaster.registry``).
+* :class:`SpanStore` — the write-once on-disk store: a run's one
+  artefact (``MANIFEST.json`` + ``segments/``).
+* :class:`TimelineStore` — the query API (by span kind, event kind,
+  attrs, time range), live or over a persisted store.
+* :class:`RollupEngine` / :mod:`~repro.telemetry.analysis` — per-DAG
+  summaries and critical paths, folded as spans close.
+* :mod:`~repro.telemetry.export` — the Chrome trace-event view of a
+  timeline (loadable in ``chrome://tracing`` / Perfetto).
 
 Everything is simulation-clock aware: timestamps are ``env.now``
 seconds, scaled to microseconds only at Chrome-trace export time.
 """
 
-from .analysis import (
-    CriticalPathReport,
-    CriticalPathSegment,
-    DagSummary,
-    critical_path,
-    dag_summary,
-    summarize_session,
-)
+from .analysis import CriticalPathReport, CriticalPathSegment, DagSummary
 from .events import EventLog, TaskTraceEntry, TelemetryEvent
-from .export import (
-    chrome_trace,
-    read_jsonl,
-    validate_records,
-    write_chrome_trace,
-    write_jsonl,
-)
+from .export import chrome_trace, validate_records, write_chrome_trace
 from .facade import Telemetry, get_telemetry
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, MetricsView
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .rollups import RollupEngine
 from .spans import Span, Tracer
-from .store import JsonlStreamWriter, SpanStore
+from .store import SpanStore
 from .timeline import TimelineStore
 
 __all__ = [
@@ -56,9 +45,7 @@ __all__ = [
     "EventLog",
     "Gauge",
     "Histogram",
-    "JsonlStreamWriter",
     "MetricsRegistry",
-    "MetricsView",
     "RollupEngine",
     "Span",
     "SpanStore",
@@ -68,12 +55,7 @@ __all__ = [
     "TimelineStore",
     "Tracer",
     "chrome_trace",
-    "critical_path",
-    "dag_summary",
     "get_telemetry",
-    "read_jsonl",
-    "summarize_session",
     "validate_records",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -1,4 +1,7 @@
-"""Timeline analysis: critical-path extraction and DAG summaries.
+"""Timeline analysis: the per-DAG report types and the critical-path
+walk that :class:`~repro.telemetry.rollups.RollupEngine` folds as spans
+close (``query --summary`` / ``--critical-path`` read the result from a
+store's manifest).
 
 The critical path answers "why did this DAG take this long?". It is
 computed purely from the telemetry timeline — no AM internals — by
@@ -25,10 +28,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .spans import Span
-from .timeline import TimelineStore
 
-__all__ = ["CriticalPathSegment", "CriticalPathReport", "critical_path",
-           "DagSummary", "dag_summary", "summarize_session",
+__all__ = ["CriticalPathSegment", "CriticalPathReport", "DagSummary",
            "effective_update", "walk_chain", "telescope"]
 
 
@@ -103,25 +104,6 @@ def effective_update(eff: dict[tuple[str, int], Span],
     if best is None or span.end > best.end or (
             span.end == best.end and span.span_id < best.span_id):
         eff[key] = span
-
-
-def _effective_attempts(store: TimelineStore,
-                        dag_id: str) -> dict[tuple[str, int], Span]:
-    """Latest-finishing succeeded attempt per (vertex, task index)."""
-    eff: dict[tuple[str, int], Span] = {}
-    for span in store.attempt_spans(dag_id):
-        effective_update(eff, span)
-    return eff
-
-
-def _producers(store: TimelineStore,
-               dag_id: str) -> dict[str, list[tuple[str, str]]]:
-    """vertex name -> [(producer vertex, data movement), ...]."""
-    out: dict[str, list[tuple[str, str]]] = {}
-    for ev in store.events(kind="am.dag_submitted", dag=dag_id):
-        for src, dst, movement in ev.attrs.get("edges", []):
-            out.setdefault(dst, []).append((src, movement))
-    return out
 
 
 def _latest(spans) -> Span:
@@ -200,23 +182,6 @@ def telescope(report: CriticalPathReport, chain: list[Span]) -> None:
         ))
 
 
-def critical_path(store: TimelineStore, dag_id: str) -> CriticalPathReport:
-    dag = store.dag_span(dag_id)
-    if dag is None or not dag.finished:
-        raise ValueError(f"no finished dag span for {dag_id!r}")
-
-    report = CriticalPathReport(
-        dag_id=dag_id,
-        dag_name=dag.attrs.get("dag_name", dag.name),
-        start=dag.start,
-        end=dag.end,
-    )
-    eff = _effective_attempts(store, dag_id)
-    producers = _producers(store, dag_id) if eff else {}
-    telescope(report, walk_chain(eff, producers))
-    return report
-
-
 @dataclass
 class DagSummary:
     dag_id: str
@@ -251,48 +216,3 @@ class DagSummary:
         if self.critical is not None:
             parts.append(self.critical.render())
         return "\n".join(parts)
-
-
-def dag_summary(store: TimelineStore, dag_id: str,
-                with_critical_path: bool = True) -> DagSummary:
-    dag = store.dag_span(dag_id)
-    if dag is None:
-        raise ValueError(f"unknown dag {dag_id!r}")
-    finished = store.events(kind="am.dag_finished", dag=dag_id)
-    outcome = finished[-1].attrs.get("state", "?") if finished else "RUNNING"
-
-    attempts = store.attempt_spans(dag_id)
-    outcomes = [span.attrs.get("outcome") for span in attempts]
-    critical = None
-    if with_critical_path and dag.finished:
-        critical = critical_path(store, dag_id)
-
-    end = dag.end if dag.end is not None else dag.start
-    return DagSummary(
-        dag_id=dag_id,
-        name=dag.attrs.get("dag_name", dag.name),
-        outcome=outcome,
-        wall_clock=end - dag.start,
-        vertices=len(store.vertex_spans(dag_id)),
-        attempts=len(attempts),
-        succeeded=outcomes.count("succeeded"),
-        failed=outcomes.count("failed"),
-        killed=outcomes.count("killed"),
-        speculations=len(store.events(kind="am.speculation", dag=dag_id)),
-        reexecutions=len(store.events(kind="am.reexecution", dag=dag_id)),
-        fetch_retries=len(store.events(kind="shuffle.fetch_retry",
-                                       dag=dag_id)),
-        # Faults are cluster-scoped (no dag attr): count those injected
-        # while this DAG was on the clock.
-        faults=len(store.events(kind="chaos.fault", since=dag.start,
-                                until=end)),
-        critical=critical,
-    )
-
-
-def summarize_session(store: TimelineStore,
-                      with_critical_path: bool = True) -> list[DagSummary]:
-    return [
-        dag_summary(store, dag_id, with_critical_path=with_critical_path)
-        for dag_id in store.dag_ids()
-    ]

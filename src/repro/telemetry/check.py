@@ -1,13 +1,14 @@
-"""JSONL trace and partitioned-store schema checker (used by CI).
+"""Persisted-store checker (used by CI).
 
 Usage::
 
-    python -m repro.telemetry.check trace.jsonl [more.jsonl ...]
     python -m repro.telemetry.check --store STORE_DIR [...]
 
-``--store`` validates a persisted segment directory end to end: the
-write-once layout (a ``closed`` manifest listing only canonical JSONL
-segments - no ``.pkl`` spool run, no ``*`` wildcard partition),
+A store is the one artefact a run leaves (figure benches, the chaos
+smoke, the crash sweep, the cluster day). ``--store`` validates a
+persisted segment directory end to end: the write-once layout (a
+``closed`` manifest listing only canonical JSONL segments - no ``.pkl``
+spool run, no ``*`` wildcard partition),
 manifest/segment cross-consistency (files exist, footers agree with
 their manifest entries, record counts match), partition-key discipline
 (every record in a segment belongs to the segment's partition),
@@ -207,61 +208,27 @@ def check_store(store_dir: str) -> list[str]:
     return problems
 
 
-def check_file(path: str) -> list[str]:
-    try:
-        records = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    return [f"{path}:{lineno}: invalid JSON: {exc}"]
-    except OSError as exc:
-        return [f"{path}: {exc}"]
-    if not records:
-        return [f"{path}: empty trace"]
-    return [f"{path}: {p}" for p in validate_records(records)]
-
-
 def main(argv: list[str]) -> int:
-    store_mode = False
-    if argv and argv[0] == "--store":
-        store_mode = True
-        argv = argv[1:]
-    if not argv:
-        print("usage: python -m repro.telemetry.check FILE.jsonl ... |"
-              " --store STORE_DIR ...",
+    if not argv or argv[0] != "--store" or len(argv) < 2:
+        print("usage: python -m repro.telemetry.check --store STORE_DIR ...",
               file=sys.stderr)
         return 2
+    stores = argv[1:]
     problems = []
     total = 0
-    if store_mode:
-        for store_dir in argv:
-            problems.extend(check_store(store_dir))
-            try:
-                manifest = read_manifest(store_dir)
-                total += sum(e.get("count", 0)
-                             for e in manifest.get("segments", []))
-            except (OSError, json.JSONDecodeError):
-                pass
-        what = "store(s)"
-    else:
-        for path in argv:
-            problems.extend(check_file(path))
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    total += sum(1 for line in fh if line.strip())
-            except OSError:
-                pass
-        what = "file(s)"
+    for store_dir in stores:
+        problems.extend(check_store(store_dir))
+        try:
+            manifest = read_manifest(store_dir)
+            total += sum(e.get("count", 0)
+                         for e in manifest.get("segments", []))
+        except (OSError, json.JSONDecodeError):
+            pass
     for problem in problems:
         print(problem)
     if problems:
         return 1
-    print(f"ok: {total} records across {len(argv)} {what}")
+    print(f"ok: {total} records across {len(stores)} store(s)")
     return 0
 
 

@@ -100,14 +100,9 @@ class EventLog:
 
 @dataclass
 class TaskTraceEntry:
-    """One task run on one container (paper Figure 7).
-
-    Replaces the historical ``(container, attempt_id, vertex, start,
-    end)`` 5-tuple in ``TaskSchedulerService.task_trace``. Iteration
-    still yields exactly those five fields, so existing
-    tuple-unpacking consumers keep working; the extra fields carry the
-    placement detail the exporters need.
-    """
+    """One task run on one container (paper Figure 7), as
+    ``TaskSchedulerService.task_trace`` records it: the placement record
+    that exists with telemetry off. Read its fields by name."""
 
     container_id: str
     attempt_id: str
@@ -116,19 +111,6 @@ class TaskTraceEntry:
     end: float
     node_id: str = ""
     dag_id: str = ""
-
-    def __iter__(self):
-        # Tuple-compatibility: the original 5-tuple shape, in order.
-        return iter(
-            (self.container_id, self.attempt_id, self.vertex,
-             self.start, self.end)
-        )
-
-    def __len__(self) -> int:
-        return 5
-
-    def __getitem__(self, index):
-        return tuple(self)[index]
 
     @property
     def duration(self) -> float:

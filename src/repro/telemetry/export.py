@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON and line-delimited JSON.
+"""The Chrome trace view of a timeline, and the record schema check.
 
 The Chrome exporter produces the ``chrome://tracing`` / Perfetto
 "JSON Array Format": a list of events where durations are ``"X"``
@@ -19,9 +19,11 @@ Mapping from the simulated cluster onto the trace-viewer model:
 Timestamps are simulated seconds scaled to microseconds (``ts * 1e6``)
 because trace viewers assume microsecond resolution.
 
-The JSONL exporter is the lossless form: every event and every span,
-one JSON object per line, for downstream tooling and the CI schema
-check (:mod:`repro.telemetry.check`).
+The lossless form of a run is its persisted store (``segments/`` +
+``MANIFEST.json``); a trace is a view of one: ``python -m
+repro.telemetry.query STORE --chrome-trace OUT.json``.
+:func:`validate_records` is the per-record schema
+``python -m repro.telemetry.check --store`` applies to every segment.
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .store import event_record, span_record
 from .timeline import TimelineStore
 
-__all__ = ["chrome_trace", "write_chrome_trace", "write_jsonl",
-           "read_jsonl", "validate_records"]
+__all__ = ["chrome_trace", "write_chrome_trace", "validate_records"]
 
 _US = 1_000_000  # simulated seconds -> trace-viewer microseconds
 
@@ -217,42 +217,8 @@ def write_chrome_trace(store: TimelineStore, path: str,
 
 
 # ---------------------------------------------------------------------------
-# JSONL (lossless)
+# Record schema (what every store segment line holds)
 # ---------------------------------------------------------------------------
-
-def write_jsonl(store: TimelineStore, path: str) -> int:
-    """Dump every span then every event, one JSON object per line.
-
-    Spans come first in creation order, then events in emission order
-    — byte-identical whether the timeline is in memory or streamed
-    back out of partitioned segments. With a segment-backed store the
-    event stream is a k-way merge over segment files, so the resident
-    cost is one record per open segment, not the timeline."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for span in store.spans():
-            fh.write(json.dumps(span_record(span)) + "\n")
-            count += 1
-        if store.spanstore is not None and store.log.sink is not None:
-            for rec in store.spanstore.iter_event_records():
-                fh.write(json.dumps(rec) + "\n")
-                count += 1
-        else:
-            for ev in store.events():
-                fh.write(json.dumps(event_record(ev)) + "\n")
-                count += 1
-    return count
-
-
-def read_jsonl(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
 
 _EVENT_KEYS = {"type", "seq", "ts", "kind", "attrs"}
 _SPAN_KEYS = {"type", "span_id", "kind", "name", "start", "end",
@@ -260,8 +226,8 @@ _SPAN_KEYS = {"type", "span_id", "kind", "name", "start", "end",
 
 
 def validate_records(records: list[dict]) -> list[str]:
-    """Schema-check JSONL records; returns a list of problems (empty
-    when the file is well-formed)."""
+    """Schema-check span / event records; returns a list of problems
+    (empty when every record is well-formed)."""
     problems = []
     for i, rec in enumerate(records):
         where = f"record {i}"

@@ -117,8 +117,8 @@ class Telemetry:
         """Land the run in ``target_dir`` - segments, and a manifest
         carrying the kernel counters, shard summaries and per-DAG
         rollups - and end the recording. Spans still open (e.g. the
-        session span) are stored as they stand, so the store is as
-        lossless as the JSONL export. Afterwards this telemetry is
+        session span) are stored as they stand, so the store holds every
+        record the run made. Afterwards this telemetry is
         disabled and its store sealed: a simulation that runs on records
         nothing and leaves the directory as it is, and a second call
         raises."""
@@ -132,7 +132,8 @@ class Telemetry:
         """What the manifest says about the run: the DES kernel's
         scheduling counters (event-plane volume, for ``query
         --summary``), every registered shard supplier's summaries, and
-        the rollup of every closed DAG."""
+        the rollup of every submitted DAG - one still open is stored
+        ``RUNNING``, without a critical path."""
         env = self.env
         kernel = None if env is None else {
             "heap_pushes": env.heap_pushes,
@@ -144,7 +145,7 @@ class Telemetry:
                   for summary in supplier()]
         rollups = {dag_id: self.rollups.payload(dag_id)
                    for dag_id in self.rollups.dag_ids()
-                   if self.rollups.get(dag_id).closed}
+                   if self.rollups.get(dag_id).start is not None}
         return {"kernel": kernel, "shards": shards, "rollups": rollups}
 
     # -- emission -------------------------------------------------------

@@ -7,19 +7,15 @@ for percentile queries. :meth:`MetricsRegistry.snapshot` /
 :meth:`MetricsRegistry.delta` give per-DAG scoping: snapshot at DAG
 start, delta at DAG end — the session-scoped and DAG-scoped views are
 derived from the *same* counters and cannot drift.
-
-:class:`MetricsView` is a ``MutableMapping`` facade over the counters
-so legacy call sites (``am.metrics["reexecutions"] += 1``,
-``dict(am.metrics)``) keep working unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, MutableMapping, Optional
+from typing import Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "MetricsView", "ReadCounter", "Snapshot"]
+           "ReadCounter", "Snapshot"]
 
 
 def _norm(value: float):
@@ -244,34 +240,3 @@ class MetricsRegistry:
 
     def as_dict(self) -> dict:
         return {name: _norm(c.value) for name, c in self.counters.items()}
-
-    def view(self) -> "MetricsView":
-        return MetricsView(self)
-
-
-class MetricsView(MutableMapping):
-    """Dict-compatible live view over a registry's counters."""
-
-    def __init__(self, registry: MetricsRegistry):
-        self._registry = registry
-
-    def __getitem__(self, key: str):
-        counter = self._registry.counters.get(key)
-        if counter is None:
-            raise KeyError(key)
-        return _norm(counter.value)
-
-    def __setitem__(self, key: str, value: float) -> None:
-        self._registry.counter(key).value = float(value)
-
-    def __delitem__(self, key: str) -> None:
-        del self._registry.counters[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry.counters)
-
-    def __len__(self) -> int:
-        return len(self._registry.counters)
-
-    def __repr__(self) -> str:
-        return f"MetricsView({self._registry.as_dict()!r})"

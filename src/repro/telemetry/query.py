@@ -5,7 +5,8 @@ from the YARN Application Timeline Server, this CLI answers the same
 questions from a persisted ``SpanStore`` directory (``segments/`` plus
 ``MANIFEST.json``, which also carries the per-DAG rollups, shard
 summaries and kernel counters) without loading the timeline into
-memory.
+memory. Summaries and critical paths are the rollups the run folded as
+it went; ``query`` never recomputes them from the segments.
 
 Usage::
 
@@ -24,11 +25,14 @@ Filters (compose; segment partitions prune what gets read):
 Modes:
 
     (default)                 matching records as JSONL on stdout
-    --summary                 per-DAG summary lines (reads the
-                              manifest's rollups when present; falls
-                              back to a segment scan), then shard and
-                              kernel lines
-    --critical-path [DAG]     rendered critical path (rollups or scan)
+    --summary                 per-DAG summary lines from the manifest's
+                              rollups (a DAG still open prints
+                              RUNNING), then shard and kernel lines
+    --critical-path [DAG]     rendered critical path from the rollups
+                              (a DAG still open has none yet)
+    --chrome-trace OUT.json   the store as a Chrome trace-event file
+                              (chrome://tracing, Perfetto); --dag
+                              narrows it to one DAG
 
 A store is written once, when its run persists it, so there is nothing
 to tail: query a run after it ends.
@@ -41,8 +45,8 @@ import json
 import os
 import sys
 
-from .analysis import (CriticalPathReport, CriticalPathSegment,
-                       DagSummary, critical_path, dag_summary)
+from .analysis import CriticalPathReport, CriticalPathSegment, DagSummary
+from .export import write_chrome_trace
 from .store import MANIFEST_NAME, read_manifest
 from .timeline import TimelineStore
 
@@ -91,6 +95,14 @@ def summary_from_payload(payload: dict) -> DagSummary:
         reexecutions=payload["reexecutions"],
         fetch_retries=payload["fetch_retries"], faults=payload["faults"],
     )
+
+
+def render_path(payload: dict) -> str:
+    """A rollup's critical path, rendered; a DAG still open has none."""
+    if payload["end"] is None:
+        return (f"critical path of {payload['dag_id']} ({payload['name']}):"
+                f" open ({payload['outcome']}), no critical path yet")
+    return report_from_payload(payload).render()
 
 
 def report_from_payload(payload: dict) -> CriticalPathReport:
@@ -177,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--summary", action="store_true")
     parser.add_argument("--critical-path", nargs="?", const="*",
                         metavar="DAG_ID", dest="critical")
+    parser.add_argument("--chrome-trace", metavar="OUT.json")
     return parser
 
 
@@ -195,17 +208,10 @@ def main(argv=None) -> int:
 
     if args.summary:
         payloads = rollup_payloads(manifest)
-        if payloads:
-            if args.dag:
-                payloads = [p for p in payloads
-                            if p["dag_id"] == args.dag]
-            for payload in payloads:
-                print(summary_from_payload(payload).line())
-        else:
-            dag_ids = [args.dag] if args.dag else store.dag_ids()
-            for dag_id in dag_ids:
-                print(dag_summary(store, dag_id,
-                                  with_critical_path=False).line())
+        if args.dag:
+            payloads = [p for p in payloads if p["dag_id"] == args.dag]
+        for payload in payloads:
+            print(summary_from_payload(payload).line())
         if not args.dag:
             for payload in manifest["shards"]:
                 print(shard_line(payload))
@@ -215,14 +221,19 @@ def main(argv=None) -> int:
 
     if args.critical is not None:
         payloads = {p["dag_id"]: p for p in rollup_payloads(manifest)}
-        dag_ids = ([args.critical] if args.critical != "*"
-                   else (list(payloads) or store.dag_ids()))
+        dag_ids = list(payloads) if args.critical == "*" \
+            else [args.critical]
         for dag_id in dag_ids:
-            payload = payloads.get(dag_id)
-            if payload is not None and payload.get("critical_path"):
-                print(report_from_payload(payload).render())
-            else:
-                print(critical_path(store, dag_id).render())
+            if dag_id not in payloads:
+                print(f"no dag {dag_id!r} in {args.store}", file=sys.stderr)
+                return 1
+            print(render_path(payloads[dag_id]))
+        return 0
+
+    if args.chrome_trace:
+        count = write_chrome_trace(store, args.chrome_trace,
+                                   dag_id=args.dag)
+        print(f"wrote {count} trace events to {args.chrome_trace}")
         return 0
 
     for rec in select_records(store, args):

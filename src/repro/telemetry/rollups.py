@@ -1,27 +1,28 @@
 """Incremental rollups: per-DAG summaries without re-reading the timeline.
 
-The legacy path answered "how did this DAG go?" by post-hoc scans over
-the whole timeline (`analysis.dag_summary` / `analysis.critical_path`)
-— fine in memory, impossible once spans stream to disk. The
-:class:`RollupEngine` maintains the same aggregates *incrementally*:
+"How did this DAG go?" could be answered by post-hoc scans over the
+whole timeline - fine in memory, impossible once spans stream to disk.
+The :class:`RollupEngine` maintains those aggregates *incrementally*,
+and they are the only analysis ``query`` runs:
 
 * **At span close** — attempt outcomes fold into per-DAG counters and
   the effective-attempt map (`analysis.effective_update`); attempt run
   latencies fold into fixed-bucket per-vertex histograms; closing the
   DAG span triggers the critical-path walk (`analysis.walk_chain` +
-  `analysis.telescope`, the same functions the post-hoc scan uses)
-  after which the per-task state is dropped.
-* **At event emission** — `am.dag_submitted` registers the edge list,
-  `am.dag_finished` seals the outcome, speculation/re-execution/fetch
-  retry events bump counters, and cluster-scoped `chaos.fault` events
-  are kept as a (tiny) timestamp list to window per DAG.
+  `analysis.telescope`) after which the per-task state is dropped.
+* **At event emission** — `am.dag_submitted` opens the rollup (name,
+  start, edge list), `am.dag_finished` seals the outcome,
+  speculation/re-execution/fetch retry events bump counters, and
+  cluster-scoped `chaos.fault` events are kept as a (tiny) timestamp
+  list to window per DAG.
 
-The invariant — enforced by the Hypothesis equivalence test — is that
-for any sequence of spans and events, :meth:`RollupEngine.summary`
-equals `analysis.dag_summary` and :meth:`RollupEngine.critical` equals
-`analysis.critical_path` on the same timeline. Resident cost is the
-per-task effective map of *in-flight* DAGs only; finished DAGs keep
-just their summary and critical-path segments.
+The invariant — enforced by the Hypothesis equivalence test against the
+post-hoc scans kept in ``tests/timeline_oracle.py`` — is that for any
+sequence of spans and events, :meth:`RollupEngine.summary` and
+:meth:`RollupEngine.critical` equal a scan of the same timeline. A DAG
+still open has outcome ``RUNNING`` and no critical path. Resident cost
+is the per-task effective map of *in-flight* DAGs only; finished DAGs
+keep just their summary and critical-path segments.
 """
 
 from __future__ import annotations
@@ -171,6 +172,8 @@ class RollupEngine:
             return
         roll = self._rollup(dag_id)
         if kind == "am.dag_submitted":
+            roll.name = attrs.get("name", dag_id)
+            roll.start = ts
             for src, dst, movement in attrs.get("edges", []):
                 roll._producers.setdefault(dst, []).append((src, movement))
         elif kind == "am.dag_finished":

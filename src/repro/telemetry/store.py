@@ -19,9 +19,10 @@ the run in one directory and seals the store.
   record is cluster-scoped). Queries prune whole segments by partition
   before reading a byte.
 * **Segment** — one canonical ``.jsonl`` file per partition of a ring:
-  records in the exact schema of the JSONL exporter, time-ordered
-  (events by emission ``seq``; spans by close order), terminated by a
-  ``footer`` carrying the record count and key ranges. ``persist``
+  one ``json.dumps`` of a record per line (:func:`event_record` /
+  :func:`span_record`), time-ordered (events by emission ``seq``; spans
+  by close order), terminated by a ``footer`` carrying the record count
+  and key ranges. ``persist``
   writes the final ring first, then compacts every spooled run, so a
   persisted store directory is pure JSONL.
 * **Manifest** — ``MANIFEST.json`` lists every segment with its
@@ -34,7 +35,8 @@ the run in one directory and seals the store.
   and critical paths, keyed by ``dag_id``). It is written once, with
   ``closed: true``. A persisted store is ``MANIFEST.json`` plus
   ``segments/`` and nothing else; ``SpanStore(store_dir)`` opens one
-  for reading.
+  for reading. A store with no simulation behind it (the crash sweep's
+  records) is persisted with ``kernel: null``, no shards and no rollups.
 
 A ring that fills is flushed to disk synchronously, so nothing is ever
 dropped before ``persist``. Resident memory is therefore bounded by the
@@ -55,9 +57,8 @@ import tempfile
 from collections import deque
 from typing import Iterator, Optional
 
-__all__ = ["SpanStore", "JsonlStreamWriter", "event_record",
-           "span_record", "event_partition", "span_partition",
-           "read_manifest"]
+__all__ = ["SpanStore", "event_record", "span_record", "event_partition",
+           "span_partition", "read_manifest"]
 
 MANIFEST_NAME = "MANIFEST.json"
 SEGMENT_DIR = "segments"
@@ -65,7 +66,7 @@ MANIFEST_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# Canonical record schema (shared with the JSONL exporter)
+# Canonical record schema (one JSON object per segment line)
 # ---------------------------------------------------------------------------
 
 def event_record(ev) -> dict:
@@ -97,40 +98,6 @@ def _group_matches_prefix(group: str, prefix: str) -> bool:
     if "." in prefix:
         return group == prefix.split(".", 1)[0]
     return group.startswith(prefix)
-
-
-# ---------------------------------------------------------------------------
-# Streaming JSONL writer (also used standalone, e.g. by the chaos sweep)
-# ---------------------------------------------------------------------------
-
-class JsonlStreamWriter:
-    """Append records to a JSONL file one at a time — bounded memory.
-
-    Serialization is byte-identical to ``json.dumps(record)`` per line,
-    so artifacts written through this stream are indistinguishable from
-    the historical build-a-list-then-dump form.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.count = 0
-        self._fh = open(path, "w", encoding="utf-8")
-
-    def write(self, record: dict) -> None:
-        self._fh.write(json.dumps(record) + "\n")
-        self.count += 1
-
-    def close(self) -> int:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        return self.count
-
-    def __enter__(self) -> "JsonlStreamWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """TimelineStore: the query surface over events and spans.
 
 This is the simulation's stand-in for the YARN Application Timeline
-Server: exporters, the analysis module and tests all read execution
-history through it — by DAG, by vertex, by event kind, by time range —
-instead of poking at AM internals.
+Server: the Chrome-trace view, ``query`` and tests read execution
+history through it — by span kind and attrs, by event kind, by time
+range — instead of poking at AM internals.
 
 The query API is storage-agnostic: when the telemetry is backed by the
 partitioned :class:`~repro.telemetry.store.SpanStore`, closed spans
@@ -76,28 +76,3 @@ class TimelineStore:
         open_ids = {span.span_id for span in open_}
         return sorted([s for s in closed if s.span_id not in open_ids]
                       + open_, key=lambda s: s.span_id)
-
-    def dag_ids(self) -> list[str]:
-        """DAG execution ids in submission order."""
-        out = []
-        for span in self.spans(kind="dag"):
-            dag_id = span.attrs.get("dag", span.name)
-            if dag_id not in out:
-                out.append(dag_id)
-        return out
-
-    def dag_span(self, dag_id: str) -> Optional[Span]:
-        for span in self.spans(kind="dag"):
-            if span.attrs.get("dag", span.name) == dag_id:
-                return span
-        return None
-
-    def vertex_spans(self, dag_id: str) -> list[Span]:
-        return self.spans(kind="vertex", dag=dag_id)
-
-    def attempt_spans(self, dag_id: str,
-                      vertex: Optional[str] = None) -> list[Span]:
-        attrs = {"dag": dag_id}
-        if vertex is not None:
-            attrs["vertex"] = vertex
-        return self.spans(kind="attempt", **attrs)

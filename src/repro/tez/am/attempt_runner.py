@@ -97,6 +97,13 @@ class AttemptRunner:
 
     def __init__(self, am):
         self.am = am
+        counter = am.registry.counter
+        self._speculative_attempts = counter("speculative_attempts")
+        self._speculative_wins = counter("speculative_wins")
+        self._tasks_succeeded = counter("tasks_succeeded")
+        self._attempts_killed = counter("attempts_killed")
+        self._attempts_failed = counter("attempts_failed")
+        self._reexecutions = counter("reexecutions")
 
     # -------------------------------------------------- scheduling
     def task_priority(self, task: Task, speculative: bool = False) -> int:
@@ -138,7 +145,7 @@ class AttemptRunner:
                 state=attempt.state._value_,    # not the .value descriptor
             )
         if speculative:
-            am.metrics["speculative_attempts"] += 1
+            self._speculative_attempts.inc()
         nodes, racks = self.task_locality(task)
         request = TaskRequest(
             attempt,
@@ -530,7 +537,7 @@ class AttemptRunner:
         task = attempt.task
         vr = task.vertex
         if attempt.is_speculative:
-            am.metrics["speculative_wins"] += 1
+            self._speculative_wins.inc()
         was_reexecution = task.succeeded_attempt is not None
         am.machines.task(task).fire("succeed")
         task.succeeded_attempt = attempt
@@ -538,7 +545,7 @@ class AttemptRunner:
         task.output_events = list(
             getattr(attempt, "_pending_success_events", [])
         )
-        am.metrics["tasks_succeeded"] += 1
+        self._tasks_succeeded.inc()
         # Task counters aggregate into the AM registry under "task.";
         # execute_dag deltas them against the DAG-start snapshot, so
         # per-DAG and session-wide counter views derive from the same
@@ -562,7 +569,7 @@ class AttemptRunner:
     def act_attempt_killed(self, attempt: TaskAttempt) -> None:
         """Action for attempt ``kill`` (-> KILLED): retry policy."""
         am = self.am
-        am.metrics["attempts_killed"] += 1
+        self._attempts_killed.inc()
         task = attempt.task
         reason = attempt.end_reason
         if reason == AttemptEndReason.SPECULATION_LOST:
@@ -583,7 +590,7 @@ class AttemptRunner:
         am = self.am
         attempt.end_reason = AttemptEndReason.APP_ERROR
         attempt.diagnostics = f"{type(error).__name__}: {error}"
-        am.metrics["attempts_failed"] += 1
+        self._attempts_failed.inc()
         am._record_node_failure(self.attempt_node_id(attempt))
         task = attempt.task
         if task.state == TaskState.SUCCEEDED:
@@ -619,7 +626,7 @@ class AttemptRunner:
         if task.state != TaskState.SUCCEEDED:
             return  # already being handled
         vr = task.vertex
-        am.metrics["reexecutions"] += 1
+        self._reexecutions.inc()
         telemetry = get_telemetry(am.env)
         if telemetry is not None:
             telemetry.event(

@@ -7,7 +7,7 @@ all state transitions, and the focused components carry the logic —
 ``vertex_lifecycle``, ``attempt_runner``, ``event_router``,
 ``speculation`` and ``recovery``. This class wires them together, runs
 DAG-level orchestration (`execute_dag`, commit/abort, fail/complete
-sweeps) and keeps the public surface (`execute_dag`, ``.metrics``,
+sweeps) and keeps the public surface (`execute_dag`, ``.registry``,
 :class:`DAGStatus`, the scheduler contract) stable for engines,
 benchmarks and chaos.
 
@@ -122,6 +122,31 @@ class DAGAppMaster:
         if recovery is not None:
             self.dispatcher.attach_journal(recovery, self.epoch)
         self.machines = MachineSet(self.dispatcher)
+        # Session-wide counters, created before the components that
+        # bump them (each caches its own): creation order is the order
+        # DAGStatus.metrics lists them in.
+        for key in (
+            "tasks_succeeded",
+            "attempts_failed",
+            "attempts_killed",
+            "speculative_attempts",
+            "speculative_wins",
+            "reexecutions",
+            "preemptions",
+            "nodes_lost",
+            "nodes_blacklisted",
+            "lost_node_reexecutions",
+            "faults_injected",
+        ):
+            self.registry.counter(key)
+        # Recovery telemetry (namespaced: not part of the
+        # DAGStatus metric surface, read directly by the chaos sweep).
+        for key in (
+            "recovery.events_replayed",
+            "recovery.tasks_recovered",
+            "recovery.entries_dropped",
+        ):
+            self.registry.counter(key)
         self.lifecycle = VertexLifecycle(self)
         self.runner = AttemptRunner(self)
         self.router = EventRouter(self)
@@ -145,31 +170,6 @@ class DAGAppMaster:
         self.dispatcher.register(FaultEvent, self._on_fault)
         self.dispatcher.register(RecoveryEvent,
                                  self.recovery_service.on_recovery_event)
-        # Session-wide counters; `metrics` is a dict-compatible live
-        # view, so historical `am.metrics[...]` call sites keep working.
-        for key in (
-            "tasks_succeeded",
-            "attempts_failed",
-            "attempts_killed",
-            "speculative_attempts",
-            "speculative_wins",
-            "reexecutions",
-            "preemptions",
-            "nodes_lost",
-            "nodes_blacklisted",
-            "lost_node_reexecutions",
-            "faults_injected",
-        ):
-            self.registry.counter(key)
-        # Recovery telemetry (namespaced: not part of the
-        # DAGStatus metric surface, read directly by the chaos sweep).
-        for key in (
-            "recovery.events_replayed",
-            "recovery.tasks_recovered",
-            "recovery.entries_dropped",
-        ):
-            self.registry.counter(key)
-        self.metrics = self.registry.view()
         # Cached for the hot transition-observer path: every state
         # machine move crosses it, so avoid per-event lookups.
         self._telemetry = telemetry = get_telemetry(self.env)

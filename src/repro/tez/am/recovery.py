@@ -32,6 +32,10 @@ class RecoveryService:
 
     def __init__(self, am):
         self.am = am
+        counter = am.registry.counter
+        self._nodes_blacklisted = counter("nodes_blacklisted")
+        self._nodes_lost = counter("nodes_lost")
+        self._lost_node_reexecutions = counter("lost_node_reexecutions")
 
     # -------------------------------------------------- journal replay
     def recovered_work(self, dag_name: str) -> dict:
@@ -127,7 +131,7 @@ class RecoveryService:
         if am._node_failures[node_id] < am.config.node_max_task_failures:
             return
         am.blacklisted_nodes.add(node_id)
-        am.metrics["nodes_blacklisted"] += 1
+        self._nodes_blacklisted.inc()
         telemetry = get_telemetry(am.env)
         if telemetry is not None:
             telemetry.event(
@@ -149,7 +153,7 @@ class RecoveryService:
         """Proactively re-execute completed tasks whose (non-reliable)
         outputs lived on a lost node and are still needed."""
         am = self.am
-        am.metrics["nodes_lost"] += 1
+        self._nodes_lost.inc()
         if am._dag_state != DAGState.RUNNING:
             return
         for vr in am._vertices.values():
@@ -171,7 +175,7 @@ class RecoveryService:
                     and task.succeeded_attempt is not None
                     and task.succeeded_attempt.node_id == node.node_id
                 ):
-                    am.metrics["lost_node_reexecutions"] += 1
+                    self._lost_node_reexecutions.inc()
                     am.runner.reexecute_task(
                         task, AttemptEndReason.CONTAINER_LOST
                     )

@@ -86,6 +86,7 @@ class DeadlockMonitor:
 
     def __init__(self, am):
         self.am = am
+        self._preemptions = am.registry.counter("preemptions")
 
     def run(self) -> Generator:
         am = self.am
@@ -116,7 +117,7 @@ class DeadlockMonitor:
                     victim = self.pick_preemption_victim(highest)
                     if victim is None:
                         break
-                    am.metrics["preemptions"] += 1
+                    self._preemptions.inc()
                     am.scheduler.kill_attempt(
                         victim, AttemptEndReason.PREEMPTED
                     )

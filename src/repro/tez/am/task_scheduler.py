@@ -137,8 +137,7 @@ class TaskSchedulerService:
         self._h_queue_wait = self.registry.histogram(
             "scheduler.queue_wait_seconds")
         # Execution trace (paper Figure 7): one TaskTraceEntry per task
-        # run; iterates like the historical (container_id, attempt_id,
-        # vertex, start, end) tuple.
+        # run, kept with telemetry off too.
         self.task_trace: list[TaskTraceEntry] = []
         env.process(self._allocation_pump(), name="tez-alloc-pump")
         env.process(self._completion_pump(), name="tez-completion-pump")

@@ -19,6 +19,7 @@ from repro.chaos import Fault
 from repro.cluster import Cluster, ClusterSpec
 from repro.shuffle import Fetcher, FetchFailure, ShuffleServices
 from repro.sim import Environment
+from repro.telemetry.check import check_store
 from repro.tez import DAG, TezConfig
 from repro.yarn import NodeState
 from repro.yarn.security import SecurityManager
@@ -158,8 +159,8 @@ def test_chaos_node_crash_fault_recovers():
     assert dict(sim.hdfs.read_file("/out/crash")) == expected_sums(3000)
     assert controller.counters["node_crash"] == 1
     am = client.last_am
-    assert am.metrics["nodes_lost"] >= 1
-    assert am.metrics["faults_injected"] >= 1
+    assert am.registry.counter("nodes_lost").value >= 1
+    assert am.registry.counter("faults_injected").value >= 1
     # The victim heals after restart_after.
     victim = controller.injected[0][2]
     sim.run(until=max(sim.now, 5.0 + 8.0) + 2.0)
@@ -322,7 +323,7 @@ def test_node_blacklisted_after_threshold_failures():
     assert victim not in am.blacklisted_nodes
     am._record_node_failure(victim)
     assert victim in am.blacklisted_nodes
-    assert am.metrics["nodes_blacklisted"] == 1
+    assert am.registry.counter("nodes_blacklisted").value == 1
     assert victim in am.scheduler.blacklisted
     assert victim in am.ctx.app.blacklist  # YARN-side exclusion
 
@@ -355,7 +356,7 @@ def test_blacklisting_can_be_disabled_by_config():
     for _ in range(10):
         am._record_node_failure("node0001")
     assert not am.blacklisted_nodes
-    assert am.metrics["nodes_blacklisted"] == 0
+    assert am.registry.counter("nodes_blacklisted").value == 0
 
 
 # =================================================== AM crash recovery
@@ -387,7 +388,8 @@ def test_chaos_am_crash_recovers_without_rerunning_maps():
     # reducers carry a long setup so they are guaranteed in flight).
     sim.run(until=10.0)
     first_am = client.last_am
-    maps_done_before_crash = first_am.metrics["tasks_succeeded"]
+    maps_done_before_crash = first_am.registry.counter(
+        "tasks_succeeded").value
     assert maps_done_before_crash >= 1, "tune: no maps done before crash"
     assert client.recovery.successes("amrec"), "tune: recovery log empty"
     plan = FaultPlan().crash_am(at=10.0)
@@ -459,18 +461,19 @@ def test_acceptance_tpch_style_dag_survives_chaos():
     assert controller.counters["node_crash"] == 2
     assert controller.counters["rack_outage"] == 1
     am = client.last_am
-    assert am.metrics["nodes_lost"] >= 2
-    assert am.metrics["nodes_blacklisted"] >= 1
-    assert am.metrics["lost_node_reexecutions"] > 0
-    assert am.metrics["faults_injected"] >= 3
+    assert am.registry.counter("nodes_lost").value >= 2
+    assert am.registry.counter("nodes_blacklisted").value >= 1
+    assert am.registry.counter("lost_node_reexecutions").value > 0
+    assert am.registry.counter("faults_injected").value >= 3
 
 
 # ========================================================== CI smoke
-def test_chaos_smoke():
+def test_chaos_smoke(tmp_path):
     """Small fast chaos run for CI (selected with ``-k smoke``).
 
-    When ``REPRO_TRACE_JSONL`` is set the run's telemetry timeline is
-    dumped there; CI schema-checks and archives it as an artifact.
+    The run persists its telemetry store - into ``REPRO_STORE_OUT`` when
+    that is set, which CI then checks with ``repro.telemetry.check
+    --store`` and archives - and the store must check clean.
     """
     sim = make_sim(num_nodes=6, nodes_per_rack=3)
     write_kv(sim, "/in", 800)
@@ -488,8 +491,6 @@ def test_chaos_smoke():
     for key in ("nodes_lost", "nodes_blacklisted",
                 "lost_node_reexecutions", "faults_injected"):
         assert key in handle.status.metrics
-    trace_path = os.environ.get("REPRO_TRACE_JSONL")
-    if trace_path:
-        from repro.telemetry import write_jsonl
-
-        write_jsonl(sim.timeline, trace_path)
+    target = os.environ.get("REPRO_STORE_OUT") or str(tmp_path / "store")
+    sim.telemetry.persist_store(target)
+    assert check_store(target) == []

@@ -146,8 +146,8 @@ def _am_crash_and_recovery(reducers):
     crashed = []
 
     def am_killer():
-        while client.last_am is None or \
-                client.last_am.metrics["tasks_succeeded"] < 2:
+        while client.last_am is None or client.last_am.registry \
+                .counter("tasks_succeeded").value < 2:
             yield sim.env.timeout(0.5)
         crashed.append(client.last_am)
         client.last_am.dispatcher.dispatch(FaultEvent(kind="am_crash"))

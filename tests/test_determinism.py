@@ -102,7 +102,7 @@ def test_chaos_fault_plan_deterministic():
         sim.env.run(until=handle.completion)
         status = handle.status
         assert status.succeeded, status.diagnostics
-        metrics = dict(client.last_am.metrics)
+        metrics = client.last_am.registry.as_dict()
         client.stop()
         return (status.elapsed, metrics,
                 tuple(sorted(sim.hdfs.read_file("/out"))),

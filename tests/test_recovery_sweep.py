@@ -2,7 +2,9 @@
 survives a crash at every dispatched-event boundary.
 
 ``tests/golden/recovery_sweep.json`` pins, for each sweep CI runs and
-for the soak, the sha256 of the records its artifact holds:
+for the soak, the sha256 of the records its artifact holds - the
+segment lines of the pinned kind in the sweep's persisted store, in
+``seq`` order:
 
     python tests/test_recovery_sweep.py            # print as JSON
     python tests/test_recovery_sweep.py --record   # rewrite golden
@@ -23,7 +25,8 @@ import pytest
 
 from repro.chaos import sweep
 from repro.chaos.sweep import SHAPES, _execute, main, run_soak, run_sweep
-from repro.telemetry.export import validate_records
+from repro.telemetry.check import check_store
+from repro.telemetry.store import SpanStore, read_manifest
 from repro.tez.am.dag_app_master import DAGAppMaster
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "recovery_sweep.json"
@@ -40,20 +43,34 @@ GOLDEN_RUNS = {
 }
 
 
+def segment_lines(store: Path, kind: str) -> list[str]:
+    """The segment lines (each with its newline) of the store's ``kind``
+    events, in ``seq`` order."""
+    lines = []
+    for entry in read_manifest(str(store))["segments"]:
+        with open(store / "segments" / entry["file"],
+                  encoding="utf-8") as fh:
+            for line in fh:
+                rec = json.loads(line)
+                if rec["type"] == "event" and rec["kind"] == kind:
+                    lines.append((rec["seq"], line))
+    return [line for _seq, line in sorted(lines)]
+
+
 def observe(name: str, out: Path) -> dict:
-    """Run one golden sweep to ``out``; the count and sha256 of its
-    pinned records, each hashed as the line the artifact holds."""
+    """Run one golden sweep into the store ``out``; the count and
+    sha256 of its pinned records, each hashed as the segment line that
+    holds it."""
     flags, kind = GOLDEN_RUNS[name]
     main([*flags, "--out", str(out), "--quiet"])
-    lines = [line + "\n" for line in out.read_text().splitlines()
-             if json.loads(line)["kind"] == kind]
+    assert check_store(str(out)) == []
+    lines = segment_lines(out, kind)
     return {"records": len(lines),
             "sha256": hashlib.sha256("".join(lines).encode()).hexdigest()}
 
 
 def observe_all(folder: Path) -> dict:
-    return {name: observe(name, folder / f"{name}.jsonl")
-            for name in GOLDEN_RUNS}
+    return {name: observe(name, folder / name) for name in GOLDEN_RUNS}
 
 
 def test_every_golden_has_a_run():
@@ -70,7 +87,7 @@ def test_sweep_matches_golden(name, tmp_path):
     # batch, so only ``work_reexecuted`` (and ``wall`` on ``diamond``)
     # moved.
     golden = json.loads(GOLDEN_PATH.read_text())["runs"]
-    assert observe(name, tmp_path / f"{name}.jsonl") == golden[name]
+    assert observe(name, tmp_path / name) == golden[name]
 
 
 @pytest.mark.parametrize("hashseed", ["0", "1"])
@@ -179,16 +196,15 @@ class TestCrashAnywhereSweep:
                            **kwargs)
 
         monkeypatch.setattr(sweep, "_execute", raising_at_3)
-        out = tmp_path / "sweep.jsonl"
+        out = tmp_path / "sweep"
         summary = run_sweep(records=120, stride=1, out=str(out),
                             verbose=False)
         assert summary["ok"] is False
         assert summary["violations"] == 1
         assert summary["points"] == summary["baseline_events"]
         assert summary["crashed_points"] == summary["points"] - 1
-        records = [json.loads(line)
-                   for line in out.read_text().splitlines()]
-        assert validate_records(records) == []
+        assert check_store(str(out)) == []
+        records = list(SpanStore(str(out)).iter_event_records())
         [raised] = [r["attrs"] for r in records
                     if r["kind"] == "recovery.sweep_point"
                     and r["attrs"]["violations"]]
@@ -208,13 +224,16 @@ class TestChaosSoak:
 
 class TestSweepCli:
     def test_cli_writes_schema_valid_telemetry(self, tmp_path, capsys):
-        out = tmp_path / "sweep.jsonl"
+        out = tmp_path / "sweep"
         rc = main(["--records", "120", "--stride", "10",
                    "--out", str(out), "--quiet"])
         assert rc == 0
-        records = [json.loads(line)
-                   for line in out.read_text().splitlines() if line]
-        assert validate_records(records) == []
+        assert sorted(os.listdir(out)) == ["MANIFEST.json", "segments"]
+        assert check_store(str(out)) == []
+        manifest = read_manifest(str(out))
+        assert (manifest["kernel"], manifest["shards"],
+                manifest["rollups"]) == (None, [], {})
+        records = list(SpanStore(str(out)).iter_event_records())
         kinds = {r["kind"] for r in records}
         assert "recovery.sweep_point" in kinds
         assert "recovery.sweep_summary" in kinds

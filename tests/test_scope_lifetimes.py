@@ -9,8 +9,9 @@ AM crash mid-DAG still recovers its producers from their spills, and a
 ten-DAG iterative session retains no more host memory after its tenth
 DAG than after its second (DESIGN.md "What a finished DAG or query
 leaves behind"). A map join's hash table is built once per MR job run
-and is gone when the job ends, and a task that finds its table cached
-never evaluates the build side.
+and is gone when the job ends, a task that finds its table cached
+never evaluates the build side, and a finished MR job's application
+master is freed without the cyclic collector.
 """
 
 import gc
@@ -23,7 +24,7 @@ from repro.engines.hive.ast_nodes import BinaryOp, Column, Literal
 from repro.engines.hive.fragments import InputLeaf
 from repro.engines.hive.plan import Filter, Join
 from repro.engines.hive.reference import run_operators
-from repro.engines.mapreduce import JobHandle
+from repro.engines.mapreduce import JobHandle, yarn_runner
 from repro.engines.pig import PigRunner, PigScript
 from repro.engines.spark import SparkContext
 from repro.tez import DAG, Scope
@@ -197,6 +198,50 @@ def test_hive_queries_leave_nothing_behind():
             assert_nothing_left(sim, session.tez_client, inputs)
     # The broadcast join did use the registry (a miss, then a put).
     assert any(r.misses for r in registries(session.tez_client))
+    session.close()
+
+
+def test_finished_mr_jobs_keep_no_app_master_alive(monkeypatch):
+    """Once a Hive-on-MR job has unregistered, nothing of its AM stays
+    reachable: its allocation and completion pumps no longer wait on the
+    context's stores, so the AM is freed by reference counting alone -
+    the kernel holds the cyclic collector while it runs (DESIGN.md "The
+    host collector") - and no container of its application is left on
+    a node."""
+    ams = []
+    init = yarn_runner._MRAppMaster.__init__
+
+    def tracked_init(am, *args):
+        init(am, *args)
+        ams.append(weakref.ref(am))
+
+    monkeypatch.setattr(yarn_runner._MRAppMaster, "__init__", tracked_init)
+    sim = make_sim()
+    catalog = Catalog()
+    catalog.create_table(sim.hdfs, "orders",
+                         ["o_id", "o_custkey", "o_total", "o_status"],
+                         ORDERS)
+    catalog.create_table(sim.hdfs, "customers",
+                         ["c_id", "c_name", "c_region"], CUSTOMERS)
+    session = HiveSession(sim, catalog)
+    wanted = [session.run(sql, backend="reference").rows
+              for sql in HIVE_QUERIES]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for sql, want in zip(HIVE_QUERIES, wanted):
+            got = session.run(sql, backend="mr")
+            assert sorted(got.rows, key=repr) == sorted(want, key=repr)
+        alive = sum(ref() is not None for ref in ams)
+    finally:
+        if collecting:
+            gc.enable()
+    assert len(ams) >= len(HIVE_QUERIES) and alive == 0
+    finished = {app_id for app_id, record
+                in sim.rm.am_service.records.items()
+                if record.handle.completion.triggered}
+    assert [cid for nm in sim.rm.node_managers.values()
+            for cid in nm.containers if cid.app_id in finished] == []
     session.close()
 
 

@@ -35,11 +35,10 @@ def test_trace_shows_reuse_within_and_across_dags():
     assert s1.succeeded and s2.succeeded
     trace = client.last_am.scheduler.task_trace
     assert trace, "trace must record every task run"
-    # Entries are (container, attempt_id, vertex, start, end).
     by_container: dict = {}
-    for container, attempt_id, _vertex, start, end in trace:
-        assert end >= start
-        by_container.setdefault(container, []).append(attempt_id)
+    for e in trace:
+        assert e.end >= e.start
+        by_container.setdefault(e.container_id, []).append(e.attempt_id)
     # At least one container ran tasks of BOTH DAGs (cross-DAG reuse:
     # the session behaviour of paper Figure 7).
     def dag_of(attempt_id):
@@ -52,8 +51,8 @@ def test_trace_shows_reuse_within_and_across_dags():
     assert crossed, f"no cross-DAG container reuse in {by_container}"
     # Within a container, runs never overlap in time.
     spans: dict = {}
-    for container, _aid, _v, start, end in trace:
-        spans.setdefault(container, []).append((start, end))
+    for e in trace:
+        spans.setdefault(e.container_id, []).append((e.start, e.end))
     for container, intervals in spans.items():
         intervals.sort()
         for (s1_, e1_), (s2_, e2_) in zip(intervals, intervals[1:]):
@@ -71,6 +70,6 @@ def test_trace_attempt_ids_are_unique_per_run():
     s2, _ = run_dag(sim, build("same", "/ob"), client=client)
     assert s1.succeeded and s2.succeeded
     trace = client.last_am.scheduler.task_trace
-    attempt_ids = [a for _c, a, _v, _s, _e in trace]
+    attempt_ids = [e.attempt_id for e in trace]
     assert len(attempt_ids) == len(set(attempt_ids))
     client.stop()

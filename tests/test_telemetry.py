@@ -1,11 +1,14 @@
-"""Telemetry subsystem: spans, events, metrics, exporters, analysis.
+"""Telemetry subsystem: spans, events, metrics, the Chrome trace view,
+analysis.
 
-Covers the hand-built critical-path scenarios from the issue (a
-re-execution on the path, a speculative attempt winning), the
-telescoping invariant (segments sum exactly to the DAG wall-clock),
-the JSONL round-trip + schema check, the Chrome trace-event shape on
-a real TPC-H-style run, and the backward-compatibility contracts
-(``DAGAppMaster.metrics`` dict view, ``task_trace`` tuple unpacking).
+Covers the hand-built critical-path scenarios (a re-execution on the
+path, a speculative attempt winning), the telescoping invariant
+(segments sum exactly to the DAG wall-clock), a persisted store's
+round trip + schema check, the Chrome trace-event shape on a real
+TPC-H-style run (live, and as ``query --chrome-trace`` writes it from
+the store), and the AM's one counter surface (``DAGAppMaster.registry``
+behind the plain ``DAGStatus.metrics`` dict). The post-hoc scans
+(``timeline_oracle``) stand for what the rollups must equal.
 """
 
 import json
@@ -17,19 +20,15 @@ from repro.tez import DAG
 from repro.telemetry import (
     EventLog,
     MetricsRegistry,
-    TaskTraceEntry,
     Telemetry,
-    critical_path,
-    dag_summary,
     chrome_trace,
     get_telemetry,
-    read_jsonl,
-    summarize_session,
     validate_records,
     write_chrome_trace,
-    write_jsonl,
 )
-from repro.telemetry.check import check_file
+from repro.telemetry import query
+from repro.telemetry.check import check_store
+from repro.telemetry.timeline import TimelineStore
 
 from helpers import (
     SG,
@@ -38,6 +37,12 @@ from helpers import (
     hdfs_sink,
     hdfs_source,
     make_sim,
+)
+from timeline_oracle import (
+    critical_path,
+    dag_ids,
+    dag_summary,
+    summarize_session,
 )
 
 DAG_ID = "dag#1"
@@ -93,32 +98,6 @@ def test_metrics_registry_snapshot_delta_scopes_per_dag():
     delta = reg.delta(base)
     assert delta["tasks"] == 3
     assert delta["fresh"] == 1
-
-
-def test_metrics_view_behaves_like_the_old_dict():
-    reg = MetricsRegistry()
-    view = reg.view()
-    view["faults_injected"] = 0
-    view["faults_injected"] += 2
-    assert view["faults_injected"] == 2
-    assert dict(view)["faults_injected"] == 2
-    assert "faults_injected" in view
-    with pytest.raises(KeyError):
-        view["missing"]
-
-
-# ================================================== task trace entries
-def test_task_trace_entry_is_tuple_compatible():
-    entry = TaskTraceEntry("c1", "dag#1/m/t0_a0", "m", 1.0, 3.5,
-                           node_id="node0001", dag_id="dag#1")
-    container, attempt, vertex, start, end = entry
-    assert (container, attempt, vertex, start, end) == (
-        "c1", "dag#1/m/t0_a0", "m", 1.0, 3.5)
-    assert len(entry) == 5
-    assert entry[2] == "m"
-    assert entry.duration == pytest.approx(2.5)
-    assert entry.node_id == "node0001"
-    assert entry.dag_id == "dag#1"
 
 
 # ======================================================= event log API
@@ -281,7 +260,7 @@ def test_acceptance_chrome_trace_and_critical_path(tmp_path):
     doc = json.loads(path.read_text())
     assert len(doc["traceEvents"]) == count == len(events)
 
-    (dag_id,) = store.dag_ids()
+    (dag_id,) = dag_ids(store)
     report = critical_path(store, dag_id)
     assert report.wall_clock == pytest.approx(handle.status.elapsed)
     assert report.total == pytest.approx(report.wall_clock)
@@ -294,23 +273,22 @@ def test_acceptance_chrome_trace_and_critical_path(tmp_path):
     assert report.render()
 
 
-def test_jsonl_round_trip_and_schema_check(tmp_path):
+def test_store_round_trip_and_schema_check(tmp_path):
     sim, client, handle = run_tpch_style()
-    store = sim.timeline
-    path = tmp_path / "trace.jsonl"
-    count = write_jsonl(store, str(path))
-    records = read_jsonl(str(path))
-    assert len(records) == count
-    assert validate_records(records) == []
-    assert check_file(str(path)) == []
-    spans = [r for r in records if r["type"] == "span"]
-    events = [r for r in records if r["type"] == "event"]
-    assert len(spans) == len(store.spans())
-    assert len(events) == len(store.events())
-    # Lossless: ordering and payloads survive the round trip.
-    assert [e["seq"] for e in events] == [
-        ev.seq for ev in store.events()]
-    kinds = {r["kind"] for r in records}
+    live = sim.timeline
+    live_spans = len(live.spans())
+    live_seqs = [ev.seq for ev in live.events()]
+    target = str(tmp_path / "store")
+    sim.telemetry.persist_store(target)
+    assert check_store(target) == []
+    reopened = TimelineStore.open(target).spanstore
+    spans = reopened.iter_span_records()
+    events = list(reopened.iter_event_records())
+    assert validate_records(spans + events) == []
+    assert len(spans) == live_spans
+    # Lossless: every event, in emission order.
+    assert [e["seq"] for e in events] == live_seqs
+    kinds = {r["kind"] for r in spans + events}
     assert {"session", "dag", "vertex", "attempt", "container",
             "am.dag_submitted", "am.dag_finished", "task.run",
             "yarn.allocation"} <= kinds
@@ -319,39 +297,45 @@ def test_jsonl_round_trip_and_schema_check(tmp_path):
     assert validate_records([bad])
 
 
-def test_am_metrics_view_keeps_legacy_contract():
+def test_query_chrome_trace_is_the_live_trace(tmp_path, capsys):
+    """``query STORE --chrome-trace OUT`` writes the trace the live
+    timeline gives, from the persisted store alone."""
+    sim, client, handle = run_tpch_style()
+    live = chrome_trace(sim.timeline)
+    target = str(tmp_path / "store")
+    sim.telemetry.persist_store(target)
+    out = tmp_path / "trace.json"
+    assert query.main([target, "--chrome-trace", str(out)]) == 0
+    assert f"wrote {len(live)} trace events" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["traceEvents"] == json.loads(json.dumps(live))
+
+
+def test_am_registry_is_the_one_counter_surface():
     sim, client, handle = run_tpch_style()
     am = client.last_am
+    assert not hasattr(am, "metrics")
+    counters = am.registry.counters
     for key in ("nodes_lost", "nodes_blacklisted", "preemptions",
                 "lost_node_reexecutions", "faults_injected",
                 "speculative_attempts"):
-        assert key in am.metrics
-        assert isinstance(am.metrics[key], int)
-    # Mutation through the dict view still works (chaos does this).
-    am.metrics["faults_injected"] += 1
-    assert am.metrics["faults_injected"] == 1
+        assert counters[key].value == 0
+    assert counters["tasks_succeeded"].value >= 3
+    # What a DAG reports is a plain dict of the DAG's counter growth.
     status = handle.status
+    assert type(status.metrics) is dict
+    assert status.metrics["tasks_succeeded"] == \
+        counters["tasks_succeeded"].value
+    assert isinstance(status.metrics["tasks_succeeded"], int)
     assert status.metrics["containers_launched"] >= 1
     assert status.metrics["total_tasks"] >= 3
     assert "counters" in status.metrics
 
 
-def test_scheduler_task_trace_unpacks_like_before():
-    sim, client, handle = run_tpch_style()
-    trace = client.last_am.scheduler.task_trace
-    assert trace
-    for entry in trace:
-        container_id, attempt_id, vertex, start, end = entry
-        assert end >= start
-        assert vertex in ("scan", "join", "agg")
-        assert entry.node_id.startswith("node")
-        assert entry.dag_id == attempt_id.split("/", 1)[0]
-
-
 def test_dag_summary_and_session_rollup():
     sim, client, handle = run_tpch_style()
     store = sim.timeline
-    (dag_id,) = store.dag_ids()
+    (dag_id,) = dag_ids(store)
     summary = dag_summary(store, dag_id)
     assert summary.outcome == "SUCCEEDED"
     assert summary.vertices == 3

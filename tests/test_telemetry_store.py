@@ -16,7 +16,9 @@ Three layers of coverage:
   have.
 * **Incremental rollups (Hypothesis)** — random span trees closed in
   random order must produce rollup summaries and critical paths
-  identical to post-hoc scans over the store.
+  identical to post-hoc scans over the store (``timeline_oracle``),
+  and a DAG still open when the store is persisted is stored and
+  printed ``RUNNING`` from its rollup.
 """
 
 import importlib
@@ -27,13 +29,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.telemetry import (
-    MetricsRegistry,
-    Telemetry,
-    critical_path,
-    dag_summary,
-    summarize_session,
-)
+from repro.telemetry import MetricsRegistry, Telemetry
 from repro.telemetry import query
 from repro.telemetry.check import check_store
 from repro.telemetry.events import EventLog, TelemetryEvent
@@ -46,6 +42,13 @@ from repro.telemetry.store import (
     span_record,
 )
 from repro.telemetry.timeline import TimelineStore, span_from_record
+
+from timeline_oracle import (
+    critical_path,
+    dag_ids,
+    dag_summary,
+    summarize_session,
+)
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmarks")
@@ -282,7 +285,7 @@ def test_a_persisted_store_is_the_manifest_and_its_segments(tmp_path):
     sim.telemetry.persist_store(target)
     assert sorted(os.listdir(target)) == ["MANIFEST.json", "segments"]
     manifest = read_manifest(target)
-    assert set(manifest["rollups"]) == set(sim.telemetry.store.dag_ids())
+    assert set(manifest["rollups"]) == set(dag_ids(sim.telemetry.store))
     assert [s["client"] for s in manifest["shards"]] == ["c0", "c0"]
     assert manifest["kernel"]["heap_pushes"] == sim.env.heap_pushes
     assert check_store(target) == []
@@ -297,13 +300,45 @@ def test_a_persisted_store_is_the_manifest_and_its_segments(tmp_path):
 def test_dags_whose_file_safe_names_collide_keep_both_rollups(
         tmp_path, capsys):
     sim = _session_run("a#1", "a_1", clients=2)
-    assert sorted(sim.telemetry.store.dag_ids()) == ["a#1#1", "a_1#1"]
+    assert sorted(dag_ids(sim.telemetry.store)) == ["a#1#1", "a_1#1"]
     target = str(tmp_path / "store")
     sim.telemetry.persist_store(target)
     assert query.main([target, "--summary"]) == 0
     out = capsys.readouterr().out
     assert "a#1#1" in out and "a_1#1" in out
     assert check_store(target) == []
+
+
+def test_a_dag_still_open_is_stored_and_printed_running(tmp_path,
+                                                         capsys):
+    """A store persisted mid-DAG carries the open DAG's rollup: ``query
+    --summary`` prints it RUNNING from the manifest alone, ``query
+    --critical-path`` says it has none yet, and the store checks clean."""
+    from helpers import fn_vertex, make_sim
+    from repro.tez import DAG
+    sim = make_sim()
+    client = sim.tez_client("c0", session=True)
+    dag = DAG("slow").add_vertex(
+        fn_vertex("v", lambda c, d: {}, 2, setup_seconds=100.0))
+    handle = client.submit_dag(dag)
+    sim.env.run(until=30.0)
+    assert not handle.completion.triggered
+    target = str(tmp_path / "store")
+    sim.telemetry.persist_store(target)
+    assert check_store(target) == []
+    rollup = read_manifest(target)["rollups"]["slow#1"]
+    assert (rollup["outcome"], rollup["end"], rollup["critical_path"]) \
+        == ("RUNNING", None, [])
+    assert dag_summary(TimelineStore.open(target), "slow#1").outcome \
+        == "RUNNING"
+    # A rollup counts what has closed: no vertex or attempt has yet.
+    assert query.main([target, "--summary"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "slow#1 (slow): RUNNING in 0.000s — 0 vertices, 0 attempts")
+    assert query.main([target, "--critical-path"]) == 0
+    assert capsys.readouterr().out == (
+        "critical path of slow#1 (slow): open (RUNNING), no critical "
+        "path yet\n")
 
 
 @pytest.fixture(scope="module")
@@ -448,9 +483,9 @@ def assert_store_equals_legacy(tel, store, legacy):
         normalize([span_record(s) for s in legacy.spans()])
     assert normalize([event_record(e) for e in store.events()]) == \
         normalize([event_record(e) for e in legacy.events()])
-    dag_ids = legacy.dag_ids()
-    assert store.dag_ids() == dag_ids
-    for dag_id in dag_ids:
+    legacy_ids = dag_ids(legacy)
+    assert dag_ids(store) == legacy_ids
+    for dag_id in legacy_ids:
         assert dag_summary(store, dag_id) == dag_summary(legacy, dag_id)
         assert critical_path(store, dag_id) == \
             critical_path(legacy, dag_id)

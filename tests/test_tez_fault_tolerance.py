@@ -247,8 +247,8 @@ def test_am_restart_recovers_completed_work():
         # event, exactly as chaos injection delivers it.
         from repro.tez.am import FaultEvent
 
-        while client.last_am is None or \
-                client.last_am.metrics["tasks_succeeded"] < 2:
+        while client.last_am is None or client.last_am.registry \
+                .counter("tasks_succeeded").value < 2:
             yield sim.env.timeout(0.5)
         am = client.last_am
         am.dispatcher.dispatch(FaultEvent(kind="am_crash"))
