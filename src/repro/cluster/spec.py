@@ -9,7 +9,7 @@ round trips, process launch, and JVM warm-up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["ClusterSpec"]
 
@@ -67,8 +67,6 @@ class ClusterSpec:
     hdfs_replication: int = 3
     hdfs_block_size: int = 128 * MB
     seed: int = 17
-
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:

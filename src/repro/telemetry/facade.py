@@ -118,12 +118,14 @@ class Telemetry:
         carrying the kernel counters, shard summaries and per-DAG
         rollups - and end the recording. Spans still open (e.g. the
         session span) are stored as they stand, so the store holds every
-        record the run made. Afterwards this telemetry is
-        disabled and its store sealed: a simulation that runs on records
-        nothing and leaves the directory as it is, and a second call
-        raises."""
+        record the run made, and an open vertex or attempt counts in its
+        DAG's rollup as a scan of the store counts it. Afterwards this
+        telemetry is disabled and its store sealed: a simulation that
+        runs on records nothing and leaves the directory as it is, and a
+        second call raises."""
         for span in self.tracer.open_spans():
             self.spanstore.add_span(span.record())
+            self.rollups.on_span_stored_open(span)
         target = self.spanstore.persist(target_dir, self._run())
         self.enabled = False
         return target

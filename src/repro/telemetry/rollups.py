@@ -20,9 +20,10 @@ The invariant — enforced by the Hypothesis equivalence test against the
 post-hoc scans kept in ``tests/timeline_oracle.py`` — is that for any
 sequence of spans and events, :meth:`RollupEngine.summary` and
 :meth:`RollupEngine.critical` equal a scan of the same timeline. A DAG
-still open has outcome ``RUNNING`` and no critical path. Resident cost
-is the per-task effective map of *in-flight* DAGs only; finished DAGs
-keep just their summary and critical-path segments.
+still open has outcome ``RUNNING`` and no critical path; vertex and
+attempt spans still open when the store is persisted count too.
+Resident cost is the per-task effective map of *in-flight* DAGs only;
+finished DAGs keep just their summary and critical-path segments.
 """
 
 from __future__ import annotations
@@ -148,6 +149,22 @@ class RollupEngine:
             roll.start = span.start
             roll.end = span.end
             self._finalize_path(roll)
+
+    def on_span_stored_open(self, span) -> None:
+        """Count a vertex or attempt span still open when the store is
+        persisted: it is stored as it stands, so a scan of the store
+        counts it, without an outcome or a run latency."""
+        kind = span.kind
+        if kind not in ("attempt", "vertex"):
+            return
+        dag_id = span.attrs.get("dag")
+        if not dag_id:
+            return
+        roll = self._rollup(dag_id)
+        if kind == "attempt":
+            roll.attempts += 1
+        else:
+            roll.vertices += 1
 
     def _finalize_path(self, roll: DagRollup) -> None:
         """Critical path at DAG close; per-task state is dropped."""

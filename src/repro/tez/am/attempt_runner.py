@@ -334,14 +334,10 @@ class AttemptRunner:
         output_specs = []
         for edge in vr.out_edges:
             manager = am.lifecycle.edge_manager(edge)
-            physical = manager.num_source_physical_outputs(task.index)
             output_specs.append(OutputSpec(
                 edge.target.name,
                 edge.prop.output_descriptor,
-                physical,
-                # Multi-partition edges announce their outputs with one
-                # CompositeDataMovementEvent per attempt (paper 3.2).
-                composite=physical > 1,
+                manager.num_source_physical_outputs(task.index),
             ))
         for sink_name, sink in vertex.data_sinks.items():
             output_specs.append(OutputSpec(
@@ -375,51 +371,33 @@ class AttemptRunner:
             registry._entries.pop(key, None)
 
     def snapshot_events(self, task: Task) -> list[DataMovementEvent]:
-        """Buffered DMEs routed to this task, resolved via the current
-        edge-manager routing (supports auto-reduced parallelism).
+        """Buffered composite DMEs routed to this task, expanded via the
+        current edge-manager routing (supports auto-reduced parallelism).
 
-        Composites are expanded lazily here: only the partitions this
-        task actually reads are materialised. On a scatter-gather edge
-        the manager's ``partition_range`` inverts the routing table, so
-        resolving a consumer costs O(range) instead of O(partitions)."""
+        Only the partitions this task actually reads are materialised.
+        On a one-to-one edge the only composite that can route to the
+        task is its own index's, which is probed; on a scatter-gather
+        edge the manager's ``partition_range`` inverts the routing
+        table, so resolving a consumer costs O(range) instead of
+        O(partitions)."""
         vr = task.vertex
+        incoming = vr.incoming_composites
         out: list[DataMovementEvent] = []
         for edge in vr.in_edges:
             manager = self.am.lifecycle.edge_manager(edge)
             source_name = edge.source.name
             if type(manager) is OneToOneEdgeManager:
-                # route(s, 0) == {s: 0}: the only buffered event that
-                # can route to this task is keyed (source, index, 0) —
-                # probe it instead of scanning every incoming event.
-                event = vr.incoming.get((source_name, task.index, 0))
-                if event is not None:
-                    out.append(DataMovementEvent(
-                        source_vertex=event.source_vertex,
-                        source_task_index=event.source_task_index,
-                        source_output_index=event.source_output_index,
-                        payload=event.payload,
-                        version=event.version,
-                        target_input_index=0,
-                    ))
-            else:
-                for (src_name, src_task, src_out), event in \
-                        vr.incoming.items():
-                    if src_name != source_name:
-                        continue
-                    routing = manager.route(src_task, src_out)
-                    if task.index in routing:
-                        routed = DataMovementEvent(
-                            source_vertex=event.source_vertex,
-                            source_task_index=event.source_task_index,
-                            source_output_index=event.source_output_index,
-                            payload=event.payload,
-                            version=event.version,
-                            target_input_index=routing[task.index],
-                        )
-                        out.append(routed)
+                # route(s, 0) == {s: 0} and a one-to-one output has one
+                # partition: probe instead of scanning every buffered
+                # composite.
+                comp = incoming.get((source_name, task.index))
+                if comp is not None:
+                    out.extend(CompositeDataMovementEvent.sub_events(
+                        ((comp, 0, 0),)))
+                continue
             composites = [
                 (src_task, comp) for (src_name, src_task), comp
-                in vr.incoming_composites.items() if src_name == source_name]
+                in incoming.items() if src_name == source_name]
             picks = []
             if type(manager) is ScatterGatherEdgeManager:
                 # Every partition of the task's range routes to the task,

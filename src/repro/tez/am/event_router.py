@@ -1,9 +1,10 @@
 """Control-plane event routing along edge-manager tables.
 
 The simulated counterpart of Tez's dispatcher-fed event routing: task
-outputs emit DataMovementEvents, the AM resolves them against the edge
-manager's routing table and delivers them to consumer attempts with
-heartbeat latency; VertexManager / InputInitializer / InputReadError
+outputs emit one CompositeDataMovementEvent each, the AM resolves it
+against the edge manager's routing table and delivers the routed
+per-partition DataMovementEvents to consumer attempts with heartbeat
+latency; VertexManager / InputInitializer / InputReadError
 events sent by running task code flow back the same way. Deliveries
 cross the AM :class:`~repro.tez.am.dispatcher.Dispatcher`
 (``DataDeliveryBatchEvent`` / ``TaskUplinkEvent``) so their ordering is
@@ -55,10 +56,13 @@ class EventRouter:
         for event in events:
             if isinstance(event, CompositeDataMovementEvent):
                 self.route_composite(vr, event)
-            elif isinstance(event, DataMovementEvent):
-                self.route_dme(vr, event)
             elif isinstance(event, VertexManagerEvent):
                 self.route_vm_event(event, task.index)
+            elif isinstance(event, DataMovementEvent):
+                raise TypeError(
+                    f"{vr.name}:{event.source_task_index} announced a "
+                    "per-partition DataMovementEvent; outputs announce "
+                    "with one CompositeDataMovementEvent")
 
     def _edge_candidates(self, vr: VertexRuntime, event) -> list:
         # With multiple outputs, the producing output tags the event
@@ -70,23 +74,12 @@ class EventRouter:
                     if e.target.name == target_name]
         return vr.out_edges
 
-    def route_dme(self, vr: VertexRuntime,
-                  event: DataMovementEvent) -> None:
-        for edge in self._edge_candidates(vr, event):
-            target = self.am._vertices[edge.target.name]
-            manager = self.am.lifecycle.edge_manager(edge)
-            key = (vr.name, event.source_task_index,
-                   event.source_output_index)
-            target.incoming[key] = event
-            if target.scheduled:
-                self._deliver_live(target, manager, event)
-
     def route_composite(self, vr: VertexRuntime,
                         event: CompositeDataMovementEvent) -> None:
         """Route one composite DME: buffered compactly (expanded per
         consumer task at launch), and expanded here only for consumer
         attempts that are already running — in partition-ascending
-        order, exactly the sequence the per-partition events took."""
+        order, one routed DataMovementEvent per (partition, attempt)."""
         for edge in self._edge_candidates(vr, event):
             target = self.am._vertices[edge.target.name]
             manager = self.am.lifecycle.edge_manager(edge)
@@ -95,15 +88,18 @@ class EventRouter:
             ] = event
             if not target.scheduled:
                 continue
-            # Nothing to expand until some consumer attempt is live
-            # with its inputs up (`_live_attempts` of some task).
-            if not any(
+            # A wide composite expands nothing until some consumer
+            # attempt is live with its inputs up (`_live_attempts` of
+            # some task). A one-partition one skips that scan of the
+            # whole consumer vertex: it routes to its own consumers
+            # directly (a one-to-one edge: one task).
+            if event.count > 1 and not any(
                 a.state in _LIVE and a.event_store is not None
                 for t in target.tasks for a in t.attempts
             ):
                 continue
-            # What `_deliver_live` does for each sub-event, with the
-            # routed events materialised in one `sub_events` call.
+            # The routed events are materialised in one `sub_events`
+            # call.
             picks, attempts = [], []
             for offset in range(event.count):
                 routing = manager.route(event.source_task_index,
@@ -115,25 +111,6 @@ class EventRouter:
             for attempt, routed in zip(
                     attempts, CompositeDataMovementEvent.sub_events(picks)):
                 self.deliver_later(attempt, routed)
-
-    def _deliver_live(self, target: VertexRuntime, manager,
-                      event: DataMovementEvent) -> None:
-        """Deliver one buffered-form DME to the running attempts of the
-        consumer tasks it routes to."""
-        routing = manager.route(
-            event.source_task_index, event.source_output_index
-        )
-        for dest_index, input_index in routing.items():
-            for dest_attempt in self._live_attempts(target, dest_index):
-                routed = DataMovementEvent(
-                    source_vertex=event.source_vertex,
-                    source_task_index=event.source_task_index,
-                    source_output_index=event.source_output_index,
-                    payload=event.payload,
-                    version=event.version,
-                    target_input_index=input_index,
-                )
-                self.deliver_later(dest_attempt, routed)
 
     @staticmethod
     def _live_attempts(target: VertexRuntime, dest_index: int) -> list:

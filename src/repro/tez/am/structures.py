@@ -12,7 +12,7 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from ...yarn import Resource
 from ..dag import Edge, Vertex
-from ..events import CompositeDataMovementEvent, DataMovementEvent
+from ..events import CompositeDataMovementEvent, TezEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...sim import Store
@@ -147,7 +147,7 @@ class Task:
         self.failed_attempts = 0
         self.output_version = -1         # attempt number of live output
         self.succeeded_attempt: Optional[TaskAttempt] = None
-        self.output_events: list[DataMovementEvent] = []
+        self.output_events: list[TezEvent] = []
         self.location_nodes: tuple[str, ...] = ()
         self.location_racks: tuple[str, ...] = ()
 
@@ -211,12 +211,10 @@ class VertexRuntime:
         self.manager = None              # VertexManagerPlugin
         self.root_splits: dict[str, list] = {}   # input name -> splits
         self.initialized_inputs: set[str] = set()
-        # Buffered data-movement events keyed by
-        # (source_name, source_task, source_output) -> DataMovementEvent.
-        self.incoming: dict[tuple[str, int, int], DataMovementEvent] = {}
-        # Buffered composite DMEs (one per source attempt, covering a
-        # whole partition range) keyed by (source_name, source_task).
-        # Kept compact and expanded lazily per consumer task at launch.
+        # Buffered data movement: the composite DME of each source
+        # task's latest output (one per attempt, covering its whole
+        # partition range) keyed by (source_name, source_task). Kept
+        # compact and expanded lazily per consumer task at launch.
         self.incoming_composites: dict[
             tuple[str, int], CompositeDataMovementEvent
         ] = {}

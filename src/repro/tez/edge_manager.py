@@ -50,11 +50,6 @@ class EdgeManagerPlugin:
         """
         raise NotImplementedError
 
-    def route_input_error(self, dest_task: int,
-                          dest_input: int) -> tuple[int, int]:
-        """Inverse: which (source_task, source_output) fed this input."""
-        raise NotImplementedError
-
 
 class OneToOneEdgeManager(EdgeManagerPlugin):
     """Task i of the producer feeds exactly task i of the consumer."""
@@ -68,10 +63,6 @@ class OneToOneEdgeManager(EdgeManagerPlugin):
     def route(self, source_task: int, source_output: int) -> dict[int, int]:
         return {source_task: 0}
 
-    def route_input_error(self, dest_task: int,
-                          dest_input: int) -> tuple[int, int]:
-        return (dest_task, 0)
-
 
 class BroadcastEdgeManager(EdgeManagerPlugin):
     """Every producer task's single output goes to every consumer."""
@@ -84,10 +75,6 @@ class BroadcastEdgeManager(EdgeManagerPlugin):
 
     def route(self, source_task: int, source_output: int) -> dict[int, int]:
         return {dest: source_task for dest in range(self.dest_parallelism)}
-
-    def route_input_error(self, dest_task: int,
-                          dest_input: int) -> tuple[int, int]:
-        return (dest_input, 0)
 
 
 class ScatterGatherEdgeManager(EdgeManagerPlugin):
@@ -145,9 +132,3 @@ class ScatterGatherEdgeManager(EdgeManagerPlugin):
         offset = source_output - dest_task * g
         input_index = offset * self.source_parallelism + source_task
         return {dest_task: input_index}
-
-    def route_input_error(self, dest_task: int,
-                          dest_input: int) -> tuple[int, int]:
-        g = self._group_factor()
-        offset, source_task = divmod(dest_input, self.source_parallelism)
-        return (source_task, dest_task * g + offset)

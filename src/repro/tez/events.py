@@ -2,9 +2,10 @@
 
 All communication — framework to framework, application to framework,
 application to application — travels as events with opaque payloads.
-Tez only routes them: a DataMovementEvent produced by a task output is
-routed along the edge's connection pattern to the right consumer task
-input; error events travel from inputs back to the framework to drive
+Tez only routes them: the CompositeDataMovementEvent a task output
+announces is routed along the edge's connection pattern, one
+DataMovementEvent per partition, to the right consumer task inputs;
+error events travel from inputs back to the framework to drive
 re-execution; VertexManagerEvents carry application statistics to
 vertex managers; InputInitializerEvents target root-input initializers.
 """
@@ -21,11 +22,8 @@ __all__ = [
     "DataMovementEvent",
     "CompositeDataMovementEvent",
     "InputReadErrorEvent",
-    "InputFailedEvent",
     "VertexManagerEvent",
     "InputInitializerEvent",
-    "TaskAttemptCompletedEvent",
-    "TaskAttemptFailedEvent",
 ]
 
 _event_counter = itertools.count(1)
@@ -62,34 +60,25 @@ class DataMovementEvent(TezEvent):
 
 @dataclass
 class CompositeDataMovementEvent(TezEvent):
-    """Compact form: one event covering a contiguous partition range.
+    """What a producer output announces: one event covering a
+    contiguous partition range.
 
-    Mirrors real Tez's CompositeDataMovementEvent: a scatter-gather
-    producer emits ONE of these per source attempt instead of one
-    DataMovementEvent per partition, compressing the m×n fanout of the
-    edge on the control plane. The framework expands it lazily at the
-    consumer side — only the partitions a given consumer task actually
-    reads are materialised.
-
-    ``payload`` is a shared payload for every partition (real Tez's
-    shape); ``payloads`` optionally carries one payload per partition
-    (our spill outputs produce one SpillRef per partition) and takes
-    precedence when set.
+    Mirrors real Tez's CompositeDataMovementEvent: every spill output
+    emits ONE of these per source attempt, whatever its partition
+    count, instead of one DataMovementEvent per partition, compressing
+    the m×n fanout of a scatter-gather edge on the control plane. The
+    framework expands it lazily at the consumer side — only the
+    partitions a given consumer task actually reads are materialised,
+    as routed per-partition DataMovementEvents. ``payloads`` carries
+    one payload per partition (a spill output's SpillRefs).
     """
 
     source_vertex: str
     source_task_index: int
     source_output_start: int
     count: int
-    payload: Any = None
+    payloads: tuple            # len == count
     version: int = 0
-    payloads: Optional[tuple] = None   # len == count when set
-
-    def payload_for(self, offset: int) -> Any:
-        """Payload of partition ``source_output_start + offset``."""
-        if self.payloads is not None:
-            return self.payloads[offset]
-        return self.payload
 
     def sub_event(self, offset: int) -> DataMovementEvent:
         """Materialise the per-partition event at ``offset``."""
@@ -104,7 +93,7 @@ class CompositeDataMovementEvent(TezEvent):
                 source_vertex=comp.source_vertex,
                 source_task_index=comp.source_task_index,
                 source_output_index=comp.source_output_start + offset,
-                payload=comp.payload_for(offset),
+                payload=comp.payloads[offset],
                 version=comp.version,
                 target_input_index=target,
             )
@@ -127,16 +116,6 @@ class InputReadErrorEvent(TezEvent):
 
 
 @dataclass
-class InputFailedEvent(TezEvent):
-    """Tells a consumer input that a producer output version is dead
-    (it is being regenerated; a fresh DataMovementEvent will follow)."""
-
-    source_vertex: str
-    source_task_index: int
-    version: int
-
-
-@dataclass
 class VertexManagerEvent(TezEvent):
     """Application statistics for a vertex manager (e.g. producers
     reporting output sizes for partition-cardinality estimation)."""
@@ -154,18 +133,3 @@ class InputInitializerEvent(TezEvent):
     target_vertex: str
     target_input: str
     payload: Any
-
-
-@dataclass
-class TaskAttemptCompletedEvent(TezEvent):
-    vertex: str
-    task_index: int
-    attempt: int
-
-
-@dataclass
-class TaskAttemptFailedEvent(TezEvent):
-    vertex: str
-    task_index: int
-    attempt: int
-    diagnostics: str = ""

@@ -33,22 +33,14 @@ def staging_path(final_path: str, vertex: str, task_index: int,
 class HdfsInput(LogicalInput):
     """Reads the blocks of the split assigned to this task.
 
-    The split arrives via ``spec.extra`` (assigned by the initializer)
-    as ``{"blocks": [DataBlock, ...]}``; without an initializer the
-    payload must carry ``{"paths": [...]}`` and the task reads path
-    blocks round-robin by task index (static splits).
+    The split arrives via ``spec.extra`` (assigned by the root input's
+    initializer) as ``{"blocks": [DataBlock, ...]}``; a task without a
+    split reads nothing.
     """
 
     def _blocks(self) -> list[DataBlock]:
-        if isinstance(self.spec.extra, dict) and "blocks" in self.spec.extra:
-            return list(self.spec.extra["blocks"])
-        paths = (self.payload or {}).get("paths", [])
-        hdfs = self.ctx.services.hdfs
-        blocks: list[DataBlock] = []
-        for path in paths:
-            blocks.extend(hdfs.get_file(path).blocks)
-        n = self.ctx.parallelism
-        return [b for i, b in enumerate(blocks) if i % n == self.ctx.task_index]
+        split = self.spec.extra
+        return list(split["blocks"]) if split else []
 
     def reader(self) -> Generator:
         hdfs = self.ctx.services.hdfs

@@ -17,7 +17,6 @@ from ..events import (
     CompositeDataMovementEvent,
     DataMovementEvent,
     InputReadErrorEvent,
-    TezEvent,
     VertexManagerEvent,
 )
 from ..runtime import LogicalInput, LogicalOutput
@@ -42,7 +41,7 @@ def _payload_get(payload: Any, key: str, default=None):
 
 class _SpillOutputBase(LogicalOutput):
     """Common machinery: buffer records, partition, register a spill,
-    emit one DataMovementEvent per partition."""
+    announce it with one CompositeDataMovementEvent."""
 
     sorted_output = False
 
@@ -79,36 +78,18 @@ class _SpillOutputBase(LogicalOutput):
         total_bytes = sum(r.nbytes for r in refs)
         yield ctx.io_wait(total_bytes / spec_model.disk_write_bw)
         ctx.count("shuffle_bytes_written", total_bytes)
-        events: list[TezEvent] = []
-        contiguous = all(
-            ref.partition == i for i, ref in enumerate(refs)
+        # One composite per source attempt covering the whole partition
+        # range (real Tez's CompositeDataMovementEvent), whatever its
+        # width: the AM expands it lazily per consumer.
+        event = CompositeDataMovementEvent(
+            source_vertex=ctx.vertex_name,
+            source_task_index=ctx.task_index,
+            source_output_start=0,
+            count=len(refs),
+            payloads=tuple(refs),
+            version=ctx.attempt,
         )
-        if getattr(self.spec, "composite", False) and len(refs) > 1 \
-                and contiguous:
-            # One composite per source attempt covering the whole
-            # partition range (real Tez's CompositeDataMovementEvent):
-            # the AM expands it lazily per consumer.
-            event = CompositeDataMovementEvent(
-                source_vertex=ctx.vertex_name,
-                source_task_index=ctx.task_index,
-                source_output_start=0,
-                count=len(refs),
-                version=ctx.attempt,
-                payloads=tuple(refs),
-            )
-            event._edge_target = self.spec.target_name
-            events.append(event)
-        else:
-            for ref in refs:
-                event = DataMovementEvent(
-                    source_vertex=ctx.vertex_name,
-                    source_task_index=ctx.task_index,
-                    source_output_index=ref.partition,
-                    payload=ref,
-                    version=ctx.attempt,
-                )
-                event._edge_target = self.spec.target_name
-                events.append(event)
+        event._edge_target = self.spec.target_name
         if self.report_stats:
             ctx.send_event(VertexManagerEvent(
                 target_vertex=self.spec.target_name,
@@ -118,7 +99,7 @@ class _SpillOutputBase(LogicalOutput):
                 },
                 producer_task_index=ctx.task_index,
             ))
-        return events
+        return [event]
 
 
 class OrderedPartitionedKVOutput(_SpillOutputBase):

@@ -67,19 +67,12 @@ class InputSpec:
 
 
 class OutputSpec:
-    """One logical output of a task: where data goes.
+    """One logical output of a task: where data goes."""
 
-    ``composite`` asks the output to announce its partitions with one
-    CompositeDataMovementEvent instead of per-partition events (set by
-    the AM for every multi-partition edge).
-    """
-
-    def __init__(self, target_name: str, descriptor, physical_count: int,
-                 composite: bool = False):
+    def __init__(self, target_name: str, descriptor, physical_count: int):
         self.target_name = target_name      # edge target vertex / sink name
         self.descriptor = descriptor
         self.physical_count = physical_count
-        self.composite = composite
 
     def __repr__(self) -> str:
         return f"<OutputSpec to={self.target_name} n={self.physical_count}>"

@@ -26,6 +26,8 @@ The larger shapes (``wide_shuffle``, ``diamond``, ``chaos_shape``,
 import hashlib
 import json
 import sys
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -33,6 +35,7 @@ if __name__ == "__main__":
                     str(Path(__file__).resolve().parents[1] / "src")]
 
 from helpers import (
+    BC,
     OO,
     SG,
     edge,
@@ -44,6 +47,7 @@ from helpers import (
 from repro import FaultPlan, SimCluster
 from repro.bench.cluster_day import run_cluster_day
 from repro.tez import DAG, Descriptor, TezConfig
+from repro.tez.am.event_router import EventRouter
 from repro.tez.events import CompositeDataMovementEvent, DataMovementEvent
 from repro.tez.vertex_manager import (
     ShuffleVertexManager,
@@ -222,33 +226,73 @@ def chaos_node_crash(reducers=3):
 
 # --------------------------------------------------- composite fan-out
 
-def composite_fanout(seen=None):
-    """A 4-way scatter-gather edge. ``seen`` (optional dict) receives
-    how many composite / per-partition events producers routed."""
+@contextmanager
+def counting_routed(seen):
+    """While the block runs, count in ``seen`` what producers hand any
+    AM's ``EventRouter.route_events``: ``composite`` and ``dme``
+    (per-partition) data-movement events, and under ``edges`` the
+    composites per ``(data movement, partition count)`` of their edge."""
+    seen.update(composite=0, dme=0, edges=Counter())
+    route = EventRouter.route_events
+
+    def counting_route(router, vr, task, events):
+        for ev in events:
+            if isinstance(ev, CompositeDataMovementEvent):
+                seen["composite"] += 1
+                for e in vr.out_edges:
+                    if e.target.name == ev._edge_target:
+                        seen["edges"][
+                            (e.prop.data_movement.name, ev.count)] += 1
+            elif isinstance(ev, DataMovementEvent):
+                seen["dme"] += 1
+        route(router, vr, task, events)
+
+    EventRouter.route_events = counting_route
+    try:
+        yield seen
+    finally:
+        EventRouter.route_events = route
+
+
+def composite_fanout():
+    """A 4-way scatter-gather edge."""
     sim = make_sim()
     sim.hdfs.write("/in", [(i % 7, i) for i in range(200)],
                    record_bytes=24)
     dag = _sum_by_key_dag("comp", 4)
     client = sim.tez_client()
-    if seen is not None:
-        seen.update(composite=0, dme=0)
-
-        def count_routed(am):
-            route = am.router.route_events
-
-            def counting_route(vr, task, events):
-                for ev in events:
-                    if isinstance(ev, CompositeDataMovementEvent):
-                        seen["composite"] += 1
-                    elif isinstance(ev, DataMovementEvent):
-                        seen["dme"] += 1
-                route(vr, task, events)
-
-            am.router.route_events = counting_route
-
-        on_new_am(client, count_routed)
     status, _ = _run(sim, dag, client)
     return status.elapsed, _rows(sim)
+
+
+def one_partition_edges():
+    """Every one-partition edge kind in one DAG: ``m`` broadcasts to
+    ``j`` and feeds ``o`` one-to-one, and ``o`` scatter-gathers into a
+    1-task ``r``. Not a golden: the observation is what ``j`` and ``r``
+    received."""
+    got = {}
+
+    def join(c, d):
+        got[("j", c.task_index)] = sorted(d["m"])
+        return {}
+
+    def reduce(c, d):
+        got["r"] = sorted((k, sorted(vs)) for k, vs in d["o"])
+        return {}
+
+    m = fn_vertex("m", lambda c, d: {"j": [(c.task_index, 1)],
+                                     "o": [(c.task_index, 10)]}, 3)
+    j = fn_vertex("j", join, 2)
+    o = fn_vertex("o", lambda c, d: {"r": list(d["m"])}, 3)
+    r = fn_vertex("r", reduce, 1)
+    dag = DAG("one-partition")
+    for v in (m, j, o, r):
+        dag.add_vertex(v)
+    dag.add_edge(edge(m, j, BC)).add_edge(edge(m, o, OO))
+    dag.add_edge(edge(o, r, SG))
+    sim = make_sim()
+    status, _ = _run(sim, dag, sim.tez_client())
+    return status.elapsed, got
 
 
 # ------------------------------------- the retired perf-suite's shapes

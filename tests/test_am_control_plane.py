@@ -550,13 +550,10 @@ def test_composite_dme_expansion_matches_per_partition_events():
     assert [comp.sub_event(i).payload for i in range(4)] == \
         [sub.payload for sub in expanded]
 
-    # Shared-payload form (real Tez's shape): every partition sees it.
-    shared = CompositeDataMovementEvent(
+    assert [s.source_output_index for s in CompositeDataMovementEvent(
         source_vertex="m", source_task_index=0, source_output_start=2,
-        count=3, payload="spill",
-    )
-    assert [shared.payload_for(i) for i in range(3)] == ["spill"] * 3
-    assert [s.source_output_index for s in shared.expand()] == [2, 3, 4]
+        count=3, payloads=("p2", "p3", "p4"),
+    ).expand()] == [2, 3, 4]
 
 
 def test_delivery_batch_journals_each_member():

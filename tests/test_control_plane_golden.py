@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -45,12 +46,41 @@ def test_goldens_do_not_depend_on_the_hash_seed(hashseed):
 
 
 def test_composite_fanout_compresses_the_partition_events():
-    seen = {}
-    scenarios.composite_fanout(seen)
+    with scenarios.counting_routed({}) as seen:
+        scenarios.composite_fanout()
     assert seen["composite"] > 0 and seen["dme"] == 0
     # 4-way fan-out: one composite stands for 4 per-partition events.
     assert 4 * seen["composite"] == \
         GOLDEN["per_partition_events"]["composite_fanout"]
+
+
+@pytest.fixture(scope="module")
+def routed_per_scenario():
+    """What producers routed in each golden scenario."""
+    routed = {}
+    for name in sorted(scenarios.SCENARIOS):
+        with scenarios.counting_routed({}) as seen:
+            scenarios.observe(name)
+        routed[name] = seen
+    return routed
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
+def test_no_producer_routes_a_plain_dme(routed_per_scenario, name):
+    # cluster_day_smoke's DAGs are single vertices: nothing to route.
+    assert routed_per_scenario[name]["dme"] == 0
+
+
+def test_one_partition_edges_announce_with_a_composite_too():
+    with scenarios.counting_routed({}) as seen:
+        _makespan, got = scenarios.one_partition_edges()
+    assert seen["dme"] == 0
+    assert seen["edges"] == Counter({
+        ("BROADCAST", 1): 3, ("ONE_TO_ONE", 1): 3,
+        ("SCATTER_GATHER", 1): 3})
+    assert got == {("j", 0): [(0, 1), (1, 1), (2, 1)],
+                   ("j", 1): [(0, 1), (1, 1), (2, 1)],
+                   "r": [(0, [10]), (1, [10]), (2, [10])]}
 
 
 def test_reuse_session_meets_idle_slots_it_must_refuse():

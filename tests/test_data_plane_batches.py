@@ -285,7 +285,7 @@ class TestEventBatches:
             count=4, payloads=("p0", "p1", "p2", "p3"), version=1)
         b = CompositeDataMovementEvent(
             source_vertex="m", source_task_index=0, source_output_start=0,
-            count=2, payload="shared")
+            count=2, payloads=("q0", "q1"))
         picks = [(a, 3, 0), (b, 1, 5), (a, 0, 2)]
         got = CompositeDataMovementEvent.sub_events(picks)
         for event, (comp, offset, target) in zip(got, picks):

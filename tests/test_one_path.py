@@ -64,7 +64,8 @@ def test_no_retired_switch_is_named_anywhere():
     (SpanStore, "overflow"), (SpanStore, "on_overflow"), (SpanStore, "dir"),
     (TezConfig, "commit_on_dag_success"),
     (TezConfig, "count_killed_as_failure"), (TezConfig, "task_retry_delay"),
-    (TezConfig, RETIRED[13]), (TezConfig, RETIRED[14])])
+    (TezConfig, RETIRED[13]), (TezConfig, RETIRED[14]),
+    (ClusterSpec, "extra")])
 def test_retired_switches_are_not_accepted(cls, name):
     with pytest.raises(TypeError):
         cls(**{name: False})
@@ -363,6 +364,41 @@ def test_one_function_makes_a_spill():
     assert registers == splits == {"shuffle/service.py:spill"}
 
 
+def test_an_output_announces_its_data_one_way():
+    """A spill output announces with one CompositeDataMovementEvent
+    whatever its partition count: no spec flag picks a per-partition
+    form, the AM buffers and routes one kind, and the only
+    DataMovementEvents built are a composite's routed expansions."""
+    from repro.tez import Vertex
+    from repro.tez.am.event_router import EventRouter
+    from repro.tez.am.structures import VertexRuntime
+    from repro.tez.events import CompositeDataMovementEvent
+    from repro.tez.runtime import OutputSpec
+
+    with pytest.raises(TypeError):
+        OutputSpec("r", None, 1, composite=True)
+    vr = VertexRuntime(Vertex("v", None, parallelism=1), 0, "d#1", "d")
+    assert not hasattr(vr, "incoming") and vr.incoming_composites == {}
+    assert not hasattr(EventRouter, "route_dme")
+    assert not hasattr(EventRouter, "_deliver_live")
+    assert not hasattr(CompositeDataMovementEvent, "payload_for")
+    built = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in _own_nodes(fn):
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", None) in (
+                        "DataMovementEvent", "CompositeDataMovementEvent"):
+                    built.setdefault(node.func.id, set()).add(
+                        f"{path.relative_to(SRC)}:{fn.name}")
+    assert built == {
+        "CompositeDataMovementEvent": {"tez/library/shuffle_io.py:close"},
+        "DataMovementEvent": {"tez/events.py:sub_events"}}
+
+
 def _word_dag(maps=4, reducers=3):
     from helpers import SG, edge, fn_vertex, hdfs_sink, hdfs_source, make_sim
 
@@ -536,7 +572,8 @@ def test_routed_events_build_no_id():
 
     classes = [cls for cls in vars(events).values()
                if isinstance(cls, type) and issubclass(cls, events.TezEvent)]
-    assert len(classes) == 9
+    # The base, two data-movement forms and three application events.
+    assert len(classes) == 6
     assert not [cls for cls in classes if "__post_init__" in vars(cls)]
 
 

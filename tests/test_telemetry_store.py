@@ -25,6 +25,7 @@ import importlib
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,12 +330,16 @@ def test_a_dag_still_open_is_stored_and_printed_running(tmp_path,
     rollup = read_manifest(target)["rollups"]["slow#1"]
     assert (rollup["outcome"], rollup["end"], rollup["critical_path"]) \
         == ("RUNNING", None, [])
-    assert dag_summary(TimelineStore.open(target), "slow#1").outcome \
-        == "RUNNING"
-    # A rollup counts what has closed: no vertex or attempt has yet.
+    scan = dag_summary(TimelineStore.open(target), "slow#1",
+                       with_critical_path=False)
+    assert scan.outcome == "RUNNING"
+    # The rollup counts what the store holds: the open vertex and its
+    # two open attempts, as a scan of the store does.
+    assert query.summary_from_payload(rollup) == scan
     assert query.main([target, "--summary"]) == 0
     assert capsys.readouterr().out.startswith(
-        "slow#1 (slow): RUNNING in 0.000s — 0 vertices, 0 attempts")
+        "slow#1 (slow): RUNNING in 0.000s — 1 vertices, 2 attempts "
+        "(0 ok / 0 failed / 0 killed)")
     assert query.main([target, "--critical-path"]) == 0
     assert capsys.readouterr().out == (
         "critical path of slow#1 (slow): open (RUNNING), no critical "
@@ -574,19 +579,23 @@ def dag_scenarios(draw):
         st.sampled_from(["am.speculation", "am.reexecution",
                          "shuffle.fetch_retry", "chaos.fault"]),
         _ts), max_size=6))
+    # How many attempts have closed when a store is persisted mid-DAG.
+    cut = draw(st.integers(0, len(attempts)))
     return {"vertices": vertices, "edges": edges, "attempts": attempts,
-            "close_order": close_order, "extra": extra}
+            "close_order": close_order, "extra": extra, "cut": cut}
 
 
-def replay(scenario, ring=4):
+def replay(scenario, ring=4, closed=None):
     """Feed a random scenario through the facade (incremental rollups
-    + tiny rings, so reads cross multiple spool runs)."""
+    + tiny rings, so reads cross multiple spool runs). With ``closed``
+    only that many attempts close and the run stops there, its
+    vertices and DAG still open."""
     tel = Telemetry(store_opts={"ring_spans": ring, "ring_events": ring})
     attempts = scenario["attempts"]
     span_end = max((a["end"] for a in attempts), default=0.0)
     dag_start, dag_end = 0.0, span_end + 1.0
     tel.event("am.dag_submitted", ts=dag_start, dag=DAG_ID,
-              edges=scenario["edges"])
+              name="random-dag", edges=scenario["edges"])
     dag_span = tel.span("dag", DAG_ID, ts=dag_start, dag=DAG_ID,
                         dag_name="random-dag")
     vertex_spans = [
@@ -599,7 +608,7 @@ def replay(scenario, ring=4):
                  attempt=a["attempt"], launched=a["launched"])
         for a in attempts
     ]
-    for i in scenario["close_order"]:
+    for i in scenario["close_order"][:closed]:
         tel.finish(open_attempts[i], ts=attempts[i]["end"],
                    outcome=attempts[i]["outcome"])
     for kind, ts in scenario["extra"]:
@@ -607,6 +616,8 @@ def replay(scenario, ring=4):
             tel.event(kind, ts=ts, node="node0001")  # cluster-scoped
         else:
             tel.event(kind, ts=ts, dag=DAG_ID)
+    if closed is not None:
+        return tel
     tel.event("am.dag_finished", ts=dag_end, dag=DAG_ID,
               state="SUCCEEDED")
     for vspan in vertex_spans:
@@ -632,6 +643,15 @@ def test_incremental_rollups_equal_post_hoc_scans(scenario):
         assert report.total == pytest.approx(report.wall_clock)
     finally:
         tel.spanstore.discard()
+    # A store persisted mid-DAG: the manifest's rollup of the open DAG
+    # equals a scan of the store, open vertex and attempt spans included.
+    tel = replay(scenario, closed=scenario["cut"])
+    with tempfile.TemporaryDirectory() as tmp:
+        target = tel.persist_store(os.path.join(tmp, "store"))
+        rollup = read_manifest(target)["rollups"][DAG_ID]
+        assert rollup["end"] is None
+        assert query.summary_from_payload(rollup) == dag_summary(
+            TimelineStore.open(target), DAG_ID, with_critical_path=False)
 
 
 # ------------------------------- always-on telemetry on a real workload

@@ -212,10 +212,12 @@ class TestEvents:
     def test_composite_expansion(self):
         ev = CompositeDataMovementEvent(
             source_vertex="v", source_task_index=2,
-            source_output_start=4, count=3, payload="p", version=1,
+            source_output_start=4, count=3, payloads=("p4", "p5", "p6"),
+            version=1,
         )
         expanded = ev.expand()
         assert [e.source_output_index for e in expanded] == [4, 5, 6]
+        assert [e.payload for e in expanded] == ["p4", "p5", "p6"]
         assert all(e.source_task_index == 2 for e in expanded)
         assert all(e.version == 1 for e in expanded)
 
