@@ -130,7 +130,7 @@ class AttemptRunner:
                        speculative: bool = False) -> TaskAttempt:
         am = self.am
         attempt = task.new_attempt(is_speculative=speculative)
-        am.machines.attempt(attempt).fire("schedule")
+        am.machines.attempt.fire(attempt, "schedule")
         attempt.start_time = am.env.now
         telemetry = get_telemetry(am.env)
         if telemetry is not None:
@@ -164,7 +164,7 @@ class AttemptRunner:
         am = self.am
         task = attempt.task
         vr = task.vertex
-        am.machines.attempt(attempt).fire("launch")
+        am.machines.attempt.fire(attempt, "launch")
         attempt.launch_time = am.env.now
         span = getattr(attempt, "telemetry_span", None)
         if span is not None:
@@ -172,7 +172,7 @@ class AttemptRunner:
             span.attrs["node"] = attempt.node_id
             span.attrs["container"] = str(container.container_id)
         if task.state == TaskState.SCHEDULED:
-            am.machines.task(task).fire("launch")
+            am.machines.task.fire(task, "launch")
         spec = self.build_task_spec(task, attempt)
         registry = getattr(container, "tez_registry", None)
         if registry is None:
@@ -450,27 +450,27 @@ class AttemptRunner:
                 vr.name not in am._vertices or \
                 am._vertices[vr.name] is not vr:
             # Stale: the DAG this attempt belonged to is gone.
-            am.machines.attempt(attempt).fire("discard")
+            am.machines.attempt.fire(attempt, "discard")
             self.finish_attempt_span(attempt)
             return
-        machine = am.machines.attempt(attempt)
+        fire = am.machines.attempt.fire
         if error is None:
             if task.state == TaskState.SUCCEEDED:
                 # A sibling (speculation) already won.
-                machine.fire("discard")
+                fire(attempt, "discard")
                 attempt.end_reason = AttemptEndReason.SPECULATION_LOST
             else:
-                machine.fire("succeed")
+                fire(attempt, "succeed")
         elif isinstance(error, Interrupt) or getattr(
                 attempt, "killing", False):
-            machine.fire("kill")
+            fire(attempt, "kill")
         elif attempt.container is not None and \
                 not attempt.container.node.alive:
             # The machine died under the task: environment fault, not
             # an application error — retried without burning a failure.
             attempt.end_reason = AttemptEndReason.CONTAINER_LOST
             am._record_node_failure(self.attempt_node_id(attempt))
-            machine.fire("kill")
+            fire(attempt, "kill")
         elif attempt.end_reason in (AttemptEndReason.CONTAINER_LOST,
                                     AttemptEndReason.PREEMPTED):
             # The container was taken away externally (RM killed it on
@@ -478,9 +478,9 @@ class AttemptRunner:
             # a container still marks the machine as suspect.
             if attempt.end_reason == AttemptEndReason.CONTAINER_LOST:
                 am._record_node_failure(self.attempt_node_id(attempt))
-            machine.fire("kill")
+            fire(attempt, "kill")
         else:
-            machine.fire("fail", error=error)
+            fire(attempt, "fail", error=error)
         self.finish_attempt_span(attempt)
 
     def finish_attempt_span(self, attempt: TaskAttempt) -> None:
@@ -490,14 +490,13 @@ class AttemptRunner:
         telemetry = get_telemetry(self.am.env)
         if telemetry is None:
             return
-        outcome = {
-            AttemptState.SUCCEEDED: "succeeded",
-            AttemptState.FAILED: "failed",
-            AttemptState.KILLED: "killed",
-        }.get(attempt.state, attempt.state.value.lower())
+        # A state's outcome is its value in lower case ("succeeded",
+        # "failed", "killed", ...).
+        reason = attempt.end_reason
         telemetry.finish(
-            span, outcome=outcome, node=attempt.node_id or "",
-            reason=attempt.end_reason.value if attempt.end_reason else "",
+            span, outcome=attempt.state._value_.lower(),
+            node=attempt.node_id or "",
+            reason=reason._value_ if reason else "",
         )
 
     @staticmethod
@@ -517,7 +516,8 @@ class AttemptRunner:
         if attempt.is_speculative:
             self._speculative_wins.inc()
         was_reexecution = task.succeeded_attempt is not None
-        am.machines.task(task).fire("succeed")
+        am.machines.task.fire(task, "succeed")
+        vr._succeeded_count += 1
         task.succeeded_attempt = attempt
         task.output_version = attempt.number
         task.output_events = list(
@@ -555,7 +555,7 @@ class AttemptRunner:
         if task.state == TaskState.SUCCEEDED:
             return
         if reason == AttemptEndReason.DAG_KILLED:
-            am.machines.task(task).fire("kill")
+            am.machines.task.fire(task, "kill")
             return
         if not task.running_attempts():
             # Re-run (container lost / preempted attempts are retried
@@ -575,7 +575,7 @@ class AttemptRunner:
             return
         task.failed_attempts += 1
         if task.failed_attempts >= am.config.max_task_attempts:
-            am.machines.task(task).fire("fail")
+            am.machines.task.fire(task, "fail")
             am._fail_dag(
                 f"task {task.task_id} failed {task.failed_attempts} "
                 f"times; last error: {attempt.diagnostics}"
@@ -613,7 +613,8 @@ class AttemptRunner:
             )
         # The journaled `restart` transition below revokes the recorded
         # success in the recovery fold — no side-store to invalidate.
-        am.machines.task(task).fire("restart")
+        am.machines.task.fire(task, "restart")
+        vr._succeeded_count -= 1
         if vr.state == VertexState.SUCCEEDED:
-            am.machines.vertex(vr).fire("reactivate")
+            am.machines.vertex.fire(vr, "reactivate")
         self.launch_attempt(task)

@@ -106,7 +106,6 @@ class DAGAppMaster:
         self._dag_seq = itertools.count(1)
         self._dag_id = ""
         self._dag_state = DAGState.NEW
-        self._dag_machine = None
         self._dag_done = None            # sim Event
         self._dag_diagnostics = ""
         self._edge_managers = {}
@@ -121,7 +120,6 @@ class DAGAppMaster:
         self._exit_buckets: dict[float, AttemptBatchExitedEvent] = {}
         if recovery is not None:
             self.dispatcher.attach_journal(recovery, self.epoch)
-        self.machines = MachineSet(self.dispatcher)
         # Session-wide counters, created before the components that
         # bump them (each caches its own): creation order is the order
         # DAGStatus.metrics lists them in.
@@ -153,11 +151,11 @@ class DAGAppMaster:
         self.recovery_service = RecoveryService(self)
         self.speculation = SpeculationMonitor(self)
         self.deadlock = DeadlockMonitor(self)
-        self.machines.bind("vertex", self.lifecycle)
-        self.machines.bind("vertex_init", self.lifecycle)
-        self.machines.bind("task", self.runner)
-        self.machines.bind("attempt", self.runner)
-        self.machines.bind("dag", self)
+        self.machines = MachineSet(
+            self.dispatcher, dag=self, vertex=self.lifecycle,
+            vertex_init=self.lifecycle, task=self.runner,
+            attempt=self.runner,
+        )
         self.dispatcher.register(StateTransitionEvent, self._on_transition)
         self.dispatcher.register(AttemptExitedEvent,
                                  self.runner.on_attempt_exited)
@@ -197,8 +195,7 @@ class DAGAppMaster:
             else f"{dag.name}#{self.shard_id}.{seq}"
         )
         self._dag_state = DAGState.NEW
-        self._dag_machine = self.machines.dag(self, self._dag_id)
-        self._dag_machine.fire("run")
+        self.machines.dag.fire(self, "run")
         self._dag_done = self.env.event()
         self._dag_diagnostics = ""
         self._vertices = {}
@@ -358,18 +355,14 @@ class DAGAppMaster:
             registry = getattr(slot.container, "tez_registry", None)
             if registry:
                 registry.clear_scope(Scope.DAG)
-        forget = self.machines.forget
         for vr in self._vertices.values():
             for task in vr.tasks:
                 for attempt in task.attempts:
                     attempt.process = None
-                    forget(attempt)
                 task.attempts = []
                 task.succeeded_attempt = None
-                forget(task)
             vr.tasks = []
             vr.manager = None
-            forget(vr)
         self._vertices = {}
         self._edge_managers = {}
         self._init_contexts = {}
@@ -483,15 +476,15 @@ class DAGAppMaster:
         for vr in self._vertices.values():
             if not vr.all_tasks_done():
                 return
-            self.machines.vertex(vr).fire("complete")
-        self._dag_machine.fire("complete")
+            self.machines.vertex.fire(vr, "complete")
+        self.machines.dag.fire(self, "complete")
         if not self._dag_done.triggered:
             self._dag_done.succeed()
 
     def _fail_dag(self, diagnostics: str) -> None:
         if self._dag_state != DAGState.RUNNING:
             return
-        self._dag_machine.fire("fail")
+        self.machines.dag.fire(self, "fail")
         self._dag_diagnostics = diagnostics
         for vr in self._vertices.values():   # kill everything in flight
             for task in vr.tasks:
@@ -500,7 +493,7 @@ class DAGAppMaster:
                         attempt, AttemptEndReason.DAG_KILLED
                     )
             if vr.state == VertexState.RUNNING:
-                self.machines.vertex(vr).fire("fail")
+                self.machines.vertex.fire(vr, "fail")
         if self._dag_done is not None and not self._dag_done.triggered:
             self._dag_done.succeed()
 
@@ -523,10 +516,10 @@ class DAGAppMaster:
                 )
 
     def _commit_outputs(self) -> Generator:
-        self._dag_machine.fire("commit")
+        self.machines.dag.fire(self, "commit")
         for committer in self._committers():
             yield self.env.process(committer.commit(), name="commit")
-        self._dag_machine.fire("committed")
+        self.machines.dag.fire(self, "committed")
 
     def _abort_outputs(self) -> Generator:
         for committer in self._committers():

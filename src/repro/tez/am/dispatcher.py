@@ -27,6 +27,7 @@ dropped control events are how state machines rot.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Type
 
@@ -50,7 +51,7 @@ class UnhandledEventError(Exception):
     """An event type reached the dispatcher with no registered handler."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ControlEvent:
     """Base class for everything that moves on the control plane."""
 
@@ -60,16 +61,32 @@ class ControlEvent:
     time: float = field(default=-1.0, init=False, compare=False)
 
 
-@dataclass
 class StateTransitionEvent(ControlEvent):
-    """One state machine moved. Emitted for *every* transition."""
+    """One state machine moved. Emitted for *every* transition.
 
-    machine: str            # "dag" | "vertex" | "task" | "attempt"
-    subject_id: str
-    from_state: Any
-    to_state: Any
-    trigger: str            # the table event that caused the move
-    subject: Any = field(default=None, repr=False)
+    Slotted: ``StateMachine.fire`` allocates one and fills its slots in
+    its own frame, without a constructor call. The constructor serves
+    everything else that builds one."""
+
+    __slots__ = ("machine", "subject_id", "from_state", "to_state",
+                 "trigger", "subject")
+
+    def __init__(self, machine: str, subject_id: str, from_state: Any,
+                 to_state: Any, trigger: str, subject: Any = None):
+        self.seq = -1
+        self.time = -1.0
+        self.machine = machine          # "dag" | "vertex" | "task" | ...
+        self.subject_id = subject_id
+        self.from_state = from_state
+        self.to_state = to_state
+        self.trigger = trigger          # the table event that caused it
+        self.subject = subject
+
+    def __repr__(self) -> str:
+        return (f"StateTransitionEvent(machine={self.machine!r}, "
+                f"subject_id={self.subject_id!r}, "
+                f"from_state={self.from_state!r}, "
+                f"to_state={self.to_state!r}, trigger={self.trigger!r})")
 
 
 @dataclass
@@ -160,7 +177,7 @@ class Dispatcher:
         self._handlers: dict[Type[ControlEvent], list[Callable]] = {}
         self._ignorable: set[Type[ControlEvent]] = set()
         self._seq = itertools.count()
-        self._queue: list[ControlEvent] = []
+        self._queue: deque[ControlEvent] = deque()
         self._draining = False
         self.dispatched = 0
         # Write-ahead recovery journal (attached by the AM): every
@@ -231,10 +248,11 @@ class Dispatcher:
             return
         self._draining = True
         try:
-            while self._queue and not self.halted:
-                self._deliver(self._queue.pop(0))
+            queue = self._queue
+            while queue and not self.halted:
+                self._deliver(queue.popleft())
             if self.halted:
-                self._queue.clear()
+                queue.clear()
         finally:
             self._draining = False
 
@@ -249,7 +267,8 @@ class Dispatcher:
         self.env.call_later_pooled(delay, lambda: self.dispatch(event))
 
     def _deliver(self, event: ControlEvent) -> None:
-        if isinstance(event, AttemptBatchExitedEvent):
+        cls = event.__class__
+        if cls is AttemptBatchExitedEvent:
             # Count the member exits, not the envelope: `dispatched` is
             # a workload-volume metric (and the crash sweep's stride
             # axis), so it must not shrink when exits coalesce.
@@ -257,14 +276,14 @@ class Dispatcher:
         else:
             self.dispatched += 1
         if self.keep_journal:
-            if isinstance(event, DataDeliveryBatchEvent):
+            if cls is DataDeliveryBatchEvent:
                 # Journal the member deliveries, not the envelope.
                 for inner in event.deliveries:
                     self.journal.append(
                         (event.time, event.seq, "DataDeliveryEvent",
                          self._summarize(inner))
                     )
-            elif isinstance(event, AttemptBatchExitedEvent):
+            elif cls is AttemptBatchExitedEvent:
                 for inner in event.exits:
                     self.journal.append(
                         (event.time, event.seq, "AttemptExitedEvent",
@@ -272,17 +291,17 @@ class Dispatcher:
                     )
             else:
                 self.journal.append(
-                    (event.time, event.seq, type(event).__name__,
+                    (event.time, event.seq, cls.__name__,
                      self._summarize(event))
                 )
         try:
-            handlers = self._handlers.get(type(event))
+            handlers = self._handlers.get(cls)
             if not handlers:
-                if type(event) in self._ignorable:
+                if cls in self._ignorable:
                     return
                 raise UnhandledEventError(
                     f"dispatcher {self.name!r}: no handler for "
-                    f"{type(event).__name__}"
+                    f"{cls.__name__}"
                 )
             for handler in handlers:
                 handler(event)

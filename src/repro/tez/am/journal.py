@@ -4,7 +4,7 @@ This replaces the old ``RecoveryLog`` success-snapshot: instead of a
 side store updated *after* handlers ran (losing any work between a
 task's success and its snapshot call), the dispatcher appends a typed
 record for every control-plane event **at enqueue time, before its
-handler runs**. Because :class:`~repro.tez.am.state_machines.StateMachine`
+handler runs**. Because :meth:`~repro.tez.am.state_machines.StateMachine.fire`
 moves the subject's state *before* announcing the transition, the
 journal entry for an attempt reaching SUCCEEDED can capture the
 attempt's routed output events and node placement consistently — the
@@ -128,7 +128,51 @@ class RecoveryJournal:
             return
         cls = event.__class__
         if cls is StateTransitionEvent:
-            self._append(self._transition_record(epoch, event))
+            # A transition, the bus's commonest event, is recorded in
+            # this frame: build the record, append it, maybe compact.
+            machine = event.machine
+            subject = event.subject
+            to_state = event.to_state
+            if machine == "attempt":
+                task = subject.task
+                vr = task.vertex
+                extra = None
+                if to_state is AttemptState.SUCCEEDED:
+                    # Write-ahead capture: fire() moved the state and
+                    # the attempt body stored its routed events before
+                    # this transition was announced.
+                    extra = (
+                        subject.node_id or "",
+                        tuple(getattr(subject, "_pending_success_events",
+                                      ()) or ()),
+                    )
+                record = ("transition", epoch, vr.dag_name, machine,
+                          (vr.name, task.index, subject.number),
+                          event.trigger, to_state, extra)
+            elif machine == "task":
+                vr = subject.vertex
+                record = ("transition", epoch, vr.dag_name, machine,
+                          (vr.name, subject.index),
+                          event.trigger, to_state, None)
+            elif machine in ("vertex", "vertex_init"):
+                # vertex_init records are replay history only: fold()
+                # ignores the kind (a restarted AM re-enters init from
+                # PENDING on a fresh VertexRuntime).
+                record = ("transition", epoch, subject.dag_name,
+                          machine, subject.name,
+                          event.trigger, to_state, None)
+            else:
+                # machine == "dag": subject is the AM, subject_id the
+                # dag_id. An AM runs one DAG at a time and a terminal
+                # dag machine does not fire, so the AM's current DAG is
+                # the one that moved.
+                record = ("transition", epoch, subject._dag.name,
+                          machine, event.subject_id,
+                          event.trigger, to_state, None)
+            self._records.append(record)
+            self._since_checkpoint += 1
+            if self._since_checkpoint >= self.checkpoint_interval:
+                self._compact()
         elif cls is DataDeliveryBatchEvent:
             for inner in event.deliveries:
                 self._append(self._data_record(epoch, inner))
@@ -182,46 +226,6 @@ class RecoveryJournal:
             "exit", epoch, t.vertex.dag_name,
             (t.vertex.name, t.index, a.number), err,
         )
-
-    @staticmethod
-    def _transition_record(epoch: int,
-                           event: StateTransitionEvent) -> tuple:
-        machine = event.machine
-        subject = event.subject
-        if machine == "attempt":
-            task = subject.task
-            vr = task.vertex
-            extra = None
-            if event.to_state is AttemptState.SUCCEEDED:
-                # Write-ahead capture: fire() moved the state and the
-                # attempt body stored its routed events before this
-                # transition was announced.
-                extra = (
-                    subject.node_id or "",
-                    tuple(getattr(subject, "_pending_success_events",
-                                  ()) or ()),
-                )
-            return ("transition", epoch, vr.dag_name, machine,
-                    (vr.name, task.index, subject.number),
-                    event.trigger, event.to_state, extra)
-        if machine == "task":
-            vr = subject.vertex
-            return ("transition", epoch, vr.dag_name, machine,
-                    (vr.name, subject.index),
-                    event.trigger, event.to_state, None)
-        if machine in ("vertex", "vertex_init"):
-            # vertex_init records are replay history only: fold()
-            # ignores the kind (a restarted AM re-enters init from
-            # PENDING on a fresh VertexRuntime).
-            return ("transition", epoch, subject.dag_name,
-                    machine, subject.name,
-                    event.trigger, event.to_state, None)
-        # machine == "dag": subject is the AM, subject_id the dag_id.
-        # An AM runs one DAG at a time and a terminal dag machine does
-        # not fire, so the AM's current DAG is the one that moved.
-        return ("transition", epoch, subject._dag.name,
-                machine, event.subject_id,
-                event.trigger, event.to_state, None)
 
     @staticmethod
     def _data_record(epoch: int, event: DataDeliveryEvent) -> tuple:

@@ -86,14 +86,15 @@ class RecoveryService:
         # staged output paths and spill ids line up; earlier attempt
         # slots become placeholders discarded through the machines.
         while len(task.attempts) < event.number:
-            machines.attempt(task.new_attempt()).fire("discard")
+            machines.attempt.fire(task.new_attempt(), "discard")
         attempt = task.new_attempt()
         attempt.node_id = event.node_id or None
         # Set before firing so the journal's write-ahead capture of the
         # recover transition carries the same payload as the original.
         attempt._pending_success_events = list(event.events)
-        machines.attempt(attempt).fire("recover")
-        machines.task(task).fire("recover")
+        machines.attempt.fire(attempt, "recover")
+        machines.task.fire(task, "recover")
+        vr._succeeded_count += 1
         task.succeeded_attempt = attempt
         task.output_version = attempt.number
         task.output_events = list(event.events)

@@ -21,12 +21,19 @@ FAILED / KILLED are absorbing at those levels.
 Every transition is announced on the AM dispatcher as a
 :class:`~repro.tez.am.dispatcher.StateTransitionEvent`, which is how
 telemetry keeps span state equal to machine state at all times.
+
+Machines do not read the authored grid. Each table is compiled once,
+when its grid is complete, into one row per state keyed by the
+member's name (:meth:`TransitionTable.compile`), so a transition is
+one probe of a row to a precomputed :class:`Move`. An AM binds one
+:class:`StateMachine` per table (:class:`MachineSet`), and a machine
+drives whichever subject it is handed: nothing is cached per subject.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .dispatcher import Dispatcher, StateTransitionEvent
 from .structures import (
@@ -39,6 +46,8 @@ from .structures import (
 
 __all__ = [
     "InvalidStateTransition",
+    "IGNORED",
+    "Move",
     "Transition",
     "TransitionTable",
     "StateMachine",
@@ -58,8 +67,12 @@ class InvalidStateTransition(Exception):
     """An event arrived in a state where it is declared illegal."""
 
 
-_IGNORED = object()     # cell marker: legal no-op
+IGNORED = object()      # cell marker: legal no-op
 _INVALID = object()     # cell marker: explicitly illegal
+
+# `fire` allocates its StateTransitionEvent without a constructor
+# frame and fills the slots itself.
+_new_event = object.__new__
 
 
 @dataclass(frozen=True)
@@ -73,8 +86,24 @@ class Transition:
     guard: Optional[str] = None     # handler method: guard(subject) -> bool
 
 
+class Move(NamedTuple):
+    """One compiled transition of a cell: the first of the cell's
+    transitions, and in ``otherwise`` the rest of them, tried in order
+    when ``guard`` rejects (``None``: no transition left)."""
+
+    target: Any
+    action: Optional[str]
+    guard: Optional[str]
+    otherwise: Optional["Move"]
+
+
 class TransitionTable:
-    """A complete machine: states, events, and a total cell grid."""
+    """A complete machine: states, events, and a total cell grid.
+
+    Authored cell by cell (``move`` / ``ignore`` / ``invalid_rest``)
+    and read back through ``cell`` and ``is_total``; machines read the
+    compiled form instead (:meth:`compile`), built once when the grid
+    is complete."""
 
     def __init__(self, kind: str, states, initial, terminals):
         self.kind = kind
@@ -83,11 +112,13 @@ class TransitionTable:
         self.terminals = frozenset(terminals)
         self.transitions: list[Transition] = []
         self.events: list[str] = []
-        # (state, event) -> list[Transition] | _IGNORED | _INVALID
+        # (state, event) -> list[Transition] | IGNORED | _INVALID
         self._cells: dict[tuple[Any, str], Any] = {}
+        self._rows: Optional[dict[str, dict[str, Any]]] = None
 
     # ------------------------------------------------------- authoring
     def _event(self, event: str) -> None:
+        self._rows = None
         if event not in self.events:
             self.events.append(event)
 
@@ -101,7 +132,7 @@ class TransitionTable:
         self._event(event)
         for source in transition.sources:
             cell = self._cells.get((source, event))
-            if cell in (_IGNORED, _INVALID):
+            if cell in (IGNORED, _INVALID):
                 raise ValueError(
                     f"{self.kind}: ({source}, {event}) already declared "
                     "ignored/invalid"
@@ -116,15 +147,17 @@ class TransitionTable:
                 raise ValueError(
                     f"{self.kind}: ({state}, {event}) already specified"
                 )
-            self._cells[(state, event)] = _IGNORED
+            self._cells[(state, event)] = IGNORED
         return self
 
     def invalid_rest(self) -> "TransitionTable":
         """Explicitly mark every remaining cell illegal (the authorial
-        default of Tez's StateMachineFactory)."""
+        default of Tez's StateMachineFactory). The grid is complete:
+        compile it."""
         for state in self.states:
             for event in self.events:
                 self._cells.setdefault((state, event), _INVALID)
+        self.compile()
         return self
 
     # --------------------------------------------------------- queries
@@ -140,80 +173,105 @@ class TransitionTable:
             if (state, event) not in self._cells
         ]
 
+    def compile(self) -> dict[str, dict[str, Any]]:
+        """The grid as rows: ``state._name_ -> {event: Move | IGNORED}``.
+
+        A row is keyed by the member's name, a ``str`` whose hash is
+        cached in C, so a lookup runs no ``Enum.__hash__``. An invalid
+        cell, and an event the table does not know, is absent from its
+        row. Built on first use and kept until the table is authored
+        again."""
+        rows = self._rows
+        if rows is None:
+            rows = {state._name_: {} for state in self.states}
+            for (state, event), cell in self._cells.items():
+                if cell is _INVALID:
+                    continue
+                if cell is IGNORED:
+                    move = IGNORED
+                else:
+                    move = None
+                    for transition in reversed(cell):
+                        move = Move(transition.target, transition.action,
+                                    transition.guard, move)
+                rows.setdefault(state._name_, {})[event] = move
+            self._rows = rows
+        return rows
+
 
 class StateMachine:
-    """Drives one subject's ``state`` attribute through a table."""
+    """One table bound to a dispatcher and to the component that owns
+    its action and guard hooks. It drives any subject of its kind: the
+    subject's ``attr`` holds the state and its ``id_attr`` the id a
+    transition is announced under, so no machine is kept per subject.
+    """
+
+    __slots__ = ("table", "kind", "rows", "attr", "id_attr", "dispatcher",
+                 "handler")
 
     def __init__(
         self,
         table: TransitionTable,
-        subject: Any,
-        subject_id: str,
         attr: str = "state",
+        id_attr: str = "machine_id",
         dispatcher: Optional[Dispatcher] = None,
         handler: Any = None,
     ):
         self.table = table
-        self.subject = subject
-        self.subject_id = subject_id
+        self.kind = table.kind
+        self.rows = table.compile()
         self.attr = attr
+        self.id_attr = id_attr
         self.dispatcher = dispatcher
         self.handler = handler
 
-    @property
-    def state(self):
-        return getattr(self.subject, self.attr)
+    def can(self, subject, event: str) -> bool:
+        row = self.rows[getattr(subject, self.attr)._name_]
+        return row.get(event).__class__ is Move
 
-    @property
-    def terminal(self) -> bool:
-        return self.state in self.table.terminals
-
-    def can(self, event: str) -> bool:
-        cell = self.table.cell(self.state, event)
-        return isinstance(cell, list)
-
-    def fire(self, event: str, **ctx):
-        """Apply ``event``: validate, move state, announce, run action.
+    def fire(self, subject, event: str, **ctx):
+        """Apply ``event`` to ``subject``: validate, move state,
+        announce, run action.
 
         Returns the (possibly unchanged) state. Raises
-        :class:`InvalidStateTransition` for cells declared invalid or
-        events unknown to the table.
+        :class:`InvalidStateTransition` for cells declared invalid,
+        events unknown to the table, and cells whose every guard
+        rejects.
         """
-        state = self.state
-        cell = self.table.cell(state, event)
-        if cell is _IGNORED:
-            return state
-        if cell is None or cell is _INVALID:
+        attr = self.attr
+        state = getattr(subject, attr)
+        move = self.rows[state._name_].get(event)
+        if move.__class__ is not Move:
+            if move is IGNORED:
+                return state
             raise InvalidStateTransition(
-                f"{self.table.kind} {self.subject_id}: event {event!r} "
-                f"is illegal in state {getattr(state, 'value', state)}"
+                f"{self.kind} {getattr(subject, self.id_attr)}: event "
+                f"{event!r} is illegal in state {state._value_}"
             )
-        chosen = None
-        for transition in cell:
-            if transition.guard is not None:
-                if not getattr(self.handler, transition.guard)(self.subject):
-                    continue
-            chosen = transition
-            break
-        if chosen is None:
-            raise InvalidStateTransition(
-                f"{self.table.kind} {self.subject_id}: every guard "
-                f"rejected event {event!r} in state "
-                f"{getattr(state, 'value', state)}"
-            )
-        setattr(self.subject, self.attr, chosen.target)
-        if self.dispatcher is not None:
-            self.dispatcher.dispatch(StateTransitionEvent(
-                machine=self.table.kind,
-                subject_id=self.subject_id,
-                from_state=state,
-                to_state=chosen.target,
-                trigger=event,
-                subject=self.subject,
-            ))
-        if chosen.action is not None and self.handler is not None:
-            getattr(self.handler, chosen.action)(self.subject, **ctx)
-        return chosen.target
+        target, action, guard, otherwise = move
+        while guard is not None and \
+                not getattr(self.handler, guard)(subject):
+            if otherwise is None:
+                raise InvalidStateTransition(
+                    f"{self.kind} {getattr(subject, self.id_attr)}: every "
+                    f"guard rejected event {event!r} in state "
+                    f"{state._value_}"
+                )
+            target, action, guard, otherwise = otherwise
+        setattr(subject, attr, target)
+        dispatcher = self.dispatcher
+        if dispatcher is not None:
+            announced = _new_event(StateTransitionEvent)
+            announced.machine = self.kind
+            announced.subject_id = getattr(subject, self.id_attr)
+            announced.from_state = state
+            announced.to_state = target
+            announced.trigger = event
+            announced.subject = subject
+            dispatcher.dispatch(announced)
+        if action is not None and self.handler is not None:
+            getattr(self.handler, action)(subject, **ctx)
+        return target
 
 
 # ======================================================================
@@ -386,71 +444,25 @@ HANDLER_SPECS = {
 
 
 class MachineSet:
-    """Per-AM factory/caches for the four machine kinds.
+    """An AM's five machines, one per table, bound to its dispatcher
+    and to the component that owns each table's hooks. A subject holds
+    its own state and id (``structures.py``); the DAG machine's subject
+    is the AM, whose ``_dag_state`` slot is reused across a session's
+    DAG sequence."""
 
-    Machines are created lazily and stored on their subjects (the
-    AM-side bookkeeping objects in ``structures.py``), so a subject's
-    ``state`` attribute and its machine can never disagree.
-    """
+    __slots__ = ("dag", "vertex", "vertex_init", "task", "attempt")
 
-    def __init__(self, dispatcher: Optional[Dispatcher] = None):
-        self.dispatcher = dispatcher
-        self.handlers: dict[str, Any] = {}
-
-    def bind(self, kind: str, handler: Any) -> None:
-        self.handlers[kind] = handler
-
-    def _machine(self, kind: str, subject: Any, subject_id: str,
-                 attr: str = "state") -> StateMachine:
-        return StateMachine(
-            TABLES[kind], subject, subject_id, attr=attr,
-            dispatcher=self.dispatcher, handler=self.handlers.get(kind),
+    def __init__(self, dispatcher: Optional[Dispatcher], *, dag: Any,
+                 vertex: Any, vertex_init: Any, task: Any, attempt: Any):
+        self.dag = StateMachine(DAG_TABLE, "_dag_state", "_dag_id",
+                                dispatcher, dag)
+        self.vertex = StateMachine(VERTEX_TABLE, "state", "machine_id",
+                                   dispatcher, vertex)
+        self.vertex_init = StateMachine(
+            VERTEX_INIT_TABLE, "init_state", "init_machine_id",
+            dispatcher, vertex_init,
         )
-
-    def vertex(self, vr) -> StateMachine:
-        machine = getattr(vr, "_sm", None)
-        if machine is None:
-            machine = self._machine(
-                "vertex", vr, f"{vr.dag_id}/{vr.name}"
-            )
-            vr._sm = machine
-        return machine
-
-    def vertex_init(self, vr) -> StateMachine:
-        machine = getattr(vr, "_init_sm", None)
-        if machine is None:
-            machine = self._machine(
-                "vertex_init", vr, f"{vr.dag_id}/{vr.name}/init",
-                attr="init_state",
-            )
-            vr._init_sm = machine
-        return machine
-
-    def task(self, task) -> StateMachine:
-        machine = getattr(task, "_sm", None)
-        if machine is None:
-            machine = self._machine(
-                "task", task, f"{task.vertex.dag_id}/{task.task_id}"
-            )
-            task._sm = machine
-        return machine
-
-    def attempt(self, attempt) -> StateMachine:
-        machine = getattr(attempt, "_sm", None)
-        if machine is None:
-            machine = self._machine("attempt", attempt, attempt.attempt_id)
-            attempt._sm = machine
-        return machine
-
-    def forget(self, subject) -> None:
-        """Drop the machines cached on ``subject`` (each points back at
-        it). A late event for the subject gets a fresh machine from the
-        accessors above, which start from the subject's own state."""
-        for attr in ("_sm", "_init_sm"):
-            if getattr(subject, attr, None) is not None:
-                setattr(subject, attr, None)
-
-    def dag(self, am, dag_id: str) -> StateMachine:
-        """A fresh DAG machine per execution (the AM reuses its
-        ``_dag_state`` slot across a session's DAG sequence)."""
-        return self._machine("dag", am, dag_id, attr="_dag_state")
+        self.task = StateMachine(TASK_TABLE, "state", "machine_id",
+                                 dispatcher, task)
+        self.attempt = StateMachine(ATTEMPT_TABLE, "state", "attempt_id",
+                                    dispatcher, attempt)

@@ -142,7 +142,12 @@ class Task:
         self.vertex = vertex
         self.index = index
         self.task_id = f"{vertex.name}_t{index}"
-        self._state = TaskState.NEW
+        # What the task machine announces this task's moves under.
+        self.machine_id = f"{vertex.dag_id}/{self.task_id}"
+        # Moved only by the task machine. A move into or out of
+        # SUCCEEDED is also counted in the vertex's `_succeeded_count`
+        # by the code that fires it (`succeed`, `recover`, `restart`).
+        self.state = TaskState.NEW
         self.attempts: list[TaskAttempt] = []
         self.failed_attempts = 0
         self.output_version = -1         # attempt number of live output
@@ -150,23 +155,6 @@ class Task:
         self.output_events: list[TezEvent] = []
         self.location_nodes: tuple[str, ...] = ()
         self.location_racks: tuple[str, ...] = ()
-
-    @property
-    def state(self) -> TaskState:
-        return self._state
-
-    @state.setter
-    def state(self, value: TaskState) -> None:
-        # Keep the owning vertex's succeeded-task counter in lock-step:
-        # every state move (machine fire, restart, recovery) flows
-        # through this setter, so `all_tasks_done` can be O(1).
-        prev = self._state
-        if prev is not value:
-            if prev is TaskState.SUCCEEDED:
-                self.vertex._succeeded_count -= 1
-            if value is TaskState.SUCCEEDED:
-                self.vertex._succeeded_count += 1
-        self._state = value
 
     def new_attempt(self, is_speculative: bool = False) -> TaskAttempt:
         attempt = TaskAttempt(self, len(self.attempts),
@@ -194,6 +182,9 @@ class VertexRuntime:
         self.depth = depth
         self.dag_id = dag_id   # session-unique DAG execution id
         self.dag_name = dag_name   # what the journal keys recovery by
+        # What the vertex and vertex_init machines announce moves under.
+        self.machine_id = f"{dag_id}/{self.name}"
+        self.init_machine_id = f"{dag_id}/{self.name}/init"
         # What every attempt of this vertex asks YARN for.
         self.capability = Resource(vertex.resource_mb,
                                    vertex.resource_vcores)
@@ -201,8 +192,9 @@ class VertexRuntime:
         self.init_state = VertexInitState.PENDING
         self.parallelism = vertex.parallelism
         self.tasks: list[Task] = []
-        # Count of tasks currently in SUCCEEDED, maintained by the
-        # Task.state setter and read by all_tasks_done.
+        # Count of tasks currently in SUCCEEDED, kept by the code that
+        # fires a task's `succeed`, `recover` and `restart` (see Task)
+        # and read by all_tasks_done.
         self._succeeded_count = 0
         self.scheduled: set[int] = set()
         self.completed_tasks = 0

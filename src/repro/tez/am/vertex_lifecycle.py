@@ -81,9 +81,8 @@ class VertexLifecycle:
         try:
             yield from self.initialize_vertex(vr)
         except (DagAbort, Exception) as exc:
-            init = am.machines.vertex_init(vr)
-            if not init.terminal:
-                init.fire("abort")
+            # A finished init (DONE / ABORTED) ignores `abort`.
+            am.machines.vertex_init.fire(vr, "abort")
             if not vr.inited_event.triggered:
                 vr.inited_event.succeed()
             am._fail_dag(
@@ -93,7 +92,7 @@ class VertexLifecycle:
         if not vr.inited_event.triggered:
             vr.inited_event.succeed()
         if am._dag_state == DAGState.RUNNING:
-            am.machines.vertex(vr).fire("start", recovered=recovered)
+            am.machines.vertex.fire(vr, "start", recovered=recovered)
             am._check_dag_done()
 
     def initialize_vertex(self, vr: VertexRuntime) -> Generator:
@@ -106,16 +105,17 @@ class VertexLifecycle:
         (task creation, manager bring-up) are machine actions.
         """
         am = self.am
-        am.machines.vertex(vr).fire("init")
-        init = am.machines.vertex_init(vr)
-        init.fire("begin")
+        machines = am.machines
+        machines.vertex.fire(vr, "init")
+        init = machines.vertex_init.fire
+        init(vr, "begin")
         yield from self._run_root_initializers(vr)
-        init.fire("sources_ready")
+        init(vr, "sources_ready")
         yield from self._resolve_parallelism(vr)
-        init.fire("parallelism_resolved")   # -> act_init_tasks_created
-        init.fire("manager_ready")          # -> act_init_manager_ready
-        init.fire("finish")
-        am.machines.vertex(vr).fire("inited")
+        init(vr, "parallelism_resolved")    # -> act_init_tasks_created
+        init(vr, "manager_ready")           # -> act_init_manager_ready
+        init(vr, "finish")
+        machines.vertex.fire(vr, "inited")
 
     def _run_root_initializers(self, vr: VertexRuntime) -> Generator:
         """SOURCES_INITIALIZING: run root-input initializers (possibly
@@ -309,7 +309,7 @@ class VertexLifecycle:
             task = vr.tasks[index]
             if task.state == TaskState.SUCCEEDED:
                 continue  # recovered
-            am.machines.task(task).fire("schedule")
+            am.machines.task.fire(task, "schedule")
             am.runner.launch_attempt(task)
 
     # -------------------------------------------------- completion
@@ -322,5 +322,5 @@ class VertexLifecycle:
 
     def check_vertex_done(self, vr: VertexRuntime) -> None:
         if vr.state == VertexState.RUNNING and vr.all_tasks_done():
-            self.am.machines.vertex(vr).fire("complete")
+            self.am.machines.vertex.fire(vr, "complete")
         self.am._check_dag_done()

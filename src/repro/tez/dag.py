@@ -293,6 +293,27 @@ class DAG:
                     f"vertex {vertex.name!r}: runtime parallelism requires "
                     "an input edge or data source to derive it from"
                 )
+            # Without its own manager or a sequential in-edge a vertex
+            # with data sources gets the root-input manager, which
+            # schedules once an initializer reports splits: with no
+            # initializer at all, it would never schedule a task.
+            if (
+                vertex.data_sources
+                and vertex.vertex_manager is None
+                and all(source.initializer_descriptor is None
+                        for source in vertex.data_sources.values())
+                and not any(
+                    e.prop.scheduling == SchedulingType.SEQUENTIAL
+                    for e in self.in_edges(vertex.name)
+                )
+            ):
+                raise DagValidationError(
+                    f"vertex {vertex.name!r}: data sources "
+                    f"{sorted(vertex.data_sources)} have no initializer, "
+                    "so the root-input vertex manager would never "
+                    "schedule its tasks; give a source an initializer, "
+                    "or the vertex its own vertex manager"
+                )
         for edge in self.edges:
             if edge.prop.data_movement == DataMovementType.ONE_TO_ONE:
                 src, dst = edge.source, edge.target

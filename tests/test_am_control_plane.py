@@ -24,8 +24,10 @@ from repro.tez.am import (
 from repro.tez.am.check import audit_all, audit_cross_table, audit_table
 from repro.tez.am.state_machines import (
     ATTEMPT_CONSEQUENCES,
+    IGNORED,
     TransitionTable,
 )
+from repro.tez.am.structures import VertexInitState
 
 from helpers import (
     SG,
@@ -46,11 +48,12 @@ class _StubHandler:
         return lambda subject, **ctx: None
 
 
-def machine_for(kind, state):
-    table = TABLES[kind]
-    subject = SimpleNamespace(state=state)
-    return StateMachine(table, subject, f"{kind}-under-test",
-                        handler=_StubHandler())
+def subject_in(state, machine_id="under-test"):
+    return SimpleNamespace(state=state, machine_id=machine_id)
+
+
+def machine_for(kind):
+    return StateMachine(TABLES[kind], handler=_StubHandler())
 
 
 # ---------------------------------------------------------------- tables
@@ -67,10 +70,10 @@ def legal_moves():
 
 @pytest.mark.parametrize("kind,source,event,target", legal_moves())
 def test_every_legal_transition_moves_state(kind, source, event, target):
-    sm = machine_for(kind, source)
-    assert sm.can(event)
-    assert sm.fire(event) == target
-    assert sm.state == target
+    sm, subject = machine_for(kind), subject_in(source)
+    assert sm.can(subject, event)
+    assert sm.fire(subject, event) == target
+    assert subject.state == target
 
 
 ILLEGAL = [
@@ -101,17 +104,16 @@ ILLEGAL = [
     ids=[f"{k}:{s.value}-{e}" for k, s, e in ILLEGAL],
 )
 def test_illegal_transitions_raise(kind, state, event):
-    sm = machine_for(kind, state)
-    assert not sm.can(event)
+    sm, subject = machine_for(kind), subject_in(state)
+    assert not sm.can(subject, event)
     with pytest.raises(InvalidStateTransition):
-        sm.fire(event)
-    assert sm.state == state    # no partial move
+        sm.fire(subject, event)
+    assert subject.state == state    # no partial move
 
 
 def test_unknown_event_is_invalid():
-    sm = machine_for("task", TaskState.NEW)
     with pytest.raises(InvalidStateTransition):
-        sm.fire("frobnicate")
+        machine_for("task").fire(subject_in(TaskState.NEW), "frobnicate")
 
 
 def test_terminal_states_absorb_late_events():
@@ -121,12 +123,11 @@ def test_terminal_states_absorb_late_events():
     bus = Dispatcher(env)
     seen = []
     bus.register(StateTransitionEvent, seen.append)
-    table = TABLES["attempt"]
-    subject = SimpleNamespace(state=AttemptState.SUCCEEDED)
-    sm = StateMachine(table, subject, "a", dispatcher=bus,
+    subject = subject_in(AttemptState.SUCCEEDED, "a")
+    sm = StateMachine(TABLES["attempt"], dispatcher=bus,
                       handler=_StubHandler())
     for event in ("kill", "discard", "succeed", "fail"):
-        assert sm.fire(event) == AttemptState.SUCCEEDED
+        assert sm.fire(subject, event) == AttemptState.SUCCEEDED
     assert seen == []
 
 
@@ -135,12 +136,11 @@ def test_guard_rejection_blocks_transition():
         def vertex_all_tasks_done(self, subject):
             return False
 
-    sm = StateMachine(TABLES["vertex"],
-                      SimpleNamespace(state=VertexState.RUNNING),
-                      "v", handler=Unready())
+    sm = StateMachine(TABLES["vertex"], handler=Unready())
+    subject = subject_in(VertexState.RUNNING, "v")
     with pytest.raises(InvalidStateTransition):
-        sm.fire("complete")
-    assert sm.state == VertexState.RUNNING
+        sm.fire(subject, "complete")
+    assert subject.state == VertexState.RUNNING
 
 
 def test_fire_announces_on_dispatcher():
@@ -148,16 +148,178 @@ def test_fire_announces_on_dispatcher():
     bus = Dispatcher(env)
     seen = []
     bus.register(StateTransitionEvent, seen.append)
-    sm = StateMachine(TABLES["task"], SimpleNamespace(state=TaskState.NEW),
-                      "d/t0", dispatcher=bus, handler=_StubHandler())
-    sm.fire("schedule")
-    sm.fire("launch")
+    sm = StateMachine(TABLES["task"], dispatcher=bus,
+                      handler=_StubHandler())
+    subject = subject_in(TaskState.NEW, "d/t0")
+    sm.fire(subject, "schedule")
+    sm.fire(subject, "launch")
     assert [(e.from_state, e.to_state, e.trigger) for e in seen] == [
         (TaskState.NEW, TaskState.SCHEDULED, "schedule"),
         (TaskState.SCHEDULED, TaskState.RUNNING, "launch"),
     ]
     assert all(e.machine == "task" and e.subject_id == "d/t0"
                for e in seen)
+
+
+# ------------------------------------------------------- compiled rows
+
+class _Toy(enum.Enum):
+    A = "a"
+    B = "b"
+    C = "c"
+
+
+def _chain(move):
+    """A compiled cell as the ``(target, action, guard)`` list its
+    transitions were authored in."""
+    out = []
+    while move is not None:
+        out.append((move.target, move.action, move.guard))
+        move = move.otherwise
+    return out
+
+
+def _cell_fire(table, subject, subject_id, event, handler):
+    """What ``fire`` did when it read ``TransitionTable.cell``: the
+    state it returns, or the message of the InvalidStateTransition it
+    raises (the machine is not moved either way)."""
+    state = subject.state
+    cell = table.cell(state, event)
+    if cell is IGNORED:
+        return state
+    if not isinstance(cell, list):
+        return (f"{table.kind} {subject_id}: event {event!r} "
+                f"is illegal in state {state.value}")
+    for transition in cell:
+        if transition.guard is None or \
+                getattr(handler, transition.guard)(subject):
+            return transition.target
+    return (f"{table.kind} {subject_id}: every guard rejected event "
+            f"{event!r} in state {state.value}")
+
+
+class _Guards:
+    """Guards answer from a fixed map; actions are recorded."""
+
+    def __init__(self, answers):
+        self.answers = answers
+        self.acted = []
+
+    def __getattr__(self, name):
+        if name.startswith("act_"):
+            return lambda subject, **ctx: self.acted.append(name)
+        return lambda subject: self.answers[name]
+
+
+def _guarded_toy_table():
+    """One cell with two guarded transitions and an unguarded fallback,
+    one with a lone guarded transition."""
+    table = TransitionTable("toy", _Toy, _Toy.A, terminals={_Toy.C})
+    table.move("go", _Toy.A, _Toy.B, guard="to_b")
+    table.move("go", _Toy.A, _Toy.C, guard="to_c", action="act_c")
+    table.move("go", _Toy.A, _Toy.A, action="act_stay")
+    table.move("go", _Toy.B, _Toy.C, guard="to_c")
+    table.ignore(_Toy.C, "go")
+    return table.invalid_rest()
+
+
+def _tables_under_test():
+    return [*TABLES.values(), _guarded_toy_table()]
+
+
+@pytest.mark.parametrize("table", _tables_under_test(),
+                         ids=lambda table: table.kind)
+def test_compiled_rows_equal_the_authored_cells(table):
+    """Every state x (every authored event + an unknown one): the
+    compiled row holds the cell's transitions in order, IGNORED for an
+    ignore, and nothing for an invalid or unknown event."""
+    rows = table.compile()
+    assert set(rows) == {state._name_ for state in table.states}
+    for state in table.states:
+        for event in [*table.events, "frobnicate"]:
+            cell = table.cell(state, event)
+            compiled = rows[state._name_].get(event)
+            if cell is IGNORED:
+                assert compiled is IGNORED, (state, event)
+            elif isinstance(cell, list):
+                assert _chain(compiled) == [
+                    (t.target, t.action, t.guard) for t in cell
+                ], (state, event)
+            else:
+                assert compiled is None, (state, event)
+
+
+@pytest.mark.parametrize("table", _tables_under_test(),
+                         ids=lambda table: table.kind)
+@pytest.mark.parametrize("answer", [True, False],
+                         ids=["guards-pass", "guards-reject"])
+def test_fire_answers_as_the_cell_grid_did(table, answer):
+    """``fire`` returns, moves and raises exactly what a lookup of the
+    authored cell gives, the InvalidStateTransition message included,
+    for invalid, unknown and guard-rejected cells alike."""
+    answers = {t.guard: answer for t in table.transitions if t.guard}
+    for state in table.states:
+        for event in [*table.events, "frobnicate"]:
+            handler = _Guards(answers)
+            machine = StateMachine(table, handler=handler)
+            subject = subject_in(state, "d#1/x")
+            expected = _cell_fire(table, subject_in(state), "d#1/x",
+                                  event, handler)
+            if isinstance(expected, str):
+                with pytest.raises(InvalidStateTransition) as raised:
+                    machine.fire(subject, event)
+                assert str(raised.value) == expected
+                assert subject.state is state
+            else:
+                assert machine.fire(subject, event) is expected
+                assert subject.state is expected
+
+
+@pytest.mark.parametrize("to_b,to_c,target,acted", [
+    (True, True, _Toy.B, []),
+    (False, True, _Toy.C, ["act_c"]),
+    (False, False, _Toy.A, ["act_stay"]),
+])
+def test_guarded_cell_takes_the_first_passing_transition(to_b, to_c,
+                                                         target, acted):
+    handler = _Guards({"to_b": to_b, "to_c": to_c})
+    subject = subject_in(_Toy.A)
+    machine = StateMachine(_guarded_toy_table(), handler=handler)
+    assert machine.fire(subject, "go") is target
+    assert subject.state is target
+    assert handler.acted == acted
+
+
+def test_authoring_after_compile_recompiles():
+    table = TransitionTable("toy", _Toy, _Toy.A, terminals={_Toy.C})
+    table.move("go", _Toy.A, _Toy.B)
+    assert table.compile()["A"]["go"].target is _Toy.B
+    table.move("on", _Toy.B, _Toy.C)
+    assert table.compile()["B"]["on"].target is _Toy.C
+
+
+def test_a_dag_run_hashes_no_state_member(monkeypatch):
+    """A transition resolves by the state member's name: while a DAG
+    runs through the AM, no DAGState / VertexState / VertexInitState /
+    TaskState / AttemptState member is hashed, by the machines or by
+    anything else on the AM path."""
+    calls = {}
+    for cls in (DAGState, VertexState, VertexInitState, TaskState,
+                AttemptState):
+        def counting(member, _hash=cls.__hash__, _name=cls.__name__):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _hash(member)
+
+        monkeypatch.setattr(cls, "__hash__", counting)
+    sim = make_sim()
+    dag = _wordcount(sim, name="hashless")
+    client = sim.tez_client()
+    handle = client.submit_dag(dag)
+    sim.env.run(until=handle.completion)
+    monkeypatch.undo()
+    assert handle.status.succeeded, handle.status.diagnostics
+    assert client.last_am.dispatcher.dispatched > 20
+    assert calls == {}
 
 
 # --------------------------------------------------------------- auditor
@@ -167,12 +329,6 @@ def test_shipped_tables_are_sound():
     assert problems == []
     # One line per table plus the cross-table consequence summary.
     assert len(report) == len(TABLES) + 1
-
-
-class _Toy(enum.Enum):
-    A = "a"
-    B = "b"
-    C = "c"
 
 
 def test_auditor_flags_unreachable_state_and_gaps():
@@ -362,9 +518,9 @@ def test_journal_records_time_seq_and_summary():
     bus.keep_journal = True
     bus.ignore(_Ping)
     bus.register(StateTransitionEvent, lambda e: None)
-    sm = StateMachine(TABLES["task"], SimpleNamespace(state=TaskState.NEW),
-                      "d/t0", dispatcher=bus, handler=_StubHandler())
-    sm.fire("schedule")
+    sm = StateMachine(TABLES["task"], dispatcher=bus,
+                      handler=_StubHandler())
+    sm.fire(subject_in(TaskState.NEW, "d/t0"), "schedule")
     bus.dispatch(_Ping("x"))
     times, seqs, names, summaries = zip(*bus.journal)
     assert seqs == (0, 1)

@@ -12,11 +12,9 @@ Every cut this rests on was put back by hand in turn, and each one
 fails a test here on its own: in ``DAGAppMaster._release_dag`` the
 ``vr.tasks``, ``task.attempts`` and ``task.succeeded_attempt`` resets,
 ``vr.manager`` (the vertex holds its manager, whose VM context holds
-the vertex), ``MachineSet.forget`` on the attempt, the task and the
-vertex (``_sm`` and ``_init_sm`` each),
-``attempt.process`` (a failed attempt's process stores the exception
-whose traceback holds the attempt body's frame) and the call to
-``_release_dag`` itself; ``_InlineEventChannel.close`` letting go of
+the vertex), ``attempt.process`` (a failed attempt's process stores
+the exception whose traceback holds the attempt body's frame) and the
+call to ``_release_dag`` itself; ``_InlineEventChannel.close`` letting go of
 its inputs (one cycle per inline attempt with an input edge);
 ``app.on_allocate = None`` in ``CapacityScheduler.remove_app`` (one per
 application); ``slot.mailbox.abandon()`` in ``release_slot`` and in the
@@ -28,7 +26,9 @@ per failed attempt). The
 resets of ``_vertices`` / ``_edge_managers`` / ``_init_contexts`` close
 no cycle - they let a one-shot AM's last graph go with its DAG - and
 are pinned by ``test_session_reuses_containers_across_dags``. At the
-parent commit the session test and the two crash shapes fail.
+parent commit the session test and the two crash shapes fail. No cut
+is needed for the state machines: an AM holds one per table
+(``MachineSet``), and a vertex, task or attempt holds none.
 
 A container stopped while its attempt is blocked on input leaves that
 attempt's processes parked for good (EXPERIMENTS.md divergence 6); the
@@ -47,7 +47,6 @@ from repro import SimCluster
 from repro.engines.hive import Catalog, HiveSession
 from repro.sim import Environment
 from repro.tez.am import FaultEvent
-from repro.tez.am.state_machines import StateMachine
 from repro.tez.am.structures import Task, TaskAttempt, VertexRuntime
 from repro.tez.am.vm_context import _VMContext
 from repro.tez.vertex_manager import VertexManagerPlugin
@@ -56,7 +55,7 @@ from test_session_fuzz import _drive_session
 
 # A finished DAG's runtime graph and a finished application's RM side.
 FREED_BY_REFERENCE_COUNT = (
-    Task, TaskAttempt, StateMachine, VertexRuntime, _VMContext,
+    Task, TaskAttempt, VertexRuntime, _VMContext,
     VertexManagerPlugin, AMContext, SchedulerApp,
 )
 

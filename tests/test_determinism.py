@@ -291,12 +291,14 @@ class _ReplayHandler:
 
 def machine_redispatch(records):
     """Independent replay implementation: drive every journaled
-    transition through fresh audited state machines (real
-    ``StateMachine.fire`` against the shipped tables) and rebuild the
+    transition through the audited state machines (real
+    ``StateMachine.fire`` against the shipped tables, one fresh subject
+    per journaled key) and rebuild the
     recovery state from the *machines'* trajectories, not the records'
     ``to_state`` fields. Must agree with the pure fold exactly."""
-    machines: dict = {}
-    handler = _ReplayHandler()
+    subjects: dict = {}
+    machines = {kind: StateMachine(table, handler=_ReplayHandler())
+                for kind, table in TABLES.items()}
     state: dict[str, DagJournalState] = {}
 
     def dag_state(name):
@@ -309,18 +311,17 @@ def machine_redispatch(records):
         if kind == "transition":
             _, _, dag, mkind, key, trigger, to_state, extra = record
             mkey = (dag, mkind, key)
-            sm = machines.get(mkey)
-            if sm is None:
-                subject = SimpleNamespace(state=TABLES[mkind].initial)
-                sm = StateMachine(TABLES[mkind], subject, str(mkey),
-                                  handler=handler)
-                machines[mkey] = sm
-            sm.fire(trigger)
-            # Every journaled transition is legal from the machine's
+            subject = subjects.get(mkey)
+            if subject is None:
+                subject = SimpleNamespace(state=TABLES[mkind].initial,
+                                          machine_id=str(mkey))
+                subjects[mkey] = subject
+            machines[mkind].fire(subject, trigger)
+            # Every journaled transition is legal from the subject's
             # current state and lands where the record says it does.
-            assert sm.subject.state is to_state, (mkey, trigger)
+            assert subject.state is to_state, (mkey, trigger)
             if mkind == "attempt" and \
-                    sm.subject.state is AttemptState.SUCCEEDED:
+                    subject.state is AttemptState.SUCCEEDED:
                 node_id, events = extra or ("", ())
                 dag_state(dag).successes[key[0], key[1]] = RecoveredTask(
                     tuple(events), node_id, key[2]
@@ -328,7 +329,7 @@ def machine_redispatch(records):
             elif mkind == "task" and trigger == "restart":
                 dag_state(dag).successes.pop((key[0], key[1]), None)
             elif mkind == "vertex":
-                if sm.subject.state is VertexState.SUCCEEDED:
+                if subject.state is VertexState.SUCCEEDED:
                     dag_state(dag).completed_vertices.add(key)
                 elif trigger == "reactivate":
                     dag_state(dag).completed_vertices.discard(key)

@@ -149,3 +149,67 @@ def test_duplicate_data_source_rejected():
     vertex.add_data_source("in", ds)
     with pytest.raises(DagValidationError):
         vertex.add_data_source("in", ds)
+
+
+def _one_vertex_reader(initializer=None, **vertex_args):
+    """One vertex reading ``/in`` through a data source, writing
+    ``/out``."""
+    from repro.tez import DataSourceDescriptor
+    from repro.tez.library import HdfsInput
+    from helpers import hdfs_sink
+
+    m = Vertex("m", Descriptor(FnProcessor, {
+        "fn": lambda c, d: {"out": list(d["in"])},
+    }), parallelism=2, **vertex_args)
+    m.add_data_source("in", DataSourceDescriptor(Descriptor(HdfsInput),
+                                                 initializer))
+    hdfs_sink(m, "out", "/out")
+    return DAG("reader").add_vertex(m)
+
+
+def test_root_input_without_initializer_rejected():
+    """The root-input manager schedules once an initializer reports
+    splits, so a vertex whose sources have none would sit RUNNING."""
+    with pytest.raises(DagValidationError, match=r"'m'.*\['in'\]"):
+        _one_vertex_reader().verify()
+
+
+def test_root_input_without_initializer_allowed_with_another_manager():
+    from repro.tez.vertex_manager import ImmediateStartVertexManager
+
+    _one_vertex_reader(
+        vertex_manager=Descriptor(ImmediateStartVertexManager)).verify()
+    # A sequential in-edge picks a scheduling manager of its own.
+    dag = _one_vertex_reader()
+    up = v("up", 2)
+    dag.add_vertex(up).add_edge(Edge(up, dag.vertices["m"], sg_prop()))
+    dag.verify()
+
+
+def test_root_input_with_initializer_runs_to_success():
+    from repro.tez.library import HdfsInputInitializer
+    from helpers import make_sim
+
+    sim = make_sim()
+    sim.hdfs.write("/in", [(i % 5, i) for i in range(100)],
+                   record_bytes=24)
+    dag = _one_vertex_reader(
+        Descriptor(HdfsInputInitializer, {"paths": ["/in"]}))
+    dag.verify()
+    handle = sim.tez_client().submit_dag(dag)
+    sim.env.run(until=handle.completion)
+    assert handle.status.succeeded, handle.status.diagnostics
+    assert sorted(sim.hdfs.read_file("/out")) == sorted(
+        (i % 5, i) for i in range(100))
+
+
+def test_root_input_without_initializer_fails_instead_of_hanging():
+    from helpers import make_sim
+
+    sim = make_sim()
+    sim.hdfs.write("/in", [(i, i) for i in range(10)], record_bytes=24)
+    handle = sim.tez_client().submit_dag(_one_vertex_reader())
+    sim.env.run(until=handle.completion)
+    assert not handle.status.succeeded
+    assert "data sources ['in'] have no initializer" in \
+        handle.status.diagnostics

@@ -78,11 +78,10 @@ def _left_behind(sims) -> tuple[list, Counter, Counter]:
 
 def _am_structures() -> tuple:
     """The types a finished DAG must free by reference count."""
-    from repro.tez.am.state_machines import StateMachine
     from repro.tez.am.structures import Task, TaskAttempt, VertexRuntime
     from repro.tez.am.vm_context import _VMContext
     from repro.tez.vertex_manager import VertexManagerPlugin
-    return (Task, TaskAttempt, StateMachine, VertexRuntime, _VMContext,
+    return (Task, TaskAttempt, VertexRuntime, _VMContext,
             VertexManagerPlugin)
 
 
