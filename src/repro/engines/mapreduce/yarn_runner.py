@@ -22,8 +22,8 @@ import itertools
 from typing import Any, Generator, Optional
 
 from ...hdfs import Hdfs
-from ...shuffle import FetchFailure, Fetcher, HashPartitioner, ShuffleServices
-from ...shuffle import group_by_key, merge_and_group
+from ...shuffle import Fetcher, HashPartitioner, ShuffleServices
+from ...shuffle import gather, group_by_key, merge_and_group
 from ...sim import Environment, Interrupt, Store
 from ...yarn import (
     AMContext,
@@ -359,7 +359,7 @@ class _MRAppMaster:
             for reduce_task in self.reduces:
                 ref = task.refs.get(reduce_task.index)
                 if ref is not None:
-                    reduce_task.inbox.put((task.index, ref))
+                    reduce_task.inbox.put((task.index, 0, ref))
             self._maybe_start_reduces()
             self._check_done()
 
@@ -399,6 +399,14 @@ class _MRAppMaster:
             self._pending_reduces.append(task)
             self.ctx.request_containers(REDUCE_PRIORITY, TASK_RESOURCE)
 
+    def _rerun_map(self, map_index: int, _version: int, _ref) -> None:
+        """Re-run a map whose output a reducer lost (to its inbox)."""
+        source = self.maps[map_index]
+        if source.done:
+            source.done = False
+            self.completed_maps -= 1
+            self._request_map(source)
+
     def _run_reduce(self, container: Container,
                     task: _ReduceTask) -> Generator:
         job = self.job
@@ -408,41 +416,18 @@ class _MRAppMaster:
             reader_node=container.node_id,
             job_token=self.job_token,
         )
-        fetched: dict[int, list] = {}
-        kinds: list = []    # the fetched refs' key kinds
-        # Snapshot already-completed maps, then consume the inbox.
-        pending = [
-            (m.index, m.refs[task.index])
-            for m in self.maps
-            if m.done and task.index in m.refs and m.index not in fetched
-        ]
-        while len(fetched) < len(self.maps):
-            if pending:
-                map_index, ref = pending.pop(0)
-            else:
-                map_index, ref = yield task.inbox.get()
-            if map_index in fetched:
-                continue
-            try:
-                records = yield self.env.process(
-                    fetcher.fetch(ref), name=f"mr-fetch:r{task.index}"
-                )
-            except FetchFailure:
-                # Lost map output: tell the AM to re-run the map, then
-                # wait for the regenerated ref on the inbox.
-                source = self.maps[map_index]
-                if source.done:
-                    source.done = False
-                    self.completed_maps -= 1
-                    self._request_map(source)
-                continue
-            fetched[map_index] = records
-            kinds.append(ref.key_kind)
-        total = sum(len(run) for run in fetched.values())
+        # Done maps, then the inbox; at version 0 a map's first wins.
+        done = [(m.index, 0, m.refs[task.index]) for m in self.maps
+                if m.done and task.index in m.refs]
+        runs, kinds = yield from gather(
+            fetcher, len(self.maps), done, task.inbox,
+            name=f"mr-fetch:r{task.index}", on_failure=self._rerun_map,
+        )
+        total = sum(len(run) for run in runs)
         yield self.env.timeout(container.compute_delay(
             self.spec.sort_time(total)
         ))
-        groups = merge_and_group(fetched.values(), kinds)
+        groups = merge_and_group(runs, kinds)
         if job.descending_sort:
             groups.reverse()
         out: list = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Generator, Optional
 
-from ...shuffle import Fetcher, HashPartitioner
+from ...shuffle import Fetcher, HashPartitioner, gather
 from ...shuffle.sorter import sort_key
 from ...sim import Store
 from ...yarn import FinalApplicationStatus, Priority, Resource
@@ -215,16 +215,12 @@ class SparkServiceBackend:
                     reader_node=container.node_id,
                     job_token=job_token,
                 )
-                records: list = []
-                for task_refs in spill_refs.get(parent.stage_id, []):
-                    ref = task_refs.get(index)
-                    if ref is None:
-                        continue
-                    fetched = yield self.env.process(
-                        fetcher.fetch(ref)
-                    )
-                    records.extend(fetched)
-                inputs[tag] = records
+                refs = [(source, 0, task_refs[index]) for source, task_refs
+                        in enumerate(spill_refs.get(parent.stage_id, []))
+                        if index in task_refs]
+                # No hook: a lost block fails the task.
+                runs, _kinds = yield from gather(fetcher, len(refs), refs)
+                inputs[tag] = [r for run in runs for r in run]
             records = stage.compute(inputs)
             n = sum(len(v) for v in inputs.values()) + len(records)
             yield self.env.timeout(container.compute_delay(

@@ -1,6 +1,7 @@
 """Simulated YARN shuffle service and shuffle data-plane primitives."""
 
-from .fetcher import FetchFailure, Fetcher, TransientFetchError
+from .fetch_loop import gather
+from .fetcher import FetchFailure, Fetcher
 from .partitioner import HashPartitioner, Partitioner, RangePartitioner
 from .service import (
     ShuffleError,
@@ -33,7 +34,7 @@ __all__ = [
     "Spill",
     "SpillLost",
     "SpillRef",
-    "TransientFetchError",
+    "gather",
     "group_by_key",
     "key_kind",
     "merge_and_group",

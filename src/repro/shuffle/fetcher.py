@@ -1,10 +1,11 @@
-"""Fetcher: the consumer side of the shuffle data plane.
+"""Fetcher: one fetch of one spill partition.
 
 Implements the MapReduce-inherited robustness heuristics the paper
 describes (section 4.3): transient network errors are retried with
 back-off before an error is reported; a permanent failure raises
-:class:`FetchFailure` carrying the spill reference so the caller can
-emit an InputReadError event and trigger producer re-execution.
+:class:`FetchFailure` carrying the spill reference, which the consumer
+loop (:func:`repro.shuffle.fetch_loop.gather`) hands to the consumer's
+hook so that the producer is re-executed.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 import random
 from typing import Generator, Optional
 
-from ..cluster import Cluster, ClusterSpec
+from ..cluster import Cluster
 from ..sim import Environment, Interrupt
 from ..telemetry.spans import Span
 from ..yarn.security import Token
 from .service import ShuffleServices, SpillLost, SpillRef
 
-__all__ = ["Fetcher", "FetchFailure", "TransientFetchError"]
+__all__ = ["Fetcher", "FetchFailure"]
 
 
 class FetchFailure(Exception):
@@ -28,10 +29,6 @@ class FetchFailure(Exception):
         super().__init__(f"{ref}: {reason}")
         self.ref = ref
         self.reason = reason
-
-
-class TransientFetchError(Exception):
-    """Injected network blip (retried internally)."""
 
 
 class Fetcher:
@@ -46,7 +43,6 @@ class Fetcher:
         reader_node: str,
         job_token: Optional[Token] = None,
         rng: Optional[random.Random] = None,
-        spec: Optional[ClusterSpec] = None,
         owner: str = "",
     ):
         self.env = env
@@ -55,7 +51,7 @@ class Fetcher:
         self.app_id = app_id
         self.reader_node = reader_node
         self.job_token = job_token
-        self.spec = spec or cluster.spec
+        self.spec = cluster.spec
         # Drawn from only on an injected error or a back-off: seeded
         # on first use (see ``rng``), not once per consumer input.
         self._rng = rng

@@ -180,8 +180,8 @@ class DAGAppMaster:
 
     # ================================================== DAG lifecycle
     def execute_dag(self, dag: DAG) -> Generator:
-        """Process: run one DAG to completion; returns DAGStatus."""
-        dag.verify()
+        """Process: run one DAG, verified by ``TezClient.submit_dag``
+        (its only way in), to completion; returns DAGStatus."""
         start = self.env.now
         self._dag = dag
         seq = next(self._dag_seq)

@@ -132,8 +132,10 @@ class TezClient:
         self._app_handle = self.coordinator.shard(0).app_handle
 
     def submit_dag(self, dag: DAG) -> DAGHandle:
+        """Verify ``dag`` before anything launches; hand it to an AM."""
         if self._stopped:
             raise RuntimeError("client is stopped")
+        dag.verify()
         handle = DAGHandle(self.env, dag)
         if self.session:
             self.start()

@@ -1,18 +1,18 @@
 """Built-in shuffle inputs/outputs (paper 4.1: the runtime library).
 
 These implement the physical transport of edges against the per-node
-shuffle service, with the MapReduce-inherited robustness behaviour:
-fetch retry with back-off happens inside the fetcher; permanently lost
-data produces an InputReadErrorEvent and the input *stays alive*,
-caching what it already fetched, until the framework regenerates the
-missing output and routes a fresh DataMovementEvent.
+shuffle service. A fetching input adapts the one consumer loop,
+``repro.shuffle.gather``: permanently lost data produces an
+InputReadErrorEvent and the input *stays alive*, caching what it
+already fetched, until the framework regenerates the missing output
+and routes a fresh DataMovementEvent.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from ...shuffle import FetchFailure, Fetcher, HashPartitioner, merge_and_group
+from ...shuffle import Fetcher, HashPartitioner, gather, merge_and_group
 from ..events import (
     CompositeDataMovementEvent,
     DataMovementEvent,
@@ -131,74 +131,45 @@ class _FetchingInputBase(LogicalInput):
     input, fetch as events arrive, survive lost spills by reporting
     InputReadError and waiting for regenerated data."""
 
-    def __init__(self, ctx, spec, payload):
-        super().__init__(ctx, spec, payload)
-        # (source_task, source_output) -> (version, records, key kind)
-        self.fetched: dict[tuple[int, int], tuple] = {}
-        self.total_bytes = 0
-
-    def _fetcher(self) -> Fetcher:
-        services = self.ctx.services
-        return Fetcher(
-            services.env,
-            services.cluster,
-            services.shuffle,
-            app_id=services.job_token.owner,
-            reader_node=self.ctx.node_id,
-            job_token=services.job_token,
-            owner=self.ctx.task.attempt_id,
-        )
+    def handle_event(self, event) -> None:
+        """Queue a routed DataMovementEvent as ``gather``'s arrival."""
+        if isinstance(event, DataMovementEvent):
+            self.events.put_nowait((
+                (event.source_task_index, event.source_output_index),
+                event.version, event.payload))
 
     def _gather(self) -> Generator:
-        """Fetch until every expected physical input has arrived."""
-        expected = self.spec.physical_count
-        fetcher = self._fetcher()
-        inline = self.ctx.inline
-        fetch_name = f"fetch:{self.ctx.task.attempt_id}"
-        while len(self.fetched) < expected:
-            if inline and self.events.items:
-                # Fast path: drain already-delivered events without a
-                # getter round-trip through the kernel.
-                event = self.events.items.popleft()
-            else:
-                event = yield self.events.get()
-            if not isinstance(event, DataMovementEvent):
-                continue
-            key = (event.source_task_index, event.source_output_index)
-            prev = self.fetched.get(key)
-            if prev is not None and prev[0] >= event.version:
-                continue  # stale duplicate
-            ref = event.payload
-            try:
-                if inline:
-                    records = yield from fetcher.fetch(ref)
-                else:
-                    records = yield self.ctx.env.process(
-                        fetcher.fetch(ref), name=fetch_name,
-                    )
-            except FetchFailure:
-                # Report and wait: the AM will re-execute the producer
-                # and route a fresh event here (paper 4.3).
-                self.fetched.pop(key, None)
-                self.ctx.send_event(InputReadErrorEvent(
-                    source_vertex=event.source_vertex,
-                    source_task_index=event.source_task_index,
-                    version=event.version,
-                    diagnostics=f"fetch failed for {ref}",
-                ))
-                continue
-            self.fetched[key] = (event.version, records, ref.key_kind)
-            self.total_bytes += ref.nbytes
-        self.ctx.count("shuffle_bytes_read", self.total_bytes)
-        return [records for _version, records, _kind
-                in self.fetched.values()]
+        """``(runs, kinds)`` once every physical input has arrived."""
+        ctx = self.ctx
+        services = ctx.services
+        fetcher = Fetcher(
+            services.env, services.cluster, services.shuffle,
+            app_id=services.job_token.owner, reader_node=ctx.node_id,
+            job_token=services.job_token, owner=ctx.task.attempt_id,
+        )
+        gathered = yield from gather(
+            fetcher, self.spec.physical_count, inbox=self.events,
+            inline=ctx.inline, name=f"fetch:{ctx.task.attempt_id}",
+            on_failure=self._report_lost,
+        )
+        ctx.count("shuffle_bytes_read", fetcher.bytes_fetched)
+        return gathered
+
+    def _report_lost(self, key: tuple, version: int, ref) -> None:
+        """Report: the AM re-runs the producer, routes a fresh event."""
+        self.ctx.send_event(InputReadErrorEvent(
+            source_vertex=self.spec.source_name,
+            source_task_index=key[0],
+            version=version,
+            diagnostics=f"fetch failed for {ref}",
+        ))
 
 
 class OrderedGroupedKVInput(_FetchingInputBase):
     """Merges key-sorted runs and groups values by key (reduce input)."""
 
     def reader(self) -> Generator:
-        runs = yield from self._gather()
+        runs, kinds = yield from self._gather()
         total = sum(len(r) for r in runs)
         # Modelled as a full sort of the fetched records, which is also
         # how merge_and_group does it (a stable sort of the
@@ -206,15 +177,14 @@ class OrderedGroupedKVInput(_FetchingInputBase):
         yield self.ctx.compute(
             self.ctx.services.spec.sort_time(total)
         )
-        return merge_and_group(runs, [
-            kind for _version, _records, kind in self.fetched.values()])
+        return merge_and_group(runs, kinds)
 
 
 class UnorderedKVInput(_FetchingInputBase):
     """Concatenated unsorted records (hash-side of joins etc.)."""
 
     def reader(self) -> Generator:
-        runs = yield from self._gather()
+        runs, _kinds = yield from self._gather()
         total = sum(len(r) for r in runs)
         yield self.ctx.compute(
             self.ctx.services.spec.compute_time(total)

@@ -553,6 +553,30 @@ def test_a_fetch_is_one_generator():
                                                           "fetch_all")
 
 
+def test_every_shuffle_consumer_fetches_through_the_one_loop():
+    """Tez inputs, the MR reducer and the Spark service stage gather
+    through ``repro.shuffle.gather``: it is the one call site of
+    ``Fetcher.fetch`` in ``src/`` (``Fetcher.fetch`` itself calls the
+    shuffle service's ``fetch``), and no consumer keeps a fetcher
+    factory or a retry error of its own."""
+    import repro.shuffle
+    from repro.tez.library.shuffle_io import _FetchingInputBase
+
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                sites.extend(
+                    f"{path.relative_to(SRC)}:{fn.name}:{receiver}"
+                    for receiver, method in _attribute_calls(fn)
+                    if method == "fetch")
+    assert sorted(sites) == ["shuffle/fetch_loop.py:gather:fetcher",
+                             "shuffle/fetcher.py:fetch:None"]
+    assert not hasattr(_FetchingInputBase, "_fetcher")
+    assert not hasattr(repro.shuffle, "TransientFetchError")
+
+
 def test_the_kernel_calls_nobody_per_process():
     """Processes are counted by the kernel (``processes_started``), not
     reported to registered hooks."""

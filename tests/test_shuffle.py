@@ -10,6 +10,7 @@ from repro.shuffle import (
     FetchFailure,
     Fetcher,
     HashPartitioner,
+    gather,
     RangePartitioner,
     ShuffleServices,
     SpillLost,
@@ -20,7 +21,8 @@ from repro.shuffle import (
     sort_keys,
     sort_records,
 )
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt, Store
+from repro.telemetry import Telemetry
 from repro.tez import DAG
 from repro.yarn import SecurityManager
 
@@ -365,6 +367,118 @@ class TestFetcher:
         local = timed("node0000")
         remote = timed("node0003")
         assert local < remote
+
+
+class TestGather:
+    """The one consumer loop, on a real ``Fetcher`` and a small
+    cluster."""
+
+    def world(self, telemetry=False):
+        env, cluster, security, services = make_services()
+        if telemetry:
+            Telemetry(env)
+        tok = security.issue("JOB", "app1")
+        service = services.on_node("node0000")
+
+        def spill(name, records):
+            (ref,) = service.register_spill("app1", name, {0: records},
+                                            token=tok)
+            return ref
+
+        fetcher = Fetcher(env, cluster, services, "app1",
+                          reader_node="node0003", job_token=tok,
+                          owner="dag#1/r/t0_a0")
+        return env, service, spill, fetcher
+
+    def run(self, env, body):
+        proc = env.process(body)
+        env.run()
+        return proc
+
+    @pytest.mark.parametrize("inline", [True, False])
+    def test_a_stale_duplicate_is_skipped(self, inline):
+        env, _service, spill, fetcher = self.world()
+        a, b = spill("a", [("a", 1)]), spill("b", [("b", 2)])
+        inbox = Store(env)
+        for arrival in (("a", 1, a), ("a", 1, a), ("a", 0, a), ("b", 0, b)):
+            inbox.put_nowait(arrival)
+        proc = self.run(env, gather(fetcher, 2, inbox=inbox, inline=inline))
+        assert proc.value == ([[("a", 1)], [("b", 2)]], [a.key_kind,
+                                                          b.key_kind])
+        assert fetcher.fetch_count == 2 and not inbox.items
+
+    def test_a_newer_version_replaces_the_held_key_in_place(self):
+        env, _service, spill, fetcher = self.world()
+        old, new = spill("a0", [("a", "old")]), spill("a1", [("a", "new")])
+        b = spill("b", [("b", 2)])
+        ready = [("a", 0, old), ("a", 1, new), ("b", 0, b)]
+        proc = self.run(env, gather(fetcher, 2, ready))
+        runs, kinds = proc.value
+        assert runs == [[("a", "new")], [("b", 2)]]
+        assert kinds == [new.key_kind, b.key_kind]
+        assert fetcher.fetch_count == 3
+        assert fetcher.bytes_fetched == old.nbytes + new.nbytes + b.nbytes
+
+    @pytest.mark.parametrize("inline", [True, False])
+    def test_a_lost_spill_calls_the_hook_and_a_regenerated_ref_completes(
+            self, inline):
+        env, service, spill, fetcher = self.world()
+        lost, kept = spill("m0_a0", [(0, "lost")]), spill("m1", [(1, "b")])
+        service.drop_spill(lost.spill_id)
+        inbox = Store(env)
+        reported = []
+
+        def regenerate(key, version, ref):
+            reported.append((key, version, ref))
+            inbox.put_nowait((0, 1, spill("m0_a1", [(0, "again")])))
+
+        proc = self.run(env, gather(
+            fetcher, 2, [(0, 0, lost), (1, 0, kept)], inbox,
+            inline=inline, name="fetch:r0", on_failure=regenerate))
+        assert reported == [(0, 0, lost)]
+        assert proc.value[0] == [[(1, "b")], [(0, "again")]]
+        assert fetcher.fetch_count == 2
+
+    def test_without_a_hook_a_fetch_failure_propagates(self):
+        env, service, spill, fetcher = self.world()
+        ok, lost = spill("ok", [(0, 1)]), spill("lost", [(1, 1)])
+        service.drop_spill(lost.spill_id)
+        caught = []
+
+        def consumer():
+            try:
+                yield from gather(fetcher, 2, [(0, 0, ok), (1, 0, lost)])
+            except FetchFailure as exc:
+                caught.append(exc.ref)
+
+        self.run(env, consumer())
+        assert caught == [lost] and fetcher.fetch_count == 1
+
+    def test_an_interrupt_mid_fetch_closes_the_span_killed(self):
+        env, _service, spill, fetcher = self.world(telemetry=True)
+        refs = [spill(f"s{i}", [(i, i)] * 50) for i in range(3)]
+        outcome = []
+
+        def consumer():
+            try:
+                yield from gather(fetcher, 3,
+                                  [(i, 0, ref) for i, ref in enumerate(refs)],
+                                  inline=True)
+            except Interrupt:
+                outcome.append(env.now)
+
+        proc = env.process(consumer())
+        latency = fetcher.spec.shuffle_connection_latency
+        env.call_later(latency / 2, lambda: proc.interrupt("killed"))
+        env.run()
+        tel = env.telemetry
+        tel.flush()
+        assert outcome == [latency / 2]
+        (span,) = tel.store.spans(kind="fetch")
+        assert span.attrs["outcome"] == "killed"
+        assert span.end == latency / 2
+        assert not [s for s in tel.tracer.open_spans() if s.kind == "fetch"]
+        assert fetcher.fetch_count == 0
 
 
 def test_fetch_processes_and_spans_name_their_attempt():

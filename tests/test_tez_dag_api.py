@@ -204,12 +204,17 @@ def test_root_input_with_initializer_runs_to_success():
 
 
 def test_root_input_without_initializer_fails_instead_of_hanging():
+    """The client rejects the DAG before anything is launched: no
+    application reaches the RM, so no AM attempt crashes on it."""
     from helpers import make_sim
 
     sim = make_sim()
     sim.hdfs.write("/in", [(i, i) for i in range(10)], record_bytes=24)
-    handle = sim.tez_client().submit_dag(_one_vertex_reader())
-    sim.env.run(until=handle.completion)
-    assert not handle.status.succeeded
-    assert "data sources ['in'] have no initializer" in \
-        handle.status.diagnostics
+    client = sim.tez_client()
+    with pytest.raises(DagValidationError,
+                       match=r"data sources \['in'\] have no initializer"):
+        client.submit_dag(_one_vertex_reader())
+    assert not sim.rm.am_service.records
+    assert not sim.rm.scheduler.apps
+    sim.env.run(until=sim.env.now + 10)
+    assert not sim.rm.am_service.records and client.last_am is None

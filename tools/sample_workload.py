@@ -9,6 +9,11 @@ charges the innermost frame - its file (the default), its function or
 its line. A frame of generated code (file ``<string>``: a dataclass's
 or namedtuple's ``__init__`` / ``__eq__`` / ``__hash__``) is charged to
 ``Class.method`` of its ``self``, never to the bare ``<string>``.
+A kernel whose profiling timer is coarser than 1 ms ticks less often
+(about once per 4 ms of CPU on a 2-core VM), so ``W(seed).run()`` is
+repeated on fresh workload instances until ``MIN_SAMPLES`` samples are
+in; the runs and the CPU milliseconds per sample are printed with the
+table.
 cProfile charges every call, which doubles call-heavy code (the
 engines' per-row closures) and misranks ``engine_mix``; a sampler does
 not. Uses nothing of the program but ``benchmarks/ledger/workloads.py``,
@@ -27,6 +32,8 @@ from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROWS_SHOWN = 16
+# A share from fewer samples moves by more than 0.25 % per sample.
+MIN_SAMPLES = 400
 PREFIX = os.path.join(ROOT, "src", "repro") + os.sep
 
 
@@ -62,19 +69,25 @@ def main() -> None:
                     os.path.join(ROOT, "benchmarks", "ledger")]
     import workloads
     cls = workloads.WORKLOADS[args.workload]
-    workload = cls(args.seed, cls.sizes["smoke" if args.smoke else "full"])
+    size = cls.sizes["smoke" if args.smoke else "full"]
     ticks: Counter = Counter()
     signal.signal(signal.SIGPROF,
                   lambda _sig, frame: ticks.update((frame_key(frame, args.by),)))
-    signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
-    started = time.perf_counter()
-    workload.run()
-    wall = time.perf_counter() - started
-    signal.setitimer(signal.ITIMER_PROF, 0, 0)
-    for sim in workload.sims:
-        sim.telemetry.spanstore.discard()
+    runs, wall, cpu = 0, 0.0, 0.0
+    while sum(ticks.values()) < MIN_SAMPLES:
+        workload = cls(args.seed, size)
+        signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
+        started, cpu_started = time.perf_counter(), time.process_time()
+        workload.run()
+        wall += time.perf_counter() - started
+        cpu += time.process_time() - cpu_started
+        signal.setitimer(signal.ITIMER_PROF, 0, 0)
+        for sim in workload.sims:
+            sim.telemetry.spanstore.discard()
+        runs += 1
     total = sum(ticks.values())
-    print(f"{args.workload} seed {args.seed}: {total} samples, "
+    print(f"{args.workload} seed {args.seed}: {total} samples over {runs} "
+          f"run(s), {1000 * cpu / total:.2f} ms CPU per sample, "
           f"raw wall {wall:.2f} s")
     for name, n in ticks.most_common(ROWS_SHOWN):
         print(f"  {100 * n / total:5.1f} %  {n:6d}  {name}")
