@@ -157,7 +157,6 @@ class Join(PlanNode):
         self.right_key = right_key
         self.how = how
         self.strategy = Join.SHUFFLE     # set by the optimizer
-        self.broadcast_side = "right"    # which side is small
 
     @property
     def left(self) -> PlanNode:

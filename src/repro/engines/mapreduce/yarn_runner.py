@@ -18,7 +18,6 @@ offending map.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Generator, Optional
 
 from ...hdfs import Hdfs
@@ -136,7 +135,6 @@ class _MRAppMaster:
         self.reduces_requested = False
         self.failed: Optional[str] = None
         self.done_event = self.env.event()
-        self._task_seq = itertools.count()
         self._pending_maps: list[_MapTask] = []
         self._pending_reduces: list[_ReduceTask] = []
         # What map tasks build from the distributed cache, once per run.

@@ -118,7 +118,6 @@ class Stage:
         # compute(inputs: {tag: records}) -> records
         self.shuffle_emit: Optional[Callable] = None
         # emit(records) -> kv list for downstream shuffle; None = leaf
-        self.cache_path: Optional[str] = None
 
     def __repr__(self):
         return f"<Stage {self.stage_id} of {self.rdd}>"

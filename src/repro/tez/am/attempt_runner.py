@@ -355,7 +355,6 @@ class AttemptRunner:
             inputs=input_specs,
             outputs=output_specs,
             parallelism=vr.parallelism,
-            user_payload=vertex.processor.payload,
         )
 
     def scrub_registry(self, registry: ObjectRegistry, vr) -> None:

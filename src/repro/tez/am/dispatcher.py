@@ -22,6 +22,11 @@ Handlers are registered per event *type* (subclass of
 :class:`ControlEvent`); dispatching an event type nobody handles is an
 error unless the type was explicitly marked ignorable — silently
 dropped control events are how state machines rot.
+
+The bus keeps no log of its own. Every event is handed to the AM's
+write-ahead :class:`~repro.tez.am.journal.RecoveryJournal` before its
+handler runs, and the journal keeps the state transitions recovery
+folds; what a run did is recorded in its telemetry store.
 """
 
 from __future__ import annotations
@@ -100,11 +105,7 @@ class AttemptExitedEvent(ControlEvent):
 @dataclass
 class AttemptBatchExitedEvent(ControlEvent):
     """All attempt exits landing on one simulated tick, coalesced into
-    a single bus dispatch (mirroring :class:`DataDeliveryBatchEvent`).
-    The journal and the opt-in determinism journal record the member
-    exits individually, so the canonical event stream matches unit
-    exits record-for-record (member *order within the tick* relative
-    to interleaved transition records can differ)."""
+    a single bus dispatch (mirroring :class:`DataDeliveryBatchEvent`)."""
 
     exits: list = field(default_factory=list)   # AttemptExitedEvent
 
@@ -129,8 +130,7 @@ class DataDeliveryEvent(ControlEvent):
 class DataDeliveryBatchEvent(ControlEvent):
     """All routed DME deliveries landing on one heartbeat tick,
     coalesced into a single bus dispatch (one kernel heap entry instead
-    of one dispatcher process per event). The journal records the
-    member deliveries individually."""
+    of one dispatcher process per event)."""
 
     deliveries: list = field(default_factory=list)  # DataDeliveryEvent
 
@@ -181,7 +181,7 @@ class Dispatcher:
         self._draining = False
         self.dispatched = 0
         # Write-ahead recovery journal (attached by the AM): every
-        # event is appended at enqueue time, before its handler runs.
+        # event reaches it at enqueue time, before its handler runs.
         self._journal = None
         self._journal_epoch = -1
         # Crash mechanics: a halted dispatcher silently drops every
@@ -190,11 +190,6 @@ class Dispatcher:
         self.halted = False
         self._halt_at: Optional[int] = None
         self._halt_callback: Optional[Callable[[], None]] = None
-        # Opt-in journal for determinism tests / debugging: (time, seq,
-        # type name, summary) per event. Off by default — big DAG runs
-        # cross the bus hundreds of thousands of times.
-        self.keep_journal = False
-        self.journal: list[tuple[float, int, str, str]] = []
 
     # ---------------------------------------------------- registration
     def register(self, event_type: Type[ControlEvent],
@@ -275,25 +270,6 @@ class Dispatcher:
             self.dispatched += len(event.exits)
         else:
             self.dispatched += 1
-        if self.keep_journal:
-            if cls is DataDeliveryBatchEvent:
-                # Journal the member deliveries, not the envelope.
-                for inner in event.deliveries:
-                    self.journal.append(
-                        (event.time, event.seq, "DataDeliveryEvent",
-                         self._summarize(inner))
-                    )
-            elif cls is AttemptBatchExitedEvent:
-                for inner in event.exits:
-                    self.journal.append(
-                        (event.time, event.seq, "AttemptExitedEvent",
-                         self._summarize(inner))
-                    )
-            else:
-                self.journal.append(
-                    (event.time, event.seq, cls.__name__,
-                     self._summarize(event))
-                )
         try:
             handlers = self._handlers.get(cls)
             if not handlers:
@@ -312,48 +288,3 @@ class Dispatcher:
                 self._halt_at = self._halt_callback = None
                 if callback is not None:
                     callback()
-
-    @staticmethod
-    def _stable_repr(obj) -> str:
-        if isinstance(obj, (str, int, float, bool, type(None))):
-            return repr(obj)
-        if isinstance(obj, (tuple, list)):
-            inner = ", ".join(Dispatcher._stable_repr(o) for o in obj)
-            return f"({inner})"
-        return type(obj).__name__
-
-    @staticmethod
-    def _summarize(event: ControlEvent) -> str:
-        if isinstance(event, StateTransitionEvent):
-            return (f"{event.machine}:{event.subject_id} "
-                    f"{getattr(event.from_state, 'value', event.from_state)}"
-                    f"->{getattr(event.to_state, 'value', event.to_state)} "
-                    f"on {event.trigger}")
-        if isinstance(event, AttemptExitedEvent):
-            err = type(event.error).__name__ if event.error else "ok"
-            return f"{getattr(event.attempt, 'attempt_id', '?')} {err}"
-        if isinstance(event, FaultEvent):
-            # Targets may hold live service objects whose default repr
-            # embeds id(); summarize those by class name so journals
-            # from identical runs compare byte-identical.
-            return f"{event.kind}:{Dispatcher._stable_repr(event.target)}"
-        if isinstance(event, DataDeliveryEvent):
-            attempt_id = getattr(event.attempt, "attempt_id", "?")
-            dme = event.payload
-            src = (f"{getattr(dme, 'source_vertex', '?')}:"
-                   f"{getattr(dme, 'source_task_index', '?')}:"
-                   f"{getattr(dme, 'source_output_index', '?')}"
-                   f"v{getattr(dme, 'version', '?')}")
-            return f"{attempt_id} <- {src}"
-        return ""
-
-    def canonical_journal(self) -> list[tuple[float, str, str]]:
-        """Journal with per-dispatch sequence numbers stripped.
-
-        Coalescing changes how many times the bus is invoked (batches
-        count once) and therefore the raw ``seq`` values, but not which
-        deliveries happen when, or in what order. Determinism tests
-        compare this canonical stream across batching modes.
-        """
-        return [(time, typename, summary)
-                for (time, _seq, typename, summary) in self.journal]

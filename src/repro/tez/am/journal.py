@@ -2,11 +2,16 @@
 
 This replaces the old ``RecoveryLog`` success-snapshot: instead of a
 side store updated *after* handlers ran (losing any work between a
-task's success and its snapshot call), the dispatcher appends a typed
-record for every control-plane event **at enqueue time, before its
-handler runs**. Because :meth:`~repro.tez.am.state_machines.StateMachine.fire`
-moves the subject's state *before* announcing the transition, the
-journal entry for an attempt reaching SUCCEEDED can capture the
+task's success and its snapshot call), the dispatcher hands every
+control-plane event to the journal **at enqueue time, before its
+handler runs**, and the journal appends a typed record for each state
+transition. Only transitions are kept: every other event (an exit, an
+uplink, a data delivery, a node loss, a fault, a replayed success)
+matters to recovery only through the transitions its handler fires,
+and what happened in a run is telemetry's store, not this log.
+Because :meth:`~repro.tez.am.state_machines.StateMachine.fire` moves
+the subject's state *before* announcing the transition, the journal
+entry for an attempt reaching SUCCEEDED can capture the
 attempt's routed output events and node placement consistently — the
 write-ahead property the paper's checkpoint-and-replay story (§4.3)
 needs.
@@ -35,20 +40,9 @@ Two mechanisms keep the journal trustworthy and bounded:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
-from .dispatcher import (
-    AttemptBatchExitedEvent,
-    AttemptExitedEvent,
-    ControlEvent,
-    DataDeliveryBatchEvent,
-    DataDeliveryEvent,
-    FaultEvent,
-    NodeLostEvent,
-    RecoveryEvent,
-    StateTransitionEvent,
-    TaskUplinkEvent,
-)
+from .dispatcher import ControlEvent, StateTransitionEvent
 from .structures import AttemptState, VertexState
 
 __all__ = ["RecoveredTask", "DagJournalState", "RecoveryJournal"]
@@ -79,11 +73,10 @@ class DagJournalState:
 class RecoveryJournal:
     """Write-ahead recovery log shared by all AM attempts of a client.
 
-    Records are small tuples ``(kind, epoch, ...payload)``; only
-    transition and lifecycle records influence :meth:`fold` — routed
-    data / uplink / exit records are journaled for the replayable
-    history but are no-ops for recovery (a restarted AM's live
-    attempts are gone; recovered tasks re-route their stored events).
+    Records are small tuples ``(kind, epoch, ...payload)`` of three
+    kinds: ``transition`` (one per state-machine move, of all five
+    machines), ``dag_finished`` and ``checkpoint``. They are what
+    :meth:`fold` and the recovery oracles read, and nothing else.
     """
 
     def __init__(self, checkpoint_interval: int = 4096):
@@ -118,90 +111,60 @@ class RecoveryJournal:
 
     # ------------------------------------------------------ appends
     def record(self, epoch: int, event: ControlEvent) -> None:
-        """Dispatcher sink: append ``event`` as a typed record.
+        """Dispatcher sink: append ``event`` as a typed record if it is
+        a state transition.
 
-        Called at enqueue time, before any handler runs. Stale-epoch
-        writers (zombie AMs) are rejected and counted.
+        Called at enqueue time, before any handler runs, for every
+        event. Stale-epoch writers (zombie AMs) are rejected and
+        counted, whatever they dispatch.
         """
         if epoch != self._epoch:
             self.fenced_appends += 1
             return
-        cls = event.__class__
-        if cls is StateTransitionEvent:
-            # A transition, the bus's commonest event, is recorded in
-            # this frame: build the record, append it, maybe compact.
-            machine = event.machine
-            subject = event.subject
-            to_state = event.to_state
-            if machine == "attempt":
-                task = subject.task
-                vr = task.vertex
-                extra = None
-                if to_state is AttemptState.SUCCEEDED:
-                    # Write-ahead capture: fire() moved the state and
-                    # the attempt body stored its routed events before
-                    # this transition was announced.
-                    extra = (
-                        subject.node_id or "",
-                        tuple(getattr(subject, "_pending_success_events",
-                                      ()) or ()),
-                    )
-                record = ("transition", epoch, vr.dag_name, machine,
-                          (vr.name, task.index, subject.number),
-                          event.trigger, to_state, extra)
-            elif machine == "task":
-                vr = subject.vertex
-                record = ("transition", epoch, vr.dag_name, machine,
-                          (vr.name, subject.index),
-                          event.trigger, to_state, None)
-            elif machine in ("vertex", "vertex_init"):
-                # vertex_init records are replay history only: fold()
-                # ignores the kind (a restarted AM re-enters init from
-                # PENDING on a fresh VertexRuntime).
-                record = ("transition", epoch, subject.dag_name,
-                          machine, subject.name,
-                          event.trigger, to_state, None)
-            else:
-                # machine == "dag": subject is the AM, subject_id the
-                # dag_id. An AM runs one DAG at a time and a terminal
-                # dag machine does not fire, so the AM's current DAG is
-                # the one that moved.
-                record = ("transition", epoch, subject._dag.name,
-                          machine, event.subject_id,
-                          event.trigger, to_state, None)
-            self._records.append(record)
-            self._since_checkpoint += 1
-            if self._since_checkpoint >= self.checkpoint_interval:
-                self._compact()
-        elif cls is DataDeliveryBatchEvent:
-            for inner in event.deliveries:
-                self._append(self._data_record(epoch, inner))
-        elif cls is TaskUplinkEvent:
-            a = event.attempt
-            t = a.task
-            self._append((
-                "uplink", epoch, t.vertex.dag_name,
-                (t.vertex.name, t.index, a.number),
-                type(event.payload).__name__,
-            ))
-        elif cls is AttemptExitedEvent:
-            self._append(self._exit_record(epoch, event))
-        elif cls is AttemptBatchExitedEvent:
-            # Expand per member: the record stream is identical whether
-            # exits crossed the bus individually or coalesced per tick.
-            for inner in event.exits:
-                self._append(self._exit_record(epoch, inner))
-        elif cls is NodeLostEvent:
-            self._append((
-                "node_lost", epoch,
-                getattr(event.node, "node_id", None),
-            ))
-        elif cls is FaultEvent:
-            self._append(("fault", epoch, event.kind))
-        elif cls is RecoveryEvent:
-            self._append(("recovery", epoch, (event.vertex, event.index)))
+        if event.__class__ is not StateTransitionEvent:
+            # Every other event's handler fires the transitions that
+            # matter to recovery, and each of those is recorded here.
+            return
+        machine = event.machine
+        subject = event.subject
+        to_state = event.to_state
+        if machine == "attempt":
+            task = subject.task
+            vr = task.vertex
+            extra = None
+            if to_state is AttemptState.SUCCEEDED:
+                # Write-ahead capture: fire() moved the state and the
+                # attempt body stored its routed events before this
+                # transition was announced.
+                extra = (
+                    subject.node_id or "",
+                    tuple(getattr(subject, "_pending_success_events",
+                                  ()) or ()),
+                )
+            record = ("transition", epoch, vr.dag_name, machine,
+                      (vr.name, task.index, subject.number),
+                      event.trigger, to_state, extra)
+        elif machine == "task":
+            vr = subject.vertex
+            record = ("transition", epoch, vr.dag_name, machine,
+                      (vr.name, subject.index),
+                      event.trigger, to_state, None)
+        elif machine in ("vertex", "vertex_init"):
+            # vertex_init records are replay history only: fold()
+            # ignores the kind (a restarted AM re-enters init from
+            # PENDING on a fresh VertexRuntime).
+            record = ("transition", epoch, subject.dag_name,
+                      machine, subject.name,
+                      event.trigger, to_state, None)
         else:
-            self._append(("event", epoch, cls.__name__))
+            # machine == "dag": subject is the AM, subject_id the
+            # dag_id. An AM runs one DAG at a time and a terminal dag
+            # machine does not fire, so the AM's current DAG is the
+            # one that moved.
+            record = ("transition", epoch, subject._dag.name,
+                      machine, event.subject_id,
+                      event.trigger, to_state, None)
+        self._append(record)
 
     def record_dag_finished(self, dag_name: str,
                             epoch: Optional[int] = None) -> None:
@@ -216,29 +179,6 @@ class RecoveryJournal:
             return
         self._append(("dag_finished",
                       self._epoch if epoch is None else epoch, dag_name))
-
-    @staticmethod
-    def _exit_record(epoch: int, event: AttemptExitedEvent) -> tuple:
-        a = event.attempt
-        t = a.task
-        err = type(event.error).__name__ if event.error else "ok"
-        return (
-            "exit", epoch, t.vertex.dag_name,
-            (t.vertex.name, t.index, a.number), err,
-        )
-
-    @staticmethod
-    def _data_record(epoch: int, event: DataDeliveryEvent) -> tuple:
-        task = event.attempt.task
-        dme = event.payload
-        return (
-            "data", epoch, task.vertex.dag_name,
-            (task.vertex.name, task.index),
-            (getattr(dme, "source_vertex", None),
-             getattr(dme, "source_task_index", None),
-             getattr(dme, "source_output_index", None),
-             getattr(dme, "version", None)),
-        )
 
     def _append(self, record: tuple) -> None:
         self._records.append(record)

@@ -91,7 +91,6 @@ class TaskSpec:
         inputs: list[InputSpec],
         outputs: list[OutputSpec],
         parallelism: int,
-        user_payload: Any = None,
     ):
         self.dag_name = dag_name
         self.vertex_name = vertex_name
@@ -101,7 +100,6 @@ class TaskSpec:
         self.inputs = inputs
         self.outputs = outputs
         self.parallelism = parallelism
-        self.user_payload = user_payload
         # Fixed at construction (none of its four parts is reassigned),
         # read once per fetch, spill and span.
         self.attempt_id = f"{dag_name}/{vertex_name}/t{task_index}_a{attempt}"

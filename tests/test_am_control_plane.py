@@ -29,6 +29,7 @@ from repro.tez.am.state_machines import (
 )
 from repro.tez.am.structures import VertexInitState
 
+from control_plane_scenarios import canonical, record_journal
 from helpers import (
     SG,
     edge,
@@ -515,14 +516,14 @@ def test_unhandled_event_raises_unless_ignored():
 def test_journal_records_time_seq_and_summary():
     env = Environment()
     bus = Dispatcher(env, name="t")
-    bus.keep_journal = True
+    journal = record_journal(bus)
     bus.ignore(_Ping)
     bus.register(StateTransitionEvent, lambda e: None)
     sm = StateMachine(TABLES["task"], dispatcher=bus,
                       handler=_StubHandler())
     sm.fire(subject_in(TaskState.NEW, "d/t0"), "schedule")
     bus.dispatch(_Ping("x"))
-    times, seqs, names, summaries = zip(*bus.journal)
+    times, seqs, names, summaries = zip(*journal)
     assert seqs == (0, 1)
     assert names == ("StateTransitionEvent", "_Ping")
     assert "task:d/t0" in summaries[0]
@@ -539,8 +540,11 @@ def test_wal_append_precedes_handler_delivery():
     journal = RecoveryJournal()
     bus.attach_journal(journal, journal.open_epoch())
     seen = []
-    bus.register(_Ping, lambda e: seen.append(len(journal.records())))
-    bus.dispatch(_Ping("a"))
+    bus.register(StateTransitionEvent,
+                 lambda e: seen.append(len(journal.records())))
+    bus.dispatch(StateTransitionEvent(
+        "vertex", "d/v", VertexState.RUNNING, VertexState.SUCCEEDED,
+        "done", SimpleNamespace(dag_name="d", name="v")))
     # The record was durable before the handler ran (write-ahead).
     assert seen == [1]
 
@@ -557,6 +561,50 @@ def test_fenced_dispatcher_appends_are_rejected():
     bus.dispatch(_Ping("stale"))    # zombie writer: append rejected
     assert journal.fenced_appends == 1
     assert journal.records() == []
+
+
+def test_journal_keeps_only_what_recovery_folds():
+    """A run whose bus carries exits, uplinks, live data deliveries, a
+    node loss and faults journals transitions and the DAG's finish
+    marker and nothing else; a fenced writer's dispatch of any kind
+    is still counted."""
+    from repro import FaultPlan
+    from repro.tez.am.dispatcher import DataDeliveryBatchEvent, NodeLostEvent
+
+    import control_plane_scenarios as scenarios
+
+    sim = make_sim(num_nodes=6, nodes_per_rack=3)
+    sim.hdfs.write("/in", [(i % 9, i) for i in range(2_000)],
+                   record_bytes=32)
+    dag = scenarios._sum_by_key_dag(
+        "wal", 3, manager=scenarios._EAGER,
+        map_payload={"cpu_per_record": 2e-3},
+        reduce_payload={"setup_seconds": 4.0})
+    plan = (FaultPlan(seed=23).crash_node(at=6.0)
+            .drop_shuffle_output(at=3.0, pattern="/m/", count=1))
+    client = sim.tez_client(session=True)
+    client.start()
+    recorded = scenarios.journaled(client)
+    scenarios._run(sim, dag, client, plan)
+    client.stop()
+
+    crossed = {name for journal in recorded for (_, _, name, _) in journal}
+    assert {"AttemptExitedEvent", "TaskUplinkEvent", "DataDeliveryEvent",
+            "NodeLostEvent", "FaultEvent"} <= crossed
+    journal = client.recovery
+    kinds = {record[0] for record in journal.records()}
+    assert kinds == {"transition", "dag_finished"}
+
+    zombie = Dispatcher(sim.env)
+    zombie.attach_journal(journal, journal.current_epoch)
+    journal.open_epoch()            # successor AM claims the journal
+    zombie.ignore(NodeLostEvent)
+    zombie.ignore(DataDeliveryBatchEvent)
+    length, fenced = len(journal), journal.fenced_appends
+    zombie.dispatch(NodeLostEvent())
+    zombie.dispatch(DataDeliveryBatchEvent())
+    assert journal.fenced_appends == fenced + 2
+    assert len(journal) == length
 
 
 def test_halt_freezes_the_bus():
@@ -714,7 +762,7 @@ def test_composite_dme_expansion_matches_per_partition_events():
 
 def test_delivery_batch_journals_each_member():
     """A DataDeliveryBatchEvent crosses the bus once (one dispatch)
-    but the journal expands it to one canonical line per member, each
+    but the test-side recorder expands it to one canonical line per member, each
     named DataDeliveryEvent with the batch's timestamp."""
     from repro.tez.am.dispatcher import (
         DataDeliveryBatchEvent,
@@ -724,7 +772,7 @@ def test_delivery_batch_journals_each_member():
 
     env = Environment()
     bus = Dispatcher(env)
-    bus.keep_journal = True
+    journal = record_journal(bus)
     bus.ignore(DataDeliveryBatchEvent)
     attempt = SimpleNamespace(attempt_id="d/v/t0/a0")
     batch = DataDeliveryBatchEvent(deliveries=[
@@ -735,12 +783,11 @@ def test_delivery_batch_journals_each_member():
     ])
     bus.dispatch(batch)
     assert bus.dispatched == 1
-    assert len(bus.journal) == 3
-    assert [name for (_, _, name, _) in bus.journal] == \
+    assert len(journal) == 3
+    assert [name for (_, _, name, _) in journal] == \
         ["DataDeliveryEvent"] * 3
-    assert [summary for (*_, summary) in bus.journal] == [
+    assert [summary for (*_, summary) in journal] == [
         f"d/v/t0/a0 <- m:{t}:0v0" for t in range(3)
     ]
-    canonical = bus.canonical_journal()
-    assert canonical == [(0.0, "DataDeliveryEvent",
+    assert canonical(journal) == [(0.0, "DataDeliveryEvent",
                           f"d/v/t0/a0 <- m:{t}:0v0") for t in range(3)]

@@ -9,6 +9,7 @@ numbers in EXPERIMENTS.md stable artifacts rather than samples.
 from repro.engines.hive import Catalog, HiveSession
 from repro.workloads import TPCH_QUERIES, generate_tpch, register_tpch
 
+from control_plane_scenarios import journaled
 from helpers import (
     SG,
     edge,
@@ -133,16 +134,7 @@ def test_control_plane_journal_deterministic():
         dag.add_edge(edge(m, r, SG))
 
         client = sim.tez_client()
-        journals = []
-        original = client._make_am
-
-        def instrumented(ctx):
-            am = original(ctx)
-            am.dispatcher.keep_journal = True
-            journals.append(am.dispatcher.journal)
-            return am
-
-        client._make_am = instrumented
+        journals = journaled(client)
         handle = client.submit_dag(dag)
         sim.env.run(until=handle.completion)
         assert handle.status.succeeded

@@ -27,6 +27,7 @@ from repro.chaos import sweep
 from repro.chaos.sweep import SHAPES, _execute, main, run_soak, run_sweep
 from repro.telemetry.check import check_store
 from repro.telemetry.store import SpanStore, read_manifest
+from repro.tez.am.attempt_runner import AttemptRunner
 from repro.tez.am.dag_app_master import DAGAppMaster
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "recovery_sweep.json"
@@ -184,6 +185,29 @@ class TestCrashAnywhereSweep:
         [monitors] = at_crash
         assert monitors, "the crash landed outside a running DAG"
         assert not [m for m in monitors if m.is_alive]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a recovered AM numbers its DAG ids afresh, so it reuses the "
+        "crashed attempt's DAG id and spill ids: its re-run maps fail "
+        "with a duplicate spill (ROADMAP 5(b): one DAG id per "
+        "execution)"))
+    def test_no_attempt_of_a_recovered_run_fails(self, monkeypatch):
+        # Crashing after the 22nd event leaves two map attempts running
+        # in the crashed AM; the recovered AM re-runs them as attempt 0
+        # of the same DAG id, and their spills are already registered.
+        failed = []
+        act = AttemptRunner.act_attempt_failed
+
+        def noting_failure(runner, attempt, error):
+            failed.append(f"{attempt.attempt_id}: "
+                          f"{type(error).__name__}: {error}")
+            act(runner, attempt, error)
+
+        monkeypatch.setattr(AttemptRunner, "act_attempt_failed",
+                            noting_failure)
+        res = _execute(SHAPES["mr"], records=400, crash_after=22)
+        assert res.crashed and res.succeeded
+        assert failed == []
 
     def test_a_point_that_raises_is_a_violation(self, monkeypatch,
                                                 tmp_path):
