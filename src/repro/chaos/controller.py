@@ -331,7 +331,7 @@ class ChaosController:
             armed = any(
                 not state.finished
                 and len(state.successes) >= fault.when_journaled
-                for state in journal.fold_state().values()
+                for state in journal.dags.values()
             )
             if armed:
                 am = self._live_am(shard=fault.shard)

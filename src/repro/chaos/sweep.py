@@ -44,8 +44,7 @@ repro.telemetry.query DIR --kind recovery.sweep_point``.
 Usage::
 
     python -m repro.chaos.sweep [--shape mr|diamond|session2]
-        [--records N] [--stride K] [--checkpoint-interval C]
-        [--out STORE_DIR]
+        [--records N] [--stride K] [--out STORE_DIR]
     python -m repro.chaos.sweep --soak [--records N] [--out STORE_DIR]
 """
 
@@ -69,7 +68,6 @@ from ..tez import (
     Descriptor,
     Edge,
     EdgeProperty,
-    TezConfig,
     Vertex,
 )
 from ..tez.library import (
@@ -195,12 +193,10 @@ class RunOutcome:
     tasks_recovered: int
     entries_dropped: int
     fenced_appends: int
-    checkpoints: int
 
 
 def _execute(shape: Shape, records: int,
              crash_after: Optional[int] = None,
-             checkpoint_interval: Optional[int] = None,
              plan: Optional[FaultPlan] = None) -> RunOutcome:
     """Run ``shape`` over ``records`` input rows on a fresh cluster.
     ``crash_after=k`` crashes the first AM attempt after its ``k``-th
@@ -210,11 +206,7 @@ def _execute(shape: Shape, records: int,
                      telemetry=False)
     sim.hdfs.write(IN_PATH, [(i, i) for i in range(records)],
                    record_bytes=16)
-    config = TezConfig()
-    if checkpoint_interval is not None:
-        config = TezConfig(journal_checkpoint_interval=checkpoint_interval)
-    client = sim.tez_client("sweep", config=config,
-                            session=shape.session,
+    client = sim.tez_client("sweep", session=shape.session,
                             am_max_attempts=shape.am_max_attempts)
     witness = CrashWitness()
     if crash_after is None:
@@ -264,7 +256,6 @@ def _execute(shape: Shape, records: int,
         tasks_recovered=witness.counter("recovery.tasks_recovered"),
         entries_dropped=witness.counter("recovery.entries_dropped"),
         fenced_appends=sum(j.fenced_appends for j in journals),
-        checkpoints=sum(j.checkpoints for j in journals),
     )
 
 
@@ -293,11 +284,10 @@ class CrashPoint:
         return not self.violations
 
 
-def _crash_point(shape: Shape, records: int, base: RunOutcome, k: int,
-                 checkpoint_interval: Optional[int]) -> CrashPoint:
+def _crash_point(shape: Shape, records: int, base: RunOutcome,
+                 k: int) -> CrashPoint:
     try:
-        res = _execute(shape, records, crash_after=k,
-                       checkpoint_interval=checkpoint_interval)
+        res = _execute(shape, records, crash_after=k)
     except Exception as exc:     # e.g. a recovered run that never ends
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         return CrashPoint(k, None, [
@@ -307,7 +297,6 @@ def _crash_point(shape: Shape, records: int, base: RunOutcome, k: int,
 
 
 def run_sweep(records: int = 120, stride: int = 1,
-              checkpoint_interval: Optional[int] = None,
               out: Optional[str] = None, verbose: bool = True,
               shape: str = "mr") -> dict:
     """Crash after every ``stride``-th dispatched event; compare every
@@ -321,8 +310,7 @@ def run_sweep(records: int = 120, stride: int = 1,
     if shape not in SHAPES:
         raise ValueError(f"unknown sweep shape {shape!r}")
     run_shape = SHAPES[shape]
-    base = _execute(run_shape, records,
-                    checkpoint_interval=checkpoint_interval)
+    base = _execute(run_shape, records)
     if not base.succeeded:
         raise RuntimeError(
             f"baseline run did not succeed: {base.status_name}"
@@ -343,8 +331,7 @@ def run_sweep(records: int = 120, stride: int = 1,
             "fenced_appends": 0}
     wall_delta = Histogram("recovery.wall_delta")
     for k in range(1, total + 1, max(1, stride)):
-        point = _crash_point(run_shape, records, base, k,
-                             checkpoint_interval)
+        point = _crash_point(run_shape, records, base, k)
         if store is not None:
             store.add_event(_point_record(n_points, point))
         n_points += 1
@@ -480,8 +467,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="input records of every DAG")
     parser.add_argument("--stride", type=int, default=1,
                         help="test every stride-th crash point")
-    parser.add_argument("--checkpoint-interval", type=int, default=None,
-                        help="journal checkpoint interval override")
     parser.add_argument("--shape", choices=tuple(SHAPES), default="mr",
                         help="reference workload: the two-stage "
                              "map-reduce, the fast-path diamond "
@@ -500,7 +485,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                            verbose=not args.quiet)
     else:
         summary = run_sweep(records=args.records, stride=args.stride,
-                            checkpoint_interval=args.checkpoint_interval,
                             out=args.out, verbose=not args.quiet,
                             shape=args.shape)
     return 0 if summary["ok"] else 1

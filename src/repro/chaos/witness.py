@@ -5,9 +5,9 @@ It is the evidence behind every no-re-execution verdict - the
 crash-anywhere sweep's (``repro.chaos.sweep``) and the cluster day's
 (``repro.bench.cluster_day``). A witness watches Tez clients: it
 records every AM attempt they make, and wraps the ``crash`` of a
-target attempt so that, at the instant that attempt dies, its own
-journal is folded and every journaled success of an unfinished DAG is
-kept. Processor fns wrapped by :meth:`CrashWitness.tracked` log each
+target attempt so that, at the instant that attempt dies, every
+success its own journal holds for an unfinished DAG is kept.
+Processor fns wrapped by :meth:`CrashWitness.tracked` log each
 execution; a logged run of a journaled task after the crash is a
 re-execution, which write-ahead recovery forbids.
 """
@@ -53,7 +53,7 @@ class CrashWitness:
             self.crash_time = am.env.now
             self.journaled = frozenset(
                 (dag, vertex, index)
-                for dag, state in am.recovery.fold_state().items()
+                for dag, state in am.recovery.dags.items()
                 if not state.finished
                 for vertex, index in state.successes
             )

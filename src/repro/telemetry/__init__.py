@@ -12,7 +12,7 @@ role for the simulated stack:
 * :class:`Tracer` / :class:`Span` — hierarchical spans
   (session → DAG → vertex → task-attempt, plus container lifecycle and
   shuffle-fetch spans).
-* :class:`MetricsRegistry` — typed counters/gauges/histograms, the one
+* :class:`MetricsRegistry` — typed counters and histograms, the one
   counter surface of an AM (``DAGAppMaster.registry``).
 * :class:`SpanStore` — the write-once on-disk store: a run's one
   artefact (``MANIFEST.json`` + ``segments/``).
@@ -31,7 +31,7 @@ from .analysis import CriticalPathReport, CriticalPathSegment, DagSummary
 from .events import EventLog, TaskTraceEntry, TelemetryEvent
 from .export import chrome_trace, validate_records, write_chrome_trace
 from .facade import Telemetry, get_telemetry
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .rollups import RollupEngine
 from .spans import Span, Tracer
 from .store import SpanStore
@@ -43,7 +43,6 @@ __all__ = [
     "CriticalPathSegment",
     "DagSummary",
     "EventLog",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "RollupEngine",

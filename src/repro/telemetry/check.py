@@ -35,7 +35,7 @@ _KERNEL_KEYS = {"heap_pushes", "pool_reuse", "processes_started"}
 # The fields query.shard_line prints of a shard summary, besides its
 # string ``client``.
 _SHARD_COUNTS = ("shard", "dags", "am_attempts", "journal_records",
-                 "fenced_appends", "checkpoints", "events_replayed",
+                 "fenced_appends", "events_replayed",
                  "tasks_recovered", "entries_dropped")
 # The keys query.summary_from_payload / report_from_payload read.
 _ROLLUP_KEYS = {"dag_id", "name", "outcome", "wall_clock", "vertices",

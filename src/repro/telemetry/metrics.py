@@ -2,11 +2,11 @@
 
 The registry replaces the ad-hoc ``dict[str, float]`` metric stores
 that grew inside the AM and task scheduler. Counters are monotonic
-accumulators, gauges hold last-written values, histograms keep samples
-for percentile queries. :meth:`MetricsRegistry.snapshot` /
-:meth:`MetricsRegistry.delta` give per-DAG scoping: snapshot at DAG
-start, delta at DAG end — the session-scoped and DAG-scoped views are
-derived from the *same* counters and cannot drift.
+accumulators, histograms keep samples for percentile queries.
+:meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.delta` give
+per-DAG scoping: snapshot at DAG start, delta at DAG end — the
+session-scoped and DAG-scoped views are derived from the *same*
+counters and cannot drift.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+__all__ = ["Counter", "Histogram", "MetricsRegistry",
            "ReadCounter", "Snapshot"]
 
 
@@ -94,24 +94,6 @@ class ReadCounter(Counter):
         return self._read()
 
 
-class Gauge:
-    """A last-write-wins instantaneous value."""
-
-    __slots__ = ("name", "value", "updated_at")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value: Optional[float] = None
-        self.updated_at: Optional[float] = None
-
-    def set(self, value: float, ts: Optional[float] = None) -> None:
-        self.value = value
-        self.updated_at = ts
-
-    def __repr__(self) -> str:
-        return f"<Gauge {self.name}={self.value}>"
-
-
 class Histogram:
     """Sample-keeping distribution (simulations are small enough)."""
 
@@ -160,7 +142,6 @@ class Snapshot(dict):
 class MetricsRegistry:
     def __init__(self):
         self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
         # Dirty-key tracking: counters append themselves here on first
         # mutation after each snapshot; snapshots record their position.
@@ -188,12 +169,6 @@ class MetricsRegistry:
         """Un-namespaced counter names in creation order (the legacy
         DAGStatus metric surface)."""
         return self._unscoped
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self.gauges.get(name)
-        if gauge is None:
-            gauge = self.gauges[name] = Gauge(name)
-        return gauge
 
     def histogram(self, name: str) -> Histogram:
         histogram = self.histograms.get(name)

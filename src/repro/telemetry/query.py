@@ -78,7 +78,6 @@ def shard_line(payload: dict) -> str:
         f"am_attempts={payload['am_attempts']} "
         f"journal={payload['journal_records']} "
         f"fenced_appends={payload['fenced_appends']} "
-        f"checkpoints={payload['checkpoints']} "
         f"replayed={payload['events_replayed']} "
         f"recovered={payload['tasks_recovered']} "
         f"dropped={payload['entries_dropped']}"

@@ -1,9 +1,9 @@
 """AM fault tolerance: journal replay and node-health tracking.
 
 The simulated counterpart of Tez's RecoveryService. The durable state
-lives in :class:`~repro.tez.am.journal.RecoveryJournal` — the typed
-write-ahead log the dispatcher feeds — and replay is *event
-re-dispatch*: the restarted AM folds the journal, then dispatches one
+lives in :class:`~repro.tez.am.journal.RecoveryJournal` — the
+write-ahead recovery state the dispatcher feeds — and replay is *event
+re-dispatch*: the restarted AM reads the journal, then dispatches one
 :class:`~repro.tez.am.dispatcher.RecoveryEvent` per surviving task
 success through its own bus. The handler fires the attempt/task
 ``recover`` transitions through the audited machines, so a recovered
@@ -39,13 +39,13 @@ class RecoveryService:
 
     # -------------------------------------------------- journal replay
     def recovered_work(self, dag_name: str) -> dict:
-        """Fold the journal for ``dag_name``; entries referencing
+        """The journaled successes of ``dag_name``; entries referencing
         vertices the submitted DAG no longer has are dropped loudly
         (counted + traced), never silently."""
         am = self.am
-        if am.recovery is None:
+        if am.recovery is None or dag_name not in am.recovery.dags:
             return {}
-        recovered = am.recovery.successes(dag_name)
+        recovered = dict(am.recovery.dags[dag_name].successes)
         for key in [k for k in recovered if k[0] not in am._vertices]:
             del recovered[key]
             self._count_dropped(dag_name, key, "unknown-vertex")

@@ -88,9 +88,7 @@ class TezClient:
         # Shard 0's journal, eagerly constructed: the historical
         # single-AM journal surface (`client.recovery`) every existing
         # caller — sweep, chaos, tests — reads.
-        self.recovery = RecoveryJournal(
-            checkpoint_interval=self.config.journal_checkpoint_interval
-        )
+        self.recovery = RecoveryJournal()
         self.coordinator = ShardCoordinator(self)
         self._requests: Store = Store(env)   # shard 0's session mailbox
         self._app_handle = None

@@ -37,18 +37,9 @@ class TezConfig:
     deadlock_check_interval: float = 10.0
     deadlock_pending_timeout: float = 30.0
 
-    # -- recovery journal (paper 4.3) ----------------------------------------
-    # Accepted journal appends between checkpoint compactions: every
-    # interval the record prefix is folded into one checkpoint record
-    # (per-DAG successes + completed vertices), bounding the log on
-    # long sessions while keeping replay semantics identical.
-    journal_checkpoint_interval: int = 4096
-
     def __post_init__(self):
         if self.max_task_attempts < 1:
             raise ValueError("max_task_attempts must be >= 1")
-        if self.journal_checkpoint_interval < 2:
-            raise ValueError("journal_checkpoint_interval must be >= 2")
         if self.speculation_slowdown_factor <= 1.0:
             raise ValueError("speculation_slowdown_factor must exceed 1.0")
         if self.node_max_task_failures < 1:

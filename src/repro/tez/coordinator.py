@@ -21,8 +21,8 @@ as implicit globals on the client:
   multi-shard run;
 * **chaos fault routing** (``live_am(shard)``) so an ``am_crash``
   fault can target a specific shard instead of assuming one global AM;
-* **recovery accounting** — per-shard journal health
-  (``fenced_appends``, checkpoints) and folded recovery counters
+* **recovery accounting** — per-shard journal health (accepted
+  appends, ``fenced_appends``) and folded recovery counters
   (events replayed / tasks recovered / entries dropped) that survive
   individual AM attempts, surfaced by ``repro.telemetry.query
   --summary``.
@@ -84,7 +84,6 @@ class ShardRecord:
             "am_attempts": self.am_attempts,
             "journal_records": len(self.journal),
             "fenced_appends": self.journal.fenced_appends,
-            "checkpoints": self.journal.checkpoints,
             "events_replayed": counters["recovery.events_replayed"],
             "tasks_recovered": counters["recovery.tasks_recovered"],
             "entries_dropped": counters["recovery.entries_dropped"],
@@ -115,10 +114,7 @@ class ShardCoordinator:
                 # exact legacy journal surface.
                 journal = self.client.recovery
             else:
-                journal = RecoveryJournal(
-                    checkpoint_interval=self.client.config
-                    .journal_checkpoint_interval
-                )
+                journal = RecoveryJournal()
             record = ShardRecord(shard_id, journal)
             self._records[shard_id] = record
         return record

@@ -56,6 +56,8 @@ from repro.tez.am.dispatcher import (
     StateTransitionEvent,
 )
 from repro.tez.am.event_router import EventRouter
+from repro.tez.am.journal import DagJournalState
+from repro.tez.am.structures import AttemptState
 from repro.tez.events import CompositeDataMovementEvent, DataMovementEvent
 from repro.tez.vertex_manager import (
     ShuffleVertexManager,
@@ -170,6 +172,67 @@ def journaled(client) -> list:
 
 def canonical_journals(journals) -> list:
     return [canonical(journal) for journal in journals]
+
+
+def wal_record(epoch, event) -> tuple:
+    """The record a transition-log journal appends for one accepted
+    state transition: ``("transition", epoch, dag, machine, key,
+    trigger, to_state, extra)``. ``key`` is ``(vertex, index, number)``
+    for an attempt, ``(vertex, index)`` for a task, the vertex name for
+    a vertex or vertex_init machine and the dag id for the dag machine;
+    ``extra`` is ``(node_id, routed events)`` for an attempt reaching
+    SUCCEEDED, else ``None``."""
+    machine, subject, to_state = event.machine, event.subject, event.to_state
+    extra = None
+    if machine == "attempt":
+        task = subject.task
+        vr = task.vertex
+        dag, key = vr.dag_name, (vr.name, task.index, subject.number)
+        if to_state is AttemptState.SUCCEEDED:
+            extra = (subject.node_id or "",
+                     tuple(getattr(subject, "_pending_success_events",
+                                   ()) or ()))
+    elif machine == "task":
+        vr = subject.vertex
+        dag, key = vr.dag_name, (vr.name, subject.index)
+    elif machine in ("vertex", "vertex_init"):
+        dag, key = subject.dag_name, subject.name
+    else:
+        dag, key = subject._dag.name, event.subject_id
+    return ("transition", epoch, dag, machine, key, event.trigger,
+            to_state, extra)
+
+
+def wal_tap(journal) -> list:
+    """Wrap ``journal.record`` / ``record_dag_finished`` so that every
+    append the journal accepts adds ``(record, dags)`` to the returned
+    (growing) list: the record a transition log would have appended
+    (:func:`wal_record`, or ``("dag_finished", epoch, dag)``) and a
+    copy of ``journal.dags`` just after the append."""
+    taps = []
+    record, finished = journal.record, journal.record_dag_finished
+
+    def snapshot():
+        return {name: DagJournalState(dict(s.successes),
+                                      set(s.completed_vertices),
+                                      s.finished)
+                for name, s in journal.dags.items()}
+
+    def tapped_record(epoch, event):
+        accepted = len(journal)
+        record(epoch, event)
+        if len(journal) > accepted:
+            taps.append((wal_record(epoch, event), snapshot()))
+
+    def tapped_finished(dag_name, epoch):
+        accepted = len(journal)
+        finished(dag_name, epoch)
+        if len(journal) > accepted:
+            taps.append((("dag_finished", epoch, dag_name), snapshot()))
+
+    journal.record = tapped_record
+    journal.record_dag_finished = tapped_finished
+    return taps
 
 
 def per_tick(result):

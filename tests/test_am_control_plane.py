@@ -22,6 +22,7 @@ from repro.tez.am import (
     VertexState,
 )
 from repro.tez.am.check import audit_all, audit_cross_table, audit_table
+from repro.tez.am.journal import DagJournalState
 from repro.tez.am.state_machines import (
     ATTEMPT_CONSEQUENCES,
     IGNORED,
@@ -540,13 +541,13 @@ def test_wal_append_precedes_handler_delivery():
     journal = RecoveryJournal()
     bus.attach_journal(journal, journal.open_epoch())
     seen = []
-    bus.register(StateTransitionEvent,
-                 lambda e: seen.append(len(journal.records())))
+    bus.register(StateTransitionEvent, lambda e: seen.append(
+        (len(journal), set(journal.dags["d"].completed_vertices))))
     bus.dispatch(StateTransitionEvent(
         "vertex", "d/v", VertexState.RUNNING, VertexState.SUCCEEDED,
         "done", SimpleNamespace(dag_name="d", name="v")))
-    # The record was durable before the handler ran (write-ahead).
-    assert seen == [1]
+    # The entry was durable before the handler ran (write-ahead).
+    assert seen == [(1, {"v"})]
 
 
 def test_fenced_dispatcher_appends_are_rejected():
@@ -560,14 +561,16 @@ def test_fenced_dispatcher_appends_are_rejected():
     bus.register(_Ping, lambda e: None)
     bus.dispatch(_Ping("stale"))    # zombie writer: append rejected
     assert journal.fenced_appends == 1
-    assert journal.records() == []
+    assert len(journal) == 0
+    assert journal.dags == {}
 
 
 def test_journal_keeps_only_what_recovery_folds():
     """A run whose bus carries exits, uplinks, live data deliveries, a
-    node loss and faults journals transitions and the DAG's finish
-    marker and nothing else; a fenced writer's dispatch of any kind
-    is still counted."""
+    node loss and faults appends its transitions and the DAG's finish
+    marker and nothing else, and leaves only the finished DAG's empty
+    state behind; a fenced writer's dispatch of any kind is still
+    counted."""
     from repro import FaultPlan
     from repro.tez.am.dispatcher import DataDeliveryBatchEvent, NodeLostEvent
 
@@ -585,15 +588,18 @@ def test_journal_keeps_only_what_recovery_folds():
     client = sim.tez_client(session=True)
     client.start()
     recorded = scenarios.journaled(client)
+    journal = client.recovery
+    appended = scenarios.wal_tap(journal)
     scenarios._run(sim, dag, client, plan)
     client.stop()
 
     crossed = {name for journal in recorded for (_, _, name, _) in journal}
     assert {"AttemptExitedEvent", "TaskUplinkEvent", "DataDeliveryEvent",
             "NodeLostEvent", "FaultEvent"} <= crossed
-    journal = client.recovery
-    kinds = {record[0] for record in journal.records()}
+    kinds = {record[0] for record, _ in appended}
     assert kinds == {"transition", "dag_finished"}
+    assert len(journal) == len(appended)
+    assert journal.dags == {"wal": DagJournalState({}, set(), True)}
 
     zombie = Dispatcher(sim.env)
     zombie.attach_journal(journal, journal.current_epoch)

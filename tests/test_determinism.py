@@ -240,7 +240,6 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.tez.am import RecoveryJournal
 from repro.tez.am.state_machines import TABLES, StateMachine
 from repro.tez.am.structures import AttemptState, TaskState, VertexState
 from repro.tez.am.journal import DagJournalState, RecoveredTask
@@ -249,8 +248,10 @@ _WAL_CACHE: dict = {}
 
 
 def recorded_wal():
-    """One recorded run's full write-ahead journal (module-cached:
-    hypothesis draws hundreds of prefixes from the same stream)."""
+    """One recorded run's write-ahead journal appends, as ``(records,
+    states)``: the record each accepted append stands for and
+    ``journal.dags`` just after it (module-cached: hypothesis draws
+    hundreds of prefixes from the same run)."""
     if "records" not in _WAL_CACHE:
         sim = make_sim()
         sim.hdfs.write("/in", [(i % 13, i) for i in range(500)],
@@ -264,11 +265,13 @@ def recorded_wal():
         dag = DAG("wal").add_vertex(m).add_vertex(r)
         dag.add_edge(edge(m, r, SG))
         client = sim.tez_client()
+        taps = scenarios.wal_tap(client.recovery)
         handle = client.submit_dag(dag)
         sim.env.run(until=handle.completion)
         assert handle.status.succeeded
-        _WAL_CACHE["records"] = client.recovery.records()
-    return _WAL_CACHE["records"]
+        _WAL_CACHE["records"] = [record for record, _ in taps]
+        _WAL_CACHE["states"] = [states for _, states in taps]
+    return _WAL_CACHE["records"], _WAL_CACHE["states"]
 
 
 class _ReplayHandler:
@@ -287,7 +290,7 @@ def machine_redispatch(records):
     ``StateMachine.fire`` against the shipped tables, one fresh subject
     per journaled key) and rebuild the
     recovery state from the *machines'* trajectories, not the records'
-    ``to_state`` fields. Must agree with the pure fold exactly."""
+    ``to_state`` fields. Must agree with the journal's state exactly."""
     subjects: dict = {}
     machines = {kind: StateMachine(table, handler=_ReplayHandler())
                 for kind, table in TABLES.items()}
@@ -332,32 +335,28 @@ def machine_redispatch(records):
             s.finished = True
             s.successes.clear()
             s.completed_vertices.clear()
-        elif kind == "checkpoint":
-            state = {name: s.copy() for name, s in record[2].items()}
     return state
 
 
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_random_journal_prefix_fold_matches_machine_redispatch(data):
-    records = recorded_wal()
+    records, states = recorded_wal()
     n = data.draw(st.integers(min_value=0, max_value=len(records)),
                   label="prefix_length")
-    prefix = records[:n]
-    folded = RecoveryJournal.fold(prefix)
-    # Pure and deterministic: same prefix, same state, every time.
-    assert folded == RecoveryJournal.fold(list(prefix))
-    # And identical to re-dispatching the prefix through fresh audited
-    # state machines.
-    assert folded == machine_redispatch(prefix)
+    # The journal's state after n appends is what re-dispatching those
+    # n transitions through fresh audited state machines rebuilds.
+    held = states[n - 1] if n else {}
+    assert held == machine_redispatch(records[:n])
 
 
 def test_full_journal_fold_matches_final_run_state():
-    records = recorded_wal()
-    # Before the finish marker the fold holds every task of the DAG.
+    records, states = recorded_wal()
+    # Just before the finish marker the journal holds every task of the
+    # DAG.
     cut = next(i for i, r in enumerate(records)
                if r[0] == "dag_finished")
-    live = RecoveryJournal.fold(records[:cut])["wal"]
+    live = states[cut - 1]["wal"]
     task_keys = {
         (r[4][0], r[4][1]) for r in records[:cut]
         if r[0] == "transition" and r[3] == "task"
@@ -370,6 +369,6 @@ def test_full_journal_fold_matches_final_run_state():
         if vertex == "m":               # non-leaf: routed output events
             assert rt.events
     # After the marker the DAG is retired wholesale.
-    final = RecoveryJournal.fold(records)["wal"]
+    final = states[cut]["wal"]
     assert final.finished
     assert final.successes == {}

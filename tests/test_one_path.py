@@ -120,7 +120,7 @@ def test_no_template_cache_is_left_behind():
         ("membership_", "listener"), ("_route_", "cache"),
         ("Template", "Event"))]
     assert not _source_files_matching("|".join(gone))
-    assert len(dataclasses.fields(TezConfig)) == 14
+    assert len(dataclasses.fields(TezConfig)) == 13
 
 
 def test_only_the_kernel_touches_the_host_collector():

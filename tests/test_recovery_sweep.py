@@ -156,15 +156,6 @@ class TestCrashAnywhereSweep:
         assert res.events_replayed > 0
         assert res.am_attempts == 2
 
-    def test_tight_checkpoint_interval_still_recovers(self):
-        base = _execute(SHAPES["mr"], records=400)
-        res = _execute(SHAPES["mr"], records=400,
-                       crash_after=base.dispatched - 10,
-                       checkpoint_interval=2)
-        assert res.rows == base.rows
-        assert res.checkpoints > 0
-        assert res.reexecutions == []
-
     def test_no_monitor_of_a_crashed_attempt_outlives_it(self,
                                                         monkeypatch):
         # A crash halts the attempt's bus; its deadlock (and

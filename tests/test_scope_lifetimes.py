@@ -3,12 +3,13 @@
 After every query or DAG of one session - Hive on Tez and on MR, Pig on
 Tez and on MR, Spark on Tez - no spill of a finished DAG remains on any
 node, no DAG- or VERTEX-scoped registry entry of a finished DAG remains
-in a container the session AM holds, and HDFS holds only the inputs and
-the outputs the user asked for (no scratch, no staging). A journal-aimed
-AM crash mid-DAG still recovers its producers from their spills, and a
-ten-DAG iterative session retains no more host memory after its tenth
-DAG than after its second (DESIGN.md "What a finished DAG or query
-leaves behind"). A map join's hash table is built once per MR job run
+in a container the session AM holds, the recovery journal holds none
+of its routed events or spill references, and HDFS holds only the
+inputs and the outputs the user asked for (no scratch, no staging). A
+journal-aimed AM crash mid-DAG still recovers its producers from their
+spills, and a ten-DAG iterative session retains no more host memory
+after its tenth DAG than after its second (DESIGN.md "What a finished
+DAG or query leaves behind"). A map join's hash table is built once per MR job run
 and is gone when the job ends, a task that finds its table cached
 never evaluates the build side, and a finished MR job's application
 master is freed without the cyclic collector.
@@ -16,6 +17,7 @@ master is freed without the cyclic collector.
 
 import gc
 import tracemalloc
+import types
 import weakref
 
 from repro import FaultPlan
@@ -27,8 +29,9 @@ from repro.engines.hive.reference import run_operators
 from repro.engines.mapreduce import JobHandle, yarn_runner
 from repro.engines.pig import PigRunner, PigScript
 from repro.engines.spark import SparkContext
+from repro.shuffle import SpillRef
 from repro.tez import DAG, Scope
-from repro.tez.events import InputReadErrorEvent
+from repro.tez.events import InputReadErrorEvent, TezEvent
 
 from helpers import SG, edge, fn_vertex, hdfs_sink, hdfs_source, make_sim
 
@@ -425,6 +428,57 @@ def test_read_error_from_a_finished_dags_straggler_is_dropped():
     assert second.status.succeeded, second.status.diagnostics
     assert second.status.metrics["reexecutions"] == 0
     assert ("two", 0, 1) not in runs
+
+
+def _reachable(root, kinds) -> list:
+    """Every instance of ``kinds`` reachable from ``root`` by object
+    references, without passing through a class, module or function
+    (those lead to everything)."""
+    seen, todo, found = {id(root)}, [root], []
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, kinds):
+            found.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, _OPAQUE):
+                seen.add(id(ref))
+                todo.append(ref)
+    return found
+
+
+_OPAQUE = (type, types.ModuleType, types.FunctionType)
+
+
+def test_a_finished_dag_leaves_nothing_in_the_journal():
+    """While a DAG runs, the recovery journal holds its journaled
+    successes' routed events and the spill references they carry. Once
+    the DAG is finished, none of them is reachable from the journal,
+    not even while the session's next DAG runs and after it ends."""
+    sim = make_sim()
+    sim.hdfs.write("/in", [(i % 10, i) for i in range(400)],
+                   record_bytes=32)
+    client = sim.tez_client(session=True)
+    runs: list = []
+    kinds = (TezEvent, SpillRef)
+    first = client.submit_dag(_two_stage("one", runs))
+    held: list = []
+    while not held and not first.completion.triggered:
+        sim.env.run(until=sim.env.now + 0.25)
+        held = _reachable(client.recovery, kinds)
+    assert any(isinstance(o, SpillRef) for o in held), \
+        "no journaled spill reference while the first DAG ran"
+    sim.env.run(until=first.completion)
+    second = client.submit_dag(_two_stage("two", runs))
+    sim.env.run(until=sim.env.now + 2.0)
+    live = _reachable(client.recovery, kinds)
+    assert live, "nothing journaled while the second DAG ran"
+    first_ids = {id(o) for o in held}
+    assert [o for o in live if id(o) in first_ids] == []
+    sim.env.run(until=second.completion)
+    assert first.status.succeeded and second.status.succeeded
+    assert _reachable(client.recovery, kinds) == []
+    client.stop()
+    sim.env.run(until=sim.env.now + 60)
 
 
 # ------------------------------------------------- retained host memory

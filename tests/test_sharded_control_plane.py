@@ -214,8 +214,8 @@ def test_two_shard_session_round_robins_and_isolates_journals():
     j0 = client.coordinator.shard(0).journal
     j1 = client.coordinator.shard(1).journal
     assert j0 is not j1
-    assert set(j0.fold_state()) == {"d0", "d2"}
-    assert set(j1.fold_state()) == {"d1", "d3"}
+    assert set(j0.dags) == {"d0", "d2"}
+    assert set(j1.dags) == {"d1", "d3"}
 
 
 def test_shard_crash_while_idle_does_not_starve_successor():

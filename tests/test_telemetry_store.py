@@ -372,8 +372,8 @@ def _problems_after(store_dir, tmp_path, edit):
     (lambda m: m.pop("rollups"), "no 'rollups'"),
     (lambda m: m.update(shards={}), "shards are not a list"),
     (lambda m: m["shards"][0].update(client=7), "shard #0 client=7"),
-    (lambda m: m["shards"][1].pop("checkpoints"),
-     "shard #1 checkpoints=None"),
+    (lambda m: m["shards"][1].pop("fenced_appends"),
+     "shard #1 fenced_appends=None"),
     (lambda m: m["shards"][0].update(dags=-1), "shard #0 dags=-1"),
     (lambda m: m["shards"][0].update(journal_records=2.0),
      "shard #0 journal_records=2.0"),

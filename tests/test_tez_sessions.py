@@ -3,7 +3,6 @@
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.tez import TezConfig
 from repro.tez.am import RecoveredTask, RecoveryJournal
@@ -67,12 +66,22 @@ def task_restart_event(dag_id="d#1", vertex="v", index=0):
     )
 
 
+def successes(journal, dag):
+    state = journal.dags.get(dag)
+    return state.successes if state is not None else {}
+
+
+def dag_finished(journal, dag):
+    state = journal.dags.get(dag)
+    return state is not None and state.finished
+
+
 class TestRecoveryJournal:
     def test_success_transition_folds_into_recovery_state(self):
         journal = RecoveryJournal()
         epoch = journal.open_epoch()
         journal.record(epoch, attempt_success_event())
-        assert journal.successes("d") == {
+        assert successes(journal, "d") == {
             ("v", 0): RecoveredTask(("ev",), "node1", 0)
         }
 
@@ -81,33 +90,33 @@ class TestRecoveryJournal:
         epoch = journal.open_epoch()
         journal.record(epoch, attempt_success_event())
         journal.record(epoch, task_restart_event())
-        assert journal.successes("d") == {}
+        assert successes(journal, "d") == {}
 
     def test_dag_finished_clears(self):
         journal = RecoveryJournal()
         epoch = journal.open_epoch()
         journal.record(epoch, attempt_success_event())
         journal.record_dag_finished("d", epoch=epoch)
-        assert journal.dag_finished("d")
-        assert journal.successes("d") == {}
+        assert dag_finished(journal, "d")
+        assert successes(journal, "d") == {}
 
     def test_independent_dags(self):
         journal = RecoveryJournal()
         epoch = journal.open_epoch()
         journal.record(epoch, attempt_success_event(dag_id="a#1"))
         journal.record(epoch, attempt_success_event(dag_id="b#1", index=1))
-        assert ("v", 0) in journal.successes("a")
-        assert ("v", 0) not in journal.successes("b")
+        assert ("v", 0) in successes(journal, "a")
+        assert ("v", 0) not in successes(journal, "b")
 
     def test_stale_epoch_appends_are_fenced(self):
         journal = RecoveryJournal()
         zombie = journal.open_epoch()
         journal.open_epoch()            # restarted AM claims the journal
         journal.record(zombie, attempt_success_event())
-        assert journal.successes("d") == {}
+        assert successes(journal, "d") == {}
         assert journal.fenced_appends == 1
         journal.record_dag_finished("d", epoch=zombie)
-        assert not journal.dag_finished("d")
+        assert not dag_finished(journal, "d")
         assert journal.fenced_appends == 2
 
     def test_self_fence_blocks_crashing_writer(self):
@@ -115,58 +124,8 @@ class TestRecoveryJournal:
         epoch = journal.open_epoch()
         journal.fence(epoch)            # am.crash() fences its own epoch
         journal.record(epoch, attempt_success_event())
-        assert journal.successes("d") == {}
+        assert successes(journal, "d") == {}
         assert journal.fenced_appends == 1
-
-    def test_checkpoint_compaction_bounds_log_and_preserves_state(self):
-        journal = RecoveryJournal(checkpoint_interval=8)
-        epoch = journal.open_epoch()
-        for i in range(50):
-            journal.record(epoch, attempt_success_event(index=i))
-        assert journal.checkpoints >= 5
-        assert len(journal) <= 8
-        recovered = journal.successes("d")
-        assert len(recovered) == 50
-        assert recovered[("v", 17)] == RecoveredTask(("ev",), "node1", 0)
-
-    @given(st.lists(st.one_of(
-        st.tuples(st.just("success"), st.sampled_from(["a", "b"]),
-                  st.integers(0, 5)),
-        st.tuples(st.just("restart"), st.sampled_from(["a", "b"]),
-                  st.integers(0, 5)),
-        st.tuples(st.just("finished"), st.sampled_from(["a", "b"])),
-        st.just(("read",))), max_size=40),
-        st.sampled_from([2, 3, 5, 4096]))
-    @settings(max_examples=150, deadline=None)
-    def test_fold_state_folds_only_the_new_suffix(self, ops, interval):
-        """Reads between appends and compactions: each ``fold_state``
-        equals a fold of the whole record stream."""
-        journal = RecoveryJournal(checkpoint_interval=interval)
-        epoch = journal.open_epoch()
-        for op in ops:
-            if op[0] == "success":
-                journal.record(epoch, attempt_success_event(
-                    dag_id=f"{op[1]}#1", index=op[2]))
-            elif op[0] == "restart":
-                journal.record(epoch, task_restart_event(
-                    dag_id=f"{op[1]}#1", index=op[2]))
-            elif op[0] == "finished":
-                journal.record_dag_finished(op[1], epoch=epoch)
-            else:
-                assert journal.fold_state() == \
-                    RecoveryJournal.fold(journal.records())
-        assert journal.fold_state() == RecoveryJournal.fold(
-            journal.records())
-
-    def test_fold_is_pure_and_reusable(self):
-        journal = RecoveryJournal()
-        epoch = journal.open_epoch()
-        journal.record(epoch, attempt_success_event())
-        records = journal.records()
-        a = RecoveryJournal.fold(records)
-        b = RecoveryJournal.fold(records)
-        assert a == b
-        assert a["d"].successes == journal.successes("d")
 
 
 class TestSessionLifecycle:

@@ -19,16 +19,17 @@ read-only) in this process, runs its timed region once and prints
   returns (no DAG is running then): HDFS files that are neither inputs
   nor committed outputs - scratch under ``/tmp/`` (the Spark RDD cache
   aside) and staging under ``_staging/`` or ``_tmp/`` - shuffle spills
-  per application, and object-registry entries per scope in every live
-  container.
+  per application, object-registry entries per scope in every live
+  container, and task successes per DAG still held by any shard's
+  recovery journal (``RecoveryJournal.dags``) of any Tez client.
 
 The script uses nothing that was added to the program for it (it reads
-the shuffle services' and registries' own tables), so a copy of this
-file dropped into a parent checkout's ``tools/`` gives the "before"
-column. ``--check`` exits 1 when a collection ran inside
+the shuffle services', registries' and journals' own tables), so a copy
+of this file dropped into a parent checkout's ``tools/`` gives the
+"before" column. ``--check`` exits 1 when a collection ran inside
 ``Environment.run``, the unreachable set holds an AM structure, or a
-finished DAG or query left a scratch or staging file, a spill or a DAG-
-or VERTEX-scoped registry entry.
+finished DAG or query left a scratch or staging file, a spill, a DAG-
+or VERTEX-scoped registry entry or a journaled task success.
 """
 
 from __future__ import annotations
@@ -74,6 +75,17 @@ def _left_behind(sims) -> tuple[list, Counter, Counter]:
                     entries.update(scope for scope, _id, _value
                                    in registry._entries.values())
     return files, spills, entries
+
+
+def _journaled(clients) -> Counter:
+    """Task successes per DAG name still held by the shard journals of
+    ``clients``."""
+    held = Counter()
+    for client in clients:
+        for record in client.coordinator.records():
+            for name, state in record.journal.dags.items():
+                held[name] += len(state.successes)
+    return +held
 
 
 def _am_structures() -> tuple:
@@ -266,6 +278,7 @@ def main(argv=None) -> int:
             wall = time.perf_counter() - started
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         files, spills, entries = _left_behind(w.sims)
+        journaled = _journaled(w.clients)
         garbage = _unreachable()
         outcome = w.check()
         for sim in w.sims:
@@ -304,6 +317,10 @@ def main(argv=None) -> int:
         print(f"  spills    {n:>8}  {app_id}")
     for scope, n in sorted(entries.items()):
         print(f"  registry  {n:>8}  {scope}")
+    print(f"journaled task successes still held: "
+          f"{sum(journaled.values())}")
+    for name, n in sorted(journaled.items()):
+        print(f"  journal   {n:>8}  {name}")
 
     if not args.check:
         return 0
@@ -323,12 +340,16 @@ def main(argv=None) -> int:
                         f"scratch or staging files, "
                         f"{sum(spills.values())} spills and {scoped} DAG- "
                         f"or VERTEX-scoped registry entries")
+    if journaled:
+        problems.append(f"recovery journals still hold "
+                        f"{sum(journaled.values())} task successes of "
+                        f"{len(journaled)} DAG(s)")
     for problem in problems:
         print(f"CHECK FAILED: {problem}")
     if not problems:
         print("check: no collection inside Environment.run, no AM "
               "structure among the unreachable objects, nothing left "
-              "behind by a finished DAG or query")
+              "behind by a finished DAG or query, nothing journaled")
     return 1 if problems else 0
 
 
