@@ -33,7 +33,7 @@ event-boundary-triggered) and takes a worker node down, checked
 against the same run without the plan.
 
 Both modes emit recovery telemetry - events replayed, work recovered
-vs. re-executed, a recovery wall-time histogram - and ``--out DIR``
+vs. re-executed, recovery wall-time percentiles - and ``--out DIR``
 persists it as a telemetry store (``MANIFEST.json`` + ``segments/``, no
 kernel, shards or rollups): one ``recovery.sweep_point`` event per crash
 point and a closing ``recovery.sweep_summary`` (the soak: one
@@ -51,6 +51,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import traceback
@@ -58,7 +59,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..harness import SimCluster
-from ..telemetry.metrics import Histogram
 from ..telemetry.store import SpanStore
 from ..tez import (
     DAG,
@@ -329,7 +329,7 @@ def run_sweep(records: int = 120, stride: int = 1,
     sums = {"events_replayed": 0, "tasks_recovered": 0,
             "work_reexecuted": 0, "entries_dropped": 0,
             "fenced_appends": 0}
-    wall_delta = Histogram("recovery.wall_delta")
+    wall_delta: list[float] = []    # crashed points' wall - baseline
     for k in range(1, total + 1, max(1, stride)):
         point = _crash_point(run_shape, records, base, k)
         if store is not None:
@@ -343,7 +343,7 @@ def run_sweep(records: int = 120, stride: int = 1,
             continue
         if res.crashed:
             n_crashed += 1
-            wall_delta.observe(res.wall - base.wall)
+            wall_delta.append(res.wall - base.wall)
         for key in sums:
             sums[key] += getattr(res, key)
         if point.ok and (k % 25 == 0 or k == 1):
@@ -360,10 +360,11 @@ def run_sweep(records: int = 120, stride: int = 1,
         "crashed_points": n_crashed,
         "violations": len(failures),
         **sums,
-        "wall_delta_mean": wall_delta.mean,
-        "wall_delta_p50": wall_delta.percentile(50),
-        "wall_delta_p95": wall_delta.percentile(95),
-        "wall_delta_max": wall_delta.percentile(100),
+        "wall_delta_mean": (sum(wall_delta) / len(wall_delta)
+                            if wall_delta else 0.0),
+        "wall_delta_p50": _nearest_rank(wall_delta, 50),
+        "wall_delta_p95": _nearest_rank(wall_delta, 95),
+        "wall_delta_max": _nearest_rank(wall_delta, 100),
     }
     if store is not None:
         store.add_event(_summary_record(n_points, "recovery.sweep_summary",
@@ -373,6 +374,14 @@ def run_sweep(records: int = 120, stride: int = 1,
     say(f"sweep: {n_crashed}/{n_points} crash points recovered, "
         f"{len(failures)} violations")
     return summary
+
+
+def _nearest_rank(samples: list, q: float) -> float:
+    """Nearest-rank percentile of ``samples``, q in [0, 100]; 0.0 when
+    there are none."""
+    if not samples:
+        return 0.0
+    return sorted(samples)[max(1, math.ceil(q * len(samples) / 100.0)) - 1]
 
 
 # ------------------------------------------------------------- soak mode

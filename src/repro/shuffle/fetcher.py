@@ -92,7 +92,7 @@ class Fetcher:
         with telemetry, one ``fetch`` span built in place: the record
         ``Telemetry.span`` / ``finish`` would make - the next span id,
         no parent, attrs ``node, source, owner, dag, nbytes`` and then
-        ``outcome`` - and, while in flight, in the tracer's open set.
+        ``outcome`` - and, while in flight, in the facade's open set.
         It closes ``ok``, ``failed`` or, when an :class:`Interrupt`
         (the owning attempt killed) runs through it, ``killed`` at that
         instant; a fetch the simulation ends in stays open.
@@ -106,8 +106,7 @@ class Fetcher:
             telemetry = None
         span = None
         if telemetry is not None:
-            tracer = telemetry.tracer
-            tracer._count = span_id = tracer._count + 1
+            telemetry._span_id = span_id = telemetry._span_id + 1
             # Field by field rather than Span(...): no __init__ frame.
             span = Span.__new__(Span)
             span.span_id = span_id
@@ -119,7 +118,7 @@ class Fetcher:
                 "node": self.reader_node, "source": ref.node_id,
                 "owner": self.owner, "dag": self._owner_dag,
                 "nbytes": ref.nbytes}
-            tracer._by_id[span_id] = span
+            telemetry._open[span_id] = span
         try:
             attempts = 0
             deadline = now + spec.shuffle_retry_total_timeout
@@ -189,7 +188,7 @@ class Fetcher:
         if span is not None:
             span.end = end = env.now
             attrs["outcome"] = "ok"
-            del tracer._by_id[span_id]
+            del telemetry._open[span_id]
             telemetry.spanstore.add_span(
                 (span_id, "fetch", name, now, end, None, attrs))
         return list(records)
@@ -210,5 +209,5 @@ def _close(telemetry, span: Span, outcome: str) -> None:
     """Close a fetch span off the hot path (a failure or a kill)."""
     span.end = telemetry.now
     span.attrs["outcome"] = outcome
-    del telemetry.tracer._by_id[span.span_id]
+    del telemetry._open[span.span_id]
     telemetry.spanstore.add_span(span.record())

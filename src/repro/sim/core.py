@@ -392,8 +392,8 @@ class Environment:
         self._event_pool: list[_PooledEvent] = []
         self._pool_reuse = 0
         # Every Process ever created, counted where it is created: no
-        # call out of the kernel per process (telemetry reads it as
-        # ``sim.processes_started``).
+        # call out of the kernel per process (a persisted telemetry
+        # store's manifest carries it in its ``kernel`` block).
         self.processes_started = 0
         # Observability: ambient telemetry handle (set by
         # repro.telemetry.Telemetry.install).

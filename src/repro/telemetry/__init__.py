@@ -6,18 +6,20 @@ shuffle stalls, re-execution cascades. Production Tez publishes this
 through the YARN Application Timeline Server; this package plays that
 role for the simulated stack:
 
-* :class:`EventLog` / :class:`TelemetryEvent` — append-only structured
-  record stream (timestamp, kind, attrs) emitted from ``sim.core``,
-  ``yarn``, ``tez.am``, ``shuffle`` and ``chaos``.
-* :class:`Tracer` / :class:`Span` — hierarchical spans
-  (session → DAG → vertex → task-attempt, plus container lifecycle and
-  shuffle-fetch spans).
-* :class:`MetricsRegistry` — typed counters and histograms, the one
-  counter surface of an AM (``DAGAppMaster.registry``).
+* :class:`Telemetry` — the one recorder, ambient on the environment:
+  structured events (timestamp, kind, attrs; read back as
+  :class:`TelemetryEvent`) emitted from ``yarn``, ``tez.am``,
+  ``shuffle`` and ``chaos``, and hierarchical spans (:class:`Span`;
+  session → DAG → vertex → task-attempt, plus container lifecycle and
+  shuffle-fetch spans), each handed to the store as it is made or
+  closed.
+* :class:`MetricsRegistry` — a table of counters, the one counter
+  surface of an AM (``DAGAppMaster.registry``).
 * :class:`SpanStore` — the write-once on-disk store: a run's one
   artefact (``MANIFEST.json`` + ``segments/``).
 * :class:`TimelineStore` — the query API (by span kind, event kind,
-  attrs, time range), live or over a persisted store.
+  attrs, time range) over a store, live (open spans included) or
+  persisted.
 * :class:`RollupEngine` / :mod:`~repro.telemetry.analysis` — per-DAG
   summaries and critical paths, folded as spans close.
 * :mod:`~repro.telemetry.export` — the Chrome trace-event view of a
@@ -28,12 +30,12 @@ seconds, scaled to microseconds only at Chrome-trace export time.
 """
 
 from .analysis import CriticalPathReport, CriticalPathSegment, DagSummary
-from .events import EventLog, TaskTraceEntry, TelemetryEvent
+from .events import TaskTraceEntry, TelemetryEvent
 from .export import chrome_trace, validate_records, write_chrome_trace
 from .facade import Telemetry, get_telemetry
-from .metrics import Counter, Histogram, MetricsRegistry
+from .metrics import Counter, MetricsRegistry
 from .rollups import RollupEngine
-from .spans import Span, Tracer
+from .spans import Span
 from .store import SpanStore
 from .timeline import TimelineStore
 
@@ -42,8 +44,6 @@ __all__ = [
     "CriticalPathReport",
     "CriticalPathSegment",
     "DagSummary",
-    "EventLog",
-    "Histogram",
     "MetricsRegistry",
     "RollupEngine",
     "Span",
@@ -52,7 +52,6 @@ __all__ = [
     "Telemetry",
     "TelemetryEvent",
     "TimelineStore",
-    "Tracer",
     "chrome_trace",
     "get_telemetry",
     "validate_records",

@@ -1,5 +1,6 @@
-"""The Telemetry facade: one object bundling log, tracer, metrics
-and the timeline store, installed onto the simulation Environment.
+"""The Telemetry facade: the one recorder, bundling the open spans,
+metrics and the timeline store, installed onto the simulation
+Environment.
 
 Deep leaf objects (fetchers, node managers, the YARN scheduler) reach
 telemetry ambiently through the environment they already hold::
@@ -14,11 +15,14 @@ so the whole layer is optional: simulations built without a
 
 Storage: the system of record is the write-once on-disk
 :class:`~repro.telemetry.store.SpanStore` (``self.spanstore``) —
-spans and events stream through its ring buffers into a private spool,
-and per-DAG summaries / critical paths are maintained incrementally by
-the :class:`RollupEngine` at span-close time. The
-:class:`TimelineStore` query API (``self.store``) reads back through
-the spool transparently. :meth:`Telemetry.persist_store` lands the run
+:meth:`Telemetry.event` numbers each event and hands its tuple to the
+store, :meth:`Telemetry.span` opens a span that stays resident only
+until :meth:`Telemetry.finish` hands its tuple over, and records stream
+through the store's ring buffers into a private spool. Per-DAG
+summaries / critical paths are maintained incrementally by the
+:class:`RollupEngine` at span-close time. The :class:`TimelineStore`
+query API (``self.store``) reads back through the spool transparently,
+open spans included. :meth:`Telemetry.persist_store` lands the run
 once, as one directory - dimension-partitioned segments, and a
 manifest that also carries the kernel counters, the shard summaries
 and the rollups - and ends the recording.
@@ -28,10 +32,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .events import EventLog
 from .metrics import MetricsRegistry
 from .rollups import _INTERESTING, RollupEngine
-from .spans import Span, Tracer
+from .spans import Span
 from .store import SpanStore
 from .timeline import TimelineStore
 
@@ -58,18 +61,20 @@ class Telemetry:
         self.env = env
         # Hot-path kill switch: when False, get_telemetry() reports no
         # telemetry and event/span/finish return without recording.
-        # Decided at construction (``sim.processes_started`` is only
-        # registered for enabled telemetry); persist_store() turns it
-        # off for good.
+        # persist_store() turns it off for good.
         self.enabled = enabled
         # store_opts: the ring sizes, ``ring_spans`` / ``ring_events``.
         self.spanstore = SpanStore(**(store_opts or {}))
         self.rollups = RollupEngine()
-        self.log = EventLog(sink=self.spanstore)
-        self.tracer = Tracer(env=env, sink=self.spanstore)
         self.metrics = MetricsRegistry()
-        self.store = TimelineStore(self.log, self.tracer,
-                                   spanstore=self.spanstore)
+        # The last span id handed out (ids count from 1), the next event
+        # seq (from 0), and the open spans by id - in id order, as ids
+        # are handed out when a span opens. A closed span is the
+        # store's alone.
+        self._span_id = 0
+        self._event_seq = 0
+        self._open: dict[int, Span] = {}
+        self.store = TimelineStore(self.spanstore, live=self)
         # Registries of individual components (e.g. one per AM attempt)
         # attached for discovery/export alongside the global registry.
         self.registries: dict[str, MetricsRegistry] = {}
@@ -83,13 +88,7 @@ class Telemetry:
     def install(self, env) -> None:
         """Become the ambient telemetry of ``env``."""
         self.env = env
-        self.tracer.env = env
         env.telemetry = self
-        if self.enabled:
-            # The kernel counts its processes itself; the metric reads
-            # that integer instead of being called once per process.
-            self.metrics.read_counter(
-                "sim.processes_started", lambda: env.processes_started)
 
     def attach_registry(self, name: str,
                         registry: MetricsRegistry) -> MetricsRegistry:
@@ -123,7 +122,7 @@ class Telemetry:
         telemetry is disabled and its store sealed: a simulation that
         runs on records nothing and leaves the directory as it is, and a
         second call raises."""
-        for span in self.tracer.open_spans():
+        for span in self.open_spans():
             self.spanstore.add_span(span.record())
             self.rollups.on_span_stored_open(span)
         target = self.spanstore.persist(target_dir, self._run())
@@ -161,18 +160,27 @@ class Telemetry:
         if ts is None:
             env = self.env
             ts = env.now if env is not None else 0.0
-        self.log.emit(kind, ts, attrs)
+        seq = self._event_seq
+        self._event_seq = seq + 1
+        self.spanstore.add_event((seq, ts, kind, attrs))
         if kind in _INTERESTING:
             self.rollups.on_event(kind, ts, attrs)
 
     def span(self, kind: str, name: str, parent=None,
              ts: Optional[float] = None, **attrs) -> Optional[Span]:
+        """Open a span under ``parent`` (a span, its id, or ``None``);
+        it keeps ``attrs`` by reference."""
         if not self.enabled:
             return None
         if ts is None:
             env = self.env
             ts = env.now if env is not None else 0.0
-        return self.tracer._start(kind, name, parent, ts, attrs)
+        if parent is not None and parent.__class__ is Span:
+            parent = parent.span_id
+        self._span_id = span_id = self._span_id + 1
+        span = self._open[span_id] = Span(span_id, kind, name, ts, None,
+                                          parent, attrs)
+        return span
 
     def finish(self, span: Optional[Span], ts: Optional[float] = None,
                **attrs) -> Optional[Span]:
@@ -185,14 +193,17 @@ class Telemetry:
         if ts is None:
             env = self.env
             ts = env.now if env is not None else 0.0
-        # Close inline (the facade's tracer is always sink-backed):
-        # stamp, hand the record to the store, fold the rollups - which
+        # Stamp, hand the record to the store, fold the rollups - which
         # fold attempt, vertex and dag spans only.
         span.end = ts
         if attrs:
             span.attrs.update(attrs)
-        self.tracer._by_id.pop(span.span_id, None)
+        self._open.pop(span.span_id, None)
         self.spanstore.add_span(span.record())
         if span.kind in ("attempt", "vertex", "dag"):
             self.rollups.on_span_closed(span)
         return span
+
+    def open_spans(self) -> list[Span]:
+        """Unfinished spans in creation order."""
+        return list(self._open.values())

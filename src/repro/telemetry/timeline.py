@@ -5,19 +5,19 @@ Server: the Chrome-trace view, ``query`` and tests read execution
 history through it — by span kind and attrs, by event kind, by time
 range — instead of poking at AM internals.
 
-The query API is storage-agnostic: when the telemetry is backed by the
-partitioned :class:`~repro.telemetry.store.SpanStore`, closed spans
-are streamed back out of its spool or persisted segments (pruned by
-partition) and merged with the tracer's open-span set; without one,
-everything comes from the in-memory tracer and log.
+Every closed record comes out of the
+:class:`~repro.telemetry.store.SpanStore` (its spool, or a persisted
+store's segments, pruned by partition). A timeline over a live run is
+also given the recording :class:`~repro.telemetry.facade.Telemetry`,
+whose open spans it merges in.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .events import EventLog, TelemetryEvent
-from .spans import Span, Tracer
+from .events import TelemetryEvent
+from .spans import Span
 
 __all__ = ["TimelineStore", "span_from_record"]
 
@@ -30,25 +30,16 @@ def span_from_record(rec: dict) -> Span:
 
 
 class TimelineStore:
-    def __init__(self, log: Optional[EventLog] = None,
-                 tracer: Optional[Tracer] = None, spanstore=None):
-        if spanstore is None and (log is None or tracer is None):
-            raise ValueError("TimelineStore needs a log+tracer, a "
-                             "spanstore, or both")
-        if log is None:
-            log = EventLog(sink=spanstore)
-        if tracer is None:
-            tracer = Tracer(sink=spanstore)
-        self.log = log
-        self.tracer = tracer
+    def __init__(self, spanstore, live=None):
         self.spanstore = spanstore
+        self.live = live        # the recording Telemetry, if any
 
     @classmethod
     def open(cls, store_dir: str) -> "TimelineStore":
-        """Query surface over a persisted partitioned store directory
-        (no live tracer/log: exactly what the segments hold)."""
+        """Query surface over a persisted store directory (no live
+        telemetry: exactly what the segments hold)."""
         from .store import SpanStore
-        return cls(spanstore=SpanStore(store_dir))
+        return cls(SpanStore(store_dir))
 
     # -- events ---------------------------------------------------------
     def events(
@@ -59,16 +50,24 @@ class TimelineStore:
         until: Optional[float] = None,
         **attrs,
     ) -> list[TelemetryEvent]:
-        return self.log.select(kind=kind, prefix=prefix, since=since,
-                               until=until, **attrs)
+        """Filter by exact kind, kind prefix, time range and attrs."""
+        return [
+            TelemetryEvent(ts=rec["ts"], kind=rec["kind"],
+                           attrs=rec["attrs"], seq=rec["seq"])
+            for rec in self.spanstore.iter_event_records(
+                kind=kind, prefix=prefix, since=since, until=until,
+                attrs=attrs)
+        ]
 
     # -- spans ----------------------------------------------------------
     def spans(self, kind: Optional[str] = None, **attrs) -> list[Span]:
-        if self.spanstore is None:
-            return self.tracer.select(kind=kind, **attrs)
         closed = [span_from_record(rec) for rec in
                   self.spanstore.iter_span_records(kind=kind, attrs=attrs)]
-        open_ = self.tracer.select(kind=kind, **attrs)
+        if self.live is None:
+            return closed
+        open_ = [span for span in self.live.open_spans()
+                 if (kind is None or span.kind == kind)
+                 and all(span.attrs.get(k) == v for k, v in attrs.items())]
         if not open_:
             return closed
         # A stored record of a span still open is a persist-time

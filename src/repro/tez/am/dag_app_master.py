@@ -279,10 +279,7 @@ class DAGAppMaster:
                 yield from committer.finalize()
 
         finish = self.env.now
-        # O(changed): only counters dirtied during this DAG are
-        # visited; the un-namespaced names below restore the zeros the
-        # legacy full-registry diff carried.
-        delta = self.registry.delta_sparse(base_counters)
+        delta = self.registry.delta(base_counters)
         status = DAGStatus(
             name=dag.name,
             state=self._dag_state,

@@ -134,8 +134,6 @@ class TaskSchedulerService:
         self._c_reuse = self.registry.counter("scheduler.reuse_hits")
         self._c_released = self.registry.counter(
             "scheduler.containers_released")
-        self._h_queue_wait = self.registry.histogram(
-            "scheduler.queue_wait_seconds")
         # Execution trace (paper Figure 7): one TaskTraceEntry per task
         # run, kept with telemetry off too.
         self.task_trace: list[TaskTraceEntry] = []
@@ -525,8 +523,6 @@ class TaskSchedulerService:
         self._c_placed.inc()
         request.attempt.container = slot.container
         request.attempt.node_id = slot.container.node_id
-        queue_wait = self.env.now - (request.queued_at or self.env.now)
-        self._h_queue_wait.observe(queue_wait)
         telemetry = get_telemetry(self.env)
         if telemetry is not None:
             attempt = request.attempt
@@ -548,7 +544,8 @@ class TaskSchedulerService:
                 container=str(slot.container.container_id),
                 locality=locality,
                 reuse=reuse,
-                queue_wait=queue_wait,
+                queue_wait=self.env.now - (request.queued_at
+                                           or self.env.now),
             )
         self._ensure_launched(slot)
         slot.mailbox.put(request.attempt)
@@ -622,8 +619,6 @@ class TaskSchedulerService:
                     start=entry.start,
                     ok=error is None,
                 )
-                telemetry.metrics.histogram(
-                    "scheduler.task_run_seconds").observe(entry.duration)
             self.defer_exits(
                 attempt, error,
                 lambda process, s=slot: self._attempt_exit_unit(s, process),

@@ -10,7 +10,6 @@ hook Tez AM recovery builds on), and drives the scheduler tick.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Generator, Optional
 
 from ..cluster import Cluster, Node
@@ -252,15 +251,11 @@ class ResourceManager:
             self._m_ticks_skipped = telemetry.metrics.counter(
                 "yarn.scheduler.ticks_skipped"
             )
-            self._h_tick_seconds = telemetry.metrics.histogram(
-                "yarn.scheduler.tick_seconds"
-            )
             self._m_missed = telemetry.metrics.counter(
                 "yarn.scheduler.missed_opportunities"
             )
         else:
             self._m_ticks_skipped = None
-            self._h_tick_seconds = None
             self._m_missed = None
         self._running = True
         env.process(self._tick_loop(), name="rm-scheduler-tick")
@@ -275,11 +270,8 @@ class ResourceManager:
                 if self._m_ticks_skipped is not None:
                     self._m_ticks_skipped.inc()
             else:
-                start = perf_counter()
                 missed_before = self.scheduler.missed_opportunities_total
                 self.scheduler.tick()
-                if self._h_tick_seconds is not None:
-                    self._h_tick_seconds.observe(perf_counter() - start)
                 # Published once per tick, never per miss.
                 missed = (self.scheduler.missed_opportunities_total
                           - missed_before)

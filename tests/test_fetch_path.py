@@ -6,7 +6,9 @@ telemetry facade (``Telemetry.span`` -> ``Tracer._start``, then
 ``Telemetry.finish``). Now ``Fetcher.fetch`` is the one frame and builds
 the span's store record in place. ``_FrozenFetcher`` and the
 ``_frozen_*`` facade functions below keep the old code verbatim (the
-facade methods spelled as functions of their ``self``), and Hypothesis
+facade methods spelled as functions of their ``self``; the tracer has
+since been folded into the facade, so they count span ids and keep the
+open set in the facade's ``_span_id`` and ``_open``), and Hypothesis
 runs both on the same generated scenarios: connection latency, a
 partitioned link (that may heal), a lossy link plus the transient
 error rate, a lost spill, several fetches in a row, and a kill at
@@ -18,7 +20,7 @@ which the old path left open and the new one closes ``killed`` at the
 kill (asserted on its own).
 
 Also here: the job-token check a shuffle service remembers, the kernel's
-process count as telemetry and the store report it, and a killed inline
+process count and the store report of it, and a killed inline
 reducer's in-flight fetch span.
 """
 
@@ -49,11 +51,9 @@ def _frozen_start(self, kind, name, parent, ts, attrs):
     # that already hold one (the facade) skip a kwargs re-copy.
     if parent is not None and parent.__class__ is Span:
         parent = parent.span_id
-    self._count = span_id = self._count + 1
+    self._span_id = span_id = self._span_id + 1
     span = Span(span_id, kind, name, ts, None, parent, attrs)
-    if self.sink is None:
-        self.spans.append(span)
-    self._by_id[span_id] = span
+    self._open[span_id] = span
     return span
 
 
@@ -63,7 +63,7 @@ def _frozen_span(self, kind, name, parent=None, ts=None, **attrs):
     if ts is None:
         env = self.env
         ts = env.now if env is not None else 0.0
-    return _frozen_start(self.tracer, kind, name, parent, ts, attrs)
+    return _frozen_start(self, kind, name, parent, ts, attrs)
 
 
 def _frozen_finish(self, span, ts=None, **attrs):
@@ -82,7 +82,7 @@ def _frozen_finish(self, span, ts=None, **attrs):
     span.end = ts
     if attrs:
         span.attrs.update(attrs)
-    self.tracer._by_id.pop(span.span_id, None)
+    self._open.pop(span.span_id, None)
     self.spanstore.add_span(span.record())
     if span.kind in ("attempt", "vertex", "dag"):
         self.rollups.on_span_closed(span)
@@ -278,7 +278,7 @@ def _run(scenario, fetcher_cls):
         "counts": (fetcher.retries, fetcher.bytes_fetched,
                    fetcher.fetch_count, env.now, env.heap_pushes),
         "spans": [_span_record(s) for s in tel.store.spans()],
-        "open": [_span_record(s) for s in tel.tracer.open_spans()],
+        "open": [_span_record(s) for s in tel.open_spans()],
         "events": [(e.seq, e.ts, e.kind, list(e.attrs.items()))
                    for e in tel.store.events()],
         "metrics": tel.metrics.as_dict(),
@@ -393,7 +393,7 @@ def test_a_killed_inline_fetch_closes_its_span():
     sim.env.process(kill_mid_gather())
     sim.env.run(until=handle.completion)
     assert handle.status.succeeded, handle.status.diagnostics
-    assert not [s for s in sim.telemetry.tracer.open_spans()
+    assert not [s for s in sim.telemetry.open_spans()
                 if s.kind == "fetch"
                 and s.attrs["owner"] == killed["attempt"]]
     spans = fetch_spans(killed["attempt"])
@@ -485,17 +485,6 @@ def _small_run(**sim_overrides):
     sim.env.run(until=handle.completion)
     assert handle.status.succeeded
     return sim
-
-
-def test_processes_started_is_the_kernels_count():
-    sim = _small_run()
-    counter = sim.telemetry.metrics.counter("sim.processes_started")
-    assert counter.value == sim.env.processes_started > 0
-    before = sim.env.processes_started
-    sim.env.process(x for x in [sim.env.timeout(1.0)])
-    assert counter.value == sim.env.processes_started == before + 1
-    with pytest.raises(AttributeError):
-        counter.inc()
 
 
 def test_every_process_is_counted_telemetry_or_not():

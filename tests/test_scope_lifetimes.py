@@ -9,7 +9,9 @@ inputs and the outputs the user asked for (no scratch, no staging). A
 journal-aimed AM crash mid-DAG still recovers its producers from their
 spills, and a ten-DAG iterative session retains no more host memory
 after its tenth DAG than after its second (DESIGN.md "What a finished
-DAG or query leaves behind"). A map join's hash table is built once per MR job run
+DAG or query leaves behind"); a session's telemetry counters and AM
+registry hold no more after its fifth DAG than after its first. A map
+join's hash table is built once per MR job run
 and is gone when the job ends, a task that finds its table cached
 never evaluates the build side, and a finished MR job's application
 master is freed without the cyclic collector.
@@ -477,6 +479,28 @@ def test_a_finished_dag_leaves_nothing_in_the_journal():
     sim.env.run(until=second.completion)
     assert first.status.succeeded and second.status.succeeded
     assert _reachable(client.recovery, kinds) == []
+    client.stop()
+    sim.env.run(until=sim.env.now + 60)
+
+
+def test_telemetry_keeps_nothing_per_task_run():
+    """Five DAGs of one shape through one session: what the telemetry's
+    metrics and the AM's registry hold stays the same size after each -
+    counters only, no sample per placement, task run or tick."""
+    sim = make_sim()
+    sim.hdfs.write("/in", [(i % 10, i) for i in range(400)],
+                   record_bytes=32)
+    client = sim.tez_client(session=True)
+    tel = sim.telemetry
+    held = []
+    for i in range(5):
+        handle = client.submit_dag(_two_stage(f"d{i}", []))
+        sim.env.run(until=handle.completion)
+        assert handle.status.succeeded, handle.status.diagnostics
+        held.append((len(_reachable(tel.metrics, object)),
+                     sum(len(_reachable(registry, object))
+                         for registry in tel.registries.values())))
+    assert held == [held[0]] * 5, held
     client.stop()
     sim.env.run(until=sim.env.now + 60)
 

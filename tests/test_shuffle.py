@@ -477,7 +477,7 @@ class TestGather:
         (span,) = tel.store.spans(kind="fetch")
         assert span.attrs["outcome"] == "killed"
         assert span.end == latency / 2
-        assert not [s for s in tel.tracer.open_spans() if s.kind == "fetch"]
+        assert not [s for s in tel.open_spans() if s.kind == "fetch"]
         assert fetcher.fetch_count == 0
 
 

@@ -32,7 +32,8 @@ scratch copy, each caught within the example budget below: ``flush``
 spooling the deque itself instead of ``list(ring)``; ``Span.record``
 copying ``attrs`` (an update after the close is lost);
 ``Telemetry.finish`` taking the record before it stamps ``end``;
-``EventLog.emit`` numbering from 1.
+event seqs numbered from 1 (then in ``EventLog.emit``, since deleted;
+the numbering is ``Telemetry.event``'s now).
 
 The golden pins what two control-plane scenarios leave in a persisted
 store: the sha256 of every file, recorded at 16c8b43 in one fresh
@@ -62,7 +63,7 @@ from hypothesis import given, settings, strategies as st
 
 import control_plane_scenarios as scenarios
 from repro.telemetry import Telemetry
-from repro.telemetry.events import EventLog, TelemetryEvent
+from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.spans import Span
 from repro.telemetry.store import (
     MANIFEST_NAME,
@@ -93,7 +94,12 @@ def _event_tuple(ev) -> tuple:
     return (ev.seq, ev.ts, ev.kind, ev.attrs)
 
 
-class _FrozenLog(EventLog):
+class _FrozenLog:
+    def __init__(self, sink=None):
+        self.sink = sink
+        self._events: list = []
+        self._count = 0
+
     def emit(self, kind: str, ts: float, **attrs) -> TelemetryEvent:
         event = TelemetryEvent(ts, kind, attrs, self._count)
         self._count += 1
@@ -407,7 +413,7 @@ class _Sides:
             shipped, frozen = pair = self.open.pop(pick % len(self.open))
             extra = {} if outcome is None else {"outcome": outcome}
             tel.finish(shipped, ts=ts, **extra)
-            # Tracer.finish's sink branch as it was.
+            # The deleted Tracer.finish's sink branch as it was.
             frozen.end = ts
             frozen.attrs.update(extra)
             self.store.add_span(frozen)

@@ -30,11 +30,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.telemetry import MetricsRegistry, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry import query
 from repro.telemetry.check import check_store
-from repro.telemetry.events import EventLog, TelemetryEvent
-from repro.telemetry.spans import Span, Tracer
+from repro.telemetry.events import TelemetryEvent
+from repro.telemetry.spans import Span
 from repro.telemetry.store import (
     SpanStore,
     _span_tuple_record,
@@ -199,10 +199,10 @@ def test_a_run_goes_on_after_persist_without_touching_the_store(tmp_path):
         container_idle_timeout=1e9, session_idle_timeout=1e9))
     client.start()
     first = client.submit_dag(shuffle_dag("first"))
-    while not any(span.kind == "fetch" for span in tel.tracer.open_spans()):
+    while not any(span.kind == "fetch" for span in tel.open_spans()):
         assert not first.completion.triggered, "no fetch was in flight"
         sim.env.run(until=sim.env.now + 0.01)
-    open_ids = {span.span_id for span in tel.tracer.open_spans()}
+    open_ids = {span.span_id for span in tel.open_spans()}
     target = str(tmp_path / "store")
     tel.persist_store(target)
     persisted = _tree(target)
@@ -412,25 +412,6 @@ def test_store_check_enforces_the_write_once_layout(sharded_store, tmp_path,
     assert any(expect in p for p in problems), problems
 
 
-# ============================================= metrics snapshot delta
-def test_delta_sparse_matches_full_delta_and_is_sparse():
-    reg = MetricsRegistry()
-    for name in ("a", "b", "c.scoped"):
-        reg.counter(name).inc(5)
-    snap = reg.snapshot()
-    reg.counter("b").inc(2)
-    reg.counter("fresh").inc()
-    sparse = reg.delta_sparse(snap)
-    full = reg.delta(snap)
-    assert sparse == {"b": 2, "fresh": 1}
-    assert {k: v for k, v in full.items() if v} == sparse
-    # Plain-dict bases (the historical snapshot shape) still work.
-    assert reg.delta_sparse(dict(snap)) == full
-    # Snapshots stay byte-identical to the historical plain dict.
-    assert json.dumps(reg.snapshot()) == json.dumps(
-        {"a": 5.0, "b": 7.0, "c.scoped": 5.0, "fresh": 1.0})
-
-
 # ============================== figure-benchmark timeline equivalence
 FIG_MODULES = [
     "bench_fig08_hive_tpcds",
@@ -462,24 +443,54 @@ def recorded(monkeypatch):
     return seen
 
 
+class _ListTimeline:
+    """A timeline over in-memory lists of every span and event, queried
+    with the filters pre-store telemetry's in-memory tracer and event
+    log applied: spans by kind and attrs; events by kind, kind prefix,
+    time range and attrs."""
+
+    def __init__(self, spans: list, events: list):
+        self._spans = spans
+        self._events = events
+
+    def spans(self, kind=None, **attrs) -> list:
+        return [span for span in self._spans
+                if (kind is None or span.kind == kind)
+                and not any(span.attrs.get(k) != v
+                            for k, v in attrs.items())]
+
+    def events(self, kind=None, prefix=None, since=None, until=None,
+               **attrs) -> list:
+        out = []
+        for ev in self._events:
+            if kind is not None and ev.kind != kind:
+                continue
+            if prefix is not None and not ev.kind.startswith(prefix):
+                continue
+            if since is not None and ev.ts < since:
+                continue
+            if until is not None and ev.ts > until:
+                continue
+            if any(ev.attrs.get(k) != v for k, v in attrs.items()):
+                continue
+            out.append(ev)
+        return out
+
+
 def legacy_timeline(tel, recorded):
-    """The in-memory timeline the recorder retained: a sink-less
-    tracer/log holding every span and event, exactly as pre-store
-    telemetry did."""
+    """The in-memory timeline the recorder retained: every span and
+    event, exactly as pre-store telemetry held them."""
     spans, events = recorded[tel.spanstore]
     by_id = {}
-    # A span still open is in the tracer's open set and, once
+    # A span still open is in the facade's open set and, once
     # persist_store() has snapshotted it, among the records: keep one.
     for span in [span_from_record(_span_tuple_record(t)) for t in spans] \
-            + tel.tracer.open_spans():
+            + tel.open_spans():
         by_id.setdefault(span.span_id, span)
-    tracer = Tracer()
-    tracer.spans = [by_id[span_id] for span_id in sorted(by_id)]
-    log = EventLog()
-    log._events = [TelemetryEvent(ts, kind, attrs, seq)
-                   for seq, ts, kind, attrs in events]
-    log._count = len(log._events)
-    return TimelineStore(log=log, tracer=tracer)
+    return _ListTimeline(
+        [by_id[span_id] for span_id in sorted(by_id)],
+        [TelemetryEvent(ts, kind, attrs, seq)
+         for seq, ts, kind, attrs in events])
 
 
 def assert_store_equals_legacy(tel, store, legacy):

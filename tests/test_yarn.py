@@ -625,14 +625,13 @@ def test_missed_opportunities_published_once_per_tick():
     assert kinds and not any("missed" in kind for kind in kinds)
 
 
-def test_ticks_skipped_counter_and_histogram_in_telemetry():
+def test_ticks_skipped_counter_in_telemetry():
     from repro import SimCluster
 
     sim = SimCluster(num_nodes=2, nodes_per_rack=2)
     sim.env.run(until=10.0)
     metrics = sim.telemetry.metrics
     assert metrics.counter("yarn.scheduler.ticks_skipped").value > 0
-    assert metrics.histogram("yarn.scheduler.tick_seconds").count > 0
 
 
 # -- frozen reference: a scan-everything offer path --------------------------

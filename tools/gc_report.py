@@ -21,12 +21,17 @@ read-only) in this process, runs its timed region once and prints
   aside) and staging under ``_staging/`` or ``_tmp/`` - shuffle spills
   per application, object-registry entries per scope in every live
   container, and task successes per DAG still held by any shard's
-  recovery journal (``RecoveryJournal.dags``) of any Tez client.
+  recovery journal (``RecoveryJournal.dags``) of any Tez client;
+* what telemetry still holds then: each simulation's open spans by
+  kind, and the ``TaskTraceEntry`` records (one per task run) that the
+  clients' live AMs keep in ``TaskSchedulerService.task_trace``.
 
 The script uses nothing that was added to the program for it (it reads
 the shuffle services', registries' and journals' own tables), so a copy
 of this file dropped into a parent checkout's ``tools/`` gives the
-"before" column. ``--check`` exits 1 when a collection ran inside
+"before" column (open spans are read from ``Telemetry.open_spans()``,
+or from the tracer a parent checkout's telemetry still has). The
+telemetry lines are a report only. ``--check`` exits 1 when a collection ran inside
 ``Environment.run``, the unreachable set holds an AM structure, or a
 finished DAG or query left a scratch or staging file, a spill, a DAG-
 or VERTEX-scoped registry entry or a journaled task success.
@@ -86,6 +91,24 @@ def _journaled(clients) -> Counter:
             for name, state in record.journal.dags.items():
                 held[name] += len(state.successes)
     return +held
+
+
+def _open_spans(sims) -> list[Counter]:
+    """Open spans by kind, one counter per simulation."""
+    held = []
+    for sim in sims:
+        tel = sim.telemetry
+        opened = getattr(tel, "open_spans", None) or tel.tracer.open_spans
+        held.append(Counter(span.kind for span in opened()))
+    return held
+
+
+def _task_trace(clients) -> int:
+    """``TaskTraceEntry`` records the live AMs of ``clients`` hold."""
+    return sum(len(record.am.scheduler.task_trace)
+               for client in clients
+               for record in client.coordinator.records()
+               if record.am is not None)
 
 
 def _am_structures() -> tuple:
@@ -279,6 +302,8 @@ def main(argv=None) -> int:
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         files, spills, entries = _left_behind(w.sims)
         journaled = _journaled(w.clients)
+        open_spans = _open_spans(w.sims)
+        task_trace = _task_trace(w.clients)
         garbage = _unreachable()
         outcome = w.check()
         for sim in w.sims:
@@ -321,6 +346,13 @@ def main(argv=None) -> int:
           f"{sum(journaled.values())}")
     for name, n in sorted(journaled.items()):
         print(f"  journal   {n:>8}  {name}")
+    print(f"telemetry still holds: "
+          f"{sum(sum(kinds.values()) for kinds in open_spans)} open "
+          f"spans, {task_trace} task-trace entries in live AMs")
+    for i, kinds in enumerate(open_spans):
+        if kinds:
+            print(f"  sim {i}     " + ", ".join(
+                f"{n} {kind}" for kind, n in sorted(kinds.items())))
 
     if not args.check:
         return 0
