@@ -329,8 +329,7 @@ class ChaosController:
             )
         while True:
             armed = any(
-                not state.finished
-                and len(state.successes) >= fault.when_journaled
+                len(state.successes) >= fault.when_journaled
                 for state in journal.dags.values()
             )
             if armed:

@@ -54,7 +54,6 @@ class CrashWitness:
             self.journaled = frozenset(
                 (dag, vertex, index)
                 for dag, state in am.recovery.dags.items()
-                if not state.finished
                 for vertex, index in state.successes
             )
             crash()

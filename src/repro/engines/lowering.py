@@ -108,7 +108,9 @@ class Exchange:
     """Data moving from ``src`` into the stage holding this exchange:
     ``emit(ctx, rows) -> records`` on the producer, ``decode(ctx,
     records) -> rows`` on the consumer. ``grouped`` asks for sorted,
-    key-grouped delivery of a scatter-gather."""
+    key-grouped delivery of a scatter-gather; ``partitioner`` and
+    ``combiner`` (``records -> records`` over one sorted partition)
+    go to the producer's spill."""
 
     src: Stage
     movement: DataMovementType
@@ -117,6 +119,7 @@ class Exchange:
     grouped: bool = False
     bytes_per_record: Optional[float] = None
     partitioner: Optional[Any] = None
+    combiner: Optional[Callable] = None
 
 
 def shuffle_manager(bytes_per_reducer: int,
@@ -192,6 +195,8 @@ def _edge_property(exchange: Exchange) -> EdgeProperty:
         payload["bytes_per_record"] = exchange.bytes_per_record
     if exchange.partitioner is not None:
         payload["partitioner"] = exchange.partitioner
+    if exchange.combiner is not None:
+        payload["combiner"] = exchange.combiner
     return EdgeProperty(
         exchange.movement,
         output_descriptor=Descriptor(output_cls, payload or None),

@@ -1,10 +1,14 @@
-"""MapReduce: the job model, the native YARN baseline runner, the
-MR-on-Tez runner (paper 5.1, a one-job stitch) and workflow stitching
+"""MapReduce: the job model, the native YARN baseline runner, and the
+MR-on-Tez front-end (paper 5.1) that stitches workflows into one DAG
 (paper section 7)."""
 
 from .model import JobResult, MRJob, map_side_job
-from .stitcher import StitchError, run_stitched, stitch_pipeline
-from .tez_runner import MapReduceTezRunner
+from .stitcher import (
+    MapReduceTezRunner,
+    StitchError,
+    run_stitched,
+    stitch_pipeline,
+)
 from .yarn_runner import JobHandle, MapReduceYarnRunner
 
 __all__ = [

@@ -9,7 +9,10 @@ Hive/Pig emitted before Tez.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Iterable, Optional
+
+from ...shuffle import group_by_key
 
 __all__ = ["MRJob", "JobResult", "map_side_job", "DistributedCache"]
 
@@ -28,10 +31,7 @@ class MRJob:
     reducer: Optional[Reducer] = None          # None -> map-only job
     combiner: Optional[Reducer] = None
     num_reducers: int = 1
-    map_cpu_per_record: float = 1.0e-6
-    reduce_cpu_per_record: float = 1.0e-6
     output_record_bytes: Optional[int] = None
-    reduce_slowstart: float = 0.05             # Hadoop default
     partitioner: Optional[Any] = None          # default: stable hash
     descending_sort: bool = False              # custom key comparator
     # input path -> its own mapper; set only by ``map_side_job``.
@@ -49,6 +49,30 @@ class MRJob:
             raise ValueError("num_reducers must be >= 1 with a reducer")
         if not self.input_paths:
             raise ValueError("input_paths must be non-empty")
+
+    def map_split(self, records: list, path: Optional[str] = None,
+                  cached: tuple = ()) -> Iterable:
+        """What the map side emits for one split of ``path``: the
+        path's mapper (``path_mappers``, else ``mapper``) over the
+        split's records - all of them in one call if it is a batch
+        mapper (``mapper.batch``; ``cached`` is passed on to it), else
+        one call per record."""
+        mapper = self.mapper
+        if self.path_mappers is not None:
+            mapper = self.path_mappers.get(path, mapper)
+        if getattr(mapper, "batch", False):
+            return mapper(records, *cached)
+        return chain.from_iterable(map(mapper, records))
+
+    def spill_combiner(self) -> Optional[Callable]:
+        """The job's combiner as a spill takes it, ``records ->
+        records`` over one key-sorted partition, or None."""
+        if self.combiner is None:
+            return None
+        combine = self.combiner
+        return lambda records: [
+            kv for key, values in group_by_key(records)
+            for kv in combine(key, values)]
 
 
 def map_side_job(name: str, sides: list[tuple[list[str], Callable,

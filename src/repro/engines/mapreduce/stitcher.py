@@ -1,4 +1,9 @@
-"""Workflow stitching: a chain of MRJobs as ONE Tez DAG (paper §7).
+"""MapReduce on Tez (paper 5.1) and workflow stitching (paper §7).
+
+"MapReduce can be easily written as a Tez based application": a job is
+a map stage, plus a reduce stage behind a grouped scatter-gather when
+it has a reducer, lowered by the one stage-graph lowering
+(``engines/lowering.py``) like every other front-end's plan.
 
 "A tactical idea is to create tooling that enables a full MapReduce
 workflow to be stitched into a single Tez DAG" — legacy MR pipelines
@@ -8,39 +13,21 @@ files, and the whole workflow shares one AM and one container pool.
 
 Only jobs whose data dependency is linear (each job reads exactly the
 previous job's output) are eligible; the head job still reads its real
-HDFS inputs and the tail job still commits to HDFS.
+HDFS inputs and the tail job still commits to HDFS. A single job runs
+as the one-job stitch, so one translation of the MRJob contract serves
+single jobs and stitched workflows alike.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
-from ...shuffle import group_by_key
-from ...tez import (
-    DAG,
-    DataMovementType,
-    DataSinkDescriptor,
-    DataSourceDescriptor,
-    Descriptor,
-    Edge,
-    EdgeProperty,
-    TezClient,
-    Vertex,
-)
-from ...tez.library import (
-    FnProcessor,
-    HdfsInput,
-    HdfsInputInitializer,
-    HdfsOutput,
-    HdfsOutputCommitter,
-    OrderedGroupedKVInput,
-    OrderedPartitionedKVOutput,
-    UnorderedKVInput,
-    UnorderedPartitionedKVOutput,
-)
+from ...tez import DAG, DataMovementType, TezClient
+from ..lowering import Exchange, Root, Sink, Stage, to_dag
 from .model import JobResult, MRJob
 
-__all__ = ["stitch_pipeline", "StitchError", "run_stitched"]
+__all__ = ["stitch_pipeline", "StitchError", "run_stitched",
+           "MapReduceTezRunner"]
 
 
 class StitchError(ValueError):
@@ -68,122 +55,66 @@ def _check_linear(jobs: list[MRJob]) -> None:
             )
 
 
-def _map_fn(job: MRJob, target: str):
-    def fn(ctx, data):
-        (records,) = data.values()
-        out = []
-        mapper = job.mapper
-        if getattr(mapper, "batch", False):
-            out.extend(mapper(list(records)))
-        else:
-            for record in records:
-                out.extend(mapper(record))
-        return {target: out}
-    return fn
+def _as_is(ctx, records):
+    """MR records cross every exchange, root and sink unchanged."""
+    return records
 
 
-def _reduce_fn(job: MRJob, target: str):
-    def fn(ctx, data):
-        (grouped,) = data.values()
+def _map(job: MRJob):
+    def combine(ctx, inputs):
+        (records,) = inputs.values()
+        return list(job.map_split(records))
+    return combine
+
+
+def _reduce(job: MRJob):
+    def combine(ctx, inputs):
+        (grouped,) = inputs.values()
         if job.descending_sort:
             grouped = reversed(grouped)
         out = []
         for key, values in grouped:
             out.extend(job.reducer(key, values))
-        return {target: out}
-    return fn
+        return out
+    return combine
 
 
 def stitch_pipeline(jobs: list[MRJob], dag_name: str = "stitched") -> DAG:
     """Translate a linear MRJob chain into one Tez DAG.
 
-    Vertices alternate map/reduce per job; the inter-job HDFS write +
-    read becomes a direct edge (one-to-one records, unsorted) — the
-    exact replicated-materialization cost the stitching removes.
+    Stages alternate map/reduce per job; the inter-job HDFS write +
+    read becomes an ungrouped scatter-gather — the exact replicated-
+    materialization cost the stitching removes.
     """
     _check_linear(jobs)
-    dag = DAG(dag_name)
-    prev_vertex: Optional[Vertex] = None
+    stages: list[Stage] = []
+    tail = None
     for idx, job in enumerate(jobs):
-        is_last = idx == len(jobs) - 1
-        map_target = f"reduce_{idx}" if job.reducer is not None else (
-            "output" if is_last else f"map_{idx + 1}"
-        )
-        map_vertex = Vertex(
-            f"map_{idx}",
-            Descriptor(FnProcessor, {
-                "fn": _map_fn(job, map_target),
-                "cpu_per_record": job.map_cpu_per_record,
-            }),
-            parallelism=-1 if prev_vertex is None else max(
-                1, job.num_reducers or 1
-            ),
-        )
-        if prev_vertex is None:
-            map_vertex.add_data_source("input", DataSourceDescriptor(
-                Descriptor(HdfsInput),
-                Descriptor(HdfsInputInitializer,
-                           {"paths": job.input_paths}),
-            ))
+        map_stage = Stage(f"map_{idx}",
+                          -1 if tail is None else max(1, job.num_reducers),
+                          combine=_map(job))
+        if tail is None:
+            map_stage.roots["input"] = Root({"paths": job.input_paths},
+                                            _as_is)
         else:
-            dag.add_vertex(map_vertex)
             # Direct hand-off: what used to be an HDFS round trip.
-            dag.add_edge(Edge(prev_vertex, map_vertex, EdgeProperty(
-                DataMovementType.SCATTER_GATHER,
-                output_descriptor=Descriptor(
-                    UnorderedPartitionedKVOutput
-                ),
-                input_descriptor=Descriptor(UnorderedKVInput),
-            )))
-        if map_vertex.name not in dag.vertices:
-            dag.add_vertex(map_vertex)
-
-        if job.reducer is None:
-            tail_vertex = map_vertex
-        else:
-            reduce_vertex = Vertex(
-                f"reduce_{idx}",
-                Descriptor(FnProcessor, {
-                    "fn": _reduce_fn(
-                        job,
-                        "output" if is_last else f"map_{idx + 1}",
-                    ),
-                    "cpu_per_record": job.reduce_cpu_per_record,
-                }),
-                parallelism=job.num_reducers,
-            )
-            dag.add_vertex(reduce_vertex)
-            combiner = None
-            if job.combiner is not None:
-                def combiner(records, _c=job.combiner):
-                    out = []
-                    for key, values in group_by_key(records):
-                        out.extend(_c(key, values))
-                    return out
-            dag.add_edge(Edge(map_vertex, reduce_vertex, EdgeProperty(
-                DataMovementType.SCATTER_GATHER,
-                output_descriptor=Descriptor(
-                    OrderedPartitionedKVOutput,
-                    {"combiner": combiner,
-                     "partitioner": job.partitioner},
-                ),
-                input_descriptor=Descriptor(OrderedGroupedKVInput),
-            )))
-            tail_vertex = reduce_vertex
-        if is_last:
-            sink = DataSinkDescriptor(
-                Descriptor(HdfsOutput, {
-                    "path": job.output_path,
-                    "record_bytes": job.output_record_bytes,
-                }),
-                Descriptor(HdfsOutputCommitter, {
-                    "path": job.output_path,
-                    "record_bytes": job.output_record_bytes,
-                }),
-            )
-            tail_vertex.add_data_sink("output", sink)
-        prev_vertex = tail_vertex
-    return dag
+            map_stage.in_exchanges.append(Exchange(
+                tail, DataMovementType.SCATTER_GATHER, _as_is, _as_is))
+        stages.append(map_stage)
+        tail = map_stage
+        if job.reducer is not None:
+            tail = Stage(f"reduce_{idx}", job.num_reducers,
+                         combine=_reduce(job))
+            tail.in_exchanges.append(Exchange(
+                map_stage, DataMovementType.SCATTER_GATHER, _as_is,
+                _as_is, grouped=True, partitioner=job.partitioner,
+                combiner=job.spill_combiner()))
+            stages.append(tail)
+    last = jobs[-1]
+    tail.sinks.append(Sink("output", last.output_path,
+                           lambda records: records,
+                           last.output_record_bytes))
+    return to_dag(dag_name, stages)
 
 
 def run_stitched(client: TezClient, jobs: list[MRJob],
@@ -199,3 +130,27 @@ def run_stitched(client: TezClient, jobs: list[MRJob],
         diagnostics=status.diagnostics,
         metrics=dict(status.metrics),
     )
+
+
+class MapReduceTezRunner:
+    """Runs unmodified MRJobs through Tez (optionally in a session):
+    pipelines gain sessions, container reuse and all the execution
+    efficiencies of section 4.2 by just switching the runner."""
+
+    def __init__(self, client: TezClient):
+        self.client = client
+
+    def run_job(self, job: MRJob) -> Generator:
+        """Process: run one job as the one-job stitch (vertices
+        ``map_0`` / ``reduce_0``); returns its JobResult. A job with
+        per-path mappers raises :class:`StitchError`."""
+        return (yield from run_stitched(self.client, [job], job.name))
+
+    def run_pipeline(self, jobs: list[MRJob]) -> Generator:
+        results = []
+        for job in jobs:
+            result = yield from self.run_job(job)
+            results.append(result)
+            if not result.succeeded:
+                break
+        return results

@@ -22,7 +22,7 @@ from typing import Any, Generator, Optional
 
 from ...hdfs import Hdfs
 from ...shuffle import Fetcher, HashPartitioner, ShuffleServices
-from ...shuffle import gather, group_by_key, merge_and_group
+from ...shuffle import gather, merge_and_group
 from ...sim import Environment, Interrupt, Store
 from ...yarn import (
     AMContext,
@@ -40,6 +40,13 @@ MAP_PRIORITY = Priority(10)
 REDUCE_PRIORITY = Priority(20)
 MAX_ATTEMPTS = 4
 TASK_RESOURCE = Resource(1024, 1)
+# CPU seconds a task pays per record in and out of its map or reduce
+# function, whatever the cluster's ``cpu_cost_per_record``
+# (EXPERIMENTS.md "Known divergences", 7).
+CPU_PER_RECORD = 1.0e-6
+# Share of maps done before the reducers are requested (Hadoop's
+# default slow-start).
+REDUCE_SLOWSTART = 0.05
 
 
 class JobHandle:
@@ -284,7 +291,6 @@ class _MRAppMaster:
     def _run_map(self, container: Container,
                  task: _MapTask) -> Generator:
         job = self.job
-        path_mappers = job.path_mappers
         out: list[tuple] = []
         n_records = 0
         cached: tuple = ()
@@ -307,16 +313,9 @@ class _MRAppMaster:
             ))
             records = self.hdfs.read_block(block, container.node_id)
             n_records += len(records)
-            mapper = job.mapper
-            if path_mappers is not None:
-                mapper = path_mappers.get(block.path, job.mapper)
-            if getattr(mapper, "batch", False):
-                out.extend(mapper(records, *cached))
-            else:
-                for record in records:
-                    out.extend(mapper(record))
+            out.extend(job.map_split(records, block.path, cached))
         yield self.env.timeout(container.compute_delay(
-            (n_records + len(out)) * job.map_cpu_per_record
+            (n_records + len(out)) * CPU_PER_RECORD
         ))
         if job.reducer is None:
             staged = f"{job.output_path}/_tmp/map_{task.index}_{task.attempts}"
@@ -332,17 +331,11 @@ class _MRAppMaster:
             yield self.env.timeout(container.compute_delay(
                 self.spec.sort_time(len(out))
             ))
-            combiner = None
-            if job.combiner is not None:
-                def combiner(kvs, _c=job.combiner):
-                    # One key-sorted partition.
-                    return [kv for key, values in group_by_key(kvs)
-                            for kv in _c(key, values)]
             service = self.shuffle.on_node(container.node_id)
             refs = service.spill(
                 str(self.ctx.app_id), f"map_{task.index}_a{task.attempts}",
                 out, job.num_reducers, self.partitioner, ordered=True,
-                combiner=combiner, token=self.job_token,
+                combiner=job.spill_combiner(), token=self.job_token,
             )
             total = sum(r.nbytes for r in refs)
             yield self.env.timeout(container.io_delay(
@@ -365,7 +358,7 @@ class _MRAppMaster:
         if self.reduces_requested or not self.reduces:
             return
         fraction = self.completed_maps / max(1, len(self.maps))
-        if fraction >= self.job.reduce_slowstart:
+        if fraction >= REDUCE_SLOWSTART:
             self.reduces_requested = True
             for reduce_task in self.reduces:
                 self._pending_reduces.append(reduce_task)
@@ -432,7 +425,7 @@ class _MRAppMaster:
         for key, values in groups:
             out.extend(job.reducer(key, values))
         yield self.env.timeout(container.compute_delay(
-            (total + len(out)) * job.reduce_cpu_per_record
+            (total + len(out)) * CPU_PER_RECORD
         ))
         staged = f"{job.output_path}/_tmp/r_{task.index}_{task.attempts}"
         dfile = self.hdfs.write(

@@ -17,9 +17,8 @@ paper's checkpoint-and-replay story (§4.3) needs.
 The journal holds that state and nothing else
 (:attr:`RecoveryJournal.dags`): attempt successes accumulate, task
 ``restart`` transitions revoke them, vertex successes and
-``reactivate`` keep ``completed_vertices``, a DAG ``run`` clears its
-finished flag and the finish marker retires a DAG's state wholesale. A
-restarted AM re-dispatches one
+``reactivate`` keep ``completed_vertices``, a DAG ``run`` opens its
+entry and the finish marker drops it. A restarted AM re-dispatches one
 :class:`~repro.tez.am.dispatcher.RecoveryEvent` per surviving entry
 through its own bus — replay *is* event dispatch through the audited
 machines, not state mutation.
@@ -56,14 +55,14 @@ class DagJournalState:
 
     successes: dict         # (vertex, index) -> RecoveredTask
     completed_vertices: set
-    finished: bool = False
 
 
 class RecoveryJournal:
     """Write-ahead recovery state shared by all AM attempts of a client:
-    ``dags`` (read-only to callers) maps a DAG name to its state, and
-    ``len(journal)`` counts accepted appends - one per transition of any
-    of the five machines and one per finish marker."""
+    ``dags`` (read-only to callers) maps each DAG that has started and
+    not finished to its state, and ``len(journal)`` counts accepted
+    appends - one per transition of any of the five machines and one
+    per finish marker."""
 
     def __init__(self):
         self.dags: dict[str, DagJournalState] = {}
@@ -140,10 +139,10 @@ class RecoveryJournal:
             # The subject is the AM. It runs one DAG at a time and a
             # terminal dag machine does not fire, so the AM's current
             # DAG is the one that moved.
-            self._dag(subject._dag.name).finished = False
+            self._dag(subject._dag.name)
 
     def record_dag_finished(self, dag_name: str, epoch: int) -> None:
-        """Retire a DAG: its successes are no longer recovery state.
+        """Retire a DAG: none of its state is recovery state any more.
 
         Appended *after* commit, *before* staged outputs are finalized
         away — so every crash point either still has the successes (and
@@ -153,7 +152,7 @@ class RecoveryJournal:
             self.fenced_appends += 1
             return
         self._appends += 1
-        self.dags[dag_name] = DagJournalState({}, set(), True)
+        self.dags.pop(dag_name, None)
 
     def __len__(self) -> int:
         return self._appends

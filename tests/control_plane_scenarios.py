@@ -214,8 +214,7 @@ def wal_tap(journal) -> list:
 
     def snapshot():
         return {name: DagJournalState(dict(s.successes),
-                                      set(s.completed_vertices),
-                                      s.finished)
+                                      set(s.completed_vertices))
                 for name, s in journal.dags.items()}
 
     def tapped_record(epoch, event):

@@ -22,7 +22,6 @@ from repro.tez.am import (
     VertexState,
 )
 from repro.tez.am.check import audit_all, audit_cross_table, audit_table
-from repro.tez.am.journal import DagJournalState
 from repro.tez.am.state_machines import (
     ATTEMPT_CONSEQUENCES,
     IGNORED,
@@ -568,9 +567,9 @@ def test_fenced_dispatcher_appends_are_rejected():
 def test_journal_keeps_only_what_recovery_folds():
     """A run whose bus carries exits, uplinks, live data deliveries, a
     node loss and faults appends its transitions and the DAG's finish
-    marker and nothing else, and leaves only the finished DAG's empty
-    state behind; a fenced writer's dispatch of any kind is still
-    counted."""
+    marker and nothing else, and the marker drops the DAG's state, so
+    nothing is left behind; a fenced writer's dispatch of any kind is
+    still counted."""
     from repro import FaultPlan
     from repro.tez.am.dispatcher import DataDeliveryBatchEvent, NodeLostEvent
 
@@ -599,7 +598,10 @@ def test_journal_keeps_only_what_recovery_folds():
     kinds = {record[0] for record, _ in appended}
     assert kinds == {"transition", "dag_finished"}
     assert len(journal) == len(appended)
-    assert journal.dags == {"wal": DagJournalState({}, set(), True)}
+    (_, live), (finish, left) = appended[-2], appended[-1]
+    assert finish[0] == "dag_finished"
+    assert set(live) == {"wal"} and live["wal"].successes
+    assert left == {} and journal.dags == {}
 
     zombie = Dispatcher(sim.env)
     zombie.attach_journal(journal, journal.current_epoch)

@@ -12,8 +12,9 @@ stitched DAG of the stitching ablation:
 
 A Tez DAG is described by its vertices (processor, parallelism,
 manager, sources, sinks) and its edges (movement and descriptors), an
-MR job by its fields. Descriptor payloads keep their scalar values;
-a callable is recorded only as present.
+MR job by its fields and the per-record CPU and reduce slow-start
+the YARN runner charges it. Descriptor payloads keep their scalar
+values; a callable is recorded only as present.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ import pytest
 
 from repro import SimCluster
 from repro.engines.hive import Catalog, HiveSession
-from repro.engines.mapreduce import MRJob, stitch_pipeline
+from repro.engines.mapreduce import MRJob, stitch_pipeline, yarn_runner
 from repro.engines.pig import PigMRCompiler, PigTezCompiler
 from repro.engines.spark import SparkContext
 from repro.engines.spark import rdd as spark_rdd
@@ -117,6 +118,11 @@ def describe_dag(dag: DAG) -> dict:
 def describe_job(job: MRJob) -> dict:
     out = {f.name: _value(getattr(job, f.name))
            for f in dataclasses.fields(job) if f.name != "path_mappers"}
+    # What the YARN runner charges every job, under the keys the golden
+    # records it by, so a change to it shows here.
+    out.update(map_cpu_per_record=yarn_runner.CPU_PER_RECORD,
+               reduce_cpu_per_record=yarn_runner.CPU_PER_RECORD,
+               reduce_slowstart=yarn_runner.REDUCE_SLOWSTART)
     out["mapper_batch"] = bool(getattr(job.mapper, "batch", False))
     mappers = getattr(job, "path_mappers", None)
     out["path_mappers"] = None if mappers is None else [
@@ -282,8 +288,9 @@ def test_golden_does_not_depend_on_the_hash_seed(hashseed):
 def _main(argv) -> int:
     observed = json.loads(json.dumps(observe()))
     if argv == ["--record"]:
-        GOLDEN_PATH.write_text(json.dumps({"plans": observed}, indent=1)
-                               + "\n")
+        note = json.loads(GOLDEN_PATH.read_text()).get("recorded_from")
+        GOLDEN_PATH.write_text(json.dumps(
+            {"recorded_from": note, "plans": observed}, indent=1) + "\n")
     elif argv:
         print(__doc__, file=sys.stderr)
         return 2

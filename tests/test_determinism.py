@@ -329,12 +329,9 @@ def machine_redispatch(records):
                 elif trigger == "reactivate":
                     dag_state(dag).completed_vertices.discard(key)
             elif mkind == "dag" and trigger == "run":
-                dag_state(dag).finished = False
+                dag_state(dag)
         elif kind == "dag_finished":
-            s = dag_state(record[2])
-            s.finished = True
-            s.successes.clear()
-            s.completed_vertices.clear()
+            state.pop(record[2], None)
     return state
 
 
@@ -368,7 +365,7 @@ def test_full_journal_fold_matches_final_run_state():
         assert rt.attempt_number >= 0
         if vertex == "m":               # non-leaf: routed output events
             assert rt.events
-    # After the marker the DAG is retired wholesale.
-    final = states[cut]["wal"]
-    assert final.finished
-    assert final.successes == {}
+    # The marker is the run's last append and retires the DAG
+    # wholesale: no entry is left.
+    assert cut == len(records) - 1
+    assert states[cut] == {}

@@ -290,3 +290,45 @@ class TestTezRunnerHonoursTheJobContract:
         runner = MapReduceTezRunner(make_sim().tez_client())
         with pytest.raises(StitchError, match="per-path mappers"):
             next(runner.run_job(job))
+
+
+def _on_yarn(sim):
+    return MapReduceYarnRunner(sim.env, sim.rm, sim.hdfs, sim.shuffle)
+
+
+def _on_tez(sim):
+    return MapReduceTezRunner(sim.tez_client())
+
+
+class TestOperatorCpuFollowsTheCluster:
+    """A map-only job over one split: everything but its map operator
+    costs the same on two clusters that differ only in
+    ``cpu_cost_per_record``, so the operator's whole bill - every
+    record in and out at the dearer rate - shows in the elapsed time."""
+
+    RECORDS = 4_000
+    CHEAP, DEAR = 1.0e-6, 1.0e-3
+
+    def elapsed(self, runner_of, rate):
+        sim = make_sim(cpu_cost_per_record=rate, hdfs_block_size=1 << 20)
+        sim.hdfs.write("/in/nums", [str(i) for i in range(self.RECORDS)],
+                       record_bytes=16)
+        job = MRJob(name="scan", input_paths=["/in/nums"],
+                    output_path="/out/scan",
+                    mapper=lambda line: [(line, 1)])
+        result = drive(sim, runner_of(sim).run_job(job))
+        assert result.succeeded, result.diagnostics
+        return result.elapsed
+
+    @pytest.mark.parametrize("runner_of", [
+        _on_tez,
+        pytest.param(_on_yarn, marks=pytest.mark.xfail(strict=True, reason=(
+            "MR on YARN charges its map and reduce operators "
+            "yarn_runner.CPU_PER_RECORD whatever the cluster's "
+            "cpu_cost_per_record (EXPERIMENTS.md divergence 7)"))),
+    ])
+    def test_map_operator_time_scales_with_the_cluster_rate(self,
+                                                            runner_of):
+        cheap = self.elapsed(runner_of, self.CHEAP)
+        dear = self.elapsed(runner_of, self.DEAR)
+        assert dear - cheap >= 2 * self.RECORDS * (self.DEAR - self.CHEAP)

@@ -501,22 +501,62 @@ def _calls_named(tree, names):
 
 
 def test_one_lowering_builds_the_engines_dags():
-    """Hive, Pig and Spark lower their stage graphs through
-    ``engines/lowering.py::to_dag``; the MR stitcher (which MR-on-Tez
-    runs as a one-job stitch) is the only other engine code that
-    builds a vertex, an edge or an edge property."""
+    """Hive, Pig, Spark and MapReduce lower their stage graphs through
+    ``engines/lowering.py::to_dag``, the only engine code that builds a
+    vertex, an edge or an edge property. The MR front-end builds no
+    descriptor either and takes nothing from the Tez runtime library:
+    which output, input and processor realise a job is decided in the
+    lowering."""
     builders = {
         str(path.relative_to(SRC))
         for path in sorted((SRC / "engines").rglob("*.py"))
         if any(_calls_named(ast.parse(path.read_text(encoding="utf-8")),
                             {"Vertex", "Edge", "EdgeProperty"}))}
-    assert builders == {"engines/lowering.py",
-                        "engines/mapreduce/stitcher.py"}
+    assert builders == {"engines/lowering.py"}
+    for path in sorted((SRC / "engines" / "mapreduce").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(_calls_named(tree, {"Descriptor"})), path.name
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        assert not {m for m in imported if m and m.endswith(
+            "tez.library")}, path.name
+    assert not (SRC / "engines" / "mapreduce" / "tez_runner.py").exists()
     import repro.engines.mapreduce as mapreduce
 
     gone = "mrjob" + "_to_dag"    # spelled in halves, as above
     assert not hasattr(mapreduce, gone)
     assert not _source_files_matching(gone)
+
+
+@pytest.mark.parametrize("name", ["map_cpu_per_record",
+                                  "reduce_cpu_per_record",
+                                  "reduce_slowstart"])
+def test_mr_jobs_take_no_runner_constants(name):
+    """What every MR-on-YARN job was charged is the runner's constant
+    (``yarn_runner.CPU_PER_RECORD`` / ``REDUCE_SLOWSTART``), not a job
+    field; MR-on-Tez pays the cluster's rate like any vertex."""
+    from repro.engines.mapreduce import MRJob
+
+    with pytest.raises(TypeError):
+        MRJob("j", ["/in"], "/out", mapper=list, **{name: 1e-6})
+
+
+def test_a_mappers_shape_is_read_in_one_place():
+    """Whether a mapper takes a whole split (``mapper.batch``) is read
+    by ``MRJob.map_split`` alone; both runners call it."""
+    readers = [
+        f"{path.relative_to(SRC)}:{fn.name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Attribute) and node.attr == "batch"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "getattr"
+                and len(node.args) > 1
+                and getattr(node.args[1], "value", None) == "batch"
+                for node in _own_nodes(fn))]
+    assert readers == ["engines/mapreduce/model.py:map_split"]
 
 
 def test_only_the_map_side_builder_sets_path_mappers():

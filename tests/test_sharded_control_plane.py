@@ -18,6 +18,7 @@ from repro.yarn import (
     ResourceManager,
 )
 
+from control_plane_scenarios import wal_tap
 from helpers import fn_vertex, make_sim
 
 TASK_PRI = Priority(5)
@@ -201,6 +202,10 @@ def test_single_dag_run_uses_exactly_one_shard():
 def test_two_shard_session_round_robins_and_isolates_journals():
     sim = make_sim()
     client = sim.tez_client(session=True, shards=2)
+    j0 = client.coordinator.shard(0).journal
+    j1 = client.coordinator.shard(1).journal
+    assert j0 is not j1
+    taps = [wal_tap(j0), wal_tap(j1)]
     handles = [client.submit_dag(_one_task_dag(f"d{i}"))
                for i in range(4)]
     for h in handles:
@@ -210,12 +215,13 @@ def test_two_shard_session_round_robins_and_isolates_journals():
     assert all(h.status.state.name == "SUCCEEDED" for h in handles)
     summaries = client.coordinator.shard_summaries()
     assert [s["dags"] for s in summaries] == [2, 2]
-    # Each shard journals only its own DAGs.
-    j0 = client.coordinator.shard(0).journal
-    j1 = client.coordinator.shard(1).journal
-    assert j0 is not j1
-    assert set(j0.dags) == {"d0", "d2"}
-    assert set(j1.dags) == {"d1", "d3"}
+    # Each shard journals only its own DAGs, and each journal's state
+    # only ever holds those; every DAG finished, so none is left.
+    for tap, own in zip(taps, ({"d0", "d2"}, {"d1", "d3"})):
+        assert {record[2] for record, _ in tap} == own
+        assert set().union(*(dags for _, dags in tap)) == own
+        assert tap[-1][0][0] == "dag_finished"
+    assert j0.dags == {} and j1.dags == {}
 
 
 def test_shard_crash_while_idle_does_not_starve_successor():

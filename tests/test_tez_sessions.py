@@ -71,9 +71,6 @@ def successes(journal, dag):
     return state.successes if state is not None else {}
 
 
-def dag_finished(journal, dag):
-    state = journal.dags.get(dag)
-    return state is not None and state.finished
 
 
 class TestRecoveryJournal:
@@ -96,9 +93,10 @@ class TestRecoveryJournal:
         journal = RecoveryJournal()
         epoch = journal.open_epoch()
         journal.record(epoch, attempt_success_event())
+        assert "d" in journal.dags
         journal.record_dag_finished("d", epoch=epoch)
-        assert dag_finished(journal, "d")
-        assert successes(journal, "d") == {}
+        assert journal.dags == {}
+        assert len(journal) == 2
 
     def test_independent_dags(self):
         journal = RecoveryJournal()
@@ -111,12 +109,14 @@ class TestRecoveryJournal:
     def test_stale_epoch_appends_are_fenced(self):
         journal = RecoveryJournal()
         zombie = journal.open_epoch()
-        journal.open_epoch()            # restarted AM claims the journal
+        live = journal.open_epoch()     # restarted AM claims the journal
         journal.record(zombie, attempt_success_event())
         assert successes(journal, "d") == {}
         assert journal.fenced_appends == 1
+        journal.record(live, attempt_success_event())
         journal.record_dag_finished("d", epoch=zombie)
-        assert not dag_finished(journal, "d")
+        # The stale finish marker drops nothing.
+        assert ("v", 0) in successes(journal, "d")
         assert journal.fenced_appends == 2
 
     def test_self_fence_blocks_crashing_writer(self):

@@ -20,8 +20,9 @@ read-only) in this process, runs its timed region once and prints
   nor committed outputs - scratch under ``/tmp/`` (the Spark RDD cache
   aside) and staging under ``_staging/`` or ``_tmp/`` - shuffle spills
   per application, object-registry entries per scope in every live
-  container, and task successes per DAG still held by any shard's
-  recovery journal (``RecoveryJournal.dags``) of any Tez client;
+  container, and the DAG entries (with their task successes) still
+  held by any shard's recovery journal (``RecoveryJournal.dags``) of
+  any Tez client;
 * what telemetry still holds then: each simulation's open spans by
   kind, and the ``TaskTraceEntry`` records (one per task run) that the
   clients' live AMs keep in ``TaskSchedulerService.task_trace``.
@@ -34,7 +35,7 @@ or from the tracer a parent checkout's telemetry still has). The
 telemetry lines are a report only. ``--check`` exits 1 when a collection ran inside
 ``Environment.run``, the unreachable set holds an AM structure, or a
 finished DAG or query left a scratch or staging file, a spill, a DAG-
-or VERTEX-scoped registry entry or a journaled task success.
+or VERTEX-scoped registry entry or a recovery-journal entry.
 """
 
 from __future__ import annotations
@@ -83,14 +84,14 @@ def _left_behind(sims) -> tuple[list, Counter, Counter]:
 
 
 def _journaled(clients) -> Counter:
-    """Task successes per DAG name still held by the shard journals of
-    ``clients``."""
+    """Task successes per DAG entry still held by the shard journals
+    of ``clients`` (an entry holding none is counted at 0)."""
     held = Counter()
     for client in clients:
         for record in client.coordinator.records():
             for name, state in record.journal.dags.items():
                 held[name] += len(state.successes)
-    return +held
+    return held
 
 
 def _open_spans(sims) -> list[Counter]:
@@ -342,8 +343,8 @@ def main(argv=None) -> int:
         print(f"  spills    {n:>8}  {app_id}")
     for scope, n in sorted(entries.items()):
         print(f"  registry  {n:>8}  {scope}")
-    print(f"journaled task successes still held: "
-          f"{sum(journaled.values())}")
+    print(f"recovery-journal entries still held: {len(journaled)}, "
+          f"{sum(journaled.values())} task successes")
     for name, n in sorted(journaled.items()):
         print(f"  journal   {n:>8}  {name}")
     print(f"telemetry still holds: "
@@ -373,9 +374,9 @@ def main(argv=None) -> int:
                         f"{sum(spills.values())} spills and {scoped} DAG- "
                         f"or VERTEX-scoped registry entries")
     if journaled:
-        problems.append(f"recovery journals still hold "
-                        f"{sum(journaled.values())} task successes of "
-                        f"{len(journaled)} DAG(s)")
+        problems.append(f"recovery journals still hold entries of "
+                        f"{len(journaled)} finished DAG(s), with "
+                        f"{sum(journaled.values())} task successes")
     for problem in problems:
         print(f"CHECK FAILED: {problem}")
     if not problems:
