@@ -66,14 +66,16 @@ def run_once(min_f: float, max_f: float) -> float:
     handle = client.submit_dag(dag)
     sim.env.run(until=handle.completion)
     assert handle.status.succeeded
-    trace = client.last_am.scheduler.task_trace
-    map_ends = [e.end for e in trace if e.vertex == "m"]
+    # Every task run, in the order the runs ended (an event's
+    # timestamp is its run's end).
+    trace = sim.timeline.events(kind="task.run")
+    map_ends = [e.ts for e in trace if e.attrs["vertex"] == "m"]
     last_map = max(map_ends)
     # Overlap: reducer runtime spent before the last producer finished
     # (the fetch latency slow-start hides).
     overlap = sum(
-        max(0.0, min(e.end, last_map) - e.start)
-        for e in trace if e.vertex == "r"
+        max(0.0, min(e.ts, last_map) - e.attrs["start"])
+        for e in trace if e.attrs["vertex"] == "r"
     )
     return handle.status.elapsed, overlap
 

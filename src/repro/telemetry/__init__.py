@@ -30,7 +30,7 @@ seconds, scaled to microseconds only at Chrome-trace export time.
 """
 
 from .analysis import CriticalPathReport, CriticalPathSegment, DagSummary
-from .events import TaskTraceEntry, TelemetryEvent
+from .events import TelemetryEvent
 from .export import chrome_trace, validate_records, write_chrome_trace
 from .facade import Telemetry, get_telemetry
 from .metrics import Counter, MetricsRegistry
@@ -48,7 +48,6 @@ __all__ = [
     "RollupEngine",
     "Span",
     "SpanStore",
-    "TaskTraceEntry",
     "Telemetry",
     "TelemetryEvent",
     "TimelineStore",

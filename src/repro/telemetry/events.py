@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["TelemetryEvent", "TaskTraceEntry"]
+__all__ = ["TelemetryEvent"]
 
 
 @dataclass(slots=True)
@@ -27,21 +27,3 @@ class TelemetryEvent:
     def __repr__(self) -> str:
         return f"<Event {self.kind} t={self.ts:.3f} {self.attrs}>"
 
-
-@dataclass
-class TaskTraceEntry:
-    """One task run on one container (paper Figure 7), as
-    ``TaskSchedulerService.task_trace`` records it: the placement record
-    that exists with telemetry off. Read its fields by name."""
-
-    container_id: str
-    attempt_id: str
-    vertex: str
-    start: float
-    end: float
-    node_id: str = ""
-    dag_id: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start

@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Any, Callable, Generator, Optional
 
 from ...sim import Environment, Interrupt, Store
-from ...telemetry import MetricsRegistry, TaskTraceEntry, get_telemetry
+from ...telemetry import MetricsRegistry, get_telemetry
 from ...yarn import (
     AMContext,
     Container,
@@ -134,29 +134,9 @@ class TaskSchedulerService:
         self._c_reuse = self.registry.counter("scheduler.reuse_hits")
         self._c_released = self.registry.counter(
             "scheduler.containers_released")
-        # Execution trace (paper Figure 7): one TaskTraceEntry per task
-        # run, kept with telemetry off too.
-        self.task_trace: list[TaskTraceEntry] = []
         env.process(self._allocation_pump(), name="tez-alloc-pump")
         env.process(self._completion_pump(), name="tez-completion-pump")
         env.process(self._idle_reaper(), name="tez-idle-reaper")
-
-    # -- counter views (registry-backed) --------------------------------
-    @property
-    def containers_launched(self) -> int:
-        return int(self._c_launched.value)
-
-    @property
-    def tasks_placed(self) -> int:
-        return int(self._c_placed.value)
-
-    @property
-    def reuse_hits(self) -> int:
-        return int(self._c_reuse.value)
-
-    @property
-    def containers_released(self) -> int:
-        return int(self._c_released.value)
 
     # ------------------------------------------------------------------ API
     def schedule(self, request: TaskRequest) -> None:
@@ -256,9 +236,6 @@ class TaskSchedulerService:
         self._stopped = True
         for slot in list(self.slots.values()):
             self.release_slot(slot)
-
-    def held_containers(self) -> int:
-        return len(self.slots)
 
     def prewarm(self, count: int, capability: Resource,
                 priority: int = 1) -> None:
@@ -596,27 +573,20 @@ class TaskSchedulerService:
             slot.container.tasks_run += 1
             slot.current = None
             self._slot_by_attempt.pop(attempt, None)
-            entry = TaskTraceEntry(
-                container_id=str(slot.container.container_id),
-                attempt_id=attempt.attempt_id,
-                vertex=attempt.task.vertex.name,
-                start=task_started,
-                end=self.env.now,
-                node_id=slot.container.node_id,
-                dag_id=attempt.task.vertex.dag_id,
-            )
-            self.task_trace.append(entry)
+            # The one record of a task run (paper Figure 7): its
+            # placement, on the timeline; with telemetry off, none.
             telemetry = get_telemetry(self.env)
             if telemetry is not None:
+                task = attempt.task
                 telemetry.event(
                     "task.run",
                     attempt=attempt.attempt_id,
-                    dag=entry.dag_id,
-                    vertex=entry.vertex,
-                    index=attempt.task.index,
-                    node=entry.node_id,
-                    container=entry.container_id,
-                    start=entry.start,
+                    dag=task.vertex.dag_id,
+                    vertex=task.vertex.name,
+                    index=task.index,
+                    node=slot.container.node_id,
+                    container=str(slot.container.container_id),
+                    start=task_started,
                     ok=error is None,
                 )
             self.defer_exits(

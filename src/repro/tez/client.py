@@ -18,7 +18,7 @@ behavior, byte for byte).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 from ..hdfs import Hdfs
 from ..shuffle import ShuffleServices
@@ -26,6 +26,7 @@ from ..sim import Environment, Store
 from ..telemetry import get_telemetry
 from ..yarn import FinalApplicationStatus, Resource, ResourceManager
 from .am.dag_app_master import DAGAppMaster, DAGStatus, RecoveryJournal
+from .am.structures import DAGState
 from .config import TezConfig
 from .coordinator import ShardCoordinator
 from .dag import DAG
@@ -49,6 +50,41 @@ class DAGHandle:
         self.status = status
         if not self.completion.triggered:
             self.completion.succeed(status)
+
+
+def _take_owed(record) -> list:
+    """The DAG handles a session shard owes - the one in flight, then
+    its queue - taken off the shard."""
+    owed = [msg for msg in record.requests.items
+            if isinstance(msg, DAGHandle)]
+    if record.inflight is not None:
+        owed.insert(0, record.inflight)
+        record.inflight = None
+    record.requests.items.clear()
+    return owed
+
+
+def _execute_inflight(am, record) -> Generator:
+    """Run a session shard's DAG in flight on ``am``, then let go of it
+    and finish its handle."""
+    handle = record.inflight
+    status = yield from am.execute_dag(handle.dag)
+    record.inflight = None
+    handle._finish(status)
+
+
+def _fail(app, handles: Iterable[DAGHandle]) -> None:
+    """Fail every unfinished handle of ``handles``: ``app``, the AM
+    application that owed them, has ended."""
+    for handle in handles:
+        if handle.status is None:
+            handle._finish(DAGStatus(
+                name=handle.dag.name,
+                state=DAGState.FAILED,
+                start_time=app.submit_time,
+                finish_time=handle.env.now,
+                diagnostics=f"application failed: {app.diagnostics}",
+            ))
 
 
 class _Prewarm:
@@ -127,6 +163,8 @@ class TezClient:
             self.coordinator.register_app(
                 record.app_handle.app_id, shard_id
             )
+            self._watch_app(record.app_handle,
+                            lambda r=record: _take_owed(r))
         self._app_handle = self.coordinator.shard(0).app_handle
 
     def submit_dag(self, dag: DAG) -> DAGHandle:
@@ -139,7 +177,9 @@ class TezClient:
             self.start()
             record = self.coordinator.shard(self.coordinator.assign())
             record.requests.put(handle)
-            self._watch_app(record.app_handle, handle)
+            if record.app_handle.completion.processed:
+                # The session application is already gone for good.
+                _fail(record.app_handle, _take_owed(record))
         else:
             shard_id = self.coordinator.allocate_ephemeral()
             app = self.rm.submit_application(
@@ -150,27 +190,21 @@ class TezClient:
                 max_attempts=self.am_max_attempts,
             )
             self.coordinator.register_app(app.app_id, shard_id)
-            self._watch_app(app, handle)
+            self._watch_app(app, lambda: (handle,))
         return handle
 
-    def _watch_app(self, app, handle: DAGHandle) -> None:
-        """Fail the DAG handle if the AM application dies for good."""
+    def _watch_app(self, app, owed: Callable[[], Iterable[DAGHandle]]
+                   ) -> None:
+        """One watcher per AM application: once the application has
+        ended, fail every DAG handle ``owed()`` gives that is still
+        unfinished (the application died for good). A session's watcher
+        holds no handle: ``owed`` reads the shard's queue then."""
 
         def watch() -> Generator:
             yield app.completion
-            if handle.status is None:
-                from .am.dag_app_master import DAGStatus
-                from .am.structures import DAGState
+            _fail(app, owed())
 
-                handle._finish(DAGStatus(
-                    name=handle.dag.name,
-                    state=DAGState.FAILED,
-                    start_time=app.submit_time,
-                    finish_time=self.env.now,
-                    diagnostics=f"application failed: {app.diagnostics}",
-                ))
-
-        self.env.process(watch(), name=f"watch:{handle.dag.name}")
+        self.env.process(watch(), name=f"watch:{app.name}")
 
     def run_dag(self, dag: DAG) -> Generator:
         """Process: submit and wait; returns the DAGStatus."""
@@ -237,10 +271,7 @@ class TezClient:
         try:
             # AM-restart recovery: finish the interrupted DAG first.
             if record.inflight is not None and ctx.attempt > 1:
-                handle = record.inflight
-                status = yield from am.execute_dag(handle.dag)
-                record.inflight = None
-                handle._finish(status)
+                yield from _execute_inflight(am, record)
             while True:
                 pending = record.requests.get()
                 msg = yield pending
@@ -260,11 +291,10 @@ class TezClient:
                 if isinstance(msg, _Prewarm):
                     am.scheduler.prewarm(msg.count, msg.capability)
                     continue
-                handle: DAGHandle = msg
-                record.inflight = handle
-                status = yield from am.execute_dag(handle.dag)
-                record.inflight = None
-                handle._finish(status)
+                # The shard, not this frame, holds the DAG while it
+                # runs: a parked session keeps no finished DAG.
+                record.inflight, msg = msg, None
+                yield from _execute_inflight(am, record)
         finally:
             # An AM attempt dying while blocked on the mailbox (e.g. a
             # chaos crash between DAGs) must withdraw its pending get,

@@ -46,6 +46,7 @@ from helpers import (
 )
 from repro import FaultPlan, SimCluster
 from repro.bench.cluster_day import run_cluster_day
+from repro.telemetry import get_telemetry
 from repro.tez import DAG, Descriptor, TezConfig
 from repro.tez.am.dispatcher import (
     AttemptBatchExitedEvent,
@@ -244,16 +245,58 @@ def per_tick(result):
     return makespan, (rows, [sorted(j) for j in journals], *rest)
 
 
-def task_trace(am) -> list:
-    """The scheduler's execution trace with the process-global
-    application number taken out of the container ids."""
+def _container_prefix(am) -> str:
+    """What every container id of ``am``'s application starts with: the
+    process-global application number, which the traces take out."""
     app = am.ctx.app_id
-    prefix = f"container_{app.cluster_ts}_{app.app_num:04d}_"
+    return f"container_{app.cluster_ts}_{app.app_num:04d}_"
+
+
+def task_trace(am):
+    """The execution trace of ``am``'s application, from its ``task.run``
+    events: ``(container, attempt, vertex, start, end, node)`` per task
+    run, in emission order, with the application number taken out of
+    the container ids. ``None`` with telemetry off: then nothing records
+    a task run."""
+    telemetry = get_telemetry(am.env)
+    if telemetry is None:
+        return None
+    prefix = _container_prefix(am)
     return [
-        (e.container_id.replace(prefix, "container_"), e.attempt_id,
-         e.vertex, e.start, e.end, e.node_id)
-        for e in am.scheduler.task_trace
+        (ev.attrs["container"].replace(prefix, "container_"),
+         ev.attrs["attempt"], ev.attrs["vertex"], ev.attrs["start"], ev.ts,
+         ev.attrs["node"])
+        for ev in telemetry.store.events(kind="task.run")
+        if ev.attrs["container"].startswith(prefix)
     ]
+
+
+def exit_tap(am) -> list:
+    """Wrap ``am``'s task scheduler so that every task run it hands to
+    its attempt-exit path adds the :func:`task_trace` tuple of that run
+    to the returned (growing) list, telemetry on or off: the start is
+    when the container loop hands the attempt to its body, the end when
+    the loop reports the exit."""
+    scheduler, prefix = am.scheduler, _container_prefix(am)
+    run_attempt, defer_exits = scheduler._run_attempt, \
+        scheduler.defer_exits
+    starts, runs = {}, []
+
+    def tapped_run(attempt, container):
+        starts[attempt] = am.env.now
+        return run_attempt(attempt, container)
+
+    def tapped_defer(attempt, error, unit):
+        container = attempt.container
+        runs.append((str(container.container_id).replace(prefix,
+                                                         "container_"),
+                     attempt.attempt_id, attempt.task.vertex.name,
+                     starts.pop(attempt), am.env.now, container.node_id))
+        defer_exits(attempt, error, unit)
+
+    scheduler._run_attempt = tapped_run
+    scheduler.defer_exits = tapped_defer
+    return runs
 
 
 def _rows(sim, path="/out") -> tuple:
@@ -432,22 +475,25 @@ def one_partition_edges():
 
 # ------------------------------------- the retired perf-suite's shapes
 
-def _traced(sim, dag, plan=None):
+def _traced(sim, dag, plan=None, on_am=None):
     client = sim.tez_client()
+    if on_am is not None:
+        on_new_am(client, on_am)
     status, _ = _run(sim, dag, client, plan)
     return status, client.last_am
 
 
-def wide_shuffle_on(sim, n, slow_start):
+def wide_shuffle_on(sim, n, slow_start, on_am=None):
     """One ``n`` x ``n`` scatter-gather edge on ``sim``, one record per
-    (producer, partition)."""
+    (producer, partition); ``on_am(am)`` is called on the AM before it
+    runs."""
     producer = fn_vertex(
         "m", lambda c, d, n=n: {"r": [(p, 1) for p in range(n)]}, n)
     consumer = fn_vertex("r", lambda c, d: {}, n)
     consumer.vertex_manager = Descriptor(ShuffleVertexManager, slow_start)
     dag = DAG("wide-shuffle").add_vertex(producer).add_vertex(consumer)
     dag.add_edge(edge(producer, consumer, SG))
-    status, am = _traced(sim, dag)
+    status, am = _traced(sim, dag, on_am=on_am)
     return status.elapsed, task_trace(am)
 
 

@@ -667,3 +667,23 @@ def test_a_store_is_written_once(tmp_path):
     with pytest.raises(SystemExit):
         query.main([str(tmp_path), "--follow"])
     assert not _source_files_matching(r"\b_live\b|_snapshots\b|fast_timers")
+
+
+def test_a_task_run_is_recorded_once():
+    """The ``task.run`` event is the one record of a task run: no
+    scheduler-side trace list or trace-entry record is left in the
+    program, its tools or its benchmarks, and the task scheduler's
+    counters are read from its registry alone."""
+    from repro import telemetry
+    from repro.tez.am.task_scheduler import TaskSchedulerService
+
+    names = re.compile(r"\b(task_trace|TaskTraceEntry)\b")
+    hits = [str(path.relative_to(ROOT))
+            for folder in ("src", "tools", "benchmarks")
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            if names.search(path.read_text(encoding="utf-8"))]
+    assert hits == []
+    assert "TaskTraceEntry" not in telemetry.__all__
+    for name in ("containers_launched", "tasks_placed", "reuse_hits",
+                 "containers_released", "held_containers"):
+        assert not hasattr(TaskSchedulerService, name)

@@ -23,6 +23,7 @@ import types
 import weakref
 
 from repro import FaultPlan
+from repro.cluster import Cluster
 from repro.engines.hive import Catalog, HiveSession, reference
 from repro.engines.hive.ast_nodes import BinaryOp, Column, Literal
 from repro.engines.hive.fragments import InputLeaf
@@ -31,9 +32,13 @@ from repro.engines.hive.reference import run_operators
 from repro.engines.mapreduce import JobHandle, yarn_runner
 from repro.engines.pig import PigRunner, PigScript
 from repro.engines.spark import SparkContext
-from repro.shuffle import SpillRef
+from repro.hdfs import Hdfs
+from repro.shuffle import ShuffleServices, SpillRef
+from repro.sim import Environment
+from repro.telemetry import Telemetry
 from repro.tez import DAG, Scope
 from repro.tez.events import InputReadErrorEvent, TezEvent
+from repro.yarn import ResourceManager
 
 from helpers import SG, edge, fn_vertex, hdfs_sink, hdfs_source, make_sim
 
@@ -432,17 +437,18 @@ def test_read_error_from_a_finished_dags_straggler_is_dropped():
     assert ("two", 0, 1) not in runs
 
 
-def _reachable(root, kinds) -> list:
+def _reachable(root, kinds, skip=()) -> list:
     """Every instance of ``kinds`` reachable from ``root`` by object
     references, without passing through a class, module or function
-    (those lead to everything)."""
+    (those lead to everything) or an instance of ``skip``."""
+    opaque = _OPAQUE + skip
     seen, todo, found = {id(root)}, [root], []
     while todo:
         obj = todo.pop()
         if isinstance(obj, kinds):
             found.append(obj)
         for ref in gc.get_referents(obj):
-            if id(ref) not in seen and not isinstance(ref, _OPAQUE):
+            if id(ref) not in seen and not isinstance(ref, opaque):
                 seen.add(id(ref))
                 todo.append(ref)
     return found
@@ -501,6 +507,35 @@ def test_telemetry_keeps_nothing_per_task_run():
                      sum(len(_reachable(registry, object))
                          for registry in tel.registries.values())))
     assert held == [held[0]] * 5, held
+    client.stop()
+    sim.env.run(until=sim.env.now + 60)
+
+
+# The simulation's shared services: what the client's own structures
+# reach through them is not the client's.
+_SHARED = (Environment, Cluster, Hdfs, Telemetry, ResourceManager,
+           ShuffleServices)
+
+
+def test_a_session_keeps_nothing_of_a_finished_dag():
+    """Six DAGs of one shape through one session: from the second on,
+    what the client reaches stays the same size after each. (While the
+    client watched its application with one process per DAG, each
+    watcher held its DAG's handle - the DAG, its vertices, descriptors
+    and closures - until the session ended.)"""
+    sim = make_sim()
+    sim.hdfs.write("/in", [(i % 10, i) for i in range(400)],
+                   record_bytes=32)
+    client = sim.tez_client(session=True)
+    held = []
+    for i in range(6):
+        handle = client.submit_dag(_two_stage(f"d{i}", []))
+        sim.env.run(until=handle.completion)
+        assert handle.status.succeeded, handle.status.diagnostics
+        del handle
+        held.append(sum(not isinstance(o, (int, float))
+                        for o in _reachable(client, object, _SHARED)))
+    assert held[1:] == [held[1]] * 5, held
     client.stop()
     sim.env.run(until=sim.env.now + 60)
 

@@ -13,6 +13,12 @@ from helpers import (
 )
 
 
+def runs(sim) -> list:
+    """Every task run of the simulation: its ``task.run`` events (the
+    end of a run is the event's timestamp)."""
+    return sim.timeline.events(kind="task.run")
+
+
 def build(name, out):
     m = fn_vertex("m", lambda c, d: {"r": list(d["src"])}, -1)
     hdfs_source(m, "src", ["/in"], max_splits=3)
@@ -33,12 +39,13 @@ def test_trace_shows_reuse_within_and_across_dags():
     s1, _ = run_dag(sim, build("dag1", "/o1"), client=client)
     s2, _ = run_dag(sim, build("dag2", "/o2"), client=client)
     assert s1.succeeded and s2.succeeded
-    trace = client.last_am.scheduler.task_trace
+    trace = runs(sim)
     assert trace, "trace must record every task run"
     by_container: dict = {}
     for e in trace:
-        assert e.end >= e.start
-        by_container.setdefault(e.container_id, []).append(e.attempt_id)
+        assert e.ts >= e.attrs["start"]
+        by_container.setdefault(e.attrs["container"], []).append(
+            e.attrs["attempt"])
     # At least one container ran tasks of BOTH DAGs (cross-DAG reuse:
     # the session behaviour of paper Figure 7).
     def dag_of(attempt_id):
@@ -52,7 +59,8 @@ def test_trace_shows_reuse_within_and_across_dags():
     # Within a container, runs never overlap in time.
     spans: dict = {}
     for e in trace:
-        spans.setdefault(e.container_id, []).append((e.start, e.end))
+        spans.setdefault(e.attrs["container"], []).append(
+            (e.attrs["start"], e.ts))
     for container, intervals in spans.items():
         intervals.sort()
         for (s1_, e1_), (s2_, e2_) in zip(intervals, intervals[1:]):
@@ -69,7 +77,6 @@ def test_trace_attempt_ids_are_unique_per_run():
     s1, _ = run_dag(sim, build("same", "/oa"), client=client)
     s2, _ = run_dag(sim, build("same", "/ob"), client=client)
     assert s1.succeeded and s2.succeeded
-    trace = client.last_am.scheduler.task_trace
-    attempt_ids = [e.attempt_id for e in trace]
+    attempt_ids = [e.attrs["attempt"] for e in runs(sim)]
     assert len(attempt_ids) == len(set(attempt_ids))
     client.stop()

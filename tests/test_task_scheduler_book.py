@@ -295,8 +295,10 @@ class _Rig:
             "slots": {str(cid): slot.current and slot.current.attempt_id
                       for cid, slot in sched.slots.items()},
             "idle": sorted(sched._idle_slots),
-            "counts": (sched.tasks_placed, sched.reuse_hits,
-                       sched.containers_released),
+            "counts": tuple(
+                sched.registry.counter(f"scheduler.{name}").value
+                for name in ("tasks_placed", "reuse_hits",
+                             "containers_released")),
         }
 
 

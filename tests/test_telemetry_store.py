@@ -670,8 +670,11 @@ def test_store_is_bounded_and_lossless_and_moves_nothing():
     """The 40x40 buffered shuffle with the store as system of record,
     on rings small enough that segments must flush: resident records
     stay within the rings, nothing is dropped, and the simulated run -
-    makespan and every task placement - equals telemetry=False."""
-    from control_plane_scenarios import wide_shuffle_on
+    makespan and every task placement - equals telemetry=False. The
+    placements are read on both sides from a tap on the AM's attempt
+    exits (with telemetry off nothing else records them); on the
+    telemetry-on side the tap equals the trace of ``task.run`` events."""
+    from control_plane_scenarios import exit_tap, wide_shuffle_on
     from repro import SimCluster
     from repro.tez.vertex_manager import ShuffleVertexManagerConfig
 
@@ -683,11 +686,18 @@ def test_store_is_bounded_and_lossless_and_moves_nothing():
                          telemetry=enabled,
                          telemetry_opts={"ring_spans": ring,
                                          "ring_events": ring})
-        return sim, wide_shuffle_on(sim, 40, ShuffleVertexManagerConfig())
+        taps = []
+        makespan, trace = wide_shuffle_on(
+            sim, 40, ShuffleVertexManagerConfig(),
+            on_am=lambda am: taps.append(exit_tap(am)))
+        return sim, makespan, trace, taps
 
-    _, off = run(False)
-    sim, on = run(True)
-    assert on == off
+    _, off_makespan, off_trace, off_taps = run(False)
+    sim, on_makespan, on_trace, on_taps = run(True)
+    assert off_trace is None
+    assert len(on_taps) == 1 and len(on_taps[0]) >= 80
+    assert (on_makespan, on_taps) == (off_makespan, off_taps)
+    assert on_taps == [on_trace]
     store = sim.telemetry.spanstore
     assert store.peak_resident <= 2 * ring
     assert store.flushes >= 1

@@ -193,7 +193,7 @@ class TestSessionLifecycle:
         assert status.succeeded
         sim.env.run(until=sim.env.now + 60)
         am = client.last_am
-        assert am.scheduler.held_containers() == 0
+        assert len(am.scheduler.slots) == 0
         client.stop()
 
     @pytest.mark.xfail(
@@ -223,7 +223,8 @@ class TestSessionLifecycle:
                 config.container_idle_timeout < t
                 < config.session_idle_timeout for t in idle_for):
             raise RuntimeError(f"set-up: idle for {idle_for}")
-        released = scheduler.containers_released
+        released = scheduler.registry.counter(
+            "scheduler.containers_released").value
         # The map task's 3 s set-up spans the DAG's first ticks while
         # the other warm containers wait for the reducers.
         dag = small_dag("d", "/o")
@@ -232,7 +233,8 @@ class TestSessionLifecycle:
         status, _ = run_dag(sim, dag, client=client)
         if not status.succeeded:
             raise RuntimeError(status.diagnostics)
-        assert scheduler.containers_released == released
+        assert scheduler.registry.counter(
+            "scheduler.containers_released").value == released
         client.stop()
 
     def test_non_session_apps_are_independent(self):
@@ -246,3 +248,77 @@ class TestSessionLifecycle:
         # No cross-DAG reuse without a session: both paid launches.
         assert s1.metrics["containers_launched"] >= 1
         assert s2.metrics["containers_launched"] >= 1
+
+
+def slow_reduce_dag(name, out):
+    """``small_dag`` whose reducers take 5 s to set up: a window in
+    which the AM can die mid-DAG."""
+    dag = small_dag(name, out)
+    dag.vertices["r"].processor.payload["setup_seconds"] = 5.0
+    return dag
+
+
+def crash_am_mid_dag(sim, client, dag_name):
+    """Crash the client's AM once the maps of ``dag_name`` succeeded,
+    while its reducers set up."""
+
+    def crash():
+        while True:
+            am = client.last_am
+            maps = am and am._dag and am._dag.name == dag_name \
+                and am._vertices.get("m")
+            if maps and maps.all_tasks_done():
+                break
+            yield sim.env.timeout(0.25)
+        yield sim.env.timeout(1.0)
+        am.crash()
+
+    sim.env.process(crash())
+
+
+class TestApplicationDeath:
+    """An AM application that dies for good fails every DAG it still
+    owes with ``application failed: ...``; a DAG it already finished
+    keeps its status."""
+
+    def _failed(self, handle):
+        status = handle.status
+        assert handle.completion.triggered
+        assert status is not None and not status.succeeded
+        assert status.diagnostics.startswith("application failed: ")
+
+    def test_session_app_death_fails_every_unfinished_dag(self):
+        sim = make_sim()
+        sim.hdfs.write("/in", [(i % 5, i) for i in range(50)],
+                       record_bytes=16)
+        client = sim.tez_client(session=True, am_max_attempts=1)
+        done = client.submit_dag(small_dag("done", "/done"))
+        sim.env.run(until=done.completion)
+        assert done.status.succeeded, done.status.diagnostics
+        running = client.submit_dag(slow_reduce_dag("running", "/running"))
+        queued = client.submit_dag(small_dag("queued", "/queued"))
+        crash_am_mid_dag(sim, client, "running")
+        sim.env.run(until=queued.completion)
+        app = client.coordinator.shard(0).app_handle
+        assert app.final_status == FinalApplicationStatus.FAILED
+        # A DAG submitted once the application is gone fails as well.
+        late = client.submit_dag(small_dag("late", "/late"))
+        sim.env.run(until=late.completion)
+        for handle in (running, queued, late):
+            self._failed(handle)
+        assert done.status.succeeded
+        client.stop()
+
+    def test_one_shot_app_death_fails_its_dag(self):
+        sim = make_sim()
+        sim.hdfs.write("/in", [(i % 5, i) for i in range(50)],
+                       record_bytes=16)
+        client = sim.tez_client(am_max_attempts=1)
+        done = client.submit_dag(small_dag("done", "/done"))
+        sim.env.run(until=done.completion)
+        assert done.status.succeeded, done.status.diagnostics
+        running = client.submit_dag(slow_reduce_dag("running", "/running"))
+        crash_am_mid_dag(sim, client, "running")
+        sim.env.run(until=running.completion)
+        self._failed(running)
+        assert done.status.succeeded

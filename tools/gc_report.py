@@ -23,19 +23,23 @@ read-only) in this process, runs its timed region once and prints
   container, and the DAG entries (with their task successes) still
   held by any shard's recovery journal (``RecoveryJournal.dags``) of
   any Tez client;
+* the handles of finished DAGs that a session client still reaches:
+  a walk of object references from each session client that passes
+  through no class, module or function and not into the simulation's
+  shared services (environment, cluster, HDFS, telemetry, RM, shuffle);
 * what telemetry still holds then: each simulation's open spans by
-  kind, and the ``TaskTraceEntry`` records (one per task run) that the
-  clients' live AMs keep in ``TaskSchedulerService.task_trace``.
+  kind.
 
 The script uses nothing that was added to the program for it (it reads
 the shuffle services', registries' and journals' own tables), so a copy
 of this file dropped into a parent checkout's ``tools/`` gives the
 "before" column (open spans are read from ``Telemetry.open_spans()``,
 or from the tracer a parent checkout's telemetry still has). The
-telemetry lines are a report only. ``--check`` exits 1 when a collection ran inside
-``Environment.run``, the unreachable set holds an AM structure, or a
-finished DAG or query left a scratch or staging file, a spill, a DAG-
-or VERTEX-scoped registry entry or a recovery-journal entry.
+telemetry line is a report only. ``--check`` exits 1 when a collection
+ran inside ``Environment.run``, the unreachable set holds an AM
+structure, a finished DAG or query left a scratch or staging file, a
+spill, a DAG- or VERTEX-scoped registry entry or a recovery-journal
+entry, or a session client still reaches a finished DAG's handle.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import shutil
 import sys
 import tempfile
 import time
+import types
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -104,12 +109,33 @@ def _open_spans(sims) -> list[Counter]:
     return held
 
 
-def _task_trace(clients) -> int:
-    """``TaskTraceEntry`` records the live AMs of ``clients`` hold."""
-    return sum(len(record.am.scheduler.task_trace)
-               for client in clients
-               for record in client.coordinator.records()
-               if record.am is not None)
+def _finished_handles(clients) -> int:
+    """Handles of finished DAGs the session clients among ``clients``
+    reach by object references, without passing through a class,
+    module or function or into the simulation's shared services."""
+    from repro.cluster import Cluster
+    from repro.hdfs import Hdfs
+    from repro.shuffle import ShuffleServices
+    from repro.sim import Environment
+    from repro.telemetry import Telemetry
+    from repro.tez.client import DAGHandle
+    from repro.yarn import ResourceManager
+    opaque = (type, types.ModuleType, types.FunctionType, Environment,
+              Cluster, Hdfs, Telemetry, ResourceManager, ShuffleServices)
+    held = 0
+    for client in clients:
+        if not client.session:
+            continue
+        seen, todo = {id(client)}, [client]
+        while todo:
+            obj = todo.pop()
+            if isinstance(obj, DAGHandle) and obj.status is not None:
+                held += 1
+            for ref in gc.get_referents(obj):
+                if id(ref) not in seen and not isinstance(ref, opaque):
+                    seen.add(id(ref))
+                    todo.append(ref)
+    return held
 
 
 def _am_structures() -> tuple:
@@ -303,8 +329,8 @@ def main(argv=None) -> int:
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         files, spills, entries = _left_behind(w.sims)
         journaled = _journaled(w.clients)
+        handles = _finished_handles(w.clients)
         open_spans = _open_spans(w.sims)
-        task_trace = _task_trace(w.clients)
         garbage = _unreachable()
         outcome = w.check()
         for sim in w.sims:
@@ -347,9 +373,10 @@ def main(argv=None) -> int:
           f"{sum(journaled.values())} task successes")
     for name, n in sorted(journaled.items()):
         print(f"  journal   {n:>8}  {name}")
+    print(f"handles of finished DAGs that session clients still reach: "
+          f"{handles}")
     print(f"telemetry still holds: "
-          f"{sum(sum(kinds.values()) for kinds in open_spans)} open "
-          f"spans, {task_trace} task-trace entries in live AMs")
+          f"{sum(sum(kinds.values()) for kinds in open_spans)} open spans")
     for i, kinds in enumerate(open_spans):
         if kinds:
             print(f"  sim {i}     " + ", ".join(
@@ -377,12 +404,16 @@ def main(argv=None) -> int:
         problems.append(f"recovery journals still hold entries of "
                         f"{len(journaled)} finished DAG(s), with "
                         f"{sum(journaled.values())} task successes")
+    if handles:
+        problems.append(f"session clients still reach the handles of "
+                        f"{handles} finished DAG(s)")
     for problem in problems:
         print(f"CHECK FAILED: {problem}")
     if not problems:
         print("check: no collection inside Environment.run, no AM "
               "structure among the unreachable objects, nothing left "
-              "behind by a finished DAG or query, nothing journaled")
+              "behind by a finished DAG or query, nothing journaled, "
+              "no finished DAG's handle held by a session")
     return 1 if problems else 0
 
 
