@@ -176,10 +176,13 @@ class TezClient:
         if self.session:
             self.start()
             record = self.coordinator.shard(self.coordinator.assign())
-            record.requests.put(handle)
-            if record.app_handle.completion.processed:
-                # The session application is already gone for good.
-                _fail(record.app_handle, _take_owed(record))
+            if record.app_handle.completion.triggered:
+                # The session application is gone for good; its last
+                # attempt may still hold a get() on the mailbox, so the
+                # DAG must not be queued there.
+                _fail(record.app_handle, (handle,))
+            else:
+                record.requests.put(handle)
         else:
             shard_id = self.coordinator.allocate_ephemeral()
             app = self.rm.submit_application(

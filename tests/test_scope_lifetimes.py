@@ -18,12 +18,12 @@ master is freed without the cyclic collector.
 """
 
 import gc
+import importlib.util
 import tracemalloc
-import types
 import weakref
+from pathlib import Path
 
 from repro import FaultPlan
-from repro.cluster import Cluster
 from repro.engines.hive import Catalog, HiveSession, reference
 from repro.engines.hive.ast_nodes import BinaryOp, Column, Literal
 from repro.engines.hive.fragments import InputLeaf
@@ -32,15 +32,18 @@ from repro.engines.hive.reference import run_operators
 from repro.engines.mapreduce import JobHandle, yarn_runner
 from repro.engines.pig import PigRunner, PigScript
 from repro.engines.spark import SparkContext
-from repro.hdfs import Hdfs
-from repro.shuffle import ShuffleServices, SpillRef
-from repro.sim import Environment
-from repro.telemetry import Telemetry
+from repro.shuffle import SpillRef
 from repro.tez import DAG, Scope
 from repro.tez.events import InputReadErrorEvent, TezEvent
-from repro.yarn import ResourceManager
 
 from helpers import SG, edge, fn_vertex, hdfs_sink, hdfs_source, make_sim
+
+# One reachability walk, shared with tools/gc_report.py's --check.
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "gc_report.py"
+_spec = importlib.util.spec_from_file_location("gc_report", _TOOL)
+gc_report = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gc_report)
+_reachable = gc_report.reachable
 
 
 def spills(sim) -> list:
@@ -437,26 +440,6 @@ def test_read_error_from_a_finished_dags_straggler_is_dropped():
     assert ("two", 0, 1) not in runs
 
 
-def _reachable(root, kinds, skip=()) -> list:
-    """Every instance of ``kinds`` reachable from ``root`` by object
-    references, without passing through a class, module or function
-    (those lead to everything) or an instance of ``skip``."""
-    opaque = _OPAQUE + skip
-    seen, todo, found = {id(root)}, [root], []
-    while todo:
-        obj = todo.pop()
-        if isinstance(obj, kinds):
-            found.append(obj)
-        for ref in gc.get_referents(obj):
-            if id(ref) not in seen and not isinstance(ref, opaque):
-                seen.add(id(ref))
-                todo.append(ref)
-    return found
-
-
-_OPAQUE = (type, types.ModuleType, types.FunctionType)
-
-
 def test_a_finished_dag_leaves_nothing_in_the_journal():
     """While a DAG runs, the recovery journal holds its journaled
     successes' routed events and the spill references they carry. Once
@@ -511,12 +494,6 @@ def test_telemetry_keeps_nothing_per_task_run():
     sim.env.run(until=sim.env.now + 60)
 
 
-# The simulation's shared services: what the client's own structures
-# reach through them is not the client's.
-_SHARED = (Environment, Cluster, Hdfs, Telemetry, ResourceManager,
-           ShuffleServices)
-
-
 def test_a_session_keeps_nothing_of_a_finished_dag():
     """Six DAGs of one shape through one session: from the second on,
     what the client reaches stays the same size after each. (While the
@@ -527,6 +504,7 @@ def test_a_session_keeps_nothing_of_a_finished_dag():
     sim.hdfs.write("/in", [(i % 10, i) for i in range(400)],
                    record_bytes=32)
     client = sim.tez_client(session=True)
+    shared = gc_report.shared_services()
     held = []
     for i in range(6):
         handle = client.submit_dag(_two_stage(f"d{i}", []))
@@ -534,7 +512,7 @@ def test_a_session_keeps_nothing_of_a_finished_dag():
         assert handle.status.succeeded, handle.status.diagnostics
         del handle
         held.append(sum(not isinstance(o, (int, float))
-                        for o in _reachable(client, object, _SHARED)))
+                        for o in _reachable(client, object, shared)))
     assert held[1:] == [held[1]] * 5, held
     client.stop()
     sim.env.run(until=sim.env.now + 60)

@@ -322,3 +322,24 @@ class TestApplicationDeath:
         sim.env.run(until=running.completion)
         self._failed(running)
         assert done.status.succeeded
+
+    def test_session_app_death_between_dags_fails_a_late_dag(self):
+        # The AM dies for good while parked on the mailbox between DAGs:
+        # its get() is never withdrawn, so a DAG submitted afterwards
+        # must fail at submit time, not go to the dead attempt.
+        sim = make_sim()
+        sim.hdfs.write("/in", [(i % 5, i) for i in range(50)],
+                       record_bytes=16)
+        client = sim.tez_client(session=True, am_max_attempts=1)
+        done = client.submit_dag(small_dag("done", "/done"))
+        sim.env.run(until=done.completion)
+        assert done.status.succeeded, done.status.diagnostics
+        client.last_am.crash()
+        app = client.coordinator.shard(0).app_handle
+        sim.env.run(until=app.completion)
+        assert app.final_status == FinalApplicationStatus.FAILED
+        late = client.submit_dag(small_dag("late", "/late"))
+        sim.env.run(until=late.completion)
+        self._failed(late)
+        assert done.status.succeeded
+        client.stop()

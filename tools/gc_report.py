@@ -109,33 +109,45 @@ def _open_spans(sims) -> list[Counter]:
     return held
 
 
-def _finished_handles(clients) -> int:
-    """Handles of finished DAGs the session clients among ``clients``
-    reach by object references, without passing through a class,
-    module or function or into the simulation's shared services."""
+def shared_services() -> tuple:
+    """The simulation's shared services: what a client's own structures
+    reach through them is not the client's."""
     from repro.cluster import Cluster
     from repro.hdfs import Hdfs
     from repro.shuffle import ShuffleServices
     from repro.sim import Environment
     from repro.telemetry import Telemetry
-    from repro.tez.client import DAGHandle
     from repro.yarn import ResourceManager
-    opaque = (type, types.ModuleType, types.FunctionType, Environment,
-              Cluster, Hdfs, Telemetry, ResourceManager, ShuffleServices)
-    held = 0
-    for client in clients:
-        if not client.session:
-            continue
-        seen, todo = {id(client)}, [client]
-        while todo:
-            obj = todo.pop()
-            if isinstance(obj, DAGHandle) and obj.status is not None:
-                held += 1
-            for ref in gc.get_referents(obj):
-                if id(ref) not in seen and not isinstance(ref, opaque):
-                    seen.add(id(ref))
-                    todo.append(ref)
-    return held
+    return (Environment, Cluster, Hdfs, Telemetry, ResourceManager,
+            ShuffleServices)
+
+
+def reachable(root, kinds, skip=()) -> list:
+    """Every instance of ``kinds`` reachable from ``root`` by object
+    references, without passing through a class, module or function
+    (those lead to everything) or an instance of ``skip``. The tests
+    of scope lifetimes walk with this too."""
+    opaque = (type, types.ModuleType, types.FunctionType) + tuple(skip)
+    seen, todo, found = {id(root)}, [root], []
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, kinds):
+            found.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, opaque):
+                seen.add(id(ref))
+                todo.append(ref)
+    return found
+
+
+def _finished_handles(clients) -> int:
+    """Handles of finished DAGs the session clients among ``clients``
+    reach, not through the simulation's shared services."""
+    from repro.tez.client import DAGHandle
+    shared = shared_services()
+    return sum(handle.status is not None
+               for client in clients if client.session
+               for handle in reachable(client, DAGHandle, shared))
 
 
 def _am_structures() -> tuple:
