@@ -318,15 +318,12 @@ class ChaosController:
         seeded reruns crash at the same boundary, and the crash always
         lands mid-DAG with real journaled work to recover."""
         coordinator = getattr(self.client, "coordinator", None)
-        if fault.shard is not None and coordinator is not None:
-            journal = coordinator.shard(fault.shard).journal
-        else:
-            journal = getattr(self.client, "recovery", None)
-        if journal is None:
+        if coordinator is None:
             raise RuntimeError(
                 "when_journaled am_crash needs a journal-carrying "
                 "TezClient (sim.chaos(plan, client=...))"
             )
+        journal = coordinator.shard(fault.shard or 0).journal
         while True:
             armed = any(
                 len(state.successes) >= fault.when_journaled

@@ -35,7 +35,6 @@ class ClusterSpec:
     net_bw_cross_rack: float = 60 * MB   # oversubscribed core
 
     # -- per-operation latencies (seconds) ------------------------------
-    rpc_latency: float = 0.002           # one RPC hop
     heartbeat_interval: float = 0.5      # task/NM <-> AM/RM heartbeats
     container_allocate_overhead: float = 1.0   # RM negotiation round trips
     container_launch_overhead: float = 2.5     # localization + process start

@@ -177,6 +177,9 @@ class _MRAppMaster:
         succeeded = self.failed is None
         if succeeded:
             yield from self._commit()
+        else:
+            # What finished tasks staged, as _commit deletes it.
+            self.hdfs.delete_tree(f"{self.job.output_path}/_tmp")
         self.shuffle.delete_app(str(ctx.app_id))
         result = JobResult(
             name=self.job.name,

@@ -69,7 +69,8 @@ class DAGAppMaster:
         ctx: AMContext,
         services: FrameworkServices,
         config: Optional[TezConfig] = None,
-        recovery: Optional[RecoveryJournal] = None,
+        *,
+        recovery: RecoveryJournal,
         shard_id: int = 0,
     ):
         self.ctx = ctx
@@ -84,7 +85,7 @@ class DAGAppMaster:
         self.shard_id = shard_id
         # Attempt-epoch fencing: constructing a new AM claims the
         # journal, rejecting appends from any pre-crash zombie writer.
-        self.epoch = recovery.open_epoch() if recovery is not None else 0
+        self.epoch = recovery.open_epoch()
         ctx.register()
         services.job_token = ctx.rm.security.issue("JOB", str(ctx.app_id))
         # Per-AM metrics registry: scheduler, session and task counters
@@ -118,8 +119,7 @@ class DAGAppMaster:
         # Same-tick attempt-exit coalescing (mirrors the event router's
         # delivery buckets): tick -> AttemptBatchExitedEvent.
         self._exit_buckets: dict[float, AttemptBatchExitedEvent] = {}
-        if recovery is not None:
-            self.dispatcher.attach_journal(recovery, self.epoch)
+        self.dispatcher.attach_journal(recovery, self.epoch)
         # Session-wide counters, created before the components that
         # bump them (each caches its own): creation order is the order
         # DAGStatus.metrics lists them in.
@@ -268,8 +268,7 @@ class DAGAppMaster:
             yield from self._commit_outputs()
         else:
             yield from self._abort_outputs()
-        if self.recovery is not None:
-            self.recovery.record_dag_finished(dag.name, epoch=self.epoch)
+        self.recovery.record_dag_finished(dag.name, epoch=self.epoch)
         if self._dag_state == DAGState.SUCCEEDED:
             # Staged outputs are only discarded once the finish marker
             # is journaled: a crash anywhere before this point leaves
@@ -458,8 +457,7 @@ class DAGAppMaster:
         injection."""
         self.dispatcher.halt()
         self._stop_monitors("am crashed")
-        if self.recovery is not None:
-            self.recovery.fence(self.epoch)
+        self.recovery.fence(self.epoch)
         container = self.ctx.am_container
         nm = self.ctx.rm.node_managers[container.node_id]
         nm.stop_container(

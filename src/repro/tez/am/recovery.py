@@ -43,7 +43,7 @@ class RecoveryService:
         vertices the submitted DAG no longer has are dropped loudly
         (counted + traced), never silently."""
         am = self.am
-        if am.recovery is None or dag_name not in am.recovery.dags:
+        if dag_name not in am.recovery.dags:
             return {}
         recovered = dict(am.recovery.dags[dag_name].successes)
         for key in [k for k in recovered if k[0] not in am._vertices]:

@@ -10,22 +10,25 @@ The control plane behind this facade is *sharded*: every AM is one
 shard with its own dispatcher, machines, ask book and epoch-fenced
 recovery journal, tracked by the client's
 :class:`~repro.tez.coordinator.ShardCoordinator`. Non-session mode is
-one ephemeral shard per DAG; session mode runs ``shards`` long-lived
-session AMs with DAGs assigned round-robin by submission order
-(``shards=1``, the default, is the historical single-session-AM
-behavior, byte for byte).
+one ephemeral shard per DAG, whose in-flight DAG is set at submission;
+session mode runs ``shards`` long-lived session AMs with DAGs assigned
+round-robin by submission order (``shards=1``, the default, is the
+historical single-session-AM behavior, byte for byte). Both run the
+one AM body: every attempt first runs its shard's in-flight DAG, and a
+session then serves its mailbox. The client keeps no alias of any
+shard's state.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, Optional
+from typing import Generator, Iterable, Optional
 
 from ..hdfs import Hdfs
 from ..shuffle import ShuffleServices
 from ..sim import Environment, Store
 from ..telemetry import get_telemetry
 from ..yarn import FinalApplicationStatus, Resource, ResourceManager
-from .am.dag_app_master import DAGAppMaster, DAGStatus, RecoveryJournal
+from .am.dag_app_master import DAGAppMaster, DAGStatus
 from .am.structures import DAGState
 from .config import TezConfig
 from .coordinator import ShardCoordinator
@@ -53,24 +56,24 @@ class DAGHandle:
 
 
 def _take_owed(record) -> list:
-    """The DAG handles a session shard owes - the one in flight, then
-    its queue - taken off the shard."""
-    owed = [msg for msg in record.requests.items
-            if isinstance(msg, DAGHandle)]
-    if record.inflight is not None:
-        owed.insert(0, record.inflight)
-        record.inflight = None
-    record.requests.items.clear()
+    """The DAG handles a shard owes - the one in flight, then its
+    session queue - taken off the shard."""
+    owed = [] if record.inflight is None else [record.inflight]
+    record.inflight = None
+    if record.requests is not None:
+        owed += [msg for msg in record.requests.items
+                 if isinstance(msg, DAGHandle)]
+        record.requests.items.clear()
     return owed
 
 
-def _execute_inflight(am, record) -> Generator:
-    """Run a session shard's DAG in flight on ``am``, then let go of it
-    and finish its handle."""
+def _run_inflight(am, record) -> Generator:
+    """Run a shard's DAG in flight on ``am``, then let go of it;
+    returns its handle and status."""
     handle = record.inflight
     status = yield from am.execute_dag(handle.dag)
     record.inflight = None
-    handle._finish(status)
+    return handle, status
 
 
 def _fail(app, handles: Iterable[DAGHandle]) -> None:
@@ -121,13 +124,7 @@ class TezClient:
         self.am_resource = am_resource
         self.am_max_attempts = am_max_attempts
         self.shards = shards
-        # Shard 0's journal, eagerly constructed: the historical
-        # single-AM journal surface (`client.recovery`) every existing
-        # caller — sweep, chaos, tests — reads.
-        self.recovery = RecoveryJournal()
         self.coordinator = ShardCoordinator(self)
-        self._requests: Store = Store(env)   # shard 0's session mailbox
-        self._app_handle = None
         self._started = False
         self._stopped = False
         self.last_am: Optional[DAGAppMaster] = None
@@ -145,27 +142,9 @@ class TezClient:
         self._started = True
         for shard_id in range(self.shards):
             record = self.coordinator.shard(shard_id)
-            if shard_id == 0:
-                record.requests = self._requests
-            elif record.requests is None:
-                record.requests = Store(self.env)
-            app_name = (
-                f"{self.name}-session" if self.shards == 1
-                else f"{self.name}-shard{shard_id}"
-            )
-            record.app_handle = self.rm.submit_application(
-                app_name,
-                self._session_am,
-                queue=self.queue,
-                am_resource=self.am_resource,
-                max_attempts=self.am_max_attempts,
-            )
-            self.coordinator.register_app(
-                record.app_handle.app_id, shard_id
-            )
-            self._watch_app(record.app_handle,
-                            lambda r=record: _take_owed(r))
-        self._app_handle = self.coordinator.shard(0).app_handle
+            record.requests = Store(self.env)
+            self._launch(record, f"{self.name}-session" if self.shards == 1
+                         else f"{self.name}-shard{shard_id}")
 
     def submit_dag(self, dag: DAG) -> DAGHandle:
         """Verify ``dag`` before anything launches; hand it to an AM."""
@@ -184,28 +163,28 @@ class TezClient:
             else:
                 record.requests.put(handle)
         else:
-            shard_id = self.coordinator.allocate_ephemeral()
-            app = self.rm.submit_application(
-                f"{self.name}:{dag.name}",
-                lambda ctx, h=handle: self._single_dag_am(ctx, h),
-                queue=self.queue,
-                am_resource=self.am_resource,
-                max_attempts=self.am_max_attempts,
-            )
-            self.coordinator.register_app(app.app_id, shard_id)
-            self._watch_app(app, lambda: (handle,))
+            record = self.coordinator.allocate_ephemeral()
+            record.inflight = handle
+            self._launch(record, f"{self.name}:{dag.name}")
         return handle
 
-    def _watch_app(self, app, owed: Callable[[], Iterable[DAGHandle]]
-                   ) -> None:
-        """One watcher per AM application: once the application has
-        ended, fail every DAG handle ``owed()`` gives that is still
-        unfinished (the application died for good). A session's watcher
-        holds no handle: ``owed`` reads the shard's queue then."""
+    def _launch(self, record, app_name: str) -> None:
+        """Submit ``record``'s AM application, bind it to the shard and
+        watch it: once the application has ended (it died for good),
+        fail every DAG handle the shard still owes. The watcher holds
+        no handle; it reads what is owed then."""
+        app = record.app_handle = self.rm.submit_application(
+            app_name,
+            self._am,
+            queue=self.queue,
+            am_resource=self.am_resource,
+            max_attempts=self.am_max_attempts,
+        )
+        self.coordinator.register_app(app.app_id, record.shard_id)
 
         def watch() -> Generator:
             yield app.completion
-            _fail(app, owed())
+            _fail(app, _take_owed(record))
 
         self.env.process(watch(), name=f"watch:{app.name}")
 
@@ -238,7 +217,7 @@ class TezClient:
                     record.requests.put(_STOP)
         self._stopped = True
 
-    # ------------------------------------------------------------ AM bodies
+    # ------------------------------------------------------------- AM body
     def _make_am(self, ctx) -> DAGAppMaster:
         services = FrameworkServices(
             self.env, self.rm.cluster, self.hdfs, self.shuffle
@@ -251,31 +230,25 @@ class TezClient:
         self.last_am = am
         return am
 
-    def _single_dag_am(self, ctx, handle: DAGHandle) -> Generator:
-        am = self._make_am(ctx)
-        try:
-            status = yield from am.execute_dag(handle.dag)
-        finally:
-            am.shutdown()
-        handle._finish(status)
-        final = (
-            FinalApplicationStatus.SUCCEEDED
-            if status.succeeded
-            else FinalApplicationStatus.FAILED
-        )
-        ctx.unregister(final, diagnostics=status.diagnostics, result=status)
-
-    def _session_am(self, ctx) -> Generator:
+    def _am(self, ctx) -> Generator:
+        """The one AM body, for a one-shot app and a session shard
+        alike. Every attempt first runs its shard's DAG in flight: a
+        one-shot app's only DAG, or the one a crashed session attempt
+        was running. A one-shot app then ends with that DAG's status;
+        a session serves its mailbox until it is stopped."""
         record = self.coordinator.shard(self.coordinator.shard_of(ctx.app_id))
         am = self._make_am(ctx)
-        am.scheduler.session_waiting = True
-        pending = None
+        am.scheduler.session_waiting = self.session
+        handle = status = pending = None
         fenced = False
         try:
-            # AM-restart recovery: finish the interrupted DAG first.
-            if record.inflight is not None and ctx.attempt > 1:
-                yield from _execute_inflight(am, record)
-            while True:
+            if record.inflight is not None:
+                handle, status = yield from _run_inflight(am, record)
+            while self.session:
+                if handle is not None:
+                    # A parked session keeps no finished DAG.
+                    handle._finish(status)
+                    handle = None
                 pending = record.requests.get()
                 msg = yield pending
                 pending = None
@@ -294,10 +267,9 @@ class TezClient:
                 if isinstance(msg, _Prewarm):
                     am.scheduler.prewarm(msg.count, msg.capability)
                     continue
-                # The shard, not this frame, holds the DAG while it
-                # runs: a parked session keeps no finished DAG.
+                # The shard, not this frame, holds the DAG while it runs.
                 record.inflight, msg = msg, None
-                yield from _execute_inflight(am, record)
+                handle, status = yield from _run_inflight(am, record)
         finally:
             # An AM attempt dying while blocked on the mailbox (e.g. a
             # chaos crash between DAGs) must withdraw its pending get,
@@ -310,5 +282,15 @@ class TezClient:
                 # app id with the live successor attempt, and shutdown
                 # deletes the app's shuffle state out from under it.
                 am.shutdown()
-        if not fenced:
+        if self.session:
             ctx.unregister(FinalApplicationStatus.SUCCEEDED)
+            return
+        # One-shot: the handle is finished after the AM's shutdown, and
+        # the app ends with the DAG's status. That order fixes which of
+        # their same-time events run first.
+        handle._finish(status)
+        ctx.unregister(
+            FinalApplicationStatus.SUCCEEDED if status.succeeded
+            else FinalApplicationStatus.FAILED,
+            diagnostics=status.diagnostics, result=status,
+        )

@@ -1,14 +1,16 @@
 """The shard coordinator: cross-shard concerns of a sharded client.
 
 The control plane shards per DAG (non-session mode: every DAG is its
-own YARN app, its own AM, its own journal) or per DAG *partition*
+own YARN app, its own AM, its own journal, and its shard record holds
+it as the DAG in flight from submission on) or per DAG *partition*
 (session mode with ``shards=N``: N long-lived session AMs, DAGs
 assigned round-robin by submission order). Each shard owns the full
 per-AM control plane — dispatcher, audited machines, task-scheduler
 ask book, telemetry span scope — plus its own epoch-fenced
-:class:`~repro.tez.am.journal.RecoveryJournal` keyed by shard id, so
-concurrent AMs never fence each other and a shard's crash recovers
-from *its* journal alone.
+:class:`~repro.tez.am.journal.RecoveryJournal`, built with its record,
+so concurrent AMs never fence each other and a shard's crash recovers
+from *its* journal alone. The client keeps no alias of any shard's
+state: readers go through ``coordinator.shard(k)``.
 
 What stays deliberately cross-shard lives here, explicitly, instead of
 as implicit globals on the client:
@@ -53,8 +55,9 @@ class ShardRecord:
         self.shard_id = shard_id
         self.journal = journal
         self.requests = None          # session mode: per-shard mailbox
-        self.app_handle = None        # session mode: the shard's app
-        self.inflight = None          # DAGHandle being executed (if any)
+        self.app_handle = None        # the shard's AM application
+        self.inflight = None          # DAGHandle the shard's AM runs next
+                                      # or is running (if any)
         self.am: Optional["DAGAppMaster"] = None
         self.am_attempts = 0
         self.dags_assigned = 0
@@ -108,14 +111,7 @@ class ShardCoordinator:
     def shard(self, shard_id: int) -> ShardRecord:
         record = self._records.get(shard_id)
         if record is None:
-            if shard_id == 0:
-                # Shard 0's journal *is* the client's historical
-                # ``recovery`` attribute — single-shard runs keep the
-                # exact legacy journal surface.
-                journal = self.client.recovery
-            else:
-                journal = RecoveryJournal()
-            record = ShardRecord(shard_id, journal)
+            record = ShardRecord(shard_id, RecoveryJournal())
             self._records[shard_id] = record
         return record
 
@@ -132,13 +128,12 @@ class ShardCoordinator:
         record.dags_assigned += 1
         return shard_id
 
-    def allocate_ephemeral(self) -> int:
-        """Non-session mode: every DAG's app is its own shard."""
-        shard_id = self._next_ephemeral
+    def allocate_ephemeral(self) -> ShardRecord:
+        """Non-session mode: open the shard of one DAG's app."""
+        record = self.shard(self._next_ephemeral)
         self._next_ephemeral += 1
-        record = self.shard(shard_id)
         record.dags_assigned += 1
-        return shard_id
+        return record
 
     def register_app(self, app_id, shard_id: int) -> None:
         """Bind a YARN app to its shard (stable across AM attempts)."""

@@ -587,7 +587,7 @@ def test_journal_keeps_only_what_recovery_folds():
     client = sim.tez_client(session=True)
     client.start()
     recorded = scenarios.journaled(client)
-    journal = client.recovery
+    journal = client.coordinator.shard(0).journal
     appended = scenarios.wal_tap(journal)
     scenarios._run(sim, dag, client, plan)
     client.stop()

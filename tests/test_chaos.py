@@ -391,7 +391,7 @@ def test_chaos_am_crash_recovers_without_rerunning_maps():
     maps_done_before_crash = first_am.registry.counter(
         "tasks_succeeded").value
     assert maps_done_before_crash >= 1, "tune: no maps done before crash"
-    assert client.recovery.dags["amrec"].successes, \
+    assert client.coordinator.shard(0).journal.dags["amrec"].successes, \
         "tune: recovery journal empty"
     plan = FaultPlan().crash_am(at=10.0)
     controller = sim.chaos(plan, client=client)

@@ -265,7 +265,7 @@ def recorded_wal():
         dag = DAG("wal").add_vertex(m).add_vertex(r)
         dag.add_edge(edge(m, r, SG))
         client = sim.tez_client()
-        taps = scenarios.wal_tap(client.recovery)
+        taps = scenarios.wal_tap(client.coordinator.shard(0).journal)
         handle = client.submit_dag(dag)
         sim.env.run(until=handle.completion)
         assert handle.status.succeeded

@@ -143,6 +143,49 @@ class TestYarnRunner:
         result = drive(sim, runner.run_job(job))
         assert result.succeeded, result.diagnostics
 
+    def test_failed_job_leaves_nothing_under_its_output_path(self):
+        # Reduces 0 and 1 stage their output under /out/_tmp; reduce 2
+        # fails every attempt. A failed job deletes its staging, as a
+        # failed Tez DAG's committer abort does.
+        sim = make_sim()
+        sim.hdfs.write("/in", [(i, i) for i in range(50)], record_bytes=16)
+
+        def reducer(key, values):
+            if key == 1:
+                raise ValueError("boom")
+            return [(key, sum(values))]
+
+        job = MRJob("j", ["/in"], "/out", mapper=lambda kv: [(kv[0] % 3,
+                                                              kv[1])],
+                    reducer=reducer, num_reducers=3)
+        runner = MapReduceYarnRunner(sim.env, sim.rm, sim.hdfs, sim.shuffle)
+        result = drive(sim, runner.run_job(job))
+        assert not result.succeeded
+        assert "ValueError: boom" in result.diagnostics
+        assert sim.hdfs.list_files("/out") == []
+
+    def test_reduce_retry_on_transient_failure(self):
+        sim = make_sim()
+        sim.hdfs.write("/in", [(i, i) for i in range(50)], record_bytes=16)
+        failed = set()
+
+        def reducer(key, values):
+            if key not in failed:
+                failed.add(key)
+                raise RuntimeError("blip")
+            return [(key, sum(values))]
+
+        job = MRJob("j", ["/in"], "/out", mapper=lambda kv: [(kv[0] % 3,
+                                                              kv[1])],
+                    reducer=reducer, num_reducers=3)
+        runner = MapReduceYarnRunner(sim.env, sim.rm, sim.hdfs, sim.shuffle)
+        result = drive(sim, runner.run_job(job))
+        assert result.succeeded, result.diagnostics
+        assert sorted(sim.hdfs.read_file("/out")) == [
+            (0, 408), (1, 425), (2, 392)]
+        assert failed == {0, 1, 2}
+        assert sim.hdfs.list_files("/out/") == []
+
     def test_distributed_cache_is_read_whole_by_every_map_task(self):
         sim = make_sim()
         expected = write_text(sim, copies=200)     # several splits

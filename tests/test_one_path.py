@@ -687,3 +687,48 @@ def test_a_task_run_is_recorded_once():
     for name in ("containers_launched", "tasks_placed", "reuse_hits",
                  "containers_released", "held_containers"):
         assert not hasattr(TaskSchedulerService, name)
+
+
+def test_every_application_runs_the_one_am_body(monkeypatch):
+    """A one-shot app and a session shard hand the RM the same AM body,
+    and the client keeps no alias of shard 0's state: the journal is
+    every shard record's own and the AM must be given it."""
+    from helpers import SG, edge, fn_vertex, hdfs_sink, hdfs_source, make_sim
+    from repro.tez import DAG
+    from repro.tez.am.dag_app_master import DAGAppMaster
+    from repro.tez.client import TezClient
+
+    def small_dag(out):
+        m = fn_vertex("m", lambda c, d: {"r": list(d["src"])}, -1)
+        hdfs_source(m, "src", ["/in"])
+        r = fn_vertex("r", lambda c, d: {"out": list(d["m"])}, 2)
+        hdfs_sink(r, "out", out)
+        return DAG("d").add_vertex(m).add_vertex(r).add_edge(edge(m, r, SG))
+
+    client_src = (SRC / "tez" / "client.py").read_text(encoding="utf-8")
+    assert len(list(_calls_named(ast.parse(client_src),
+                                 {"submit_application"}))) == 1
+    sim = make_sim()
+    sim.hdfs.write("/in", [(i % 5, i) for i in range(50)],
+                   record_bytes=16)
+    bodies = []
+    submit = sim.rm.submit_application
+    monkeypatch.setattr(sim.rm, "submit_application",
+                        lambda name, factory, **kw: (
+                            bodies.append(factory),
+                            submit(name, factory, **kw))[1])
+    one_shot = sim.tez_client()
+    session = sim.tez_client(name="s", session=True)
+    for client in (one_shot, session):
+        handle = client.submit_dag(small_dag(f"/o-{client.name}"))
+        sim.env.run(until=handle.completion)
+        assert handle.status.succeeded, handle.status.diagnostics
+    session.stop()
+    assert [body.__func__ for body in bodies] == [TezClient._am] * 2
+    for name in ("_single_dag_am", "_session_am"):
+        assert not hasattr(TezClient, name)
+    for name in ("recovery", "_requests", "_app_handle"):
+        assert not hasattr(one_shot, name) and not hasattr(session, name)
+    recovery = inspect.signature(DAGAppMaster).parameters["recovery"]
+    assert recovery.default is inspect.Parameter.empty
+    assert not hasattr(ClusterSpec(), "rpc_latency")

@@ -2,8 +2,9 @@
 
 Hypothesis draws rows and pushes them through fixed script templates -
 grouped, two-key and global aggregates, inner and left joins, DISTINCT,
-and ORDER BY one key descending and two keys ascending - on the
-in-memory reference, Pig-on-Tez and Pig-on-MapReduce. Keys are drawn
+FLATTEN of each row into two rows, and ORDER BY one key descending and
+two keys ascending - on the in-memory reference, Pig-on-Tez and
+Pig-on-MapReduce. Keys are drawn
 from NULL, ``True``, ``False``, ``0``, ``1``, ``1.0``, ``2`` and
 strings, the corners of the tagged-equality contract (``True`` is not
 ``1``, ``1`` is ``1.0``, NULLs group and join); measures from NULL,
@@ -47,6 +48,10 @@ TEMPLATES = {
     .order_by(["k"], ascending=False),
     "order_two_keys": lambda facts, dims: facts.aggregate(
         ["k", "k2"], {"s": ("sum", "m")}).order_by(["k", "k2"]),
+    "flatten": lambda facts, dims: facts.flatten(
+        lambda r: [{"k": r["k"], "v": r["m"]}, {"k": r["k2"], "v": r["m"]}],
+        ["k", "v"]).aggregate(["k"], {"n": ("count", None),
+                                      "s": ("sum", "v")}),
 }
 ORDERED = {"order_desc", "order_two_keys"}
 

@@ -10,7 +10,8 @@ journal-aimed AM crash mid-DAG still recovers its producers from their
 spills, and a ten-DAG iterative session retains no more host memory
 after its tenth DAG than after its second (DESIGN.md "What a finished
 DAG or query leaves behind"); a session's telemetry counters and AM
-registry hold no more after its fifth DAG than after its first. A map
+registry hold no more after its fifth DAG than after its first, and a
+finished one-shot DAG is freed once its caller lets go of it. A map
 join's hash table is built once per MR job run
 and is gone when the job ends, a task that finds its table cached
 never evaluates the build side, and a finished MR job's application
@@ -455,19 +456,19 @@ def test_a_finished_dag_leaves_nothing_in_the_journal():
     held: list = []
     while not held and not first.completion.triggered:
         sim.env.run(until=sim.env.now + 0.25)
-        held = _reachable(client.recovery, kinds)
+        held = _reachable(client.coordinator.shard(0).journal, kinds)
     assert any(isinstance(o, SpillRef) for o in held), \
         "no journaled spill reference while the first DAG ran"
     sim.env.run(until=first.completion)
     second = client.submit_dag(_two_stage("two", runs))
     sim.env.run(until=sim.env.now + 2.0)
-    live = _reachable(client.recovery, kinds)
+    live = _reachable(client.coordinator.shard(0).journal, kinds)
     assert live, "nothing journaled while the second DAG ran"
     first_ids = {id(o) for o in held}
     assert [o for o in live if id(o) in first_ids] == []
     sim.env.run(until=second.completion)
     assert first.status.succeeded and second.status.succeeded
-    assert _reachable(client.recovery, kinds) == []
+    assert _reachable(client.coordinator.shard(0).journal, kinds) == []
     client.stop()
     sim.env.run(until=sim.env.now + 60)
 
@@ -516,6 +517,26 @@ def test_a_session_keeps_nothing_of_a_finished_dag():
     assert held[1:] == [held[1]] * 5, held
     client.stop()
     sim.env.run(until=sim.env.now + 60)
+
+
+def test_one_shot_dags_are_freed_once_finished():
+    """Six one-shot DAGs through one client: once each has finished and
+    nothing of the caller's holds it, its handle and its DAG are freed.
+    (While each one-shot app's AM factory captured its handle, the RM's
+    application records kept every finished DAG alive.)"""
+    sim = make_sim()
+    sim.hdfs.write("/in", [(i % 10, i) for i in range(400)],
+                   record_bytes=32)
+    client = sim.tez_client()
+    refs = []
+    for i in range(6):
+        handle = client.submit_dag(_two_stage(f"d{i}", []))
+        sim.env.run(until=handle.completion)
+        assert handle.status.succeeded, handle.status.diagnostics
+        refs += [weakref.ref(handle), weakref.ref(handle.dag)]
+        del handle
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 # ------------------------------------------------- retained host memory

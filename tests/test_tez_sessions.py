@@ -142,9 +142,9 @@ class TestSessionLifecycle:
         client.stop()
         assert all(s.succeeded for s in statuses)
         # One application served everything.
-        assert client._app_handle is not None
+        assert client.coordinator.shard(0).app_handle is not None
         sim.env.run(until=sim.env.now + 120)
-        assert client._app_handle.final_status == \
+        assert client.coordinator.shard(0).app_handle.final_status == \
             FinalApplicationStatus.SUCCEEDED
 
     def test_submit_after_stop_rejected(self):

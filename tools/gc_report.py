@@ -23,8 +23,8 @@ read-only) in this process, runs its timed region once and prints
   container, and the DAG entries (with their task successes) still
   held by any shard's recovery journal (``RecoveryJournal.dags``) of
   any Tez client;
-* the handles of finished DAGs that a session client still reaches:
-  a walk of object references from each session client that passes
+* the handles of finished DAGs that a Tez client still reaches: a
+  walk of object references from each client, session or not, that passes
   through no class, module or function and not into the simulation's
   shared services (environment, cluster, HDFS, telemetry, RM, shuffle);
 * what telemetry still holds then: each simulation's open spans by
@@ -39,7 +39,7 @@ telemetry line is a report only. ``--check`` exits 1 when a collection
 ran inside ``Environment.run``, the unreachable set holds an AM
 structure, a finished DAG or query left a scratch or staging file, a
 spill, a DAG- or VERTEX-scoped registry entry or a recovery-journal
-entry, or a session client still reaches a finished DAG's handle.
+entry, or a client still reaches a finished DAG's handle.
 """
 
 from __future__ import annotations
@@ -141,12 +141,12 @@ def reachable(root, kinds, skip=()) -> list:
 
 
 def _finished_handles(clients) -> int:
-    """Handles of finished DAGs the session clients among ``clients``
-    reach, not through the simulation's shared services."""
+    """Handles of finished DAGs the Tez clients ``clients`` reach, not
+    through the simulation's shared services."""
     from repro.tez.client import DAGHandle
     shared = shared_services()
     return sum(handle.status is not None
-               for client in clients if client.session
+               for client in clients
                for handle in reachable(client, DAGHandle, shared))
 
 
@@ -385,7 +385,7 @@ def main(argv=None) -> int:
           f"{sum(journaled.values())} task successes")
     for name, n in sorted(journaled.items()):
         print(f"  journal   {n:>8}  {name}")
-    print(f"handles of finished DAGs that session clients still reach: "
+    print(f"handles of finished DAGs that clients still reach: "
           f"{handles}")
     print(f"telemetry still holds: "
           f"{sum(sum(kinds.values()) for kinds in open_spans)} open spans")
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
                         f"{len(journaled)} finished DAG(s), with "
                         f"{sum(journaled.values())} task successes")
     if handles:
-        problems.append(f"session clients still reach the handles of "
+        problems.append(f"clients still reach the handles of "
                         f"{handles} finished DAG(s)")
     for problem in problems:
         print(f"CHECK FAILED: {problem}")
@@ -425,7 +425,7 @@ def main(argv=None) -> int:
         print("check: no collection inside Environment.run, no AM "
               "structure among the unreachable objects, nothing left "
               "behind by a finished DAG or query, nothing journaled, "
-              "no finished DAG's handle held by a session")
+              "no finished DAG's handle held by a client")
     return 1 if problems else 0
 
 
