@@ -191,7 +191,7 @@ def run_cluster_day(
     else:
         plan.crash_am(at=1.0, shard=crash_shard,
                       when_journaled=crash_threshold)
-    sim.chaos(plan, client=crash_client)
+    controller = sim.chaos(plan, client=crash_client)
 
     handles: list = []
 
@@ -259,8 +259,7 @@ def run_cluster_day(
         )
 
     am_attempts = len(witness.ams)
-    dispatched = sum(am.dispatcher.dispatched for am in witness.ams
-                     if am.dispatcher is not None)
+    dispatched = sum(am.dispatcher.dispatched for am in witness.ams)
     fenced = sum(
         record.journal.fenced_appends
         for client in clients
@@ -289,7 +288,7 @@ def run_cluster_day(
         "tasks_recovered": witness.counter("recovery.tasks_recovered"),
         "entries_dropped": witness.counter("recovery.entries_dropped"),
         "fenced_appends": fenced,
-        "faults_injected": len(plan.faults),
+        "faults_injected": controller.faults_injected,
         "peak_resident": store.peak_resident,
         "store_flushes": store.flushes,
         "maxrss_mb": _maxrss_mb(),

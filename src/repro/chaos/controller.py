@@ -8,14 +8,15 @@ faults with a duration. Everything injected is logged in
 mirrored into the driving Tez AM's metrics as ``faults_injected`` when
 a client is attached.
 
-Injection route: when a live Tez AM is attached (via the client), AM
-crashes, node crashes and shuffle-output losses are dispatched onto
-the AM's control-plane bus as typed ``FaultEvent``s — the AM applies
-them itself, so faults are ordered and journaled like every other
-control event. Node and shuffle faults fall back to the direct
-cluster/shuffle APIs in bare-cluster scenarios; AM crashes do *not* —
-they exist only as control-plane events, and injecting one without a
-live dispatcher-carrying AM raises.
+Injection route: each fault goes to the thing it breaks, once. A node
+crash is ``Cluster.crash_node``, a lost shuffle output is
+``ShuffleService.drop_spill``, and an AM crash is the live AM
+attempt's :meth:`~repro.tez.am.DAGAppMaster.crash`. The AM learns of
+them as it would on YARN: a lost node through the RM's node-loss
+callback, a lost output through its consumers' fetch failures, its own
+death through the RM restarting the application. An AM crash needs a
+live AM; injecting one without an attached client's running
+application raises.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from ..cluster import Cluster
 from ..shuffle import ShuffleServices
 from ..sim import Environment
 from ..telemetry import get_telemetry
-from ..tez.am.dispatcher import FaultEvent
 from ..yarn import ResourceManager
 from .plan import Fault, FaultKind, FaultPlan
 
@@ -91,9 +91,8 @@ class ChaosController:
         self.env.process(heal_process(), name=name)
 
     def _live_am(self, shard: Optional[int] = None):
-        """The attached client's current AM, when it is still
-        registered and carries a control-plane dispatcher. With
-        ``shard`` the lookup routes through the client's shard
+        """The attached client's current AM, while it is registered.
+        With ``shard`` the lookup routes through the client's shard
         coordinator to that specific control-plane shard."""
         if shard is not None:
             coordinator = getattr(self.client, "coordinator", None)
@@ -101,11 +100,7 @@ class ChaosController:
                 return None
             return coordinator.live_am(shard)
         am = getattr(self.client, "last_am", None)
-        if (
-            am is not None
-            and not am.ctx.unregistered
-            and getattr(am, "dispatcher", None) is not None
-        ):
+        if am is not None and not am.ctx.unregistered:
             return am
         return None
 
@@ -169,13 +164,7 @@ class ChaosController:
         node_id = fault.node or self._pick_node()
         if node_id is None or not self.cluster.nodes[node_id].alive:
             return
-        am = self._live_am()
-        if am is not None:
-            am.dispatcher.dispatch(
-                FaultEvent(kind="node_crash", target=node_id)
-            )
-        else:
-            self.cluster.crash_node(node_id)
+        self.cluster.crash_node(node_id)
         self._record(fault, node_id)
         if fault.duration is not None:
             self._heal_later(
@@ -258,14 +247,7 @@ class ChaosController:
                 for spill_id in service.spill_ids():
                     if fault.pattern and fault.pattern not in spill_id:
                         continue
-                    am = self._live_am()
-                    if am is not None:
-                        am.dispatcher.dispatch(FaultEvent(
-                            kind="shuffle_output_loss",
-                            target=(service, spill_id),
-                        ))
-                    else:
-                        service.drop_spill(spill_id)
+                    service.drop_spill(spill_id)
                     self._record(fault, f"{spill_id}@{node_id}")
                     dropped += 1
                     if dropped >= fault.count:
@@ -275,12 +257,10 @@ class ChaosController:
             yield self.env.timeout(0.25)
 
     def _inject_am_crash(self, fault: Fault) -> None:
-        """AM crashes travel the control plane, full stop: they arrive
-        as ``FaultEvent``s on the live AM's bus (or arm its dispatcher
-        for a crash-anywhere trigger). The historical bare-cluster
-        direct-mutation path is gone — crashing an AM the framework
-        does not know about produced un-journaled, un-audited deaths
-        the recovery log could not explain."""
+        """Crash the live AM attempt (or arm its dispatcher to crash it
+        at an exact event boundary). There is no bare-cluster form: an
+        AM the client does not know about has no journal to fence and
+        no restart to recover through."""
         if fault.when_journaled is not None:
             self.env.process(
                 self._journal_aimed_am_crash(fault),
@@ -307,7 +287,7 @@ class ChaosController:
             )
             self._record(fault, f"{tag}+{fault.after_events}ev")
             return
-        am.dispatcher.dispatch(FaultEvent(kind="am_crash"))
+        am.crash()
         self._record(fault, tag)
 
     def _journal_aimed_am_crash(self, fault: Fault) -> Generator:
@@ -333,7 +313,7 @@ class ChaosController:
                 am = self._live_am(shard=fault.shard)
                 if am is not None:
                     node_id = am.ctx.am_container.node_id
-                    am.dispatcher.dispatch(FaultEvent(kind="am_crash"))
+                    am.crash()
                     self._record(
                         fault,
                         f"am[shard{fault.shard}]@{node_id}"

@@ -321,15 +321,8 @@ class _MRAppMaster:
             (n_records + len(out)) * CPU_PER_RECORD
         ))
         if job.reducer is None:
-            staged = f"{job.output_path}/_tmp/map_{task.index}_{task.attempts}"
-            dfile = self.hdfs.write(
-                staged, out, writer_node=container.node_id,
-                record_bytes=job.output_record_bytes, overwrite=True,
-            )
-            yield self.env.timeout(container.io_delay(
-                self.hdfs.write_time(dfile.size_bytes)
-            ))
-            task.staged = staged
+            yield from self._stage(
+                container, task, f"map_{task.index}_{task.attempts}", out)
         else:
             yield self.env.timeout(container.compute_delay(
                 self.spec.sort_time(len(out))
@@ -430,7 +423,20 @@ class _MRAppMaster:
         yield self.env.timeout(container.compute_delay(
             (total + len(out)) * CPU_PER_RECORD
         ))
-        staged = f"{job.output_path}/_tmp/r_{task.index}_{task.attempts}"
+        yield from self._stage(
+            container, task, f"r_{task.index}_{task.attempts}", out)
+        yield self.env.timeout(self.spec.heartbeat_interval / 2)
+        if not task.done:
+            task.done = True
+            self._check_done()
+
+    def _stage(self, container: Container, task, name: str,
+               out: list) -> Generator:
+        """Write a task attempt's output under ``{output}/_tmp/{name}``
+        from its node, pay the write, and point ``task.staged`` at it
+        for the commit."""
+        job = self.job
+        staged = f"{job.output_path}/_tmp/{name}"
         dfile = self.hdfs.write(
             staged, out, writer_node=container.node_id,
             record_bytes=job.output_record_bytes, overwrite=True,
@@ -439,10 +445,6 @@ class _MRAppMaster:
             self.hdfs.write_time(dfile.size_bytes)
         ))
         task.staged = staged
-        yield self.env.timeout(self.spec.heartbeat_interval / 2)
-        if not task.done:
-            task.done = True
-            self._check_done()
 
     # ------------------------------------------------------------- commit
     def _commit(self) -> Generator:

@@ -28,7 +28,6 @@ class SimCluster:
         self,
         spec: Optional[ClusterSpec] = None,
         queues: Optional[list[QueueConfig]] = None,
-        secure: bool = True,
         preemption_enabled: bool = False,
         telemetry: bool = True,
         telemetry_opts: Optional[dict] = None,
@@ -50,7 +49,7 @@ class SimCluster:
                                    store_opts=telemetry_opts)
         self.cluster = Cluster(self.env, spec)
         self.rm = ResourceManager(
-            self.env, self.cluster, queues=queues, secure=secure,
+            self.env, self.cluster, queues=queues,
             preemption_enabled=preemption_enabled,
         )
         self.hdfs = Hdfs(self.cluster)

@@ -14,7 +14,6 @@ from .dispatcher import (
     ControlEvent,
     DataDeliveryEvent,
     Dispatcher,
-    FaultEvent,
     NodeLostEvent,
     StateTransitionEvent,
     TaskUplinkEvent,
@@ -52,7 +51,6 @@ __all__ = [
     "DagAbort",
     "DataDeliveryEvent",
     "Dispatcher",
-    "FaultEvent",
     "InvalidStateTransition",
     "MachineSet",
     "NodeLostEvent",

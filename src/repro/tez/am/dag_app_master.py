@@ -36,7 +36,6 @@ from .dispatcher import (
     AttemptExitedEvent,
     DataDeliveryBatchEvent,
     Dispatcher,
-    FaultEvent,
     NodeLostEvent,
     RecoveryEvent,
     StateTransitionEvent,
@@ -165,7 +164,6 @@ class DAGAppMaster:
         self.dispatcher.register(DataDeliveryBatchEvent,
                                  self.router.on_data_delivery_batch)
         self.dispatcher.register(NodeLostEvent, self._on_node_lost_event)
-        self.dispatcher.register(FaultEvent, self._on_fault)
         self.dispatcher.register(RecoveryEvent,
                                  self.recovery_service.on_recovery_event)
         # Cached for the hot transition-observer path: every state
@@ -433,18 +431,6 @@ class DAGAppMaster:
                 trigger=event.trigger,
             )
 
-    def _on_fault(self, event: FaultEvent) -> None:
-        """Apply a chaos fault delivered as a control-plane event."""
-        if event.kind == "node_crash":
-            self.services.cluster.crash_node(event.target)
-        elif event.kind == "am_crash":
-            self.crash()
-        elif event.kind == "shuffle_output_loss":
-            service, spill_id = event.target
-            service.drop_spill(spill_id)
-        else:
-            raise ValueError(f"unknown fault kind: {event.kind!r}")
-
     def crash(self) -> None:
         """Kill this AM attempt at the current event boundary.
 
@@ -454,7 +440,10 @@ class DAGAppMaster:
         still try to append is rejected), then aborts the AM container
         so the RM's restart policy takes over. The single crash path
         for chaos faults, the sweep harness and direct test
-        injection."""
+        injection. A dead attempt stays dead: a second call returns
+        without touching the journal or the container."""
+        if self.dispatcher.halted:
+            return
         self.dispatcher.halt()
         self._stop_monitors("am crashed")
         self.recovery.fence(self.epoch)

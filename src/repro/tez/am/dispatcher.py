@@ -20,8 +20,7 @@ the simulated analogue, with two delivery modes:
 
 Handlers are registered per event *type* (subclass of
 :class:`ControlEvent`); dispatching an event type nobody handles is an
-error unless the type was explicitly marked ignorable — silently
-dropped control events are how state machines rot.
+error — silently dropped control events are how state machines rot.
 
 The bus keeps no log of its own. Every event is handed to the AM's
 write-ahead :class:`~repro.tez.am.journal.RecoveryJournal` before its
@@ -45,7 +44,6 @@ __all__ = [
     "DataDeliveryEvent",
     "DataDeliveryBatchEvent",
     "NodeLostEvent",
-    "FaultEvent",
     "RecoveryEvent",
     "Dispatcher",
     "UnhandledEventError",
@@ -143,17 +141,6 @@ class NodeLostEvent(ControlEvent):
 
 
 @dataclass
-class FaultEvent(ControlEvent):
-    """A chaos fault arriving as a control-plane event (not a direct
-    mutation): the handler applies it, so fault handling is subject to
-    the same ordering/auditing as every other transition driver."""
-
-    kind: str = ""          # "am_crash" | "node_crash" | "shuffle_output_loss"
-    target: Any = None      # node id / spill id, kind-dependent
-    detail: Any = None
-
-
-@dataclass
 class RecoveryEvent(ControlEvent):
     """One recovered task success re-dispatched into a restarted AM.
 
@@ -175,7 +162,6 @@ class Dispatcher:
         self.env = env
         self.name = name
         self._handlers: dict[Type[ControlEvent], list[Callable]] = {}
-        self._ignorable: set[Type[ControlEvent]] = set()
         self._seq = itertools.count()
         self._queue: deque[ControlEvent] = deque()
         self._draining = False
@@ -195,10 +181,6 @@ class Dispatcher:
     def register(self, event_type: Type[ControlEvent],
                  handler: Callable[[ControlEvent], None]) -> None:
         self._handlers.setdefault(event_type, []).append(handler)
-
-    def ignore(self, event_type: Type[ControlEvent]) -> None:
-        """Declare an event type acceptable to drop when unhandled."""
-        self._ignorable.add(event_type)
 
     def attach_journal(self, journal, epoch: int) -> None:
         """Route every dispatched event into the write-ahead recovery
@@ -273,8 +255,6 @@ class Dispatcher:
         try:
             handlers = self._handlers.get(cls)
             if not handlers:
-                if cls in self._ignorable:
-                    return
                 raise UnhandledEventError(
                     f"dispatcher {self.name!r}: no handler for "
                     f"{cls.__name__}"

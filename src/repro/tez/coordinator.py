@@ -159,11 +159,7 @@ class ShardCoordinator:
             return live[-1] if live else None
         record = self._records.get(shard)
         am = record.am if record is not None else None
-        if (
-            am is not None
-            and not am.ctx.unregistered
-            and am.dispatcher is not None
-        ):
+        if am is not None and not am.ctx.unregistered:
             return am
         return None
 

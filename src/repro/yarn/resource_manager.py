@@ -202,7 +202,6 @@ class ResourceManager:
         env: Environment,
         cluster: Cluster,
         queues: Optional[list[QueueConfig]] = None,
-        secure: bool = True,
         preemption_enabled: bool = False,
         node_locality_delay: Optional[int] = None,
         rack_locality_delay: Optional[int] = None,
@@ -210,7 +209,7 @@ class ResourceManager:
         self.env = env
         self.cluster = cluster
         self.spec = cluster.spec
-        self.security = SecurityManager(enabled=secure)
+        self.security = SecurityManager()
         self.node_managers: dict[str, NodeManager] = {
             node_id: NodeManager(
                 env, node, self.security, self._container_completed,

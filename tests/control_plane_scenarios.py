@@ -53,7 +53,6 @@ from repro.tez.am.dispatcher import (
     AttemptExitedEvent,
     DataDeliveryBatchEvent,
     DataDeliveryEvent,
-    FaultEvent,
     StateTransitionEvent,
 )
 from repro.tez.am.event_router import EventRouter
@@ -93,14 +92,6 @@ def on_new_am(client, hook) -> None:
     client._make_am = instrumented
 
 
-def _stable_repr(obj) -> str:
-    if isinstance(obj, (str, int, float, bool, type(None))):
-        return repr(obj)
-    if isinstance(obj, (tuple, list)):
-        return f"({', '.join(_stable_repr(o) for o in obj)})"
-    return type(obj).__name__
-
-
 def summarize(event) -> str:
     """One event's journal summary: what it moved, never an ``id()``."""
     if isinstance(event, StateTransitionEvent):
@@ -111,11 +102,6 @@ def summarize(event) -> str:
     if isinstance(event, AttemptExitedEvent):
         err = type(event.error).__name__ if event.error else "ok"
         return f"{getattr(event.attempt, 'attempt_id', '?')} {err}"
-    if isinstance(event, FaultEvent):
-        # Targets may hold live service objects whose default repr
-        # embeds id(); summarize those by class name so journals from
-        # identical runs compare byte-identical.
-        return f"{event.kind}:{_stable_repr(event.target)}"
     if isinstance(event, DataDeliveryEvent):
         attempt_id = getattr(event.attempt, "attempt_id", "?")
         dme = event.payload

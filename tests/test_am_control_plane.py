@@ -504,20 +504,18 @@ def test_nested_dispatch_runs_to_completion_in_enqueue_order():
     assert bus.dispatched == 3
 
 
-def test_unhandled_event_raises_unless_ignored():
+def test_unhandled_event_raises():
     env = Environment()
     bus = Dispatcher(env)
     with pytest.raises(UnhandledEventError):
         bus.dispatch(_Ping("orphan"))
-    bus.ignore(_Ping)
-    bus.dispatch(_Ping("orphan"))   # now a legal drop
 
 
 def test_journal_records_time_seq_and_summary():
     env = Environment()
     bus = Dispatcher(env, name="t")
     journal = record_journal(bus)
-    bus.ignore(_Ping)
+    bus.register(_Ping, lambda e: None)
     bus.register(StateTransitionEvent, lambda e: None)
     sm = StateMachine(TABLES["task"], dispatcher=bus,
                       handler=_StubHandler())
@@ -565,8 +563,8 @@ def test_fenced_dispatcher_appends_are_rejected():
 
 
 def test_journal_keeps_only_what_recovery_folds():
-    """A run whose bus carries exits, uplinks, live data deliveries, a
-    node loss and faults appends its transitions and the DAG's finish
+    """A run whose bus carries exits, uplinks, live data deliveries and
+    a node loss appends its transitions and the DAG's finish
     marker and nothing else, and the marker drops the DAG's state, so
     nothing is left behind; a fenced writer's dispatch of any kind is
     still counted."""
@@ -594,7 +592,7 @@ def test_journal_keeps_only_what_recovery_folds():
 
     crossed = {name for journal in recorded for (_, _, name, _) in journal}
     assert {"AttemptExitedEvent", "TaskUplinkEvent", "DataDeliveryEvent",
-            "NodeLostEvent", "FaultEvent"} <= crossed
+            "NodeLostEvent"} <= crossed
     kinds = {record[0] for record, _ in appended}
     assert kinds == {"transition", "dag_finished"}
     assert len(journal) == len(appended)
@@ -606,8 +604,8 @@ def test_journal_keeps_only_what_recovery_folds():
     zombie = Dispatcher(sim.env)
     zombie.attach_journal(journal, journal.current_epoch)
     journal.open_epoch()            # successor AM claims the journal
-    zombie.ignore(NodeLostEvent)
-    zombie.ignore(DataDeliveryBatchEvent)
+    zombie.register(NodeLostEvent, lambda e: None)
+    zombie.register(DataDeliveryBatchEvent, lambda e: None)
     length, fenced = len(journal), journal.fenced_appends
     zombie.dispatch(NodeLostEvent())
     zombie.dispatch(DataDeliveryBatchEvent())
@@ -781,7 +779,7 @@ def test_delivery_batch_journals_each_member():
     env = Environment()
     bus = Dispatcher(env)
     journal = record_journal(bus)
-    bus.ignore(DataDeliveryBatchEvent)
+    bus.register(DataDeliveryBatchEvent, lambda e: None)
     attempt = SimpleNamespace(attempt_id="d/v/t0/a0")
     batch = DataDeliveryBatchEvent(deliveries=[
         DataDeliveryEvent(attempt, DataMovementEvent(

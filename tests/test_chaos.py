@@ -412,6 +412,76 @@ def test_chaos_am_crash_recovers_without_rerunning_maps():
     client.stop()
 
 
+def _crashable_session(sim, name):
+    """A session client running a two-stage DAG whose reducers are
+    still in flight at t=10, with its first AM attempt live at t=5."""
+    write_kv(sim, "/in", 200)
+    m = fn_vertex("m", lambda c, d: {"r": list(d["src"])}, -1)
+    hdfs_source(m, "src", ["/in"])
+    r = fn_vertex("r", lambda c, d: {"out": [
+        (k, sum(vs)) for k, vs in d["m"]
+    ]}, 2, setup_seconds=15.0)
+    hdfs_sink(r, "out", f"/out/{name}")
+    dag = DAG(name).add_vertex(m).add_vertex(r)
+    dag.add_edge(edge(m, r, SG))
+    client = sim.tez_client(session=True)
+    client.start()
+    handle = client.submit_dag(dag)
+    sim.run(until=5.0)
+    assert client.last_am is not None
+    return client, handle
+
+
+def test_am_crash_and_node_crash_in_one_instant_both_land():
+    """Each fault goes to what it breaks: a node crash planned for the
+    instant an AM crash lands is applied to the cluster, not handed to
+    the dead attempt, and each fault is recorded once."""
+    sim = make_sim(num_nodes=6, nodes_per_rack=3)
+    client, handle = _crashable_session(sim, "same")
+    first_am = client.last_am
+    am_node = first_am.ctx.am_container.node_id
+    victim = sorted(n for n in sim.cluster.nodes if n != am_node)[-1]
+    plan = FaultPlan(seed=3).crash_am(at=8.0).crash_node(at=8.0,
+                                                         node=victim)
+    controller = sim.chaos(plan, client=client)
+    sim.run(until=8.0 + 1e-9)
+    assert first_am.dispatcher.halted
+    assert not sim.cluster.nodes[victim].alive
+    assert [(at, kind) for at, kind, _ in controller.injected] == \
+        [(8.0, "am_crash"), (8.0, "node_crash")]
+    sim.env.run(until=handle.completion)
+    assert handle.status.succeeded, handle.status.diagnostics
+    assert client.last_am.ctx.attempt == 2
+    assert dict(sim.hdfs.read_file("/out/same")) == expected_sums(200)
+    client.stop()
+
+
+def test_a_second_crash_of_a_dead_attempt_changes_nothing():
+    """``crash()`` on an attempt that is already dead leaves the journal
+    and the AM container alone: the application restarts once."""
+    sim = make_sim()
+    client, handle = _crashable_session(sim, "twice")
+    am = client.last_am
+    journal = client.coordinator.shard(0).journal
+    nm = sim.rm.node_managers[am.ctx.am_container.node_id]
+    stops = []
+    stop = nm.stop_container
+    nm.stop_container = lambda cid, status: (stops.append(cid),
+                                              stop(cid, status))
+    sim.run(until=8.0)
+    am.crash()
+    epoch, fenced = journal.current_epoch, journal.fenced_appends
+    am.crash()
+    assert (journal.current_epoch, journal.fenced_appends) == \
+        (epoch, fenced)
+    assert stops == [am.ctx.am_container.container_id]
+    sim.env.run(until=handle.completion)
+    assert handle.status.succeeded, handle.status.diagnostics
+    assert client.last_am.ctx.attempt == 2
+    assert dict(sim.hdfs.read_file("/out/twice")) == expected_sums(200)
+    client.stop()
+
+
 # ==================================================== acceptance scenario
 def test_acceptance_tpch_style_dag_survives_chaos():
     """The ISSUE acceptance run: a multi-stage TPC-H-style DAG survives

@@ -46,7 +46,6 @@ from helpers import make_sim
 from repro import SimCluster
 from repro.engines.hive import Catalog, HiveSession
 from repro.sim import Environment
-from repro.tez.am import FaultEvent
 from repro.tez.am.structures import Task, TaskAttempt, VertexRuntime
 from repro.tez.am.vm_context import _VMContext
 from repro.tez.vertex_manager import VertexManagerPlugin
@@ -149,7 +148,7 @@ def _am_crash_and_recovery(reducers):
                 .counter("tasks_succeeded").value < 2:
             yield sim.env.timeout(0.5)
         crashed.append(client.last_am)
-        client.last_am.dispatcher.dispatch(FaultEvent(kind="am_crash"))
+        client.last_am.crash()
 
     sim.env.process(am_killer())
     sim.env.run(until=handle.completion)

@@ -732,3 +732,30 @@ def test_every_application_runs_the_one_am_body(monkeypatch):
     recovery = inspect.signature(DAGAppMaster).parameters["recovery"]
     assert recovery.default is inspect.Parameter.empty
     assert not hasattr(ClusterSpec(), "rpc_latency")
+
+
+def test_a_fault_has_one_route():
+    """Chaos applies a fault to what it breaks - the cluster, a shuffle
+    service or the AM attempt's ``crash()`` - and never through the
+    AM's event bus: no fault event type is left, the AM registers no
+    handler for one, and the controller dispatches nothing."""
+    from repro.chaos import controller
+    from repro.tez.am import dispatcher
+    from repro.tez.am.dag_app_master import DAGAppMaster
+
+    names = re.compile(r"\bFaultEvent\b")
+    hits = [str(path.relative_to(ROOT))
+            for folder in ("src", "tools", "benchmarks")
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            if names.search(path.read_text(encoding="utf-8"))]
+    assert hits == []
+    assert not hasattr(dispatcher, "FaultEvent")
+    assert not hasattr(DAGAppMaster, "_on_fault")
+    am_tree = ast.parse(inspect.getsource(DAGAppMaster))
+    registered = {node.args[0].id
+                  for node in _calls_named(am_tree, {"register"})
+                  if node.args and isinstance(node.args[0], ast.Name)}
+    assert "NodeLostEvent" in registered
+    assert not {name for name in registered if "Fault" in name}
+    chaos_tree = ast.parse(inspect.getsource(controller))
+    assert list(_calls_named(chaos_tree, {"dispatch"})) == []

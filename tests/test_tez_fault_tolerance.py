@@ -242,16 +242,12 @@ def test_am_restart_recovers_completed_work():
     handle = client.submit_dag(dag)
 
     def am_killer():
-        # Wait until some map tasks finished, then crash the AM through
-        # its own control plane: the fault arrives as a dispatcher
-        # event, exactly as chaos injection delivers it.
-        from repro.tez.am import FaultEvent
-
+        # Wait until some map tasks finished, then crash the AM the
+        # way chaos injection does.
         while client.last_am is None or client.last_am.registry \
                 .counter("tasks_succeeded").value < 2:
             yield sim.env.timeout(0.5)
-        am = client.last_am
-        am.dispatcher.dispatch(FaultEvent(kind="am_crash"))
+        client.last_am.crash()
 
     sim.env.process(am_killer())
     sim.env.run(until=handle.completion)
